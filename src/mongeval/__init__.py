@@ -7,7 +7,6 @@ from .algebra import (
     HermitianMatrix,
     MixedDetForm,
     complex_embedding,
-    jacobi_eigvalsh,
     mixed_det,
     moore_det,
     oct_conj,
@@ -20,15 +19,11 @@ from .algebra import (
 from .convex import (
     PLConvexFunction,
     Polytope,
-    RoundedBody,
     SmoothProfileBody,
     ball_body,
     generate_union_convex_pair,
     halfspace_clip,
-    hausdorff_distance,
     make_two_ball_body,
-    pl_lattice,
-    support_function,
 )
 from .hessian import fd_hessian, fd_hessian_batch, structured_hessian
 from .valuation import (
@@ -43,7 +38,6 @@ from .valuation import (
     homogeneous_components,
     hull_volume,
     ma_measure_pl,
-    parity_split,
     pl_valuation,
 )
 from .verify import EXPERIMENTS, ExperimentReport, run_experiment

@@ -51,7 +51,6 @@ __all__ = [
     "quat_left_matrix",
     "realize_quat_matrix",
     "complex_embedding",
-    "jacobi_eigvalsh",
     "moore_det",
     "moore_det_batch",
     "oct_det2",
@@ -99,6 +98,8 @@ def quat_mul(p, q):
 
 
 def quat_conj(p):
+    """Conjugate: negate every imaginary component.  The same map
+    conjugates octonions, so ``oct_conj`` is this function."""
     p = np.asarray(p, dtype=float)
     out = p.copy()
     out[..., 1:] = -out[..., 1:]
@@ -143,29 +144,15 @@ def oct_mul(p, q):
     return np.concatenate([left, right], axis=-1)
 
 
-def oct_conj(p):
-    p = np.asarray(p, dtype=float)
-    out = p.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def oct_abs2(p):
-    p = np.asarray(p, dtype=float)
-    return np.sum(p * p, axis=-1)
+# both act componentwise, identically in any Cayley-Dickson algebra
+oct_conj = quat_conj
+oct_abs2 = quat_abs2
 
 
 def oct_unit(i):
     e = np.zeros(8)
     e[i] = 1.0
     return e
-
-
-# e_i e_j = sum_c _OTAB[i, j, c] e_c
-_OTAB = np.zeros((8, 8, 8))
-for _i in range(8):
-    for _j in range(8):
-        _OTAB[_i, _j] = oct_mul(oct_unit(_i), oct_unit(_j))
 
 
 # ---------------------------------------------------------------------------
@@ -217,71 +204,8 @@ def complex_embedding(A):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigenvalues for Hermitian matrices
-# ---------------------------------------------------------------------------
-
-def jacobi_eigvalsh(H, tol=1e-14, max_sweeps=60):
-    """Eigenvalues of a (small, dense) Hermitian matrix by cyclic Jacobi.
-
-    Each rotation is a complex Givens rotation annihilating one
-    off-diagonal entry.  Returns eigenvalues in ascending order.
-    """
-    A = np.array(H, dtype=complex)
-    m = A.shape[0]
-    if m == 1:
-        return A.diagonal().real.copy()
-    scale = max(np.abs(A).max(), 1e-300)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                off = max(off, abs(A[p, q]))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                b = A[p, q]
-                if abs(b) <= 1e-300:
-                    continue
-                theta = np.angle(b)
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(b))
-                # smaller-angle root of t^2 - 2 tau t - 1 = 0
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                U = np.eye(m, dtype=complex)
-                U[p, p] = c
-                U[q, q] = c
-                U[p, q] = -s * np.exp(1j * theta)
-                U[q, p] = s * np.exp(-1j * theta)
-                A = U.conj().T @ A @ U
-    return np.sort(A.diagonal().real)
-
-
-# ---------------------------------------------------------------------------
 # Moore determinant and the octonionic 2x2 determinant
 # ---------------------------------------------------------------------------
-
-def _quat_components(A):
-    """Coerce HermitianMatrix / array input to an (n, n, 4) float array."""
-    if isinstance(A, HermitianMatrix):
-        if A.field != "H":
-            raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
-        return A.data
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 3 or A.shape[0] != A.shape[1] or A.shape[2] != 4:
-        raise ValueError(f"expected an (n, n, 4) quaternionic matrix, got shape {A.shape}")
-    return A
-
-
-def _check_quat_hermitian(A, tol=1e-8):
-    dev = np.abs(A - quat_conj_transpose(A)).max()
-    if dev > tol * (1.0 + np.abs(A).max()):
-        raise ValueError(f"matrix is not quaternionic Hermitian (deviation {dev:.3e})")
-
 
 def _paired_product(eigs, pair_tol):
     """Product of one representative per duplicated eigenvalue pair.
@@ -300,20 +224,18 @@ def _paired_product(eigs, pair_tol):
 
 
 def moore_det(A, check=True):
-    """Moore determinant of a quaternionic Hermitian matrix.
+    """Moore determinant of one quaternionic Hermitian matrix.
 
-    Computed as the product of one representative per duplicated
-    eigenvalue pair of the complex embedding (eigenvalues via Jacobi),
-    normalized so the identity maps to 1.  With ``check=True`` the value
-    is verified against ``det(realization) == moore^4`` at relative
-    tolerance 1e-8.
+    The one-matrix case of ``moore_det_batch``, after a Hermitian check.
+    With ``check=True`` the value is verified against
+    ``det(realization) == moore^4`` at relative tolerance 1e-8.
     """
-    A = _quat_components(A)
-    _check_quat_hermitian(A)
-    n = A.shape[0]
-    norm = np.sqrt(np.sum(A * A))
-    eigs = jacobi_eigvalsh(complex_embedding(A))
-    value = float(_paired_product(eigs, 1e-7 * max(1.0, norm)))
+    if not isinstance(A, HermitianMatrix):
+        A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
+    if A.field != "H":
+        raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
+    A = A.data
+    value = float(moore_det_batch(A[None])[0])
     if check:
         det_real = float(np.linalg.det(realize_quat_matrix(A)))
         p4 = value**4
@@ -321,7 +243,7 @@ def moore_det(A, check=True):
         if rel > 1e-8:
             raise DeterminantConsistencyError(
                 f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e} "
-                f"(relative gap {rel:.3e}), n = {n}"
+                f"(relative gap {rel:.3e}), n = {A.shape[0]}"
             )
     return value
 
@@ -329,9 +251,9 @@ def moore_det(A, check=True):
 def moore_det_batch(data):
     """Vectorized Moore determinant of (..., n, n, 4) Hermitian arrays.
 
-    Hot path for quadrature grids: eigenvalues via LAPACK instead of the
-    scalar Jacobi route, same sorted-adjacency pairing.  Agreement of the
-    two routes is part of the test suite.
+    Product of one representative per duplicated eigenvalue pair of the
+    complex embedding (eigenvalues via LAPACK, pairs by sorted
+    adjacency), normalized so the identity maps to 1.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[-3] == 1:
@@ -347,8 +269,7 @@ def oct_det2(A):
         if A.field != "O2":
             raise ValueError(f"expected a 2x2 octonionic matrix, got field {A.field!r}")
         A = A.data
-    A = np.asarray(A, dtype=float)
-    return float(A[0, 0, 0] * A[1, 1, 0] - np.sum(A[0, 1] ** 2))
+    return float(det_batch("O2", np.asarray(A, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +281,7 @@ def _conj_transpose(field, data):
         return np.swapaxes(data, -2, -1)
     if field == "C":
         return np.conj(np.swapaxes(data, -2, -1))
-    out = np.swapaxes(data, -3, -2).copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+    return quat_conj(np.swapaxes(data, -3, -2))
 
 
 def hermitian_deviation(field, data):
@@ -404,13 +323,9 @@ class HermitianMatrix:
         return self.data.shape[0]
 
     def det(self, check=True) -> float:
-        if self.field == "R":
-            return float(np.linalg.det(self.data))
-        if self.field == "C":
-            return float(np.linalg.det(self.data).real)
         if self.field == "H":
             return moore_det(self.data, check=check)
-        return oct_det2(self.data)
+        return float(det_batch(self.field, self.data[None])[0])
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2)))
@@ -442,14 +357,6 @@ class HermitianMatrix:
             data[np.arange(n), np.arange(n), 0] = 1.0
         return HermitianMatrix(field, data)
 
-    @staticmethod
-    def zeros(field: str, n: int) -> "HermitianMatrix":
-        if field in ("R", "C"):
-            data = np.zeros((n, n), dtype=complex if field == "C" else float)
-        else:
-            data = np.zeros((n, n, FIELD_COMPONENTS[field]))
-        return HermitianMatrix(field, data)
-
 
 # ---------------------------------------------------------------------------
 # mixed determinants by polarization
@@ -467,13 +374,6 @@ def det_batch(field, data):
         data = np.asarray(data, dtype=float)
         return data[..., 0, 0, 0] * data[..., 1, 1, 0] - np.sum(data[..., 0, 1, :] ** 2, axis=-1)
     raise ValueError(f"unknown field {field!r}")
-
-
-def _det_scalar(field, data):
-    """Single-matrix determinant; quaternionic case goes through Jacobi."""
-    if field == "H":
-        return moore_det(data, check=False)
-    return float(det_batch(field, data[None])[0])
 
 
 def polarized_det_batch(field, slots):
@@ -507,7 +407,8 @@ class MixedDetForm:
     """The symmetric n-linear polarization of a determinant polynomial.
 
     form(H, ..., H) == det(H); permuting arguments leaves the value
-    unchanged up to roundoff.
+    unchanged up to roundoff.  Evaluated as a batch of one matrix per
+    slot by ``polarized_det_batch``.
     """
 
     field: str
@@ -527,19 +428,7 @@ class MixedDetForm:
                 raise ValueError(f"field mismatch: {m.field} vs {self.field}")
             if m.n != self.n:
                 raise ValueError(f"size mismatch: {m.n} vs {self.n}")
-        n = self.n
-        datas = [m.data for m in mats]
-        if n == 1:
-            return _det_scalar(self.field, datas[0])
-        total = 0.0
-        for mask in range(1, 2**n):
-            acc = None
-            for i in range(n):
-                if mask >> i & 1:
-                    acc = datas[i] if acc is None else acc + datas[i]
-            sign = -1.0 if (n - int(bin(mask).count("1"))) % 2 else 1.0
-            total += sign * _det_scalar(self.field, acc)
-        return total / math.factorial(n)
+        return float(polarized_det_batch(self.field, [m.data[None] for m in mats])[0])
 
 
 def mixed_det(mats: Sequence[HermitianMatrix]) -> float:

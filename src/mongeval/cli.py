@@ -15,7 +15,7 @@ import os
 import sys
 
 from .serialize import write_json_atomic
-from .verify import EXPERIMENTS, run_experiment
+from .verify import EXPERIMENTS, run_experiment, smoothing_schedule
 
 _EXPERIMENT_FLAGS = {
     "valuation-identity": {"fields", "pairs", "seed", "threads"},
@@ -73,16 +73,21 @@ def _parse_float_list(text):
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return config
+
+
 def _config_from_args(args) -> dict:
     config = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config file must hold a JSON object")
+        config = _read_config(args.config)
     for key in ("pairs", "trials", "dim", "degree", "resolution", "bodies",
                 "seed", "threads", "body"):
         value = getattr(args, key, None)
@@ -109,6 +114,16 @@ _KEY_ALIASES = {
 }
 
 
+_INT_KEYS = ("n_pairs", "n_bodies", "trials", "dim", "degree", "resolution", "seed", "threads")
+_LIST_KEYS = ("widths", "sigmas_cells", "eps_schedule")
+_COERCE = {
+    **dict.fromkeys(_INT_KEYS, int),
+    **dict.fromkeys(_LIST_KEYS, lambda value: [float(v) for v in value]),
+    "b_height": float,
+    "fields": list,
+}
+
+
 def validate_config(name: str, config: dict) -> dict:
     """Check names/types/ranges before any computation; returns kwargs."""
     if name not in EXPERIMENTS:
@@ -118,20 +133,26 @@ def validate_config(name: str, config: dict) -> dict:
     allowed_keys |= {_KEY_ALIASES.get(k, k) for k in allowed_keys}
     kwargs = {}
     for key, value in config.items():
+        if key == "experiment":
+            continue
         norm = _KEY_ALIASES.get(key, key)
-        if norm not in allowed_keys and key not in ("experiment",):
+        if norm not in allowed_keys:
             raise ConfigError(f"option {key!r} does not apply to {name}")
-        if norm in ("n_pairs", "n_bodies", "trials", "dim", "degree",
-                    "resolution", "seed", "threads"):
-            value = int(value)
-            if norm != "seed" and value <= 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-        if norm in ("widths", "sigmas_cells", "eps_schedule"):
-            value = [float(v) for v in value]
-            if any(v <= 0 for v in value):
-                raise ConfigError(f"{key} entries must be positive")
-        if key != "experiment":
-            kwargs[norm] = value
+        if norm in _COERCE:
+            try:
+                value = _COERCE[norm](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
+        if norm in _INT_KEYS and norm != "seed" and value <= 0:
+            raise ConfigError(f"{key} must be positive, got {value}")
+        if norm in _LIST_KEYS and any(v <= 0 for v in value):
+            raise ConfigError(f"{key} entries must be positive")
+        kwargs[norm] = value
+    if "sigmas_cells" in kwargs:
+        try:
+            smoothing_schedule(kwargs["sigmas_cells"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if name == "parity-break":
         dim = int(kwargs.get("dim", 3))
         degree = int(kwargs.get("degree", 1))
@@ -173,13 +194,12 @@ def main(argv=None) -> int:
 
     if args.command == "validate-config":
         try:
-            with open(args.path) as fh:
-                config = json.load(fh)
+            config = _read_config(args.path)
             name = config.get("experiment")
             if not name:
                 raise ConfigError("config must name an 'experiment'")
             validate_config(name, config)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        except ConfigError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
         print("config ok")

@@ -2,8 +2,7 @@
 
 Bodies are represented either by a vertex list (Polytope) or by an
 explicit 1-homogeneous support function h(xi) = |xi| g(xi_1 / |xi|)
-built from a scalar profile g on [-1, 1] (SmoothProfileBody).  A third
-thin wrapper adds a ball summand, h + r |xi|.
+built from a scalar profile g on [-1, 1] (SmoothProfileBody).
 
 Support functions satisfy the lattice identities that make valuations on
 bodies talk to valuations on functions: if A, B and A u B are all convex
@@ -14,7 +13,7 @@ overlapping half-spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -25,12 +24,9 @@ __all__ = [
     "GeometryError",
     "Polytope",
     "SmoothProfileBody",
-    "RoundedBody",
     "ConvexBody",
     "PLConvexFunction",
-    "support_function",
     "unit_directions",
-    "hausdorff_distance",
     "ball_body",
     "make_two_ball_body",
     "certify_support_convexity",
@@ -38,10 +34,7 @@ __all__ = [
     "generate_union_convex_pair",
     "slab_intersection",
     "random_shell_polytope",
-    "pl_lattice",
-    "midpoint_convex",
     "ball_slab_support",
-    "pl_tangent_approx",
 ]
 
 
@@ -128,42 +121,11 @@ class SmoothProfileBody:
         return SmoothProfileBody(self.dim, self.profile, self.center + np.asarray(x0, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class RoundedBody:
-    """Minkowski sum of a body with a centered ball: h = h_body + radius |xi|."""
-
-    body: "ConvexBody"
-    radius: float
-
-    @property
-    def dim(self) -> int:
-        return self.body.dim
-
-    def support(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.body.support(xi) + self.radius * np.linalg.norm(xi, axis=-1)
-
-    def scale(self, lam: float) -> "RoundedBody":
-        return RoundedBody(self.body.scale(lam), lam * self.radius)
-
-    def negate(self) -> "RoundedBody":
-        return RoundedBody(self.body.negate(), self.radius)
-
-    def translate(self, x0) -> "RoundedBody":
-        return RoundedBody(self.body.translate(x0), self.radius)
-
-
-ConvexBody = Union[Polytope, SmoothProfileBody, RoundedBody]
-
-
-def support_function(K: ConvexBody, xi):
-    """h_K(xi) = sup_{x in K} <x, xi>; accepts a single vector or a batch."""
-    xi = np.asarray(xi, dtype=float)
-    return K.support(xi)
+ConvexBody = Union[Polytope, SmoothProfileBody]
 
 
 # ---------------------------------------------------------------------------
-# sphere sampling and the Hausdorff metric
+# sphere sampling
 # ---------------------------------------------------------------------------
 
 def unit_directions(dim: int, count: int, seed: int = 7):
@@ -179,14 +141,6 @@ def unit_directions(dim: int, count: int, seed: int = 7):
     extra = rng.standard_normal((count - len(axes), dim))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.concatenate([axes, extra], axis=0)
-
-
-def hausdorff_distance(A: ConvexBody, B: ConvexBody, sphere_samples: int = 2048) -> float:
-    """sup-norm of h_A - h_B over sampled unit directions."""
-    if A.dim != B.dim:
-        raise GeometryError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    dirs = unit_directions(A.dim, sphere_samples)
-    return float(np.max(np.abs(A.support(dirs) - B.support(dirs))))
 
 
 # ---------------------------------------------------------------------------
@@ -357,49 +311,6 @@ class PLConvexFunction:
     @classmethod
     def from_polytope_support(cls, P: Polytope) -> "PLConvexFunction":
         return cls(P.vertices, np.zeros(P.vertices.shape[0]))
-
-
-def midpoint_convex(fn, lo, hi, n_pairs: int = 10000, tol: float = 1e-8, seed: int = 0) -> bool:
-    """Midpoint-convexity verdict on random pairs in a box.  Advisory."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    rng = np.random.default_rng(seed)
-    x = lo + (hi - lo) * rng.random((n_pairs, lo.size))
-    y = lo + (hi - lo) * rng.random((n_pairs, lo.size))
-    mid = 0.5 * (x + y)
-    defect = fn(mid) - 0.5 * (np.asarray(fn(x)) + np.asarray(fn(y)))
-    return bool(np.max(defect) <= tol)
-
-
-def pl_lattice(f: PLConvexFunction, g: PLConvexFunction, box_halfwidth: float = 2.0,
-               n_pairs: int = 10000, tol: float = 1e-8, seed: int = 0):
-    """max/min of two PL convex functions for the valuation identity.
-
-    The max is again PL convex with the union of the piece lists; the min
-    is returned as a plain callable together with a sampled midpoint
-    convexity verdict (min of convex functions need not be convex).
-    """
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    fmax = PLConvexFunction(
-        np.vstack([f.slopes, g.slopes]), np.concatenate([f.offsets, g.offsets])
-    )
-
-    def fmin(x):
-        return np.minimum(f(x), g(x))
-
-    lo = -box_halfwidth * np.ones(f.dim)
-    hi = box_halfwidth * np.ones(f.dim)
-    flag = midpoint_convex(fmin, lo, hi, n_pairs=n_pairs, tol=tol, seed=seed)
-    return fmax, fmin, flag
-
-
-def pl_tangent_approx(fn, dfn, points) -> PLConvexFunction:
-    """PL underestimate of a smooth convex 1-d function from its tangents."""
-    points = np.asarray(points, dtype=float)
-    slopes = np.array([[dfn(p)] for p in points])
-    offsets = np.array([fn(p) - dfn(p) * p for p in points])
-    return PLConvexFunction(slopes, offsets)
 
 
 # ---------------------------------------------------------------------------

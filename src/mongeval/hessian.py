@@ -44,7 +44,6 @@ __all__ = [
     "grid_hessian",
     "assemble_structured",
     "structured_hessian",
-    "SmoothField",
 ]
 
 #: relative central-difference step; the effective step is step * (1 + |x|).
@@ -53,21 +52,15 @@ __all__ = [
 DEFAULT_STEP = 5e-4
 
 
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+def _stencil_values(f, points, step, cross):
+    """Values of ``f`` on the central-difference stencil around each row.
 
-
-def fd_hessian_batch(f, points, step=None):
-    """Central-difference Hessians of ``f`` at rows of ``points``.
-
-    ``f`` must be vectorized: (m, d) -> (m,).  Returns (N, d, d) symmetric
-    arrays; the stencil is the standard 3-point one on the diagonal and the
-    4-point cross formula off-diagonal, exact on quadratics up to roundoff.
+    Rows of the returned (K, N) array: the center, then x +- h e_a for
+    each axis a, then (with ``cross``) x + h(e_a + e_b), x + h(e_a - e_b),
+    x - h(e_a - e_b), x - h(e_a + e_b) for each pair a < b.  The step is
+    h = step * (1 + |x|) per row.  Returns (values, h, pairs).
     """
-    points, _ = _as_points(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
     if step is None:
         step = DEFAULT_STEP
@@ -78,7 +71,7 @@ def fd_hessian_batch(f, points, step=None):
     for a in range(d):
         stencil.append(points + h[:, None] * eye[a])
         stencil.append(points - h[:, None] * eye[a])
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)] if cross else []
     for a, b in pairs:
         ea, eb = eye[a], eye[b]
         stencil.append(points + h[:, None] * (ea + eb))
@@ -89,7 +82,18 @@ def fd_hessian_batch(f, points, step=None):
     vals = np.asarray(f(np.concatenate(stencil, axis=0)), dtype=float).reshape(len(stencil), N)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite function value inside the Hessian stencil")
+    return vals, h, pairs
 
+
+def fd_hessian_batch(f, points, step=None):
+    """Central-difference Hessians of ``f`` at rows of ``points``.
+
+    ``f`` must be vectorized: (m, d) -> (m,).  Returns (N, d, d) symmetric
+    arrays; the stencil is the standard 3-point one on the diagonal and the
+    4-point cross formula off-diagonal, exact on quadratics up to roundoff.
+    """
+    vals, h, pairs = _stencil_values(f, points, step, cross=True)
+    N, d = len(h), np.shape(points)[-1]
     h2 = h * h
     H = np.empty((N, d, d))
     f0 = vals[0]
@@ -111,20 +115,10 @@ def fd_hessian(f, x, step=None):
 
 def fd_laplacian_batch(f, points, step=None):
     """Central-difference Laplacian (diagonal stencil only) at each row."""
-    points, _ = _as_points(points)
-    N, d = points.shape
-    if step is None:
-        step = DEFAULT_STEP
-    h = step * (1.0 + np.linalg.norm(points, axis=1))
-    eye = np.eye(d)
-    stencil = [points]
-    for a in range(d):
-        stencil.append(points + h[:, None] * eye[a])
-        stencil.append(points - h[:, None] * eye[a])
-    vals = np.asarray(f(np.concatenate(stencil, axis=0)), dtype=float).reshape(len(stencil), N)
-    out = np.zeros(N)
-    for a in range(d):
-        out += vals[1 + 2 * a] + vals[2 + 2 * a] - 2.0 * vals[0]
+    vals, h, _ = _stencil_values(f, points, step, cross=False)
+    out = np.zeros(len(h))
+    for k in range(1, len(vals), 2):
+        out += vals[k] + vals[k + 1] - 2.0 * vals[0]
     return out / (h * h)
 
 
@@ -226,26 +220,10 @@ def assemble_structured(field, hreal):
         return 0.5 * (out + np.conj(np.swapaxes(out, -2, -1)))
     coef = _COEF_H if field == "H" else _COEF_O
     out = np.einsum("...ambn,mnc->...abc", blocks, coef)
-    flip = np.swapaxes(out, -3, -2).copy()
-    flip[..., 1:] = -flip[..., 1:]
-    return 0.5 * (out + flip)
+    return 0.5 * (out + quat_conj(np.swapaxes(out, -3, -2)))
 
 
 def structured_hessian(field, f, p, step=None):
     """Field Hessian of a real-valued function at a point, as a HermitianMatrix."""
     hreal = fd_hessian(f, p, step=step)
     return HermitianMatrix(field, assemble_structured(field, hreal))
-
-
-class SmoothField:
-    """A twice-differentiable scalar field bundled with its difference step."""
-
-    def __init__(self, fn, step=DEFAULT_STEP):
-        self.fn = fn
-        self.step = float(step)
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def hessian(self, x):
-        return fd_hessian(self.fn, np.asarray(x, dtype=float), step=self.step)

@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from .algebra import HermitianMatrix
-from .convex import PLConvexFunction, Polytope, SmoothProfileBody, ball_body, make_two_ball_body
+from .convex import PLConvexFunction, Polytope, ball_body, make_two_ball_body
 from .valuation import BumpWeight, MatrixAtom, MatrixBump, ValuationSpec
 
 __all__ = [

@@ -30,14 +30,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
-from .convex import ConvexBody, PLConvexFunction
+from .convex import ConvexBody, PLConvexFunction, Polytope
 from .hessian import DEFAULT_STEP, assemble_structured, fd_hessian_batch, grid_hessian
 
 __all__ = [
@@ -49,12 +49,10 @@ __all__ = [
     "AtomicMeasure",
     "hull_volume",
     "ma_measure_pl",
-    "ma_total_mass_mc",
     "pl_valuation",
     "eval_valuation",
     "body_valuation",
     "homogeneous_components",
-    "parity_split",
     "chunked_apply",
 ]
 
@@ -352,13 +350,8 @@ class AtomicMeasure:
         return float(np.sum(np.asarray(fn(self.locations), dtype=float) * self.masses))
 
 
-_EMPTY_MEASURE_CACHE = {}
-
-
 def _empty_measure(dim):
-    if dim not in _EMPTY_MEASURE_CACHE:
-        _EMPTY_MEASURE_CACHE[dim] = AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
-    return _EMPTY_MEASURE_CACHE[dim]
+    return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
 
 
 def _dedupe_pieces(slopes, offsets):
@@ -380,12 +373,11 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     primal point where those pieces are all active, and its projected
     volume is the atom mass.  Total mass is vol(conv{a_j}).
 
-    Exact mode is limited to dimension <= 3; see ma_total_mass_mc for the
-    Monte Carlo total-mass fallback in higher dimension.
+    Exact mode is limited to dimension <= 3.
     """
     n = f.dim
     if n > 3:
-        raise ValueError("exact PL measure supports dimension <= 3; use ma_total_mass_mc")
+        raise ValueError("exact PL measure supports dimension <= 3")
     slopes, offsets = _dedupe_pieces(f.slopes, f.offsets)
     if len(slopes) == 1 or _affine_rank(slopes) < n:
         return _empty_measure(n)
@@ -435,33 +427,6 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     return measure
 
 
-def ma_total_mass_mc(f: PLConvexFunction, n_samples: int = 20000, seed: int = 0):
-    """Monte Carlo estimate of the total PL measure mass (any dimension).
-
-    Total mass equals vol(conv of slopes); estimated by rejection sampling
-    the slope bounding box.  Returns (estimate, standard_error).
-    """
-    slopes, _ = _dedupe_pieces(f.slopes, f.offsets)
-    n = f.dim
-    if _affine_rank(slopes) < n:
-        return 0.0, 0.0
-    lo, hi = slopes.min(axis=0), slopes.max(axis=0)
-    box_vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    samples = lo + (hi - lo) * rng.random((n_samples, n))
-    try:
-        hull = ConvexHull(slopes)
-        inside = np.all(
-            samples @ hull.equations[:, :-1].T + hull.equations[:, -1] <= 1e-12, axis=1
-        )
-    except QhullError:
-        return 0.0, 0.0
-    p = float(np.mean(inside))
-    est = box_vol * p
-    stderr = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return est, stderr
-
-
 def pl_valuation(scalar_weight, f: PLConvexFunction) -> float:
     """Exact value of integral B d(det Hess f) for PL convex f (i = n, R)."""
     return ma_measure_pl(f).integrate(scalar_weight)
@@ -490,32 +455,38 @@ def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
     return np.concatenate(parts, axis=0)
 
 
-def _check_supports_inside(grid: Grid, weights) -> bool:
-    """Validate that the joint weight support fits in the quadrature box.
+def _joint_support(weights):
+    """Intersection (lo, hi) of the weights' declared support boxes, or
+    None when no weight declares one.
 
     The integrand vanishes wherever any single weight vanishes (mixed
-    determinants are multilinear), so only the intersection of the
-    declared support boxes must be covered.  Returns False when that
-    intersection is empty (the integral is exactly 0).
+    determinants are multilinear), so it is supported in this box.
     """
-    lo = np.copy(grid.lo)
-    hi = np.copy(grid.hi)
-    inter_lo = None
-    inter_hi = None
+    lo = hi = None
     for w in weights:
         wlo = getattr(w, "support_lo", None)
-        whi = getattr(w, "support_hi", None)
         if wlo is None:
             continue
         wlo = np.asarray(wlo, dtype=float)
-        whi = np.asarray(whi, dtype=float)
-        inter_lo = wlo if inter_lo is None else np.maximum(inter_lo, wlo)
-        inter_hi = whi if inter_hi is None else np.minimum(inter_hi, whi)
-    if inter_lo is None:
+        whi = np.asarray(w.support_hi, dtype=float)
+        lo = wlo if lo is None else np.maximum(lo, wlo)
+        hi = whi if hi is None else np.minimum(hi, whi)
+    return None if lo is None else (lo, hi)
+
+
+def _check_supports_inside(grid: Grid, weights) -> bool:
+    """Validate that the joint weight support fits in the quadrature box.
+
+    Returns False when the joint support is empty (the integral is
+    exactly 0).
+    """
+    joint = _joint_support(weights)
+    if joint is None:
         return True
-    if np.any(inter_lo >= inter_hi):
+    lo, hi = joint
+    if np.any(lo >= hi):
         return False
-    if np.any(inter_lo < lo - 1e-12) or np.any(inter_hi > hi + 1e-12):
+    if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
         raise ValueError("joint weight support exceeds the quadrature box")
     return True
 
@@ -629,30 +600,30 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
 # ---------------------------------------------------------------------------
 
 def _origin_in_supports(spec: ValuationSpec) -> bool:
-    zero_ok = []
-    for w in (spec.scalar_weight, *spec.weights):
-        lo = getattr(w, "support_lo", None)
-        hi = getattr(w, "support_hi", None)
-        if lo is None:
-            continue
-        zero_ok.append(bool(np.all(np.asarray(lo) <= 0) and np.all(np.asarray(hi) >= 0)))
-    return any(zero_ok)
+    joint = _joint_support((spec.scalar_weight, *spec.weights))
+    return joint is not None and bool(np.all(joint[0] <= 0) and np.all(joint[1] >= 0))
 
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
                    sigma_body: float = 0.0, step: float = None, threads: int = 1) -> float:
     """phi(K) = Phi(h_K): the induced i-homogeneous valuation on bodies.
 
-    Support functions are singular at the origin, so either every weight
-    must be supported away from 0 (sigma_body = 0: direct stencils on a
-    smooth h_K) or sigma_body > 0 selects the smoothed grid route, which
-    also covers polytopal h_K kinks away from 0.
+    Support functions are singular at the origin, so either the joint
+    weight support must avoid 0 and h_K be smooth (sigma_body = 0: direct
+    stencils) or sigma_body > 0 selects the smoothed grid route, which
+    also covers polytopal h_K, kinked along its whole normal fan.
     """
-    if sigma_body == 0.0 and _origin_in_supports(spec):
-        raise ValueError(
-            "origin lies inside a weight support but sigma_body = 0; "
-            "pass sigma_body > 0 to smooth the support function"
-        )
+    if sigma_body == 0.0:
+        if _origin_in_supports(spec):
+            raise ValueError(
+                "origin lies inside the joint weight support but sigma_body = 0; "
+                "pass sigma_body > 0 to smooth the support function"
+            )
+        if isinstance(K, Polytope):
+            raise ValueError(
+                "a polytope's support function is kinked along its normal fan; "
+                "pass sigma_body > 0 to smooth it"
+            )
     h = K.support
     if sigma_body > 0.0:
         return eval_valuation(spec, h, grid, smooth=False, sigma_cells=sigma_body,
@@ -674,10 +645,3 @@ def homogeneous_components(phi, K: ConvexBody, max_degree: int):
     if cond > 1e12:
         raise ArithmeticError(f"Vandermonde system is ill-conditioned (cond ~ {cond:.3e})")
     return np.linalg.solve(V, values)
-
-
-def parity_split(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, **kwargs):
-    """(even, odd) parts of phi at K: (phi(K) +- phi(-K)) / 2."""
-    plus = body_valuation(spec, K, grid, **kwargs)
-    minus = body_valuation(spec, K.negate(), grid, **kwargs)
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)

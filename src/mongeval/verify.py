@@ -29,9 +29,7 @@ from .valuation import (
     ValuationSpec,
     body_valuation,
     eval_valuation,
-    homogeneous_components,
     hull_volume,
-    ma_measure_pl,
     pl_valuation,
 )
 
@@ -132,10 +130,6 @@ def _slab_quad(K, rng, axis=None, min_gap=0.08, lo_q=0.3, hi_q=0.7):
     return A, B, K, AB, {"axis": axis, "s": float(s), "t": float(t)}
 
 
-def _max_over_sample(f, dirs):
-    return float(np.max(f(dirs)))
-
-
 # ---------------------------------------------------------------------------
 # experiment: valuation identity
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     A, B = cx.generate_union_convex_pair(cube, -0.08, 0.08, 0)
     AB = cx.slab_intersection(cube, -0.08, 0.08, 0)
     dirs = cx.unit_directions(body.dim, 256)
-    mutated = [phi(X) + _max_over_sample(X.support, dirs) for X in (A, B, cube, AB)]
+    mutated = [phi(X) + float(np.max(X.support(dirs))) for X in (A, B, cube, AB)]
     scale = max(abs(v) for v in mutated)
     control = abs(mutated[2] + mutated[3] - mutated[0] - mutated[1]) / scale
     return residuals, control
@@ -373,6 +367,22 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # experiment: continuity of the smoothed route
 # ---------------------------------------------------------------------------
 
+def smoothing_schedule(sigmas_cells):
+    """The continuity schedule as floats.
+
+    Raises ValueError unless it is non-empty, every width is at least one
+    cell and the widths strictly decrease.
+    """
+    sigmas = [float(s) for s in sigmas_cells]
+    if not sigmas:
+        raise ValueError("smoothing schedule is empty")
+    if any(s < 1.0 for s in sigmas):
+        raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
+    if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
+        raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
+    return sigmas
+
+
 @_timed
 def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, threads=1):
     """Smoothed quadrature converges to the exact PL value as sigma -> 0.
@@ -381,11 +391,7 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, thread
     single atom at the origin of mass vol(cube); gaps must decrease
     monotonically (10% slack) and end below 2%.
     """
-    sigmas = [float(s) for s in sigmas_cells]
-    if any(s < 1.0 for s in sigmas):
-        raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        pass  # schedule must be decreasing
+    sigmas = smoothing_schedule(sigmas_cells)
     cube = _centered_cube(3, 0.5)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.6)
     ref = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(cube))

@@ -7,7 +7,6 @@ from mongeval.algebra import (
     MixedDetForm,
     complex_embedding,
     det_batch,
-    jacobi_eigvalsh,
     mixed_det,
     moore_det,
     moore_det_batch,
@@ -171,8 +170,56 @@ def test_embedding_multiplicative_and_hermitian():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigenvalues
+# Jacobi eigenvalues: the independent reference for the Moore determinant
 # ---------------------------------------------------------------------------
+
+def jacobi_eigvalsh(H, tol=1e-14, max_sweeps=60):
+    """Eigenvalues of a (small, dense) Hermitian matrix by cyclic Jacobi.
+
+    Each rotation is a complex Givens rotation annihilating one
+    off-diagonal entry.  Returns eigenvalues in ascending order.
+    """
+    A = np.array(H, dtype=complex)
+    m = A.shape[0]
+    if m == 1:
+        return A.diagonal().real.copy()
+    scale = max(np.abs(A).max(), 1e-300)
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                off = max(off, abs(A[p, q]))
+        if off <= tol * scale:
+            break
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                b = A[p, q]
+                if abs(b) <= 1e-300:
+                    continue
+                theta = np.angle(b)
+                tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(b))
+                # smaller-angle root of t^2 - 2 tau t - 1 = 0
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                U = np.eye(m, dtype=complex)
+                U[p, p] = c
+                U[q, q] = c
+                U[p, q] = -s * np.exp(1j * theta)
+                U[q, p] = s * np.exp(-1j * theta)
+                A = U.conj().T @ A @ U
+    return np.sort(A.diagonal().real)
+
+
+def jacobi_moore_det(A):
+    """Moore determinant from the Jacobi spectrum of the complex embedding:
+    the product of one eigenvalue per (sorted, adjacent) duplicated pair."""
+    eigs = jacobi_eigvalsh(complex_embedding(A))
+    return float(np.prod(eigs.reshape(-1, 2).mean(axis=1)))
+
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_jacobi_matches_lapack(m):
@@ -241,7 +288,18 @@ def test_moore_batch_matches_scalar():
     batch = np.stack([random_quat_hermitian(rng, 3) for _ in range(20)])
     vals = moore_det_batch(batch)
     for k in range(20):
-        assert abs(vals[k] - moore_det(batch[k])) <= 1e-10 * max(1.0, abs(vals[k]))
+        assert abs(vals[k] - jacobi_moore_det(batch[k])) <= 1e-10 * max(1.0, abs(vals[k]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_moore_batch_matches_jacobi_property(n, seed):
+    rng = np.random.default_rng(seed)
+    batch = np.stack([random_quat_hermitian(rng, n) for _ in range(3)])
+    vals = moore_det_batch(batch)
+    for k in range(3):
+        ref = jacobi_moore_det(batch[k])
+        assert abs(vals[k] - ref) <= 1e-10 * max(1.0, np.sum(batch[k] ** 2) ** (n / 2))
 
 
 def test_moore_rejects_non_hermitian():
@@ -314,6 +372,45 @@ def test_mixed_det_symmetry(field, n):
         perm = rng.permutation(n)
         val = mixed_det([mats[p] for p in perm])
         assert abs(val - base) <= 1e-12 * max(1.0, abs(base))
+
+
+MIXED_CASES = [("R", 1), ("R", 2), ("R", 3), ("R", 4), ("C", 2), ("C", 3),
+               ("H", 1), ("H", 2), ("H", 3), ("O2", 2)]
+
+
+def _rounding_scale(mats, n):
+    """Bound on every inclusion-exclusion determinant term."""
+    return (1.0 + sum(m.norm() for m in mats)) ** n
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(MIXED_CASES), st.integers(0, 2**32 - 1), st.data())
+def test_mixed_det_symmetric_under_permutation(case, seed, data):
+    field, n = case
+    rng = np.random.default_rng(seed)
+    mats = [_random_hermitian(field, n, rng) for _ in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    base = mixed_det(mats)
+    val = mixed_det([mats[p] for p in perm])
+    assert abs(val - base) <= 1e-12 * _rounding_scale(mats, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(MIXED_CASES), st.integers(0, 2**32 - 1), st.data())
+def test_mixed_det_linear_in_one_slot(case, seed, data):
+    field, n = case
+    rng = np.random.default_rng(seed)
+    rest = [_random_hermitian(field, n, rng) for _ in range(n - 1)]
+    X, Y = _random_hermitian(field, n, rng), _random_hermitian(field, n, rng)
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    k = data.draw(st.integers(0, n - 1))
+
+    def at_slot(m):
+        return mixed_det(rest[:k] + [m] + rest[k:])
+
+    lhs = at_slot(X * a + Y * b)
+    rhs = a * at_slot(X) + b * at_slot(Y)
+    assert abs(lhs - rhs) <= 1e-12 * _rounding_scale(rest + [X * a, Y * b], n)
 
 
 def test_mixed_det_two_diag_example():

@@ -5,20 +5,14 @@ from mongeval.convex import (
     GeometryError,
     PLConvexFunction,
     Polytope,
-    RoundedBody,
     ball_body,
     ball_slab_support,
     certify_support_convexity,
     generate_union_convex_pair,
     halfspace_clip,
-    hausdorff_distance,
     make_two_ball_body,
-    midpoint_convex,
-    pl_lattice,
-    pl_tangent_approx,
     random_shell_polytope,
     slab_intersection,
-    support_function,
     unit_directions,
 )
 from mongeval.hessian import fd_hessian
@@ -84,43 +78,26 @@ def test_body_ops():
 
 
 def test_support_function_dispatch():
+    # a single direction gives a scalar, a batch gives one value per row
     cube = unit_cube(2)
-    assert np.isclose(support_function(cube, np.array([1.0, 1.0])), 2.0)
+    assert np.isclose(cube.support(np.array([1.0, 1.0])), 2.0)
+    assert np.allclose(cube.support(np.array([[1.0, 1.0], [-1.0, 0.5]])), [2.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance
+# sampled directions
 # ---------------------------------------------------------------------------
-
-def test_hausdorff_identity_and_balls():
-    K = random_shell_polytope(np.random.default_rng(5))
-    assert hausdorff_distance(K, K) == 0.0
-    assert np.isclose(hausdorff_distance(ball_body(3, 1.0), ball_body(3, 2.0)), 1.0)
-
-
-def test_hausdorff_of_rounding_is_radius():
-    K = unit_cube(3)
-    for eps in (0.5, 0.1, 0.01):
-        assert np.isclose(hausdorff_distance(K, RoundedBody(K, eps)), eps)
-
-
-def test_hausdorff_shrinks_monotonically():
-    K = unit_cube(3)
-    dists = [hausdorff_distance(K, RoundedBody(K, 1.0 / i)) for i in range(1, 8)]
-    assert all(b < a for a, b in zip(dists, dists[1:]))
-    assert dists[-1] < 0.2
-
 
 def test_hausdorff_monotone_in_sample_density():
+    # direction sets are prefixes of each other, so the sampled
+    # sup |h_A - h_B| can only grow with the sample count
     A = unit_cube(3)
     B = random_shell_polytope(np.random.default_rng(6))
-    d = [hausdorff_distance(A, B, sphere_samples=m) for m in (8, 64, 512, 4096)]
+    d = []
+    for m in (8, 64, 512, 4096):
+        xi = unit_directions(3, m)
+        d.append(np.max(np.abs(A.support(xi) - B.support(xi))))
     assert all(b >= a for a, b in zip(d, d[1:]))
-
-
-def test_hausdorff_dimension_mismatch():
-    with pytest.raises(GeometryError):
-        hausdorff_distance(unit_cube(2), unit_cube(3))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +155,18 @@ def test_union_pair_lattice_identities():
 
 
 def test_union_pair_min_is_convex_function():
+    # midpoint convexity of min(h_A, h_B) on random pairs in a box
     cube = unit_cube(3)
     A, B = generate_union_convex_pair(cube, 0.3, 0.7)
     fa = PLConvexFunction.from_polytope_support(A)
     fb = PLConvexFunction.from_polytope_support(B)
-    _fmax, fmin, flag = pl_lattice(fa, fb)
-    assert flag
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-2.0, 2.0, (2, 10000, 3))
+
+    def fmin(z):
+        return np.minimum(fa(z), fb(z))
+
+    assert np.max(fmin(0.5 * (x + y)) - 0.5 * (fmin(x) + fmin(y))) <= 1e-8
 
 
 def test_degenerate_slab_returns_whole_body():
@@ -227,19 +210,10 @@ def test_pl_lattice_max_is_union_of_pieces():
     rng = np.random.default_rng(9)
     f = PLConvexFunction(rng.standard_normal((4, 2)), rng.standard_normal(4))
     g = PLConvexFunction(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    fmax, _fmin, _flag = pl_lattice(f, g)
+    fmax = PLConvexFunction(np.vstack([f.slopes, g.slopes]),
+                            np.concatenate([f.offsets, g.offsets]))
     x = rng.standard_normal((128, 2))
     assert np.allclose(fmax(x), np.maximum(f(x), g(x)))
-
-
-def test_pl_lattice_detects_nonconvex_min():
-    # tangent approximations of x^2 and (x-1)^2 cross: min dips non-convex
-    pts = np.linspace(-2.0, 3.0, 9)
-    f = pl_tangent_approx(lambda p: p * p, lambda p: 2 * p, pts)
-    g = pl_tangent_approx(lambda p: (p - 1) ** 2, lambda p: 2 * (p - 1), pts)
-    _fmax, fmin, flag = pl_lattice(f, g)
-    assert not flag
-    assert not midpoint_convex(fmin, [-2.0], [3.0])
 
 
 def test_pl_add_affine():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mongeval.algebra import FIELD_COMPONENTS, hermitian_deviation
 from mongeval.convex import ball_body, make_two_ball_body
 from mongeval.hessian import (
-    SmoothField,
     assemble_structured,
     fd_hessian,
     fd_hessian_batch,
@@ -71,6 +71,8 @@ def test_non_finite_values_raise():
         return np.where(np.abs(x[..., 0]) > 0.35, np.nan, np.sum(x**2, axis=-1))
     with pytest.raises(FloatingPointError):
         fd_hessian(fn, np.array([0.35, 0.0]))
+    with pytest.raises(FloatingPointError):
+        fd_laplacian_batch(fn, np.array([[0.35, 0.0]]))
 
 
 def test_laplacian_batch():
@@ -80,9 +82,15 @@ def test_laplacian_batch():
     assert np.abs(lap - 3.0).max() <= 1e-8
 
 
-def test_smooth_field_wrapper():
-    field = SmoothField(lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1), step=1e-3)
-    assert np.abs(field.hessian(np.zeros(2)) - np.eye(2)).max() <= 1e-10
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_laplacian_is_hessian_trace_on_quadratics(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, (d, d))
+    fn = quadratic(0.5 * (m + m.T))
+    pts = rng.uniform(-1.0, 1.0, (5, d))
+    trace = np.trace(fd_hessian_batch(fn, pts), axis1=1, axis2=2)
+    assert np.abs(fd_laplacian_batch(fn, pts) - trace).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

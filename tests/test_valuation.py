@@ -24,8 +24,6 @@ from mongeval.valuation import (
     homogeneous_components,
     hull_volume,
     ma_measure_pl,
-    ma_total_mass_mc,
-    parity_split,
     pl_valuation,
 )
 
@@ -137,14 +135,6 @@ def test_pl_measure_dimension_guard():
     f = PLConvexFunction(np.eye(4))
     with pytest.raises(ValueError):
         ma_measure_pl(f)
-
-
-def test_pl_total_mass_monte_carlo():
-    rng = np.random.default_rng(1)
-    K = unit_cube(4, -0.5, 0.5)
-    f = PLConvexFunction.from_polytope_support(K)
-    est, err = ma_total_mass_mc(f, n_samples=20000, seed=2)
-    assert abs(est - 1.0) <= max(4 * err, 0.02)
 
 
 def test_atomic_measure_invariants():
@@ -296,6 +286,29 @@ def test_body_valuation_origin_guard():
         body_valuation(spec, unit_cube(3), grid, sigma_body=0.0)
 
 
+def test_body_valuation_origin_outside_joint_support():
+    # B covers the origin but the matrix bump does not, so the integrand
+    # vanishes near 0 and the stencil route applies
+    body = make_two_ball_body(3)
+    v0 = np.array([1.0, 0, 0])
+    psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5)
+    spec = ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 1.6), (psi,))
+    grid = Grid.cube(v0, 0.5, 8, 3)
+    value = body_valuation(spec, body, grid, sigma_body=0.0)
+    assert value > 0.0
+    assert value == eval_valuation(spec, body.support, grid)
+
+
+def test_body_valuation_rejects_polytope_on_stencil_route():
+    # h_K of a cube is kinked on the coordinate planes, which cross the grid
+    v0 = np.array([1.0, 0, 0])
+    atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
+    psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5)
+    spec = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5), (atom, psi))
+    with pytest.raises(ValueError):
+        body_valuation(spec, unit_cube(3, -0.35, 0.35), sigma_body=0.0)
+
+
 def test_body_valuation_scaling_homogeneity():
     body = make_two_ball_body(3)
     v0 = np.array([1.0, 0, 0])
@@ -315,10 +328,9 @@ def test_parity_split_of_centered_ball():
     atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
     psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5, plateau=0.5)
     spec = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5, plateau=0.5), (atom, psi))
-    even, odd = parity_split(spec, ball)
+    plus, minus = body_valuation(spec, ball), body_valuation(spec, ball.negate())
+    even, odd = 0.5 * (plus + minus), 0.5 * (plus - minus)
     assert abs(odd) <= 1e-6 * abs(even)
-    plus = body_valuation(spec, ball)
-    assert np.isclose(even + odd, plus)
 
 
 def test_parity_split_two_ball_values():
@@ -327,7 +339,8 @@ def test_parity_split_two_ball_values():
     atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
     psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5, plateau=0.5)
     spec = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5, plateau=0.5), (atom, psi))
-    even, odd = parity_split(spec, body)
+    plus, minus = body_valuation(spec, body), body_valuation(spec, body.negate())
+    even, odd = 0.5 * (plus + minus), 0.5 * (plus - minus)
     third = 1.0 / 3.0
     assert abs(even - (third + 2 * third) / 2) <= 1e-2 * third
     assert abs(odd - (third - 2 * third) / 2) <= 1e-2 * third

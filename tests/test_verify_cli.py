@@ -224,3 +224,30 @@ def test_cli_failing_experiment_exits_one(tmp_path, monkeypatch):
     assert code == 1
     with open(os.path.join(tmp_path, "parity-break.json")) as fh:
         assert json.load(fh)["passed"] is False
+
+
+def test_continuity_rejects_increasing_schedule():
+    with pytest.raises(ValueError, match="strictly decrease"):
+        continuity(sigmas_cells=(1.5, 3.0, 6.0), resolution=8)
+
+
+@pytest.mark.parametrize("sigmas", ["1.5,3,6", "0.5"])
+def test_cli_bad_sigma_schedule_is_config_error(tmp_path, capsys, sigmas):
+    code = main(["run", "continuity", "--sigmas", sigmas, "--out", str(tmp_path)])
+    assert code == 2
+    assert "smoothing schedule" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "continuity.json"))
+
+
+@pytest.mark.parametrize("entry,key", [({"resolution": "abc"}, "resolution"),
+                                       ({"sigmas": 5}, "sigmas")])
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "continuity", **entry}))
+    if command == "run":
+        argv = ["run", "continuity", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    else:
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
