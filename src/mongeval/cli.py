@@ -15,7 +15,7 @@ import os
 import sys
 
 from .serialize import write_json_atomic
-from .verify import EXPERIMENTS, run_experiment, smoothing_schedule
+from .verify import EXPERIMENTS, NAMED_BODIES, run_experiment, smoothing_schedule
 
 _EXPERIMENT_FLAGS = {
     "valuation-identity": {"fields", "pairs", "seed", "threads"},
@@ -73,6 +73,14 @@ def _parse_float_list(text):
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
+def _field_list(value):
+    """Field names from a list, or from a comma-separated string as --fields
+    takes them."""
+    if isinstance(value, str):
+        return [f.strip() for f in value.split(",") if f.strip()]
+    return list(value)
+
+
 def _read_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -96,7 +104,7 @@ def _config_from_args(args) -> dict:
     if getattr(args, "b_height", None) is not None:
         config["b_height"] = args.b_height
     if getattr(args, "fields", None):
-        config["fields"] = [f.strip() for f in args.fields.split(",") if f.strip()]
+        config["fields"] = _field_list(args.fields)
     if getattr(args, "widths", None):
         config["widths"] = _parse_float_list(args.widths)
     if getattr(args, "sigmas", None):
@@ -120,7 +128,7 @@ _COERCE = {
     **dict.fromkeys(_INT_KEYS, int),
     **dict.fromkeys(_LIST_KEYS, lambda value: [float(v) for v in value]),
     "b_height": float,
-    "fields": list,
+    "fields": _field_list,
 }
 
 
@@ -158,6 +166,10 @@ def validate_config(name: str, config: dict) -> dict:
         degree = int(kwargs.get("degree", 1))
         if not 1 <= degree <= dim - 1:
             raise ConfigError(f"degree out of range 1..{dim - 1}")
+    if "body" in kwargs:
+        body = kwargs["body"]
+        if not isinstance(body, str) or body not in NAMED_BODIES:
+            raise ConfigError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
     if "fields" in kwargs:
         bad = [f for f in kwargs["fields"] if f not in ("R", "C", "H", "O2")]
         if bad:

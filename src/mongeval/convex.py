@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .hessian import fd_hessian_batch
 
@@ -67,8 +68,18 @@ class Polytope:
         return self.vertices.shape[1]
 
     def support(self, xi):
+        """max_v <v, xi> over the last axis of ``xi``; a scalar for one direction.
+
+        Folds one vertex at a time into a running ``np.maximum``, so the
+        temporary is one value per direction rather than a directions x
+        vertices matrix.
+        """
         xi = np.asarray(xi, dtype=float)
-        return np.max(xi @ self.vertices.T, axis=-1)
+        v = self.vertices
+        h = np.asarray(xi @ v[0])
+        for w in v[1:]:
+            np.maximum(h, xi @ w, out=h)
+        return h[()]
 
     def scale(self, lam: float) -> "Polytope":
         if lam <= 0:
@@ -202,12 +213,14 @@ def certify_support_convexity(body: ConvexBody, n_dirs: int = 400, seed: int = 1
 # ---------------------------------------------------------------------------
 
 def halfspace_clip(P: Polytope, normal, offset: float) -> Polytope:
-    """Vertices of P cut by the half-space {x : <normal, x> <= offset}.
+    """Hull vertices of P cut by the half-space {x : <normal, x> <= offset}.
 
-    Keeps inside vertices and adds the plane crossing of every insideapart
-    outside segment.  Since hull edges are among all vertex pairs, the
-    result's hull is exact in any dimension (extra interior points do not
-    change the support function).
+    Takes the inside vertices and the plane crossing of every segment
+    from an inside to an outside vertex.  Since hull edges are among all
+    vertex pairs, these points span the exact intersection in any
+    dimension.  Most of them lie inside the hull or on its faces, so only
+    the qhull vertices of the deduplicated set are kept; a
+    lower-dimensional set, which qhull refuses, is kept whole.
     """
     normal = np.asarray(normal, dtype=float)
     d = P.vertices @ normal - offset
@@ -225,6 +238,11 @@ def halfspace_clip(P: Polytope, normal, offset: float) -> Polytope:
         cross = vi[:, None, :] + lam[..., None] * (vo[None, :, :] - vi[:, None, :])
         pts.append(cross.reshape(-1, P.dim))
     verts = np.unique(np.round(np.vstack(pts), 12), axis=0)
+    if P.dim > 1:  # qhull needs points of dimension 2 or more
+        try:
+            verts = verts[np.sort(ConvexHull(verts).vertices)]
+        except QhullError:
+            pass
     return Polytope(verts)
 
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mongeval import algebra
 from mongeval.algebra import (
     HermitianMatrix,
     MixedDetForm,
@@ -474,3 +477,73 @@ def test_det_batch_fields():
     assert np.isclose(det_batch("C", c.data[None])[0], np.linalg.det(c.data).real)
     with pytest.raises(ValueError):
         det_batch("X", r.data[None])
+
+
+# ---------------------------------------------------------------------------
+# grouped polarization against the full inclusion-exclusion loop
+# ---------------------------------------------------------------------------
+
+def _polarized_reference(field, slots):
+    """The ungrouped route: 2^n - 1 determinant passes, one per subset."""
+    n = len(slots)
+    total = 0.0
+    for mask in range(1, 2**n):
+        acc = sum(slots[i] for i in range(n) if mask >> i & 1)
+        sign = -1.0 if (n - bin(mask).count("1")) % 2 else 1.0
+        total = total + sign * det_batch(field, acc)
+    return total / math.factorial(n)
+
+
+def _random_slot_batch(field, n, rng, size=6):
+    return np.stack([_random_hermitian(field, n, rng).data for _ in range(size)])
+
+
+GROUPED_CASES = [(field, n, i) for field, n in MIXED_CASES for i in range(1, n + 1)]
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Count the det_batch passes that polarized_det_batch makes."""
+    calls = []
+    orig = algebra.det_batch
+
+    def counting(field, data):
+        calls.append(field)
+        return orig(field, data)
+
+    monkeypatch.setattr(algebra, "det_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field,n,i", GROUPED_CASES)
+def test_grouped_polarization_matches_full_loop(field, n, i, det_calls):
+    rng = np.random.default_rng(100 * n + i)
+    H = _random_slot_batch(field, n, rng)
+    others = [_random_slot_batch(field, n, rng) for _ in range(n - i)]
+    slots = [H] * i + others
+    ref = _polarized_reference(field, slots)
+    del det_calls[:]
+    got = polarized_det_batch(field, slots)
+    m = n - i
+    assert len(det_calls) == (1 if m == 0 else (i + 1) * 2**m - 1)
+    scale = (1.0 + i * np.sqrt(np.sum(np.abs(H) ** 2))
+             + sum(np.sqrt(np.sum(np.abs(x) ** 2)) for x in others)) ** n
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_grouped_polarization_counts_only_the_same_object(det_calls):
+    # equal values in distinct arrays are separate slots: full 2^n - 1 passes
+    rng = np.random.default_rng(18)
+    H = _random_slot_batch("R", 3, rng)
+    grouped = polarized_det_batch("R", [H, H, H])
+    assert len(det_calls) == 1
+    ungrouped = polarized_det_batch("R", [H, H.copy(), H.copy()])
+    assert len(det_calls) == 1 + 7
+    assert np.array_equal(grouped, np.linalg.det(H))
+    assert np.allclose(ungrouped, grouped, rtol=1e-10, atol=1e-12)
+
+
+def test_polarized_det_batch_needs_a_slot():
+    with pytest.raises(ValueError):
+        polarized_det_batch("R", [])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from mongeval.convex import (
     GeometryError,
@@ -191,6 +192,65 @@ def test_clip_exact_in_dim4():
         0.2 * xi[:, 1], -0.5 * xi[:, 1]
     )
     assert np.abs(A.support(xi) - brute).max() <= 1e-9
+
+
+def _clip_points_unpruned(P, normal, offset):
+    """The unpruned clip: inside vertices plus every inside-outside crossing."""
+    d = P.vertices @ normal - offset
+    inside = d <= 1e-12 * (1.0 + np.abs(d).max())
+    vi, di = P.vertices[inside], d[inside]
+    vo, do = P.vertices[~inside], d[~inside]
+    lam = di[:, None] / (di[:, None] - do[None, :])
+    cross = vi[:, None, :] + lam[..., None] * (vo[None, :, :] - vi[:, None, :])
+    return np.unique(np.round(np.vstack([vi, cross.reshape(-1, P.dim)]), 12), axis=0)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 0), (3, 1), (3, 2), (4, 3), (4, 4)])
+def test_clip_keeps_hull_vertices_only(dim, seed):
+    rng = np.random.default_rng(seed)
+    K = random_shell_polytope(rng, dim=dim, n_vertices=10, min_sep=0.3)
+    normal = rng.standard_normal(dim)
+    offset = 0.2 * np.median(K.vertices @ normal)
+    pruned = halfspace_clip(K, normal, offset)
+    points = _clip_points_unpruned(K, normal, offset)
+    assert len(ConvexHull(pruned.vertices).vertices) == len(pruned.vertices)
+    assert len(pruned.vertices) <= len(points)
+    xi = unit_directions(dim, 512)
+    ref = np.max(xi @ points.T, axis=1)
+    assert np.max(np.abs(pruned.support(xi) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_clip_of_4d_cube_slab_is_16_vertices():
+    cube4 = unit_cube(4, -0.35, 0.35)
+    AB = slab_intersection(cube4, -0.08, 0.08)
+    assert AB.vertices.shape == (16, 4)
+    assert np.allclose(np.sort(np.abs(AB.vertices[:, 0])), 0.08)
+    upper = _clip_points_unpruned(cube4, np.eye(4)[0], 0.08)
+    assert len(_clip_points_unpruned(Polytope(upper), -np.eye(4)[0], 0.08)) == 576
+
+
+def test_clip_of_flat_polygon_keeps_its_points():
+    # a square in the plane z = 0 of R^3: qhull refuses the flat set
+    square = Polytope(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float))
+    A = halfspace_clip(square, np.array([1.0, 0, 0]), 0.5)
+    points = _clip_points_unpruned(square, np.array([1.0, 0, 0]), 0.5)
+    assert np.array_equal(A.vertices, points)  # 5 points: the centre stays
+
+
+@pytest.mark.parametrize("n_vertices", [1, 2, 10, 40])
+def test_vertex_loop_support_matches_matmul_max(n_vertices):
+    rng = np.random.default_rng(n_vertices)
+    P = Polytope(rng.standard_normal((n_vertices, 4)))
+    for shape in ((257, 4), (3, 5, 4), (0, 4)):
+        xi = rng.standard_normal(shape)
+        ref = np.max(xi @ P.vertices.T, axis=-1, initial=-np.inf)
+        got = P.support(xi)
+        assert got.shape == shape[:-1]
+        assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
+    one = rng.standard_normal(4)
+    got = P.support(one)
+    assert np.ndim(got) == 0 and isinstance(got, np.floating)
+    assert np.isclose(got, np.max(P.vertices @ one), rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from mongeval.algebra import HermitianMatrix
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
+    generate_union_convex_pair,
     make_two_ball_body,
     random_shell_polytope,
+    slab_intersection,
 )
 from mongeval.valuation import (
     AtomicMeasure,
@@ -365,6 +368,24 @@ def test_homogeneous_components_of_volume():
     comps = homogeneous_components(phi, K, 3)
     assert np.isclose(comps[3], vol, rtol=1e-9)
     assert np.abs(comps[:3]).max() <= 1e-9 * vol
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_union_convex_identity_on_random_pl_pairs(seed, axis, a, b):
+    # phi(A) + phi(B) = phi(A u B) + phi(A n B) through the exact PL route,
+    # for a random shell polytope K = A u B cut by a random slab
+    assume(abs(a - b) > 0.05)
+    rng = np.random.default_rng(seed)
+    K = random_shell_polytope(rng)
+    coords = K.vertices[:, axis]
+    s, t = coords.min() + np.sort([a, b]) * np.ptp(coords)
+    A, B = generate_union_convex_pair(K, s, t, axis)
+    AB = slab_intersection(K, s, t, axis)
+    weight = BumpWeight(np.zeros(3), 0.45, rng.uniform(0.5, 2.0), plateau=0.7)
+    vals = [pl_valuation(weight, PLConvexFunction.from_polytope_support(X))
+            for X in (A, B, K, AB)]
+    assert abs(vals[2] + vals[3] - vals[0] - vals[1]) <= 1e-9 * max(abs(v) for v in vals)
 
 
 def test_homogeneous_components_constant():

@@ -251,3 +251,39 @@ def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
         argv = ["validate-config", str(cfg)]
     assert main(argv) == 2
     assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_unknown_body_exits_two(tmp_path, capsys, command):
+    if command == "run":
+        argv = ["run", "volume-identity", "--body", "nosuch", "--out", str(tmp_path)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "nosuch"}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown body 'nosuch'" in err
+    assert all(name in err for name in ("cube3", "ccube3", "simplex3"))
+    assert not os.path.exists(os.path.join(tmp_path, "volume-identity.json"))
+
+
+def test_validate_config_accepts_named_bodies():
+    for name in ("cube3", "ccube3", "simplex3"):
+        assert validate_config("volume-identity", {"body": name})["body"] == name
+    with pytest.raises(ConfigError, match="unknown body"):
+        validate_config("volume-identity", {"body": ["cube3"]})
+
+
+def test_validate_config_splits_string_fields_on_commas():
+    assert validate_config("valuation-identity", {"fields": "O2"})["fields"] == ["O2"]
+    assert validate_config("valuation-identity", {"fields": "R, C"})["fields"] == ["R", "C"]
+    with pytest.raises(ConfigError, match="unknown fields"):
+        validate_config("valuation-identity", {"fields": "RC"})
+
+
+@pytest.mark.parametrize("fields,code", [("O2", 0), ("R,O2", 0), ("RC", 2)])
+def test_cli_string_fields_in_config(tmp_path, capsys, fields, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "valuation-identity", "fields": fields}))
+    assert main(["validate-config", str(cfg)]) == code
