@@ -5,25 +5,38 @@ configuration was invalid.  Reports are JSON, written atomically; the
 output directory may be overridden with the MONGEVAL_OUT environment
 variable (flags beat the environment).  For a fixed seed the report file
 is byte-identical across reruns and across --threads settings.
+
+The options of ``run`` are the keyword parameters of the experiment
+functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
+its value is read, from a flag or from a config file alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+import time
 
 from .serialize import write_json_atomic
 from .verify import EXPERIMENTS, NAMED_BODIES, run_experiment, smoothing_schedule
 
-_EXPERIMENT_FLAGS = {
-    "valuation-identity": {"fields", "pairs", "seed", "threads"},
-    "linear-invariance": {"fields", "trials", "seed", "threads"},
-    "continuity": {"sigmas", "resolution", "seed", "threads"},
-    "parity-break": {"dim", "degree", "widths", "seed", "threads"},
-    "volume-identity": {"bodies", "body", "b-height", "seed", "threads"},
-    "kernel-laplacian": {"eps", "resolution", "seed", "threads"},
+# parameter -> flag, where the flag is not the parameter's own name
+_FLAG_NAMES = {
+    "n_pairs": "pairs",
+    "n_bodies": "bodies",
+    "sigmas_cells": "sigmas",
+    "eps_schedule": "eps",
+}
+
+_KIND_HELP = {
+    "int": "integer",
+    "float": "number",
+    "floats": "comma-separated numbers",
+    "fields": "comma-separated subset of R,C,H,O2",
+    "body": f"named body ({', '.join(NAMED_BODIES)})",
 }
 
 
@@ -31,31 +44,47 @@ class ConfigError(ValueError):
     pass
 
 
-def _build_parser():
+def _parameters(name) -> dict:
+    """The keyword parameters of one experiment, by name."""
+    fn, _desc = EXPERIMENTS[name]
+    return {p.name: p for p in inspect.signature(fn).parameters.values()
+            if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
+
+
+def _kind(default) -> str:
+    """How a parameter's value is read, from the type of its default."""
+    if default is None:
+        return "body"
+    if isinstance(default, (int, float)):
+        return type(default).__name__
+    return "fields" if isinstance(default[0], str) else "floats"
+
+
+def _options() -> dict:
+    """flag key -> (default, names of the experiments that take it)."""
+    options = {}
+    for name in EXPERIMENTS:
+        for param in _parameters(name).values():
+            key = _FLAG_NAMES.get(param.name, param.name)
+            options.setdefault(key, (param.default, []))[1].append(name)
+    return options
+
+
+def _build_parser(options):
     parser = argparse.ArgumentParser(
         prog="mongeval",
         description="verification experiments for Hessian-determinant valuations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment (or 'all') and write its report")
+    run = sub.add_parser("run", help="run one experiment (or 'all') and write its report",
+                         description="'run all' takes only --seed and --threads")
     run.add_argument("experiment", help="experiment name from 'mongeval list', or 'all'")
     run.add_argument("--config", help="JSON config file; flags override its entries")
-    run.add_argument("--fields", help="comma-separated subset of R,C,H,O2")
-    run.add_argument("--pairs", type=int, help="number of union-convex pairs per field")
-    run.add_argument("--trials", type=int, help="number of random linear functionals")
-    run.add_argument("--dim", type=int, help="ambient dimension")
-    run.add_argument("--degree", type=int, help="homogeneity degree")
-    run.add_argument("--widths", help="comma-separated bump-approximation widths")
-    run.add_argument("--sigmas", help="comma-separated smoothing widths in cells")
-    run.add_argument("--eps", help="comma-separated perturbation sizes")
-    run.add_argument("--resolution", type=int, help="grid resolution per axis")
-    run.add_argument("--bodies", type=int, help="number of random test bodies")
-    run.add_argument("--body", help="named body (cube3, ccube3, simplex3)")
-    run.add_argument("--b-height", type=float, help="scalar weight value at its center")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--threads", type=int, default=1,
-                     help="evaluation threads; reductions stay deterministic")
+    for key, (default, names) in options.items():
+        takers = ", ".join(names) if len(names) < len(EXPERIMENTS) else "every experiment"
+        run.add_argument("--" + key.replace("_", "-"), dest=key,
+                         help=f"{_KIND_HELP[_kind(default)]}; for {takers}")
     run.add_argument("--out", help="output directory (default ./reports or $MONGEVAL_OUT)")
     run.add_argument("--quiet", action="store_true")
 
@@ -66,19 +95,47 @@ def _build_parser():
     return parser
 
 
-def _parse_float_list(text):
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _field_list(value):
-    """Field names from a list, or from a comma-separated string as --fields
-    takes them."""
+def _read(kind, value):
+    """Convert a flag string or a config entry; TypeError/ValueError if it
+    does not have the parameter's type."""
+    if isinstance(value, bool) or (kind == "int" and isinstance(value, float)):
+        raise TypeError(f"not an {kind}")
+    if kind == "int":
+        return int(value)
+    if kind == "float":
+        return float(value)
     if isinstance(value, str):
-        return [f.strip() for f in value.split(",") if f.strip()]
-    return list(value)
+        value = [v.strip() for v in value.split(",") if v.strip()]
+    if kind == "fields":
+        return list(value)
+    if any(isinstance(v, bool) for v in value):
+        raise TypeError("not a number")
+    return [float(v) for v in value]
+
+
+def _coerce(key, param, value):
+    """Read one option as its parameter's default dictates, then check its range."""
+    kind = _kind(param.default)
+    if kind == "body":
+        if not isinstance(value, str) or value not in NAMED_BODIES:
+            raise ConfigError(f"unknown body {value!r}; choose from {', '.join(NAMED_BODIES)}")
+        return value
+    try:
+        value = _read(kind, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
+    low = 0 if param.name == "seed" else 1
+    if kind == "int" and value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    if kind in ("floats", "fields") and not value:
+        raise ConfigError(f"{key} must not be empty")
+    if kind == "floats" and any(v <= 0 for v in value):
+        raise ConfigError(f"{key} entries must be positive")
+    if kind == "fields":
+        bad = [f for f in value if f not in param.default]
+        if bad:
+            raise ConfigError(f"unknown fields {bad}; choose from {', '.join(param.default)}")
+    return value
 
 
 def _read_config(path) -> dict:
@@ -92,111 +149,51 @@ def _read_config(path) -> dict:
     return config
 
 
-def _config_from_args(args) -> dict:
-    config = {}
-    if getattr(args, "config", None):
-        config = _read_config(args.config)
-    for key in ("pairs", "trials", "dim", "degree", "resolution", "bodies",
-                "seed", "threads", "body"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "b_height", None) is not None:
-        config["b_height"] = args.b_height
-    if getattr(args, "fields", None):
-        config["fields"] = _field_list(args.fields)
-    if getattr(args, "widths", None):
-        config["widths"] = _parse_float_list(args.widths)
-    if getattr(args, "sigmas", None):
-        config["sigmas_cells"] = _parse_float_list(args.sigmas)
-    if getattr(args, "eps", None):
-        config["eps_schedule"] = _parse_float_list(args.eps)
-    return config
-
-
-_KEY_ALIASES = {
-    "pairs": "n_pairs",
-    "bodies": "n_bodies",
-    "sigmas": "sigmas_cells",
-    "eps": "eps_schedule",
-}
-
-
-_INT_KEYS = ("n_pairs", "n_bodies", "trials", "dim", "degree", "resolution", "seed", "threads")
-_LIST_KEYS = ("widths", "sigmas_cells", "eps_schedule")
-_COERCE = {
-    **dict.fromkeys(_INT_KEYS, int),
-    **dict.fromkeys(_LIST_KEYS, lambda value: [float(v) for v in value]),
-    "b_height": float,
-    "fields": _field_list,
-}
-
-
 def validate_config(name: str, config: dict) -> dict:
-    """Check names/types/ranges before any computation; returns kwargs."""
+    """Check names/types/ranges before any computation; returns kwargs.
+
+    A key is an experiment parameter, by its own name or its flag name.
+    """
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
-    allowed = _EXPERIMENT_FLAGS[name]
-    allowed_keys = {k.replace("-", "_") for k in allowed}
-    allowed_keys |= {_KEY_ALIASES.get(k, k) for k in allowed_keys}
+    params = _parameters(name)
+    keys = {**{_FLAG_NAMES.get(p, p): p for p in params}, **{p: p for p in params}}
     kwargs = {}
     for key, value in config.items():
         if key == "experiment":
             continue
-        norm = _KEY_ALIASES.get(key, key)
-        if norm not in allowed_keys:
+        if key not in keys:
             raise ConfigError(f"option {key!r} does not apply to {name}")
-        if norm in _COERCE:
-            try:
-                value = _COERCE[norm](value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
-        if norm in _INT_KEYS and norm != "seed" and value <= 0:
-            raise ConfigError(f"{key} must be positive, got {value}")
-        if norm in _LIST_KEYS and any(v <= 0 for v in value):
-            raise ConfigError(f"{key} entries must be positive")
-        kwargs[norm] = value
+        kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
     if "sigmas_cells" in kwargs:
         try:
             smoothing_schedule(kwargs["sigmas_cells"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if name == "parity-break":
-        dim = int(kwargs.get("dim", 3))
-        degree = int(kwargs.get("degree", 1))
+    if {"dim", "degree"} <= params.keys():
+        dim = kwargs.get("dim", params["dim"].default)
+        degree = kwargs.get("degree", params["degree"].default)
         if not 1 <= degree <= dim - 1:
             raise ConfigError(f"degree out of range 1..{dim - 1}")
-    if "body" in kwargs:
-        body = kwargs["body"]
-        if not isinstance(body, str) or body not in NAMED_BODIES:
-            raise ConfigError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
-    if "fields" in kwargs:
-        bad = [f for f in kwargs["fields"] if f not in ("R", "C", "H", "O2")]
-        if bad:
-            raise ConfigError(f"unknown fields {bad}; choose from R, C, H, O2")
     return kwargs
 
 
-def _out_dir(args) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get("MONGEVAL_OUT", "reports")
-
-
 def _run_one(name, kwargs, out_dir, quiet):
+    t0 = time.perf_counter()
     report = run_experiment(name, **kwargs)
+    seconds = time.perf_counter() - t0
     path = os.path.join(out_dir, f"{name}.json")
     write_json_atomic(path, report.canonical())
     if not quiet:
         for line in report.summary_lines():
             print(line)
-        print(f"report: {path}  ({report.runtime_seconds:.1f}s)")
+        print(f"report: {path}  ({seconds:.1f}s)")
     return report
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    options = _options()
+    args = _build_parser(options).parse_args(argv)
 
     if args.command == "list":
         width = max(len(n) for n in EXPERIMENTS)
@@ -220,16 +217,19 @@ def main(argv=None) -> int:
     # run
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
-        config = _config_from_args(args)
-        jobs = [(name, validate_config(name, config if args.experiment != "all" else
-                                       {k: v for k, v in config.items()
-                                        if k in ("seed", "threads")}))
-                for name in names]
+        config = _read_config(args.config) if args.config else {}
+        config.update((key, getattr(args, key)) for key in options
+                      if getattr(args, key) is not None)
+        if args.experiment == "all":
+            dropped = sorted(set(config) - {"experiment", "seed", "threads"})
+            if dropped:
+                raise ConfigError(f"'run all' takes only seed and threads, not {dropped}")
+        jobs = [(name, validate_config(name, config)) for name in names]
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = _out_dir(args)
+    out_dir = args.out or os.environ.get("MONGEVAL_OUT", "reports")
     reports = []
     for name, kwargs in jobs:
         reports.append(_run_one(name, kwargs, out_dir, args.quiet))

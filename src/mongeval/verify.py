@@ -8,12 +8,11 @@ centrally symmetric bodies) are part of the reports, asserting that the
 harness detects what it is supposed to detect.
 
 Reports are reproducible bit-for-bit for a fixed seed, grid, and schedule;
-wall-clock runtime is kept out of the canonical payload for that reason.
+they carry no wall-clock time for that reason.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -56,7 +55,6 @@ class ExperimentReport:
     parameters: dict
     checks: list  # (label, observed, expected, tolerance)
     details: dict = dc_field(default_factory=dict)
-    runtime_seconds: float = None
 
     @property
     def observed(self):
@@ -75,7 +73,7 @@ class ExperimentReport:
         return all(abs(o - e) <= t for _, o, e, t in self.checks)
 
     def canonical(self) -> dict:
-        """Deterministic payload: runtime excluded so reruns are byte-equal."""
+        """Deterministic payload: reruns with the same inputs are byte-equal."""
         return {
             "name": self.name,
             "parameters": self.parameters,
@@ -94,15 +92,6 @@ class ExperimentReport:
             ok = "ok " if abs(o - e) <= t else "FAIL"
             lines.append(f"  {ok} {l}: observed {o:.6g}, expected {e:.6g}, tol {t:.2g}")
         return lines
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.runtime_seconds = time.perf_counter() - t0
-        return report
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +236,6 @@ def _identity_probe_residuals_o2(n_pairs, rng, n_probes=6):
     return residuals, control
 
 
-@_timed
 def valuation_identity(fields=("R", "C", "H", "O2"), n_pairs=20, seed=0, threads=1):
     """Phi(max) + Phi(min) = Phi(f) + Phi(g) over union-convex pairs.
 
@@ -321,7 +309,6 @@ def _quad_plus_quartic(q, amp):
     return fn
 
 
-@_timed
 def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1):
     """Phi(f + linear) = Phi(f) down to the difference-stencil noise floor.
 
@@ -383,7 +370,6 @@ def smoothing_schedule(sigmas_cells):
     return sigmas
 
 
-@_timed
 def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, threads=1):
     """Smoothed quadrature converges to the exact PL value as sigma -> 0.
 
@@ -427,9 +413,7 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-@_timed
-def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1,
-                 fd_step=None):
+def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     """A body valuation that is neither even nor odd.
 
     On the two-ball body the weights (one unit-diagonal atom at v0 = e_1,
@@ -455,22 +439,21 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1,
 
     expect_plus = 1.0 / comb(n, i)
     expect_minus = 2.0**i / comb(n, i)
-    phi_plus = body_valuation(spec, body, step=fd_step, threads=threads)
-    phi_minus = body_valuation(spec, body.negate(), step=fd_step, threads=threads)
+    phi_plus = body_valuation(spec, body, threads=threads)
+    phi_minus = body_valuation(spec, body.negate(), threads=threads)
 
     bump_vals = []
     for w in widths:
         wide = spec.with_atom_widened(w)
         grid = Grid.cube(v0, w, 12, n)
-        bump_vals.append(eval_valuation(wide, body.support, grid, step=fd_step,
-                                        threads=threads))
+        bump_vals.append(eval_valuation(wide, body.support, grid, threads=threads))
     bump_gaps = [abs(v - phi_plus) / abs(phi_plus) for v in bump_vals]
 
     neither = min(abs(phi_minus - phi_plus), abs(phi_minus + phi_plus)) > 0.05 * abs(phi_plus)
 
     ball = cx.ball_body(n, 1.0)
-    ball_plus = body_valuation(spec, ball, step=fd_step, threads=threads)
-    ball_minus = body_valuation(spec, ball.negate(), step=fd_step, threads=threads)
+    ball_plus = body_valuation(spec, ball, threads=threads)
+    ball_minus = body_valuation(spec, ball.negate(), threads=threads)
     ball_sym = abs(ball_minus - ball_plus) <= 1e-9 * max(1.0, abs(ball_plus))
 
     checks = [
@@ -502,7 +485,6 @@ NAMED_BODIES = {
 }
 
 
-@_timed
 def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
     """Phi(h_K) = B(0) * vol(K) for the top-degree functional over R.
 
@@ -514,7 +496,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
     """
     rng = np.random.default_rng(seed)
     if body is not None:
-        bodies = [NAMED_BODIES[body]() if isinstance(body, str) else body]
+        bodies = [NAMED_BODIES[body]()]
     else:
         bodies = [cx.random_shell_polytope(rng) for _ in range(int(n_bodies))]
 
@@ -574,9 +556,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
 # experiment: first-order response is the weighted Laplacian
 # ---------------------------------------------------------------------------
 
-@_timed
-def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, threads=1,
-                     fd_step=None):
+def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, threads=1):
     """(Phi(|x|^2/2 + eps psi) - Phi(|x|^2/2)) / eps -> integral of B Lap(psi).
 
     det(I + eps H) = 1 + eps tr(H) + O(eps^2), so the divided difference
@@ -606,21 +586,20 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     if min_eig < 0:
         raise ArithmeticError(f"f_eps is not convex at eps={eps_schedule[0]} (min eig {min_eig})")
 
-    reference = float(np.sum(np.asarray(weight(nodes))
-                             * fd_laplacian_batch(psi, nodes, step=fd_step))
+    reference = float(np.sum(np.asarray(weight(nodes)) * fd_laplacian_batch(psi, nodes))
                       * grid.cell_volume)
-    phi0 = eval_valuation(spec, f0, grid, step=fd_step, threads=threads)
+    phi0 = eval_valuation(spec, f0, grid, threads=threads)
     gaps = []
     divided = []
     for eps in eps_schedule:
         phi = eval_valuation(spec, lambda x, e=eps: f0(x) + e * psi(x), grid,
-                             step=fd_step, threads=threads)
+                             threads=threads)
         divided.append((phi - phi0) / eps)
         gaps.append(abs(divided[-1] - reference))
     ratios = [gaps[k] / max(gaps[k + 1], 1e-300) for k in range(len(gaps) - 1)]
 
     # psi = 0 control: the divided difference vanishes identically
-    phi_same = eval_valuation(spec, f0, grid, step=fd_step, threads=threads)
+    phi_same = eval_valuation(spec, f0, grid, threads=threads)
     zero_control = abs(phi_same - phi0)
 
     # three independent kernel weights (B_k(0) = 0) and their test matrix

@@ -1,97 +1,7 @@
 import json
 import os
 
-import numpy as np
-import pytest
-
-from mongeval.algebra import HermitianMatrix, oct_conj
-from mongeval.convex import PLConvexFunction, Polytope, SmoothProfileBody
-from mongeval.serialize import (
-    body_from_json,
-    body_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    spec_from_json,
-    spec_to_json,
-    write_json_atomic,
-)
-from mongeval.valuation import BumpWeight, MatrixAtom, MatrixBump, ValuationSpec
-
-
-def test_polytope_roundtrip():
-    P = Polytope(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    doc = body_to_json(P)
-    Q = body_from_json(json.loads(json.dumps(doc)))
-    assert isinstance(Q, Polytope)
-    assert np.allclose(P.vertices, Q.vertices)
-
-
-def test_pl_roundtrip():
-    f = PLConvexFunction(np.array([[1.0, 0], [0, 1]]), np.array([0.5, -0.25]))
-    g = body_from_json(body_to_json(f))
-    x = np.random.default_rng(0).standard_normal((16, 2))
-    assert np.allclose(f(x), g(x))
-
-
-def test_named_body_constructors():
-    body = body_from_json({"type": "two_ball", "dim": 3})
-    assert isinstance(body, SmoothProfileBody)
-    ball = body_from_json({"type": "ball", "dim": 2, "radius": 1.5})
-    assert np.isclose(ball.support(np.array([3.0, 4.0])), 7.5)
-    with pytest.raises(ValueError):
-        body_from_json({"type": "mystery"})
-    with pytest.raises(ValueError):
-        body_from_json({"type": "polytope", "dim": 2, "vertices": [[0.0, 0, 0]]})
-
-
-@pytest.mark.parametrize("field", ["R", "C", "H", "O2"])
-def test_matrix_roundtrip(field):
-    rng = np.random.default_rng(1)
-    if field == "R":
-        a = rng.standard_normal((3, 3))
-        m = HermitianMatrix("R", 0.5 * (a + a.T))
-    elif field == "C":
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = HermitianMatrix("C", 0.5 * (a + a.conj().T))
-    elif field == "H":
-        m = HermitianMatrix.identity("H", 2)
-    else:
-        data = np.zeros((2, 2, 8))
-        data[0, 0, 0], data[1, 1, 0] = 1.0, 2.0
-        q = rng.standard_normal(8)
-        data[0, 1], data[1, 0] = q, oct_conj(q)
-        m = HermitianMatrix("O2", data)
-    out = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
-    assert out.field == m.field
-    assert np.allclose(out.data, m.data)
-
-
-def test_spec_roundtrip():
-    v0 = np.array([1.0, 0, 0])
-    spec = ValuationSpec(
-        "R", 3, 1,
-        BumpWeight(v0, 0.5, 1.0, plateau=0.5),
-        (
-            MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0, width=0.2),
-            MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5, plateau=0.5),
-        ),
-    )
-    doc = json.loads(json.dumps(spec_to_json(spec)))
-    back = spec_from_json(doc)
-    assert back.field == "R" and back.n == 3 and back.degree == 1
-    assert isinstance(back.weights[0], MatrixAtom)
-    assert np.allclose(back.weights[0].location, v0)
-    assert back.weights[0].width == 0.2
-    assert isinstance(back.weights[1], MatrixBump)
-    x = np.random.default_rng(2).standard_normal((8, 3))
-    assert np.allclose(back.scalar_weight(x), spec.scalar_weight(x))
-
-
-def test_spec_from_json_validates():
-    with pytest.raises(ValueError):
-        spec_from_json({"field": "R", "n": 3, "i": 1,
-                        "B": {"center": [0, 0, 0], "radius": 0.4},
-                        "A": [{"what": {}}]})
+from mongeval.serialize import write_json_atomic
 
 
 def test_write_json_atomic(tmp_path):

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
+from mongeval import cli
 from mongeval.cli import ConfigError, main, validate_config
 from mongeval.verify import (
     EXPERIMENTS,
@@ -29,11 +31,6 @@ def test_report_pass_iff_within_tolerance():
     assert not bad.passed
     assert bad.canonical()["checks"][0]["pass"] is False
     assert ok.observed == [1.0, 0.5] and ok.expected == [1.0, 0.4]
-
-
-def test_canonical_excludes_runtime():
-    r = ExperimentReport("x", {}, [("a", 0.0, 0.0, 0.0)], runtime_seconds=12.5)
-    assert "runtime" not in json.dumps(r.canonical())
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +284,112 @@ def test_cli_string_fields_in_config(tmp_path, capsys, fields, code):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "valuation-identity", "fields": fields}))
     assert main(["validate-config", str(cfg)]) == code
+
+
+def _run_flags():
+    parser = cli._build_parser(cli._options())
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices["run"]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_cli_run_flags_are_pinned():
+    # the flags come from the experiment signatures; a parameter that is
+    # added, renamed or removed there must show up here
+    assert _run_flags() == {
+        "--fields", "--pairs", "--trials", "--dim", "--degree", "--widths", "--sigmas",
+        "--eps", "--resolution", "--bodies", "--body", "--b-height", "--seed", "--threads",
+        "--config", "--out", "--quiet",
+    }
+
+
+def test_cli_help_names_the_experiments_of_each_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "for continuity, kernel-laplacian" in out  # --resolution
+    assert "for volume-identity" in out and "cube3, ccube3, simplex3" in out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_negative_seed_exits_two(tmp_path, capsys, source):
+    out = str(tmp_path / "r")
+    if source == "flag":
+        argv = ["run", "volume-identity", "--body", "cube3", "--seed", "-1", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "cube3", "seed": -1}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+_WRONG = [(name, key, value, None)
+          for name, key in (("continuity", "resolution"), ("valuation-identity", "pairs"),
+                            ("valuation-identity", "n_pairs"), ("volume-identity", "seed"))
+          for value in (2.7, 3.0, True, False, "2.7")]
+
+
+@pytest.mark.parametrize("name,key,value,kwargs", [
+    ("continuity", "resolution", "24", {"resolution": 24}),
+    ("continuity", "seed", 0, {"seed": 0}),
+    ("continuity", "sigmas", [4, 2], {"sigmas_cells": [4.0, 2.0]}),
+    ("continuity", "sigmas_cells", "4,2", {"sigmas_cells": [4.0, 2.0]}),
+    ("valuation-identity", "pairs", 3, {"n_pairs": 3}),
+    ("valuation-identity", "n_pairs", "3", {"n_pairs": 3}),
+    *_WRONG,
+])
+def test_config_options_by_flag_or_parameter_name(tmp_path, capsys, name, key, value, kwargs):
+    # int options take int strings (as flags give them) but not floats or bools
+    if kwargs is not None:
+        assert validate_config(name, {key: value}) == kwargs
+        return
+    with pytest.raises(ConfigError, match=f"{key} has the wrong type"):
+        validate_config(name, {key: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": name, key: value}))
+    assert main(["validate-config", str(cfg)]) == 2
+    assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--fields", "--eps", "--widths"])
+def test_cli_empty_list_exits_two(tmp_path, capsys, flag):
+    name = {"--fields": "valuation-identity", "--eps": "kernel-laplacian",
+            "--widths": "parity-break"}[flag]
+    assert main(["run", name, flag, ",", "--out", str(tmp_path)]) == 2
+    assert "must not be empty" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_config_seed_is_not_overridden(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: calls.append(kw) or
+                        ExperimentReport(name, {}, []))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "threads": 2}))
+    assert main(["run", "parity-break", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert main(["run", "parity-break", "--config", str(cfg), "--seed", "7",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls == [{"seed": 5, "threads": 2}, {"seed": 7, "threads": 2}]
+
+
+@pytest.mark.parametrize("options", [["--pairs", "3", "--resolution", "8"], ["--dim", "4"]])
+def test_cli_run_all_rejects_options_it_would_drop(tmp_path, capsys, monkeypatch, options):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: calls.append(name) or
+                        ExperimentReport(name, {}, []))
+    assert main(["run", "all", *options, "--out", str(tmp_path)]) == 2
+    assert "takes only seed and threads" in capsys.readouterr().err
+    assert calls == [] and not os.listdir(tmp_path)
+
+
+def test_cli_run_all_passes_seed_and_threads(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: calls.append((name, kw)) or
+                        ExperimentReport(name, {}, []))
+    assert main(["run", "all", "--seed", "3", "--threads", "2", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert calls == [(name, {"seed": 3, "threads": 2}) for name in sorted(EXPERIMENTS)]
+    with open(os.path.join(tmp_path, "index.json")) as fh:
+        assert json.load(fh)["passed"] == len(EXPERIMENTS)
