@@ -21,7 +21,8 @@ import sys
 import time
 
 from .serialize import write_json_atomic
-from .verify import EXPERIMENTS, NAMED_BODIES, run_experiment, smoothing_schedule
+from .verify import (EXPERIMENTS, NAMED_BODIES, perturbation_schedule, run_experiment,
+                     smoothing_schedule)
 
 # parameter -> flag, where the flag is not the parameter's own name
 _FLAG_NAMES = {
@@ -165,16 +166,16 @@ def validate_config(name: str, config: dict) -> dict:
         if key not in keys:
             raise ConfigError(f"option {key!r} does not apply to {name}")
         kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
-    if "sigmas_cells" in kwargs:
-        try:
+    full = {p: kwargs.get(p, param.default) for p, param in params.items()}
+    try:
+        if "sigmas_cells" in kwargs:
             smoothing_schedule(kwargs["sigmas_cells"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if {"dim", "degree"} <= params.keys():
-        dim = kwargs.get("dim", params["dim"].default)
-        degree = kwargs.get("degree", params["degree"].default)
-        if not 1 <= degree <= dim - 1:
-            raise ConfigError(f"degree out of range 1..{dim - 1}")
+        if "eps_schedule" in full:
+            perturbation_schedule(full["eps_schedule"], full["resolution"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if {"dim", "degree"} <= full.keys() and not 1 <= full["degree"] <= full["dim"] - 1:
+        raise ConfigError(f"degree out of range 1..{full['dim'] - 1}")
     return kwargs
 
 

@@ -106,10 +106,11 @@ class Grid:
         h = self.spacing[a]
         return self.lo[a] + h * (0.5 + np.arange(self.shape[a]))
 
-    def nodes(self) -> np.ndarray:
-        """Cell midpoints as an (n_cells, dim) array, C-ordered."""
+    def nodes(self, rows=slice(None)) -> np.ndarray:
+        """Cell midpoints as an (n_cells, dim) array, C-ordered; ``rows``
+        (an index or slice of the leading axis) keeps only those slabs."""
         axes = [self.axis_nodes(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def with_margin(self, cells: int) -> "Grid":
@@ -443,16 +444,13 @@ def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
     bit-identical for any ``threads``.
     """
     points = np.asarray(points)
-    n = points.shape[0]
-    if n == 0:
-        return np.asarray(fn(points))
-    blocks = [points[i:i + chunk] for i in range(0, n, chunk)]
+    blocks = [points[i:i + chunk] for i in range(0, max(len(points), 1), chunk)]
     if threads <= 1 or len(blocks) == 1:
-        parts = [np.asarray(fn(b)) for b in blocks]
+        parts = map(fn, blocks)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = [np.asarray(r) for r in pool.map(fn, blocks)]
-    return np.concatenate(parts, axis=0)
+            parts = list(pool.map(fn, blocks))
+    return np.concatenate([np.asarray(p) for p in parts], axis=0)
 
 
 def _joint_support(weights):
@@ -498,16 +496,29 @@ def _field_hessians_smooth(spec, f, nodes, step, threads):
 
 
 def _field_hessians_grid(spec, f, grid, sigma_cells, threads):
+    """Field Hessians on ``grid`` from ``f`` sampled on its exact reach.
+
+    The extended grid adds the Gaussian kernel's radius r plus the 2-cell
+    reach of ``grid_hessian`` on every side, and no more.  ``f`` runs on
+    whole leading-axis slabs of it, in fixed blocks of about 16k points
+    (cache-sized; threads split the blocks).  The smoothing runs one axis
+    at a time and crops that axis by r before the next pass, so later
+    passes skip the margin they cannot reach; this is bit-identical to
+    the full filter followed by a crop, and ``mode="nearest"`` never
+    clamps inside the part that is kept.
+    """
     if sigma_cells < 0:
         raise ValueError("smoothing width must be non-negative")
-    margin = int(np.ceil(4.0 * sigma_cells)) + 3
-    ext = grid.with_margin(margin)
-    values = chunked_apply(f, ext.nodes(), threads=threads, chunk=1 << 20)
-    values = values.reshape(ext.shape)
-    if sigma_cells > 0:
-        values = gaussian_filter(values, sigma=sigma_cells, mode="nearest")
-    hreal = grid_hessian(values, ext.spacing, margin)
     d = grid.dim
+    r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
+    ext = grid.with_margin(r + 2)
+    slabs = max(1, (1 << 14) // math.prod(ext.shape[1:]))
+    values = chunked_apply(lambda rows: f(ext.nodes(rows)), np.arange(ext.shape[0]),
+                           threads=threads, chunk=slabs).reshape(ext.shape)
+    for a in range(d):
+        values = gaussian_filter(values, sigma_cells, mode="nearest", radius=r, axes=(a,))
+        values = values[(slice(None),) * a + (slice(r, values.shape[a] - r),)]
+    hreal = grid_hessian(values, ext.spacing, 2)
     return assemble_structured(spec.field, hreal.reshape(-1, d, d))
 
 
@@ -536,7 +547,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
     a grid is required; with ``smooth=True`` Hessians come from per-node
     difference stencils, with ``smooth=False`` the function is sampled on an
     extended grid, convolved with a Gaussian of ``sigma_cells`` cells, and
-    differenced on the grid.
+    differenced on the grid.  The extended grid reaches exactly the
+    kernel radius ``int(4 sigma + 0.5)`` plus 2 stencil cells beyond the
+    box; it is sampled in slab blocks and smoothed axis by axis, each
+    pass cropping its axis to what the next stage reads.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that

@@ -556,6 +556,30 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
 # experiment: first-order response is the weighted Laplacian
 # ---------------------------------------------------------------------------
 
+def _bump4(x, center=0.0, radius=0.45):
+    """The C^2 bump (1 - |x - center|^2 / radius^2)_+^4; with the defaults,
+    the perturbation psi of |x|^2/2."""
+    r2 = np.sum(((np.asarray(x, dtype=float) - center) / radius) ** 2, axis=-1)
+    return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
+
+
+def perturbation_schedule(eps_schedule, resolution):
+    """The kernel-laplacian schedule as floats, and the smallest eigenvalue
+    of I + eps Hess(psi) over every fifth node of its grid, at the largest
+    eps.
+
+    Raises ValueError unless the schedule is non-empty and
+    |x|^2/2 + eps psi is convex there, hence for every smaller eps.
+    """
+    eps = [float(e) for e in eps_schedule]
+    nodes = Grid.cube(np.zeros(3), 0.5, int(resolution), 3).nodes()
+    hpsi = fd_hessian_batch(_bump4, nodes[::5])
+    min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
+    if min_eig < 0:
+        raise ValueError(f"f_eps is not convex at eps={max(eps)} (min eig {min_eig})")
+    return eps, min_eig
+
+
 def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, threads=1):
     """(Phi(|x|^2/2 + eps psi) - Phi(|x|^2/2)) / eps -> integral of B Lap(psi).
 
@@ -565,34 +589,22 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     independent weights with B(0) = 0 whose induced body valuations
     vanish while the functionals stay distinguishable.
     """
-    eps_schedule = [float(e) for e in eps_schedule]
+    eps_schedule, min_eig = perturbation_schedule(eps_schedule, resolution)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0)
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, int(resolution), 3)
     nodes = grid.nodes()
 
-    rho = 0.45
-
-    def psi(x):
-        r2 = np.sum((np.asarray(x, dtype=float) / rho) ** 2, axis=-1)
-        return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
-
     def f0(x):
         return 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
 
-    # convexity of the perturbed function at the largest eps
-    hpsi = fd_hessian_batch(psi, nodes[::5])
-    min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + eps_schedule[0] * hpsi)))
-    if min_eig < 0:
-        raise ArithmeticError(f"f_eps is not convex at eps={eps_schedule[0]} (min eig {min_eig})")
-
-    reference = float(np.sum(np.asarray(weight(nodes)) * fd_laplacian_batch(psi, nodes))
+    reference = float(np.sum(np.asarray(weight(nodes)) * fd_laplacian_batch(_bump4, nodes))
                       * grid.cell_volume)
     phi0 = eval_valuation(spec, f0, grid, threads=threads)
     gaps = []
     divided = []
     for eps in eps_schedule:
-        phi = eval_valuation(spec, lambda x, e=eps: f0(x) + e * psi(x), grid,
+        phi = eval_valuation(spec, lambda x, e=eps: f0(x) + e * _bump4(x), grid,
                              threads=threads)
         divided.append((phi - phi0) / eps)
         gaps.append(abs(divided[-1] - reference))
@@ -609,12 +621,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     kspecs = [ValuationSpec("R", 3, 3, w) for w in kweights]
 
     def f_probe(c):
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            r2 = np.sum(((x - c) / 0.18) ** 2, axis=-1)
-            return 0.5 * np.sum(x**2, axis=-1) + 0.4 * np.where(
-                r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
-        return fn
+        return lambda x: f0(x) + 0.4 * _bump4(x, c, 0.18)
 
     gram = np.array([
         [eval_valuation(ks, f_probe(c), grid, threads=threads) - eval_valuation(

@@ -3,6 +3,7 @@ it from ``__all__`` and from the package namespace."""
 
 import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -30,3 +31,39 @@ def test_package_imports_only_public_names():
         public = set(getattr(module, "__all__", ()))
         unlisted = [alias.name for alias in node.names if alias.name not in public]
         assert not unlisted, f"mongeval imports {unlisted}, not in mongeval.{node.module}.__all__"
+
+
+def _tracer_patch_points():
+    """(owner, attr) of every ``_patch``/``_patch_stencil`` call in the
+    benchmark's tracer, with loop variables expanded over their tuples."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    points = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops = {**loops, node.target.id: [ast.unparse(e) for e in node.iter.elts]}
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("_patch", "_patch_stencil")):
+            owner, attr = ast.unparse(node.args[0]), node.args[1].value
+            points.extend((o, attr) for o in loops.get(owner, [owner]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, {})
+    return points
+
+
+def test_benchmark_patch_points_resolve():
+    # the tracer wraps these attributes; a refactor that drops one would
+    # break ``perfbench/run.py --trace 1``
+    points = _tracer_patch_points()
+    assert ("valuation", "gaussian_filter") in points
+    assert ("valuation.Grid", "nodes") in points
+    for owner, attr in points:
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"mongeval.{module}")
+        for name in path:
+            obj = getattr(obj, name)
+        assert hasattr(obj, attr), f"tracer patch point {owner}.{attr} is gone"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull
 
+from mongeval import valuation
 from mongeval.algebra import HermitianMatrix
 from mongeval.convex import (
     PLConvexFunction,
@@ -14,6 +16,7 @@ from mongeval.convex import (
     random_shell_polytope,
     slab_intersection,
 )
+from mongeval.hessian import assemble_structured, grid_hessian
 from mongeval.valuation import (
     AtomicMeasure,
     BumpWeight,
@@ -52,6 +55,8 @@ def test_grid_cell_accounting():
     nodes = grid.nodes()
     assert nodes.shape == (150, 2)
     assert np.isclose(nodes[:, 0].min(), -1.0 + 0.1)
+    assert np.array_equal(grid.nodes(slice(2, 4)), nodes[30:60])
+    assert np.array_equal(grid.nodes(np.array([7])), nodes[105:120])
     ext = grid.with_margin(3)
     assert np.allclose(ext.spacing, grid.spacing)
     assert ext.shape == (16, 21)
@@ -439,6 +444,72 @@ def test_threads_bit_identical():
     grid = Grid.cube(np.zeros(3), 0.5, 32, 3)
     vals = {body_valuation(spec, K, grid, sigma_body=2.0, threads=t) for t in (1, 2, 8)}
     assert len(vals) == 1
+
+
+def test_grid_route_threads_bit_identical_in_4d():
+    # the support evaluation is split into slab blocks, so threads reach it
+    K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)
+    spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))
+    grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
+    vals = {body_valuation(spec, K, grid, sigma_body=1.5, threads=t) for t in (1, 2)}
+    assert len(vals) == 1
+
+
+def _grid_hessians_full(spec, f, grid, sigma_cells, margin=None):
+    """The full-grid route the slab route replaced: f on every node of a
+    ceil(4 sigma) + 3 cell margin, the whole grid smoothed, then cropped."""
+    if margin is None:
+        margin = int(np.ceil(4.0 * sigma_cells)) + 3
+    ext = grid.with_margin(margin)
+    values = f(ext.nodes()).reshape(ext.shape)
+    if sigma_cells > 0:
+        values = gaussian_filter(values, sigma=sigma_cells, mode="nearest")
+    hreal = grid_hessian(values, ext.spacing, margin)
+    return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
+
+
+_GRID_ROUTE_CASES = [("R", 3, 3, 3, 12), ("C", 2, 2, 4, 6), ("H", 1, 1, 4, 6)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0])
+@pytest.mark.parametrize("field,n,degree,dim,res", _GRID_ROUTE_CASES)
+def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigma):
+    spec = ValuationSpec(field, n, degree, BumpWeight(np.zeros(dim), 0.45))
+    K = random_shell_polytope(np.random.default_rng(dim), dim=dim)
+    grid = Grid.cube(np.full(dim, 0.01), 0.5, res, dim)  # no dyadic node coordinates
+    new = valuation._field_hessians_grid(spec, K.support, grid, sigma, 1)
+    ref = _grid_hessians_full(spec, K.support, grid, sigma)
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # dyadic spacing: node coordinates are exact at any margin, so the
+    # routes agree bit for bit; "nearest" never clamps inside what is kept
+    dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
+    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma, 1)
+    assert np.array_equal(new, _grid_hessians_full(spec, K.support, dyadic, sigma))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, 2.0])
+def test_grid_route_reach_is_exact(sigma):
+    # f is never sampled beyond the kernel radius plus the stencil reach,
+    # and a reference several cells wider gives the same bits
+    K = random_shell_polytope(np.random.default_rng(2), dim=3)
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    grid = Grid(np.full(3, -0.5), np.full(3, 0.5), (16,) * 3)
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return K.support(x)
+
+    new = valuation._field_hessians_grid(spec, f, grid, sigma, 1)
+    pts = np.concatenate(seen)
+    outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
+    reach = int(4.0 * sigma + 0.5) + 2
+    assert reach - 1 < outside / grid.spacing[0] <= reach
+    wide = _grid_hessians_full(spec, K.support, grid, sigma,
+                               margin=int(np.ceil(4.0 * sigma)) + 6)
+    assert np.array_equal(new, wide)
 
 
 def test_chunked_apply_order_independent_of_threads():

@@ -324,6 +324,26 @@ def test_cli_negative_seed_exits_two(tmp_path, capsys, source):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_nonconvex_perturbation_exits_two(tmp_path, capsys, monkeypatch, source):
+    # eps = 5 makes |x|^2/2 + eps psi non-convex on the 8-cell grid; this is
+    # a config error, caught before any valuation runs
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    out = str(tmp_path / "r")
+    if source == "flag":
+        argv = ["run", "kernel-laplacian", "--eps", "5,1", "--resolution", "8", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "kernel-laplacian", "eps": [5, 1],
+                                   "resolution": 8}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert "invalid config: f_eps is not convex at eps=5.0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    with pytest.raises(ValueError, match="not convex"):
+        kernel_laplacian(eps_schedule=(5.0, 1.0), resolution=8)
+
+
 _WRONG = [(name, key, value, None)
           for name, key in (("continuity", "resolution"), ("valuation-identity", "pairs"),
                             ("valuation-identity", "n_pairs"), ("volume-identity", "seed"))
