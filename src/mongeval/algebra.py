@@ -362,12 +362,29 @@ class HermitianMatrix:
 # mixed determinants by polarization
 # ---------------------------------------------------------------------------
 
+def _det_closed(m):
+    """Cofactor expansion of det over a (..., n, n) batch with n <= 3."""
+    if m.shape[-1] == 1:
+        return m[..., 0, 0].copy()
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    (a, b, c), (d, e, f), (g, h, k) = (
+        (m[..., r, 0], m[..., r, 1], m[..., r, 2]) for r in range(3))
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
 def det_batch(field, data):
-    """Determinant polynomial over a batch (..., n, n[, comps]) of matrices."""
+    """Determinant polynomial over a batch (..., n, n[, comps]) of matrices.
+
+    Real n <= 3 and complex n <= 2 use the closed forms of ``_det_closed``
+    (the real part of ``a d - b c`` over C); larger sizes go to LAPACK.
+    """
     if field == "R":
-        return np.linalg.det(np.asarray(data, dtype=float))
+        data = np.asarray(data, dtype=float)
+        return _det_closed(data) if data.shape[-1] <= 3 else np.linalg.det(data)
     if field == "C":
-        return np.linalg.det(np.asarray(data, dtype=complex)).real
+        data = np.asarray(data, dtype=complex)
+        return (_det_closed(data) if data.shape[-1] <= 2 else np.linalg.det(data)).real
     if field == "H":
         return moore_det_batch(data)
     if field == "O2":

@@ -131,7 +131,9 @@ def grid_hessian(values, spacing, margin):
     (reach 2 cells, so margin >= 2): Gaussian-smoothed kinks are resolved
     over only a few cells and the quadratic-order bias of the 3-point
     stencil, O((cell/sigma)^2) relative, would visibly inflate
-    determinant-of-Hessian masses.
+    determinant-of-Hessian masses.  The entries are written as contiguous
+    planes of a ``(d, d) + interior_shape`` array and returned as a view
+    with the (d, d) axes moved last.
     """
     values = np.asarray(values, dtype=float)
     d = values.ndim
@@ -148,10 +150,10 @@ def grid_hessian(values, spacing, margin):
 
     eye = np.eye(d, dtype=int)
     core = values[region(np.zeros(d, dtype=int))]
-    H = np.empty(core.shape + (d, d))
+    H = np.empty((d, d) + core.shape)
     for a in range(d):
         ea = eye[a]
-        H[..., a, a] = (
+        H[a, a] = (
             -values[region(2 * ea)]
             + 16.0 * values[region(ea)]
             - 30.0 * core
@@ -173,10 +175,8 @@ def grid_hessian(values, spacing, margin):
                 - values[region(2 * (eb - ea))]
                 + values[region(-2 * (ea + eb))]
             )
-            cross = (16.0 * near - far) / (48.0 * spacing[a] * spacing[b])
-            H[..., a, b] = cross
-            H[..., b, a] = cross
-    return H
+            H[a, b] = H[b, a] = (16.0 * near - far) / (48.0 * spacing[a] * spacing[b])
+    return np.moveaxis(H, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------

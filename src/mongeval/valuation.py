@@ -450,7 +450,8 @@ def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, blocks))
-    return np.concatenate([np.asarray(p) for p in parts], axis=0)
+    parts = [np.asarray(p) for p in parts]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def _joint_support(weights):
@@ -495,43 +496,55 @@ def _field_hessians_smooth(spec, f, nodes, step, threads):
     return assemble_structured(spec.field, hreal)
 
 
-def _field_hessians_grid(spec, f, grid, sigma_cells, threads):
+def _field_hessians_grid(spec, f, grid, sigma_cells, threads, active=slice(None)):
     """Field Hessians on ``grid`` from ``f`` sampled on its exact reach.
 
     The extended grid adds the Gaussian kernel's radius r plus the 2-cell
-    reach of ``grid_hessian`` on every side, and no more.  ``f`` runs on
-    whole leading-axis slabs of it, in fixed blocks of about 16k points
-    (cache-sized; threads split the blocks).  The smoothing runs one axis
-    at a time and crops that axis by r before the next pass, so later
-    passes skip the margin they cannot reach; this is bit-identical to
-    the full filter followed by a crop, and ``mode="nearest"`` never
-    clamps inside the part that is kept.
+    reach of ``grid_hessian`` on every side, and no more.  A ``Polytope``
+    is sampled by ``support_grid`` on the tensor grid, with threads
+    splitting its leading rows; a callable ``f`` runs on whole
+    leading-axis slabs of node arrays, in fixed blocks of about 16k
+    points (cache-sized; threads split the blocks).  Either way every
+    value is computed on its own, so ``threads`` never changes a bit.
+    The smoothing runs one axis at a time and crops that axis by r
+    before the next pass, so later passes skip the margin they cannot
+    reach; this is bit-identical to the full filter followed by a crop,
+    and ``mode="nearest"`` never clamps inside the part that is kept.
+    Only the cells ``active`` picks from the flat grid are assembled.
     """
     if sigma_cells < 0:
         raise ValueError("smoothing width must be non-negative")
     d = grid.dim
     r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
     ext = grid.with_margin(r + 2)
-    slabs = max(1, (1 << 14) // math.prod(ext.shape[1:]))
-    values = chunked_apply(lambda rows: f(ext.nodes(rows)), np.arange(ext.shape[0]),
-                           threads=threads, chunk=slabs).reshape(ext.shape)
+    if isinstance(f, Polytope):
+        axes = [ext.axis_nodes(a) for a in range(d)]
+        values = chunked_apply(lambda rows: f.support_grid(axes, rows), np.arange(ext.shape[0]),
+                               threads=threads, chunk=-(-ext.shape[0] // max(threads, 1)))
+    else:
+        slabs = max(1, (1 << 14) // math.prod(ext.shape[1:]))
+        values = chunked_apply(lambda rows: f(ext.nodes(rows)), np.arange(ext.shape[0]),
+                               threads=threads, chunk=slabs).reshape(ext.shape)
     for a in range(d):
         values = gaussian_filter(values, sigma_cells, mode="nearest", radius=r, axes=(a,))
         values = values[(slice(None),) * a + (slice(r, values.shape[a] - r),)]
-    hreal = grid_hessian(values, ext.spacing, 2)
-    return assemble_structured(spec.field, hreal.reshape(-1, d, d))
+    hreal = grid_hessian(values, ext.spacing, 2).reshape(-1, d, d)
+    return assemble_structured(spec.field, hreal[active])
 
 
-def _matrix_slot_values(weight, nodes, grid: Grid = None):
-    """Evaluate one matrix weight on nodes -> (N, n, n[, comps]) array."""
-    scal = weight.scalar(nodes)
-    if weight.normalize:
+def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
+    """Evaluate one matrix weight on ``nodes[active]`` -> (N, n, n[, comps]);
+    a normalized bump is normalized over all of ``nodes`` first."""
+    if not weight.normalize:
+        scal = weight.scalar(nodes[active])
+    else:
         if grid is None:
             raise ValueError("normalized bump weights need a quadrature grid")
+        scal = weight.scalar(nodes)
         total = float(np.sum(scal)) * grid.cell_volume
         if total <= 0:
             raise ValueError("normalized bump has zero mass on this grid")
-        scal = scal / total
+        scal = scal[active] / total
     data = weight.matrix.data
     extra = (1,) * data.ndim
     return scal.reshape(scal.shape + extra) * data[None]
@@ -541,16 +554,23 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
                    sigma_cells: float = 3.0, step: float = None, threads: int = 1) -> float:
     """Evaluate the valuation functional on a convex (or C^2) function.
 
-    ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim.  If the
-    spec holds a point atom, the value is one weighted mixed determinant at
-    the atom location and no grid is needed (f must be C^2 there).  Otherwise
-    a grid is required; with ``smooth=True`` Hessians come from per-node
-    difference stencils, with ``smooth=False`` the function is sampled on an
-    extended grid, convolved with a Gaussian of ``sigma_cells`` cells, and
-    differenced on the grid.  The extended grid reaches exactly the
-    kernel radius ``int(4 sigma + 0.5)`` plus 2 stencil cells beyond the
-    box; it is sampled in slab blocks and smoothed axis by axis, each
-    pass cropping its axis to what the next stage reads.
+    ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
+    ``Polytope``, which stands for its support function.  If the spec
+    holds a point atom, the value is one weighted mixed determinant at
+    the atom location and no grid is needed (f must be C^2 there).
+    Otherwise a grid is required; with ``smooth=True`` Hessians come from
+    per-node difference stencils, with ``smooth=False`` the function is
+    sampled on an extended grid, convolved with a Gaussian of
+    ``sigma_cells`` cells, and differenced on the grid.  The extended grid
+    reaches exactly the kernel radius ``int(4 sigma + 0.5)`` plus 2
+    stencil cells beyond the box; it is sampled in slab blocks (a
+    polytope on the tensor grid by ``Polytope.support_grid``) and
+    smoothed axis by axis, each pass cropping its axis to what the next
+    stage reads.
+
+    Only active cells, where B is nonzero, get Hessians, matrix-slot
+    values and determinants: the others add exactly 0 * det.  So a
+    non-finite ``f`` near inactive cells alone does not raise.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that
@@ -566,6 +586,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
     atom = spec.atom
     i = spec.degree
     slot_scale = float(math.factorial(spec.n - i))
+    fn = f.support if isinstance(f, Polytope) else f
 
     if atom is not None:
         loc = atom.location[None, :]
@@ -573,7 +594,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
             raise ValueError(f"atom location dimension {loc.shape[1]} != {d}")
         slots = []
         if i > 0:
-            hf = _field_hessians_smooth(spec, f, loc, step, threads)
+            hf = _field_hessians_smooth(spec, fn, loc, step, threads)
             slots.extend([hf] * i)
         for w in spec.weights:
             if isinstance(w, MatrixAtom):
@@ -593,19 +614,22 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
 
     nodes = grid.nodes()
     bvals = np.asarray(spec.scalar_weight(nodes), dtype=float)
+    active = bvals != 0  # B(x) = 0 cells add exactly 0 * det
+    if not active.any():
+        return 0.0
 
     slots = []
     if i > 0:
         if smooth:
-            hf = _field_hessians_smooth(spec, f, nodes, step, threads)
+            hf = _field_hessians_smooth(spec, fn, nodes[active], step, threads)
         else:
-            hf = _field_hessians_grid(spec, f, grid, sigma_cells, threads)
+            hf = _field_hessians_grid(spec, f, grid, sigma_cells, threads, active)
         slots.extend([hf] * i)
     for w in spec.weights:
-        slots.append(_matrix_slot_values(w, nodes, grid))
+        slots.append(_matrix_slot_values(w, nodes, grid, active))
 
     dets = polarized_det_batch(spec.field, slots)
-    integrand = bvals * dets
+    integrand = bvals[active] * dets
     return float(slot_scale * grid.cell_volume * np.sum(integrand))
 
 
@@ -638,7 +662,7 @@ def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
                 "a polytope's support function is kinked along its normal fan; "
                 "pass sigma_body > 0 to smooth it"
             )
-    h = K.support
+    h = K if isinstance(K, Polytope) else K.support  # the grid route samples a polytope itself
     if sigma_body > 0.0:
         return eval_valuation(spec, h, grid, smooth=False, sigma_cells=sigma_body,
                               step=step, threads=threads)

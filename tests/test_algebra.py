@@ -479,6 +479,46 @@ def test_det_batch_fields():
         det_batch("X", r.data[None])
 
 
+def _rank_deficient_batch(field, n, rng, size):
+    """Hessians like those of a 1-homogeneous h: positive semidefinite
+    with the radial direction u in the kernel, P M P with P = I - u u*."""
+    def draw(shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field == "C" else z
+    u = draw((size, n, 1))
+    u /= np.linalg.norm(u, axis=(-2, -1), keepdims=True)
+    a = draw((size, n, n))
+    proj = np.eye(n) - u @ np.conj(np.swapaxes(u, -2, -1))
+    h = proj @ (a @ np.conj(np.swapaxes(a, -2, -1))) @ proj
+    return 0.5 * (h + np.conj(np.swapaxes(h, -2, -1)))
+
+
+# a rank-deficient 1 x 1 Hermitian matrix is 0, so near-singular starts at n = 2
+@pytest.mark.parametrize("field,n,near_singular", [
+    (field, n, near) for field, n in [("R", 1), ("R", 2), ("R", 3), ("C", 1), ("C", 2)]
+    for near in (False, True) if n > 1 or not near])
+def test_det_batch_closed_forms_match_lapack(field, n, near_singular):
+    rng = np.random.default_rng(20 + 2 * n + (field == "C"))
+    if near_singular:
+        H = _rank_deficient_batch(field, n, rng, 400)
+    else:
+        H = _random_slot_batch(field, n, rng, size=400)
+    got = det_batch(field, H)
+    ref = np.linalg.det(H).real
+    # relative to ||H||_F^n, which bounds |det H| and LAPACK's own error
+    scale = np.sqrt(np.sum(np.abs(H) ** 2, axis=(-2, -1))) ** n
+    assert got.shape == ref.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    if near_singular:
+        assert np.all(np.abs(ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("field,n", [("R", 4), ("C", 3)])
+def test_det_batch_uses_lapack_beyond_the_closed_forms(field, n):
+    H = _random_slot_batch(field, n, np.random.default_rng(n))
+    assert np.array_equal(det_batch(field, H), np.linalg.det(H).real)
+
+
 # ---------------------------------------------------------------------------
 # grouped polarization against the full inclusion-exclusion loop
 # ---------------------------------------------------------------------------
@@ -540,7 +580,7 @@ def test_grouped_polarization_counts_only_the_same_object(det_calls):
     assert len(det_calls) == 1
     ungrouped = polarized_det_batch("R", [H, H.copy(), H.copy()])
     assert len(det_calls) == 1 + 7
-    assert np.array_equal(grouped, np.linalg.det(H))
+    assert np.array_equal(grouped, det_batch("R", H))
     assert np.allclose(ungrouped, grouped, rtol=1e-10, atol=1e-12)
 
 

@@ -253,6 +253,39 @@ def test_vertex_loop_support_matches_matmul_max(n_vertices):
     assert np.isclose(got, np.max(P.vertices @ one), rtol=1e-14, atol=1e-15)
 
 
+def _support_grid_body(case):
+    """The polytopes the tensor-grid support is checked on, by name."""
+    rng = np.random.default_rng(len(case))
+    if case == "one-vertex":
+        return Polytope(np.array([[0.3, -0.2, 0.1]]))
+    if case == "segment-1d":
+        return Polytope(np.array([[-0.2], [0.35]]))
+    dim = 3 if case.endswith("3") else 4
+    P = random_shell_polytope(rng, dim=dim, n_vertices=10, min_sep=0.6)
+    return slab_intersection(P, -0.08, 0.12, axis=1) if case.startswith("clipped") else P
+
+
+SUPPORT_GRID_CASES = ["shell3", "shell4", "clipped3", "clipped4", "one-vertex", "segment-1d"]
+
+
+@pytest.mark.parametrize("case", SUPPORT_GRID_CASES)
+def test_support_grid_matches_support_on_nodes(case):
+    P = _support_grid_body(case)
+    d = P.dim
+    rng = np.random.default_rng(3)
+    res = {1: 40, 3: 13, 4: 7}[d]
+    axes = [np.sort(rng.uniform(-0.8, 0.8, res + a)) for a in range(d)]
+    for rows in (slice(None), slice(2, 5), np.array([0, 3, 4])):
+        got = P.support_grid(axes, rows)
+        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+        nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        assert got.shape == mesh[0].shape
+        ref = P.support(nodes).reshape(got.shape)
+        # a few ulp of the largest sum |v_a x_a| over the vertices
+        scale = np.max(np.abs(nodes) @ np.abs(P.vertices).T, axis=-1).reshape(got.shape)
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear convex functions
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull
 
 from mongeval import valuation
-from mongeval.algebra import HermitianMatrix
+from mongeval.algebra import HermitianMatrix, polarized_det_batch
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
@@ -16,7 +16,7 @@ from mongeval.convex import (
     random_shell_polytope,
     slab_intersection,
 )
-from mongeval.hessian import assemble_structured, grid_hessian
+from mongeval.hessian import assemble_structured, fd_hessian_batch, grid_hessian
 from mongeval.valuation import (
     AtomicMeasure,
     BumpWeight,
@@ -446,12 +446,25 @@ def test_threads_bit_identical():
     assert len(vals) == 1
 
 
-def test_grid_route_threads_bit_identical_in_4d():
-    # the support evaluation is split into slab blocks, so threads reach it
+def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
+    # the tensor-grid support is split into row blocks, so threads reach it
     K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)
     spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))
     grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
-    vals = {body_valuation(spec, K, grid, sigma_body=1.5, threads=t) for t in (1, 2)}
+    blocks = []
+    support_grid = Polytope.support_grid
+
+    def recording(self, axes, rows=slice(None)):
+        blocks.append(np.asarray(rows))
+        return support_grid(self, axes, rows)
+
+    monkeypatch.setattr(Polytope, "support_grid", recording)
+    vals = set()
+    for t in (1, 2):
+        del blocks[:]
+        vals.add(body_valuation(spec, K, grid, sigma_body=1.5, threads=t))
+        assert len(blocks) == t
+        assert np.array_equal(np.concatenate(blocks), np.arange(8 + 2 * (6 + 2)))
     assert len(vals) == 1
 
 
@@ -510,6 +523,109 @@ def test_grid_route_reach_is_exact(sigma):
     wide = _grid_hessians_full(spec, K.support, grid, sigma,
                                margin=int(np.ceil(4.0 * sigma)) + 6)
     assert np.array_equal(new, wide)
+
+
+# the tensor-grid support against the node-array route: bodies by name
+_POLYTOPE_CASES = {
+    "shell3": lambda rng: random_shell_polytope(rng, dim=3),
+    "shell4": lambda rng: random_shell_polytope(rng, dim=4, n_vertices=12),
+    "clipped3": lambda rng: slab_intersection(random_shell_polytope(rng, dim=3), -0.1, 0.1),
+    "clipped4": lambda rng: slab_intersection(
+        random_shell_polytope(rng, dim=4, n_vertices=12), -0.05, 0.15, axis=2),
+    "one-vertex": lambda rng: Polytope(np.array([[0.2, -0.1, 0.05]])),
+    "segment-1d": lambda rng: Polytope(np.array([[-0.2], [0.3]])),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("case", sorted(_POLYTOPE_CASES))
+def test_grid_route_polytope_path_matches_callable_path(case, sigma):
+    K = _POLYTOPE_CASES[case](np.random.default_rng(11))
+    d = K.dim
+    field, n = ("C", 2) if d == 4 else ("R", d)
+    spec = ValuationSpec(field, n, n, BumpWeight(np.zeros(d), 0.45))
+    grid = Grid.cube(np.full(d, 0.01), 0.5, {1: 40, 3: 12, 4: 6}[d], d)
+    new = valuation._field_hessians_grid(spec, K, grid, sigma, 1)
+    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma, 1)
+    assert new.shape == ref.shape
+    # the largest entry; a linear h (one vertex) has only rounding noise
+    # there, so its floor is the second difference |v| / cell of a kink
+    scale = max(np.max(np.abs(ref)), np.abs(K.vertices).max() / grid.spacing.min())
+    assert np.max(np.abs(new - ref)) <= 1e-12 * scale
+
+
+def test_grid_route_in_one_dimension_through_the_public_api():
+    # h of the segment [a, b] is max(a x, b x): h'' = (b - a) delta_0, so the
+    # degree-1 valuation is B(0) (b - a), here with B = 1 near 0
+    K = _POLYTOPE_CASES["segment-1d"](None)
+    spec = ValuationSpec("R", 1, 1, BumpWeight(np.zeros(1), 0.45, plateau=0.6))
+    grid = Grid.cube(np.zeros(1), 0.5, 64, 1)
+    value = body_valuation(spec, K, grid, sigma_body=1.5)
+    assert abs(value - 0.5) <= 1e-9
+    ref = eval_valuation(spec, K.support, grid, smooth=False, sigma_cells=1.5)
+    assert value == ref  # in 1-D both routes compute 0.0 + v x, the same bits
+
+
+def _eval_unmasked(spec, f, grid, smooth, sigma_cells=1.5):
+    """The route before active cells: Hessians, slot values and
+    determinants on every cell, B times det summed over the whole grid."""
+    nodes = grid.nodes()
+    bvals = spec.scalar_weight(nodes)
+    if smooth:
+        hf = assemble_structured(spec.field, fd_hessian_batch(f, nodes))
+    else:
+        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, 1)
+    slots = [hf] * spec.degree
+    slots += [valuation._matrix_slot_values(w, nodes, grid) for w in spec.weights]
+    dets = polarized_det_batch(spec.field, slots)
+    scale = math.factorial(spec.n - spec.degree) * grid.cell_volume
+    return float(scale * np.sum(bvals * dets))
+
+
+def _active_cell_specs():
+    """An R spec whose normalized matrix bump reaches past B, and a C spec."""
+    wide = MatrixBump(HermitianMatrix("R", np.diag([1.0, 0.5, 0.2])), np.zeros(3), 0.49,
+                      normalize=True)
+    narrow = MatrixBump(HermitianMatrix("R", np.diag([0.3, 1.0, 0.6])), np.zeros(3), 0.4)
+    r_spec = ValuationSpec("R", 3, 1, BumpWeight(np.zeros(3), 0.3, plateau=0.5), (wide, narrow))
+    cmat = HermitianMatrix("C", np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]]))
+    c_spec = ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.35, plateau=0.7),
+                           (MatrixBump(cmat, np.zeros(4), 0.45, normalize=True),))
+    return {"R": (r_spec, Grid.cube(np.zeros(3), 0.5, 14, 3)),
+            "C": (c_spec, Grid.cube(np.zeros(4), 0.5, 8, 4))}
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_active_cells_match_unmasked_reference(field, smooth):
+    spec, grid = _active_cell_specs()[field]
+    d = grid.dim
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((d, d))
+    Q = m @ m.T + 0.5 * np.eye(d)
+    quad = quadratic(Q)
+    f = (lambda x: quad(x) + 0.3 * np.sum(np.asarray(x) ** 4, axis=-1)) if smooth else \
+        random_shell_polytope(rng, dim=d)
+    if not smooth:
+        assert np.count_nonzero(spec.scalar_weight(grid.nodes())) < grid.n_cells
+    got = eval_valuation(spec, f, grid, smooth=smooth, sigma_cells=1.5)
+    ref = _eval_unmasked(spec, f if smooth else f.support, grid, smooth)
+    assert ref != 0.0
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_non_finite_f_raises_only_on_active_cells():
+    # B vanishes for |x| >= 0.3; nan beyond x_0 = 0.45 touches only the
+    # stencils of inactive nodes, nan beyond x_0 = 0 touches active ones
+    spec, grid = _active_cell_specs()["R"]
+    quad = quadratic(np.diag([1.0, 2.0, 3.0]))
+
+    def poisoned(edge):
+        return lambda x: np.where(np.asarray(x)[..., 0] > edge, np.nan, quad(x))
+
+    assert eval_valuation(spec, poisoned(0.45), grid) == eval_valuation(spec, quad, grid)
+    with pytest.raises(FloatingPointError):
+        eval_valuation(spec, poisoned(0.0), grid)
 
 
 def test_chunked_apply_order_independent_of_threads():
