@@ -55,7 +55,6 @@ __all__ = [
     "moore_det_batch",
     "oct_det2",
     "HermitianMatrix",
-    "MixedDetForm",
     "mixed_det",
     "det_batch",
     "polarized_det_batch",
@@ -432,37 +431,22 @@ def polarized_det_batch(field, slots):
     return total / math.factorial(n)
 
 
-@dataclass(frozen=True, eq=False)
-class MixedDetForm:
-    """The symmetric n-linear polarization of a determinant polynomial.
-
-    form(H, ..., H) == det(H); permuting arguments leaves the value
-    unchanged up to roundoff.  Evaluated as a batch of one matrix per
-    slot by ``polarized_det_batch``.
-    """
-
-    field: str
-    n: int
-
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field {self.field!r}")
-        if self.field == "O2" and self.n != 2:
-            raise ValueError("octonionic mixed determinants require n = 2")
-
-    def __call__(self, mats: Sequence[HermitianMatrix]) -> float:
-        if len(mats) != self.n:
-            raise ValueError(f"expected {self.n} matrices, got {len(mats)}")
-        for m in mats:
-            if m.field != self.field:
-                raise ValueError(f"field mismatch: {m.field} vs {self.field}")
-            if m.n != self.n:
-                raise ValueError(f"size mismatch: {m.n} vs {self.n}")
-        return float(polarized_det_batch(self.field, [m.data[None] for m in mats])[0])
-
-
 def mixed_det(mats: Sequence[HermitianMatrix]) -> float:
-    """Mixed determinant of n Hermitian matrices over a common field."""
+    """Mixed determinant of n Hermitian matrices over a common field.
+
+    This is the symmetric n-linear polarization of the determinant
+    polynomial: mixed_det([H] * n) == det(H), and permuting the arguments
+    leaves the value unchanged up to roundoff.  Evaluated as a batch of
+    one matrix per slot by ``polarized_det_batch``.
+    """
     if not mats:
         raise ValueError("need at least one matrix")
-    return MixedDetForm(mats[0].field, mats[0].n)(mats)
+    field, n = mats[0].field, mats[0].n
+    if len(mats) != n:
+        raise ValueError(f"expected {n} matrices, got {len(mats)}")
+    for m in mats:
+        if m.field != field:
+            raise ValueError(f"field mismatch: {m.field} vs {field}")
+        if m.n != n:
+            raise ValueError(f"size mismatch: {m.n} vs {n}")
+    return float(polarized_det_batch(field, [m.data[None] for m in mats])[0])

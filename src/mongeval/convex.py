@@ -81,9 +81,9 @@ class Polytope:
             np.maximum(h, xi @ w, out=h)
         return h[()]
 
-    def support_grid(self, axes, rows=slice(None)):
-        """h on the tensor grid ``axes[0][rows] x axes[1] x ...``, shaped
-        ``(len(axes[0][rows]), len(axes[1]), ...)``.
+    def support_grid(self, axes):
+        """h on the tensor grid ``axes[0] x axes[1] x ...``, shaped
+        ``(len(axes[0]), len(axes[1]), ...)``.
 
         No node array is built: ``<v, x>`` is ``v_0 x_0`` plus the
         outer sum ``sum_{a >= 1} v_a x_a``, which is formed once per
@@ -92,7 +92,7 @@ class Polytope:
         ``support`` on the same points to a few ulp of ``sum |v_a x_a|``
         (the summation order differs).
         """
-        x0 = np.asarray(axes[0], dtype=float)[rows]
+        x0 = np.asarray(axes[0], dtype=float)
         tail = [np.asarray(a, dtype=float) for a in axes[1:]]
         # reused for every vertex: fresh tail-sized arrays (140 KB in 4D)
         # would each page-fault on allocation

@@ -7,17 +7,20 @@ The central object evaluates
 over a box, where F is one of the scalar fields R, C, H, O2, B is a
 continuous compactly supported scalar weight, and the A_k are Hermitian
 matrix weights: either continuous compactly supported fields or single
-point atoms.  Point atoms collapse the integral to one evaluation (the
-mixed determinant is multilinear, so a delta factor pulls everything to
-its location); at most one atom is allowed since a product of deltas at
-distinct points vanishes and at a common point is undefined.
+point atoms.  Every case runs one quadrature pipeline: nodes, the active
+mask B != 0, Hessian slots, matrix slots, the polarized determinant, and
+the weighted sum.  A point atom makes it a one-node quadrature at the
+atom's location with weight 1 (the mixed determinant is multilinear, so
+a delta factor pulls everything there); at most one atom is allowed
+since a product of deltas at distinct points vanishes and at a common
+point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
-accumulation, so repeated runs are bit-identical; optional threading only
-splits evaluation into fixed chunks and never changes the reduction
-order.  Non-smooth inputs (support functions, PL functions) are smoothed
-by a Gaussian grid convolution of width sigma cells before the Hessian
-stencil is applied.
+accumulation, so repeated runs are bit-identical.  Hessians come from
+per-node difference stencils (sigma_cells = 0; optional threading only
+splits them into fixed chunks and never changes a bit) or, for
+non-smooth inputs such as support functions, from the grid stencil after
+a Gaussian grid convolution of width sigma_cells > 0 cells.
 
 For piecewise-linear convex inputs and i = n over R there is an exact
 route: the determinant-of-Hessian measure of a PL convex function is
@@ -27,6 +30,7 @@ volume of the convex hull of the active gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
 from .convex import ConvexBody, PLConvexFunction, Polytope
-from .hessian import DEFAULT_STEP, assemble_structured, fd_hessian_batch, grid_hessian
+from .hessian import assemble_structured, fd_hessian_batch, grid_hessian
 
 __all__ = [
     "Grid",
@@ -123,14 +127,6 @@ class Grid:
 # weights
 # ---------------------------------------------------------------------------
 
-def _bump_profile(r2, plateau: float):
-    """C^2 radial profile: 1 on r <= plateau, falling to 0 at r = 1."""
-    r = np.sqrt(np.maximum(r2, 0.0))
-    if plateau > 0:
-        r = np.clip((r - plateau) / (1.0 - plateau), 0.0, None)
-    return np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class BumpWeight:
     """Continuous compactly supported scalar weight around a center.
@@ -157,9 +153,13 @@ class BumpWeight:
         return self.center.size
 
     def __call__(self, x):
+        # C^2 radial profile in r = |x - center| / radius: 1 on r <= plateau, 0 from r = 1
         x = np.asarray(x, dtype=float)
         r2 = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
-        return self.height * _bump_profile(r2, self.plateau)
+        r = np.sqrt(np.maximum(r2, 0.0))
+        if self.plateau > 0:
+            r = np.clip((r - self.plateau) / (1.0 - self.plateau), 0.0, None)
+        return self.height * np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
 
     @property
     def support_lo(self):
@@ -174,7 +174,8 @@ class BumpWeight:
 class MatrixBump:
     """Hermitian-matrix weight: a constant matrix times a scalar bump.
 
-    With ``normalize=True`` the scalar profile is rescaled on the
+    ``scalar`` is the unit-height ``BumpWeight`` of the same center,
+    radius and plateau.  With ``normalize=True`` it is rescaled on the
     evaluation grid so its midpoint-rule integral is exactly 1; this is
     the continuous approximation of a unit point atom.
     """
@@ -184,24 +185,19 @@ class MatrixBump:
     radius: float
     plateau: float = 0.0
     normalize: bool = False
+    scalar: BumpWeight = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
-
-    def scalar(self, x):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
-        return _bump_profile(r2, self.plateau)
+        object.__setattr__(self, "scalar", BumpWeight(self.center, self.radius, 1.0, self.plateau))
+        object.__setattr__(self, "center", self.scalar.center)
 
     @property
     def support_lo(self):
-        return self.center - self.radius
+        return self.scalar.support_lo
 
     @property
     def support_hi(self):
-        return self.center + self.radius
+        return self.scalar.support_hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,41 +486,29 @@ def _check_supports_inside(grid: Grid, weights) -> bool:
     return True
 
 
-def _field_hessians_smooth(spec, f, nodes, step, threads):
-    hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes,
-                          threads=threads, chunk=8192)
-    return assemble_structured(spec.field, hreal)
-
-
-def _field_hessians_grid(spec, f, grid, sigma_cells, threads, active=slice(None)):
+def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
     """Field Hessians on ``grid`` from ``f`` sampled on its exact reach.
 
     The extended grid adds the Gaussian kernel's radius r plus the 2-cell
     reach of ``grid_hessian`` on every side, and no more.  A ``Polytope``
-    is sampled by ``support_grid`` on the tensor grid, with threads
-    splitting its leading rows; a callable ``f`` runs on whole
-    leading-axis slabs of node arrays, in fixed blocks of about 16k
-    points (cache-sized; threads split the blocks).  Either way every
-    value is computed on its own, so ``threads`` never changes a bit.
-    The smoothing runs one axis at a time and crops that axis by r
-    before the next pass, so later passes skip the margin they cannot
-    reach; this is bit-identical to the full filter followed by a crop,
-    and ``mode="nearest"`` never clamps inside the part that is kept.
-    Only the cells ``active`` picks from the flat grid are assembled.
+    is sampled by ``support_grid`` on the tensor grid; a callable ``f``
+    runs on whole leading-axis slabs of node arrays, in blocks of about
+    16k points (cache-sized: faster than one whole-grid call).  The
+    smoothing runs one axis at a time and crops that axis by r before
+    the next pass, so later passes skip the margin they cannot reach;
+    this is bit-identical to the full filter followed by a crop, and
+    ``mode="nearest"`` never clamps inside the part that is kept.  Only
+    the cells ``active`` picks from the flat grid are assembled.
     """
-    if sigma_cells < 0:
-        raise ValueError("smoothing width must be non-negative")
     d = grid.dim
     r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
     ext = grid.with_margin(r + 2)
     if isinstance(f, Polytope):
-        axes = [ext.axis_nodes(a) for a in range(d)]
-        values = chunked_apply(lambda rows: f.support_grid(axes, rows), np.arange(ext.shape[0]),
-                               threads=threads, chunk=-(-ext.shape[0] // max(threads, 1)))
+        values = f.support_grid([ext.axis_nodes(a) for a in range(d)])
     else:
         slabs = max(1, (1 << 14) // math.prod(ext.shape[1:]))
-        values = chunked_apply(lambda rows: f(ext.nodes(rows)), np.arange(ext.shape[0]),
-                               threads=threads, chunk=slabs).reshape(ext.shape)
+        values = np.concatenate([f(ext.nodes(slice(k, k + slabs)))
+                                 for k in range(0, ext.shape[0], slabs)]).reshape(ext.shape)
     for a in range(d):
         values = gaussian_filter(values, sigma_cells, mode="nearest", radius=r, axes=(a,))
         values = values[(slice(None),) * a + (slice(r, values.shape[a] - r),)]
@@ -534,7 +518,10 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, threads, active=slice(None)
 
 def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
     """Evaluate one matrix weight on ``nodes[active]`` -> (N, n, n[, comps]);
-    a normalized bump is normalized over all of ``nodes`` first."""
+    a normalized bump is normalized over all of ``nodes`` first, and a
+    point atom's slot (its location is the only node) is its matrix."""
+    if isinstance(weight, MatrixAtom):
+        return weight.matrix.data[None]
     if not weight.normalize:
         scal = weight.scalar(nodes[active])
     else:
@@ -550,23 +537,29 @@ def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
     return scal.reshape(scal.shape + extra) * data[None]
 
 
-def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = True,
-                   sigma_cells: float = 3.0, step: float = None, threads: int = 1) -> float:
+def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
+                   step: float = None, threads: int = 1) -> float:
     """Evaluate the valuation functional on a convex (or C^2) function.
 
     ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
-    ``Polytope``, which stands for its support function.  If the spec
-    holds a point atom, the value is one weighted mixed determinant at
-    the atom location and no grid is needed (f must be C^2 there).
-    Otherwise a grid is required; with ``smooth=True`` Hessians come from
-    per-node difference stencils, with ``smooth=False`` the function is
-    sampled on an extended grid, convolved with a Gaussian of
-    ``sigma_cells`` cells, and differenced on the grid.  The extended grid
-    reaches exactly the kernel radius ``int(4 sigma + 0.5)`` plus 2
-    stencil cells beyond the box; it is sampled in slab blocks (a
-    polytope on the tensor grid by ``Polytope.support_grid``) and
-    smoothed axis by axis, each pass cropping its axis to what the next
-    stage reads.
+    ``Polytope``, which stands for its support function.  Every spec runs
+    one pipeline: nodes, the active mask B != 0, Hessian slots, matrix
+    slots, the polarized determinant, and (n - i)! * cell * sum B * det.
+    A spec with a point atom has one node, the atom location, with weight
+    1 and no grid (f must be C^2 there; the atom's slot is its matrix).
+    Otherwise ``grid`` supplies the midpoint nodes and the cell volume.
+
+    ``sigma_cells`` picks the Hessians: 0 means per-node difference
+    stencils, split into fixed blocks over ``threads``; a positive width
+    means the smoothed grid route, where f is sampled on an extended
+    grid, convolved with a Gaussian of ``sigma_cells`` cells and
+    differenced on the grid.  The extended grid reaches exactly the
+    kernel radius ``int(4 sigma + 0.5)`` plus 2 stencil cells beyond the
+    box; it is sampled in slab blocks (a polytope on the tensor grid by
+    ``Polytope.support_grid``) and smoothed axis by axis, each pass
+    cropping its axis to what the next stage reads.  A polytope, kinked
+    along its normal fan, needs a positive width; a negative width, or a
+    positive one with an atom (no grid to smooth on), raises.
 
     Only active cells, where B is nonzero, get Hessians, matrix-slot
     values and determinants: the others add exactly 0 * det.  So a
@@ -580,57 +573,43 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, smooth: bool = 
     against 1.  The bare symmetric polarization would carry an extra
     1/(n - i)! here; see ``mixed_det`` for that form.
     """
-    if step is None:
-        step = DEFAULT_STEP
-    d = spec.real_dim
     atom = spec.atom
-    i = spec.degree
-    slot_scale = float(math.factorial(spec.n - i))
-    fn = f.support if isinstance(f, Polytope) else f
-
+    if sigma_cells < 0 or (atom is not None and sigma_cells > 0):
+        raise ValueError("sigma_cells must be >= 0, and 0 when a weight is a point atom")
+    if sigma_cells == 0 and isinstance(f, Polytope):
+        raise ValueError("a polytope's support function is kinked along its normal fan; "
+                         "pass sigma_cells > 0 (sigma_body in body_valuation) to smooth it")
+    d = spec.real_dim
     if atom is not None:
-        loc = atom.location[None, :]
-        if loc.shape[1] != d:
-            raise ValueError(f"atom location dimension {loc.shape[1]} != {d}")
-        slots = []
-        if i > 0:
-            hf = _field_hessians_smooth(spec, fn, loc, step, threads)
-            slots.extend([hf] * i)
-        for w in spec.weights:
-            if isinstance(w, MatrixAtom):
-                slots.append(w.matrix.data[None])
-            else:
-                slots.append(_matrix_slot_values(w, loc))
-        det = polarized_det_batch(spec.field, slots)[0]
-        b = float(np.asarray(spec.scalar_weight(loc))[0])
-        return float(slot_scale * b * det)
+        grid, nodes, cell = None, atom.location[None, :], 1.0
+        if nodes.shape[1] != d:
+            raise ValueError(f"atom location dimension {nodes.shape[1]} != {d}")
+    else:
+        if grid is None:
+            raise ValueError("a quadrature grid is required unless a weight is a point atom")
+        if grid.dim != d:
+            raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
+        if not _check_supports_inside(grid, (spec.scalar_weight, *spec.weights)):
+            return 0.0
+        nodes, cell = grid.nodes(), grid.cell_volume
 
-    if grid is None:
-        raise ValueError("a quadrature grid is required unless a weight is a point atom")
-    if grid.dim != d:
-        raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
-    if not _check_supports_inside(grid, (spec.scalar_weight, *spec.weights)):
-        return 0.0
-
-    nodes = grid.nodes()
     bvals = np.asarray(spec.scalar_weight(nodes), dtype=float)
     active = bvals != 0  # B(x) = 0 cells add exactly 0 * det
     if not active.any():
         return 0.0
 
     slots = []
-    if i > 0:
-        if smooth:
-            hf = _field_hessians_smooth(spec, fn, nodes[active], step, threads)
+    if spec.degree > 0:
+        if sigma_cells == 0:
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
+                                  threads=threads, chunk=8192)
+            hf = assemble_structured(spec.field, hreal)
         else:
-            hf = _field_hessians_grid(spec, f, grid, sigma_cells, threads, active)
-        slots.extend([hf] * i)
-    for w in spec.weights:
-        slots.append(_matrix_slot_values(w, nodes, grid, active))
-
+            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active)
+        slots.extend([hf] * spec.degree)
+    slots.extend(_matrix_slot_values(w, nodes, grid, active) for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
-    integrand = bvals[active] * dets
-    return float(slot_scale * grid.cell_volume * np.sum(integrand))
+    return float(math.factorial(spec.n - spec.degree) * cell * (bvals[active] * dets).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -650,23 +629,15 @@ def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
     weight support must avoid 0 and h_K be smooth (sigma_body = 0: direct
     stencils) or sigma_body > 0 selects the smoothed grid route, which
     also covers polytopal h_K, kinked along its whole normal fan.
+    ``sigma_body`` is ``eval_valuation``'s ``sigma_cells``.
     """
-    if sigma_body == 0.0:
-        if _origin_in_supports(spec):
-            raise ValueError(
-                "origin lies inside the joint weight support but sigma_body = 0; "
-                "pass sigma_body > 0 to smooth the support function"
-            )
-        if isinstance(K, Polytope):
-            raise ValueError(
-                "a polytope's support function is kinked along its normal fan; "
-                "pass sigma_body > 0 to smooth it"
-            )
+    if sigma_body == 0.0 and _origin_in_supports(spec):
+        raise ValueError(
+            "origin lies inside the joint weight support but sigma_body = 0; "
+            "pass sigma_body > 0 to smooth the support function"
+        )
     h = K if isinstance(K, Polytope) else K.support  # the grid route samples a polytope itself
-    if sigma_body > 0.0:
-        return eval_valuation(spec, h, grid, smooth=False, sigma_cells=sigma_body,
-                              step=step, threads=threads)
-    return eval_valuation(spec, h, grid, smooth=True, step=step, threads=threads)
+    return eval_valuation(spec, h, grid, sigma_cells=sigma_body, step=step, threads=threads)
 
 
 def homogeneous_components(phi, K: ConvexBody, max_degree: int):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mongeval import algebra
 from mongeval.algebra import (
     HermitianMatrix,
-    MixedDetForm,
     complex_embedding,
     det_batch,
     mixed_det,
@@ -423,15 +422,19 @@ def test_mixed_det_two_diag_example():
 
 
 def test_mixed_det_form_validation():
-    form = MixedDetForm("R", 2)
+    R2 = HermitianMatrix.identity("R", 2)
     with pytest.raises(ValueError):
-        form([HermitianMatrix.identity("R", 2)])
+        mixed_det([])
     with pytest.raises(ValueError):
-        form([HermitianMatrix.identity("R", 2), HermitianMatrix.identity("C", 2)])
+        mixed_det([R2])
     with pytest.raises(ValueError):
-        form([HermitianMatrix.identity("R", 3)] * 2)
+        mixed_det([R2, HermitianMatrix.identity("C", 2)])
     with pytest.raises(ValueError):
-        MixedDetForm("O2", 3)
+        mixed_det([R2, HermitianMatrix.identity("R", 3)])
+    with pytest.raises(ValueError):
+        mixed_det([HermitianMatrix.identity("R", 3)] * 2)
+    with pytest.raises(ValueError):
+        HermitianMatrix("O2", np.zeros((3, 3, 8)))
 
 
 def _psd(field, n, rng):

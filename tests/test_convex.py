@@ -276,8 +276,9 @@ def test_support_grid_matches_support_on_nodes(case):
     res = {1: 40, 3: 13, 4: 7}[d]
     axes = [np.sort(rng.uniform(-0.8, 0.8, res + a)) for a in range(d)]
     for rows in (slice(None), slice(2, 5), np.array([0, 3, 4])):
-        got = P.support_grid(axes, rows)
-        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+        sub = [axes[0][rows], *axes[1:]]
+        got = P.support_grid(sub)
+        mesh = np.meshgrid(*sub, indexing="ij")
         nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         assert got.shape == mesh[0].shape
         ref = P.support(nodes).reshape(got.shape)

@@ -3,6 +3,7 @@ it from ``__all__`` and from the package namespace."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 
@@ -67,3 +68,54 @@ def test_benchmark_patch_points_resolve():
         for name in path:
             obj = getattr(obj, name)
         assert hasattr(obj, attr), f"tracer patch point {owner}.{attr} is gone"
+
+
+def _workload_calls():
+    """(name, target, positional count, keywords) of every call into
+    ``mongeval.verify``, ``valuation`` or ``convex`` in the benchmark's
+    workloads: direct calls, and ``ctx.experiment(verify.fn, **kw)``,
+    which calls ``fn(**kw)``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+
+    def resolve(node):
+        name = ast.unparse(node)
+        module, _, attrs = name.partition(".")
+        if module not in ("verify", "valuation", "convex") or not attrs:
+            return None
+        obj = importlib.import_module(f"mongeval.{module}")
+        for attr in attrs.split("."):
+            assert hasattr(obj, attr), f"perfbench/workloads.py uses {name}, which is gone"
+            obj = getattr(obj, attr)
+        return name, obj
+
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target, args = resolve(node.func), node.args
+        if target is None and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "experiment":
+            target, args = resolve(node.args[0]), []
+        if target is not None:
+            keywords = [k.arg for k in node.keywords]
+            assert None not in keywords, f"a ** argument to {target[0]} cannot be checked"
+            calls.append((*target, len(args), keywords))
+    return calls
+
+
+def test_benchmark_workload_calls_bind_to_signatures():
+    # the benchmark calls the library by keyword; a signature change that
+    # drops one of those keywords would break ``perfbench/run.py``
+    calls = _workload_calls()
+    names = {name for name, *_ in calls}
+    assert {"verify.valuation_identity", "verify.linear_invariance", "verify.parity_break",
+            "valuation.MatrixBump", "valuation.ValuationSpec",
+            "convex.PLConvexFunction.from_polytope_support"} <= names
+    for name, fn, n_args, keywords in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"perfbench/workloads.py calls {name} with "
+                                 f"{n_args} positional and {keywords}: {exc}") from None

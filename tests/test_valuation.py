@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull
 
-from mongeval import valuation
+from mongeval import valuation, verify
 from mongeval.algebra import HermitianMatrix, polarized_det_batch
 from mongeval.convex import (
     PLConvexFunction,
@@ -246,6 +246,54 @@ def test_minor_extraction_identity_via_atoms():
         assert abs(val - expected) <= 1e-5 * max(1.0, abs(expected))
 
 
+def _eval_atom_reference(spec, f, step=None):
+    """The point-atom route before atoms became a one-node quadrature: its
+    own slots, polarization and product at the atom location."""
+    loc = spec.atom.location[None, :]
+    slots = []
+    if spec.degree > 0:
+        hf = assemble_structured(spec.field, fd_hessian_batch(f, loc, step=step))
+        slots.extend([hf] * spec.degree)
+    for w in spec.weights:
+        if isinstance(w, MatrixAtom):
+            slots.append(w.matrix.data[None])
+        else:
+            data = w.matrix.data
+            slots.append(w.scalar(loc).reshape((1,) + (1,) * data.ndim) * data[None])
+    det = polarized_det_batch(spec.field, slots)[0]
+    b = float(np.asarray(spec.scalar_weight(loc))[0])
+    return float(math.factorial(spec.n - spec.degree) * b * det)
+
+
+def _atom_cases():
+    """(spec, f, step): the parity-break specs on the two-ball body and
+    its reflection, and the linear-invariance R, C and O2 atom specs on
+    their base function and on one linear shift of it."""
+    body = make_two_ball_body(3)
+    v0 = np.array([1.0, 0, 0])
+    unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(3)]
+    cases = []
+    for degree in (1, 2):
+        weights = [MatrixAtom(unit[0], v0)]
+        weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, 3 - degree)]
+        spec = ValuationSpec("R", 3, degree, BumpWeight(v0, 0.5, 1.0, plateau=0.5),
+                             tuple(weights))
+        cases += [(spec, body.support, None), (spec, body.negate().support, None)]
+    for field in ("R", "C", "O2"):
+        rng = np.random.default_rng(0)
+        spec, _grid, fn, _x0 = verify._invariance_case(field, rng)
+        ell = rng.uniform(-1.0, 1.0, spec.real_dim)
+        cases += [(spec, fn, 1e-3), (spec, lambda x, fn=fn, ell=ell: fn(x) + x @ ell, 1e-3)]
+    return cases
+
+
+def test_atom_quadrature_matches_atom_route_reference_bit_for_bit():
+    for spec, f, step in _atom_cases():
+        got = eval_valuation(spec, f, step=step)
+        assert got != 0.0
+        assert got == _eval_atom_reference(spec, f, step)
+
+
 def test_two_atoms_rejected():
     p0 = np.zeros(3)
     atom = MatrixAtom(HermitianMatrix("R", np.eye(3)), p0)
@@ -315,6 +363,32 @@ def test_body_valuation_rejects_polytope_on_stencil_route():
     spec = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5), (atom, psi))
     with pytest.raises(ValueError):
         body_valuation(spec, unit_cube(3, -0.35, 0.35), sigma_body=0.0)
+
+
+def test_eval_valuation_rejects_polytope_on_stencil_route():
+    # the same guard as body_valuation's: difference stencils across the
+    # normal fan of h_K read 0 where B(0) vol(K) = 0.343 is expected
+    K = unit_cube(3, -0.35, 0.35)
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    grid = Grid.cube(np.zeros(3), 0.5, 24, 3)
+    with pytest.raises(ValueError, match="normal fan"):
+        eval_valuation(spec, K, grid)
+    assert abs(eval_valuation(spec, K, grid, sigma_cells=2.0) - 0.343) <= 0.02 * 0.343
+
+
+def test_negative_or_atom_smoothing_width_raises_on_every_route():
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    grid = Grid.cube(np.zeros(3), 0.5, 8, 3)
+    body = make_two_ball_body(3)
+    v0 = np.array([1.0, 0, 0])
+    atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
+    atom_spec = ValuationSpec("R", 3, 2, BumpWeight(v0, 0.5, plateau=0.5), (atom,))
+    for call in (lambda: eval_valuation(spec, quadratic(np.eye(3)), grid, sigma_cells=-1.0),
+                 lambda: eval_valuation(atom_spec, body.support, sigma_cells=-1.0),
+                 lambda: body_valuation(atom_spec, body, sigma_body=-1.0),
+                 lambda: body_valuation(atom_spec, body, sigma_body=2.0)):
+        with pytest.raises(ValueError, match="sigma_cells"):
+            call()
 
 
 def test_body_valuation_scaling_homogeneity():
@@ -447,24 +521,24 @@ def test_threads_bit_identical():
 
 
 def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
-    # the tensor-grid support is split into row blocks, so threads reach it
+    # the grid route runs on one thread: one tensor-grid support per
+    # evaluation, whatever ``threads`` says
     K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)
     spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))
     grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
-    blocks = []
+    shapes = []
     support_grid = Polytope.support_grid
 
-    def recording(self, axes, rows=slice(None)):
-        blocks.append(np.asarray(rows))
-        return support_grid(self, axes, rows)
+    def recording(self, axes):
+        shapes.append(tuple(len(a) for a in axes))
+        return support_grid(self, axes)
 
     monkeypatch.setattr(Polytope, "support_grid", recording)
     vals = set()
     for t in (1, 2):
-        del blocks[:]
+        del shapes[:]
         vals.add(body_valuation(spec, K, grid, sigma_body=1.5, threads=t))
-        assert len(blocks) == t
-        assert np.array_equal(np.concatenate(blocks), np.arange(8 + 2 * (6 + 2)))
+        assert shapes == [(8 + 2 * (6 + 2),) * 4]
     assert len(vals) == 1
 
 
@@ -490,7 +564,7 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     spec = ValuationSpec(field, n, degree, BumpWeight(np.zeros(dim), 0.45))
     K = random_shell_polytope(np.random.default_rng(dim), dim=dim)
     grid = Grid.cube(np.full(dim, 0.01), 0.5, res, dim)  # no dyadic node coordinates
-    new = valuation._field_hessians_grid(spec, K.support, grid, sigma, 1)
+    new = valuation._field_hessians_grid(spec, K.support, grid, sigma)
     ref = _grid_hessians_full(spec, K.support, grid, sigma)
     assert new.shape == ref.shape
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -498,7 +572,7 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     # dyadic spacing: node coordinates are exact at any margin, so the
     # routes agree bit for bit; "nearest" never clamps inside what is kept
     dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
-    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma, 1)
+    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma)
     assert np.array_equal(new, _grid_hessians_full(spec, K.support, dyadic, sigma))
 
 
@@ -515,7 +589,7 @@ def test_grid_route_reach_is_exact(sigma):
         seen.append(np.array(x))
         return K.support(x)
 
-    new = valuation._field_hessians_grid(spec, f, grid, sigma, 1)
+    new = valuation._field_hessians_grid(spec, f, grid, sigma)
     pts = np.concatenate(seen)
     outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
     reach = int(4.0 * sigma + 0.5) + 2
@@ -545,8 +619,8 @@ def test_grid_route_polytope_path_matches_callable_path(case, sigma):
     field, n = ("C", 2) if d == 4 else ("R", d)
     spec = ValuationSpec(field, n, n, BumpWeight(np.zeros(d), 0.45))
     grid = Grid.cube(np.full(d, 0.01), 0.5, {1: 40, 3: 12, 4: 6}[d], d)
-    new = valuation._field_hessians_grid(spec, K, grid, sigma, 1)
-    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma, 1)
+    new = valuation._field_hessians_grid(spec, K, grid, sigma)
+    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma)
     assert new.shape == ref.shape
     # the largest entry; a linear h (one vertex) has only rounding noise
     # there, so its floor is the second difference |v| / cell of a kink
@@ -562,7 +636,7 @@ def test_grid_route_in_one_dimension_through_the_public_api():
     grid = Grid.cube(np.zeros(1), 0.5, 64, 1)
     value = body_valuation(spec, K, grid, sigma_body=1.5)
     assert abs(value - 0.5) <= 1e-9
-    ref = eval_valuation(spec, K.support, grid, smooth=False, sigma_cells=1.5)
+    ref = eval_valuation(spec, K.support, grid, sigma_cells=1.5)
     assert value == ref  # in 1-D both routes compute 0.0 + v x, the same bits
 
 
@@ -574,7 +648,7 @@ def _eval_unmasked(spec, f, grid, smooth, sigma_cells=1.5):
     if smooth:
         hf = assemble_structured(spec.field, fd_hessian_batch(f, nodes))
     else:
-        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, 1)
+        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells)
     slots = [hf] * spec.degree
     slots += [valuation._matrix_slot_values(w, nodes, grid) for w in spec.weights]
     dets = polarized_det_batch(spec.field, slots)
@@ -608,7 +682,7 @@ def test_active_cells_match_unmasked_reference(field, smooth):
         random_shell_polytope(rng, dim=d)
     if not smooth:
         assert np.count_nonzero(spec.scalar_weight(grid.nodes())) < grid.n_cells
-    got = eval_valuation(spec, f, grid, smooth=smooth, sigma_cells=1.5)
+    got = eval_valuation(spec, f, grid, sigma_cells=0.0 if smooth else 1.5)
     ref = _eval_unmasked(spec, f if smooth else f.support, grid, smooth)
     assert ref != 0.0
     assert abs(got - ref) <= 1e-13 * abs(ref)
@@ -634,6 +708,23 @@ def test_chunked_apply_order_independent_of_threads():
     a = chunked_apply(fn, pts, threads=1, chunk=7777)
     b = chunked_apply(fn, pts, threads=6, chunk=7777)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("plateau", [-0.1, 1.0, 1.5])
+def test_matrix_bump_rejects_plateau_outside_unit_interval(plateau):
+    # with plateau 1.5 the profile was 0 at the center and 0.26 at r = 0.6,
+    # outside the declared support
+    with pytest.raises(ValueError, match="plateau"):
+        MatrixBump(HermitianMatrix.identity("R", 3), np.zeros(3), 0.5, plateau=plateau)
+
+
+def test_matrix_bump_scalar_is_the_unit_bump():
+    bump = MatrixBump(HermitianMatrix.identity("R", 3), [0.1, 0.0, -0.2], 0.5, 0.4, True)
+    ref = BumpWeight(np.array([0.1, 0.0, -0.2]), 0.5, plateau=0.4)
+    x = np.random.default_rng(2).uniform(-0.5, 0.5, (200, 3))
+    assert np.array_equal(bump.scalar(x), ref(x))
+    assert np.array_equal(bump.center, ref.center) and bump.normalize
+    assert np.array_equal(bump.support_hi, ref.support_hi)
 
 
 def test_atom_bump_approximation_converges():
