@@ -48,7 +48,6 @@ __all__ = [
     "oct_conj",
     "oct_abs2",
     "oct_unit",
-    "quat_left_matrix",
     "realize_quat_matrix",
     "complex_embedding",
     "moore_det",
@@ -158,32 +157,16 @@ def oct_unit(i):
 # realization and complex embedding of quaternionic matrices
 # ---------------------------------------------------------------------------
 
-def quat_left_matrix(q):
-    """4x4 real matrix of left multiplication by q on (t, x, y, z) coords."""
-    t, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [t, -x, -y, -z],
-            [x, t, -z, y],
-            [y, z, t, -x],
-            [z, -y, x, t],
-        ]
-    )
-
-
 def realize_quat_matrix(A):
     """Real 4n x 4n matrix of x -> Ax under H^n ~ R^{4n}.
 
     Coordinates are interleaved per quaternionic entry:
-    t_1, x_1, y_1, z_1, t_2, ...  A need not be Hermitian.
+    t_1, x_1, y_1, z_1, t_2, ...  A need not be Hermitian.  Block (a, b)
+    is left multiplication by A[a, b], read off the product table.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    out = np.zeros((4 * n, 4 * n))
-    for a in range(n):
-        for b in range(n):
-            out[4 * a:4 * a + 4, 4 * b:4 * b + 4] = quat_left_matrix(A[a, b])
-    return out
+    return np.einsum("abd,dec->acbe", A, _QTAB).reshape(4 * n, 4 * n)
 
 
 def complex_embedding(A):
@@ -222,12 +205,12 @@ def _paired_product(eigs, pair_tol):
     return np.prod(pairs.mean(axis=-1), axis=-1)
 
 
-def moore_det(A, check=True):
+def moore_det(A):
     """Moore determinant of one quaternionic Hermitian matrix.
 
     The one-matrix case of ``moore_det_batch``, after a Hermitian check.
-    With ``check=True`` the value is verified against
-    ``det(realization) == moore^4`` at relative tolerance 1e-8.
+    The value is verified against ``det(realization) == moore^4`` at
+    relative tolerance 1e-8.
     """
     if not isinstance(A, HermitianMatrix):
         A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
@@ -235,15 +218,14 @@ def moore_det(A, check=True):
         raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
     A = A.data
     value = float(moore_det_batch(A[None])[0])
-    if check:
-        det_real = float(np.linalg.det(realize_quat_matrix(A)))
-        p4 = value**4
-        rel = abs(det_real - p4) / max(1.0, abs(p4), abs(det_real))
-        if rel > 1e-8:
-            raise DeterminantConsistencyError(
-                f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e} "
-                f"(relative gap {rel:.3e}), n = {A.shape[0]}"
-            )
+    det_real = float(np.linalg.det(realize_quat_matrix(A)))
+    p4 = value**4
+    rel = abs(det_real - p4) / max(1.0, abs(p4), abs(det_real))
+    if rel > 1e-8:
+        raise DeterminantConsistencyError(
+            f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e} "
+            f"(relative gap {rel:.3e}), n = {A.shape[0]}"
+        )
     return value
 
 
@@ -321,9 +303,9 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def det(self, check=True) -> float:
+    def det(self) -> float:
         if self.field == "H":
-            return moore_det(self.data, check=check)
+            return moore_det(self.data)
         return float(det_batch(self.field, self.data[None])[0])
 
     def norm(self) -> float:

@@ -79,7 +79,8 @@ def _build_parser(options):
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment (or 'all') and write its report",
-                         description="'run all' takes only --seed and --threads")
+                         description="'run all' takes only --seed and --threads, and "
+                                     "passes each to the experiments that take it")
     run.add_argument("experiment", help="experiment name from 'mongeval list', or 'all'")
     run.add_argument("--config", help="JSON config file; flags override its entries")
     for key, (default, names) in options.items():
@@ -225,7 +226,10 @@ def main(argv=None) -> int:
             dropped = sorted(set(config) - {"experiment", "seed", "threads"})
             if dropped:
                 raise ConfigError(f"'run all' takes only seed and threads, not {dropped}")
-        jobs = [(name, validate_config(name, config)) for name in names]
+        # 'run all' gives each experiment the options its signature takes
+        jobs = [(name, validate_config(name, config if args.experiment != "all" else
+                                       {k: v for k, v in config.items() if k in _parameters(name)}))
+                for name in names]
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -170,16 +170,16 @@ ConvexBody = Union[Polytope, SmoothProfileBody]
 # sphere sampling
 # ---------------------------------------------------------------------------
 
-def unit_directions(dim: int, count: int, seed: int = 7):
+def unit_directions(dim: int, count: int):
     """Deterministic unit directions: +-axes first, then a fixed random stream.
 
-    For a fixed seed the first m directions are a prefix of the first m' > m,
-    so sampled suprema are monotone in the sample count.
+    The first m directions are a prefix of the first m' > m, so sampled
+    suprema are monotone in the sample count.
     """
     axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
     if count <= len(axes):
         return axes[:count]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     extra = rng.standard_normal((count - len(axes), dim))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.concatenate([axes, extra], axis=0)
@@ -189,8 +189,8 @@ def unit_directions(dim: int, count: int, seed: int = 7):
 # the two-ball parity body and convexity certification
 # ---------------------------------------------------------------------------
 
-def ball_body(dim: int, radius: float = 1.0, center=None) -> SmoothProfileBody:
-    return SmoothProfileBody(dim, lambda u: np.full_like(np.asarray(u, dtype=float), radius), center)
+def ball_body(dim: int, radius: float = 1.0) -> SmoothProfileBody:
+    return SmoothProfileBody(dim, lambda u: np.full_like(np.asarray(u, dtype=float), radius))
 
 
 def _smoothstep(t):
@@ -227,14 +227,15 @@ def make_two_ball_body(dim: int) -> SmoothProfileBody:
     return body
 
 
-def certify_support_convexity(body: ConvexBody, n_dirs: int = 400, seed: int = 11) -> float:
-    """Smallest Hessian eigenvalue of the support function on a sphere sample.
+def certify_support_convexity(body: ConvexBody) -> float:
+    """Smallest Hessian eigenvalue of the support function on 400 sphere
+    directions.
 
     A 1-homogeneous h always has the radial direction in the kernel, so a
     convex h yields a value ~ 0 up to difference error; clearly negative
     values disprove convexity.  Advisory, not a proof.
     """
-    dirs = unit_directions(body.dim, n_dirs)
+    dirs = unit_directions(body.dim, 400)
     H = fd_hessian_batch(body.support, dirs, step=1e-4)
     return float(np.min(np.linalg.eigvalsh(H)))
 
@@ -300,7 +301,7 @@ def slab_intersection(K: Polytope, s: float, t: float, axis: int = 0) -> Polytop
 
 
 def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float = 0.35,
-                          min_sep: float = 0.7, max_tries: int = 10000) -> Polytope:
+                          min_sep: float = 0.7) -> Polytope:
     """Random polytope with well-separated vertices near a sphere shell.
 
     A minimum chordal separation between vertex directions keeps the
@@ -316,7 +317,7 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float
         if all(np.linalg.norm(v - w) > min_sep for w in dirs):
             dirs.append(v)
         tries += 1
-        if tries > max_tries:
+        if tries > 10000:
             raise GeometryError("could not place separated vertices; lower min_sep")
     radii = radius * rng.uniform(0.85, 1.0, (n_vertices, 1))
     return Polytope(np.array(dirs) * radii)

@@ -110,11 +110,9 @@ class Grid:
         h = self.spacing[a]
         return self.lo[a] + h * (0.5 + np.arange(self.shape[a]))
 
-    def nodes(self, rows=slice(None)) -> np.ndarray:
-        """Cell midpoints as an (n_cells, dim) array, C-ordered; ``rows``
-        (an index or slice of the leading axis) keeps only those slabs."""
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+    def nodes(self) -> np.ndarray:
+        """Cell midpoints as an (n_cells, dim) array, C-ordered."""
+        mesh = np.meshgrid(*[self.axis_nodes(a) for a in range(self.dim)], indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def with_margin(self, cells: int) -> "Grid":
@@ -206,16 +204,14 @@ class MatrixAtom:
 
     matrix: HermitianMatrix
     location: np.ndarray
-    width: float = 0.1  # default radius when approximated by a bump
 
     def __post_init__(self):
         object.__setattr__(self, "location", np.atleast_1d(np.asarray(self.location, dtype=float)))
 
-    def as_bump(self, width: float = None) -> MatrixBump:
-        """Continuous normalized approximation; converges to the atom as
-        width -> 0."""
-        w = self.width if width is None else float(width)
-        return MatrixBump(self.matrix, self.location, w, normalize=True)
+    def as_bump(self, width: float) -> MatrixBump:
+        """Continuous normalized approximation of radius ``width``;
+        converges to the atom as width -> 0."""
+        return MatrixBump(self.matrix, self.location, float(width), normalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +488,11 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
     The extended grid adds the Gaussian kernel's radius r plus the 2-cell
     reach of ``grid_hessian`` on every side, and no more.  A ``Polytope``
     is sampled by ``support_grid`` on the tensor grid; a callable ``f``
-    runs on whole leading-axis slabs of node arrays, in blocks of about
-    16k points (cache-sized: faster than one whole-grid call).  The
-    smoothing runs one axis at a time and crops that axis by r before
-    the next pass, so later passes skip the margin they cannot reach;
-    this is bit-identical to the full filter followed by a crop, and
-    ``mode="nearest"`` never clamps inside the part that is kept.  Only
+    gets every extended node in one call.  The smoothing runs one axis at
+    a time and crops that axis by r before the next pass, so later
+    passes skip the margin they cannot reach; this is bit-identical to
+    the full filter followed by a crop, and ``mode="nearest"`` never
+    clamps inside the part that is kept.  Only
     the cells ``active`` picks from the flat grid are assembled.
     """
     d = grid.dim
@@ -506,9 +501,7 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
     if isinstance(f, Polytope):
         values = f.support_grid([ext.axis_nodes(a) for a in range(d)])
     else:
-        slabs = max(1, (1 << 14) // math.prod(ext.shape[1:]))
-        values = np.concatenate([f(ext.nodes(slice(k, k + slabs)))
-                                 for k in range(0, ext.shape[0], slabs)]).reshape(ext.shape)
+        values = f(ext.nodes()).reshape(ext.shape)
     for a in range(d):
         values = gaussian_filter(values, sigma_cells, mode="nearest", radius=r, axes=(a,))
         values = values[(slice(None),) * a + (slice(r, values.shape[a] - r),)]
@@ -555,7 +548,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     grid, convolved with a Gaussian of ``sigma_cells`` cells and
     differenced on the grid.  The extended grid reaches exactly the
     kernel radius ``int(4 sigma + 0.5)`` plus 2 stencil cells beyond the
-    box; it is sampled in slab blocks (a polytope on the tensor grid by
+    box; it is sampled in one call (a polytope on the tensor grid by
     ``Polytope.support_grid``) and smoothed axis by axis, each pass
     cropping its axis to what the next stage reads.  A polytope, kinked
     along its normal fan, needs a positive width; a negative width, or a
@@ -622,7 +615,7 @@ def _origin_in_supports(spec: ValuationSpec) -> bool:
 
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
-                   sigma_body: float = 0.0, step: float = None, threads: int = 1) -> float:
+                   sigma_body: float = 0.0, threads: int = 1) -> float:
     """phi(K) = Phi(h_K): the induced i-homogeneous valuation on bodies.
 
     Support functions are singular at the origin, so either the joint
@@ -637,7 +630,7 @@ def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
             "pass sigma_body > 0 to smooth the support function"
         )
     h = K if isinstance(K, Polytope) else K.support  # the grid route samples a polytope itself
-    return eval_valuation(spec, h, grid, sigma_cells=sigma_body, step=step, threads=threads)
+    return eval_valuation(spec, h, grid, sigma_cells=sigma_body, threads=threads)
 
 
 def homogeneous_components(phi, K: ConvexBody, max_degree: int):

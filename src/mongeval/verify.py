@@ -103,17 +103,18 @@ def _centered_cube(dim, halfwidth):
     return cx.Polytope(corners)
 
 
-def _slab_quad(K, rng, axis=None, min_gap=0.08, lo_q=0.3, hi_q=0.7):
-    """A union-convex pair plus union and intersection bodies of K."""
-    axis = int(rng.integers(0, K.dim)) if axis is None else axis
+def _slab_quad(K, rng):
+    """A union-convex pair plus union and intersection bodies of K, cut
+    along a random axis near the 30% and 70% vertex quantiles."""
+    axis = int(rng.integers(0, K.dim))
     coords = K.vertices[:, axis]
-    s, t = np.quantile(coords, [lo_q, hi_q])
+    s, t = np.quantile(coords, [0.3, 0.7])
     mid = 0.5 * (s + t)
     spread = rng.uniform(0.5, 1.0)
     s = mid + (s - mid) * spread
     t = mid + (t - mid) * spread
-    if t - s < min_gap:
-        s, t = mid - min_gap / 2, mid + min_gap / 2
+    if t - s < 0.08:
+        s, t = mid - 0.04, mid + 0.04
     A, B = cx.generate_union_convex_pair(K, s, t, axis)
     AB = cx.slab_intersection(K, s, t, axis)
     return A, B, K, AB, {"axis": axis, "s": float(s), "t": float(t)}
@@ -125,13 +126,11 @@ def _slab_quad(K, rng, axis=None, min_gap=0.08, lo_q=0.3, hi_q=0.7):
 
 def _identity_config(field, rng):
     if field == "R":
-        dim = 3
         spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.7))
         grid = Grid.cube(np.zeros(3), 0.5, 48, 3)
         body = _centered_cube(3, 0.35)
         sigma = 2.0
     elif field == "C":
-        dim = 4
         mat = HermitianMatrix("C", np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]]))
         weight = MatrixBump(mat, np.zeros(4), 0.45, plateau=0.7)
         spec = ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7), (weight,))
@@ -139,18 +138,17 @@ def _identity_config(field, rng):
         body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
         sigma = 1.5
     elif field == "H":
-        dim = 4
         spec = ValuationSpec("H", 1, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7))
         grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
         body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
         sigma = 1.5
     else:
         raise ValueError(f"no grid identity configuration for field {field!r}")
-    return dim, spec, grid, body, sigma
+    return spec, grid, body, sigma
 
 
 def _identity_grid_residuals(field, n_pairs, rng, threads):
-    _, spec, grid, body, sigma = _identity_config(field, rng)
+    spec, grid, body, sigma = _identity_config(field, rng)
 
     def phi(K):
         return body_valuation(spec, K, grid, sigma_body=sigma, threads=threads)
@@ -370,7 +368,7 @@ def smoothing_schedule(sigmas_cells):
     return sigmas
 
 
-def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, threads=1):
+def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48):
     """Smoothed quadrature converges to the exact PL value as sigma -> 0.
 
     Target: the support function of a centered cube, whose measure is a
@@ -383,12 +381,12 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, thread
     ref = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(cube))
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, resolution, 3)
-    values = [body_valuation(spec, cube, grid, sigma_body=s, threads=threads) for s in sigmas]
+    values = [body_valuation(spec, cube, grid, sigma_body=s) for s in sigmas]
     gaps = [abs(v - ref) / abs(ref) for v in values]
     rates = [float(np.log2(max(gaps[k], 1e-300) / max(gaps[k + 1], 1e-300)))
              for k in range(len(gaps) - 1)]
     monotone = all(gaps[k + 1] <= gaps[k] * 1.10 for k in range(len(gaps) - 1))
-    repeat = body_valuation(spec, cube, grid, sigma_body=sigmas[-1], threads=threads)
+    repeat = body_valuation(spec, cube, grid, sigma_body=sigmas[-1])
     checks = [
         ("gap sequence decreases monotonically (10% slack)", 1.0 if monotone else 0.0, 1.0, 0.5),
         ("final gap", gaps[-1], 0.0, 0.02),
@@ -396,7 +394,7 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48, seed=0, thread
     ]
     return ExperimentReport(
         "continuity",
-        {"sigmas_cells": sigmas, "resolution": resolution, "seed": seed},
+        {"sigmas_cells": sigmas, "resolution": resolution},
         checks,
         {"pl_reference": ref, "values": values, "gaps": gaps,
          "empirical_halving_rates": rates},
@@ -485,7 +483,7 @@ NAMED_BODIES = {
 }
 
 
-def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
+def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
     """Phi(h_K) = B(0) * vol(K) for the top-degree functional over R.
 
     The exact route reads the PL measure of h_K (a single atom at the
@@ -512,7 +510,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
         volumes.append(vol)
         exact = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(K))
         exact_errs.append(abs(exact - b_height * vol))
-        quad = body_valuation(spec, K, grid, sigma_body=2.0, threads=threads)
+        quad = body_valuation(spec, K, grid, sigma_body=2.0)
         quad_errs.append(abs(quad - b_height * vol) / max(1e-30, abs(b_height) * vol))
 
     scale = max(1.0, max(volumes) * abs(b_height))
@@ -529,14 +527,12 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0, threads=1):
         abs(pl_valuation(kernel_weight, cx.PLConvexFunction.from_polytope_support(K)))
         for K in bodies
     )
-    kgrid = Grid.cube(np.zeros(3), 0.5, 48, 3)
     kernel_quad = max(
-        abs(body_valuation(kernel_spec, K, kgrid, sigma_body=2.0, threads=threads))
+        abs(body_valuation(kernel_spec, K, grid, sigma_body=2.0))
         / max(1e-30, hull_volume(K.vertices))
         for K in bodies
     )
-    nonzero = eval_valuation(kernel_spec, lambda x: 0.5 * np.sum(x**2, axis=-1), kgrid,
-                             threads=threads)
+    nonzero = eval_valuation(kernel_spec, lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
     checks += [
         ("B(0) = 0: exact image on bodies is 0", kernel_exact, 0.0, 1e-12),
         ("B(0) = 0: quadrature image relative to vol", kernel_quad, 0.0, 0.02),
@@ -623,10 +619,10 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     def f_probe(c):
         return lambda x: f0(x) + 0.4 * _bump4(x, c, 0.18)
 
+    kbase = [eval_valuation(ks, f0, grid, threads=threads) for ks in kspecs]
     gram = np.array([
-        [eval_valuation(ks, f_probe(c), grid, threads=threads) - eval_valuation(
-            ks, f0, grid, threads=threads) for c in centers]
-        for ks in kspecs
+        [eval_valuation(ks, f_probe(c), grid, threads=threads) - base for c in centers]
+        for ks, base in zip(kspecs, kbase)
     ])
     svals = np.linalg.svd(gram, compute_uv=False)
     independence = float(svals[-1] / svals[0])
@@ -638,10 +634,10 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
         for w in kweights for K in kernel_bodies
     )
     kgrid = Grid.cube(np.zeros(3), 0.5, 48, 3)
+    kernel_vols = [hull_volume(K.vertices) for K in kernel_bodies]
     kernel_image_quad = max(
-        abs(body_valuation(ks, K, kgrid, sigma_body=2.0, threads=threads))
-        / hull_volume(K.vertices)
-        for ks in kspecs for K in kernel_bodies
+        abs(body_valuation(ks, K, kgrid, sigma_body=2.0)) / vol
+        for ks in kspecs for K, vol in zip(kernel_bodies, kernel_vols)
     )
 
     checks = [

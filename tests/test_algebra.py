@@ -150,6 +150,22 @@ def test_realize_left_mult_by_i():
     assert np.isclose(np.linalg.det(R), 1.0)
 
 
+def _quat_left_matrix(q):
+    """4x4 real matrix of left multiplication by q, written out by hand."""
+    t, x, y, z = q
+    return np.array([[t, -x, -y, -z], [x, t, -z, y], [y, z, t, -x], [z, -y, x, t]])
+
+
+def test_realize_matches_hand_written_blocks():
+    # the product-table realization against the hand-written block matrix
+    rng = np.random.default_rng(15)
+    for k in range(200):
+        n = 1 + k % 4
+        A = rng.standard_normal((n, n, 4))
+        ref = np.block([[_quat_left_matrix(A[a, b]) for b in range(n)] for a in range(n)])
+        assert np.array_equal(realize_quat_matrix(A), ref)
+
+
 def test_realize_is_action():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((2, 2, 4))
@@ -361,7 +377,7 @@ def test_mixed_det_diagonal_restoration(field, n):
     rng = np.random.default_rng(13)
     H = _random_hermitian(field, n, rng)
     val = mixed_det([H] * n)
-    ref = H.det(check=False)
+    ref = H.det()
     assert abs(val - ref) <= 1e-9 * max(1.0, H.norm() ** n)
 
 

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -119,3 +120,33 @@ def test_benchmark_workload_calls_bind_to_signatures():
         except TypeError as exc:
             raise AssertionError(f"perfbench/workloads.py calls {name} with "
                                  f"{n_args} positional and {keywords}: {exc}") from None
+
+
+# experiment parameters that only reach the report's ``parameters``, with
+# the reason each one stays
+_REPORT_ONLY = {
+    ("parity_break", "seed"): "perfbench/workloads.py passes it",
+}
+
+
+def test_every_experiment_parameter_is_read():
+    # an option that is only copied into the report changes nothing the
+    # experiment computes; the CLI would still offer it as a flag
+    from mongeval.verify import EXPERIMENTS
+
+    unread = set()
+    for fn, _desc in EXPERIMENTS.values():
+        func = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        reported = set()
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "ExperimentReport":
+                params = call.args[1] if len(call.args) > 1 else next(
+                    k.value for k in call.keywords if k.arg == "parameters")
+                reported.update(id(node) for node in ast.walk(params))
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and id(node) not in reported}
+        unread.update((fn.__name__, a.arg) for a in func.args.args + func.args.kwonlyargs
+                      if a.arg not in read)
+    assert unread == set(_REPORT_ONLY), \
+        f"parameters read only into the report: {sorted(unread)}, allowed: {sorted(_REPORT_ONLY)}"

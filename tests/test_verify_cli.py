@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mongeval import cli
+from mongeval import cli, valuation
 from mongeval.cli import ConfigError, main, validate_config
 from mongeval.verify import (
     EXPERIMENTS,
@@ -161,17 +161,36 @@ def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "parity-break.json").exists()
 
 
-def test_cli_threads_byte_identical_reports(tmp_path):
+def test_cli_threads_byte_identical_reports(tmp_path, monkeypatch):
+    # kernel-laplacian's stencil route splits into blocks, so --threads 2
+    # really runs them in parallel
+    blocks = []
+    chunked_apply = valuation.chunked_apply
+
+    def recording(fn, points, threads=1, chunk=65536):
+        blocks.append(-(-len(points) // chunk))
+        return chunked_apply(fn, points, threads, chunk)
+
+    monkeypatch.setattr(valuation, "chunked_apply", recording)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["run", "continuity", "--sigmas", "4,2", "--resolution", "24",
-                 "--threads", "1", "--out", out1, "--quiet"]) == 0
-    assert main(["run", "continuity", "--sigmas", "4,2", "--resolution", "24",
-                 "--threads", "8", "--out", out2, "--quiet"]) == 0
-    with open(os.path.join(out1, "continuity.json"), "rb") as fh:
+    assert main(["run", "kernel-laplacian", "--threads", "1", "--out", out1, "--quiet"]) == 0
+    assert main(["run", "kernel-laplacian", "--threads", "2", "--out", out2, "--quiet"]) == 0
+    assert max(blocks) >= 2
+    with open(os.path.join(out1, "kernel-laplacian.json"), "rb") as fh:
         b1 = fh.read()
-    with open(os.path.join(out2, "continuity.json"), "rb") as fh:
+    with open(os.path.join(out2, "kernel-laplacian.json"), "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
+
+
+@pytest.mark.parametrize("name,option", [("continuity", "seed"), ("continuity", "threads"),
+                                         ("volume-identity", "threads")])
+def test_cli_option_an_experiment_does_not_read_exits_two(tmp_path, capsys, name, option):
+    value = "3" if option == "seed" else "2"
+    out = str(tmp_path / "r")
+    assert main(["run", name, f"--{option}", value, "--out", out]) == 2
+    assert f"option '{option}' does not apply to {name}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_validate_config(tmp_path, capsys):
@@ -352,7 +371,7 @@ _WRONG = [(name, key, value, None)
 
 @pytest.mark.parametrize("name,key,value,kwargs", [
     ("continuity", "resolution", "24", {"resolution": 24}),
-    ("continuity", "seed", 0, {"seed": 0}),
+    ("volume-identity", "seed", 0, {"seed": 0}),
     ("continuity", "sigmas", [4, 2], {"sigmas_cells": [4.0, 2.0]}),
     ("continuity", "sigmas_cells", "4,2", {"sigmas_cells": [4.0, 2.0]}),
     ("valuation-identity", "pairs", 3, {"n_pairs": 3}),
@@ -410,6 +429,14 @@ def test_cli_run_all_passes_seed_and_threads(tmp_path, monkeypatch):
                         ExperimentReport(name, {}, []))
     assert main(["run", "all", "--seed", "3", "--threads", "2", "--out", str(tmp_path),
                  "--quiet"]) == 0
-    assert calls == [(name, {"seed": 3, "threads": 2}) for name in sorted(EXPERIMENTS)]
+    # each experiment gets only the options its signature takes
+    assert calls == [
+        ("continuity", {}),
+        ("kernel-laplacian", {"seed": 3, "threads": 2}),
+        ("linear-invariance", {"seed": 3, "threads": 2}),
+        ("parity-break", {"seed": 3, "threads": 2}),
+        ("valuation-identity", {"seed": 3, "threads": 2}),
+        ("volume-identity", {"seed": 3}),
+    ]
     with open(os.path.join(tmp_path, "index.json")) as fh:
         assert json.load(fh)["passed"] == len(EXPERIMENTS)
