@@ -483,30 +483,38 @@ def _check_supports_inside(grid: Grid, weights) -> bool:
 
 
 def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
-    """Field Hessians on ``grid`` from ``f`` sampled on its exact reach.
+    """Field Hessians on the cells ``active`` picks from the flat ``grid``.
 
-    The extended grid adds the Gaussian kernel's radius r plus the 2-cell
-    reach of ``grid_hessian`` on every side, and no more.  A ``Polytope``
-    is sampled by ``support_grid`` on the tensor grid; a callable ``f``
-    gets every extended node in one call.  The smoothing runs one axis at
-    a time and crops that axis by r before the next pass, so later
-    passes skip the margin they cannot reach; this is bit-identical to
-    the full filter followed by a crop, and ``mode="nearest"`` never
-    clamps inside the part that is kept.  Only
-    the cells ``active`` picks from the flat grid are assembled.
+    ``f`` is sampled only on the active box (the bounding box of the
+    active cells; the whole grid for ``slice(None)``) plus the Gaussian
+    kernel's radius r and the 2-cell reach of ``grid_hessian``, at nodes
+    sliced from the extended grid's axes: a ``Polytope`` by
+    ``support_grid``, a callable in one call.  Each axis is smoothed and
+    cropped by r in one banded matrix product; scipy's own filter builds
+    the matrix, so it holds scipy's weights bit for bit, and the kept
+    rows never clamp.  Each product contracts the leading axis and
+    appends the cropped one, so after d products the axes are back in
+    order.  Only the summation order differs from ``correlate1d``.
     """
     d = grid.dim
     r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
     ext = grid.with_margin(r + 2)
+    box, keep = [slice(0, s) for s in grid.shape], slice(None)
+    if not isinstance(active, slice):
+        mask = np.reshape(active, grid.shape)
+        box = [slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask)]
+        keep = mask[tuple(box)].ravel()
+    axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * (r + 2)] for a, s in enumerate(box)]
     if isinstance(f, Polytope):
-        values = f.support_grid([ext.axis_nodes(a) for a in range(d)])
+        values = f.support_grid(axes)
     else:
-        values = f(ext.nodes()).reshape(ext.shape)
-    for a in range(d):
-        values = gaussian_filter(values, sigma_cells, mode="nearest", radius=r, axes=(a,))
-        values = values[(slice(None),) * a + (slice(r, values.shape[a] - r),)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        values = f(nodes).reshape(tuple(len(x) for x in axes))
+    for n in values.shape:
+        M = gaussian_filter(np.eye(n), (sigma_cells, 0), mode="nearest", radius=r)[r:n - r]
+        values = np.tensordot(values, M, axes=(0, 1))
     hreal = grid_hessian(values, ext.spacing, 2).reshape(-1, d, d)
-    return assemble_structured(spec.field, hreal[active])
+    return assemble_structured(spec.field, hreal[keep])
 
 
 def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
@@ -546,11 +554,11 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     stencils, split into fixed blocks over ``threads``; a positive width
     means the smoothed grid route, where f is sampled on an extended
     grid, convolved with a Gaussian of ``sigma_cells`` cells and
-    differenced on the grid.  The extended grid reaches exactly the
-    kernel radius ``int(4 sigma + 0.5)`` plus 2 stencil cells beyond the
-    box; it is sampled in one call (a polytope on the tensor grid by
-    ``Polytope.support_grid``) and smoothed axis by axis, each pass
-    cropping its axis to what the next stage reads.  A polytope, kinked
+    differenced on the grid.  All three stages run on the active cells'
+    bounding box, extended by exactly the kernel radius ``int(4 sigma +
+    0.5)`` plus 2 stencil cells; it is sampled in one call (a polytope on
+    the tensor grid by ``Polytope.support_grid``) and smoothed by one
+    banded matrix product per axis, which also crops it.  A polytope, kinked
     along its normal fan, needs a positive width; a negative width, or a
     positive one with an atom (no grid to smooth on), raises.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import convex as cx
 from .algebra import HermitianMatrix, det_batch, polarized_det_batch
@@ -502,8 +503,6 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, 48, 3)
 
-    from scipy.spatial import ConvexHull
-
     exact_errs, quad_errs, volumes = [], [], []
     for K in bodies:
         vol = float(ConvexHull(K.vertices).volume)
@@ -528,9 +527,8 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
         for K in bodies
     )
     kernel_quad = max(
-        abs(body_valuation(kernel_spec, K, grid, sigma_body=2.0))
-        / max(1e-30, hull_volume(K.vertices))
-        for K in bodies
+        abs(body_valuation(kernel_spec, K, grid, sigma_body=2.0)) / max(1e-30, vol)
+        for K, vol in zip(bodies, volumes)
     )
     nonzero = eval_valuation(kernel_spec, lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
     checks += [

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -519,7 +522,7 @@ def test_threads_bit_identical():
 
 
 def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
-    # the grid route runs on one thread: one tensor-grid support per
+    # ``threads`` does not split the grid route: one tensor-grid support per
     # evaluation, whatever ``threads`` says
     K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)
     spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))
@@ -536,13 +539,38 @@ def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
     for t in (1, 2):
         del shapes[:]
         vals.add(body_valuation(spec, K, grid, sigma_body=1.5, threads=t))
-        assert shapes == [(8 + 2 * (6 + 2),) * 4]
+        # B vanishes on the outer layer of cells: the active box is 6 cells wide
+        assert shapes == [(6 + 2 * (6 + 2),) * 4]
     assert len(vals) == 1
+
+
+def test_grid_route_bits_do_not_depend_on_blas_threads():
+    # the grid route smooths by BLAS matrix products; one 4D call gives the
+    # same bits on one and on two OpenBLAS threads
+    code = (
+        "import numpy as np\n"
+        "from mongeval.convex import random_shell_polytope\n"
+        "from mongeval.valuation import BumpWeight, Grid, ValuationSpec, body_valuation\n"
+        "K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)\n"
+        "spec = ValuationSpec('C', 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))\n"
+        "grid = Grid.cube(np.zeros(4), 0.5, 16, 4)\n"
+        "print(body_valuation(spec, K, grid, sigma_body=1.5).hex())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    bits = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        bits.add(run.stdout)
+    assert len(bits) == 1
 
 
 def _grid_hessians_full(spec, f, grid, sigma_cells, margin=None):
     """The full-grid route the slab route replaced: f on every node of a
-    ceil(4 sigma) + 3 cell margin, the whole grid smoothed, then cropped."""
+    ceil(4 sigma) + 3 cell margin, the whole grid smoothed line by line by
+    scipy, then cropped."""
     if margin is None:
         margin = int(np.ceil(4.0 * sigma_cells)) + 3
     ext = grid.with_margin(margin)
@@ -550,6 +578,21 @@ def _grid_hessians_full(spec, f, grid, sigma_cells, margin=None):
     if sigma_cells > 0:
         values = gaussian_filter(values, sigma=sigma_cells, mode="nearest")
     hreal = grid_hessian(values, ext.spacing, margin)
+    return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
+
+
+def _grid_hessians_banded(spec, f, grid, sigma_cells, margin):
+    """The banded route on every node of a wider ``margin``: one matrix
+    product per axis crops the kernel radius r, and the stencil crops the
+    rest.  The rows the grid keeps hold the same weights against the same
+    samples; the wider margin only adds products with exact zeros."""
+    r = int(4.0 * sigma_cells + 0.5)
+    ext = grid.with_margin(margin)
+    values = f(ext.nodes()).reshape(ext.shape)
+    for n in ext.shape:
+        M = gaussian_filter(np.eye(n), (sigma_cells, 0), mode="nearest", radius=r)[r:n - r]
+        values = np.tensordot(values, M, axes=(0, 1))
+    hreal = grid_hessian(values, ext.spacing, margin - r)
     return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
 
 
@@ -568,16 +611,22 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # dyadic spacing: node coordinates are exact at any margin, so the
-    # routes agree bit for bit; "nearest" never clamps inside what is kept
+    # banded route on a wider margin gives the same bits, and scipy's
+    # line-by-line filter differs only by its summation order; "nearest"
+    # never clamps inside what is kept
     dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
     new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma)
-    assert np.array_equal(new, _grid_hessians_full(spec, K.support, dyadic, sigma))
+    ref = _grid_hessians_full(spec, K.support, dyadic, sigma)
+    assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+    wide = int(4.0 * sigma + 0.5) + 2 + 3
+    assert np.array_equal(new, _grid_hessians_banded(spec, K.support, dyadic, sigma, wide))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, 2.0])
 def test_grid_route_reach_is_exact(sigma):
-    # f is never sampled beyond the kernel radius plus the stencil reach,
-    # and a reference several cells wider gives the same bits
+    # f is never sampled beyond the kernel radius plus the stencil reach;
+    # the banded route several cells wider gives the same bits, and scipy's
+    # line-by-line filter the same values up to its summation order
     K = random_shell_polytope(np.random.default_rng(2), dim=3)
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     grid = Grid(np.full(3, -0.5), np.full(3, 0.5), (16,) * 3)
@@ -592,9 +641,27 @@ def test_grid_route_reach_is_exact(sigma):
     outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
     reach = int(4.0 * sigma + 0.5) + 2
     assert reach - 1 < outside / grid.spacing[0] <= reach
-    wide = _grid_hessians_full(spec, K.support, grid, sigma,
-                               margin=int(np.ceil(4.0 * sigma)) + 6)
-    assert np.array_equal(new, wide)
+    ref = _grid_hessians_full(spec, K.support, grid, sigma,
+                              margin=int(np.ceil(4.0 * sigma)) + 6)
+    assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for extra in (3, 5):
+        wide = _grid_hessians_banded(spec, K.support, grid, sigma, reach + extra)
+        assert np.array_equal(new, wide)
+
+
+@pytest.mark.parametrize("field,n,degree,dim,res", _GRID_ROUTE_CASES)
+def test_grid_route_active_box_matches_unmasked_route(field, n, degree, dim, res):
+    # the masked route samples, smooths and differences only the active
+    # cells' box; on the cells it keeps it gives the unmasked route's bits
+    spec = ValuationSpec(field, n, degree, BumpWeight(np.full(dim, 0.08), 0.3))
+    K = random_shell_polytope(np.random.default_rng(dim), dim=dim)
+    grid = Grid.cube(np.zeros(dim), 0.5, 2 * res, dim)
+    active = spec.scalar_weight(grid.nodes()) != 0
+    assert 0 < np.count_nonzero(active) < grid.n_cells
+    for f in (K, K.support):
+        full = valuation._field_hessians_grid(spec, f, grid, 1.5)
+        masked = valuation._field_hessians_grid(spec, f, grid, 1.5, active)
+        assert np.array_equal(masked, full[active])
 
 
 # the tensor-grid support against the node-array route: bodies by name
