@@ -1,4 +1,5 @@
-"""Finite-difference real Hessians and structured field Hessians.
+"""Real Hessians (pointwise difference stencils, or banded products with
+derivative kernels on a grid) and structured field Hessians.
 
 Real coordinate layout is fixed per field so assembly is bit-reproducible:
 
@@ -18,8 +19,8 @@ linear combinations of real second partials:
 * octonionic entry (a, b): sum_{i,j} e_i conj(e_j) f_{x_ai x_bj}.
 
 These combinations are precomputed once as coefficient tables and
-contracted against a finite-difference real Hessian, rather than nesting
-first-difference quotients.
+contracted against a real Hessian, rather than nesting first-difference
+quotients.
 """
 
 from __future__ import annotations
@@ -122,60 +123,46 @@ def fd_laplacian_batch(f, points, step=None):
     return out / (h * h)
 
 
-def grid_hessian(values, spacing, margin):
-    """Hessians from samples on a uniform grid, by pure array shifts.
+def grid_hessian(values, spacing, kernels):
+    """Hessians from samples on a uniform grid, by banded matrix products.
 
-    ``values`` has shape ``ext_shape`` (d axes); the result covers the
-    interior region obtained by trimming ``margin`` cells per side and has
-    shape ``interior_shape + (d, d)``.  Uses fourth-order central stencils
-    (reach 2 cells, so margin >= 2): Gaussian-smoothed kinks are resolved
-    over only a few cells and the quadratic-order bias of the 3-point
-    stencil, O((cell/sigma)^2) relative, would visibly inflate
-    determinant-of-Hessian masses.  The entries are written as contiguous
-    planes of a ``(d, d) + interior_shape`` array and returned as a view
-    with the (d, d) axes moved last.
+    ``kernels`` are the 1-D correlation kernels of orders 0, 1 and 2, all
+    of length 2 r + 1 and in units of cells.  Entry (a, b) applies one
+    banded matrix per axis: order 2 on axis a when a = b, order 1 on a and
+    b otherwise, order 0 on every other axis.  Each product contracts the
+    leading axis, crops r cells per side and appends the result, so after
+    d products the axes are back in order; entries share the products of
+    their common axis prefix (3 + 6 + 6 products in 3D).  The result has
+    shape ``core_shape + (d, d)``, each axis shortened by 2 r; its entries
+    are contiguous planes of a ``(d, d) + core_shape`` array, returned as
+    a view with the (d, d) axes moved last.
     """
     values = np.asarray(values, dtype=float)
     d = values.ndim
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
-    margin = np.broadcast_to(np.asarray(margin, dtype=int), (d,))
-    if np.any(margin < 2):
-        raise ValueError("grid_hessian needs at least two margin cells per side")
+    width = len(kernels[0])
+    if min(values.shape) < width:
+        raise ValueError(f"grid_hessian needs at least {width} samples per axis")
 
-    def region(shift):
-        return tuple(
-            slice(int(m + s), int(size - m + s))
-            for m, s, size in zip(margin, shift, values.shape)
-        )
-
-    eye = np.eye(d, dtype=int)
-    core = values[region(np.zeros(d, dtype=int))]
-    H = np.empty((d, d) + core.shape)
-    for a in range(d):
-        ea = eye[a]
-        H[a, a] = (
-            -values[region(2 * ea)]
-            + 16.0 * values[region(ea)]
-            - 30.0 * core
-            + 16.0 * values[region(-ea)]
-            - values[region(-2 * ea)]
-        ) / (12.0 * spacing[a] ** 2)
-    for a in range(d):
-        for b in range(a + 1, d):
-            ea, eb = eye[a], eye[b]
-            near = (
-                values[region(ea + eb)]
-                - values[region(ea - eb)]
-                - values[region(eb - ea)]
-                + values[region(-ea - eb)]
-            )
-            far = (
-                values[region(2 * (ea + eb))]
-                - values[region(2 * (ea - eb))]
-                - values[region(2 * (eb - ea))]
-                + values[region(-2 * (ea + eb))]
-            )
-            H[a, b] = H[b, a] = (16.0 * near - far) / (48.0 * spacing[a] * spacing[b])
+    H = np.empty((d, d) + tuple(n - width + 1 for n in values.shape))
+    partial = {(): values}  # axis-order prefix -> its products so far
+    for a, n in enumerate(values.shape):
+        rows = np.arange(n - width + 1)[:, None]
+        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
+        bands = np.zeros((3, len(rows), n))  # bands[order][i, i + j] = scaled[order, j]
+        bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
+        last, nxt = a == d - 1, {}
+        while partial:  # a prefix is freed once its products are taken
+            prefix, v = partial.popitem()
+            for order in ([2 - sum(prefix)] if last else range(3 - sum(prefix))):
+                product = np.tensordot(v, bands[order], axes=(0, 1))
+                if last:  # the last axis completes order 2 and writes its entry
+                    i, j = np.repeat(np.arange(d), prefix + (order,))
+                    H[i, j] = product
+                    H[j, i] = product
+                else:
+                    nxt[prefix + (order,)] = product
+        partial = nxt
     return np.moveaxis(H, (0, 1), (-2, -1))
 
 

@@ -19,8 +19,9 @@ Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
 per-node difference stencils (sigma_cells = 0; optional threading only
 splits them into fixed chunks and never changes a bit) or, for
-non-smooth inputs such as support functions, from the grid stencil after
-a Gaussian grid convolution of width sigma_cells > 0 cells.
+non-smooth inputs such as support functions, as D^2 (G_sigma * f) on the
+grid: separable derivative-of-Gaussian kernels of width sigma_cells > 0
+cells smooth and differentiate in one pass.
 
 For piecewise-linear convex inputs and i = n over R there is an exact
 route: the determinant-of-Hessian measure of a PL convex function is
@@ -292,11 +293,10 @@ def _affine_rank(points, tol=1e-10):
 
 
 def hull_volume(points) -> float:
-    """Volume of the convex hull of a point set, by facet triangulation.
+    """Volume of the convex hull of a point set, by qhull.
 
-    Facet combinatorics come from qhull; the metric part sums |det| / n!
-    over facet simplices coned to the vertex centroid.  Degenerate (lower
-    dimensional) hulls return 0.
+    A 1-D set gives its extent; degenerate (lower dimensional) hulls
+    return 0.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -307,15 +307,9 @@ def hull_volume(points) -> float:
     if _affine_rank(points) < n:
         return 0.0
     try:
-        hull = ConvexHull(points)
+        return float(ConvexHull(points).volume)
     except QhullError:
         return 0.0
-    centroid = points[np.unique(hull.simplices)].mean(axis=0)
-    total = 0.0
-    for simplex in hull.simplices:
-        mat = points[simplex] - centroid
-        total += abs(np.linalg.det(mat))
-    return total / math.factorial(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,38 +476,56 @@ def _check_supports_inside(grid: Grid, weights) -> bool:
     return True
 
 
+def _gaussian_kernels(sigma_cells):
+    """Correlation kernels of orders 0, 1 and 2 for a Gaussian of
+    ``sigma_cells`` cells, on offsets k = -r..r with r = int(4 sigma + 0.5).
+
+    g holds scipy's weights (``gaussian_filter`` on the identity).  The
+    derivative kernels are k g and (k^2 - m2) g, scaled so that their
+    discrete moments are exact: sum g = 1, sum k g1 = 1 (g1 odd), sum g2 =
+    0 and sum k^2 g2 = 2, with m2 = sum k^2 g and m4 = sum k^4 g.  So a
+    linear h adds nothing to g2, and the three differentiate cubics
+    exactly.  A width below 1/8 cell has r = 0 and no derivative kernels.
+    """
+    r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
+    if r < 1:
+        raise ValueError(f"sigma_cells = {sigma_cells} is below 1/8 cell: the Gaussian "
+                         "truncates to one cell and cannot be differentiated")
+    g = gaussian_filter(np.eye(2 * r + 1), (sigma_cells, 0), mode="nearest", radius=r)[r]
+    k = np.arange(-r, r + 1.0)
+    m2, m4 = np.sum(k**2 * g), np.sum(k**4 * g)
+    return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
+
+
 def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
-    """Field Hessians on the cells ``active`` picks from the flat ``grid``.
+    """Field Hessians of the Gaussian-smoothed ``f`` on the cells
+    ``active`` picks from the flat ``grid``.
 
     ``f`` is sampled only on the active box (the bounding box of the
-    active cells; the whole grid for ``slice(None)``) plus the Gaussian
-    kernel's radius r and the 2-cell reach of ``grid_hessian``, at nodes
-    sliced from the extended grid's axes: a ``Polytope`` by
-    ``support_grid``, a callable in one call.  Each axis is smoothed and
-    cropped by r in one banded matrix product; scipy's own filter builds
-    the matrix, so it holds scipy's weights bit for bit, and the kept
-    rows never clamp.  Each product contracts the leading axis and
-    appends the cropped one, so after d products the axes are back in
-    order.  Only the summation order differs from ``correlate1d``.
+    active cells; the whole grid for ``slice(None)``) plus the kernel
+    radius r, at nodes sliced from the extended grid's axes: a
+    ``Polytope`` by ``support_grid``, a callable in one call.  Then one
+    ``grid_hessian`` call smooths and differentiates in the same
+    separable pass: entry (a, b) is a banded product per axis with the
+    moment-exact kernels of ``_gaussian_kernels``, each cropping r cells,
+    so D^2 (G_sigma * f) comes without a difference stencil.
     """
     d = grid.dim
-    r = int(4.0 * sigma_cells + 0.5)  # scipy's default kernel radius (truncate = 4)
-    ext = grid.with_margin(r + 2)
+    kernels = _gaussian_kernels(sigma_cells)
+    r = len(kernels[0]) // 2
+    ext = grid.with_margin(r)
     box, keep = [slice(0, s) for s in grid.shape], slice(None)
     if not isinstance(active, slice):
         mask = np.reshape(active, grid.shape)
         box = [slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask)]
         keep = mask[tuple(box)].ravel()
-    axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * (r + 2)] for a, s in enumerate(box)]
+    axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
     if isinstance(f, Polytope):
         values = f.support_grid(axes)
     else:
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         values = f(nodes).reshape(tuple(len(x) for x in axes))
-    for n in values.shape:
-        M = gaussian_filter(np.eye(n), (sigma_cells, 0), mode="nearest", radius=r)[r:n - r]
-        values = np.tensordot(values, M, axes=(0, 1))
-    hreal = grid_hessian(values, ext.spacing, 2).reshape(-1, d, d)
+    hreal = grid_hessian(values, ext.spacing, kernels).reshape(-1, d, d)
     return assemble_structured(spec.field, hreal[keep])
 
 
@@ -552,15 +564,16 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     ``sigma_cells`` picks the Hessians: 0 means per-node difference
     stencils, split into fixed blocks over ``threads``; a positive width
-    means the smoothed grid route, where f is sampled on an extended
-    grid, convolved with a Gaussian of ``sigma_cells`` cells and
-    differenced on the grid.  All three stages run on the active cells'
+    means the smoothed grid route: f is sampled on the active cells'
     bounding box, extended by exactly the kernel radius ``int(4 sigma +
-    0.5)`` plus 2 stencil cells; it is sampled in one call (a polytope on
-    the tensor grid by ``Polytope.support_grid``) and smoothed by one
-    banded matrix product per axis, which also crops it.  A polytope, kinked
-    along its normal fan, needs a positive width; a negative width, or a
-    positive one with an atom (no grid to smooth on), raises.
+    0.5)``, in one call (a polytope on the tensor grid by
+    ``Polytope.support_grid``), and each Hessian entry of the Gaussian of
+    ``sigma_cells`` cells convolved with f is one banded matrix product
+    per axis with a derivative-of-Gaussian kernel, which also crops it.
+    A polytope, kinked along its normal fan, needs a positive width; a
+    negative width, or a positive one with an atom (no grid to smooth
+    on), raises, and so does the grid route for a width below 1/8 cell,
+    which has no derivative kernels.
 
     Only active cells, where B is nonzero, get Hessians, matrix-slot
     values and determinants: the others add exactly 0 * det.  So a

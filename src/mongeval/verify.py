@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import convex as cx
 from .algebra import HermitianMatrix, det_batch, polarized_det_batch
@@ -505,7 +504,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
 
     exact_errs, quad_errs, volumes = [], [], []
     for K in bodies:
-        vol = float(ConvexHull(K.vertices).volume)
+        vol = hull_volume(K.vertices)
         volumes.append(vol)
         exact = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(K))
         exact_errs.append(abs(exact - b_height * vol))

@@ -71,6 +71,32 @@ def test_benchmark_patch_points_resolve():
         assert hasattr(obj, attr), f"tracer patch point {owner}.{attr} is gone"
 
 
+def test_tracer_patch_points_are_on_the_grid_route(monkeypatch):
+    # resolving is not enough: a route that stops calling a patched name
+    # through the module would leave it untraced.  One grid-route
+    # evaluation calls ``valuation.grid_hessian`` once and reaches
+    # ``valuation.gaussian_filter`` for its kernel.
+    import numpy as np
+
+    from mongeval import convex, valuation
+
+    calls = {"grid_hessian": 0, "gaussian_filter": 0}
+    for name in calls:
+        orig = getattr(valuation, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(valuation, name, counted)
+    K = convex.random_shell_polytope(np.random.default_rng(0), dim=3)
+    spec = valuation.ValuationSpec("R", 3, 3, valuation.BumpWeight(np.zeros(3), 0.45))
+    grid = valuation.Grid.cube(np.zeros(3), 0.5, 12, 3)
+    valuation.body_valuation(spec, K, grid, sigma_body=1.5)
+    assert calls["grid_hessian"] == 1
+    assert calls["gaussian_filter"] >= 1
+
+
 def _workload_calls():
     """(name, target, positional count, keywords) of every call into
     ``mongeval.verify``, ``valuation`` or ``convex`` in the benchmark's

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mongeval import valuation
 from mongeval.algebra import FIELD_COMPONENTS, hermitian_deviation
 from mongeval.convex import ball_body, make_two_ball_body
 from mongeval.hessian import (
@@ -121,22 +124,44 @@ def test_convexity_transfer():
 # grid stencils
 # ---------------------------------------------------------------------------
 
-def test_grid_hessian_quadratic():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((3, 3))
-    Q = 0.5 * (m + m.T)
-    axes = [np.linspace(-1, 1, 25)] * 3
+def _cubic(rng, d):
+    """A random cubic polynomial in d variables and its exact Hessian."""
+    c1 = rng.standard_normal(d)
+    c2 = rng.standard_normal((d, d))
+    c2 = 0.5 * (c2 + c2.T)
+    c3 = rng.standard_normal((d, d, d))
+    c3 = sum(np.transpose(c3, p) for p in itertools.permutations(range(3))) / 6.0
+
+    def value(x):
+        return (x @ c1 + 0.5 * np.einsum("...i,ij,...j->...", x, c2, x)
+                + np.einsum("...i,...j,...k,ijk->...", x, x, x, c3) / 6.0)
+
+    return value, lambda x: c2 + np.einsum("...k,ijk->...ij", x, c3)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_hessian_exact_on_cubic(d, sigma):
+    # moment-exact derivative kernels differentiate cubics exactly: the
+    # result is the Hessian at the core nodes, up to rounding
+    value, hess = _cubic(np.random.default_rng(5 + d), d)
+    kernels = valuation._gaussian_kernels(sigma)
+    r = len(kernels[0]) // 2
+    axes = [np.linspace(-1.0, 1.0 + 0.1 * a, {1: 40, 2: 24, 3: 17, 4: 14}[d] + a) for a in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = 0.5 * np.einsum("...i,ij,...j->...", mesh, Q, mesh)
-    spacing = [ax[1] - ax[0] for ax in axes]
-    H = grid_hessian(vals, spacing, margin=2)
-    assert H.shape == (21, 21, 21, 3, 3)
-    assert np.abs(H - Q).max() <= 1e-8 * max(1.0, np.abs(Q).max())
+    H = grid_hessian(value(mesh), [ax[1] - ax[0] for ax in axes], kernels)
+    core = mesh[tuple(slice(r, len(ax) - r) for ax in axes)]
+    assert H.shape == core.shape[:-1] + (d, d)
+    ref = hess(core)
+    assert np.max(np.abs(H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_grid_hessian_margin_validation():
+    # each product crops the kernel radius r per side: an axis needs 2 r + 1 samples
+    kernels = valuation._gaussian_kernels(1.0)  # r = 4
+    assert grid_hessian(np.zeros((9, 9)), [0.1, 0.1], kernels).shape == (1, 1, 2, 2)
     with pytest.raises(ValueError):
-        grid_hessian(np.zeros((8, 8)), [0.1, 0.1], margin=1)
+        grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels)
 
 
 # ---------------------------------------------------------------------------

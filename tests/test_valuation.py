@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull
 
 from mongeval import valuation, verify
@@ -83,10 +83,14 @@ def test_hull_volume_closed_forms():
 
 
 def test_hull_volume_matches_qhull_on_random_sets():
+    # reference: qhull's facets coned to the vertex centroid, |det| / n! each
     rng = np.random.default_rng(0)
     for dim in (2, 3, 4):
         pts = rng.standard_normal((12, dim))
-        assert np.isclose(hull_volume(pts), ConvexHull(pts).volume, rtol=1e-10)
+        hull = ConvexHull(pts)
+        centroid = pts[np.unique(hull.simplices)].mean(axis=0)
+        cones = sum(abs(np.linalg.det(pts[s] - centroid)) for s in hull.simplices)
+        assert np.isclose(hull_volume(pts), cones / math.factorial(dim), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +543,9 @@ def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
     for t in (1, 2):
         del shapes[:]
         vals.add(body_valuation(spec, K, grid, sigma_body=1.5, threads=t))
-        # B vanishes on the outer layer of cells: the active box is 6 cells wide
-        assert shapes == [(6 + 2 * (6 + 2),) * 4]
+        # B vanishes on the outer layer of cells: the active box is 6 cells
+        # wide, plus the kernel radius 6 per side
+        assert shapes == [(6 + 2 * 6,) * 4]
     assert len(vals) == 1
 
 
@@ -567,39 +572,125 @@ def test_grid_route_bits_do_not_depend_on_blas_threads():
     assert len(bits) == 1
 
 
+@pytest.mark.parametrize("sigma", [0.125, 0.5, 1.5, 2.0, 3.3])
+def test_gaussian_kernel_moments(sigma):
+    g, g1, g2 = valuation._gaussian_kernels(sigma)
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1.0)
+    assert len(g) == len(g1) == len(g2) == 2 * r + 1
+    assert np.array_equal(g, gaussian_filter(np.eye(2 * r + 1), (sigma, 0), mode="nearest",
+                                             radius=r)[r])
+    assert np.array_equal(g1, -g1[::-1]) and np.array_equal(g2, g2[::-1])
+    for value, target in ((np.sum(g), 1.0), (np.sum(k * g1), 1.0),
+                          (np.sum(g2), 0.0), (np.sum(k**2 * g2), 2.0)):
+        assert abs(value - target) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.124])
+def test_widths_below_an_eighth_cell_raise_before_sampling(sigma, monkeypatch):
+    # r = int(4 sigma + 0.5) = 0: no derivative kernels (g1 and g2 would be 0/0)
+    K = random_shell_polytope(np.random.default_rng(3), dim=3)
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    monkeypatch.setattr(Polytope, "support_grid", lambda self, axes: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="1/8 cell"):
+        body_valuation(spec, K, Grid.cube(np.zeros(3), 0.5, 12, 3), sigma_body=sigma)
+
+
+def _stencil_hessian(values, spacing, margin):
+    """The fourth-order difference stencil the kernel route replaced:
+    reach 2 cells, ``margin`` cells cropped per side."""
+    d = values.ndim
+
+    def region(shift):
+        return tuple(slice(margin + s, size - margin + s) for s, size in zip(shift, values.shape))
+
+    eye = np.eye(d, dtype=int)
+    core = values[region(np.zeros(d, dtype=int))]
+    H = np.empty(core.shape + (d, d))
+    for a in range(d):
+        ea = eye[a]
+        H[..., a, a] = (-values[region(2 * ea)] + 16.0 * values[region(ea)] - 30.0 * core
+                        + 16.0 * values[region(-ea)] - values[region(-2 * ea)]
+                        ) / (12.0 * spacing[a] ** 2)
+        for b in range(a + 1, d):
+            eb = eye[b]
+            near, far = (values[region(s * (ea + eb))] - values[region(s * (ea - eb))]
+                         - values[region(s * (eb - ea))] + values[region(-s * (ea + eb))]
+                         for s in (1, 2))
+            H[..., a, b] = H[..., b, a] = (16.0 * near - far) / (48.0 * spacing[a] * spacing[b])
+    return H
+
+
+def _stencil_route(f, grid, sigma_cells):
+    """Gaussian smoothing by scipy on the whole extended grid, then the
+    fourth-order stencil: real Hessians on every cell of ``grid``."""
+    margin = int(np.ceil(4.0 * sigma_cells)) + 3
+    ext = grid.with_margin(margin)
+    values = gaussian_filter(f(ext.nodes()).reshape(ext.shape), sigma=sigma_cells,
+                             mode="nearest")
+    return _stencil_hessian(values, ext.spacing, margin).reshape(-1, grid.dim, grid.dim)
+
+
+def test_kernel_route_recovers_the_simplex_volume_where_the_stencil_did_not():
+    # simplex3's kinks have non-axis normals; the stencil left spurious
+    # determinant mass along its normal fan (2.44%), the moment-exact
+    # kernels do not (0.47%)
+    K = verify.NAMED_BODIES["simplex3"]()
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    grid = Grid.cube(np.zeros(3), 0.5, 48, 3)
+    bvals, vol = spec.scalar_weight(grid.nodes()), hull_volume(K.vertices)
+
+    def rel_err(hreal):
+        dets = polarized_det_batch("R", [assemble_structured("R", hreal)] * 3)
+        return abs(grid.cell_volume * np.sum(bvals * dets) / vol - 1.0)
+
+    assert rel_err(_stencil_route(K.support, grid, 2.0)) > 0.02
+    new = rel_err(valuation._field_hessians_grid(spec, K, grid, 2.0))
+    assert new < 0.01
+    assert abs(abs(body_valuation(spec, K, grid, sigma_body=2.0) / vol - 1.0) - new) <= 1e-12
+
+
 def _grid_hessians_full(spec, f, grid, sigma_cells, margin=None):
-    """The full-grid route the slab route replaced: f on every node of a
-    ceil(4 sigma) + 3 cell margin, the whole grid smoothed line by line by
-    scipy, then cropped."""
+    """The full-grid reference: f on every node of a wider margin (r + 3
+    by default), each Hessian entry by scipy's line-by-line
+    ``correlate1d`` with the route's kernels along every axis, then
+    cropped."""
+    kernels = valuation._gaussian_kernels(sigma_cells)
     if margin is None:
-        margin = int(np.ceil(4.0 * sigma_cells)) + 3
+        margin = len(kernels[0]) // 2 + 3
     ext = grid.with_margin(margin)
     values = f(ext.nodes()).reshape(ext.shape)
-    if sigma_cells > 0:
-        values = gaussian_filter(values, sigma=sigma_cells, mode="nearest")
-    hreal = grid_hessian(values, ext.spacing, margin)
-    return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
+    d = grid.dim
+    core = tuple(slice(margin, margin + s) for s in grid.shape)
+    H = np.empty(grid.shape + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            out = values
+            for c in range(d):
+                order = (c == a) + (c == b)
+                out = correlate1d(out, kernels[order] / ext.spacing[c] ** order, axis=c,
+                                  mode="nearest")
+            H[..., a, b] = H[..., b, a] = out[core]
+    return assemble_structured(spec.field, H.reshape(-1, d, d))
 
 
 def _grid_hessians_banded(spec, f, grid, sigma_cells, margin):
-    """The banded route on every node of a wider ``margin``: one matrix
-    product per axis crops the kernel radius r, and the stencil crops the
-    rest.  The rows the grid keeps hold the same weights against the same
-    samples; the wider margin only adds products with exact zeros."""
-    r = int(4.0 * sigma_cells + 0.5)
+    """The kernel route on every node of a wider ``margin``, cropped to
+    ``grid``.  The rows the grid keeps hold the same weights against the
+    same samples; the wider margin only adds products with exact zeros."""
+    kernels = valuation._gaussian_kernels(sigma_cells)
     ext = grid.with_margin(margin)
     values = f(ext.nodes()).reshape(ext.shape)
-    for n in ext.shape:
-        M = gaussian_filter(np.eye(n), (sigma_cells, 0), mode="nearest", radius=r)[r:n - r]
-        values = np.tensordot(values, M, axes=(0, 1))
-    hreal = grid_hessian(values, ext.spacing, margin - r)
+    extra = margin - len(kernels[0]) // 2
+    hreal = grid_hessian(values, ext.spacing, kernels)
+    hreal = hreal[tuple(slice(extra, extra + s) for s in grid.shape)]
     return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
 
 
 _GRID_ROUTE_CASES = [("R", 3, 3, 3, 12), ("C", 2, 2, 4, 6), ("H", 1, 1, 4, 6)]
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 2.0])
 @pytest.mark.parametrize("field,n,degree,dim,res", _GRID_ROUTE_CASES)
 def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigma):
     spec = ValuationSpec(field, n, degree, BumpWeight(np.zeros(dim), 0.45))
@@ -611,22 +702,23 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # dyadic spacing: node coordinates are exact at any margin, so the
-    # banded route on a wider margin gives the same bits, and scipy's
-    # line-by-line filter differs only by its summation order; "nearest"
-    # never clamps inside what is kept
+    # kernel route on a wider margin gives the same bits, and scipy's
+    # line-by-line correlation differs only by its summation order;
+    # "nearest" never clamps inside what is kept
     dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
     new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma)
     ref = _grid_hessians_full(spec, K.support, dyadic, sigma)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
-    wide = int(4.0 * sigma + 0.5) + 2 + 3
+    wide = int(4.0 * sigma + 0.5) + 3
     assert np.array_equal(new, _grid_hessians_banded(spec, K.support, dyadic, sigma, wide))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, 2.0])
 def test_grid_route_reach_is_exact(sigma):
-    # f is never sampled beyond the kernel radius plus the stencil reach;
-    # the banded route several cells wider gives the same bits, and scipy's
-    # line-by-line filter the same values up to its summation order
+    # f is never sampled beyond the kernel radius r; the kernel route
+    # several cells wider gives the same bits, and scipy's line-by-line
+    # correlation the same values up to its summation order.  Below 1/8
+    # cell there is no kernel, and f is not sampled at all.
     K = random_shell_polytope(np.random.default_rng(2), dim=3)
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     grid = Grid(np.full(3, -0.5), np.full(3, 0.5), (16,) * 3)
@@ -636,13 +728,17 @@ def test_grid_route_reach_is_exact(sigma):
         seen.append(np.array(x))
         return K.support(x)
 
+    if sigma == 0.0:
+        with pytest.raises(ValueError):
+            valuation._field_hessians_grid(spec, f, grid, sigma)
+        assert not seen
+        return
     new = valuation._field_hessians_grid(spec, f, grid, sigma)
     pts = np.concatenate(seen)
     outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
-    reach = int(4.0 * sigma + 0.5) + 2
+    reach = int(4.0 * sigma + 0.5)
     assert reach - 1 < outside / grid.spacing[0] <= reach
-    ref = _grid_hessians_full(spec, K.support, grid, sigma,
-                              margin=int(np.ceil(4.0 * sigma)) + 6)
+    ref = _grid_hessians_full(spec, K.support, grid, sigma, margin=reach + 4)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
     for extra in (3, 5):
         wide = _grid_hessians_banded(spec, K.support, grid, sigma, reach + extra)
@@ -676,7 +772,7 @@ _POLYTOPE_CASES = {
 }
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("sigma", [0.5, 1.5])
 @pytest.mark.parametrize("case", sorted(_POLYTOPE_CASES))
 def test_grid_route_polytope_path_matches_callable_path(case, sigma):
     K = _POLYTOPE_CASES[case](np.random.default_rng(11))

@@ -62,6 +62,16 @@ def test_volume_identity_named_cube():
     assert np.isclose(rep.details["volumes"][0], 1.0)
 
 
+def test_cli_volume_identity_on_the_simplex_exits_zero(tmp_path, capsys):
+    # the simplex's kinks have non-axis normals; the grid route must still
+    # recover B(0) vol within the 2% gate
+    code = main(["run", "volume-identity", "--body", "simplex3", "--b-height", "2.5",
+                 "--seed", "3", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    with open(tmp_path / "volume-identity.json") as fh:
+        assert all(check["pass"] for check in json.load(fh)["checks"])
+
+
 def test_volume_identity_scaled_body_is_cubic():
     from mongeval.convex import PLConvexFunction, random_shell_polytope
     from mongeval.valuation import BumpWeight, pl_valuation
