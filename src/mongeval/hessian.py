@@ -123,7 +123,7 @@ def fd_laplacian_batch(f, points, step=None):
     return out / (h * h)
 
 
-def grid_hessian(values, spacing, kernels):
+def grid_hessian(values, spacing, kernels, field="R"):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
     ``kernels`` are the 1-D correlation kernels of orders 0, 1 and 2, all
@@ -132,36 +132,44 @@ def grid_hessian(values, spacing, kernels):
     b otherwise, order 0 on every other axis.  Each product contracts the
     leading axis, crops r cells per side and appends the result, so after
     d products the axes are back in order; entries share the products of
-    their common axis prefix (3 + 6 + 6 products in 3D).  The result has
-    shape ``core_shape + (d, d)``, each axis shortened by 2 r; its entries
-    are contiguous planes of a ``(d, d) + core_shape`` array, returned as
-    a view with the (d, d) axes moved last.
+    their common axis prefix.  Only the entries ``field`` reads are
+    computed, the others are 0: over C and H an off-diagonal entry inside
+    one coordinate's block feeds only the imaginary part of a diagonal
+    field entry, which the Hermitian symmetrization cancels exactly.  So R
+    takes 3 + 6 + 6 products in 3D, C with n = 2 takes 24 of 29 in 4D and
+    H with n = 1 (the diagonal) 13.  The result has shape ``core_shape +
+    (d, d)``, each axis shortened by 2 r; its entries are contiguous planes
+    of a ``(d, d) + core_shape`` array, returned as a view with the (d, d)
+    axes moved last.
     """
     values = np.asarray(values, dtype=float)
-    d = values.ndim
+    d, m = values.ndim, FIELD_COMPONENTS[field]
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
     width = len(kernels[0])
     if min(values.shape) < width:
         raise ValueError(f"grid_hessian needs at least {width} samples per axis")
 
-    H = np.empty((d, d) + tuple(n - width + 1 for n in values.shape))
+    orders = [tuple((c == a) + (c == b) for c in range(d))
+              for a in range(d) for b in range(a, d) if a == b or a // m != b // m]
+    wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
+    H = np.zeros((d, d) + tuple(n - width + 1 for n in values.shape))
     partial = {(): values}  # axis-order prefix -> its products so far
     for a, n in enumerate(values.shape):
         rows = np.arange(n - width + 1)[:, None]
         scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
         bands = np.zeros((3, len(rows), n))  # bands[order][i, i + j] = scaled[order, j]
         bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
-        last, nxt = a == d - 1, {}
+        nxt = {}
         while partial:  # a prefix is freed once its products are taken
             prefix, v = partial.popitem()
-            for order in ([2 - sum(prefix)] if last else range(3 - sum(prefix))):
-                product = np.tensordot(v, bands[order], axes=(0, 1))
-                if last:  # the last axis completes order 2 and writes its entry
-                    i, j = np.repeat(np.arange(d), prefix + (order,))
+            for key in [prefix + (o,) for o in range(3 - sum(prefix)) if prefix + (o,) in wanted]:
+                product = np.tensordot(v, bands[key[-1]], axes=(0, 1))
+                if a == d - 1:  # the last axis completes order 2 and writes its entry
+                    i, j = np.repeat(np.arange(d), key)
                     H[i, j] = product
                     H[j, i] = product
                 else:
-                    nxt[prefix + (order,)] = product
+                    nxt[key] = product
         partial = nxt
     return np.moveaxis(H, (0, 1), (-2, -1))
 
@@ -190,11 +198,13 @@ def assemble_structured(field, hreal):
     """Contract real Hessians (..., d, d) into field-Hessian matrices.
 
     Returns (..., n, n) complex for C and (..., n, n, comps) for H/O2,
-    Hermitian-symmetrized; for R the input is returned symmetrized.
+    Hermitian-symmetrized.  R input is returned as it is: both Hessian
+    routes write each off-diagonal value to (a, b) and (b, a), so it is
+    exactly symmetric already.
     """
     hreal = np.asarray(hreal, dtype=float)
     if field == "R":
-        return 0.5 * (hreal + np.swapaxes(hreal, -2, -1))
+        return hreal
     m = FIELD_COMPONENTS[field]
     d = hreal.shape[-1]
     if d % m:

@@ -32,6 +32,7 @@ volume of the convex hull of the active gradients.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,9 +112,12 @@ class Grid:
         h = self.spacing[a]
         return self.lo[a] + h * (0.5 + np.arange(self.shape[a]))
 
+    def axes(self) -> list:
+        return [self.axis_nodes(a) for a in range(self.dim)]
+
     def nodes(self) -> np.ndarray:
         """Cell midpoints as an (n_cells, dim) array, C-ordered."""
-        mesh = np.meshgrid(*[self.axis_nodes(a) for a in range(self.dim)], indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def with_margin(self, cells: int) -> "Grid":
@@ -132,6 +136,7 @@ class BumpWeight:
 
     value = height * profile(|x - center| / radius); with plateau > 0 the
     profile is exactly ``height`` on the inner fraction of the support.
+    ``on_axes`` gives the same bits on a tensor grid without a node array.
     """
 
     center: np.ndarray
@@ -152,13 +157,29 @@ class BumpWeight:
         return self.center.size
 
     def __call__(self, x):
-        # C^2 radial profile in r = |x - center| / radius: 1 on r <= plateau, 0 from r = 1
         x = np.asarray(x, dtype=float)
-        r2 = np.sum((x - self.center) ** 2, axis=-1) / self.radius**2
-        r = np.sqrt(np.maximum(r2, 0.0))
+        return self._profile(np.sum((x - self.center) ** 2, axis=-1))
+
+    def _profile(self, dist2):
+        # C^2 radial profile in r = |x - center| / radius: 1 on r <= plateau, 0 from r = 1
+        r = np.sqrt(np.maximum(dist2 / self.radius**2, 0.0))
         if self.plateau > 0:
             r = np.clip((r - self.plateau) / (1.0 - self.plateau), 0.0, None)
         return self.height * np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
+
+    def on_axes(self, axes):
+        """The mask B != 0 over the cells and B on it, both in C order, on
+        the tensor grid of ``axes``.  |x - center|^2 is an outer sum of
+        (x_a - c_a)^2 in ``np.sum``'s order, so the bits are those of
+        ``self(nodes)``; the profile runs only where that sum is below
+        radius^2, which holds wherever r < 1."""
+        center = np.broadcast_to(self.center, (len(axes),))  # as ``x - center`` broadcasts
+        dist2 = functools.reduce(np.add.outer, [
+            (np.asarray(x, dtype=float) - c) ** 2 for x, c in zip(axes, center)])
+        mask = dist2 < self.radius**2
+        values = self._profile(dist2[mask])
+        mask[mask] = values != 0
+        return mask.reshape(-1), values[values != 0]
 
     @property
     def support_lo(self):
@@ -497,54 +518,61 @@ def _gaussian_kernels(sigma_cells):
     return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
 
 
-def _field_hessians_grid(spec, f, grid, sigma_cells, active=slice(None)):
-    """Field Hessians of the Gaussian-smoothed ``f`` on the cells
-    ``active`` picks from the flat ``grid``.
+def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
+    """Field Hessians of the Gaussian-smoothed ``f`` on the cells the
+    boolean ``active`` picks from the flat ``grid`` (every cell for None).
 
     ``f`` is sampled only on the active box (the bounding box of the
-    active cells; the whole grid for ``slice(None)``) plus the kernel
+    active cells, from one ``any`` over the mask per axis) plus the kernel
     radius r, at nodes sliced from the extended grid's axes: a
     ``Polytope`` by ``support_grid``, a callable in one call.  Then one
     ``grid_hessian`` call smooths and differentiates in the same
     separable pass: entry (a, b) is a banded product per axis with the
     moment-exact kernels of ``_gaussian_kernels``, each cropping r cells,
-    so D^2 (G_sigma * f) comes without a difference stencil.
+    so D^2 (G_sigma * f) comes without a difference stencil; it computes
+    only the entries the field reads.  The active cells are gathered from
+    its contiguous (d, d) planes into one (N, d, d) array.
     """
     d = grid.dim
     kernels = _gaussian_kernels(sigma_cells)
     r = len(kernels[0]) // 2
     ext = grid.with_margin(r)
-    box, keep = [slice(0, s) for s in grid.shape], slice(None)
-    if not isinstance(active, slice):
-        mask = np.reshape(active, grid.shape)
-        box = [slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask)]
-        keep = mask[tuple(box)].ravel()
+    mask = np.ones(grid.shape, bool) if active is None else np.reshape(active, grid.shape)
+    hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
+    box = [slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
+    keep = np.flatnonzero(mask[tuple(box)])
     axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
     if isinstance(f, Polytope):
         values = f.support_grid(axes)
     else:
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         values = f(nodes).reshape(tuple(len(x) for x in axes))
-    hreal = grid_hessian(values, ext.spacing, kernels).reshape(-1, d, d)
-    return assemble_structured(spec.field, hreal[keep])
+    planes = np.moveaxis(grid_hessian(values, ext.spacing, kernels, spec.field), (-2, -1), (0, 1))
+    return assemble_structured(spec.field, planes.reshape(d * d, -1).T[keep].reshape(-1, d, d))
 
 
 def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
-    """Evaluate one matrix weight on ``nodes[active]`` -> (N, n, n[, comps]);
-    a normalized bump is normalized over all of ``nodes`` first, and a
-    point atom's slot (its location is the only node) is its matrix."""
+    """Evaluate one matrix weight on ``nodes[active]`` (on the grid's tensor
+    axes for ``nodes`` None) -> (N, n, n[, comps]); a normalized bump is
+    normalized over every node first, and a point atom's slot (its
+    location is the only node) is its matrix."""
     if isinstance(weight, MatrixAtom):
         return weight.matrix.data[None]
-    if not weight.normalize:
-        scal = weight.scalar(nodes[active])
+    if nodes is None:  # the bump's exact zeros off its mask, as on a node array
+        mask, values = weight.scalar.on_axes(grid.axes())
+        scal = np.zeros(grid.n_cells)
+        scal[mask] = values
     else:
+        scal = weight.scalar(nodes if weight.normalize else nodes[active])
+    if weight.normalize:
         if grid is None:
             raise ValueError("normalized bump weights need a quadrature grid")
-        scal = weight.scalar(nodes)
         total = float(np.sum(scal)) * grid.cell_volume
         if total <= 0:
             raise ValueError("normalized bump has zero mass on this grid")
         scal = scal[active] / total
+    elif nodes is None:
+        scal = scal[active]
     data = weight.matrix.data
     extra = (1,) * data.ndim
     return scal.reshape(scal.shape + extra) * data[None]
@@ -560,16 +588,19 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     slots, the polarized determinant, and (n - i)! * cell * sum B * det.
     A spec with a point atom has one node, the atom location, with weight
     1 and no grid (f must be C^2 there; the atom's slot is its matrix).
-    Otherwise ``grid`` supplies the midpoint nodes and the cell volume.
+    Otherwise ``grid`` supplies the midpoint nodes and the cell volume; on
+    the grid route with a ``BumpWeight`` B, the bumps are evaluated on the
+    grid's tensor axes (``BumpWeight.on_axes``) and no node array is built.
 
     ``sigma_cells`` picks the Hessians: 0 means per-node difference
     stencils, split into fixed blocks over ``threads``; a positive width
     means the smoothed grid route: f is sampled on the active cells'
     bounding box, extended by exactly the kernel radius ``int(4 sigma +
     0.5)``, in one call (a polytope on the tensor grid by
-    ``Polytope.support_grid``), and each Hessian entry of the Gaussian of
-    ``sigma_cells`` cells convolved with f is one banded matrix product
-    per axis with a derivative-of-Gaussian kernel, which also crops it.
+    ``Polytope.support_grid``), and each Hessian entry the field reads,
+    of the Gaussian of ``sigma_cells`` cells convolved with f, is one
+    banded matrix product per axis with a derivative-of-Gaussian kernel,
+    which also crops it.
     A polytope, kinked along its normal fan, needs a positive width; a
     negative width, or a positive one with an atom (no grid to smooth
     on), raises, and so does the grid route for a width below 1/8 cell,
@@ -605,10 +636,15 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
         if not _check_supports_inside(grid, (spec.scalar_weight, *spec.weights)):
             return 0.0
-        nodes, cell = grid.nodes(), grid.cell_volume
+        tensor = sigma_cells > 0 and isinstance(spec.scalar_weight, BumpWeight)
+        nodes, cell = None if tensor else grid.nodes(), grid.cell_volume
 
-    bvals = np.asarray(spec.scalar_weight(nodes), dtype=float)
-    active = bvals != 0  # B(x) = 0 cells add exactly 0 * det
+    if nodes is None:  # bump weights on the grid route: on the tensor axes, no node array
+        active, bvals = spec.scalar_weight.on_axes(grid.axes())
+    else:
+        bvals = np.asarray(spec.scalar_weight(nodes), dtype=float)
+        active = bvals != 0  # B(x) = 0 cells add exactly 0 * det
+        bvals = bvals[active]
     if not active.any():
         return 0.0
 
@@ -623,7 +659,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         slots.extend([hf] * spec.degree)
     slots.extend(_matrix_slot_values(w, nodes, grid, active) for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
-    return float(math.factorial(spec.n - spec.degree) * cell * (bvals[active] * dets).sum())
+    return float(math.factorial(spec.n - spec.degree) * cell * (bvals * dets).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,40 @@ def test_grid_hessian_margin_validation():
         grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels)
 
 
+@pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
+def test_unread_entries_cancel_exactly_in_assembly(field, n):
+    # zeroing what grid_hessian leaves unread changes no bit of the field
+    # Hessian: those entries only feed imaginary parts that the Hermitian
+    # symmetrization cancels
+    d = n * FIELD_COMPONENTS[field]
+    m = np.random.default_rng(d + n).standard_normal((64, d, d))
+    hreal = m + np.swapaxes(m, -1, -2)
+    block = np.arange(d) // FIELD_COMPONENTS[field]  # entries off the diagonal of a block are unread
+    read = np.eye(d, dtype=bool) | (block[:, None] != block[None, :])
+    assert (~read).any()
+    cut = np.where(read, hreal, 0.0)
+    assert assemble_structured(field, cut).tobytes() == assemble_structured(field, hreal).tobytes()
+
+
+def test_hessian_routes_are_exactly_symmetric():
+    # assemble_structured returns R Hessians unsymmetrized: both routes
+    # write each off-diagonal value to (a, b) and (b, a)
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 4):
+        c = rng.standard_normal((d, d))
+        H = fd_hessian_batch(lambda x: np.cos(x @ c).sum(axis=-1) + x[..., 0] ** 3,
+                             rng.standard_normal((50, d)))
+        assert H.tobytes() == np.swapaxes(H, -1, -2).tobytes()
+        values = rng.standard_normal((11,) * d)
+        for field in ("R", "C") if d % 2 else ("R", "C", "H"):
+            if d % FIELD_COMPONENTS[field]:
+                continue
+            G = grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), field)
+            assert G.tobytes() == np.swapaxes(G, -1, -2).tobytes()
+        R = assemble_structured("R", H)
+        assert R.tobytes() == H.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # structured Hessians
 # ---------------------------------------------------------------------------

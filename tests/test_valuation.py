@@ -10,7 +10,7 @@ from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull
 
 from mongeval import valuation, verify
-from mongeval.algebra import HermitianMatrix, polarized_det_batch
+from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
@@ -758,6 +758,195 @@ def test_grid_route_active_box_matches_unmasked_route(field, n, degree, dim, res
         full = valuation._field_hessians_grid(spec, f, grid, 1.5)
         masked = valuation._field_hessians_grid(spec, f, grid, 1.5, active)
         assert np.array_equal(masked, full[active])
+
+
+def _grid_hessian_all_entries(values, spacing, kernels):
+    """The banded-product route before it read the field: every entry (a,
+    b), a <= b, written to both (a, b) and (b, a) of the ``(d, d) + core``
+    planes (kept verbatim as the reference)."""
+    values = np.asarray(values, dtype=float)
+    d = values.ndim
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
+    width = len(kernels[0])
+    H = np.empty((d, d) + tuple(n - width + 1 for n in values.shape))
+    partial = {(): values}
+    for a, n in enumerate(values.shape):
+        rows = np.arange(n - width + 1)[:, None]
+        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]
+        bands = np.zeros((3, len(rows), n))
+        bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
+        last, nxt = a == d - 1, {}
+        while partial:
+            prefix, v = partial.popitem()
+            for order in ([2 - sum(prefix)] if last else range(3 - sum(prefix))):
+                product = np.tensordot(v, bands[order], axes=(0, 1))
+                if last:
+                    i, j = np.repeat(np.arange(d), prefix + (order,))
+                    H[i, j] = product
+                    H[j, i] = product
+                else:
+                    nxt[prefix + (order,)] = product
+        partial = nxt
+    return np.moveaxis(H, (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("field,d,products", [
+    ("R", 1, 1), ("R", 2, 6), ("R", 3, 15), ("R", 4, 29),
+    ("C", 2, 4), ("C", 4, 24), ("H", 4, 13)])
+def test_grid_hessian_computes_only_the_entries_the_field_reads(field, d, products, monkeypatch):
+    # the entries read are the bits of the all-entry route, the others are
+    # exactly 0, and the products are those of the entries read only
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal(tuple(9 + a for a in range(d)))
+    spacing = 0.1 + 0.01 * np.arange(d)
+    kernels = valuation._gaussian_kernels(1.0)
+    calls = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    H = grid_hessian(values, spacing, kernels, field)
+    assert len(calls) == products
+    monkeypatch.undo()
+    ref = _grid_hessian_all_entries(values, spacing, kernels)
+    block = np.arange(d) // FIELD_COMPONENTS[field]  # entries off the diagonal of a block are unread
+    read = np.eye(d, dtype=bool) | (block[:, None] != block[None, :])
+    assert H.shape == ref.shape
+    assert H[..., read].tobytes() == ref[..., read].tobytes()
+    assert not np.any(H[..., ~read])
+    assert np.all(H[..., read])
+
+
+def _field_hessians_previous(spec, f, grid, sigma_cells, active=slice(None)):
+    """The grid route before it read only the field's entries (kept as the
+    reference): the active box from ``np.nonzero``, every Hessian entry,
+    the moved view reshaped and gathered by the boolean mask, and R
+    symmetrized."""
+    d = grid.dim
+    kernels = valuation._gaussian_kernels(sigma_cells)
+    r = len(kernels[0]) // 2
+    ext = grid.with_margin(r)
+    box, keep = [slice(0, s) for s in grid.shape], slice(None)
+    if not isinstance(active, slice):
+        mask = np.reshape(active, grid.shape)
+        box = [slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask)]
+        keep = mask[tuple(box)].ravel()
+    axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
+    if isinstance(f, Polytope):
+        values = f.support_grid(axes)
+    else:
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        values = f(nodes).reshape(tuple(len(x) for x in axes))
+    hreal = _grid_hessian_all_entries(values, ext.spacing, kernels).reshape(-1, d, d)[keep]
+    if spec.field == "R":
+        return 0.5 * (hreal + np.swapaxes(hreal, -2, -1))
+    return assemble_structured(spec.field, hreal)
+
+
+@pytest.mark.parametrize("field,n,degree,dim,res", _GRID_ROUTE_CASES)
+def test_grid_route_hessians_match_the_previous_route_bit_for_bit(field, n, degree, dim, res):
+    # fewer entries, the box from per-axis ``any`` and the plane gather
+    # change no bit, for a polytope and for a callable, masked or not
+    spec = ValuationSpec(field, n, degree, BumpWeight(np.full(dim, 0.08), 0.3, plateau=0.7))
+    K = random_shell_polytope(np.random.default_rng(dim + n), dim=dim)
+    grid = Grid.cube(np.full(dim, 0.01), 0.5, 2 * res, dim)
+    active = spec.scalar_weight(grid.nodes()) != 0
+    assert 0 < np.count_nonzero(active) < grid.n_cells
+    for f in (K, K.support):
+        for sigma in (1.0, 1.5):
+            new = valuation._field_hessians_grid(spec, f, grid, sigma, active)
+            ref = _field_hessians_previous(spec, f, grid, sigma, active)
+            assert new.shape == ref.shape
+            assert new.tobytes() == ref.tobytes()
+    full = valuation._field_hessians_grid(spec, K, grid, 1.5)
+    assert full.tobytes() == _field_hessians_previous(spec, K, grid, 1.5).tobytes()
+
+
+@pytest.mark.parametrize("field,dim,res", [("R", 3, 14), ("C", 4, 7)])
+def test_plane_gather_matches_reshape_and_keep(field, dim, res):
+    # scattered masks, one cell and every cell: the cells gathered from the
+    # (d, d) planes are those the moved view's reshape and [keep] picked
+    spec = ValuationSpec(field, dim // FIELD_COMPONENTS[field], dim // FIELD_COMPONENTS[field],
+                         BumpWeight(np.zeros(dim), 0.45))
+    K = random_shell_polytope(np.random.default_rng(7), dim=dim)
+    grid = Grid.cube(np.zeros(dim), 0.5, res, dim)
+    rng = np.random.default_rng(res)
+    one = np.zeros(grid.n_cells, bool)
+    one[grid.n_cells // 3] = True
+    for active in (rng.random(grid.n_cells) < 0.3, rng.random(grid.n_cells) < 0.9, one,
+                   np.ones(grid.n_cells, bool)):
+        new = valuation._field_hessians_grid(spec, K, grid, 1.0, active)
+        ref = _field_hessians_previous(spec, K, grid, 1.0, active)
+        assert len(new) == np.count_nonzero(active)
+        assert new.tobytes() == ref.tobytes()
+
+
+_BUMPS = {  # (center, radius, height, plateau), grid (lo, hi, shape)
+    "centred-3d": ((0.0, 0.0, 0.0), 0.45, 1.0, 0.0, (-0.5, 0.5, (20, 20, 20))),
+    "plateau-3d": ((0.0, 0.0, 0.0), 0.45, 1.0, 0.7, (-0.5, 0.5, (24, 24, 24))),
+    "off-centre-3d": ((0.05, -0.1, 0.02), 0.3, 2.5, 0.7, (-0.47, 0.53, (17, 20, 23))),
+    "negative-height-3d": ((0.1, 0.0, -0.03), 0.37, -0.6, 0.0, (-0.5, 0.5, (19, 19, 19))),
+    "plateau-4d": ((0.0, 0.0, 0.0, 0.0), 0.45, 1.0, 0.7, (-0.5, 0.5, (10, 10, 10, 10))),
+    "off-centre-4d": ((0.02, -0.05, 0.1, 0.0), 0.35, 0.3, 0.0, (-0.51, 0.49, (9, 10, 11, 12))),
+    "1d": ((0.1,), 0.4, 1.7, 0.5, (-0.5, 0.5, (61,))),
+    "2d": ((0.0, 0.2), 0.45, 1.0, 0.7, (-0.5, 0.5, (33, 31))),
+    "scalar-centre-3d": ((0.1,), 0.4, 1.0, 0.0, (-0.5, 0.5, (15, 15, 15))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUMPS))
+def test_bump_on_axes_matches_the_node_array(case):
+    center, radius, height, plateau, (lo, hi, shape) = _BUMPS[case]
+    d = len(shape)
+    B = BumpWeight(np.array(center), radius, height, plateau)
+    grid = Grid(np.full(d, lo), np.full(d, hi), shape)
+    mask, values = B.on_axes(grid.axes())
+    ref = B(grid.nodes())
+    assert 0 < np.count_nonzero(ref) < grid.n_cells
+    assert np.array_equal(mask, ref != 0)
+    assert values.tobytes() == ref[ref != 0].tobytes()
+
+
+@pytest.mark.parametrize("d,res", [(3, 14), (4, 8)])
+def test_normalized_bump_on_the_tensor_axes_keeps_the_node_array_total(d, res):
+    # the bump's exact zeros fill every cell, so the pairwise sum that
+    # normalizes it has the node array's bits (summing only its mask
+    # would not, on these grids)
+    grid = Grid.cube(np.zeros(d), 0.5, res, d)
+    mat = HermitianMatrix("R", np.diag(np.arange(1.0, d + 1.0)))
+    weight = MatrixBump(mat, np.full(d, 0.013), 0.45 + 0.04 * (d == 3), normalize=True)
+    scal = weight.scalar(grid.nodes())
+    assert np.sum(scal[scal != 0]) != np.sum(scal)
+    active = np.random.default_rng(d).random(grid.n_cells) < 0.5
+    got = valuation._matrix_slot_values(weight, None, grid, active)
+    ref = valuation._matrix_slot_values(weight, grid.nodes(), grid, active)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _tensor_route_specs():
+    specs = dict(_active_cell_specs())
+    for field in "RCH":
+        spec, grid, _body, _sigma = verify._identity_config(field, np.random.default_rng(1))
+        specs[f"identity-{field}"] = (spec, Grid.cube(np.zeros(grid.dim), 0.5, 8 + grid.dim, grid.dim))
+    return specs
+
+
+@pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "identity-R"])
+def test_grid_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch):
+    # B and the matrix bumps on the tensor axes give the bits of the node
+    # route, which a callable B still takes; the tensor route never calls
+    # Grid.nodes
+    spec, grid = _tensor_route_specs()[case]
+    K = random_shell_polytope(np.random.default_rng(3), dim=grid.dim)
+    B = spec.scalar_weight
+    on_nodes = ValuationSpec(spec.field, spec.n, spec.degree, lambda x: B(x), spec.weights)
+    ref = eval_valuation(on_nodes, K, grid, sigma_cells=1.5)
+
+    def no_nodes(self):
+        raise AssertionError("the grid route built a node array")
+
+    monkeypatch.setattr(Grid, "nodes", no_nodes)
+    got = eval_valuation(spec, K, grid, sigma_cells=1.5)
+    assert ref != 0.0
+    assert got.hex() == ref.hex()
 
 
 # the tensor-grid support against the node-array route: bodies by name
