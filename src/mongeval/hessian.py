@@ -21,9 +21,16 @@ linear combinations of real second partials:
 These combinations are precomputed once as coefficient tables and
 contracted against a real Hessian, rather than nesting first-difference
 quotients.
+
+The pointwise stencil route runs no Python loop per offset or axis pair:
+one broadcast over a memoized offset table forms every stencil point, ``f``
+is called once on all of them, and the Hessian entries are array formulas.
+Each value has the bits a loop over the offsets gives.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,34 +60,51 @@ __all__ = [
 DEFAULT_STEP = 5e-4
 
 
+@functools.cache
+def _stencil_offsets(d, cross):
+    """Read-only (K, d) stencil offsets in units of h, and the pairs a < b.
+
+    Rows: the center, then +e_a, -e_a for each axis a, then (with
+    ``cross``) e_a + e_b, e_a - e_b, -(e_a - e_b), -(e_a + e_b) for each
+    pair in ``np.triu_indices`` order.  Where a row subtracts, its zeros are
+    -0.0, and the center is all -0.0: x + h * (-0.0) is x - 0.0, so every
+    point, the sign of a zero coordinate included, is the one x - h e
+    gives.
+    """
+    eye = np.eye(d)
+    pairs = np.triu_indices(d, 1) if cross else (np.empty(0, int), np.empty(0, int))
+    plus, minus = eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]
+    offsets = np.concatenate([
+        np.full((1, d), -0.0),
+        np.stack([eye, -eye], axis=1).reshape(-1, d),
+        np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, d),
+    ])
+    for table in (offsets, *pairs):
+        table.flags.writeable = False
+    return offsets, pairs
+
+
 def _stencil_values(f, points, step, cross):
     """Values of ``f`` on the central-difference stencil around each row.
 
-    Rows of the returned (K, N) array: the center, then x +- h e_a for
-    each axis a, then (with ``cross``) x + h(e_a + e_b), x + h(e_a - e_b),
-    x - h(e_a - e_b), x - h(e_a + e_b) for each pair a < b.  The step is
-    h = step * (1 + |x|) per row.  Returns (values, h, pairs).
+    Row k of the returned (K, N) array is f at points + h * offsets[k], for
+    the rows of ``_stencil_offsets(d, cross)``.  The step is h = step * (1 +
+    |x|) per row, and ``step`` must be finite and > 0.  All K * N points come
+    from one broadcast and go to ``f`` in one (K * N, d) call, offset-major.
+    Returns (values, h, pairs).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
     if step is None:
         step = DEFAULT_STEP
+    elif not (np.isfinite(step) and step > 0):
+        raise ValueError(f"stencil step must be finite and > 0, got {step!r}")
     h = step * (1.0 + np.linalg.norm(points, axis=1))  # (N,)
 
-    eye = np.eye(d)
-    stencil = [points]
-    for a in range(d):
-        stencil.append(points + h[:, None] * eye[a])
-        stencil.append(points - h[:, None] * eye[a])
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)] if cross else []
-    for a, b in pairs:
-        ea, eb = eye[a], eye[b]
-        stencil.append(points + h[:, None] * (ea + eb))
-        stencil.append(points + h[:, None] * (ea - eb))
-        stencil.append(points - h[:, None] * (ea - eb))
-        stencil.append(points - h[:, None] * (ea + eb))
-
-    vals = np.asarray(f(np.concatenate(stencil, axis=0)), dtype=float).reshape(len(stencil), N)
+    offsets, pairs = _stencil_offsets(d, cross)
+    stencil = h[:, None] * offsets[:, None, :]  # (K, N, d)
+    stencil += points
+    vals = np.asarray(f(stencil.reshape(-1, d)), dtype=float).reshape(len(offsets), N)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite function value inside the Hessian stencil")
     return vals, h, pairs
@@ -89,22 +113,21 @@ def _stencil_values(f, points, step, cross):
 def fd_hessian_batch(f, points, step=None):
     """Central-difference Hessians of ``f`` at rows of ``points``.
 
-    ``f`` must be vectorized: (m, d) -> (m,).  Returns (N, d, d) symmetric
+    ``f`` must be vectorized: (m, d) -> (m,); it is called once, on all
+    stencil points (see ``_stencil_values``).  Returns (N, d, d) symmetric
     arrays; the stencil is the standard 3-point one on the diagonal and the
     4-point cross formula off-diagonal, exact on quadratics up to roundoff.
+    Both are formed for all axes or pairs at once, and each cross value is
+    written to (a, b) and (b, a).
     """
-    vals, h, pairs = _stencil_values(f, points, step, cross=True)
+    vals, h, (a, b) = _stencil_values(f, points, step, cross=True)
     N, d = len(h), np.shape(points)[-1]
     h2 = h * h
     H = np.empty((N, d, d))
-    f0 = vals[0]
-    for a in range(d):
-        fp, fm = vals[1 + 2 * a], vals[2 + 2 * a]
-        H[:, a, a] = (fp - 2.0 * f0 + fm) / h2
-    base = 1 + 2 * d
-    for k, (a, b) in enumerate(pairs):
-        fpp, fpm, fmp, fmm = vals[base + 4 * k: base + 4 * k + 4]
-        H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
+    axes = np.arange(d)
+    H[:, axes, axes] = ((vals[1:2 * d + 1:2] - 2.0 * vals[0] + vals[2:2 * d + 2:2]) / h2).T
+    fpp, fpm, fmp, fmm = (vals[2 * d + 1 + k::4] for k in range(4))
+    H[:, a, b] = H[:, b, a] = ((fpp - fpm - fmp + fmm) / (4.0 * h2)).T
     return H
 
 
@@ -117,10 +140,8 @@ def fd_hessian(f, x, step=None):
 def fd_laplacian_batch(f, points, step=None):
     """Central-difference Laplacian (diagonal stencil only) at each row."""
     vals, h, _ = _stencil_values(f, points, step, cross=False)
-    out = np.zeros(len(h))
-    for k in range(1, len(vals), 2):
-        out += vals[k] + vals[k + 1] - 2.0 * vals[0]
-    return out / (h * h)
+    # the built-in sum adds the axes' terms in order from 0.0; np.sum may pair them
+    return sum(vals[1::2] + vals[2::2] - 2.0 * vals[0], 0.0) / (h * h)
 
 
 def grid_hessian(values, spacing, kernels, field="R"):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mongeval import valuation
-from mongeval.algebra import FIELD_COMPONENTS, hermitian_deviation
+from mongeval import hessian, valuation
+from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, hermitian_deviation
 from mongeval.convex import ball_body, make_two_ball_body
 from mongeval.hessian import (
+    DEFAULT_STEP,
     assemble_structured,
     fd_hessian,
     fd_hessian_batch,
@@ -94,6 +95,140 @@ def test_laplacian_is_hessian_trace_on_quadratics(d, seed):
     pts = rng.uniform(-1.0, 1.0, (5, d))
     trace = np.trace(fd_hessian_batch(fn, pts), axis1=1, axis2=2)
     assert np.abs(fd_laplacian_batch(fn, pts) - trace).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the broadcast stencil against the loop route it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_stencil_points(points, step, cross):
+    """The stencil points of the loop route, one (N, d) block per offset."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    N, d = points.shape
+    if step is None:
+        step = DEFAULT_STEP
+    h = step * (1.0 + np.linalg.norm(points, axis=1))
+    eye = np.eye(d)
+    stencil = [points]
+    for a in range(d):
+        stencil.append(points + h[:, None] * eye[a])
+        stencil.append(points - h[:, None] * eye[a])
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)] if cross else []
+    for a, b in pairs:
+        ea, eb = eye[a], eye[b]
+        stencil.append(points + h[:, None] * (ea + eb))
+        stencil.append(points + h[:, None] * (ea - eb))
+        stencil.append(points - h[:, None] * (ea - eb))
+        stencil.append(points - h[:, None] * (ea + eb))
+    return stencil, h, pairs
+
+
+def _loop_stencil_values(f, points, step, cross):
+    stencil, h, pairs = _loop_stencil_points(points, step, cross)
+    vals = np.asarray(f(np.concatenate(stencil, axis=0)), dtype=float).reshape(len(stencil), len(h))
+    return vals, h, pairs
+
+
+def _loop_fd_hessian_batch(f, points, step=None):
+    vals, h, pairs = _loop_stencil_values(f, points, step, cross=True)
+    N, d = len(h), np.shape(points)[-1]
+    h2 = h * h
+    H = np.empty((N, d, d))
+    f0 = vals[0]
+    for a in range(d):
+        fp, fm = vals[1 + 2 * a], vals[2 + 2 * a]
+        H[:, a, a] = (fp - 2.0 * f0 + fm) / h2
+    base = 1 + 2 * d
+    for k, (a, b) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = vals[base + 4 * k: base + 4 * k + 4]
+        H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
+    return H
+
+
+def _loop_fd_laplacian_batch(f, points, step=None):
+    vals, h, _ = _loop_stencil_values(f, points, step, cross=False)
+    out = np.zeros(len(h))
+    for k in range(1, len(vals), 2):
+        out += vals[k] + vals[k + 1] - 2.0 * vals[0]
+    return out / (h * h)
+
+
+def _sign_sensitive(d):
+    """A smooth f plus a term that reads the sign of zero coordinates."""
+    c = np.random.default_rng(d).standard_normal((d, d))
+    return lambda x: np.cos(x @ c).sum(axis=-1) + x[..., 0] ** 3 + 1e-3 * np.signbit(x).sum(axis=-1)
+
+
+def _stencil_centres(d, N):
+    pts = np.random.default_rng(10 + d).standard_normal((N, d))
+    pts[::3, 0] = -0.0  # a zero coordinate the stencil must keep negative where it subtracts
+    pts[1::3, -1] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("step", [None, 1e-3])
+@pytest.mark.parametrize("N", [1, 700])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+def test_broadcast_stencil_matches_the_loop_route_bit_for_bit(d, N, step):
+    f, pts = _sign_sensitive(d), _stencil_centres(d, N)
+    assert fd_hessian_batch(f, pts, step).tobytes() == _loop_fd_hessian_batch(f, pts, step).tobytes()
+    assert fd_laplacian_batch(f, pts, step).tobytes() == _loop_fd_laplacian_batch(f, pts, step).tobytes()
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_stencil_calls_f_once_in_the_documented_row_order(d, cross):
+    # one (K N, d) call, offset-major: the tracer counts fevals from it
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return np.sum(x * x, axis=-1)
+
+    pts = _stencil_centres(d, 5)
+    stencil, _, _ = _loop_stencil_points(pts, 1e-3, cross)
+    (fd_hessian_batch if cross else fd_laplacian_batch)(f, pts, step=1e-3)
+    K = 1 + 2 * d + (2 * d * (d - 1) if cross else 0)
+    assert len(calls) == 1 and calls[0].shape == (K * 5, d) and len(stencil) == K
+    assert calls[0].tobytes() == np.concatenate(stencil).tobytes()
+
+
+def test_one_dimensional_stencil_has_no_pairs():
+    calls = []
+
+    def cube(x):
+        calls.append(x.shape)
+        return x[..., 0] ** 3
+
+    x = np.array([[0.5], [-1.0], [2.0]])
+    H = fd_hessian_batch(cube, x)
+    assert calls == [(9, 1)] and H.shape == (3, 1, 1)
+    assert np.abs(H[:, 0, 0] - 6.0 * x[:, 0]).max() <= 1e-6
+    assert hessian._stencil_offsets(1, True)[1][0].size == 0
+
+
+def test_stencil_offset_table_is_memoized_and_read_only():
+    offsets, (a, b) = hessian._stencil_offsets(4, True)
+    assert hessian._stencil_offsets(4, True)[0] is offsets
+    assert offsets.shape == (1 + 2 * 4 + 4 * 6, 4)
+    for table in (offsets, a, b):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_bad_stencil_step_raises(step):
+    f = lambda x: np.sum(np.asarray(x) ** 2, axis=-1)
+    pts = np.array([[0.3, -0.2, 0.1]])
+    for route in (fd_hessian_batch, fd_laplacian_batch):
+        with pytest.raises(ValueError, match="step"):
+            route(f, pts, step=step)
+    p0 = pts[0]
+    spec = valuation.ValuationSpec(
+        "R", 3, 2, valuation.BumpWeight(p0, 0.4),
+        (valuation.MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), p0),))
+    with pytest.raises(ValueError, match="step"):
+        valuation.eval_valuation(spec, f, step=step)
 
 
 # ---------------------------------------------------------------------------
