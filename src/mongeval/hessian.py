@@ -31,6 +31,7 @@ Each value has the bits a loop over the offsets gives.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -144,6 +145,13 @@ def fd_laplacian_batch(f, points, step=None):
     return sum(vals[1::2] + vals[2::2] - 2.0 * vals[0], 0.0) / (h * h)
 
 
+#: output rows per block of a banded product, from a table of block sizes
+#: measured on the R, C and H grid routes.  Near-equal blocks of at most 4
+#: rows are one row wide only when the axis has one output row: a one-row
+#: block would go to gemv, which sums in another order than the full band.
+_BLOCK_ROWS = 4
+
+
 def grid_hessian(values, spacing, kernels, field="R"):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
@@ -158,10 +166,21 @@ def grid_hessian(values, spacing, kernels, field="R"):
     one coordinate's block feeds only the imaginary part of a diagonal
     field entry, which the Hermitian symmetrization cancels exactly.  So R
     takes 3 + 6 + 6 products in 3D, C with n = 2 takes 24 of 29 in 4D and
-    H with n = 1 (the diagonal) 13.  The result has shape ``core_shape +
-    (d, d)``, each axis shortened by 2 r; its entries are contiguous planes
-    of a ``(d, d) + core_shape`` array, returned as a view with the (d, d)
-    axes moved last.
+    H with n = 1 (the diagonal) 13.
+
+    A product skips most of the band's zeros: its output rows are split
+    into near-equal blocks of at most ``_BLOCK_ROWS`` rows, and block [i0,
+    i1) is one ``np.matmul`` of input rows [i0, i1 + 2 r) with the
+    top-left corner of the axis's Toeplitz band, written in place into
+    the product's array (no transposed copy of the input).  A product of
+    one vector, where every other axis has one cell, keeps the full band
+    as one block: BLAS sends it to gemv, whose sums depend on the band's
+    length.  Each value has the bits of the full band's product.
+    The result has shape ``core_shape + (d, d)``, each axis shortened by
+    2 r; its entries are contiguous planes of a ``(d, d) + core_shape``
+    array, returned as a view with the (d, d) axes moved last.  The last
+    axis's products are written straight into their planes (a, b), and
+    each off-diagonal plane is copied once, into (b, a).
     """
     values = np.asarray(values, dtype=float)
     d, m = values.ndim, FIELD_COMPONENTS[field]
@@ -173,24 +192,35 @@ def grid_hessian(values, spacing, kernels, field="R"):
     orders = [tuple((c == a) + (c == b) for c in range(d))
               for a in range(d) for b in range(a, d) if a == b or a // m != b // m]
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
-    H = np.zeros((d, d) + tuple(n - width + 1 for n in values.shape))
+    core = tuple(n - width + 1 for n in values.shape)
+    H = np.zeros((d, d) + core)
     partial = {(): values}  # axis-order prefix -> its products so far
     for a, n in enumerate(values.shape):
-        rows = np.arange(n - width + 1)[:, None]
+        nout, rest = core[a], math.prod(core[:a] + values.shape[a + 1:])
+        # one vector (rest 1) goes to gemv, whose sums depend on the band's length
+        count = 1 if rest == 1 else -(-nout // _BLOCK_ROWS)
+        bounds = [nout * k // count for k in range(count + 1)]  # near-equal blocks
+        tall = -(-nout // count)
+        rows = np.arange(tall)[:, None]
         scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
-        bands = np.zeros((3, len(rows), n))  # bands[order][i, i + j] = scaled[order, j]
+        bands = np.zeros((3, tall, tall + width - 1))  # bands[order][i, i + j] = scaled[order, j]
         bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
         nxt = {}
         while partial:  # a prefix is freed once its products are taken
             prefix, v = partial.popitem()
+            flat = v.reshape(n, rest)
             for key in [prefix + (o,) for o in range(3 - sum(prefix)) if prefix + (o,) in wanted]:
-                product = np.tensordot(v, bands[key[-1]], axes=(0, 1))
                 if a == d - 1:  # the last axis completes order 2 and writes its entry
                     i, j = np.repeat(np.arange(d), key)
-                    H[i, j] = product
-                    H[j, i] = product
+                    out = H[i, j].reshape(rest, nout)
                 else:
-                    nxt[key] = product
+                    out = np.empty((rest, nout))
+                    nxt[key] = out.reshape(v.shape[1:] + (nout,))
+                for i0, i1 in zip(bounds, bounds[1:]):
+                    corner = bands[key[-1], :i1 - i0, :i1 - i0 + width - 1]
+                    np.matmul(flat[i0:i1 + width - 1].T, corner.T, out=out[:, i0:i1])
+                if a == d - 1 and i != j:
+                    H[j, i] = H[i, j]
         partial = nxt
     return np.moveaxis(H, (0, 1), (-2, -1))
 

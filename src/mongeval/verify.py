@@ -166,7 +166,10 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     A, B = cx.generate_union_convex_pair(cube, -0.08, 0.08, 0)
     AB = cx.slab_intersection(cube, -0.08, 0.08, 0)
     dirs = cx.unit_directions(body.dim, 256)
-    mutated = [phi(X) + float(np.max(X.support(dirs))) for X in (A, B, cube, AB)]
+    # for R the union body is this cube, whose value is already known
+    same = np.array_equal(cube.vertices, body.vertices)
+    values = [phi(A), phi(B), phi_union if same else phi(cube), phi(AB)]
+    mutated = [v + float(np.max(X.support(dirs))) for v, X in zip(values, (A, B, cube, AB))]
     scale = max(abs(v) for v in mutated)
     control = abs(mutated[2] + mutated[3] - mutated[0] - mutated[1]) / scale
     return residuals, control
@@ -303,7 +306,9 @@ def _quad_plus_quartic(q, amp):
     def fn(x):
         x = np.asarray(x, dtype=float)
         quad = 0.5 * np.einsum("...i,ij,...j->...", x, q, x)
-        return quad + amp * np.sum((x - 0.1) ** 4, axis=-1)
+        t = (x - 0.1) ** 2
+        t *= t  # the 4th power by squaring twice; pow is about 50x slower
+        return quad + amp * np.sum(t, axis=-1)
     return fn
 
 

@@ -287,6 +287,42 @@ def test_support_grid_matches_support_on_nodes(case):
         assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
 
 
+def _support_grid_by_rows(P, axes):
+    """``Polytope.support_grid`` before it folded blocks of leading rows
+    (kept verbatim as the reference): one add and one ``np.maximum`` per
+    leading row and vertex."""
+    x0 = np.asarray(axes[0], dtype=float)
+    tail = [np.asarray(a, dtype=float) for a in axes[1:]]
+    part = np.empty(tuple(len(a) for a in tail))
+    buf = np.empty_like(part)
+    h = None
+    for v in P.vertices:
+        part[...] = 0.0
+        for k, (w, a) in enumerate(zip(v[1:], tail)):
+            part += (w * a).reshape((-1,) + (1,) * (len(tail) - k - 1))
+        if h is None:
+            h = np.add.outer(v[0] * x0, part)
+            continue
+        for r, c in enumerate(v[0] * x0):
+            row = h[r, ...]
+            np.add(part, c, out=buf)
+            np.maximum(row, buf, out=row)
+    return h
+
+
+@pytest.mark.parametrize("lead", [1, 7, 9, 20, 60])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_support_grid_blocks_match_the_row_route_bit_for_bit(dim, lead):
+    rng = np.random.default_rng(10 * dim + lead)
+    axes = [np.sort(rng.uniform(-0.8, 0.8, lead))] + [
+        np.sort(rng.uniform(-0.8, 0.8, 6 + a)) for a in range(dim - 1)]
+    for n_vertices in (1, 2, 12):
+        P = Polytope(rng.standard_normal((n_vertices, dim)))
+        got, ref = P.support_grid(axes), _support_grid_by_rows(P, axes)
+        assert got.shape == ref.shape == tuple(len(a) for a in axes)
+        assert got.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear convex functions
 # ---------------------------------------------------------------------------

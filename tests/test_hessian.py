@@ -299,6 +299,65 @@ def test_grid_hessian_margin_validation():
         grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels)
 
 
+def _grid_hessian_dense(values, spacing, kernels, field="R"):
+    """The banded-product route before its products were split into row
+    blocks (kept verbatim as the reference): one ``np.tensordot`` with the
+    full (n - 2 r) x n band per product, each last-axis product copied
+    into (a, b) and (b, a)."""
+    values = np.asarray(values, dtype=float)
+    d, m = values.ndim, FIELD_COMPONENTS[field]
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
+    width = len(kernels[0])
+    orders = [tuple((c == a) + (c == b) for c in range(d))
+              for a in range(d) for b in range(a, d) if a == b or a // m != b // m]
+    wanted = {o[:k] for o in orders for k in range(1, d + 1)}
+    H = np.zeros((d, d) + tuple(n - width + 1 for n in values.shape))
+    partial = {(): values}
+    for a, n in enumerate(values.shape):
+        rows = np.arange(n - width + 1)[:, None]
+        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]
+        bands = np.zeros((3, len(rows), n))
+        bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
+        nxt = {}
+        while partial:
+            prefix, v = partial.popitem()
+            for key in [prefix + (o,) for o in range(3 - sum(prefix)) if prefix + (o,) in wanted]:
+                product = np.tensordot(v, bands[key[-1]], axes=(0, 1))
+                if a == d - 1:
+                    i, j = np.repeat(np.arange(d), key)
+                    H[i, j] = product
+                    H[j, i] = product
+                else:
+                    nxt[key] = product
+        partial = nxt
+    return np.moveaxis(H, (0, 1), (-2, -1))
+
+
+#: output rows per axis: one row, one block, and every way a split into
+#: blocks of at most ``hessian._BLOCK_ROWS`` rows can end
+_NOUTS = (1, 2, 3, 4, 5, 7, 8, 9, 44)
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("field,d", [("R", 1), ("R", 2), ("C", 2), ("R", 3), ("R", 4),
+                                     ("C", 4), ("H", 4)])
+def test_grid_hessian_blocks_match_the_dense_band_bit_for_bit(field, d, sigma):
+    # the row-blocked products give the full band's bits for every block
+    # split on each axis position, and for the products of one vector
+    # (every other axis 1 row), which BLAS sends to gemv
+    kernels = valuation._gaussian_kernels(sigma)
+    r = len(kernels[0]) // 2
+    rng = np.random.default_rng(d + int(4 * sigma))
+    spacing = 0.1 + 0.01 * np.arange(d)
+    shapes = [tuple(_NOUTS[(k + 2 * a) % len(_NOUTS)] for a in range(d)) for k in range(len(_NOUTS))]
+    for shape in shapes + [(1,) * (d - 1) + (44,)]:
+        values = rng.standard_normal(tuple(s + 2 * r for s in shape))
+        got = grid_hessian(values, spacing, kernels, field)
+        ref = _grid_hessian_dense(values, spacing, kernels, field)
+        assert got.shape == ref.shape == shape + (d, d)
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
 def test_unread_entries_cancel_exactly_in_assembly(field, n):
     # zeroing what grid_hessian leaves unread changes no bit of the field

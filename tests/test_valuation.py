@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -795,17 +796,25 @@ def _grid_hessian_all_entries(values, spacing, kernels):
     ("C", 2, 4), ("C", 4, 24), ("H", 4, 13)])
 def test_grid_hessian_computes_only_the_entries_the_field_reads(field, d, products, monkeypatch):
     # the entries read are the bits of the all-entry route, the others are
-    # exactly 0, and the products are those of the entries read only
+    # exactly 0, and the products are those of the entries read only: each
+    # product's row blocks write columns of one (rest, n_out) array, so a
+    # block of w columns is w / n_out of a product
     rng = np.random.default_rng(d)
-    values = rng.standard_normal(tuple(9 + a for a in range(d)))
+    values = rng.standard_normal(tuple(9 + 5 * a for a in range(d)))  # 1, 6, 11, 16 rows out
     spacing = 0.1 + 0.01 * np.arange(d)
     kernels = valuation._gaussian_kernels(1.0)
-    calls = []
-    tensordot = np.tensordot
-    monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    blocks = []  # (columns written, n_out of the product)
+    matmul = np.matmul
+
+    def recording(*args, out):
+        blocks.append((out.shape[1], out.strides[0] // out.itemsize))
+        return matmul(*args, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
     H = grid_hessian(values, spacing, kernels, field)
-    assert len(calls) == products
     monkeypatch.undo()
+    assert sum(Fraction(w, n_out) for w, n_out in blocks) == products
+    assert all(w > 1 or n_out == 1 for w, n_out in blocks)  # a one-row block would go to gemv
     ref = _grid_hessian_all_entries(values, spacing, kernels)
     block = np.arange(d) // FIELD_COMPONENTS[field]  # entries off the diagonal of a block are unread
     read = np.eye(d, dtype=bool) | (block[:, None] != block[None, :])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mongeval import cli, valuation
+from mongeval import cli, valuation, verify
 from mongeval.cli import ConfigError, main, validate_config
 from mongeval.verify import (
     EXPERIMENTS,
@@ -112,6 +112,31 @@ def test_valuation_identity_R_small():
     rep = valuation_identity(fields="R", n_pairs=3)
     assert rep.passed
     assert rep.details["R"]["control_residual"] > 0.06
+
+
+@pytest.mark.parametrize("field,calls", [("R", 7), ("C", 8)])
+def test_identity_evaluates_each_body_once(field, calls, monkeypatch):
+    # R's union body is the control's centred cube, whose value is reused;
+    # C's union body is a random polytope, so its control cube is evaluated
+    seen = []
+    body_valuation = verify.body_valuation
+
+    def recording(spec, K, *args, **kwargs):
+        seen.append(K.vertices)
+        return body_valuation(spec, K, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "body_valuation", recording)
+    residuals, control = verify._identity_grid_residuals(field, 1, np.random.default_rng(3), 1)
+    assert len(seen) == calls
+    assert not any(np.array_equal(a, b) for k, a in enumerate(seen) for b in seen[:k])
+    assert residuals[0] <= 0.02 < control / 3
+
+
+def test_quartic_squared_twice_matches_the_power():
+    x = np.random.default_rng(4).uniform(-1.5, 1.5, (200, 4))
+    fn = verify._quad_plus_quartic(np.eye(4), 0.15)
+    ref = 0.5 * np.sum(x * x, axis=-1) + 0.15 * np.sum((x - 0.1) ** 4, axis=-1)
+    assert np.allclose(fn(x), ref, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_kernel_laplacian_small():
