@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 import time
 
 from .serialize import write_json_atomic
-from .verify import (EXPERIMENTS, NAMED_BODIES, perturbation_schedule, run_experiment,
-                     smoothing_schedule)
+from .verify import (EXPERIMENTS, NAMED_BODIES, parity_shape, perturbation_schedule,
+                     run_experiment, smoothing_schedule)
 
 # parameter -> flag, where the flag is not the parameter's own name
 _FLAG_NAMES = {
@@ -131,6 +132,8 @@ def _coerce(key, param, value):
         raise ConfigError(f"{key} must be at least {low}, got {value}")
     if kind in ("floats", "fields") and not value:
         raise ConfigError(f"{key} must not be empty")
+    if not all(map(math.isfinite, {"float": [value], "floats": value}.get(kind, []))):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if kind == "floats" and any(v <= 0 for v in value):
         raise ConfigError(f"{key} entries must be positive")
     if kind == "fields":
@@ -156,7 +159,7 @@ def validate_config(name: str, config: dict) -> dict:
 
     A key is an experiment parameter, by its own name or its flag name.
     """
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
     params = _parameters(name)
     keys = {**{_FLAG_NAMES.get(p, p): p for p in params}, **{p: p for p in params}}
@@ -173,10 +176,10 @@ def validate_config(name: str, config: dict) -> dict:
             smoothing_schedule(kwargs["sigmas_cells"])
         if "eps_schedule" in full:
             perturbation_schedule(full["eps_schedule"], full["resolution"])
+        if "dim" in full:
+            parity_shape(full["dim"], full["degree"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if {"dim", "degree"} <= full.keys() and not 1 <= full["degree"] <= full["dim"] - 1:
-        raise ConfigError(f"degree out of range 1..{full['dim'] - 1}")
     return kwargs
 
 

@@ -5,21 +5,22 @@ The central object evaluates
     Phi(f) = integral of B(x) * det(Hess_F(f)(x) [i times], A_1(x), ..., A_{n-i}(x))
 
 over a box, where F is one of the scalar fields R, C, H, O2, B is a
-continuous compactly supported scalar weight, and the A_k are Hermitian
-matrix weights: either continuous compactly supported fields or single
-point atoms.  Every case runs one quadrature pipeline: nodes, the active
-mask B != 0, Hessian slots, matrix slots, the polarized determinant, and
-the weighted sum.  A point atom makes it a one-node quadrature at the
-atom's location with weight 1 (the mixed determinant is multilinear, so
-a delta factor pulls everything there); at most one atom is allowed
-since a product of deltas at distinct points vanishes and at a common
-point is undefined.
+continuous compactly supported scalar weight (a ``BumpWeight``), and the
+A_k are Hermitian matrix weights: bumps (a constant matrix times a
+``BumpWeight``) or single point atoms.  Every case runs one quadrature
+pipeline: B and the active mask B != 0, Hessian slots, matrix slots,
+the polarized determinant, and the weighted sum.  On a grid the bumps
+are read on its tensor axes, so no node array is built.  A point atom
+makes it a one-node quadrature at the atom's location with weight 1
+(the mixed determinant is multilinear, so a delta factor pulls
+everything there); at most one atom is allowed since a product of
+deltas at distinct points vanishes and at a common point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
-per-node difference stencils (sigma_cells = 0; optional threading only
-splits them into fixed chunks and never changes a bit) or, for
-non-smooth inputs such as support functions, as D^2 (G_sigma * f) on the
+difference stencils at the active nodes (sigma_cells = 0; optional
+threading only splits them into fixed chunks and never changes a bit)
+or, for non-smooth inputs such as support functions, as D^2 (G_sigma * f) on the
 grid: separable derivative-of-Gaussian kernels of width sigma_cells > 0
 cells smooth and differentiate in one pass.
 
@@ -36,7 +37,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -136,7 +136,8 @@ class BumpWeight:
 
     value = height * profile(|x - center| / radius); with plateau > 0 the
     profile is exactly ``height`` on the inner fraction of the support.
-    ``on_axes`` gives the same bits on a tensor grid without a node array.
+    ``on_axes`` gives the same bits on a tensor grid up to 7-D without a
+    node array.
     """
 
     center: np.ndarray
@@ -170,9 +171,13 @@ class BumpWeight:
     def on_axes(self, axes):
         """The mask B != 0 over the cells and B on it, both in C order, on
         the tensor grid of ``axes``.  |x - center|^2 is an outer sum of
-        (x_a - c_a)^2 in ``np.sum``'s order, so the bits are those of
-        ``self(nodes)``; the profile runs only where that sum is below
-        radius^2, which holds wherever r < 1."""
+        (x_a - c_a)^2 from the first axis on, which is the order in which
+        ``np.sum`` adds a node's coordinates for d <= 7, so the bits are
+        those of ``self(nodes)`` there.  From d = 8 numpy's pairwise sum
+        runs 8 accumulators, and the squared distances may differ by a
+        few ulp (3 in the tests), which the profile amplifies near the
+        edge of the support.  The profile runs only where that sum is
+        below radius^2, which holds wherever r < 1."""
         center = np.broadcast_to(self.center, (len(axes),))  # as ``x - center`` broadcasts
         dist2 = functools.reduce(np.add.outer, [
             (np.asarray(x, dtype=float) - c) ** 2 for x, c in zip(axes, center)])
@@ -211,14 +216,6 @@ class MatrixBump:
         object.__setattr__(self, "scalar", BumpWeight(self.center, self.radius, 1.0, self.plateau))
         object.__setattr__(self, "center", self.scalar.center)
 
-    @property
-    def support_lo(self):
-        return self.scalar.support_lo
-
-    @property
-    def support_hi(self):
-        return self.scalar.support_hi
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixAtom:
@@ -244,6 +241,8 @@ class MatrixAtom:
 class ValuationSpec:
     """Field, matrix size n, homogeneity degree i, and the weights.
 
+    ``scalar_weight`` is B, a ``BumpWeight``, so that its support box is
+    always checked against the quadrature box and the origin.
     ``weights`` carries the n - i matrix slots (bumps or at most one
     atom); for degree n it is empty, and for degree 0 the functional is
     constant in its argument.
@@ -252,10 +251,12 @@ class ValuationSpec:
     field: str
     n: int
     degree: int
-    scalar_weight: Callable
+    scalar_weight: BumpWeight
     weights: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.scalar_weight, BumpWeight):
+            raise TypeError(f"scalar_weight must be a BumpWeight, not {self.scalar_weight!r}")
         if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
         if self.field == "O2":
@@ -461,40 +462,16 @@ def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
-def _joint_support(weights):
-    """Intersection (lo, hi) of the weights' declared support boxes, or
-    None when no weight declares one.
+def _joint_support(spec: ValuationSpec):
+    """Intersection (lo, hi) of the support boxes of B and the matrix
+    bumps; a point atom adds none (its location is the one node).
 
     The integrand vanishes wherever any single weight vanishes (mixed
     determinants are multilinear), so it is supported in this box.
     """
-    lo = hi = None
-    for w in weights:
-        wlo = getattr(w, "support_lo", None)
-        if wlo is None:
-            continue
-        wlo = np.asarray(wlo, dtype=float)
-        whi = np.asarray(w.support_hi, dtype=float)
-        lo = wlo if lo is None else np.maximum(lo, wlo)
-        hi = whi if hi is None else np.minimum(hi, whi)
-    return None if lo is None else (lo, hi)
-
-
-def _check_supports_inside(grid: Grid, weights) -> bool:
-    """Validate that the joint weight support fits in the quadrature box.
-
-    Returns False when the joint support is empty (the integral is
-    exactly 0).
-    """
-    joint = _joint_support(weights)
-    if joint is None:
-        return True
-    lo, hi = joint
-    if np.any(lo >= hi):
-        return False
-    if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
-        raise ValueError("joint weight support exceeds the quadrature box")
-    return True
+    bumps = [spec.scalar_weight] + [w.scalar for w in spec.weights if isinstance(w, MatrixBump)]
+    return (functools.reduce(np.maximum, [b.support_lo for b in bumps]),
+            functools.reduce(np.minimum, [b.support_hi for b in bumps]))
 
 
 def _gaussian_kernels(sigma_cells):
@@ -551,28 +528,28 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
     return assemble_structured(spec.field, planes.reshape(d * d, -1).T[keep].reshape(-1, d, d))
 
 
-def _matrix_slot_values(weight, nodes, grid: Grid = None, active=slice(None)):
-    """Evaluate one matrix weight on ``nodes[active]`` (on the grid's tensor
-    axes for ``nodes`` None) -> (N, n, n[, comps]); a normalized bump is
-    normalized over every node first, and a point atom's slot (its
-    location is the only node) is its matrix."""
+def _matrix_slot_values(weight, grid: Grid, active, node=None):
+    """Evaluate one matrix weight on the ``active`` cells of ``grid``, on its
+    tensor axes, or with no grid at an atom spec's one ``node`` -> (N, n,
+    n[, comps]).  A normalized bump is normalized over every cell first,
+    its exact zeros included, so that the pairwise sum has the node
+    array's bits; a point atom's slot is its matrix."""
     if isinstance(weight, MatrixAtom):
         return weight.matrix.data[None]
-    if nodes is None:  # the bump's exact zeros off its mask, as on a node array
-        mask, values = weight.scalar.on_axes(grid.axes())
-        scal = np.zeros(grid.n_cells)
-        scal[mask] = values
-    else:
-        scal = weight.scalar(nodes if weight.normalize else nodes[active])
-    if weight.normalize:
-        if grid is None:
+    if grid is None:
+        if weight.normalize:
             raise ValueError("normalized bump weights need a quadrature grid")
-        total = float(np.sum(scal)) * grid.cell_volume
-        if total <= 0:
-            raise ValueError("normalized bump has zero mass on this grid")
-        scal = scal[active] / total
-    elif nodes is None:
-        scal = scal[active]
+        scal = weight.scalar(node)
+    else:
+        mask, values = weight.scalar.on_axes(grid.axes())
+        every = np.zeros(grid.n_cells)
+        every[mask] = values
+        scal = every[active]
+        if weight.normalize:
+            total = float(np.sum(every)) * grid.cell_volume
+            if total <= 0:
+                raise ValueError("normalized bump has zero mass on this grid")
+            scal = scal / total
     data = weight.matrix.data
     extra = (1,) * data.ndim
     return scal.reshape(scal.shape + extra) * data[None]
@@ -584,16 +561,18 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
     ``Polytope``, which stands for its support function.  Every spec runs
-    one pipeline: nodes, the active mask B != 0, Hessian slots, matrix
+    one pipeline: B and the active mask B != 0, Hessian slots, matrix
     slots, the polarized determinant, and (n - i)! * cell * sum B * det.
     A spec with a point atom has one node, the atom location, with weight
-    1 and no grid (f must be C^2 there; the atom's slot is its matrix).
-    Otherwise ``grid`` supplies the midpoint nodes and the cell volume; on
-    the grid route with a ``BumpWeight`` B, the bumps are evaluated on the
-    grid's tensor axes (``BumpWeight.on_axes``) and no node array is built.
+    1 and no grid: B and the matrix bumps are read there (f must be C^2
+    there; the atom's slot is its matrix).  Otherwise ``grid`` supplies
+    the midpoints and the cell volume, B and the matrix bumps are
+    evaluated on its tensor axes (``BumpWeight.on_axes``), and neither
+    Hessian route builds a node array.
 
-    ``sigma_cells`` picks the Hessians: 0 means per-node difference
-    stencils, split into fixed blocks over ``threads``; a positive width
+    ``sigma_cells`` picks the Hessians: 0 means difference stencils at the
+    active midpoints, gathered from the axes and split into fixed blocks
+    over ``threads``; a positive width
     means the smoothed grid route: f is sampled on the active cells'
     bounding box, extended by exactly the kernel radius ``int(4 sigma +
     0.5)``, in one call (a polytope on the tensor grid by
@@ -626,38 +605,41 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                          "pass sigma_cells > 0 (sigma_body in body_valuation) to smooth it")
     d = spec.real_dim
     if atom is not None:
-        grid, nodes, cell = None, atom.location[None, :], 1.0
-        if nodes.shape[1] != d:
-            raise ValueError(f"atom location dimension {nodes.shape[1]} != {d}")
+        grid, node, cell = None, atom.location[None, :], 1.0
+        if node.shape[1] != d:
+            raise ValueError(f"atom location dimension {node.shape[1]} != {d}")
+        bvals = spec.scalar_weight(node)
+        active = bvals != 0
     else:
         if grid is None:
             raise ValueError("a quadrature grid is required unless a weight is a point atom")
         if grid.dim != d:
             raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
-        if not _check_supports_inside(grid, (spec.scalar_weight, *spec.weights)):
+        lo, hi = _joint_support(spec)
+        if np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
             return 0.0
-        tensor = sigma_cells > 0 and isinstance(spec.scalar_weight, BumpWeight)
-        nodes, cell = None if tensor else grid.nodes(), grid.cell_volume
-
-    if nodes is None:  # bump weights on the grid route: on the tensor axes, no node array
-        active, bvals = spec.scalar_weight.on_axes(grid.axes())
-    else:
-        bvals = np.asarray(spec.scalar_weight(nodes), dtype=float)
-        active = bvals != 0  # B(x) = 0 cells add exactly 0 * det
-        bvals = bvals[active]
+        if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
+            raise ValueError("joint weight support exceeds the quadrature box")
+        node, cell = None, grid.cell_volume
+        active, bvals = spec.scalar_weight.on_axes(grid.axes())  # B(x) = 0 cells add 0 * det
     if not active.any():
         return 0.0
 
     slots = []
     if spec.degree > 0:
-        if sigma_cells == 0:
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
+        if sigma_cells > 0:
+            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active)
+        else:
+            if grid is None:
+                points = node
+            else:  # the active midpoints, gathered from the axes
+                cells = np.unravel_index(np.flatnonzero(active), grid.shape)
+                points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), points,
                                   threads=threads, chunk=8192)
             hf = assemble_structured(spec.field, hreal)
-        else:
-            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active)
         slots.extend([hf] * spec.degree)
-    slots.extend(_matrix_slot_values(w, nodes, grid, active) for w in spec.weights)
+    slots.extend(_matrix_slot_values(w, grid, active, node) for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
     return float(math.factorial(spec.n - spec.degree) * cell * (bvals * dets).sum())
 
@@ -665,11 +647,6 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 # ---------------------------------------------------------------------------
 # induced valuations on convex bodies
 # ---------------------------------------------------------------------------
-
-def _origin_in_supports(spec: ValuationSpec) -> bool:
-    joint = _joint_support((spec.scalar_weight, *spec.weights))
-    return joint is not None and bool(np.all(joint[0] <= 0) and np.all(joint[1] >= 0))
-
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
                    sigma_body: float = 0.0, threads: int = 1) -> float:
@@ -681,7 +658,8 @@ def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
     also covers polytopal h_K, kinked along its whole normal fan.
     ``sigma_body`` is ``eval_valuation``'s ``sigma_cells``.
     """
-    if sigma_body == 0.0 and _origin_in_supports(spec):
+    lo, hi = _joint_support(spec)
+    if sigma_body == 0.0 and np.all(lo <= 0) and np.all(hi >= 0):
         raise ValueError(
             "origin lies inside the joint weight support but sigma_body = 0; "
             "pass sigma_body > 0 to smooth the support function"

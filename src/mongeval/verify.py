@@ -416,6 +416,21 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
+def parity_shape(dim, degree):
+    """(n, i) for parity-break as ints.
+
+    Raises ValueError unless 1 <= i <= n - 1 and n <= 5: each width
+    differences a 12^n-cell grid, whose float64 Hessians alone take 14 GB
+    at n = 7.
+    """
+    n, i = int(dim), int(degree)
+    if n > 5:
+        raise ValueError(f"dim {n} is above 5: parity-break differences a 12^dim-cell grid")
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"degree out of range 1..{n - 1}")
+    return n, i
+
+
 def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     """A body valuation that is neither even nor odd.
 
@@ -426,10 +441,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     atom is also approximated by shrinking normalized bumps, and a round
     ball is the symmetric control with equal values.
     """
-    n = int(dim)
-    i = int(degree)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"degree out of range 1..{n - 1}")
+    n, i = parity_shape(dim, degree)
     from math import comb
 
     body = cx.make_two_ball_body(n)

@@ -898,11 +898,13 @@ _BUMPS = {  # (center, radius, height, plateau), grid (lo, hi, shape)
     "1d": ((0.1,), 0.4, 1.7, 0.5, (-0.5, 0.5, (61,))),
     "2d": ((0.0, 0.2), 0.45, 1.0, 0.7, (-0.5, 0.5, (33, 31))),
     "scalar-centre-3d": ((0.1,), 0.4, 1.0, 0.0, (-0.5, 0.5, (15, 15, 15))),
+    "7d": (tuple(np.linspace(-0.05, 0.07, 7)), 0.5, 1.3, 0.6, (-0.5, 0.5, (5, 6, 5, 4, 5, 6, 5))),
+    "8d": (tuple(np.linspace(-0.05, 0.07, 8)), 0.5, 1.3, 0.6, (-0.5, 0.5, (4, 5, 4, 4, 5, 4, 4, 4))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BUMPS))
-def test_bump_on_axes_matches_the_node_array(case):
+def test_bump_on_axes_matches_the_node_array(case, monkeypatch):
     center, radius, height, plateau, (lo, hi, shape) = _BUMPS[case]
     d = len(shape)
     B = BumpWeight(np.array(center), radius, height, plateau)
@@ -911,7 +913,51 @@ def test_bump_on_axes_matches_the_node_array(case):
     ref = B(grid.nodes())
     assert 0 < np.count_nonzero(ref) < grid.n_cells
     assert np.array_equal(mask, ref != 0)
-    assert values.tobytes() == ref[ref != 0].tobytes()
+    if d <= 7:
+        assert values.tobytes() == ref[ref != 0].tobytes()
+        return
+    # from 8 terms np.sum adds pairwise, by 8 accumulators: the squared
+    # distances, read through an identity profile, agree within 4 ulp
+    monkeypatch.setattr(BumpWeight, "_profile", lambda self, dist2: dist2)
+    mask, dist2 = B.on_axes(grid.axes())
+    np.testing.assert_array_max_ulp(dist2, B(grid.nodes())[mask], maxulp=4)
+
+
+def _slot_on_nodes(weight, nodes, grid, active=slice(None)):
+    """The node-array branch of ``_matrix_slot_values`` before every grid
+    read its tensor axes (kept as the reference): a matrix bump on
+    ``nodes[active]``, normalized over every node first."""
+    scal = weight.scalar(nodes if weight.normalize else nodes[active])
+    if weight.normalize:
+        scal = scal[active] / (float(np.sum(scal)) * grid.cell_volume)
+    data = weight.matrix.data
+    return scal.reshape(scal.shape + (1,) * data.ndim) * data[None]
+
+
+def _eval_on_nodes(spec, f, grid, sigma_cells=0.0, step=None):
+    """The node route of ``eval_valuation`` before B had to be a
+    ``BumpWeight`` (kept as the reference): B and the matrix bumps on
+    ``Grid.nodes``, and difference stencils at ``nodes[active]``."""
+    nodes = grid.nodes()
+    bvals = spec.scalar_weight(nodes)
+    active = bvals != 0
+    slots = []
+    if spec.degree > 0:
+        if sigma_cells == 0:
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
+                                  chunk=8192)
+            hf = assemble_structured(spec.field, hreal)
+        else:
+            hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, active)
+        slots += [hf] * spec.degree
+    slots += [_slot_on_nodes(w, nodes, grid, active) for w in spec.weights]
+    dets = polarized_det_batch(spec.field, slots)
+    scale = math.factorial(spec.n - spec.degree) * grid.cell_volume
+    return float(scale * (bvals[active] * dets).sum())
+
+
+def _no_nodes(self):
+    raise AssertionError("the grid route built a node array")
 
 
 @pytest.mark.parametrize("d,res", [(3, 14), (4, 8)])
@@ -925,8 +971,8 @@ def test_normalized_bump_on_the_tensor_axes_keeps_the_node_array_total(d, res):
     scal = weight.scalar(grid.nodes())
     assert np.sum(scal[scal != 0]) != np.sum(scal)
     active = np.random.default_rng(d).random(grid.n_cells) < 0.5
-    got = valuation._matrix_slot_values(weight, None, grid, active)
-    ref = valuation._matrix_slot_values(weight, grid.nodes(), grid, active)
+    got = valuation._matrix_slot_values(weight, grid, active)
+    ref = _slot_on_nodes(weight, grid.nodes(), grid, active)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -941,21 +987,59 @@ def _tensor_route_specs():
 @pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "identity-R"])
 def test_grid_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch):
     # B and the matrix bumps on the tensor axes give the bits of the node
-    # route, which a callable B still takes; the tensor route never calls
-    # Grid.nodes
+    # route; the smoothed route never calls Grid.nodes
     spec, grid = _tensor_route_specs()[case]
     K = random_shell_polytope(np.random.default_rng(3), dim=grid.dim)
-    B = spec.scalar_weight
-    on_nodes = ValuationSpec(spec.field, spec.n, spec.degree, lambda x: B(x), spec.weights)
-    ref = eval_valuation(on_nodes, K, grid, sigma_cells=1.5)
-
-    def no_nodes(self):
-        raise AssertionError("the grid route built a node array")
-
-    monkeypatch.setattr(Grid, "nodes", no_nodes)
+    ref = _eval_on_nodes(spec, K, grid, sigma_cells=1.5)
+    monkeypatch.setattr(Grid, "nodes", _no_nodes)
     got = eval_valuation(spec, K, grid, sigma_cells=1.5)
     assert ref != 0.0
     assert got.hex() == ref.hex()
+
+
+def _stencil_route_cases():
+    """(spec, f, grid, step): H's linear-invariance case on 8^4,
+    parity-break's normalized-bump spec on 12^3 and the R active-cell
+    spec on 14^3."""
+    h_spec, h_grid, h_fn, _x0 = verify._invariance_case("H", np.random.default_rng(0))
+    parity_spec, body, _step = _atom_cases()[0]
+    v0 = np.array([1.0, 0, 0])
+    r_spec, r_grid = _active_cell_specs()["R"]
+    quad = quadratic(np.diag([1.0, 2.0, 3.0]))
+    return {"linear-invariance-H": (h_spec, h_fn, h_grid, 1e-3),
+            "parity-bump": (parity_spec.with_atom_widened(0.15), body, Grid.cube(v0, 0.15, 12, 3),
+                            None),
+            "active-R": (r_spec, lambda x: quad(x) + 0.3 * np.sum(np.asarray(x) ** 4, axis=-1),
+                         r_grid, None)}
+
+
+@pytest.mark.parametrize("case", ["linear-invariance-H", "parity-bump", "active-R"])
+def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch):
+    # the stencils run at the active midpoints gathered from the axes,
+    # with the node route's bits
+    spec, f, grid, step = _stencil_route_cases()[case]
+    ref = _eval_on_nodes(spec, f, grid, step=step)
+    monkeypatch.setattr(Grid, "nodes", _no_nodes)
+    got = eval_valuation(spec, f, grid, step=step)
+    assert ref != 0.0
+    assert got.hex() == ref.hex()
+
+
+def test_scalar_weight_must_be_a_bump_and_its_support_is_guarded():
+    # a callable B skipped both support guards: on |x|^2 / 2 it read 0.0551
+    # on a box too small for its support (0.0582 on one that holds it), and
+    # on the unit ball at sigma_body = 0, where h_K is kinked at the
+    # origin, about 0.001 for B(0) vol = 4.19
+    B = BumpWeight(np.zeros(1), 0.45)
+    with pytest.raises(TypeError, match="BumpWeight"):
+        ValuationSpec("R", 3, 3, lambda x: B(x))
+    spec = ValuationSpec("R", 3, 3, B)
+    with pytest.raises(ValueError, match="joint weight support exceeds the quadrature box"):
+        eval_valuation(spec, quadratic(np.eye(3)), Grid.cube(np.zeros(3), 0.3, 12, 3))
+    from mongeval.convex import ball_body
+
+    with pytest.raises(ValueError, match="origin lies inside the joint weight support"):
+        body_valuation(spec, ball_body(3), Grid.cube(np.zeros(3), 0.5, 12, 3))
 
 
 # the tensor-grid support against the node-array route: bodies by name
@@ -1009,7 +1093,7 @@ def _eval_unmasked(spec, f, grid, smooth, sigma_cells=1.5):
     else:
         hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells)
     slots = [hf] * spec.degree
-    slots += [valuation._matrix_slot_values(w, nodes, grid) for w in spec.weights]
+    slots += [_slot_on_nodes(w, nodes, grid) for w in spec.weights]
     dets = polarized_det_batch(spec.field, slots)
     scale = math.factorial(spec.n - spec.degree) * grid.cell_volume
     return float(scale * np.sum(bvals * dets))
@@ -1083,7 +1167,6 @@ def test_matrix_bump_scalar_is_the_unit_bump():
     x = np.random.default_rng(2).uniform(-0.5, 0.5, (200, 3))
     assert np.array_equal(bump.scalar(x), ref(x))
     assert np.array_equal(bump.center, ref.center) and bump.normalize
-    assert np.array_equal(bump.support_hi, ref.support_hi)
 
 
 def test_atom_bump_approximation_converges():

@@ -435,6 +435,58 @@ def test_cli_empty_list_exits_two(tmp_path, capsys, flag):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("name,key,flag,value", [
+    ("continuity", "sigmas", "inf,3", [float("inf"), 3.0]),
+    ("volume-identity", "b_height", "nan", float("nan")),
+    ("parity-break", "widths", "nan", [float("nan")]),
+    ("volume-identity", "b_height", "1e400", float("-inf")),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_non_finite_number_exits_two(tmp_path, capsys, monkeypatch, name, key, flag,
+                                         value, source):
+    # inf reached _gaussian_kernels as an OverflowError, and nan wrote a
+    # bare NaN into the report, which is not JSON
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    out = str(tmp_path / "r")
+    if source == "flag":
+        argv = ["run", name, "--" + key.replace("_", "-"), flag, "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": name, key: value}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert f"invalid config: {key} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("experiment", [["continuity"], {"a": 1}, 3])
+def test_cli_experiment_that_is_not_a_name_exits_two(tmp_path, capsys, experiment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment}))
+    assert main(["validate-config", str(cfg)]) == 2
+    assert f"unknown experiment {experiment!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_parity_break_dim_above_five_exits_two(tmp_path, capsys, monkeypatch, source):
+    # each width differences a 12^dim-cell grid, whose Hessians alone take
+    # 14 GB at dim 7; nothing may run
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ConfigError, match="dim 6 is above 5"):
+        validate_config("parity-break", {"dim": 6})
+    assert validate_config("parity-break", {"dim": 5}) == {"dim": 5}
+    out = str(tmp_path / "r")
+    if source == "flag":
+        argv = ["run", "parity-break", "--dim", "6", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "parity-break", "dim": 6, "degree": 2}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert "invalid config: dim 6 is above 5" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_config_seed_is_not_overridden(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: calls.append(kw) or
