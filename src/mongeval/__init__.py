@@ -9,7 +9,6 @@ from .algebra import (
     mixed_det,
     moore_det,
     oct_conj,
-    oct_det2,
     oct_mul,
     quat_conj,
     quat_mul,

@@ -43,7 +43,6 @@ __all__ = [
     "quat_conj",
     "quat_abs2",
     "quat_matmul",
-    "quat_conj_transpose",
     "oct_mul",
     "oct_conj",
     "oct_abs2",
@@ -52,7 +51,7 @@ __all__ = [
     "complex_embedding",
     "moore_det",
     "moore_det_batch",
-    "oct_det2",
+    "conj_transpose",
     "HermitianMatrix",
     "mixed_det",
     "det_batch",
@@ -123,10 +122,6 @@ def quat_matmul(A, B):
     return np.einsum("ika,kjb,abc->ijc", A, B, _QTAB)
 
 
-def quat_conj_transpose(A):
-    return quat_conj(np.swapaxes(np.asarray(A, dtype=float), 0, 1))
-
-
 # ---------------------------------------------------------------------------
 # octonions (Cayley-Dickson doubling of the quaternions)
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def complex_embedding(A):
 
 
 # ---------------------------------------------------------------------------
-# Moore determinant and the octonionic 2x2 determinant
+# Moore determinant
 # ---------------------------------------------------------------------------
 
 def _paired_product(eigs, pair_tol):
@@ -244,20 +239,12 @@ def moore_det_batch(data):
     return _paired_product(eigs, 1e-7 * np.maximum(1.0, norm)[..., None])
 
 
-def oct_det2(A):
-    """Determinant a*b - |q|^2 of a 2x2 octonionic Hermitian matrix."""
-    if isinstance(A, HermitianMatrix):
-        if A.field != "O2":
-            raise ValueError(f"expected a 2x2 octonionic matrix, got field {A.field!r}")
-        A = A.data
-    return float(det_batch("O2", np.asarray(A, dtype=float)[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # Hermitian matrices over a scalar field
 # ---------------------------------------------------------------------------
 
-def _conj_transpose(field, data):
+def conj_transpose(field, data):
+    """Conjugate transpose over ``field`` of a batch (..., n, n[, comps])."""
     if field == "R":
         return np.swapaxes(data, -2, -1)
     if field == "C":
@@ -266,7 +253,7 @@ def _conj_transpose(field, data):
 
 
 def hermitian_deviation(field, data):
-    return float(np.abs(data - _conj_transpose(field, data)).max())
+    return float(np.abs(data - conj_transpose(field, data)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,18 +303,10 @@ class HermitianMatrix:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
         return HermitianMatrix(self.field, self.data + other.data)
 
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        return HermitianMatrix(self.field, self.data - other.data)
-
     def __mul__(self, scalar: float) -> "HermitianMatrix":
         return HermitianMatrix(self.field, self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(self.field, -self.data)
 
     @staticmethod
     def identity(field: str, n: int) -> "HermitianMatrix":

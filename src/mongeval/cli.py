@@ -8,7 +8,8 @@ is byte-identical across reruns and across --threads settings.
 
 The options of ``run`` are the keyword parameters of the experiment
 functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
-its value is read, from a flag or from a config file alike.
+its value is read, from a flag or from a config file alike.  A config
+file's keys are the flag names.
 """
 
 from __future__ import annotations
@@ -157,18 +158,21 @@ def _read_config(path) -> dict:
 def validate_config(name: str, config: dict) -> dict:
     """Check names/types/ranges before any computation; returns kwargs.
 
-    A key is an experiment parameter, by its own name or its flag name.
+    A key is an option's flag name, as ``mongeval run --help`` lists it
+    (``pairs``, not the parameter name ``n_pairs``); any other key raises
+    with the keys the experiment takes.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
     params = _parameters(name)
-    keys = {**{_FLAG_NAMES.get(p, p): p for p in params}, **{p: p for p in params}}
+    keys = {_FLAG_NAMES.get(p, p): p for p in params}
     kwargs = {}
     for key, value in config.items():
         if key == "experiment":
             continue
         if key not in keys:
-            raise ConfigError(f"option {key!r} does not apply to {name}")
+            raise ConfigError(f"option {key!r} does not apply to {name}; "
+                              f"it takes {', '.join(keys)}")
         kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
     full = {p: kwargs.get(p, param.default) for p, param in params.items()}
     try:

@@ -355,10 +355,6 @@ class PLConvexFunction:
     def dim(self) -> int:
         return self.slopes.shape[1]
 
-    @property
-    def npieces(self) -> int:
-        return self.slopes.shape[0]
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.max(x @ self.slopes.T + self.offsets, axis=-1)

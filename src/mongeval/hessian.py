@@ -38,6 +38,7 @@ import numpy as np
 from .algebra import (
     FIELD_COMPONENTS,
     HermitianMatrix,
+    conj_transpose,
     oct_conj,
     oct_mul,
     oct_unit,
@@ -265,10 +266,10 @@ def assemble_structured(field, hreal):
     blocks = hreal.reshape(lead + (n, m, n, m))
     if field == "C":
         out = np.einsum("...ambn,mn->...ab", blocks, _COEF_C)
-        return 0.5 * (out + np.conj(np.swapaxes(out, -2, -1)))
-    coef = _COEF_H if field == "H" else _COEF_O
-    out = np.einsum("...ambn,mnc->...abc", blocks, coef)
-    return 0.5 * (out + quat_conj(np.swapaxes(out, -3, -2)))
+    else:
+        coef = _COEF_H if field == "H" else _COEF_O
+        out = np.einsum("...ambn,mnc->...abc", blocks, coef)
+    return 0.5 * (out + conj_transpose(field, out))
 
 
 def structured_hessian(field, f, p, step=None):

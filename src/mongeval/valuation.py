@@ -153,10 +153,6 @@ class BumpWeight:
             raise ValueError("plateau must lie in [0, 1)")
         object.__setattr__(self, "center", c)
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return self._profile(np.sum((x - self.center) ** 2, axis=-1))
@@ -227,11 +223,6 @@ class MatrixAtom:
     def __post_init__(self):
         object.__setattr__(self, "location", np.atleast_1d(np.asarray(self.location, dtype=float)))
 
-    def as_bump(self, width: float) -> MatrixBump:
-        """Continuous normalized approximation of radius ``width``;
-        converges to the atom as width -> 0."""
-        return MatrixBump(self.matrix, self.location, float(width), normalize=True)
-
 
 # ---------------------------------------------------------------------------
 # valuation specification
@@ -290,12 +281,13 @@ class ValuationSpec:
         return None
 
     def with_atom_widened(self, width: float) -> "ValuationSpec":
-        """Replace the point atom by its normalized bump approximation."""
-        if self.atom is None:
+        """Replace the point atom by the normalized bump of radius ``width``
+        at its location, which converges to the atom as width -> 0."""
+        atom = self.atom
+        if atom is None:
             raise ValueError("spec has no point atom to widen")
-        new = tuple(
-            w.as_bump(width) if isinstance(w, MatrixAtom) else w for w in self.weights
-        )
+        bump = MatrixBump(atom.matrix, atom.location, float(width), normalize=True)
+        new = tuple(bump if w is atom else w for w in self.weights)
         return ValuationSpec(self.field, self.n, self.degree, self.scalar_weight, new)
 
 
@@ -572,18 +564,19 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     ``sigma_cells`` picks the Hessians: 0 means difference stencils at the
     active midpoints, gathered from the axes and split into fixed blocks
-    over ``threads``; a positive width
-    means the smoothed grid route: f is sampled on the active cells'
-    bounding box, extended by exactly the kernel radius ``int(4 sigma +
-    0.5)``, in one call (a polytope on the tensor grid by
+    of 8,192 nodes over ``threads``, one call of ``f`` per block; a
+    positive width means the smoothed grid route: f is sampled on the
+    active cells' bounding box, extended by exactly the kernel radius
+    ``int(4 sigma + 0.5)``, in one call (a polytope on the tensor grid by
     ``Polytope.support_grid``), and each Hessian entry the field reads,
     of the Gaussian of ``sigma_cells`` cells convolved with f, is one
     banded matrix product per axis with a derivative-of-Gaussian kernel,
     which also crops it.
-    A polytope, kinked along its normal fan, needs a positive width; a
-    negative width, or a positive one with an atom (no grid to smooth
-    on), raises, and so does the grid route for a width below 1/8 cell,
-    which has no derivative kernels.
+    A piecewise-linear ``f``, kinked where its pieces meet, needs a
+    positive width: a ``Polytope``, its bound ``support`` or a
+    ``PLConvexFunction`` raises at 0.  A negative width, or a positive
+    one with an atom (no grid to smooth on), raises, and so does the grid
+    route for a width below 1/8 cell, which has no derivative kernels.
 
     Only active cells, where B is nonzero, get Hessians, matrix-slot
     values and determinants: the others add exactly 0 * det.  So a
@@ -600,9 +593,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     atom = spec.atom
     if sigma_cells < 0 or (atom is not None and sigma_cells > 0):
         raise ValueError("sigma_cells must be >= 0, and 0 when a weight is a point atom")
-    if sigma_cells == 0 and isinstance(f, Polytope):
-        raise ValueError("a polytope's support function is kinked along its normal fan; "
-                         "pass sigma_cells > 0 (sigma_body in body_valuation) to smooth it")
+    if sigma_cells == 0 and isinstance(getattr(f, "__self__", f), (Polytope, PLConvexFunction)):
+        raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
+                         "is kinked; pass sigma_cells > 0 to smooth it")
     d = spec.real_dim
     if atom is not None:
         grid, node, cell = None, atom.location[None, :], 1.0
@@ -649,23 +642,22 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 # ---------------------------------------------------------------------------
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
-                   sigma_body: float = 0.0, threads: int = 1) -> float:
+                   sigma_cells: float = 0.0, threads: int = 1) -> float:
     """phi(K) = Phi(h_K): the induced i-homogeneous valuation on bodies.
 
     Support functions are singular at the origin, so either the joint
-    weight support must avoid 0 and h_K be smooth (sigma_body = 0: direct
-    stencils) or sigma_body > 0 selects the smoothed grid route, which
+    weight support must avoid 0 and h_K be smooth (sigma_cells = 0: direct
+    stencils) or sigma_cells > 0 selects the smoothed grid route, which
     also covers polytopal h_K, kinked along its whole normal fan.
-    ``sigma_body`` is ``eval_valuation``'s ``sigma_cells``.
     """
     lo, hi = _joint_support(spec)
-    if sigma_body == 0.0 and np.all(lo <= 0) and np.all(hi >= 0):
+    if sigma_cells == 0.0 and np.all(lo <= 0) and np.all(hi >= 0):
         raise ValueError(
-            "origin lies inside the joint weight support but sigma_body = 0; "
-            "pass sigma_body > 0 to smooth the support function"
+            "origin lies inside the joint weight support but sigma_cells = 0; "
+            "pass sigma_cells > 0 to smooth the support function"
         )
     h = K if isinstance(K, Polytope) else K.support  # the grid route samples a polytope itself
-    return eval_valuation(spec, h, grid, sigma_cells=sigma_body, threads=threads)
+    return eval_valuation(spec, h, grid, sigma_cells=sigma_cells, threads=threads)
 
 
 def homogeneous_components(phi, K: ConvexBody, max_degree: int):

@@ -65,10 +65,6 @@ class ExperimentReport:
         return [c[2] for c in self.checks]
 
     @property
-    def tolerance(self):
-        return [c[3] for c in self.checks]
-
-    @property
     def passed(self) -> bool:
         return all(abs(o - e) <= t for _, o, e, t in self.checks)
 
@@ -151,7 +147,7 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     spec, grid, body, sigma = _identity_config(field, rng)
 
     def phi(K):
-        return body_valuation(spec, K, grid, sigma_body=sigma, threads=threads)
+        return body_valuation(spec, K, grid, sigma_cells=sigma, threads=threads)
 
     phi_union = phi(body)  # the union body is the same for every slab pair
     residuals = []
@@ -386,12 +382,12 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48):
     ref = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(cube))
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, resolution, 3)
-    values = [body_valuation(spec, cube, grid, sigma_body=s) for s in sigmas]
+    values = [body_valuation(spec, cube, grid, sigma_cells=s) for s in sigmas]
     gaps = [abs(v - ref) / abs(ref) for v in values]
     rates = [float(np.log2(max(gaps[k], 1e-300) / max(gaps[k + 1], 1e-300)))
              for k in range(len(gaps) - 1)]
     monotone = all(gaps[k + 1] <= gaps[k] * 1.10 for k in range(len(gaps) - 1))
-    repeat = body_valuation(spec, cube, grid, sigma_body=sigmas[-1])
+    repeat = body_valuation(spec, cube, grid, sigma_cells=sigmas[-1])
     checks = [
         ("gap sequence decreases monotonically (10% slack)", 1.0 if monotone else 0.0, 1.0, 0.5),
         ("final gap", gaps[-1], 0.0, 0.02),
@@ -525,7 +521,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
         volumes.append(vol)
         exact = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(K))
         exact_errs.append(abs(exact - b_height * vol))
-        quad = body_valuation(spec, K, grid, sigma_body=2.0)
+        quad = body_valuation(spec, K, grid, sigma_cells=2.0)
         quad_errs.append(abs(quad - b_height * vol) / max(1e-30, abs(b_height) * vol))
 
     scale = max(1.0, max(volumes) * abs(b_height))
@@ -543,7 +539,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
         for K in bodies
     )
     kernel_quad = max(
-        abs(body_valuation(kernel_spec, K, grid, sigma_body=2.0)) / max(1e-30, vol)
+        abs(body_valuation(kernel_spec, K, grid, sigma_cells=2.0)) / max(1e-30, vol)
         for K, vol in zip(bodies, volumes)
     )
     nonzero = eval_valuation(kernel_spec, lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
@@ -650,7 +646,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     kgrid = Grid.cube(np.zeros(3), 0.5, 48, 3)
     kernel_vols = [hull_volume(K.vertices) for K in kernel_bodies]
     kernel_image_quad = max(
-        abs(body_valuation(ks, K, kgrid, sigma_body=2.0)) / vol
+        abs(body_valuation(ks, K, kgrid, sigma_cells=2.0)) / vol
         for ks in kspecs for K, vol in zip(kernel_bodies, kernel_vols)
     )
 

@@ -15,11 +15,11 @@ import pytest
 
 from mongeval.algebra import (
     HermitianMatrix,
+    conj_transpose,
     mixed_det,
     moore_det,
     quat_abs2,
     quat_conj,
-    quat_conj_transpose,
     quat_matmul,
     realize_quat_matrix,
 )
@@ -93,13 +93,13 @@ def test_acceptance_02_moore_determinant():
     for n in (2, 3):
         for _ in range(20):
             x = rng.standard_normal((n, n, 4))
-            A = 0.5 * (x + quat_conj_transpose(x))
+            A = 0.5 * (x + conj_transpose("H", x))
             p = moore_det(A)
             det_real = np.linalg.det(realize_quat_matrix(A))
             ok &= abs(det_real - p**4) <= 1e-8 * max(1.0, abs(p**4), abs(det_real))
             C = rng.standard_normal((n, n, 4))
-            cac = quat_matmul(quat_matmul(quat_conj_transpose(C), A), C)
-            cc = quat_matmul(quat_conj_transpose(C), C)
+            cac = quat_matmul(quat_matmul(conj_transpose("H", C), A), C)
+            cc = quat_matmul(conj_transpose("H", C), C)
             rhs = moore_det(A) * moore_det(cc)
             ok &= abs(moore_det(cac) - rhs) <= 1e-8 * max(1.0, abs(rhs))
     _report(2, "Moore determinant: closed form, unit normalization, realization, "

@@ -92,7 +92,7 @@ def test_tracer_patch_points_are_on_the_grid_route(monkeypatch):
     K = convex.random_shell_polytope(np.random.default_rng(0), dim=3)
     spec = valuation.ValuationSpec("R", 3, 3, valuation.BumpWeight(np.zeros(3), 0.45))
     grid = valuation.Grid.cube(np.zeros(3), 0.5, 12, 3)
-    valuation.body_valuation(spec, K, grid, sigma_body=1.5)
+    valuation.body_valuation(spec, K, grid, sigma_cells=1.5)
     assert calls["grid_hessian"] == 1
     assert calls["gaussian_filter"] >= 1
 

@@ -345,7 +345,7 @@ def test_body_valuation_origin_guard():
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.4))
     grid = Grid.cube(np.zeros(3), 0.5, 8, 3)
     with pytest.raises(ValueError):
-        body_valuation(spec, unit_cube(3), grid, sigma_body=0.0)
+        body_valuation(spec, unit_cube(3), grid, sigma_cells=0.0)
 
 
 def test_body_valuation_origin_outside_joint_support():
@@ -356,7 +356,7 @@ def test_body_valuation_origin_outside_joint_support():
     psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5)
     spec = ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 1.6), (psi,))
     grid = Grid.cube(v0, 0.5, 8, 3)
-    value = body_valuation(spec, body, grid, sigma_body=0.0)
+    value = body_valuation(spec, body, grid, sigma_cells=0.0)
     assert value > 0.0
     assert value == eval_valuation(spec, body.support, grid)
 
@@ -368,18 +368,24 @@ def test_body_valuation_rejects_polytope_on_stencil_route():
     psi = MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5)
     spec = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5), (atom, psi))
     with pytest.raises(ValueError):
-        body_valuation(spec, unit_cube(3, -0.35, 0.35), sigma_body=0.0)
+        body_valuation(spec, unit_cube(3, -0.35, 0.35), sigma_cells=0.0)
 
 
 def test_eval_valuation_rejects_polytope_on_stencil_route():
-    # the same guard as body_valuation's: difference stencils across the
-    # normal fan of h_K read 0 where B(0) vol(K) = 0.343 is expected
+    # the same guard as body_valuation's, for h_K as a polytope, its bound
+    # support and a PLConvexFunction: difference stencils across the normal
+    # fan of h_K read 2.8e-33 where B(0) vol(K) = 0.343 is expected
     K = unit_cube(3, -0.35, 0.35)
-    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    f = PLConvexFunction.from_polytope_support(K)
+    B = BumpWeight(np.zeros(3), 0.45, plateau=0.7)
+    spec = ValuationSpec("R", 3, 3, B)
     grid = Grid.cube(np.zeros(3), 0.5, 24, 3)
-    with pytest.raises(ValueError, match="normal fan"):
-        eval_valuation(spec, K, grid)
+    for h in (K, K.support, f):
+        with pytest.raises(ValueError, match="kinked"):
+            eval_valuation(spec, h, grid)
     assert abs(eval_valuation(spec, K, grid, sigma_cells=2.0) - 0.343) <= 0.02 * 0.343
+    ref = pl_valuation(B, f)
+    assert abs(eval_valuation(spec, f, grid, sigma_cells=2.0) - ref) <= 1e-3 * ref
 
 
 def test_negative_or_atom_smoothing_width_raises_on_every_route():
@@ -391,8 +397,8 @@ def test_negative_or_atom_smoothing_width_raises_on_every_route():
     atom_spec = ValuationSpec("R", 3, 2, BumpWeight(v0, 0.5, plateau=0.5), (atom,))
     for call in (lambda: eval_valuation(spec, quadratic(np.eye(3)), grid, sigma_cells=-1.0),
                  lambda: eval_valuation(atom_spec, body.support, sigma_cells=-1.0),
-                 lambda: body_valuation(atom_spec, body, sigma_body=-1.0),
-                 lambda: body_valuation(atom_spec, body, sigma_body=2.0)):
+                 lambda: body_valuation(atom_spec, body, sigma_cells=-1.0),
+                 lambda: body_valuation(atom_spec, body, sigma_cells=2.0)):
         with pytest.raises(ValueError, match="sigma_cells"):
             call()
 
@@ -489,7 +495,7 @@ def test_pl_and_quadrature_routes_agree():
     exact = pl_valuation(weight, PLConvexFunction.from_polytope_support(K))
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, 40, 3)
-    quad = body_valuation(spec, K, grid, sigma_body=2.0)
+    quad = body_valuation(spec, K, grid, sigma_cells=2.0)
     assert abs(quad - exact) <= 0.02 * abs(exact)
 
 
@@ -501,8 +507,8 @@ def test_restriction_locality():
     spec = ValuationSpec("R", 3, 3, weight)
     big = Grid.cube(np.zeros(3), 0.5, 40, 3)  # cell 0.025
     small = Grid.cube(np.zeros(3), 0.25, 20, 3)  # same spacing, aligned
-    v_big = body_valuation(spec, K, big, sigma_body=2.0)
-    v_small = body_valuation(spec, K, small, sigma_body=2.0)
+    v_big = body_valuation(spec, K, big, sigma_cells=2.0)
+    v_small = body_valuation(spec, K, small, sigma_cells=2.0)
     assert abs(v_big - v_small) <= 1e-12 * max(1.0, abs(v_big))
 
 
@@ -522,7 +528,7 @@ def test_threads_bit_identical():
     weight = BumpWeight(np.zeros(3), 0.45, plateau=0.7)
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, 32, 3)
-    vals = {body_valuation(spec, K, grid, sigma_body=2.0, threads=t) for t in (1, 2, 8)}
+    vals = {body_valuation(spec, K, grid, sigma_cells=2.0, threads=t) for t in (1, 2, 8)}
     assert len(vals) == 1
 
 
@@ -543,7 +549,7 @@ def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
     vals = set()
     for t in (1, 2):
         del shapes[:]
-        vals.add(body_valuation(spec, K, grid, sigma_body=1.5, threads=t))
+        vals.add(body_valuation(spec, K, grid, sigma_cells=1.5, threads=t))
         # B vanishes on the outer layer of cells: the active box is 6 cells
         # wide, plus the kernel radius 6 per side
         assert shapes == [(6 + 2 * 6,) * 4]
@@ -560,7 +566,7 @@ def test_grid_route_bits_do_not_depend_on_blas_threads():
         "K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)\n"
         "spec = ValuationSpec('C', 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))\n"
         "grid = Grid.cube(np.zeros(4), 0.5, 16, 4)\n"
-        "print(body_valuation(spec, K, grid, sigma_body=1.5).hex())\n"
+        "print(body_valuation(spec, K, grid, sigma_cells=1.5).hex())\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -594,7 +600,7 @@ def test_widths_below_an_eighth_cell_raise_before_sampling(sigma, monkeypatch):
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     monkeypatch.setattr(Polytope, "support_grid", lambda self, axes: pytest.fail("sampled"))
     with pytest.raises(ValueError, match="1/8 cell"):
-        body_valuation(spec, K, Grid.cube(np.zeros(3), 0.5, 12, 3), sigma_body=sigma)
+        body_valuation(spec, K, Grid.cube(np.zeros(3), 0.5, 12, 3), sigma_cells=sigma)
 
 
 def _stencil_hessian(values, spacing, margin):
@@ -648,7 +654,7 @@ def test_kernel_route_recovers_the_simplex_volume_where_the_stencil_did_not():
     assert rel_err(_stencil_route(K.support, grid, 2.0)) > 0.02
     new = rel_err(valuation._field_hessians_grid(spec, K, grid, 2.0))
     assert new < 0.01
-    assert abs(abs(body_valuation(spec, K, grid, sigma_body=2.0) / vol - 1.0) - new) <= 1e-12
+    assert abs(abs(body_valuation(spec, K, grid, sigma_cells=2.0) / vol - 1.0) - new) <= 1e-12
 
 
 def _grid_hessians_full(spec, f, grid, sigma_cells, margin=None):
@@ -1025,10 +1031,32 @@ def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypa
     assert got.hex() == ref.hex()
 
 
+def test_stencil_route_calls_f_one_block_at_a_time():
+    # parity-break --dim 5 differences 248,832 nodes x 51 stencil points x 5
+    # coordinates, 508 MB in one call of f against 16.7 MB per block of 8,192
+    # nodes; its 4-D spec widened to 0.15 has 20,736 active nodes x 33 points
+    n = 4
+    v0 = np.eye(n)[0]
+    unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
+    weights = [MatrixAtom(unit[0], v0)]
+    weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - 1)]
+    spec = ValuationSpec("R", n, 1, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
+    body = make_two_ball_body(n)
+    sizes = []
+
+    def recording(x):
+        sizes.append(len(x))
+        return body.support(x)
+
+    eval_valuation(spec.with_atom_widened(0.15), recording, Grid.cube(v0, 0.15, 12, n))
+    assert sum(sizes) == 12**n * 33
+    assert max(sizes) <= 8192 * 33
+
+
 def test_scalar_weight_must_be_a_bump_and_its_support_is_guarded():
     # a callable B skipped both support guards: on |x|^2 / 2 it read 0.0551
     # on a box too small for its support (0.0582 on one that holds it), and
-    # on the unit ball at sigma_body = 0, where h_K is kinked at the
+    # on the unit ball at sigma_cells = 0, where h_K is kinked at the
     # origin, about 0.001 for B(0) vol = 4.19
     B = BumpWeight(np.zeros(1), 0.45)
     with pytest.raises(TypeError, match="BumpWeight"):
@@ -1077,7 +1105,7 @@ def test_grid_route_in_one_dimension_through_the_public_api():
     K = _POLYTOPE_CASES["segment-1d"](None)
     spec = ValuationSpec("R", 1, 1, BumpWeight(np.zeros(1), 0.45, plateau=0.6))
     grid = Grid.cube(np.zeros(1), 0.5, 64, 1)
-    value = body_valuation(spec, K, grid, sigma_body=1.5)
+    value = body_valuation(spec, K, grid, sigma_cells=1.5)
     assert abs(value - 0.5) <= 1e-9
     ref = eval_valuation(spec, K.support, grid, sigma_cells=1.5)
     assert value == ref  # in 1-D both routes compute 0.0 + v x, the same bits
