@@ -8,7 +8,6 @@ from .algebra import (
     complex_embedding,
     mixed_det,
     moore_det,
-    oct_conj,
     oct_mul,
     quat_conj,
     quat_mul,

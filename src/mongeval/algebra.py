@@ -44,8 +44,6 @@ __all__ = [
     "quat_abs2",
     "quat_matmul",
     "oct_mul",
-    "oct_conj",
-    "oct_abs2",
     "oct_unit",
     "realize_quat_matrix",
     "complex_embedding",
@@ -96,7 +94,7 @@ def quat_mul(p, q):
 
 def quat_conj(p):
     """Conjugate: negate every imaginary component.  The same map
-    conjugates octonions, so ``oct_conj`` is this function."""
+    conjugates octonions, and ``quat_abs2`` is their squared norm too."""
     p = np.asarray(p, dtype=float)
     out = p.copy()
     out[..., 1:] = -out[..., 1:]
@@ -135,11 +133,6 @@ def oct_mul(p, q):
     left = quat_mul(a, c) - quat_mul(quat_conj(d), b)
     right = quat_mul(d, a) + quat_mul(b, quat_conj(c))
     return np.concatenate([left, right], axis=-1)
-
-
-# both act componentwise, identically in any Cayley-Dickson algebra
-oct_conj = quat_conj
-oct_abs2 = quat_abs2
 
 
 def oct_unit(i):
@@ -356,8 +349,9 @@ def det_batch(field, data):
 def polarized_det_batch(field, slots):
     """Polarization of the determinant polynomial on batched slot arrays.
 
-    ``slots`` is a list of n arrays of identical shape (..., n, n[, c]).
-    Uses the inclusion-exclusion form
+    ``slots`` is a list of n arrays (..., n, n[, c]) whose batch shapes
+    broadcast, so a constant (n, n[, c]) slot stands for itself on every
+    batch entry.  Uses the inclusion-exclusion form
 
         pbar(x_1, ..., x_n)
             = (1/n!) sum_{0 != S subset [n]} (-1)^{n - |S|} p(sum_{i in S} x_i).
@@ -368,7 +362,8 @@ def polarized_det_batch(field, slots):
     the argument k H + sum_T x, so the sum runs over these distinct terms
     with weight binomial(i, k) (-1)^{n - k - |T|}.  That costs
     (i + 1) 2^m - 1 determinant evaluations instead of 2^n - 1, and a single
-    one, p(H) itself, when every slot is ``slots[0]`` (m = 0).
+    one, p(H) itself, when every slot is ``slots[0]`` (m = 0).  A term made
+    only of constant slots is one determinant, not one per batch entry.
     """
     if not slots:
         raise ValueError("need at least one slot")

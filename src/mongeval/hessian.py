@@ -39,7 +39,6 @@ from .algebra import (
     FIELD_COMPONENTS,
     HermitianMatrix,
     conj_transpose,
-    oct_conj,
     oct_mul,
     oct_unit,
     quat_conj,
@@ -243,7 +242,7 @@ for _m in range(4):
 _COEF_O = np.zeros((8, 8, 8))
 for _i in range(8):
     for _j in range(8):
-        _COEF_O[_i, _j] = oct_mul(oct_unit(_i), oct_conj(oct_unit(_j)))
+        _COEF_O[_i, _j] = oct_mul(oct_unit(_i), quat_conj(oct_unit(_j)))
 
 
 def assemble_structured(field, hreal):

@@ -6,15 +6,16 @@ The central object evaluates
 
 over a box, where F is one of the scalar fields R, C, H, O2, B is a
 continuous compactly supported scalar weight (a ``BumpWeight``), and the
-A_k are Hermitian matrix weights: bumps (a constant matrix times a
-``BumpWeight``) or single point atoms.  Every case runs one quadrature
-pipeline: B and the active mask B != 0, Hessian slots, matrix slots,
-the polarized determinant, and the weighted sum.  On a grid the bumps
-are read on its tensor axes, so no node array is built.  A point atom
-makes it a one-node quadrature at the atom's location with weight 1
-(the mixed determinant is multilinear, so a delta factor pulls
-everything there); at most one atom is allowed since a product of
-deltas at distinct points vanishes and at a common point is undefined.
+A_k are Hermitian matrix weights: bumps (a constant matrix M times a
+``BumpWeight`` s) or single point atoms.  Every case runs one quadrature
+pipeline: B, the weight B * prod s (the mixed determinant is multilinear,
+so M enters its slot as a constant), Hessian slots where that weight is
+nonzero, the polarized determinant, and the weighted sum.  On a grid the
+bumps are read on its tensor axes, so no node array is built.  A point
+atom makes it a one-node quadrature at the atom's location with weight 1
+(by multilinearity a delta factor pulls everything there); at most one
+atom is allowed since a product of deltas at distinct points vanishes
+and at a common point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
@@ -520,31 +521,28 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
     return assemble_structured(spec.field, planes.reshape(d * d, -1).T[keep].reshape(-1, d, d))
 
 
-def _matrix_slot_values(weight, grid: Grid, active, node=None):
-    """Evaluate one matrix weight on the ``active`` cells of ``grid``, on its
-    tensor axes, or with no grid at an atom spec's one ``node`` -> (N, n,
-    n[, comps]).  A normalized bump is normalized over every cell first,
-    its exact zeros included, so that the pairwise sum has the node
-    array's bits; a point atom's slot is its matrix."""
+def _bump_factor(weight, grid: Grid, active, node=None):
+    """The scalar times one matrix weight's constant matrix on the ``active``
+    cells of ``grid`` (read on its tensor axes) or at an atom spec's one
+    ``node``: the bump, over its midpoint mass when normalized, or 1 for
+    an atom.  That mass sums every cell, its exact zeros included, so the
+    pairwise sum has the node array's bits."""
     if isinstance(weight, MatrixAtom):
-        return weight.matrix.data[None]
+        return 1.0
     if grid is None:
         if weight.normalize:
             raise ValueError("normalized bump weights need a quadrature grid")
-        scal = weight.scalar(node)
-    else:
-        mask, values = weight.scalar.on_axes(grid.axes())
-        every = np.zeros(grid.n_cells)
-        every[mask] = values
-        scal = every[active]
-        if weight.normalize:
-            total = float(np.sum(every)) * grid.cell_volume
-            if total <= 0:
-                raise ValueError("normalized bump has zero mass on this grid")
-            scal = scal / total
-    data = weight.matrix.data
-    extra = (1,) * data.ndim
-    return scal.reshape(scal.shape + extra) * data[None]
+        return weight.scalar(node)
+    mask, values = weight.scalar.on_axes(grid.axes())
+    every = np.zeros(grid.n_cells)
+    every[mask] = values
+    scal = every[active]
+    if weight.normalize:
+        total = float(np.sum(every)) * grid.cell_volume
+        if total <= 0:
+            raise ValueError("normalized bump has zero mass on this grid")
+        scal = scal / total
+    return scal
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
@@ -553,14 +551,18 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
     ``Polytope``, which stands for its support function.  Every spec runs
-    one pipeline: B and the active mask B != 0, Hessian slots, matrix
-    slots, the polarized determinant, and (n - i)! * cell * sum B * det.
-    A spec with a point atom has one node, the atom location, with weight
-    1 and no grid: B and the matrix bumps are read there (f must be C^2
-    there; the atom's slot is its matrix).  Otherwise ``grid`` supplies
-    the midpoints and the cell volume, B and the matrix bumps are
-    evaluated on its tensor axes (``BumpWeight.on_axes``), and neither
-    Hessian route builds a node array.
+    one pipeline: B, the weight w = B * prod s_k per cell, Hessian slots
+    where w != 0, the polarized determinant against the weights' constant
+    matrices M_k, and (n - i)! * cell * sum w * det.  A bump s_k M_k has
+    the factor s_k (over its midpoint mass when normalized), an atom 1.
+    The M_k broadcast, so a subset made only of them costs one
+    determinant.  A B that vanishes on every cell returns 0.0 before any
+    matrix weight is read.  A spec with a point atom has one node, the
+    atom location, with weight 1 and no grid: B and the matrix bumps are
+    read there (f must be C^2 there).  Otherwise ``grid`` supplies the
+    midpoints and the cell volume, B and the matrix bumps are evaluated
+    on its tensor axes (``BumpWeight.on_axes``), and neither Hessian
+    route builds a node array.
 
     ``sigma_cells`` picks the Hessians: 0 means difference stencils at the
     active midpoints, gathered from the axes and split into fixed blocks
@@ -578,8 +580,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     one with an atom (no grid to smooth on), raises, and so does the grid
     route for a width below 1/8 cell, which has no derivative kernels.
 
-    Only active cells, where B is nonzero, get Hessians, matrix-slot
-    values and determinants: the others add exactly 0 * det.  So a
+    Only active cells, where B and every matrix bump are nonzero, get
+    Hessians and determinants: the others add exactly 0 * det.  So a
     non-finite ``f`` near inactive cells alone does not raise.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
@@ -601,8 +603,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         grid, node, cell = None, atom.location[None, :], 1.0
         if node.shape[1] != d:
             raise ValueError(f"atom location dimension {node.shape[1]} != {d}")
-        bvals = spec.scalar_weight(node)
-        active = bvals != 0
+        weight = spec.scalar_weight(node)
+        active = weight != 0
     else:
         if grid is None:
             raise ValueError("a quadrature grid is required unless a weight is a point atom")
@@ -614,9 +616,15 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
             raise ValueError("joint weight support exceeds the quadrature box")
         node, cell = None, grid.cell_volume
-        active, bvals = spec.scalar_weight.on_axes(grid.axes())  # B(x) = 0 cells add 0 * det
-    if not active.any():
+        active, weight = spec.scalar_weight.on_axes(grid.axes())  # B(x) = 0 cells add 0 * det
+    if active.any():  # B first: a B of 0 on every cell reads no matrix weight
+        for w in spec.weights:  # each is its constant matrix times this factor
+            weight = weight * _bump_factor(w, grid, active, node)
+    keep = weight != 0
+    if not keep.any():
         return 0.0
+    active[active] = keep
+    weight = weight[keep]
 
     slots = []
     if spec.degree > 0:
@@ -632,9 +640,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                                   threads=threads, chunk=8192)
             hf = assemble_structured(spec.field, hreal)
         slots.extend([hf] * spec.degree)
-    slots.extend(_matrix_slot_values(w, grid, active, node) for w in spec.weights)
+    slots.extend(w.matrix.data for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
-    return float(math.factorial(spec.n - spec.degree) * cell * (bvals * dets).sum())
+    return float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
 
 
 # ---------------------------------------------------------------------------

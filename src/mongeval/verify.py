@@ -217,8 +217,7 @@ def _identity_probe_residuals_o2(n_pairs, rng, n_probes=6):
         if degree == 2:
             dets = {k: det_batch("O2", v) for k, v in hess.items()}
         else:
-            wb = np.broadcast_to(weight, hess["A"].shape)
-            dets = {k: polarized_det_batch("O2", [v, wb]) for k, v in hess.items()}
+            dets = {k: polarized_det_batch("O2", [v, weight]) for k, v in hess.items()}
         resid = dets["K"] + dets["AB"] - dets["A"] - dets["B"]
         scale = np.maximum(1e-30, np.max(np.abs(np.stack(list(dets.values()))), axis=0))
         residuals.extend((np.abs(resid) / scale).tolist())

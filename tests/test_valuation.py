@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -929,37 +930,74 @@ def test_bump_on_axes_matches_the_node_array(case, monkeypatch):
     np.testing.assert_array_max_ulp(dist2, B(grid.nodes())[mask], maxulp=4)
 
 
-def _slot_on_nodes(weight, nodes, grid, active=slice(None)):
-    """The node-array branch of ``_matrix_slot_values`` before every grid
-    read its tensor axes (kept as the reference): a matrix bump on
-    ``nodes[active]``, normalized over every node first."""
+def _factor_on_nodes(weight, nodes, grid, active=slice(None)):
+    """A matrix bump's scalar factor on ``nodes[active]``, normalized over
+    every node first: the node-array reference of ``_bump_factor``."""
     scal = weight.scalar(nodes if weight.normalize else nodes[active])
     if weight.normalize:
         scal = scal[active] / (float(np.sum(scal)) * grid.cell_volume)
+    return scal
+
+
+def _slot_on_nodes(weight, nodes, grid, active=slice(None)):
+    """A matrix bump as the (N, n, n[, c]) slot s * M on ``nodes[active]``,
+    as every route built it before the constant matrix M entered the
+    polarization on its own (kept as the reference)."""
+    scal = _factor_on_nodes(weight, nodes, grid, active)
     data = weight.matrix.data
     return scal.reshape(scal.shape + (1,) * data.ndim) * data[None]
 
 
-def _eval_on_nodes(spec, f, grid, sigma_cells=0.0, step=None):
-    """The node route of ``eval_valuation`` before B had to be a
-    ``BumpWeight`` (kept as the reference): B and the matrix bumps on
-    ``Grid.nodes``, and difference stencils at ``nodes[active]``."""
+def _hessians_on_nodes(spec, f, grid, nodes, active, sigma_cells, step):
+    """The field Hessians at ``nodes[active]``: difference stencils in
+    blocks of 8,192 nodes, or the smoothed grid route."""
+    if sigma_cells == 0:
+        hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
+                              chunk=8192)
+        return assemble_structured(spec.field, hreal)
+    return valuation._field_hessians_grid(spec, f, grid, sigma_cells, active)
+
+
+def _eval_broadcast_slots(spec, f, grid, sigma_cells=0.0, step=None):
+    """The grid route before matrix weights entered the polarization as
+    constant matrices (kept as the reference): B and the matrix bumps on
+    ``Grid.nodes``, Hessians at every cell where B != 0, and each bump as
+    the broadcast slot s * M there."""
     nodes = grid.nodes()
     bvals = spec.scalar_weight(nodes)
     active = bvals != 0
     slots = []
     if spec.degree > 0:
-        if sigma_cells == 0:
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
-                                  chunk=8192)
-            hf = assemble_structured(spec.field, hreal)
-        else:
-            hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, active)
-        slots += [hf] * spec.degree
+        slots += [_hessians_on_nodes(spec, f, grid, nodes, active, sigma_cells, step)] * spec.degree
     slots += [_slot_on_nodes(w, nodes, grid, active) for w in spec.weights]
     dets = polarized_det_batch(spec.field, slots)
     scale = math.factorial(spec.n - spec.degree) * grid.cell_volume
     return float(scale * (bvals[active] * dets).sum())
+
+
+def _weight_on_nodes(spec, grid):
+    """B times every matrix bump's factor on ``Grid.nodes``."""
+    nodes = grid.nodes()
+    weight = spec.scalar_weight(nodes)
+    for w in spec.weights:
+        weight = weight * _factor_on_nodes(w, nodes, grid)
+    return weight
+
+
+def _eval_on_nodes(spec, f, grid, sigma_cells=0.0, step=None):
+    """The grid route of ``eval_valuation`` on ``Grid.nodes``: B times each
+    matrix bump's factor, Hessians where that product is nonzero, and the
+    constant matrices as slots."""
+    nodes = grid.nodes()
+    weight = _weight_on_nodes(spec, grid)
+    active = weight != 0
+    slots = []
+    if spec.degree > 0:
+        slots += [_hessians_on_nodes(spec, f, grid, nodes, active, sigma_cells, step)] * spec.degree
+    slots += [w.matrix.data for w in spec.weights]
+    dets = polarized_det_batch(spec.field, slots)
+    scale = math.factorial(spec.n - spec.degree) * grid.cell_volume
+    return float(scale * (weight[active] * dets).sum())
 
 
 def _no_nodes(self):
@@ -977,8 +1015,8 @@ def test_normalized_bump_on_the_tensor_axes_keeps_the_node_array_total(d, res):
     scal = weight.scalar(grid.nodes())
     assert np.sum(scal[scal != 0]) != np.sum(scal)
     active = np.random.default_rng(d).random(grid.n_cells) < 0.5
-    got = valuation._matrix_slot_values(weight, grid, active)
-    ref = _slot_on_nodes(weight, grid.nodes(), grid, active)
+    got = valuation._bump_factor(weight, grid, active)
+    ref = _factor_on_nodes(weight, grid.nodes(), grid, active)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -1032,15 +1070,18 @@ def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypa
 
 
 def test_stencil_route_calls_f_one_block_at_a_time():
-    # parity-break --dim 5 differences 248,832 nodes x 51 stencil points x 5
-    # coordinates, 508 MB in one call of f against 16.7 MB per block of 8,192
-    # nodes; its 4-D spec widened to 0.15 has 20,736 active nodes x 33 points
+    # parity-break --dim 5 differences 41,856 nodes x 51 stencil points x 5
+    # coordinates, 85 MB in one call of f against 16.7 MB per block of 8,192
+    # nodes; its 4-D spec widened to 0.15 on 16^4 has 20,352 nodes where B
+    # and every matrix bump are nonzero, x 33 points
     n = 4
     v0 = np.eye(n)[0]
     unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
     weights = [MatrixAtom(unit[0], v0)]
     weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - 1)]
     spec = ValuationSpec("R", n, 1, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
+    spec = spec.with_atom_widened(0.15)
+    grid = Grid.cube(v0, 0.15, 16, n)
     body = make_two_ball_body(n)
     sizes = []
 
@@ -1048,9 +1089,132 @@ def test_stencil_route_calls_f_one_block_at_a_time():
         sizes.append(len(x))
         return body.support(x)
 
-    eval_valuation(spec.with_atom_widened(0.15), recording, Grid.cube(v0, 0.15, 12, n))
-    assert sum(sizes) == 12**n * 33
+    eval_valuation(spec, recording, grid)
+    assert sum(sizes) == np.count_nonzero(_weight_on_nodes(spec, grid)) * 33
+    assert len(sizes) >= 2
     assert max(sizes) <= 8192 * 33
+
+
+@pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "identity-R",
+                                  "parity-bump", "active-R"])
+def test_constant_matrix_slots_match_the_broadcast_slot_route(case):
+    # each matrix bump s * M enters the polarization as M, and s joins B;
+    # on these n <= 3 specs the broadcast-slot route is accurate
+    if case in ("parity-bump", "active-R"):
+        spec, f, grid, step = _stencil_route_cases()[case]
+        sigma_cells = 0.0
+    else:
+        spec, grid = _tensor_route_specs()[case]
+        f, step, sigma_cells = random_shell_polytope(np.random.default_rng(3), dim=grid.dim), None, 1.5
+    ref = _eval_broadcast_slots(spec, f, grid, sigma_cells=sigma_cells, step=step)
+    got = eval_valuation(spec, f, grid, sigma_cells=sigma_cells, step=step)
+    assert ref != 0.0
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def _det_exact(m):
+    """Leibniz determinant of a square list of Fractions."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += sign * math.prod(m[a][perm[a]] for a in range(n))
+    return total
+
+
+def _mixed_det_exact(mats):
+    """Mixed determinant of n square lists of Fractions by inclusion-exclusion."""
+    n = len(mats)
+    total = Fraction(0)
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(mats, r):
+            acc = [[sum((m[a][b] for m in subset), Fraction(0)) for b in range(n)]
+                   for a in range(n)]
+            total += (-1) ** (n - r) * _det_exact(acc)
+    return total / math.factorial(n)
+
+
+def test_full_rank_matrix_weights_in_4d_match_an_exact_rational_sum():
+    # n = 4, i = 1 with full-rank weights and a normalized bump whose factor
+    # reaches 213: the broadcast slots s * M made the polarization cancel
+    # terms of order s^3 and read 3.5e-10 relative off the exact sum
+    n = 4
+    rng = np.random.default_rng(2)
+
+    def spd():
+        m = rng.standard_normal((n, n))
+        return HermitianMatrix("R", m @ m.T / n + 0.5 * np.eye(n))
+
+    c = np.array([0.02, -0.01, 0.015, 0.0])
+    weights = (MatrixBump(spd(), c, 0.28, normalize=True), MatrixBump(spd(), -c, 0.45, plateau=0.5),
+               MatrixBump(spd(), np.zeros(n), 0.4))
+    spec = ValuationSpec("R", n, 1, BumpWeight(np.zeros(n), 0.45, plateau=0.3), weights)
+    grid = Grid.cube(np.zeros(n), 0.5, 8, n)
+    quad = quadratic(spd().data)
+    f = lambda x: quad(x) + 0.3 * np.sum(np.asarray(x) ** 4, axis=-1)
+    got = eval_valuation(spec, f, grid)
+
+    # the same midpoint sum in rationals: B, the factors and the Hessians are
+    # the route's floats, and D(H, M_1, M_2, M_3) = sum_ab H_ab D(E_ab, M_1, M_2, M_3)
+    nodes = grid.nodes()
+    cell = Fraction(grid.cell_volume)
+    weight = [Fraction(x) for x in spec.scalar_weight(nodes).tolist()]
+    for w in weights:
+        scal = [Fraction(x) for x in w.scalar(nodes).tolist()]
+        if w.normalize:
+            mass = sum(scal) * cell
+            scal = [x / mass for x in scal]
+        weight = [a * b for a, b in zip(weight, scal)]
+    active = np.array([x != 0 for x in weight])
+    assert np.max(_factor_on_nodes(weights[0], nodes, grid)) > 200
+    hess = fd_hessian_batch(f, nodes[active]).tolist()
+    mats = [[[Fraction(x) for x in row] for row in w.matrix.data.tolist()] for w in weights]
+    unit = lambda a, b: [[Fraction(int((r, s) == (a, b))) for s in range(n)] for r in range(n)]
+    coef = {(a, b): _mixed_det_exact([unit(a, b)] + mats) for a in range(n) for b in range(n)}
+    total = sum(wk * sum(Fraction(h[a][b]) * coef[a, b] for a in range(n) for b in range(n))
+                for wk, h in zip((x for x in weight if x != 0), hess))
+    exact = math.factorial(n - 1) * cell * total
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * abs(exact)
+
+
+def test_hessians_only_where_b_and_every_matrix_bump_are_nonzero():
+    # parity-break's widened 3-D spec: B is nonzero on all 12^3 cells, the
+    # normalized bump on fewer; f is differenced only where both are
+    spec, body, grid, _step = _stencil_route_cases()["parity-bump"]
+    weight = _weight_on_nodes(spec, grid)
+    assert np.all(spec.scalar_weight(grid.nodes()) != 0) and np.any(weight == 0)
+    rows = []
+
+    def recording(x):
+        rows.append(len(x))
+        return body(x)
+
+    ref = eval_valuation(spec, recording, grid)
+    assert sum(rows) == np.count_nonzero(weight) * 19
+    # a NaN in the stencil of a corner cell, where only the bump vanishes
+    corner = grid.nodes()[0]
+    assert weight[0] == 0
+
+    def nan_at_corner(x):
+        out = body(x)
+        out[np.linalg.norm(x - corner, axis=-1) < 0.01] = np.nan
+        return out
+
+    assert eval_valuation(spec, nan_at_corner, grid).hex() == ref.hex()
+
+
+def test_zero_b_on_every_cell_returns_before_any_matrix_weight_is_read():
+    # an 8-D H spec whose B and normalized bump miss every node: B is read
+    # first, so the bump's zero mass never raises
+    grid = Grid.cube(np.zeros(8), 0.5, 4, 8)
+    bump = MatrixBump(HermitianMatrix.identity("H", 2), np.zeros(8), 0.2, normalize=True)
+    spec = ValuationSpec("H", 2, 1, BumpWeight(np.zeros(8), 0.2), (bump,))
+
+    def never(x):
+        raise AssertionError("f was evaluated")
+
+    assert eval_valuation(spec, never, grid) == 0.0
+    assert eval_valuation(spec, never, grid, sigma_cells=1.0) == 0.0
 
 
 def test_scalar_weight_must_be_a_bump_and_its_support_is_guarded():

@@ -52,6 +52,11 @@ def test_parity_break_degree_two():
     assert abs(rep.observed[1] - 4 / 3) <= 0.04 / 3
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_parity_break_in_4d(degree):
+    assert parity_break(dim=4, degree=degree).passed
+
+
 def test_parity_break_rejects_bad_degree():
     with pytest.raises(ValueError):
         parity_break(dim=3, degree=3)
