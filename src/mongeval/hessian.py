@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -151,8 +152,27 @@ def fd_laplacian_batch(f, points, step=None):
 #: block would go to gemv, which sums in another order than the full band.
 _BLOCK_ROWS = 4
 
+#: per-thread work buffers of the grid route, by slot
+_buffers = threading.local()
 
-def grid_hessian(values, spacing, kernels, field="R"):
+
+def _thread_buffer(slot, shape):
+    """This thread's float buffer ``slot``, viewed with ``shape``.
+
+    The buffer lives as long as the thread and is replaced by a larger
+    one only when a call needs more, so a warmed caller touches no fresh
+    page.  It holds whatever its last writer left there; the caller must
+    be done with it before the next call that takes the same slot on this
+    thread.
+    """
+    size = math.prod(shape)
+    buf = _buffers.__dict__.get(slot)
+    if buf is None or buf.size < size:
+        buf = _buffers.__dict__[slot] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
     ``kernels`` are the 1-D correlation kernels of orders 0, 1 and 2, all
@@ -168,19 +188,30 @@ def grid_hessian(values, spacing, kernels, field="R"):
     takes 3 + 6 + 6 products in 3D, C with n = 2 takes 24 of 29 in 4D and
     H with n = 1 (the diagonal) 13.
 
+    The products walk the tree of axis-order prefixes depth first.  Each
+    axis has one product buffer (``_thread_buffer``, kept by the thread
+    between calls), reused for every sibling prefix: a prefix's children
+    read it before the next sibling overwrites it.  So a call holds one
+    product per axis, not one per live prefix, and a thread that has made
+    a call as large allocates no product.
+
     A product skips most of the band's zeros: its output rows are split
     into near-equal blocks of at most ``_BLOCK_ROWS`` rows, and block [i0,
     i1) is one ``np.matmul`` of input rows [i0, i1 + 2 r) with the
     top-left corner of the axis's Toeplitz band, written in place into
-    the product's array (no transposed copy of the input).  A product of
+    the axis's buffer (no transposed copy of the input).  A product of
     one vector, where every other axis has one cell, keeps the full band
     as one block: BLAS sends it to gemv, whose sums depend on the band's
     length.  Each value has the bits of the full band's product.
-    The result has shape ``core_shape + (d, d)``, each axis shortened by
-    2 r; its entries are contiguous planes of a ``(d, d) + core_shape``
-    array, returned as a view with the (d, d) axes moved last.  The last
-    axis's products are written straight into their planes (a, b), and
-    each off-diagonal plane is copied once, into (b, a).
+
+    The core is the grid with each axis shortened by 2 r.  ``cells``
+    picks flat C-order core indices; the last axis's product of each
+    entry (a, b) is a contiguous core plane, gathered at ``cells`` into
+    columns (a, b) and (b, a) of an (N, d, d) result.  With ``cells``
+    None every cell is taken, in order, and the result is returned with
+    shape ``core_shape + (d, d)``.  ``out``, if given, is that (N, d, d)
+    result, owned by the caller (for None, ``prod(core_shape)`` rows);
+    otherwise a new array is returned.
     """
     values = np.asarray(values, dtype=float)
     d, m = values.ndim, FIELD_COMPONENTS[field]
@@ -193,36 +224,48 @@ def grid_hessian(values, spacing, kernels, field="R"):
               for a in range(d) for b in range(a, d) if a == b or a // m != b // m]
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
     core = tuple(n - width + 1 for n in values.shape)
-    H = np.zeros((d, d) + core)
-    partial = {(): values}  # axis-order prefix -> its products so far
+    shape = (math.prod(core) if cells is None else len(cells), d, d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    block = np.arange(d) // m  # entries off the diagonal of a block are unread, so 0
+    out[:, (block[:, None] == block) & ~np.eye(d, dtype=bool)] = 0.0
+
+    blocks, bands = [], []
     for a, n in enumerate(values.shape):
         nout, rest = core[a], math.prod(core[:a] + values.shape[a + 1:])
         # one vector (rest 1) goes to gemv, whose sums depend on the band's length
         count = 1 if rest == 1 else -(-nout // _BLOCK_ROWS)
         bounds = [nout * k // count for k in range(count + 1)]  # near-equal blocks
+        blocks.append(list(zip(bounds, bounds[1:])))
         tall = -(-nout // count)
         rows = np.arange(tall)[:, None]
         scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
-        bands = np.zeros((3, tall, tall + width - 1))  # bands[order][i, i + j] = scaled[order, j]
-        bands[:, rows, rows + np.arange(width)] = scaled[:, None, :]
-        nxt = {}
-        while partial:  # a prefix is freed once its products are taken
-            prefix, v = partial.popitem()
-            flat = v.reshape(n, rest)
-            for key in [prefix + (o,) for o in range(3 - sum(prefix)) if prefix + (o,) in wanted]:
-                if a == d - 1:  # the last axis completes order 2 and writes its entry
-                    i, j = np.repeat(np.arange(d), key)
-                    out = H[i, j].reshape(rest, nout)
-                else:
-                    out = np.empty((rest, nout))
-                    nxt[key] = out.reshape(v.shape[1:] + (nout,))
-                for i0, i1 in zip(bounds, bounds[1:]):
-                    corner = bands[key[-1], :i1 - i0, :i1 - i0 + width - 1]
-                    np.matmul(flat[i0:i1 + width - 1].T, corner.T, out=out[:, i0:i1])
-                if a == d - 1 and i != j:
-                    H[j, i] = H[i, j]
-        partial = nxt
-    return np.moveaxis(H, (0, 1), (-2, -1))
+        bands.append(np.zeros((3, tall, tall + width - 1)))  # [order][i, i + j] = scaled[order, j]
+        bands[a][:, rows, rows + np.arange(width)] = scaled[:, None, :]
+
+    # depth first: a key's children are stacked on top of its later siblings,
+    # so they read its product before the next sibling overwrites the buffer
+    stack = [(0, (o,), values) for o in range(3) if (o,) in wanted]
+    while stack:
+        a, key, v = stack.pop()
+        flat = v.reshape(values.shape[a], -1)
+        product = _thread_buffer(a, (flat.shape[1], core[a]))
+        for i0, i1 in blocks[a]:
+            corner = bands[a][key[-1], :i1 - i0, :i1 - i0 + width - 1]
+            np.matmul(flat[i0:i1 + width - 1].T, corner.T, out=product[:, i0:i1])
+        if a < d - 1:
+            v = product.reshape(v.shape[1:] + (core[a],))
+            stack += [(a + 1, key + (o,), v) for o in range(3 - sum(key)) if key + (o,) in wanted]
+        else:  # the last axis completes order 2: its product is entry (i, j)'s plane
+            i, j = np.repeat(np.arange(d), key)
+            plane = product.reshape(-1)
+            out[:, i, j] = plane if cells is None else plane[cells]
+            if i != j:
+                out[:, j, i] = out[:, i, j]
+
+    return out.reshape(core + (d, d)) if cells is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
 from .convex import ConvexBody, PLConvexFunction, Polytope
-from .hessian import assemble_structured, fd_hessian_batch, grid_hessian
+from .hessian import _thread_buffer, assemble_structured, fd_hessian_batch, grid_hessian
 
 __all__ = [
     "Grid",
@@ -70,7 +70,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Axis-aligned box with a fixed midpoint-rule resolution per axis."""
+    """Axis-aligned box with a fixed midpoint-rule resolution per axis;
+    its bounds must be finite."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -82,6 +83,8 @@ class Grid:
         shape = tuple(int(s) for s in np.atleast_1d(self.shape))
         if lo.shape != hi.shape or lo.ndim != 1 or len(shape) != lo.size:
             raise ValueError("grid bounds and shape are inconsistent")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("grid bounds must be finite")
         if np.any(hi <= lo) or any(s < 1 for s in shape):
             raise ValueError("grid box must be non-degenerate with positive resolution")
         object.__setattr__(self, "lo", lo)
@@ -137,6 +140,8 @@ class BumpWeight:
 
     value = height * profile(|x - center| / radius); with plateau > 0 the
     profile is exactly ``height`` on the inner fraction of the support.
+    The center, radius and height must be finite: a NaN would make every
+    comparison false and the weight 0 or NaN on every cell.
     ``on_axes`` gives the same bits on a tensor grid up to 7-D without a
     node array.
     """
@@ -148,6 +153,8 @@ class BumpWeight:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if not (np.all(np.isfinite(c)) and np.isfinite(self.radius) and np.isfinite(self.height)):
+            raise ValueError("bump center, radius and height must be finite")
         if self.radius <= 0:
             raise ValueError("bump radius must be positive")
         if not 0.0 <= self.plateau < 1.0:
@@ -488,7 +495,7 @@ def _gaussian_kernels(sigma_cells):
     return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
 
 
-def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
+def _field_hessians_grid(spec, f, grid, sigma_cells, active=None, out=None):
     """Field Hessians of the Gaussian-smoothed ``f`` on the cells the
     boolean ``active`` picks from the flat ``grid`` (every cell for None).
 
@@ -500,8 +507,10 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
     separable pass: entry (a, b) is a banded product per axis with the
     moment-exact kernels of ``_gaussian_kernels``, each cropping r cells,
     so D^2 (G_sigma * f) comes without a difference stencil; it computes
-    only the entries the field reads.  The active cells are gathered from
-    its contiguous (d, d) planes into one (N, d, d) array.
+    only the entries the field reads, and gathers each entry's plane at
+    the active cells' flat indices in the box straight into one (N, d, d)
+    array of real Hessians.  That array is ``out`` when given (over R the
+    result is then ``out`` itself), else a new one.
     """
     d = grid.dim
     kernels = _gaussian_kernels(sigma_cells)
@@ -510,15 +519,15 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None):
     mask = np.ones(grid.shape, bool) if active is None else np.reshape(active, grid.shape)
     hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
     box = [slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
-    keep = np.flatnonzero(mask[tuple(box)])
+    cells = np.flatnonzero(mask[tuple(box)])
     axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
     if isinstance(f, Polytope):
         values = f.support_grid(axes)
     else:
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         values = f(nodes).reshape(tuple(len(x) for x in axes))
-    planes = np.moveaxis(grid_hessian(values, ext.spacing, kernels, spec.field), (-2, -1), (0, 1))
-    return assemble_structured(spec.field, planes.reshape(d * d, -1).T[keep].reshape(-1, d, d))
+    hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells=cells, out=out)
+    return assemble_structured(spec.field, hreal)
 
 
 def _bump_factor(weight, grid: Grid, active, node=None):
@@ -576,7 +585,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     which also crops it.
     A piecewise-linear ``f``, kinked where its pieces meet, needs a
     positive width: a ``Polytope``, its bound ``support`` or a
-    ``PLConvexFunction`` raises at 0.  A negative width, or a positive
+    ``PLConvexFunction`` raises at 0.  A negative or non-finite width
+    (NaN would pass every comparison and skip that check), or a positive
     one with an atom (no grid to smooth on), raises, and so does the grid
     route for a width below 1/8 cell, which has no derivative kernels.
 
@@ -593,8 +603,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     1/(n - i)! here; see ``mixed_det`` for that form.
     """
     atom = spec.atom
-    if sigma_cells < 0 or (atom is not None and sigma_cells > 0):
-        raise ValueError("sigma_cells must be >= 0, and 0 when a weight is a point atom")
+    if not math.isfinite(sigma_cells) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
+        raise ValueError("sigma_cells must be finite and >= 0, and 0 when a weight is a point atom")
     if sigma_cells == 0 and isinstance(getattr(f, "__self__", f), (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
                          "is kinked; pass sigma_cells > 0 to smooth it")
@@ -629,7 +639,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     slots = []
     if spec.degree > 0:
         if sigma_cells > 0:
-            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active)
+            # this thread's buffer: the Hessians are consumed below, before its next grid call
+            out = _thread_buffer("hessians", (len(weight), d, d))
+            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active, out)
         else:
             if grid is None:
                 points = node

@@ -358,6 +358,35 @@ def test_grid_hessian_blocks_match_the_dense_band_bit_for_bit(field, d, sigma):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("field,d", [("R", 1), ("R", 2), ("R", 3), ("C", 2), ("C", 4), ("H", 4)])
+def test_grid_hessian_cells_and_out_match_the_dense_band_bit_for_bit(field, d):
+    # ``cells`` (none, every cell, a random subset) gathers the dense
+    # reference's rows at those flat core indices, and an ``out`` filled
+    # with NaN gets the bytes of a new result, unread entries 0 included
+    kernels = valuation._gaussian_kernels(1.0)
+    r = len(kernels[0]) // 2
+    rng = np.random.default_rng(30 + d)
+    spacing = 0.1 + 0.01 * np.arange(d)
+    shapes = [tuple(_NOUTS[(k + 2 * a) % len(_NOUTS)] for a in range(d)) for k in range(len(_NOUTS))]
+    for shape in shapes + [(1,) * (d - 1) + (44,)]:
+        values = rng.standard_normal(tuple(s + 2 * r for s in shape))
+        ref = _grid_hessian_dense(values, spacing, kernels, field).reshape(-1, d, d)
+        subset = np.flatnonzero(rng.random(len(ref)) < 0.3)
+        for cells in (np.empty(0, int), np.arange(len(ref)), subset):
+            got = grid_hessian(values, spacing, kernels, field, cells=cells)
+            assert got.shape == (len(cells), d, d)
+            assert got.tobytes() == ref[cells].tobytes()
+            out = np.full(got.shape, np.nan)
+            assert grid_hessian(values, spacing, kernels, field, cells=cells, out=out) is out
+            assert out.tobytes() == got.tobytes()
+        out = np.full(ref.shape, np.nan)
+        full = grid_hessian(values, spacing, kernels, field, out=out)
+        assert full.shape == shape + (d, d) and np.shares_memory(full, out)
+        assert out.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="out has shape"):
+            grid_hessian(values, spacing, kernels, field, out=np.empty((len(ref) + 1, d, d)))
+
+
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
 def test_unread_entries_cancel_exactly_in_assembly(field, n):
     # zeroing what grid_hessian leaves unread changes no bit of the field

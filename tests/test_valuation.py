@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +72,15 @@ def test_grid_validation():
         Grid(np.array([0.0]), np.array([0.0]), (4,))
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 0.0]), np.array([1.0, 1.0]), (4,))
+
+
+@pytest.mark.parametrize("lo,hi", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan)),
+                                   ((-math.inf, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.inf))])
+def test_grid_rejects_non_finite_bounds(lo, hi):
+    # a NaN bound passed the hi <= lo check, and an infinite one made the
+    # spacing infinite
+    with pytest.raises(ValueError, match="finite"):
+        Grid(np.array(lo), np.array(hi), (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +412,23 @@ def test_negative_or_atom_smoothing_width_raises_on_every_route():
                  lambda: body_valuation(atom_spec, body, sigma_cells=-1.0),
                  lambda: body_valuation(atom_spec, body, sigma_cells=2.0)):
         with pytest.raises(ValueError, match="sigma_cells"):
+            call()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_non_finite_smoothing_width_raises(sigma):
+    # NaN passed the < 0 and == 0 checks and took the stencil route, which
+    # skipped the kinked-input guard: the R identity spec read 1.85e-34 on
+    # the +-0.35 cube at 16^3, where the grid route reads 0.332 at sigma 2.
+    # An infinite width raised OverflowError from the kernel radius.
+    K = verify._centered_cube(3, 0.35)
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
+    f = PLConvexFunction.from_polytope_support(K)
+    for call in (lambda: eval_valuation(spec, f, grid, sigma_cells=sigma),
+                 lambda: eval_valuation(spec, K.support, grid, sigma_cells=sigma),
+                 lambda: body_valuation(spec, K, grid, sigma_cells=sigma)):
+        with pytest.raises(ValueError, match="finite"):
             call()
 
 
@@ -1353,6 +1381,22 @@ def test_matrix_bump_rejects_plateau_outside_unit_interval(plateau):
         MatrixBump(HermitianMatrix.identity("R", 3), np.zeros(3), 0.5, plateau=plateau)
 
 
+@pytest.mark.parametrize("name,value", [("center", (0.0, math.nan, 0.0)), ("center", (math.inf, 0, 0)),
+                                        ("radius", math.nan), ("radius", math.inf),
+                                        ("height", math.nan), ("height", -math.inf)])
+def test_bump_weights_reject_non_finite_parameters(name, value):
+    # a NaN radius or center made eval_valuation return 0.0 without an
+    # error, and a NaN height returned nan; MatrixBump builds its scalar
+    # as a BumpWeight, so it rejects the same center and radius
+    args = {"center": np.zeros(3), "radius": 0.45, "height": 1.0}
+    args[name] = value
+    with pytest.raises(ValueError, match="finite"):
+        BumpWeight(**args)
+    if name != "height":
+        with pytest.raises(ValueError, match="finite"):
+            MatrixBump(HermitianMatrix.identity("R", 3), args["center"], args["radius"])
+
+
 def test_matrix_bump_scalar_is_the_unit_bump():
     bump = MatrixBump(HermitianMatrix.identity("R", 3), [0.1, 0.0, -0.2], 0.5, 0.4, True)
     ref = BumpWeight(np.array([0.1, 0.0, -0.2]), 0.5, plateau=0.4)
@@ -1380,3 +1424,53 @@ def test_widen_requires_atom():
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.4))
     with pytest.raises(ValueError):
         spec.with_atom_widened(0.1)
+
+
+# ---------------------------------------------------------------------------
+# the grid route's buffers
+# ---------------------------------------------------------------------------
+
+def test_grid_route_threads_get_the_bits_of_a_sequential_run():
+    # each thread owns its grid-route buffers: two threads, each running
+    # one acceptance-05 config (R on 48^3, C on 10^4) 5 times with a short
+    # switch interval, get the bits of the same calls run one by one
+    cases = [verify._identity_config(field, np.random.default_rng(5)) for field in ("R", "C")]
+
+    def run(case):
+        spec, grid, body, sigma = case
+        return [body_valuation(spec, body, grid, sigma_cells=sigma).hex() for _ in range(5)]
+
+    ref = [run(case) for case in cases]
+    got = [None] * len(cases)
+
+    def work(k):
+        got[k] = run(cases[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == ref
+
+
+def test_warmed_r_identity_call_allocates_no_grid_sized_transients():
+    # after one warm-up call the products and the Hessians live in this
+    # thread's buffers, so a traced R identity call (48^3) peaks at about
+    # 3.6 MB, mostly the support samples and the bump on the axes; with a
+    # dict of live products and the full plane stack it peaked at 15.6 MB
+    spec, grid, body, sigma = verify._identity_config("R", np.random.default_rng(0))
+    body_valuation(spec, body, grid, sigma_cells=sigma)
+    tracemalloc.start()
+    try:
+        body_valuation(spec, body, grid, sigma_cells=sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
