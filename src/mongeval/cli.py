@@ -160,7 +160,8 @@ def validate_config(name: str, config: dict) -> dict:
 
     A key is an option's flag name, as ``mongeval run --help`` lists it
     (``pairs``, not the parameter name ``n_pairs``); any other key raises
-    with the keys the experiment takes.
+    with the keys the experiment takes.  ``body`` and ``bodies`` together
+    raise too: each one picks volume-identity's bodies.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
@@ -174,6 +175,9 @@ def validate_config(name: str, config: dict) -> dict:
             raise ConfigError(f"option {key!r} does not apply to {name}; "
                               f"it takes {', '.join(keys)}")
         kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
+    if "body" in kwargs and "n_bodies" in kwargs:
+        raise ConfigError("body and bodies both pick the bodies; give one: "
+                          "body names one body, bodies counts random shells")
     full = {p: kwargs.get(p, param.default) for p, param in params.items()}
     try:
         if "sigmas_cells" in kwargs:

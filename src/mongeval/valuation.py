@@ -44,7 +44,7 @@ from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
-from .convex import ConvexBody, PLConvexFunction, Polytope
+from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
 from .hessian import _thread_buffer, assemble_structured, fd_hessian_batch, grid_hessian
 
 __all__ = [
@@ -558,41 +558,40 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                    step: float = None, threads: int = 1) -> float:
     """Evaluate the valuation functional on a convex (or C^2) function.
 
-    ``f`` must be vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
-    ``Polytope``, which stands for its support function.  Every spec runs
-    one pipeline: B, the weight w = B * prod s_k per cell, Hessian slots
-    where w != 0, the polarized determinant against the weights' constant
-    matrices M_k, and (n - i)! * cell * sum w * det.  A bump s_k M_k has
-    the factor s_k (over its midpoint mass when normalized), an atom 1.
-    The M_k broadcast, so a subset made only of them costs one
-    determinant.  A B that vanishes on every cell returns 0.0 before any
-    matrix weight is read.  A spec with a point atom has one node, the
-    atom location, with weight 1 and no grid: B and the matrix bumps are
-    read there (f must be C^2 there).  Otherwise ``grid`` supplies the
-    midpoints and the cell volume, B and the matrix bumps are evaluated
-    on its tensor axes (``BumpWeight.on_axes``), and neither Hessian
-    route builds a node array.
+    ``f`` is vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
+    ``Polytope`` for its support function.  Every spec runs one pipeline:
+    B, the weight w = B * prod s_k per cell, Hessian slots where w != 0,
+    the polarized determinant against the weights' constant matrices M_k,
+    and (n - i)! * cell * sum w * det.  A bump s_k M_k has the factor s_k
+    (over its midpoint mass when normalized), an atom 1.  The M_k
+    broadcast, so a subset made only of them costs one determinant.  A B
+    that vanishes on every cell returns 0.0 before any matrix weight is
+    read.  A spec with a point atom has one node, the atom location, with
+    weight 1 and no grid: B and the matrix bumps are read there.
+    Otherwise ``grid`` supplies the midpoints and the cell volume, and B
+    and the matrix bumps are read on its tensor axes (``on_axes``).
 
     ``sigma_cells`` picks the Hessians: 0 means difference stencils at the
-    active midpoints, gathered from the axes and split into fixed blocks
-    of 8,192 nodes over ``threads``, one call of ``f`` per block; a
-    positive width means the smoothed grid route: f is sampled on the
-    active cells' bounding box, extended by exactly the kernel radius
-    ``int(4 sigma + 0.5)``, in one call (a polytope on the tensor grid by
-    ``Polytope.support_grid``), and each Hessian entry the field reads,
-    of the Gaussian of ``sigma_cells`` cells convolved with f, is one
-    banded matrix product per axis with a derivative-of-Gaussian kernel,
-    which also crops it.
-    A piecewise-linear ``f``, kinked where its pieces meet, needs a
-    positive width: a ``Polytope``, its bound ``support`` or a
-    ``PLConvexFunction`` raises at 0.  A negative or non-finite width
-    (NaN would pass every comparison and skip that check), or a positive
-    one with an atom (no grid to smooth on), raises, and so does the grid
-    route for a width below 1/8 cell, which has no derivative kernels.
+    active midpoints, in fixed blocks of 8,192 nodes over ``threads``, one
+    call of ``f`` per block; a positive width means the smoothed grid
+    route: f is sampled on the active cells' bounding box plus the kernel
+    radius ``int(4 sigma + 0.5)`` in one call, and each Hessian entry the
+    field reads, of the Gaussian of ``sigma_cells`` cells convolved with
+    f, is one banded product per axis with a derivative-of-Gaussian kernel.
 
-    Only active cells, where B and every matrix bump are nonzero, get
-    Hessians and determinants: the others add exactly 0 * det.  So a
-    non-finite ``f`` near inactive cells alone does not raise.
+    One contract holds for every form of h_K and both routes:
+
+    - A body's bound ``support`` stands for the body, so a polytope, passed
+      itself or as ``K.support``, is sampled by ``Polytope.support_grid``:
+      both forms give the same bits.
+    - At sigma_cells = 0 a ``Polytope`` or ``PLConvexFunction``, in any
+      form, is kinked and raises; a ``SmoothProfileBody`` support is
+      singular at 0 and raises when the origin lies in the joint support
+      box of B and the matrix bumps.  A negative or non-finite width, or a
+      positive one with an atom or below 1/8 cell, raises.
+    - A sum that is not finite raises ``FloatingPointError``.  Only
+      active cells (B and every bump nonzero) get Hessians, so a
+      non-finite f that no active cell's Hessian reads does not raise.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that
@@ -605,9 +604,17 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     atom = spec.atom
     if not math.isfinite(sigma_cells) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
         raise ValueError("sigma_cells must be finite and >= 0, and 0 when a weight is a point atom")
-    if sigma_cells == 0 and isinstance(getattr(f, "__self__", f), (Polytope, PLConvexFunction)):
+    owner = getattr(f, "__self__", f)  # a bound support's body
+    if sigma_cells == 0 and isinstance(owner, (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
                          "is kinked; pass sigma_cells > 0 to smooth it")
+    f = owner if isinstance(owner, Polytope) else f  # sampled by support_grid
+    singular = sigma_cells == 0 and isinstance(owner, SmoothProfileBody)
+    if singular or atom is None:
+        lo, hi = _joint_support(spec)
+        if singular and np.all(lo <= 0) and np.all(hi >= 0):
+            raise ValueError("origin lies inside the joint weight support but sigma_cells = 0; "
+                             "pass sigma_cells > 0 to smooth the support function")
     d = spec.real_dim
     if atom is not None:
         grid, node, cell = None, atom.location[None, :], 1.0
@@ -620,7 +627,6 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             raise ValueError("a quadrature grid is required unless a weight is a point atom")
         if grid.dim != d:
             raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
-        lo, hi = _joint_support(spec)
         if np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
             return 0.0
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
@@ -654,7 +660,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         slots.extend([hf] * spec.degree)
     slots.extend(w.matrix.data for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
-    return float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
+    value = float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
+    if not math.isfinite(value):
+        raise FloatingPointError(f"the integrand sum {value} is not finite on the active cells")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -663,21 +672,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
                    sigma_cells: float = 0.0, threads: int = 1) -> float:
-    """phi(K) = Phi(h_K): the induced i-homogeneous valuation on bodies.
-
-    Support functions are singular at the origin, so either the joint
-    weight support must avoid 0 and h_K be smooth (sigma_cells = 0: direct
-    stencils) or sigma_cells > 0 selects the smoothed grid route, which
-    also covers polytopal h_K, kinked along its whole normal fan.
-    """
-    lo, hi = _joint_support(spec)
-    if sigma_cells == 0.0 and np.all(lo <= 0) and np.all(hi >= 0):
-        raise ValueError(
-            "origin lies inside the joint weight support but sigma_cells = 0; "
-            "pass sigma_cells > 0 to smooth the support function"
-        )
-    h = K if isinstance(K, Polytope) else K.support  # the grid route samples a polytope itself
-    return eval_valuation(spec, h, grid, sigma_cells=sigma_cells, threads=threads)
+    """phi(K) = Phi(h_K), the induced i-homogeneous valuation on bodies:
+    ``eval_valuation`` on ``K.support``, whose docstring states every rule."""
+    return eval_valuation(spec, K.support, grid, sigma_cells=sigma_cells, threads=threads)
 
 
 def homogeneous_components(phi, K: ConvexBody, max_degree: int):

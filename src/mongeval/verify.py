@@ -495,6 +495,17 @@ NAMED_BODIES = {
 }
 
 
+def _kernel_images(weights, bodies, volumes, grid):
+    """The images of top-degree weights with B(0) = 0 on the bodies, which
+    the body-valuation map sends to 0: the largest |phi(K)| by the exact PL
+    route and the largest |phi(K)| / vol(K) by the smoothed quadrature."""
+    exact = max(abs(pl_valuation(w, cx.PLConvexFunction.from_polytope_support(K)))
+                for w in weights for K in bodies)
+    quad = max(abs(body_valuation(ValuationSpec("R", 3, 3, w), K, grid, sigma_cells=2.0)) / vol
+               for w in weights for K, vol in zip(bodies, volumes))
+    return exact, quad
+
+
 def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
     """Phi(h_K) = B(0) * vol(K) for the top-degree functional over R.
 
@@ -532,16 +543,9 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
 
     # a weight with B(0) = 0: image under the body-valuation map vanishes
     kernel_weight = BumpWeight(np.array([0.25, 0.0, 0.0]), 0.18, 1.0)
-    kernel_spec = ValuationSpec("R", 3, 3, kernel_weight)
-    kernel_exact = max(
-        abs(pl_valuation(kernel_weight, cx.PLConvexFunction.from_polytope_support(K)))
-        for K in bodies
-    )
-    kernel_quad = max(
-        abs(body_valuation(kernel_spec, K, grid, sigma_cells=2.0)) / max(1e-30, vol)
-        for K, vol in zip(bodies, volumes)
-    )
-    nonzero = eval_valuation(kernel_spec, lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
+    kernel_exact, kernel_quad = _kernel_images([kernel_weight], bodies, volumes, grid)
+    nonzero = eval_valuation(ValuationSpec("R", 3, 3, kernel_weight),
+                             lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
     checks += [
         ("B(0) = 0: exact image on bodies is 0", kernel_exact, 0.0, 1e-12),
         ("B(0) = 0: quadrature image relative to vol", kernel_quad, 0.0, 0.02),
@@ -638,16 +642,9 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
 
     rng = np.random.default_rng(seed)
     kernel_bodies = [cx.random_shell_polytope(rng) for _ in range(5)]
-    kernel_image = max(
-        abs(pl_valuation(w, cx.PLConvexFunction.from_polytope_support(K)))
-        for w in kweights for K in kernel_bodies
-    )
-    kgrid = Grid.cube(np.zeros(3), 0.5, 48, 3)
-    kernel_vols = [hull_volume(K.vertices) for K in kernel_bodies]
-    kernel_image_quad = max(
-        abs(body_valuation(ks, K, kgrid, sigma_cells=2.0)) / vol
-        for ks in kspecs for K, vol in zip(kernel_bodies, kernel_vols)
-    )
+    kernel_image, kernel_image_quad = _kernel_images(
+        kweights, kernel_bodies, [hull_volume(K.vertices) for K in kernel_bodies],
+        Grid.cube(np.zeros(3), 0.5, 48, 3))
 
     checks = [
         ("halving ratio (coarsest)", ratios[0], 2.0, 0.5),

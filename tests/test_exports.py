@@ -176,3 +176,16 @@ def test_every_experiment_parameter_is_read():
                       if a.arg not in read)
     assert unread == set(_REPORT_ONLY), \
         f"parameters read only into the report: {sorted(unread)}, allowed: {sorted(_REPORT_ONLY)}"
+
+
+def test_readme_library_example_prints_its_values():
+    # the README's example says it prints 1/3 and 4/3 (0.3333332 and
+    # 1.3333327); run its code block as written, from the package exports
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = []
+    exec(compile(code, "README.md", "exec"), {"print": printed.append})
+    assert len(printed) == 2
+    for value, expected in zip(printed, (1 / 3, 4 / 3)):
+        assert abs(value - expected) <= 0.01 * expected

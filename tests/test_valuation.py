@@ -18,6 +18,7 @@ from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_ba
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
+    ball_body,
     generate_union_convex_pair,
     make_two_ball_body,
     random_shell_polytope,
@@ -512,6 +513,139 @@ def test_homogeneous_components_constant():
     comps = homogeneous_components(lambda K: 2.5, unit_cube(3), 3)
     assert np.isclose(comps[0], 2.5)
     assert np.abs(comps[1:]).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# phi(K) = Phi(h_K): one contract for every form of h_K
+# ---------------------------------------------------------------------------
+
+def _contract_cases():
+    """spec name -> (spec, grid) for a joint support that holds the
+    origin, one that avoids it, one with an atom, and the R identity
+    configuration."""
+    v0 = np.array([1.0, 0, 0])
+    grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
+    atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
+    identity, identity_grid, _body, _sigma = verify._identity_config("R", None)
+    return {
+        "origin": (ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.5)), grid),
+        "off-origin": (ValuationSpec("R", 3, 3, BumpWeight(np.array([0.25, 0, 0]), 0.18)), grid),
+        "atom": (ValuationSpec("R", 3, 2, BumpWeight(v0, 0.5, plateau=0.5), (atom,)), None),
+        "identity-R": (identity, identity_grid),
+    }
+
+
+_CONTRACT_BODIES = {
+    "polytope": lambda: verify._centered_cube(3, 0.35),  # the R identity body
+    "ball": lambda: ball_body(3, 0.3),
+}
+
+# (spec, body, sigma) -> the message of the ValueError every form raises,
+# or None where every form returns the same bits
+_CONTRACT = {
+    ("origin", "polytope", 0.0): "kinked",
+    ("origin", "polytope", 2.0): None,
+    ("origin", "ball", 0.0): "origin lies inside the joint weight support",
+    ("origin", "ball", 2.0): None,
+    ("off-origin", "polytope", 0.0): "kinked",
+    ("off-origin", "polytope", 2.0): None,
+    ("off-origin", "ball", 0.0): None,
+    ("off-origin", "ball", 2.0): None,
+    ("atom", "polytope", 0.0): "kinked",
+    ("atom", "polytope", 2.0): "sigma_cells",
+    ("atom", "ball", 0.0): None,
+    ("atom", "ball", 2.0): "sigma_cells",
+    ("identity-R", "polytope", 2.0): None,
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec_name,body_name,sigma", sorted(_CONTRACT))
+def test_body_valuation_is_eval_valuation_of_the_support(spec_name, body_name, sigma):
+    # body_valuation raised for the ball at the origin spec, where the
+    # bound support read 3.45e-5 for B(0) vol = 0.113, and a polytope's
+    # bound support was sampled node by node: 3.2e-16 relative off K itself
+    # on the R identity configuration
+    spec, grid = _contract_cases()[spec_name]
+    K = _CONTRACT_BODIES[body_name]()
+    forms = [lambda: body_valuation(spec, K, grid, sigma_cells=sigma),
+             lambda: eval_valuation(spec, K.support, grid, sigma_cells=sigma)]
+    if isinstance(K, Polytope):
+        forms.append(lambda: eval_valuation(spec, K, grid, sigma_cells=sigma))
+    outcomes = [_outcome(form) for form in forms]
+    message = _CONTRACT[spec_name, body_name, sigma]
+    if message is None:
+        assert all(type(o) is float for o in outcomes), outcomes
+        assert len(set(outcomes)) == 1, outcomes
+    else:
+        assert all(isinstance(o, str) and message in o for o in outcomes), outcomes
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_f_raises_on_both_routes(bad, sigma):
+    # the grid route returned nan without an error
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
+    quad = quadratic(np.eye(3))
+    f = lambda x: np.where(np.asarray(x)[..., 0] > 0.3, bad, quad(x))
+    assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=sigma))
+    with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):
+        eval_valuation(spec, f, grid, sigma_cells=sigma)  # the products warn on nan
+
+
+_SHIFTS = {"small": np.array([0.3, -0.2, 0.1]), "large": np.array([2.0, 1.0, -3.0])}
+
+
+def _translation_cases():
+    """route -> (phi on bodies, bodies, tolerance, shifts it is gated on):
+    the exact and grid routes at 1e-12 for every shift, the stencil
+    routes at 1e-9 for |x| <= 1."""
+    B = BumpWeight(np.zeros(3), 0.45, plateau=0.7)
+    shells = [verify._centered_cube(3, 0.35), random_shell_polytope(np.random.default_rng(3))]
+    r_spec, r_grid, _body, r_sigma = verify._identity_config("R", None)
+    c_spec, c_grid, c_body, c_sigma = verify._identity_config("C", np.random.default_rng(0))
+    v0 = np.array([1.0, 0, 0])
+    weights = (MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0),
+               MatrixBump(HermitianMatrix("R", np.diag([0.0, 1, 0])), v0, 0.5, plateau=0.5))
+    parity = ValuationSpec("R", 3, 1, BumpWeight(v0, 0.5, plateau=0.5), weights)
+    wide_grid = Grid.cube(v0, 0.075, 12, 3)
+    two_ball = [make_two_ball_body(3)]
+    return {
+        "exact": (lambda K: pl_valuation(B, PLConvexFunction.from_polytope_support(K)),
+                  shells, 1e-12, ("small", "large")),
+        "grid-R": (lambda K: body_valuation(r_spec, K, r_grid, sigma_cells=r_sigma),
+                   shells, 1e-12, ("small", "large")),
+        "grid-C": (lambda K: body_valuation(c_spec, K, c_grid, sigma_cells=c_sigma),
+                   [c_body], 1e-12, ("small", "large")),
+        "atom": (lambda K: body_valuation(parity, K), two_ball, 1e-9, ("small",)),
+        "widened-bump": (lambda K: body_valuation(parity.with_atom_widened(0.075), K, wide_grid),
+                         two_ball, 1e-9, ("small",)),
+    }
+
+
+@pytest.mark.parametrize("route", ["exact", "grid-R", "grid-C", "atom", "widened-bump"])
+def test_body_valuations_are_translation_invariant(route):
+    # phi(K + x) = phi(K): h_{K+x} = h_K + <x, .>, and a linear term adds
+    # nothing to a Hessian.  Negative control: phi + h_K(e_1) moves by x_1.
+    phi, bodies, tol, shifts = _translation_cases()[route]
+    for K in bodies:
+        base = phi(K)
+        e1 = np.eye(K.dim)[0]
+        assert base != 0.0
+        for name in shifts:
+            x = np.resize(_SHIFTS[name], K.dim)
+            moved = phi(K.translate(x))
+            assert abs(moved - base) <= tol * abs(base), (name, moved, base)
+            mutated = (moved + K.translate(x).support(e1)) - (base + K.support(e1))
+            assert abs(mutated - x[0]) <= 1e-9 + tol * abs(base)
+            assert abs(mutated) > tol * abs(base)  # the gate sees the control
 
 
 # ---------------------------------------------------------------------------

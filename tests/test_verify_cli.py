@@ -325,6 +325,26 @@ def test_cli_unknown_body_exits_two(tmp_path, capsys, command):
     assert not os.path.exists(os.path.join(tmp_path, "volume-identity.json"))
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_body_and_bodies_together_exit_two(tmp_path, capsys, monkeypatch, command):
+    # run volume-identity --body cube3 --bodies 7 dropped --bodies without a
+    # word, and its report read "bodies": "cube3"
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ConfigError, match="body and bodies"):
+        validate_config("volume-identity", {"body": "cube3", "bodies": 7})
+    out = str(tmp_path / "r")
+    if command == "run":
+        argv = ["run", "volume-identity", "--body", "cube3", "--bodies", "7", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "cube3",
+                                   "bodies": 7}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    assert "invalid config: body and bodies" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_validate_config_accepts_named_bodies():
     for name in ("cube3", "ccube3", "simplex3"):
         assert validate_config("volume-identity", {"body": name})["body"] == name
