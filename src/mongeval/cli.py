@@ -9,7 +9,8 @@ is byte-identical across reruns and across --threads settings.
 The options of ``run`` are the keyword parameters of the experiment
 functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
 its value is read, from a flag or from a config file alike.  A config
-file's keys are the flag names.
+file's keys are the flag names.  Rules of one experiment are its own
+registry check in ``verify``, which its library call applies too.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import sys
 import time
 
 from .serialize import write_json_atomic
-from .verify import (EXPERIMENTS, NAMED_BODIES, parity_shape, perturbation_schedule,
-                     run_experiment, smoothing_schedule)
+from .verify import EXPERIMENTS, NAMED_BODIES, run_experiment
 
 # parameter -> flag, where the flag is not the parameter's own name
 _FLAG_NAMES = {
     "n_pairs": "pairs",
-    "n_bodies": "bodies",
     "sigmas_cells": "sigmas",
     "eps_schedule": "eps",
 }
@@ -49,8 +48,7 @@ class ConfigError(ValueError):
 
 def _parameters(name) -> dict:
     """The keyword parameters of one experiment, by name."""
-    fn, _desc = EXPERIMENTS[name]
-    return {p.name: p for p in inspect.signature(fn).parameters.values()
+    return {p.name: p for p in inspect.signature(EXPERIMENTS[name][0]).parameters.values()
             if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
 
 
@@ -121,16 +119,13 @@ def _coerce(key, param, value):
     """Read one option as its parameter's default dictates, then check its range."""
     kind = _kind(param.default)
     if kind == "body":
-        if not isinstance(value, str) or value not in NAMED_BODIES:
-            raise ConfigError(f"unknown body {value!r}; choose from {', '.join(NAMED_BODIES)}")
         return value
     try:
         value = _read(kind, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
-    low = 0 if param.name == "seed" else 1
-    if kind == "int" and value < low:
-        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    if kind == "int" and value < min(param.default, 1):  # 0 only where the default is 0
+        raise ConfigError(f"{key} must be at least {min(param.default, 1)}, got {value}")
     if kind in ("floats", "fields") and not value:
         raise ConfigError(f"{key} must not be empty")
     if not all(map(math.isfinite, {"float": [value], "floats": value}.get(kind, []))):
@@ -160,8 +155,8 @@ def validate_config(name: str, config: dict) -> dict:
 
     A key is an option's flag name, as ``mongeval run --help`` lists it
     (``pairs``, not the parameter name ``n_pairs``); any other key raises
-    with the keys the experiment takes.  ``body`` and ``bodies`` together
-    raise too: each one picks volume-identity's bodies.
+    with the keys the experiment takes.  The experiment's registry check
+    then sees every argument, defaults filled in, and raises here too.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
@@ -175,19 +170,12 @@ def validate_config(name: str, config: dict) -> dict:
             raise ConfigError(f"option {key!r} does not apply to {name}; "
                               f"it takes {', '.join(keys)}")
         kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
-    if "body" in kwargs and "n_bodies" in kwargs:
-        raise ConfigError("body and bodies both pick the bodies; give one: "
-                          "body names one body, bodies counts random shells")
-    full = {p: kwargs.get(p, param.default) for p, param in params.items()}
-    try:
-        if "sigmas_cells" in kwargs:
-            smoothing_schedule(kwargs["sigmas_cells"])
-        if "eps_schedule" in full:
-            perturbation_schedule(full["eps_schedule"], full["resolution"])
-        if "dim" in full:
-            parity_shape(full["dim"], full["degree"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check = EXPERIMENTS[name][1]
+    if check is not None:
+        try:
+            check(**{p: kwargs.get(p, param.default) for p, param in params.items()})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return kwargs
 
 
@@ -210,26 +198,19 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         width = max(len(n) for n in EXPERIMENTS)
-        for name, (_fn, desc) in sorted(EXPERIMENTS.items()):
+        for name, (_fn, _check, desc) in sorted(EXPERIMENTS.items()):
             print(f"{name.ljust(width)}  {desc}")
         return 0
 
-    if args.command == "validate-config":
-        try:
-            config = _read_config(args.path)
-            name = config.get("experiment")
-            if not name:
-                raise ConfigError("config must name an 'experiment'")
-            validate_config(name, config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        print("config ok")
-        return 0
-
-    # run
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
+        if args.command == "validate-config":
+            config = _read_config(args.path)
+            if not config.get("experiment"):
+                raise ConfigError("config must name an 'experiment'")
+            validate_config(config["experiment"], config)
+            print("config ok")
+            return 0
+        names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         config = _read_config(args.config) if args.config else {}
         config.update((key, getattr(args, key)) for key in options
                       if getattr(args, key) is not None)

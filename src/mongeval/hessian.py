@@ -86,22 +86,26 @@ def _stencil_offsets(d, cross):
     return offsets, pairs
 
 
-def _stencil_values(f, points, step, cross):
-    """Values of ``f`` on the central-difference stencil around each row.
-
-    Row k of the returned (K, N) array is f at points + h * offsets[k], for
-    the rows of ``_stencil_offsets(d, cross)``.  The step is h = step * (1 +
-    |x|) per row, and ``step`` must be finite and > 0.  All K * N points come
-    from one broadcast and go to ``f`` in one (K * N, d) call, offset-major.
-    Returns (values, h, pairs).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    N, d = points.shape
+def _stencil_steps(points, step=None):
+    """The stencil step h = step * (1 + |x|) of each row (DEFAULT_STEP for None)."""
     if step is None:
         step = DEFAULT_STEP
     elif not (np.isfinite(step) and step > 0):
         raise ValueError(f"stencil step must be finite and > 0, got {step!r}")
-    h = step * (1.0 + np.linalg.norm(points, axis=1))  # (N,)
+    return step * (1.0 + np.linalg.norm(points, axis=-1))
+
+
+def _stencil_values(f, points, step, cross):
+    """Values of ``f`` on the central-difference stencil around each row.
+
+    Row k of the returned (K, N) array is f at points + h * offsets[k], for
+    the rows of ``_stencil_offsets(d, cross)``, with h from
+    ``_stencil_steps``.  All K * N points come from one broadcast and go to
+    ``f`` in one (K * N, d) call, offset-major.  Returns (values, h, pairs).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    N, d = points.shape
+    h = _stencil_steps(points, step)  # (N,)
 
     offsets, pairs = _stencil_offsets(d, cross)
     stencil = h[:, None] * offsets[:, None, :]  # (K, N, d)

@@ -45,7 +45,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
-from .hessian import _thread_buffer, assemble_structured, fd_hessian_batch, grid_hessian
+from .hessian import (_stencil_steps, _thread_buffer, assemble_structured, fd_hessian_batch,
+                      grid_hessian)
 
 __all__ = [
     "Grid",
@@ -587,8 +588,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     - At sigma_cells = 0 a ``Polytope`` or ``PLConvexFunction``, in any
       form, is kinked and raises; a ``SmoothProfileBody`` support is
       singular at 0 and raises when the origin lies in the joint support
-      box of B and the matrix bumps.  A negative or non-finite width, or a
-      positive one with an atom or below 1/8 cell, raises.
+      box of B and the matrix bumps (with an atom: in its stencil).  A
+      negative or non-finite width, or a positive one with an atom or below
+      1/8 cell, raises.
     - A sum that is not finite raises ``FloatingPointError``.  Only
       active cells (B and every bump nonzero) get Hessians, so a
       non-finite f that no active cell's Hessian reads does not raise.
@@ -610,11 +612,14 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                          "is kinked; pass sigma_cells > 0 to smooth it")
     f = owner if isinstance(owner, Polytope) else f  # sampled by support_grid
     singular = sigma_cells == 0 and isinstance(owner, SmoothProfileBody)
-    if singular or atom is None:
+    if atom is None:
         lo, hi = _joint_support(spec)
-        if singular and np.all(lo <= 0) and np.all(hi >= 0):
-            raise ValueError("origin lies inside the joint weight support but sigma_cells = 0; "
-                             "pass sigma_cells > 0 to smooth the support function")
+    elif singular:  # the Hessian is read only on the atom's stencil
+        reach = _stencil_steps(atom.location, step)
+        lo, hi = atom.location - reach, atom.location + reach
+    if singular and np.all(lo <= 0) and np.all(hi >= 0):
+        raise ValueError("origin lies inside the joint weight support (or the atom's stencil) "
+                         "but sigma_cells = 0; h_K is singular there (smooth it on a grid)")
     d = spec.real_dim
     if atom is not None:
         grid, node, cell = None, atom.location[None, :], 1.0

@@ -352,15 +352,15 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # experiment: continuity of the smoothed route
 # ---------------------------------------------------------------------------
 
-def smoothing_schedule(sigmas_cells):
-    """The continuity schedule as floats.
+def smoothing_schedule(sigmas_cells, **_):
+    """continuity's check: its schedule as floats.
 
-    Raises ValueError unless it is non-empty, every width is at least one
-    cell and the widths strictly decrease.
+    Raises ValueError unless it has two or more widths (one would pass the
+    monotone check vacuously), each at least one cell, strictly decreasing.
     """
     sigmas = [float(s) for s in sigmas_cells]
-    if not sigmas:
-        raise ValueError("smoothing schedule is empty")
+    if len(sigmas) < 2:
+        raise ValueError(f"smoothing schedule needs at least two widths, got {sigmas}")
     if any(s < 1.0 for s in sigmas):
         raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
@@ -411,8 +411,8 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-def parity_shape(dim, degree):
-    """(n, i) for parity-break as ints.
+def parity_shape(dim, degree, **_):
+    """parity-break's check: (n, i) as ints.
 
     Raises ValueError unless 1 <= i <= n - 1 and n <= 5: each width
     differences a 12^n-cell grid, whose float64 Hessians alone take 14 GB
@@ -495,6 +495,12 @@ NAMED_BODIES = {
 }
 
 
+def named_body(body, **_):
+    """volume-identity's check: ``body`` is None (ten random shells) or named."""
+    if body is not None and not (isinstance(body, str) and body in NAMED_BODIES):
+        raise ValueError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
+
+
 def _kernel_images(weights, bodies, volumes, grid):
     """The images of top-degree weights with B(0) = 0 on the bodies, which
     the body-valuation map sends to 0: the largest |phi(K)| by the exact PL
@@ -506,7 +512,7 @@ def _kernel_images(weights, bodies, volumes, grid):
     return exact, quad
 
 
-def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
+def volume_identity(b_height=1.0, body=None, seed=0):
     """Phi(h_K) = B(0) * vol(K) for the top-degree functional over R.
 
     The exact route reads the PL measure of h_K (a single atom at the
@@ -515,11 +521,10 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
     origin lands in the kernel of the body-valuation map: its exact route
     gives 0, while the functional itself stays nonzero on a quadratic.
     """
+    named_body(body)
     rng = np.random.default_rng(seed)
-    if body is not None:
-        bodies = [NAMED_BODIES[body]()]
-    else:
-        bodies = [cx.random_shell_polytope(rng) for _ in range(int(n_bodies))]
+    bodies = ([NAMED_BODIES[body]()] if body is not None else
+              [cx.random_shell_polytope(rng) for _ in range(10)])
 
     weight = BumpWeight(np.zeros(3), 0.45, float(b_height), plateau=0.7)
     spec = ValuationSpec("R", 3, 3, weight)
@@ -554,7 +559,7 @@ def volume_identity(n_bodies=10, b_height=1.0, body=None, seed=0):
     ]
     return ExperimentReport(
         "volume-identity",
-        {"bodies": body if body else int(n_bodies), "b_height": b_height, "seed": seed},
+        {"bodies": body if body else 10, "b_height": b_height, "seed": seed},
         checks,
         {"volumes": volumes, "exact_errors": exact_errs, "quad_rel_errors": quad_errs,
          "kernel_nonzero_value": nonzero},
@@ -572,15 +577,17 @@ def _bump4(x, center=0.0, radius=0.45):
     return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
 
 
-def perturbation_schedule(eps_schedule, resolution):
-    """The kernel-laplacian schedule as floats, and the smallest eigenvalue
-    of I + eps Hess(psi) over every fifth node of its grid, at the largest
-    eps.
+def perturbation_schedule(eps_schedule, resolution, **_):
+    """kernel-laplacian's check: its schedule as floats, and the smallest
+    eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
+    the largest eps.
 
-    Raises ValueError unless the schedule is non-empty and
-    |x|^2/2 + eps psi is convex there, hence for every smaller eps.
+    Raises ValueError unless it has two or more values (for a halving
+    ratio) and |x|^2/2 + eps psi is convex there, hence for smaller eps.
     """
     eps = [float(e) for e in eps_schedule]
+    if len(eps) < 2:
+        raise ValueError(f"perturbation schedule needs at least two eps values, got {eps}")
     nodes = Grid.cube(np.zeros(3), 0.5, int(resolution), 3).nodes()
     hpsi = fd_hessian_batch(_bump4, nodes[::5])
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
@@ -669,33 +676,36 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
 # registry
 # ---------------------------------------------------------------------------
 
+#: name -> (experiment, its check, what it checks).  A check takes all the
+#: experiment's keyword arguments and raises ValueError on inputs it
+#: rejects; the experiment calls it first.  None: no rule beyond types.
 EXPERIMENTS = {
     "valuation-identity": (
-        valuation_identity,
+        valuation_identity, None,
         "max/min additivity of weighted mixed-Hessian-determinant integrals "
         "over union-convex support-function pairs, all four scalar fields",
     ),
     "linear-invariance": (
-        linear_invariance,
+        linear_invariance, None,
         "invariance of the functionals under adding linear terms to the argument",
     ),
     "continuity": (
-        continuity,
+        continuity, smoothing_schedule,
         "smoothed quadrature converges to the exact piecewise-linear value "
         "as the smoothing width shrinks",
     ),
     "parity-break": (
-        parity_break,
+        parity_break, parity_shape,
         "two-ball body valuation with values 1/binom(n,i) at K and "
         "2^i/binom(n,i) at -K: neither even nor odd",
     ),
     "volume-identity": (
-        volume_identity,
+        volume_identity, named_body,
         "top-degree functional of a support function equals B(0) times the "
         "body volume; weights vanishing at 0 induce the zero body valuation",
     ),
     "kernel-laplacian": (
-        kernel_laplacian,
+        kernel_laplacian, perturbation_schedule,
         "first-order response of the determinant integral around |x|^2/2 is "
         "the B-weighted Laplacian; exhibits independent kernel weights",
     ),
@@ -705,5 +715,4 @@ EXPERIMENTS = {
 def run_experiment(name, **kwargs) -> ExperimentReport:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    fn, _desc = EXPERIMENTS[name]
-    return fn(**kwargs)
+    return EXPERIMENTS[name][0](**kwargs)

@@ -125,7 +125,7 @@ def test_acceptance_03_parity_breaking_values():
 
 def test_acceptance_04_volume_identity():
     t0 = time.perf_counter()
-    rep = volume_identity(n_bodies=10, seed=104)
+    rep = volume_identity(seed=104)
     _report(4, "Phi(h_K) = B(0) vol(K): exact to 1e-9, quadrature to 2%",
             rep.passed, time.perf_counter() - t0, 60)
 

@@ -97,6 +97,27 @@ def test_tracer_patch_points_are_on_the_grid_route(monkeypatch):
     assert calls["gaussian_filter"] >= 1
 
 
+def _verify_imports(module):
+    """Names that ``mongeval.<module>`` imports from ``verify``; the module
+    itself, imported whole, counts as ``"verify"``."""
+    with open(os.path.join(os.path.dirname(mongeval.__file__), f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("verify", "mongeval.verify"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("verify" for alias in node.names if alias.name.endswith("verify"))
+    return names
+
+
+def test_cli_imports_no_experiment_rule():
+    # each experiment's argument rules are its registry check in verify; a
+    # rule imported into the CLI would hold for a CLI run and not for a
+    # library call.  NAMED_BODIES names the bodies in ``--help``.
+    assert _verify_imports("cli") == {"EXPERIMENTS", "NAMED_BODIES", "run_experiment"}
+
+
 def _workload_calls():
     """(name, target, positional count, keywords) of every call into
     ``mongeval.verify``, ``valuation`` or ``convex`` in the benchmark's
@@ -161,7 +182,7 @@ def test_every_experiment_parameter_is_read():
     from mongeval.verify import EXPERIMENTS
 
     unread = set()
-    for fn, _desc in EXPERIMENTS.values():
+    for fn, _check, _desc in EXPERIMENTS.values():
         func = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
         reported = set()
         for call in ast.walk(func):

@@ -521,16 +521,22 @@ def test_homogeneous_components_constant():
 
 def _contract_cases():
     """spec name -> (spec, grid) for a joint support that holds the
-    origin, one that avoids it, one with an atom, and the R identity
+    origin, one that avoids it, an atom at e_1 with B near it or with B
+    over the origin too, an atom at the origin, and the R identity
     configuration."""
     v0 = np.array([1.0, 0, 0])
     grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
     atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), v0)
+    at_origin = MatrixAtom(atom.matrix, np.zeros(3))
     identity, identity_grid, _body, _sigma = verify._identity_config("R", None)
     return {
         "origin": (ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.5)), grid),
         "off-origin": (ValuationSpec("R", 3, 3, BumpWeight(np.array([0.25, 0, 0]), 0.18)), grid),
         "atom": (ValuationSpec("R", 3, 2, BumpWeight(v0, 0.5, plateau=0.5), (atom,)), None),
+        "atom-wide-B": (ValuationSpec("R", 3, 2, BumpWeight(np.array([0.5, 0, 0]), 0.6),
+                                      (atom,)), None),
+        "atom-origin": (ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.5), (at_origin,)),
+                        None),
         "identity-R": (identity, identity_grid),
     }
 
@@ -538,6 +544,7 @@ def _contract_cases():
 _CONTRACT_BODIES = {
     "polytope": lambda: verify._centered_cube(3, 0.35),  # the R identity body
     "ball": lambda: ball_body(3, 0.3),
+    "two-ball": lambda: make_two_ball_body(3),
 }
 
 # (spec, body, sigma) -> the message of the ValueError every form raises,
@@ -555,6 +562,10 @@ _CONTRACT = {
     ("atom", "polytope", 2.0): "sigma_cells",
     ("atom", "ball", 0.0): None,
     ("atom", "ball", 2.0): "sigma_cells",
+    # the atom's Hessian is read only on its stencil, so B's box may hold
+    # the origin; this raised "origin lies inside the joint weight support"
+    ("atom-wide-B", "two-ball", 0.0): None,
+    ("atom-origin", "ball", 0.0): "origin lies inside",
     ("identity-R", "polytope", 2.0): None,
 }
 

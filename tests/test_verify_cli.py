@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -179,13 +180,6 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert abs(obs[0] - 1 / 3) < 0.01 and abs(obs[1] - 2 / 3) < 0.01
 
 
-def test_cli_invalid_degree_is_config_error(tmp_path, capsys):
-    code = main(["run", "parity-break", "--degree", "9", "--dim", "3",
-                 "--out", str(tmp_path)])
-    assert code == 2
-    assert "degree out of range 1..2" in capsys.readouterr().err
-
-
 def test_cli_unknown_experiment(tmp_path, capsys):
     assert main(["run", "nonsense", "--out", str(tmp_path)]) == 2
 
@@ -225,12 +219,21 @@ def test_cli_threads_byte_identical_reports(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name,option", [("continuity", "seed"), ("continuity", "threads"),
-                                         ("volume-identity", "threads")])
+                                         ("volume-identity", "threads"),
+                                         ("volume-identity", "bodies")])
 def test_cli_option_an_experiment_does_not_read_exits_two(tmp_path, capsys, name, option):
-    value = "3" if option == "seed" else "2"
+    # no experiment takes --bodies (volume-identity draws ten shells), so
+    # the parser itself rejects it
+    value = {"seed": "3", "bodies": "7"}.get(option, "2")
     out = str(tmp_path / "r")
-    assert main(["run", name, f"--{option}", value, "--out", out]) == 2
-    assert f"option '{option}' does not apply to {name}" in capsys.readouterr().err
+    try:
+        code = main(["run", name, f"--{option}", value, "--out", out])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"option '{option}' does not apply to {name}" in err
+            or option == "bodies" and "unrecognized arguments: --bodies 7" in err)
     assert not os.path.exists(out)
 
 
@@ -276,7 +279,7 @@ def test_cli_failing_experiment_exits_one(tmp_path, monkeypatch):
     def fake(**kwargs):
         return ExperimentReport("parity-break", {}, [("x", 1.0, 0.0, 0.1)])
 
-    monkeypatch.setitem(v.EXPERIMENTS, "parity-break", (fake, "doc"))
+    monkeypatch.setitem(v.EXPERIMENTS, "parity-break", (fake, None, "doc"))
     code = main(["run", "parity-break", "--out", str(tmp_path), "--quiet"])
     assert code == 1
     with open(os.path.join(tmp_path, "parity-break.json")) as fh:
@@ -310,38 +313,47 @@ def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
     assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate-config", "run"])
-def test_cli_unknown_body_exits_two(tmp_path, capsys, command):
-    if command == "run":
-        argv = ["run", "volume-identity", "--body", "nosuch", "--out", str(tmp_path)]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "nosuch"}))
-        argv = ["validate-config", str(cfg)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "unknown body 'nosuch'" in err
-    assert all(name in err for name in ("cube3", "ccube3", "simplex3"))
-    assert not os.path.exists(os.path.join(tmp_path, "volume-identity.json"))
+# one bad input per rule of each registry check: (experiment, config keyed
+# by flag name, part of the message)
+_CHECK_RULES = {
+    "continuity-one-width": ("continuity", {"sigmas": [3.0]}, "at least two widths"),
+    "continuity-subcell": ("continuity", {"sigmas": [2.0, 0.5]}, "sigma < 1 cell"),
+    "continuity-increasing": ("continuity", {"sigmas": [1.5, 3.0, 6.0]}, "strictly decrease"),
+    "kernel-laplacian-one-eps": ("kernel-laplacian", {"eps": [0.01]}, "at least two eps"),
+    "kernel-laplacian-nonconvex": ("kernel-laplacian", {"eps": [5.0, 1.0], "resolution": 8},
+                                   "f_eps is not convex at eps=5.0"),
+    "parity-break-dim": ("parity-break", {"dim": 6}, "dim 6 is above 5"),
+    "parity-break-degree": ("parity-break", {"dim": 3, "degree": 9}, "degree out of range 1..2"),
+    "volume-identity-body": ("volume-identity", {"body": "nosuch"},
+                             "unknown body 'nosuch'; choose from cube3, ccube3, simplex3"),
+}
 
 
-@pytest.mark.parametrize("command", ["validate-config", "run"])
-def test_cli_body_and_bodies_together_exit_two(tmp_path, capsys, monkeypatch, command):
-    # run volume-identity --body cube3 --bodies 7 dropped --bodies without a
-    # word, and its report read "bodies": "cube3"
+def test_check_rules_cover_every_check():
+    assert {name for name, _config, _msg in _CHECK_RULES.values()} == {
+        name for name, (_fn, check, _desc) in EXPERIMENTS.items() if check is not None}
+
+
+@pytest.mark.parametrize("rule", sorted(_CHECK_RULES))
+def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rule):
+    # a rule that only the CLI knew let a library call run until it failed
+    # (kernel_laplacian(eps_schedule=(0.01,)) raised IndexError after every
+    # valuation), and one that only the library knew passed validate-config
+    name, config, message = _CHECK_RULES[rule]
+    for fn in ("eval_valuation", "body_valuation", "pl_valuation"):
+        monkeypatch.setattr(verify, fn, lambda *a, **kw: pytest.fail("computed"))
+    params = {flag: param for param, flag in cli._FLAG_NAMES.items()}
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        EXPERIMENTS[name][0](**{params.get(k, k): v for k, v in config.items()})
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
-    with pytest.raises(ConfigError, match="body and bodies"):
-        validate_config("volume-identity", {"body": "cube3", "bodies": 7})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": name, **config}))
     out = str(tmp_path / "r")
-    if command == "run":
-        argv = ["run", "volume-identity", "--body", "cube3", "--bodies", "7", "--out", out]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "cube3",
-                                   "bodies": 7}))
-        argv = ["validate-config", str(cfg)]
-    assert main(argv) == 2
-    assert "invalid config: body and bodies" in capsys.readouterr().err
+    flags = [a for k, v in config.items()
+             for a in (f"--{k}", ",".join(map(str, v)) if isinstance(v, list) else str(v))]
+    for argv in (["validate-config", str(cfg)], ["run", name, *flags, "--out", out]):
+        assert main(argv) == 2
+        assert f"invalid config: {exc.value}\n" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -377,7 +389,7 @@ def test_cli_run_flags_are_pinned():
     # added, renamed or removed there must show up here
     assert _run_flags() == {
         "--fields", "--pairs", "--trials", "--dim", "--degree", "--widths", "--sigmas",
-        "--eps", "--resolution", "--bodies", "--body", "--b-height", "--seed", "--threads",
+        "--eps", "--resolution", "--body", "--b-height", "--seed", "--threads",
         "--config", "--out", "--quiet",
     }
 
