@@ -357,6 +357,21 @@ def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rul
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_unknown_body_exits_two(tmp_path, capsys, command):
+    if command == "run":
+        argv = ["run", "volume-identity", "--body", "nosuch", "--out", str(tmp_path)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "volume-identity", "body": "nosuch"}))
+        argv = ["validate-config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown body 'nosuch'" in err
+    assert all(name in err for name in ("cube3", "ccube3", "simplex3"))
+    assert not os.path.exists(os.path.join(tmp_path, "volume-identity.json"))
+
+
 def test_validate_config_accepts_named_bodies():
     for name in ("cube3", "ccube3", "simplex3"):
         assert validate_config("volume-identity", {"body": name})["body"] == name
