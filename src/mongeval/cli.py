@@ -8,9 +8,9 @@ is byte-identical across reruns and across --threads settings.
 
 The options of ``run`` are the keyword parameters of the experiment
 functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
-its value is read, from a flag or from a config file alike.  A config
-file's keys are the flag names.  Rules of one experiment are its own
-registry check in ``verify``, which its library call applies too.
+its value is read (type, finite numbers, an integer's minimum), from a
+flag or a config file, whose keys are the flag names.  Every other rule
+is the experiment's registry check, which its library call applies too.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def _read(kind, value):
 
 
 def _coerce(key, param, value):
-    """Read one option as its parameter's default dictates, then check its range."""
+    """Read one option as its parameter's default dictates: its type, finite
+    numbers, and an integer's minimum (0 for ``seed``, else 1)."""
     kind = _kind(param.default)
     if kind == "body":
         return value
@@ -124,18 +125,10 @@ def _coerce(key, param, value):
         value = _read(kind, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
-    if kind == "int" and value < min(param.default, 1):  # 0 only where the default is 0
+    if kind == "int" and value < min(param.default, 1):
         raise ConfigError(f"{key} must be at least {min(param.default, 1)}, got {value}")
-    if kind in ("floats", "fields") and not value:
-        raise ConfigError(f"{key} must not be empty")
     if not all(map(math.isfinite, {"float": [value], "floats": value}.get(kind, []))):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    if kind == "floats" and any(v <= 0 for v in value):
-        raise ConfigError(f"{key} entries must be positive")
-    if kind == "fields":
-        bad = [f for f in value if f not in param.default]
-        if bad:
-            raise ConfigError(f"unknown fields {bad}; choose from {', '.join(param.default)}")
     return value
 
 
@@ -151,12 +144,13 @@ def _read_config(path) -> dict:
 
 
 def validate_config(name: str, config: dict) -> dict:
-    """Check names/types/ranges before any computation; returns kwargs.
+    """Read a config before any computation; returns kwargs.
 
     A key is an option's flag name, as ``mongeval run --help`` lists it
     (``pairs``, not the parameter name ``n_pairs``); any other key raises
     with the keys the experiment takes.  The experiment's registry check
-    then sees every argument, defaults filled in, and raises here too.
+    then sees every argument, defaults filled in, and its ValueError is
+    raised here as a ConfigError with the message a library call raises.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")
@@ -170,12 +164,10 @@ def validate_config(name: str, config: dict) -> dict:
             raise ConfigError(f"option {key!r} does not apply to {name}; "
                               f"it takes {', '.join(keys)}")
         kwargs[keys[key]] = _coerce(key, params[keys[key]], value)
-    check = EXPERIMENTS[name][1]
-    if check is not None:
-        try:
-            check(**{p: kwargs.get(p, param.default) for p, param in params.items()})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        EXPERIMENTS[name][1](**{p: kwargs.get(p, param.default) for p, param in params.items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return kwargs
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import convex as cx
-from .algebra import HermitianMatrix, det_batch, polarized_det_batch
+from .algebra import FIELDS, HermitianMatrix, det_batch, polarized_det_batch
 from .hessian import assemble_structured, fd_hessian_batch, fd_laplacian_batch
 from .valuation import (
     BumpWeight,
@@ -99,9 +99,21 @@ def _centered_cube(dim, halfwidth):
     return cx.Polytope(corners)
 
 
+def field_subset(fields, **_):
+    """valuation-identity's and linear-invariance's check: the fields, a
+    non-empty subset of R, C, H, O2, as a tuple (a str is one field)."""
+    fields = (fields,) if isinstance(fields, str) else tuple(fields)
+    if not fields:
+        raise ValueError("fields must not be empty")
+    bad = [f for f in fields if f not in FIELDS]
+    if bad:
+        raise ValueError(f"unknown fields {bad}; choose from {', '.join(FIELDS)}")
+    return fields
+
+
 def _slab_quad(K, rng):
-    """A union-convex pair plus union and intersection bodies of K, cut
-    along a random axis near the 30% and 70% vertex quantiles."""
+    """A union-convex pair of K and its intersection body, cut along a
+    random axis near the 30% and 70% vertex quantiles."""
     axis = int(rng.integers(0, K.dim))
     coords = K.vertices[:, axis]
     s, t = np.quantile(coords, [0.3, 0.7])
@@ -112,8 +124,7 @@ def _slab_quad(K, rng):
     if t - s < 0.08:
         s, t = mid - 0.04, mid + 0.04
     A, B = cx.generate_union_convex_pair(K, s, t, axis)
-    AB = cx.slab_intersection(K, s, t, axis)
-    return A, B, K, AB, {"axis": axis, "s": float(s), "t": float(t)}
+    return A, B, cx.halfspace_clip(A, -np.eye(K.dim)[axis], -s)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +144,11 @@ def _identity_config(field, rng):
         grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
         body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
         sigma = 1.5
-    elif field == "H":
+    else:  # H
         spec = ValuationSpec("H", 1, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7))
         grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
         body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
         sigma = 1.5
-    else:
-        raise ValueError(f"no grid identity configuration for field {field!r}")
     return spec, grid, body, sigma
 
 
@@ -152,7 +161,7 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     phi_union = phi(body)  # the union body is the same for every slab pair
     residuals = []
     for _ in range(n_pairs):
-        A, B, K, AB, _meta = _slab_quad(body, rng)
+        A, B, AB = _slab_quad(body, rng)
         vals = [phi(A), phi(B), phi_union, phi(AB)]
         scale = max(1e-30, max(abs(v) for v in vals))
         residuals.append(abs(vals[2] + vals[3] - vals[0] - vals[1]) / scale)
@@ -160,7 +169,7 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     # clipped by the slab: the sampled maxima then cannot telescope
     cube = _centered_cube(body.dim, 0.35)
     A, B = cx.generate_union_convex_pair(cube, -0.08, 0.08, 0)
-    AB = cx.slab_intersection(cube, -0.08, 0.08, 0)
+    AB = cx.halfspace_clip(A, -np.eye(body.dim)[0], 0.08)
     dirs = cx.unit_directions(body.dim, 256)
     # for R the union body is this cube, whose value is already known
     same = np.array_equal(cube.vertices, body.vertices)
@@ -240,8 +249,7 @@ def valuation_identity(fields=("R", "C", "H", "O2"), n_pairs=20, seed=0, threads
     grid quadrature; O2 probes the integrand pointwise.  A mutated
     functional (adding max f) must break the identity.
     """
-    if isinstance(fields, str):
-        fields = (fields,)
+    fields = field_subset(fields)
     checks = []
     details = {}
     rng = np.random.default_rng(seed)
@@ -289,12 +297,10 @@ def _invariance_case(field, rng):
         fn = _quad_plus_quartic(q, 0.15)
         spec = ValuationSpec("H", 1, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.5))
         return spec, Grid.cube(np.zeros(4), 0.5, 8, 4), fn, np.full(4, 0.3)
-    if field == "O2":
-        p0 = np.concatenate([[1.0], np.full(15, 0.1)])
-        fn = _quad_plus_quartic(np.eye(16), 0.1)
-        atom = MatrixAtom(HermitianMatrix("O2", _random_o2_hermitian(rng)), p0)
-        return ValuationSpec("O2", 2, 1, BumpWeight(p0, 0.5), (atom,)), None, fn, p0
-    raise ValueError(field)
+    p0 = np.concatenate([[1.0], np.full(15, 0.1)])  # O2
+    fn = _quad_plus_quartic(np.eye(16), 0.1)
+    atom = MatrixAtom(HermitianMatrix("O2", _random_o2_hermitian(rng)), p0)
+    return ValuationSpec("O2", 2, 1, BumpWeight(p0, 0.5), (atom,)), None, fn, p0
 
 
 def _quad_plus_quartic(q, amp):
@@ -314,8 +320,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
     rounding, which the chosen step keeps below 1e-9 relative.  A control
     functional f -> f(x0) with x0 != 0 is shifted by every linear term.
     """
-    if isinstance(fields, str):
-        fields = (fields,)
+    fields = field_subset(fields)
     rng = np.random.default_rng(seed)
     checks = []
     details = {}
@@ -411,18 +416,20 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-def parity_shape(dim, degree, **_):
+def parity_shape(dim, degree, widths, **_):
     """parity-break's check: (n, i) as ints.
 
-    Raises ValueError unless 1 <= i <= n - 1 and n <= 5: each width
+    Raises ValueError unless 1 <= i <= n - 1, n <= 5 (each width
     differences a 12^n-cell grid, whose float64 Hessians alone take 14 GB
-    at n = 7.
+    at n = 7) and there are one or more widths, all positive.
     """
     n, i = int(dim), int(degree)
     if n > 5:
         raise ValueError(f"dim {n} is above 5: parity-break differences a 12^dim-cell grid")
     if not 1 <= i <= n - 1:
         raise ValueError(f"degree out of range 1..{n - 1}")
+    if not (len(widths) and all(w > 0 for w in widths)):
+        raise ValueError(f"widths must be one or more positive numbers, got {list(widths)}")
     return n, i
 
 
@@ -436,7 +443,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     atom is also approximated by shrinking normalized bumps, and a round
     ball is the symmetric control with equal values.
     """
-    n, i = parity_shape(dim, degree)
+    n, i = parity_shape(dim, degree, widths)
     from math import comb
 
     body = cx.make_two_ball_body(n)
@@ -582,12 +589,12 @@ def perturbation_schedule(eps_schedule, resolution, **_):
     eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
     the largest eps.
 
-    Raises ValueError unless it has two or more values (for a halving
-    ratio) and |x|^2/2 + eps psi is convex there, hence for smaller eps.
+    Raises ValueError unless it has two or more positive values (for a
+    halving ratio) and |x|^2/2 + eps psi is convex there, hence at every eps.
     """
     eps = [float(e) for e in eps_schedule]
-    if len(eps) < 2:
-        raise ValueError(f"perturbation schedule needs at least two eps values, got {eps}")
+    if len(eps) < 2 or not all(e > 0 for e in eps):
+        raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
     nodes = Grid.cube(np.zeros(3), 0.5, int(resolution), 3).nodes()
     hpsi = fd_hessian_batch(_bump4, nodes[::5])
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
@@ -606,6 +613,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     vanish while the functionals stay distinguishable.
     """
     eps_schedule, min_eig = perturbation_schedule(eps_schedule, resolution)
+    rng = np.random.default_rng(seed)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0)
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, int(resolution), 3)
@@ -647,7 +655,6 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     svals = np.linalg.svd(gram, compute_uv=False)
     independence = float(svals[-1] / svals[0])
 
-    rng = np.random.default_rng(seed)
     kernel_bodies = [cx.random_shell_polytope(rng) for _ in range(5)]
     kernel_image, kernel_image_quad = _kernel_images(
         kweights, kernel_bodies, [hull_volume(K.vertices) for K in kernel_bodies],
@@ -678,15 +685,15 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
 
 #: name -> (experiment, its check, what it checks).  A check takes all the
 #: experiment's keyword arguments and raises ValueError on inputs it
-#: rejects; the experiment calls it first.  None: no rule beyond types.
+#: rejects; the experiment calls it as its first statement.
 EXPERIMENTS = {
     "valuation-identity": (
-        valuation_identity, None,
+        valuation_identity, field_subset,
         "max/min additivity of weighted mixed-Hessian-determinant integrals "
         "over union-convex support-function pairs, all four scalar fields",
     ),
     "linear-invariance": (
-        linear_invariance, None,
+        linear_invariance, field_subset,
         "invariance of the functionals under adding linear terms to the argument",
     ),
     "continuity": (

@@ -199,6 +199,20 @@ def test_every_experiment_parameter_is_read():
         f"parameters read only into the report: {sorted(unread)}, allowed: {sorted(_REPORT_ONLY)}"
 
 
+def test_every_experiment_calls_its_check_first():
+    # a rule that only the CLI applied let a library call run, or pass with
+    # no checks (valuation_identity(fields=())), on inputs the CLI rejects
+    from mongeval.verify import EXPERIMENTS
+
+    for name, (fn, check, _desc) in EXPERIMENTS.items():
+        assert callable(check), f"{name} has no registry check"
+        func = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        first = func.body[0 if ast.get_docstring(func) is None else 1]
+        call = getattr(first, "value", None)
+        assert isinstance(call, ast.Call) and ast.unparse(call.func) == check.__name__, \
+            f"{fn.__name__} does not call {check.__name__} as its first statement"
+
+
 def test_readme_library_example_prints_its_values():
     # the README's example says it prints 1/3 and 4/3 (0.3333332 and
     # 1.3333327); run its code block as written, from the package exports

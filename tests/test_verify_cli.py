@@ -279,7 +279,7 @@ def test_cli_failing_experiment_exits_one(tmp_path, monkeypatch):
     def fake(**kwargs):
         return ExperimentReport("parity-break", {}, [("x", 1.0, 0.0, 0.1)])
 
-    monkeypatch.setitem(v.EXPERIMENTS, "parity-break", (fake, None, "doc"))
+    monkeypatch.setitem(v.EXPERIMENTS, "parity-break", (fake, lambda **_: None, "doc"))
     code = main(["run", "parity-break", "--out", str(tmp_path), "--quiet"])
     assert code == 1
     with open(os.path.join(tmp_path, "parity-break.json")) as fh:
@@ -316,32 +316,51 @@ def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
 # one bad input per rule of each registry check: (experiment, config keyed
 # by flag name, part of the message)
 _CHECK_RULES = {
+    "valuation-identity-unknown-field": ("valuation-identity", {"fields": ["O2", "X"]},
+                                         "unknown fields ['X']; choose from R, C, H, O2"),
+    "valuation-identity-no-field": ("valuation-identity", {"fields": []},
+                                    "fields must not be empty"),
+    "linear-invariance-unknown-field": ("linear-invariance", {"fields": ["R", "X"]},
+                                        "unknown fields ['X']; choose from R, C, H, O2"),
+    "linear-invariance-no-field": ("linear-invariance", {"fields": []},
+                                   "fields must not be empty"),
     "continuity-one-width": ("continuity", {"sigmas": [3.0]}, "at least two widths"),
     "continuity-subcell": ("continuity", {"sigmas": [2.0, 0.5]}, "sigma < 1 cell"),
     "continuity-increasing": ("continuity", {"sigmas": [1.5, 3.0, 6.0]}, "strictly decrease"),
     "kernel-laplacian-one-eps": ("kernel-laplacian", {"eps": [0.01]}, "at least two eps"),
+    "kernel-laplacian-no-eps": ("kernel-laplacian", {"eps": []}, "at least two eps"),
+    "kernel-laplacian-negative-eps": ("kernel-laplacian", {"eps": [-0.01, -0.005]},
+                                      "eps values > 0, got [-0.01, -0.005]"),
     "kernel-laplacian-nonconvex": ("kernel-laplacian", {"eps": [5.0, 1.0], "resolution": 8},
                                    "f_eps is not convex at eps=5.0"),
     "parity-break-dim": ("parity-break", {"dim": 6}, "dim 6 is above 5"),
     "parity-break-degree": ("parity-break", {"dim": 3, "degree": 9}, "degree out of range 1..2"),
+    "parity-break-no-width": ("parity-break", {"widths": []},
+                              "widths must be one or more positive numbers, got []"),
+    "parity-break-negative-width": ("parity-break", {"widths": [0.3, -0.1]},
+                                    "widths must be one or more positive numbers"),
     "volume-identity-body": ("volume-identity", {"body": "nosuch"},
                              "unknown body 'nosuch'; choose from cube3, ccube3, simplex3"),
 }
 
 
 def test_check_rules_cover_every_check():
-    assert {name for name, _config, _msg in _CHECK_RULES.values()} == {
-        name for name, (_fn, check, _desc) in EXPERIMENTS.items() if check is not None}
+    assert {name for name, _config, _msg in _CHECK_RULES.values()} == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("rule", sorted(_CHECK_RULES))
 def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rule):
     # a rule that only the CLI knew let a library call run until it failed
     # (kernel_laplacian(eps_schedule=(0.01,)) raised IndexError after every
-    # valuation), and one that only the library knew passed validate-config
+    # valuation), and one that only the library knew passed validate-config;
+    # the O2 identity probes compute through fd_hessian_batch, which
+    # kernel-laplacian's check also calls for Hess(psi)
     name, config, message = _CHECK_RULES[rule]
     for fn in ("eval_valuation", "body_valuation", "pl_valuation"):
         monkeypatch.setattr(verify, fn, lambda *a, **kw: pytest.fail("computed"))
+    fd_hessian_batch = verify.fd_hessian_batch
+    monkeypatch.setattr(verify, "fd_hessian_batch", lambda f, *a, **kw: (
+        fd_hessian_batch(f, *a, **kw) if f is verify._bump4 else pytest.fail("computed")))
     params = {flag: param for param, flag in cli._FLAG_NAMES.items()}
     with pytest.raises(ValueError, match=re.escape(message)) as exc:
         EXPERIMENTS[name][0](**{params.get(k, k): v for k, v in config.items()})
@@ -349,8 +368,9 @@ def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rul
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": name, **config}))
     out = str(tmp_path / "r")
-    flags = [a for k, v in config.items()
-             for a in (f"--{k}", ",".join(map(str, v)) if isinstance(v, list) else str(v))]
+    # --eps=-0.01,... keeps argparse from reading the value as a flag
+    flags = [f"--{k}=" + (",".join(map(str, v)) if isinstance(v, list) else str(v))
+             for k, v in config.items()]
     for argv in (["validate-config", str(cfg)], ["run", name, *flags, "--out", out]):
         assert main(argv) == 2
         assert f"invalid config: {exc.value}\n" in capsys.readouterr().err
@@ -519,15 +539,6 @@ def test_config_with_flag_and_parameter_name_exits_two(tmp_path, capsys, monkeyp
     assert ("option 'n_pairs' does not apply to valuation-identity; "
             "it takes fields, pairs, seed, threads") in capsys.readouterr().err
     assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("flag", ["--fields", "--eps", "--widths"])
-def test_cli_empty_list_exits_two(tmp_path, capsys, flag):
-    name = {"--fields": "valuation-identity", "--eps": "kernel-laplacian",
-            "--widths": "parity-break"}[flag]
-    assert main(["run", name, flag, ",", "--out", str(tmp_path)]) == 2
-    assert "must not be empty" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("name,key,flag,value", [
