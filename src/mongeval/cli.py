@@ -8,9 +8,10 @@ is byte-identical across reruns and across --threads settings.
 
 The options of ``run`` are the keyword parameters of the experiment
 functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
-its value is read (type, finite numbers, an integer's minimum), from a
-flag or a config file, whose keys are the flag names.  Every other rule
-is the experiment's registry check, which its library call applies too.
+its value is read (type and finite numbers), from a flag or a config
+file, whose keys are the flag names.  Every other rule, integer minimums
+included, is the experiment's registry check, which its library call
+applies too.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def _read(kind, value):
 
 
 def _coerce(key, param, value):
-    """Read one option as its parameter's default dictates: its type, finite
-    numbers, and an integer's minimum (0 for ``seed``, else 1)."""
+    """Read one option as its parameter's default dictates: its type and
+    finite numbers."""
     kind = _kind(param.default)
     if kind == "body":
         return value
@@ -125,8 +126,6 @@ def _coerce(key, param, value):
         value = _read(kind, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
-    if kind == "int" and value < min(param.default, 1):
-        raise ConfigError(f"{key} must be at least {min(param.default, 1)}, got {value}")
     if not all(map(math.isfinite, {"float": [value], "floats": value}.get(kind, []))):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return value

@@ -33,7 +33,6 @@ __all__ = [
     "certify_support_convexity",
     "halfspace_clip",
     "generate_union_convex_pair",
-    "slab_intersection",
     "random_shell_polytope",
     "ball_slab_support",
 ]
@@ -300,13 +299,6 @@ def generate_union_convex_pair(K: Polytope, s: float, t: float, axis: int = 0):
     A = halfspace_clip(K, e, t)
     B = halfspace_clip(K, -e, -s)
     return A, B
-
-
-def slab_intersection(K: Polytope, s: float, t: float, axis: int = 0) -> Polytope:
-    """K n {s <= x_axis <= t}; the intersection body A n B of the pair above."""
-    e = np.zeros(K.dim)
-    e[axis] = 1.0
-    return halfspace_clip(halfspace_clip(K, e, t), -e, -s)
 
 
 def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float = 0.35,

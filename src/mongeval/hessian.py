@@ -22,10 +22,18 @@ These combinations are precomputed once as coefficient tables and
 contracted against a real Hessian, rather than nesting first-difference
 quotients.
 
+Both Hessian routes compute only the real entries a field reads: the
+diagonal and the pairs a < b in different coordinate blocks
+(``_field_pairs``).  The others are written as 0; they would feed only
+imaginary parts that the Hermitian symmetrization cancels exactly, so the
+field Hessians keep their bits.
+
 The pointwise stencil route runs no Python loop per offset or axis pair:
 one broadcast over a memoized offset table forms every stencil point, ``f``
 is called once on all of them, and the Hessian entries are array formulas.
-Each value has the bits a loop over the offsets gives.
+Each value has the bits a loop over the offsets gives.  A node costs
+1 + 2 d + 4 P points for P read pairs: 19 for R with n = 3, 25 for C with
+n = 2, 9 for H with n = 1 and 289 for O2, where every pair would cost 513.
 """
 
 from __future__ import annotations
@@ -62,19 +70,31 @@ __all__ = [
 DEFAULT_STEP = 5e-4
 
 
+def _field_pairs(d, m):
+    """The off-diagonal entries a < b that a field with ``m`` real
+    components per coordinate reads, in ``np.triu_indices`` order: the
+    pairs in different blocks, a // m != b // m.  R (m = 1) reads every
+    pair and m = d none."""
+    a, b = np.triu_indices(d, 1)
+    keep = a // m != b // m
+    return a[keep], b[keep]
+
+
 @functools.cache
-def _stencil_offsets(d, cross):
+def _stencil_offsets(d, m):
     """Read-only (K, d) stencil offsets in units of h, and the pairs a < b.
 
-    Rows: the center, then +e_a, -e_a for each axis a, then (with
-    ``cross``) e_a + e_b, e_a - e_b, -(e_a - e_b), -(e_a + e_b) for each
-    pair in ``np.triu_indices`` order.  Where a row subtracts, its zeros are
-    -0.0, and the center is all -0.0: x + h * (-0.0) is x - 0.0, so every
-    point, the sign of a zero coordinate included, is the one x - h e
-    gives.
+    Rows: the center, then +e_a, -e_a for each axis a, then e_a + e_b,
+    e_a - e_b, -(e_a - e_b), -(e_a + e_b) for each pair of
+    ``_field_pairs(d, m)``.  So K = 1 + 2 d + 4 P, with P = C(d, 2) -
+    (d / m) C(m, 2) pairs: 19 points for R with n = 3, 25 for C with n = 2,
+    9 for H with n = 1 (no pair) and 289 for O2 (64 pairs).  Where a row
+    subtracts, its zeros are -0.0, and the center is all -0.0: x + h *
+    (-0.0) is x - 0.0, so every point, the sign of a zero coordinate
+    included, is the one x - h e gives.
     """
     eye = np.eye(d)
-    pairs = np.triu_indices(d, 1) if cross else (np.empty(0, int), np.empty(0, int))
+    pairs = _field_pairs(d, m)
     plus, minus = eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]
     offsets = np.concatenate([
         np.full((1, d), -0.0),
@@ -95,11 +115,11 @@ def _stencil_steps(points, step=None):
     return step * (1.0 + np.linalg.norm(points, axis=-1))
 
 
-def _stencil_values(f, points, step, cross):
+def _stencil_values(f, points, step, m):
     """Values of ``f`` on the central-difference stencil around each row.
 
     Row k of the returned (K, N) array is f at points + h * offsets[k], for
-    the rows of ``_stencil_offsets(d, cross)``, with h from
+    the rows of ``_stencil_offsets(d, m)``, with h from
     ``_stencil_steps``.  All K * N points come from one broadcast and go to
     ``f`` in one (K * N, d) call, offset-major.  Returns (values, h, pairs).
     """
@@ -107,7 +127,7 @@ def _stencil_values(f, points, step, cross):
     N, d = points.shape
     h = _stencil_steps(points, step)  # (N,)
 
-    offsets, pairs = _stencil_offsets(d, cross)
+    offsets, pairs = _stencil_offsets(d, m)
     stencil = h[:, None] * offsets[:, None, :]  # (K, N, d)
     stencil += points
     vals = np.asarray(f(stencil.reshape(-1, d)), dtype=float).reshape(len(offsets), N)
@@ -116,7 +136,7 @@ def _stencil_values(f, points, step, cross):
     return vals, h, pairs
 
 
-def fd_hessian_batch(f, points, step=None):
+def fd_hessian_batch(f, points, step=None, field="R"):
     """Central-difference Hessians of ``f`` at rows of ``points``.
 
     ``f`` must be vectorized: (m, d) -> (m,); it is called once, on all
@@ -124,12 +144,14 @@ def fd_hessian_batch(f, points, step=None):
     arrays; the stencil is the standard 3-point one on the diagonal and the
     4-point cross formula off-diagonal, exact on quadratics up to roundoff.
     Both are formed for all axes or pairs at once, and each cross value is
-    written to (a, b) and (b, a).
+    written to (a, b) and (b, a).  Only the entries ``field`` reads are
+    differenced (``_field_pairs``), the others are 0, so the field Hessian
+    ``assemble_structured(field, ...)`` has the bits of the all-pairs one.
     """
-    vals, h, (a, b) = _stencil_values(f, points, step, cross=True)
-    N, d = len(h), np.shape(points)[-1]
+    d = np.shape(points)[-1]
+    vals, h, (a, b) = _stencil_values(f, points, step, FIELD_COMPONENTS[field])
     h2 = h * h
-    H = np.empty((N, d, d))
+    H = np.zeros((len(h), d, d))
     axes = np.arange(d)
     H[:, axes, axes] = ((vals[1:2 * d + 1:2] - 2.0 * vals[0] + vals[2:2 * d + 2:2]) / h2).T
     fpp, fpm, fmp, fmm = (vals[2 * d + 1 + k::4] for k in range(4))
@@ -145,7 +167,7 @@ def fd_hessian(f, x, step=None):
 
 def fd_laplacian_batch(f, points, step=None):
     """Central-difference Laplacian (diagonal stencil only) at each row."""
-    vals, h, _ = _stencil_values(f, points, step, cross=False)
+    vals, h, _ = _stencil_values(f, points, step, np.shape(points)[-1])
     # the built-in sum adds the axes' terms in order from 0.0; np.sum may pair them
     return sum(vals[1::2] + vals[2::2] - 2.0 * vals[0], 0.0) / (h * h)
 
@@ -186,9 +208,10 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     leading axis, crops r cells per side and appends the result, so after
     d products the axes are back in order; entries share the products of
     their common axis prefix.  Only the entries ``field`` reads are
-    computed, the others are 0: over C and H an off-diagonal entry inside
-    one coordinate's block feeds only the imaginary part of a diagonal
-    field entry, which the Hermitian symmetrization cancels exactly.  So R
+    computed (``_field_pairs``, the rule of both Hessian routes), the
+    others are 0: over C and H an off-diagonal entry inside one
+    coordinate's block feeds only the imaginary part of a diagonal field
+    entry, which the Hermitian symmetrization cancels exactly.  So R
     takes 3 + 6 + 6 products in 3D, C with n = 2 takes 24 of 29 in 4D and
     H with n = 1 (the diagonal) 13.
 
@@ -224,8 +247,11 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     if min(values.shape) < width:
         raise ValueError(f"grid_hessian needs at least {width} samples per axis")
 
-    orders = [tuple((c == a) + (c == b) for c in range(d))
-              for a in range(d) for b in range(a, d) if a == b or a // m != b // m]
+    a, b = _field_pairs(d, m)
+    read = np.eye(d, dtype=bool)
+    read[a, b] = read[b, a] = True
+    orders = [tuple((c == i) + (c == j) for c in range(d))
+              for i, j in np.argwhere(np.triu(read)).tolist()]
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
     core = tuple(n - width + 1 for n in values.shape)
     shape = (math.prod(core) if cells is None else len(cells), d, d)
@@ -233,8 +259,7 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    block = np.arange(d) // m  # entries off the diagonal of a block are unread, so 0
-    out[:, (block[:, None] == block) & ~np.eye(d, dtype=bool)] = 0.0
+    out[:, ~read] = 0.0
 
     blocks, bands = [], []
     for a, n in enumerate(values.shape):
@@ -320,5 +345,5 @@ def assemble_structured(field, hreal):
 
 def structured_hessian(field, f, p, step=None):
     """Field Hessian of a real-valued function at a point, as a HermitianMatrix."""
-    hreal = fd_hessian(f, p, step=step)
+    hreal = fd_hessian_batch(f, np.asarray(p, dtype=float)[None, :], step, field)[0]
     return HermitianMatrix(field, assemble_structured(field, hreal))

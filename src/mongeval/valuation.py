@@ -572,12 +572,12 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     Otherwise ``grid`` supplies the midpoints and the cell volume, and B
     and the matrix bumps are read on its tensor axes (``on_axes``).
 
-    ``sigma_cells`` picks the Hessians: 0 means difference stencils at the
-    active midpoints, in fixed blocks of 8,192 nodes over ``threads``, one
-    call of ``f`` per block; a positive width means the smoothed grid
-    route: f is sampled on the active cells' bounding box plus the kernel
-    radius ``int(4 sigma + 0.5)`` in one call, and each Hessian entry the
-    field reads, of the Gaussian of ``sigma_cells`` cells convolved with
+    ``sigma_cells`` picks the Hessians of the entries the field reads: 0
+    means difference stencils at the active midpoints, in fixed blocks of
+    8,192 nodes over ``threads``, one call of ``f`` per block; a positive
+    width means the smoothed grid route: f is sampled on the active cells'
+    bounding box plus the kernel radius ``int(4 sigma + 0.5)`` in one call,
+    and each entry, of the Gaussian of ``sigma_cells`` cells convolved with
     f, is one banded product per axis with a derivative-of-Gaussian kernel.
 
     One contract holds for every form of h_K and both routes:
@@ -659,7 +659,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             else:  # the active midpoints, gathered from the axes
                 cells = np.unravel_index(np.flatnonzero(active), grid.shape)
                 points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), points,
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), points,
                                   threads=threads, chunk=8192)
             hf = assemble_structured(spec.field, hreal)
         slots.extend([hf] * spec.degree)

@@ -99,9 +99,22 @@ def _centered_cube(dim, halfwidth):
     return cx.Polytope(corners)
 
 
-def field_subset(fields, **_):
+def _at_least(minimum, **values):
+    """Raise ValueError unless every value is at least ``minimum``."""
+    for name, value in values.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def field_subset(fields, seed=0, threads=1, **counts):
     """valuation-identity's and linear-invariance's check: the fields, a
-    non-empty subset of R, C, H, O2, as a tuple (a str is one field)."""
+    non-empty subset of R, C, H, O2, as a tuple (a str is one field).
+
+    Raises ValueError unless the seed is at least 0, and ``threads`` and
+    the count (``n_pairs`` or ``trials``) at least 1.
+    """
+    _at_least(0, seed=seed)
+    _at_least(1, threads=threads, **counts)
     fields = (fields,) if isinstance(fields, str) else tuple(fields)
     if not fields:
         raise ValueError("fields must not be empty")
@@ -221,7 +234,7 @@ def _identity_probe_residuals_o2(n_pairs, rng, n_probes=6):
         weight = None if degree == 2 else _random_o2_hermitian(rng)
         hess = {}
         for name, h in (("A", hA), ("B", hB), ("K", hK), ("AB", hAB)):
-            hreal = fd_hessian_batch(h, probes, step=2e-4)
+            hreal = fd_hessian_batch(h, probes, step=2e-4, field="O2")
             hess[name] = assemble_structured("O2", hreal)
         if degree == 2:
             dets = {k: det_batch("O2", v) for k, v in hess.items()}
@@ -249,7 +262,7 @@ def valuation_identity(fields=("R", "C", "H", "O2"), n_pairs=20, seed=0, threads
     grid quadrature; O2 probes the integrand pointwise.  A mutated
     functional (adding max f) must break the identity.
     """
-    fields = field_subset(fields)
+    fields = field_subset(fields, seed, threads, n_pairs=n_pairs)
     checks = []
     details = {}
     rng = np.random.default_rng(seed)
@@ -306,7 +319,7 @@ def _invariance_case(field, rng):
 def _quad_plus_quartic(q, amp):
     def fn(x):
         x = np.asarray(x, dtype=float)
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, q, x)
+        quad = 0.5 * np.einsum("...i,...i->...", x @ q, x)  # one BLAS product
         t = (x - 0.1) ** 2
         t *= t  # the 4th power by squaring twice; pow is about 50x slower
         return quad + amp * np.sum(t, axis=-1)
@@ -320,7 +333,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
     rounding, which the chosen step keeps below 1e-9 relative.  A control
     functional f -> f(x0) with x0 != 0 is shifted by every linear term.
     """
-    fields = field_subset(fields)
+    fields = field_subset(fields, seed, threads, trials=trials)
     rng = np.random.default_rng(seed)
     checks = []
     details = {}
@@ -357,12 +370,14 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # experiment: continuity of the smoothed route
 # ---------------------------------------------------------------------------
 
-def smoothing_schedule(sigmas_cells, **_):
+def smoothing_schedule(sigmas_cells, resolution=48, **_):
     """continuity's check: its schedule as floats.
 
-    Raises ValueError unless it has two or more widths (one would pass the
-    monotone check vacuously), each at least one cell, strictly decreasing.
+    Raises ValueError unless the resolution is at least 1 and the schedule
+    has two or more widths (one would pass the monotone check vacuously),
+    each at least one cell, strictly decreasing.
     """
+    _at_least(1, resolution=resolution)
     sigmas = [float(s) for s in sigmas_cells]
     if len(sigmas) < 2:
         raise ValueError(f"smoothing schedule needs at least two widths, got {sigmas}")
@@ -380,7 +395,7 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48):
     single atom at the origin of mass vol(cube); gaps must decrease
     monotonically (10% slack) and end below 2%.
     """
-    sigmas = smoothing_schedule(sigmas_cells)
+    sigmas = smoothing_schedule(sigmas_cells, resolution)
     cube = _centered_cube(3, 0.5)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.6)
     ref = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(cube))
@@ -416,13 +431,15 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-def parity_shape(dim, degree, widths, **_):
+def parity_shape(dim, degree, widths, threads=1, **_):
     """parity-break's check: (n, i) as ints.
 
     Raises ValueError unless 1 <= i <= n - 1, n <= 5 (each width
     differences a 12^n-cell grid, whose float64 Hessians alone take 14 GB
-    at n = 7) and there are one or more widths, all positive.
+    at n = 7), there are one or more widths, all positive, and ``threads``
+    is at least 1.
     """
+    _at_least(1, threads=threads)
     n, i = int(dim), int(degree)
     if n > 5:
         raise ValueError(f"dim {n} is above 5: parity-break differences a 12^dim-cell grid")
@@ -443,7 +460,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     atom is also approximated by shrinking normalized bumps, and a round
     ball is the symmetric control with equal values.
     """
-    n, i = parity_shape(dim, degree, widths)
+    n, i = parity_shape(dim, degree, widths, threads)
     from math import comb
 
     body = cx.make_two_ball_body(n)
@@ -502,8 +519,10 @@ NAMED_BODIES = {
 }
 
 
-def named_body(body, **_):
-    """volume-identity's check: ``body`` is None (ten random shells) or named."""
+def named_body(body, seed=0, **_):
+    """volume-identity's check: ``body`` is None (ten random shells) or
+    named, and the seed is at least 0."""
+    _at_least(0, seed=seed)
     if body is not None and not (isinstance(body, str) and body in NAMED_BODIES):
         raise ValueError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
 
@@ -528,7 +547,7 @@ def volume_identity(b_height=1.0, body=None, seed=0):
     origin lands in the kernel of the body-valuation map: its exact route
     gives 0, while the functional itself stays nonzero on a quadratic.
     """
-    named_body(body)
+    named_body(body, seed)
     rng = np.random.default_rng(seed)
     bodies = ([NAMED_BODIES[body]()] if body is not None else
               [cx.random_shell_polytope(rng) for _ in range(10)])
@@ -584,14 +603,18 @@ def _bump4(x, center=0.0, radius=0.45):
     return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
 
 
-def perturbation_schedule(eps_schedule, resolution, **_):
+def perturbation_schedule(eps_schedule, resolution, seed=0, threads=1, **_):
     """kernel-laplacian's check: its schedule as floats, and the smallest
     eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
     the largest eps.
 
-    Raises ValueError unless it has two or more positive values (for a
-    halving ratio) and |x|^2/2 + eps psi is convex there, hence at every eps.
+    Raises ValueError unless the seed is at least 0, the resolution and
+    ``threads`` at least 1, the schedule has two or more positive values
+    (for a halving ratio) and |x|^2/2 + eps psi is convex there, hence at
+    every eps.
     """
+    _at_least(0, seed=seed)
+    _at_least(1, resolution=resolution, threads=threads)
     eps = [float(e) for e in eps_schedule]
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
@@ -612,7 +635,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     independent weights with B(0) = 0 whose induced body valuations
     vanish while the functionals stay distinguishable.
     """
-    eps_schedule, min_eig = perturbation_schedule(eps_schedule, resolution)
+    eps_schedule, min_eig = perturbation_schedule(eps_schedule, resolution, seed, threads)
     rng = np.random.default_rng(seed)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0)
     spec = ValuationSpec("R", 3, 3, weight)

@@ -13,7 +13,6 @@ from mongeval.convex import (
     halfspace_clip,
     make_two_ball_body,
     random_shell_polytope,
-    slab_intersection,
     unit_directions,
 )
 from mongeval.hessian import fd_hessian
@@ -149,7 +148,8 @@ def test_clip_empty_raises():
 def test_union_pair_lattice_identities():
     cube = unit_cube(3)
     A, B = generate_union_convex_pair(cube, 0.3, 0.7)
-    AB = slab_intersection(cube, 0.3, 0.7)
+    e = np.eye(3)[0]
+    AB = halfspace_clip(halfspace_clip(cube, e, 0.7), -e, -0.3)
     xi = unit_directions(3, 2048)
     assert np.abs(np.maximum(A.support(xi), B.support(xi)) - cube.support(xi)).max() <= 1e-9
     assert np.abs(np.minimum(A.support(xi), B.support(xi)) - AB.support(xi)).max() <= 1e-9
@@ -222,7 +222,8 @@ def test_clip_keeps_hull_vertices_only(dim, seed):
 
 def test_clip_of_4d_cube_slab_is_16_vertices():
     cube4 = unit_cube(4, -0.35, 0.35)
-    AB = slab_intersection(cube4, -0.08, 0.08)
+    e = np.eye(4)[0]
+    AB = halfspace_clip(halfspace_clip(cube4, e, 0.08), -e, 0.08)
     assert AB.vertices.shape == (16, 4)
     assert np.allclose(np.sort(np.abs(AB.vertices[:, 0])), 0.08)
     upper = _clip_points_unpruned(cube4, np.eye(4)[0], 0.08)
@@ -262,7 +263,10 @@ def _support_grid_body(case):
         return Polytope(np.array([[-0.2], [0.35]]))
     dim = 3 if case.endswith("3") else 4
     P = random_shell_polytope(rng, dim=dim, n_vertices=10, min_sep=0.6)
-    return slab_intersection(P, -0.08, 0.12, axis=1) if case.startswith("clipped") else P
+    if not case.startswith("clipped"):
+        return P
+    e = np.eye(dim)[1]
+    return halfspace_clip(halfspace_clip(P, e, 0.12), -e, 0.08)
 
 
 SUPPORT_GRID_CASES = ["shell3", "shell4", "clipped3", "clipped4", "one-vertex", "segment-1d"]

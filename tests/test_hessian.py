@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -101,8 +102,10 @@ def test_laplacian_is_hessian_trace_on_quadratics(d, seed):
 # the broadcast stencil against the loop route it replaced
 # ---------------------------------------------------------------------------
 
-def _loop_stencil_points(points, step, cross):
-    """The stencil points of the loop route, one (N, d) block per offset."""
+def _loop_stencil_points(points, step, m):
+    """The stencil points of the loop route, one (N, d) block per offset:
+    every pair a < b for m = 1, only pairs in different blocks of m axes
+    otherwise, none for m = d."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
     if step is None:
@@ -113,7 +116,7 @@ def _loop_stencil_points(points, step, cross):
     for a in range(d):
         stencil.append(points + h[:, None] * eye[a])
         stencil.append(points - h[:, None] * eye[a])
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)] if cross else []
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d) if a // m != b // m]
     for a, b in pairs:
         ea, eb = eye[a], eye[b]
         stencil.append(points + h[:, None] * (ea + eb))
@@ -123,14 +126,15 @@ def _loop_stencil_points(points, step, cross):
     return stencil, h, pairs
 
 
-def _loop_stencil_values(f, points, step, cross):
-    stencil, h, pairs = _loop_stencil_points(points, step, cross)
+def _loop_stencil_values(f, points, step, m):
+    stencil, h, pairs = _loop_stencil_points(points, step, m)
     vals = np.asarray(f(np.concatenate(stencil, axis=0)), dtype=float).reshape(len(stencil), len(h))
     return vals, h, pairs
 
 
 def _loop_fd_hessian_batch(f, points, step=None):
-    vals, h, pairs = _loop_stencil_values(f, points, step, cross=True)
+    """The all-pairs route: every entry differenced, whatever the field."""
+    vals, h, pairs = _loop_stencil_values(f, points, step, 1)
     N, d = len(h), np.shape(points)[-1]
     h2 = h * h
     H = np.empty((N, d, d))
@@ -146,7 +150,7 @@ def _loop_fd_hessian_batch(f, points, step=None):
 
 
 def _loop_fd_laplacian_batch(f, points, step=None):
-    vals, h, _ = _loop_stencil_values(f, points, step, cross=False)
+    vals, h, _ = _loop_stencil_values(f, points, step, np.shape(points)[-1])
     out = np.zeros(len(h))
     for k in range(1, len(vals), 2):
         out += vals[k] + vals[k + 1] - 2.0 * vals[0]
@@ -178,19 +182,71 @@ def test_broadcast_stencil_matches_the_loop_route_bit_for_bit(d, N, step):
 @pytest.mark.parametrize("cross", [False, True])
 @pytest.mark.parametrize("d", [1, 3, 16])
 def test_stencil_calls_f_once_in_the_documented_row_order(d, cross):
-    # one (K N, d) call, offset-major: the tracer counts fevals from it
-    calls = []
+    # one (K N, d) call, offset-major: the tracer counts fevals from it.
+    # The Hessian differences the pairs of its field's (d, m) key, the
+    # Laplacian none (m = d)
+    pts = _stencil_centres(d, 5)
+    routes = ([(lambda f, F=F: fd_hessian_batch(f, pts, 1e-3, F), m)
+               for F, m in FIELD_COMPONENTS.items() if d % m == 0] if cross else
+              [(lambda f: fd_laplacian_batch(f, pts, step=1e-3), d)])
+    for route, m in routes:
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return np.sum(x * x, axis=-1)
+
+        stencil, _, pairs = _loop_stencil_points(pts, 1e-3, m)
+        route(f)
+        K = 1 + 2 * d + 4 * len(pairs)
+        assert len(calls) == 1 and calls[0].shape == (K * 5, d) and len(stencil) == K
+        assert calls[0].tobytes() == np.concatenate(stencil).tobytes()
+
+
+def _row_independent(d):
+    """A smooth f whose row values are one row's arithmetic, whatever the
+    batch: elementwise operations and a column sum in a fixed order, no
+    BLAS.  Its square of a linear form couples every pair of axes."""
+    c = np.random.default_rng(40 + d).standard_normal(d)
 
     def f(x):
-        calls.append(np.array(x))
-        return np.sum(x * x, axis=-1)
+        lin = sum((c[k] * x[:, k] for k in range(d)), 0.0)
+        ring = sum((np.sin(x[:, k] * x[:, (k + 1) % d]) for k in range(d)), 0.0)
+        return np.cos(lin) + lin * lin + ring + x[:, 0] ** 3
 
-    pts = _stencil_centres(d, 5)
-    stencil, _, _ = _loop_stencil_points(pts, 1e-3, cross)
-    (fd_hessian_batch if cross else fd_laplacian_batch)(f, pts, step=1e-3)
-    K = 1 + 2 * d + (2 * d * (d - 1) if cross else 0)
-    assert len(calls) == 1 and calls[0].shape == (K * 5, d) and len(stencil) == K
-    assert calls[0].tobytes() == np.concatenate(stencil).tobytes()
+    return f
+
+
+@pytest.mark.parametrize("step", [None, 1e-3])
+@pytest.mark.parametrize("field,n", [("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
+def test_field_stencil_assembles_the_all_pairs_field_hessian_bit_for_bit(field, n, step):
+    # the pairs inside a coordinate's block, no longer differenced, fed only
+    # imaginary parts that the Hermitian symmetrization cancels
+    d = n * FIELD_COMPONENTS[field]
+    f, pts = _row_independent(d), _stencil_centres(d, 50)
+    H = fd_hessian_batch(f, pts, step, field)
+    ref = _loop_fd_hessian_batch(f, pts, step)
+    block = np.arange(d) // FIELD_COMPONENTS[field]
+    unread = (block[:, None] == block) & ~np.eye(d, dtype=bool)
+    assert not H[:, unread].any() and ref[:, unread].all()
+    assert H[:, ~unread].tobytes() == ref[:, ~unread].tobytes()
+    assert assemble_structured(field, H).tobytes() == assemble_structured(field, ref).tobytes()
+
+
+@pytest.mark.parametrize("field,n,rows", [("R", 3, 19), ("C", 2, 25), ("H", 1, 9), ("O2", 2, 289)])
+def test_field_stencil_rows_per_call(field, n, rows):
+    # 1 + 2 d + 4 P rows per node, P = C(d, 2) - n C(m, 2) read pairs
+    m = FIELD_COMPONENTS[field]
+    d = n * m
+    assert rows == 1 + 2 * d + 4 * (math.comb(d, 2) - n * math.comb(m, 2))
+    shapes = []
+    fd_hessian_batch(lambda x: shapes.append(x.shape) or np.sum(x * x, axis=-1),
+                     _stencil_centres(d, 3), field=field)
+    assert shapes == [(3 * rows, d)]
+    structured = []
+    structured_hessian(field, lambda x: structured.append(x.shape) or np.sum(x * x, axis=-1),
+                       np.full(d, 0.1))
+    assert structured == [(rows, d)]
 
 
 def test_one_dimensional_stencil_has_no_pairs():
@@ -204,16 +260,19 @@ def test_one_dimensional_stencil_has_no_pairs():
     H = fd_hessian_batch(cube, x)
     assert calls == [(9, 1)] and H.shape == (3, 1, 1)
     assert np.abs(H[:, 0, 0] - 6.0 * x[:, 0]).max() <= 1e-6
-    assert hessian._stencil_offsets(1, True)[1][0].size == 0
+    assert hessian._stencil_offsets(1, 1)[1][0].size == 0
 
 
 def test_stencil_offset_table_is_memoized_and_read_only():
-    offsets, (a, b) = hessian._stencil_offsets(4, True)
-    assert hessian._stencil_offsets(4, True)[0] is offsets
-    assert offsets.shape == (1 + 2 * 4 + 4 * 6, 4)
-    for table in (offsets, a, b):
-        with pytest.raises(ValueError):
-            table[0] = 1
+    # one table per (d, m) key: the pairs a < b in different blocks of m axes
+    for d, m, pairs in [(4, 1, 6), (4, 2, 4), (4, 4, 0), (16, 8, 64), (16, 16, 0)]:
+        offsets, (a, b) = hessian._stencil_offsets(d, m)
+        assert hessian._stencil_offsets(d, m)[0] is offsets
+        assert offsets.shape == (1 + 2 * d + 4 * pairs, d)
+        assert len(a) == pairs and np.all(a < b) and np.all(a // m != b // m)
+        for table in (offsets, a, b):
+            with pytest.raises(ValueError):
+                table[:1] = 1
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])

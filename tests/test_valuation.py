@@ -20,9 +20,9 @@ from mongeval.convex import (
     Polytope,
     ball_body,
     generate_union_convex_pair,
+    halfspace_clip,
     make_two_ball_body,
     random_shell_polytope,
-    slab_intersection,
 )
 from mongeval.hessian import assemble_structured, fd_hessian_batch, grid_hessian
 from mongeval.valuation import (
@@ -502,7 +502,8 @@ def test_union_convex_identity_on_random_pl_pairs(seed, axis, a, b):
     coords = K.vertices[:, axis]
     s, t = coords.min() + np.sort([a, b]) * np.ptp(coords)
     A, B = generate_union_convex_pair(K, s, t, axis)
-    AB = slab_intersection(K, s, t, axis)
+    e = np.eye(3)[axis]
+    AB = halfspace_clip(halfspace_clip(K, e, t), -e, -s)
     weight = BumpWeight(np.zeros(3), 0.45, rng.uniform(0.5, 2.0), plateau=0.7)
     vals = [pl_valuation(weight, PLConvexFunction.from_polytope_support(X))
             for X in (A, B, K, AB)]
@@ -1411,9 +1412,10 @@ def test_scalar_weight_must_be_a_bump_and_its_support_is_guarded():
 _POLYTOPE_CASES = {
     "shell3": lambda rng: random_shell_polytope(rng, dim=3),
     "shell4": lambda rng: random_shell_polytope(rng, dim=4, n_vertices=12),
-    "clipped3": lambda rng: slab_intersection(random_shell_polytope(rng, dim=3), -0.1, 0.1),
-    "clipped4": lambda rng: slab_intersection(
-        random_shell_polytope(rng, dim=4, n_vertices=12), -0.05, 0.15, axis=2),
+    "clipped3": lambda rng: halfspace_clip(halfspace_clip(
+        random_shell_polytope(rng, dim=3), np.eye(3)[0], 0.1), -np.eye(3)[0], 0.1),
+    "clipped4": lambda rng: halfspace_clip(halfspace_clip(
+        random_shell_polytope(rng, dim=4, n_vertices=12), np.eye(4)[2], 0.15), -np.eye(4)[2], 0.05),
     "one-vertex": lambda rng: Polytope(np.array([[0.2, -0.1, 0.05]])),
     "segment-1d": lambda rng: Polytope(np.array([[-0.2], [0.3]])),
 }

@@ -140,10 +140,18 @@ def test_identity_evaluates_each_body_once(field, calls, monkeypatch):
 
 
 def test_quartic_squared_twice_matches_the_power():
-    x = np.random.default_rng(4).uniform(-1.5, 1.5, (200, 4))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.5, 1.5, (200, 4))
     fn = verify._quad_plus_quartic(np.eye(4), 0.15)
     ref = 0.5 * np.sum(x * x, axis=-1) + 0.15 * np.sum((x - 0.1) ** 4, axis=-1)
     assert np.allclose(fn(x), ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+    # a general q: the quadratic form is one BLAS product, against the
+    # three-operand einsum it replaced (3 ulp apart at most on these rows)
+    m = rng.standard_normal((4, 4))
+    q = m @ m.T + 0.5 * np.eye(4)
+    fn = verify._quad_plus_quartic(q, 0.15)
+    ref = 0.5 * np.einsum("...i,ij,...j->...", x, q, x) + 0.15 * np.sum((x - 0.1) ** 4, axis=-1)
+    assert np.allclose(fn(x), ref, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 def test_kernel_laplacian_small():
@@ -320,27 +328,54 @@ _CHECK_RULES = {
                                          "unknown fields ['X']; choose from R, C, H, O2"),
     "valuation-identity-no-field": ("valuation-identity", {"fields": []},
                                     "fields must not be empty"),
+    # integer minimums: n_pairs=0 raised "max() arg is an empty sequence"
+    # after the union valuation, trials=0 returned a FAIL report, and a
+    # negative seed raised numpy's message after the check
+    "valuation-identity-no-pair": ("valuation-identity", {"pairs": 0},
+                                   "n_pairs must be at least 1, got 0"),
+    "valuation-identity-negative-seed": ("valuation-identity", {"seed": -1},
+                                         "seed must be at least 0, got -1"),
+    "valuation-identity-no-thread": ("valuation-identity", {"threads": 0},
+                                     "threads must be at least 1, got 0"),
     "linear-invariance-unknown-field": ("linear-invariance", {"fields": ["R", "X"]},
                                         "unknown fields ['X']; choose from R, C, H, O2"),
     "linear-invariance-no-field": ("linear-invariance", {"fields": []},
                                    "fields must not be empty"),
+    "linear-invariance-no-trial": ("linear-invariance", {"trials": 0},
+                                   "trials must be at least 1, got 0"),
+    "linear-invariance-negative-seed": ("linear-invariance", {"seed": -2},
+                                        "seed must be at least 0, got -2"),
+    "linear-invariance-no-thread": ("linear-invariance", {"threads": -1},
+                                    "threads must be at least 1, got -1"),
     "continuity-one-width": ("continuity", {"sigmas": [3.0]}, "at least two widths"),
     "continuity-subcell": ("continuity", {"sigmas": [2.0, 0.5]}, "sigma < 1 cell"),
     "continuity-increasing": ("continuity", {"sigmas": [1.5, 3.0, 6.0]}, "strictly decrease"),
+    "continuity-no-resolution": ("continuity", {"resolution": 0},
+                                 "resolution must be at least 1, got 0"),
     "kernel-laplacian-one-eps": ("kernel-laplacian", {"eps": [0.01]}, "at least two eps"),
     "kernel-laplacian-no-eps": ("kernel-laplacian", {"eps": []}, "at least two eps"),
     "kernel-laplacian-negative-eps": ("kernel-laplacian", {"eps": [-0.01, -0.005]},
                                       "eps values > 0, got [-0.01, -0.005]"),
     "kernel-laplacian-nonconvex": ("kernel-laplacian", {"eps": [5.0, 1.0], "resolution": 8},
                                    "f_eps is not convex at eps=5.0"),
+    "kernel-laplacian-no-resolution": ("kernel-laplacian", {"resolution": 0},
+                                       "resolution must be at least 1, got 0"),
+    "kernel-laplacian-negative-seed": ("kernel-laplacian", {"seed": -1},
+                                       "seed must be at least 0, got -1"),
+    "kernel-laplacian-no-thread": ("kernel-laplacian", {"threads": 0},
+                                   "threads must be at least 1, got 0"),
     "parity-break-dim": ("parity-break", {"dim": 6}, "dim 6 is above 5"),
     "parity-break-degree": ("parity-break", {"dim": 3, "degree": 9}, "degree out of range 1..2"),
     "parity-break-no-width": ("parity-break", {"widths": []},
                               "widths must be one or more positive numbers, got []"),
     "parity-break-negative-width": ("parity-break", {"widths": [0.3, -0.1]},
                                     "widths must be one or more positive numbers"),
+    "parity-break-no-thread": ("parity-break", {"threads": 0},
+                               "threads must be at least 1, got 0"),
     "volume-identity-body": ("volume-identity", {"body": "nosuch"},
                              "unknown body 'nosuch'; choose from cube3, ccube3, simplex3"),
+    "volume-identity-negative-seed": ("volume-identity", {"seed": -1},
+                                      "seed must be at least 0, got -1"),
 }
 
 
