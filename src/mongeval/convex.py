@@ -65,6 +65,8 @@ class Polytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.size == 0:
             raise GeometryError("a polytope needs at least one vertex")
+        if not np.isfinite(v).all():
+            raise GeometryError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -330,7 +332,11 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float
 
 @dataclass(frozen=True, eq=False)
 class PLConvexFunction:
-    """f(x) = max_j (<a_j, x> + b_j): a finite max of affine pieces."""
+    """f(x) = max_j (<a_j, x> + b_j): a finite max of affine pieces.
+
+    Needs at least one piece, and finite slopes and offsets (ValueError
+    otherwise).
+    """
 
     slopes: np.ndarray
     offsets: np.ndarray = None  # type: ignore[assignment]
@@ -338,8 +344,12 @@ class PLConvexFunction:
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.slopes, dtype=float))
         b = np.zeros(a.shape[0]) if self.offsets is None else np.asarray(self.offsets, dtype=float)
+        if a.size == 0:
+            raise ValueError("a PL convex function needs at least one piece")
         if b.shape != (a.shape[0],):
             raise ValueError(f"offsets shape {b.shape} does not match {a.shape[0]} pieces")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("PL slopes and offsets must be finite")
         object.__setattr__(self, "slopes", a)
         object.__setattr__(self, "offsets", b)
 

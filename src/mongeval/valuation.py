@@ -319,16 +319,25 @@ def hull_volume(points) -> float:
     """Volume of the convex hull of a point set, by qhull.
 
     A 1-D set gives its extent; degenerate (lower dimensional) hulls
-    return 0.
+    return 0.  Non-finite points raise ValueError.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("expected an (m, n) point array")
+    if not np.isfinite(points).all():
+        raise ValueError("hull points must be finite")
     n = points.shape[1]
-    if n == 1:
-        return float(points.max() - points.min())
-    if _affine_rank(points) < n:
+    if n > 1 and _affine_rank(points) < n:
         return 0.0
+    return _spanning_hull_volume(points)
+
+
+def _spanning_hull_volume(points):
+    """hull_volume of finite points whose affine rank is already known to be
+    full: the extent for n = 1, else qhull's volume (0 if qhull refuses a
+    nearly flat set)."""
+    if points.shape[1] == 1:
+        return float(points.max() - points.min())
     try:
         return float(ConvexHull(points).volume)
     except QhullError:
@@ -365,9 +374,18 @@ def _empty_measure(dim):
 
 
 def _dedupe_pieces(slopes, offsets):
+    """The pieces whose (a_j, b_j) rounded to 12 decimals is new, in their
+    first-seen order.
+
+    A stable lexsort groups equal rounded rows; each run keeps its first
+    index.  The rows are compared as floats, so -0.0 and +0.0 merge.
+    """
     stacked = np.round(np.column_stack([slopes, offsets]), 12)
-    _, idx = np.unique(stacked, axis=0, return_index=True)
-    idx = np.sort(idx)
+    order = np.lexsort(stacked.T)
+    ranked = stacked[order]
+    first = np.ones(len(order), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    idx = np.sort(order[first])
     return slopes[idx], offsets[idx]
 
 
@@ -383,6 +401,11 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     primal point where those pieces are all active, and its projected
     volume is the atom mass.  Total mass is vol(conv{a_j}).
 
+    The cost is one hull for a support function: duplicate pieces go by
+    one sort, one rank test sends rank-deficient slopes to the empty
+    measure, and constant offsets skip the least squares and the lifted
+    hull, since their one atom sits at exactly 0.
+
     Exact mode is limited to dimension <= 3.
     """
     n = f.dim
@@ -392,11 +415,15 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     if len(slopes) == 1 or _affine_rank(slopes) < n:
         return _empty_measure(n)
 
-    total_expected = hull_volume(slopes)
+    total_expected = _spanning_hull_volume(slopes)
 
-    # exact affine dependence of -b on a: a single cell, one atom at the
-    # supporting-plane gradient (support functions land here: b = 0 -> atom
-    # at the origin with mass vol of the gradient hull)
+    # constant b: -b is affine in a with zero gradient, so there is a single
+    # cell whose atom sits at exactly 0 (support functions land here, b = 0)
+    if (offsets == offsets[0]).all():
+        return AtomicMeasure(np.zeros((1, n)), np.array([total_expected]))
+
+    # any other exact affine dependence of -b on a: a single cell, one atom
+    # at the supporting-plane gradient
     design = np.column_stack([slopes, np.ones(len(slopes))])
     coef, *_ = np.linalg.lstsq(design, -offsets, rcond=None)
     resid = design @ coef + offsets

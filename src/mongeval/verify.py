@@ -326,6 +326,12 @@ def _quad_plus_quartic(q, amp):
     return fn
 
 
+def _plus_linear(fn, ell):
+    """x -> fn(x) + <x, ell>, where each row's <x, ell> has the same bits in
+    any batch (the gemv ``x @ ell`` rounds a row differently by batch length)."""
+    return lambda x: fn(x) + np.einsum("...i,i->...", x, ell)
+
+
 def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1):
     """Phi(f + linear) = Phi(f) down to the difference-stencil noise floor.
 
@@ -348,7 +354,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
         d = spec.real_dim
         for _ in range(trials):
             ell = rng.uniform(-1.0, 1.0, d)
-            shifted = eval_valuation(spec, lambda x: fn(x) + x @ ell, grid,
+            shifted = eval_valuation(spec, _plus_linear(fn, ell), grid,
                                      step=step, threads=threads)
             worst = max(worst, abs(shifted - base) / abs(base))
             control = max(control, abs(float(x0 @ ell)))

@@ -77,6 +77,14 @@ def test_body_ops():
         ball_body(3).scale(0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polytope_rejects_non_finite_vertices(bad):
+    v = unit_cube(2).vertices.copy()
+    v[1, 0] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        Polytope(v)
+
+
 def test_support_function_dispatch():
     # a single direction gives a scalar, a batch gives one value per row
     cube = unit_cube(2)
@@ -338,6 +346,24 @@ def test_pl_evaluation_matches_max():
     ref = np.max(x @ f.slopes.T + f.offsets, axis=1)
     assert np.allclose(f(x), ref)
     assert f.dim == 2
+
+
+@pytest.mark.parametrize("where,bad", [("slope", np.inf), ("slope", np.nan),
+                                       ("offset", np.nan), ("offset", -np.inf)])
+def test_pl_rejects_non_finite_pieces(where, bad):
+    # an infinite slope gave pl_valuation 0.0, a NaN slope an SVD error and a
+    # NaN offset a qhull error
+    a, b = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3)
+    (a if where == "slope" else b)[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PLConvexFunction(a, b)
+
+
+@pytest.mark.parametrize("slopes", [np.zeros((0, 2)), []])
+def test_pl_rejects_an_empty_piece_list(slopes):
+    # zero pieces gave pl_valuation 0.0
+    with pytest.raises(ValueError, match="at least one piece"):
+        PLConvexFunction(slopes)
 
 
 def test_pl_lattice_max_is_union_of_pieces():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import correlate1d, gaussian_filter
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from mongeval import valuation, verify
 from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch
@@ -96,6 +97,15 @@ def test_hull_volume_closed_forms():
     assert np.isclose(hull_volume(np.array([[0.0], [2.0], [1.0]])), 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hull_volume_rejects_non_finite_points(bad):
+    # a NaN row raised LinAlgError from the rank test
+    pts = unit_cube(3).vertices.copy()
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hull_volume(pts)
+
+
 def test_hull_volume_matches_qhull_on_random_sets():
     # reference: qhull's facets coned to the vertex centroid, |det| / n! each
     rng = np.random.default_rng(0)
@@ -162,6 +172,181 @@ def test_pl_measure_dimension_guard():
     f = PLConvexFunction(np.eye(4))
     with pytest.raises(ValueError):
         ma_measure_pl(f)
+
+
+# the exact PL route before it paid for one hull, kept verbatim as the
+# reference for the bit-for-bit comparison below
+
+def _ref_hull_volume(points) -> float:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("expected an (m, n) point array")
+    n = points.shape[1]
+    if n == 1:
+        return float(points.max() - points.min())
+    if valuation._affine_rank(points) < n:
+        return 0.0
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError:
+        return 0.0
+
+
+def _ref_dedupe_pieces(slopes, offsets):
+    stacked = np.round(np.column_stack([slopes, offsets]), 12)
+    _, idx = np.unique(stacked, axis=0, return_index=True)
+    idx = np.sort(idx)
+    return slopes[idx], offsets[idx]
+
+
+def _ref_ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
+    n = f.dim
+    if n > 3:
+        raise ValueError("exact PL measure supports dimension <= 3")
+    slopes, offsets = _ref_dedupe_pieces(f.slopes, f.offsets)
+    if len(slopes) == 1 or valuation._affine_rank(slopes) < n:
+        return valuation._empty_measure(n)
+
+    total_expected = _ref_hull_volume(slopes)
+
+    # exact affine dependence of -b on a: a single cell, one atom at the
+    # supporting-plane gradient (support functions land here: b = 0 -> atom
+    # at the origin with mass vol of the gradient hull)
+    design = np.column_stack([slopes, np.ones(len(slopes))])
+    coef, *_ = np.linalg.lstsq(design, -offsets, rcond=None)
+    resid = design @ coef + offsets
+    scale = 1.0 + np.abs(offsets).max(initial=0.0)
+    if np.abs(resid).max() <= 1e-10 * scale:
+        return AtomicMeasure(coef[:n][None, :], np.array([total_expected]))
+
+    lifted = np.column_stack([slopes, -offsets])
+    hull = ConvexHull(lifted)
+    atoms = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        nu, _off = eq[:-1], eq[-1]
+        if nu[n] >= -1e-9:  # not a lower facet
+            continue
+        grad = -nu[:n] / nu[n]
+        verts = slopes[simplex]
+        mass = abs(np.linalg.det(verts[1:] - verts[0])) / math.factorial(n)
+        if mass <= 0.0:
+            continue
+        key = tuple(np.round(grad, 7))
+        if key in atoms:
+            atoms[key][1] += mass
+        else:
+            atoms[key] = [grad, mass]
+
+    if not atoms:
+        return valuation._empty_measure(n)
+    keys = sorted(atoms.keys())
+    locations = np.array([atoms[k][0] for k in keys])
+    masses = np.array([atoms[k][1] for k in keys])
+    measure = AtomicMeasure(locations, masses)
+    gap = abs(measure.total_mass - total_expected)
+    if gap > 1e-8 * max(1.0, total_expected):
+        raise ArithmeticError(
+            f"PL measure lost mass: atoms sum to {measure.total_mass:.12e}, "
+            f"gradient hull volume is {total_expected:.12e}"
+        )
+    return measure
+
+
+def _pl_family(seed, count):
+    """Seeded (offset kind, slopes, offsets) cases in dims 1-3: zero, general
+    or constant nonzero offsets; duplicated pieces, some within 1e-13 of the
+    original so that they round equal, and rows whose coordinates round to
+    -0.0 or +0.0; slopes in a hyperplane; a nearly flat set qhull refuses."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        dim = 1 + i % 3
+        kind = ("zero", "general", "constant")[(i // 3) % 3]
+        shape = (i // 9) % 4
+        a = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 12)), dim))
+        if shape == 1:  # duplicates, nudged below the rounding grid, and signed zeros
+            dup = a[rng.integers(0, len(a), 4)] + rng.uniform(-1e-13, 1e-13, (4, dim))
+            signed = np.tile(a[:1], (2, 1))
+            signed[:, -1] = [-1e-14, 1e-14]
+            a = np.vstack([a, dup, signed])[rng.permutation(len(a) + 6)]
+        elif shape == 2 and dim > 1:  # rank deficient: slopes in a hyperplane
+            a[:, -1] = a[:, :-1] @ rng.uniform(-1.0, 1.0, dim - 1)
+        elif shape == 3 and dim == 3:  # full rank, but too flat for qhull
+            a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 1e-8]]) + 1e7
+        if kind == "zero":
+            b = np.zeros(len(a))
+        elif kind == "constant":
+            b = np.full(len(a), rng.uniform(-2.0, 2.0))
+        else:
+            b = rng.uniform(-1.0, 0.0, len(a))
+            if shape == 1:  # the duplicated pieces keep their own offsets
+                b[rng.integers(0, len(a), 3)] = -1e-14
+        yield kind, a, b
+
+
+def _pl_outcome(route, f):
+    try:
+        mu = route(f)
+    except (ArithmeticError, QhullError) as exc:
+        return type(exc), None
+    return mu.locations, mu.masses
+
+
+def test_pl_route_matches_the_reference_bit_for_bit():
+    flat_refused = constant_moved = 0
+    for kind, a, b in _pl_family(seed=22, count=540):
+        for got, ref in zip(valuation._dedupe_pieces(a, b), _ref_dedupe_pieces(a, b)):
+            assert got.tobytes() == ref.tobytes()
+        f = PLConvexFunction(a, b)
+        loc, mass = _pl_outcome(ma_measure_pl, f)
+        ref_loc, ref_mass = _pl_outcome(_ref_ma_measure_pl, f)
+        if mass is None:
+            assert loc is ref_loc
+            continue
+        assert mass.tobytes() == ref_mass.tobytes()
+        if kind == "constant" and len(mass):
+            # the one atom sits at exactly 0 where least squares landed within
+            # its rounding of 0: about 1e-16, or 1e-7 on the flat set
+            assert loc.shape == ref_loc.shape == (1, f.dim) and not loc.any()
+            cond = np.linalg.cond(np.column_stack([a, np.ones(len(a))]))
+            eps = np.finfo(float).eps
+            assert np.abs(ref_loc).max() <= 8 * eps * cond * (1.0 + abs(b[0]))
+            constant_moved += bool(ref_loc.any())
+        else:
+            assert loc.tobytes() == ref_loc.tobytes()
+        flat_refused += a[0, 0] == 1e7 and len(mass) == 1 and mass[0] == 0.0
+    # the family reaches the cases it is built for
+    assert flat_refused > 0 and constant_moved > 0
+
+
+def test_dedupe_merges_rows_that_round_to_signed_zeros():
+    # the rows round to (-0.0, 1) and (0.0, 1): equal as floats, not as bytes
+    slopes = np.array([[0.5, 0.5], [-1e-14, 1.0], [1e-14, 1.0], [0.5, 0.5 + 1e-13]])
+    for dedupe in (valuation._dedupe_pieces, _ref_dedupe_pieces):
+        a, b = dedupe(slopes, np.zeros(4))
+        assert a.tobytes() == slopes[:2].tobytes() and b.tobytes() == np.zeros(2).tobytes()
+
+
+def test_support_function_pl_valuation_pays_for_one_hull(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(valuation, "_affine_rank", counting("rank", valuation._affine_rank))
+    monkeypatch.setattr(valuation, "ConvexHull", counting("hull", ConvexHull))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    K = random_shell_polytope(np.random.default_rng(0))
+    f = PLConvexFunction.from_polytope_support(K)
+    assert pl_valuation(BumpWeight(np.zeros(3), 0.5), f) > 0.0
+    assert calls == {"rank": 1, "hull": 1}
+    # general offsets still take the least squares and the lifted hull
+    calls.clear()
+    offsets = np.random.default_rng(1).uniform(-1.0, 0.0, len(K.vertices))
+    ma_measure_pl(PLConvexFunction(K.vertices, offsets))
+    assert calls == {"rank": 1, "hull": 2, "lstsq": 1}
 
 
 def test_atomic_measure_invariants():

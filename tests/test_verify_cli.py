@@ -108,6 +108,18 @@ def test_linear_invariance_single_field():
     assert rep.details["R"]["worst_relative"] <= 1e-9
 
 
+def test_linear_shift_rows_do_not_depend_on_the_batch_length():
+    # the stencil sends f 289 rows per O2 node and blocks of other lengths;
+    # the gemv x @ ell rounded the first k rows of a 513-row batch
+    # differently at k = 2, 3, 7 and 289 on these rows
+    rng = np.random.default_rng(3)
+    x, ell = rng.uniform(-1.0, 1.0, (513, 16)), rng.uniform(-1.0, 1.0, 16)
+    shifted = verify._plus_linear(lambda y: np.zeros(len(y)), ell)
+    full = shifted(x)
+    for k in (1, 2, 3, 7, 289):
+        assert shifted(x[:k]).tobytes() == full[:k].tobytes()
+
+
 def test_valuation_identity_O2_only():
     rep = valuation_identity(fields="O2", n_pairs=4)
     assert rep.passed
