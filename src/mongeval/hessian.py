@@ -28,6 +28,16 @@ diagonal and the pairs a < b in different coordinate blocks
 imaginary parts that the Hermitian symmetrization cancels exactly, so the
 field Hessians keep their bits.
 
+Both routes lay a batch of real Hessians out entry-major (``_entry_major``):
+the (N, d, d) result is the transposed view of a C-ordered (d, d, N) array,
+so each entry ``H[:, i, j]`` is one contiguous plane.  The routes write
+whole planes, and the field assembly's ``einsum`` reads them as planes;
+over R and C its result keeps the layout, so the polarization sums and
+the closed-form determinants read planes too, not a stride of d * d
+values (over H and O2 its result is batch-major).  Each value
+is elementwise or an ``einsum`` summing its terms in the same order, so
+the layout changes no bit.
+
 The pointwise stencil route runs no Python loop per offset or axis pair:
 one broadcast over a memoized offset table forms every stencil point, ``f``
 is called once on all of them, and the Hessian entries are array formulas.
@@ -141,21 +151,24 @@ def fd_hessian_batch(f, points, step=None, field="R"):
 
     ``f`` must be vectorized: (m, d) -> (m,); it is called once, on all
     stencil points (see ``_stencil_values``).  Returns (N, d, d) symmetric
-    arrays; the stencil is the standard 3-point one on the diagonal and the
-    4-point cross formula off-diagonal, exact on quadratics up to roundoff.
-    Both are formed for all axes or pairs at once, and each cross value is
-    written to (a, b) and (b, a).  Only the entries ``field`` reads are
+    arrays, laid out entry-major (``_entry_major``); the stencil is the
+    standard 3-point one on the diagonal and the 4-point cross formula
+    off-diagonal, exact on quadratics up to roundoff.  Both are formed for
+    all axes or pairs at once, as (axes, N) and (pairs, N) rows written
+    straight into the (d, d, N) array under the view, and each cross value
+    is written to (a, b) and (b, a).  Only the entries ``field`` reads are
     differenced (``_field_pairs``), the others are 0, so the field Hessian
     ``assemble_structured(field, ...)`` has the bits of the all-pairs one.
     """
     d = np.shape(points)[-1]
     vals, h, (a, b) = _stencil_values(f, points, step, FIELD_COMPONENTS[field])
     h2 = h * h
-    H = np.zeros((len(h), d, d))
+    H = _entry_major(len(h), d)
+    planes = H.transpose(1, 2, 0)  # the (d, d, N) array under the view
     axes = np.arange(d)
-    H[:, axes, axes] = ((vals[1:2 * d + 1:2] - 2.0 * vals[0] + vals[2:2 * d + 2:2]) / h2).T
+    planes[axes, axes] = (vals[1:2 * d + 1:2] - 2.0 * vals[0] + vals[2:2 * d + 2:2]) / h2
     fpp, fpm, fmp, fmm = (vals[2 * d + 1 + k::4] for k in range(4))
-    H[:, a, b] = H[:, b, a] = ((fpp - fpm - fmp + fmm) / (4.0 * h2)).T
+    planes[a, b] = planes[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
     return H
 
 
@@ -198,6 +211,17 @@ def _thread_buffer(slot, shape):
     return buf[:size].reshape(shape)
 
 
+def _entry_major(n, d, slot=None):
+    """An (n, d, d) float array laid out entry-major: the transposed view
+    of a C-ordered (d, d, n) array, so each entry's plane ``[:, i, j]`` is
+    contiguous.  Zeros in a new array for ``slot`` None, else this
+    thread's buffer ``slot`` (see ``_thread_buffer``), holding whatever
+    its last writer left.  Every real-Hessian batch of both routes is
+    made here (see the module docstring)."""
+    planes = np.zeros((d, d, n)) if slot is None else _thread_buffer(slot, (d, d, n))
+    return planes.transpose(2, 0, 1)
+
+
 def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
@@ -237,8 +261,10 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     columns (a, b) and (b, a) of an (N, d, d) result.  With ``cells``
     None every cell is taken, in order, and the result is returned with
     shape ``core_shape + (d, d)``.  ``out``, if given, is that (N, d, d)
-    result, owned by the caller (for None, ``prod(core_shape)`` rows);
-    otherwise a new array is returned.
+    float64 result, owned by the caller (for None, ``prod(core_shape)``
+    rows); it may have any layout and gets the same values in each.  The
+    routes pass an entry-major one (``_entry_major``), where each column
+    is one contiguous plane, and a new result is entry-major too.
     """
     values = np.asarray(values, dtype=float)
     d, m = values.ndim, FIELD_COMPONENTS[field]
@@ -256,9 +282,11 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     core = tuple(n - width + 1 for n in values.shape)
     shape = (math.prod(core) if cells is None else len(cells), d, d)
     if out is None:
-        out = np.empty(shape)
+        out = _entry_major(shape[0], d)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    elif out.dtype != np.float64:
+        raise ValueError(f"out has dtype {out.dtype}, expected float64")
     out[:, ~read] = 0.0
 
     blocks, bands = [], []

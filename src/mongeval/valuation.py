@@ -45,7 +45,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
-from .hessian import (_stencil_steps, _thread_buffer, assemble_structured, fd_hessian_batch,
+from .hessian import (_entry_major, _stencil_steps, assemble_structured, fd_hessian_batch,
                       grid_hessian)
 
 __all__ = [
@@ -617,7 +617,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       singular at 0 and raises when the origin lies in the joint support
       box of B and the matrix bumps (with an atom: in its stencil).  A
       negative or non-finite width, or a positive one with an atom or below
-      1/8 cell, raises.
+      1/8 cell, raises.  So does a ``step`` other than None that is not
+      finite and > 0, or that comes with a positive width (the grid route
+      has no stencil); both are checked before B is read.
     - A sum that is not finite raises ``FloatingPointError``.  Only
       active cells (B and every bump nonzero) get Hessians, so a
       non-finite f that no active cell's Hessian reads does not raise.
@@ -633,6 +635,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     atom = spec.atom
     if not math.isfinite(sigma_cells) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
         raise ValueError("sigma_cells must be finite and >= 0, and 0 when a weight is a point atom")
+    if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
+        raise ValueError(f"stencil step must be None or finite and > 0, and None when "
+                         f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")
     owner = getattr(f, "__self__", f)  # a bound support's body
     if sigma_cells == 0 and isinstance(owner, (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
@@ -677,8 +682,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     slots = []
     if spec.degree > 0:
         if sigma_cells > 0:
-            # this thread's buffer: the Hessians are consumed below, before its next grid call
-            out = _thread_buffer("hessians", (len(weight), d, d))
+            # this thread's buffer, entry-major so each real entry is one contiguous
+            # plane; the Hessians are consumed below, before its next grid call
+            out = _entry_major(len(weight), d, "hessians")
             hf = _field_hessians_grid(spec, f, grid, sigma_cells, active, out)
         else:
             if grid is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mongeval import hessian, valuation
+from mongeval import algebra, hessian, valuation, verify
 from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, hermitian_deviation
 from mongeval.convex import ball_body, make_two_ball_body
 from mongeval.hessian import (
@@ -446,6 +446,17 @@ def test_grid_hessian_cells_and_out_match_the_dense_band_bit_for_bit(field, d):
             grid_hessian(values, spacing, kernels, field, out=np.empty((len(ref) + 1, d, d)))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
+    # only out.shape was checked: an int64 out truncated every Hessian to
+    # an integer, a float32 one rounded it to about 3e-8 relative
+    values = np.random.default_rng(0).standard_normal((11, 11))
+    out = np.zeros((9, 2, 2), dtype)
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
+        grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), out=out)
+    assert not out.any()
+
+
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
 def test_unread_entries_cancel_exactly_in_assembly(field, n):
     # zeroing what grid_hessian leaves unread changes no bit of the field
@@ -478,6 +489,87 @@ def test_hessian_routes_are_exactly_symmetric():
             assert G.tobytes() == np.swapaxes(G, -1, -2).tobytes()
         R = assemble_structured("R", H)
         assert R.tobytes() == H.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the entry-major layout
+# ---------------------------------------------------------------------------
+
+def _planes_are_contiguous(H):
+    """Each real entry H[:, i, j] of an (N, d, d) batch is one contiguous plane."""
+    d = H.shape[-1]
+    return all(H[:, i, j].flags.c_contiguous for i in range(d) for j in range(d))
+
+
+def _layout_case(field, n, route):
+    """Real Hessians (N, d, d) of ``field`` with n x n field matrices from
+    ``route``: "atom" is one stencil node, "stencil" 9,000 nodes in
+    ``chunked_apply``'s blocks of 8,192 (40 for O2, 289 points each),
+    "grid" a random subset of a grid's cells and "buffer" the same cells
+    written into the thread's "hessians" buffer slot."""
+    d = n * FIELD_COMPONENTS[field]
+    rng = np.random.default_rng(d + n)
+    if route in ("atom", "stencil"):
+        c = rng.standard_normal((d, d)) / math.sqrt(d)
+        f = lambda x: np.sum(np.cos(x @ c), axis=-1) + np.sum(x * x, axis=-1) ** 1.5
+        points = rng.standard_normal((1 if route == "atom" else 40 if field == "O2" else 9000, d))
+        return valuation.chunked_apply(lambda b: fd_hessian_batch(f, b, None, field), points,
+                                       chunk=8192)
+    kernels = valuation._gaussian_kernels(1.0)
+    core = (20,) * d if d == 3 else (8,) * d
+    values = rng.standard_normal(tuple(k + len(kernels[0]) - 1 for k in core))
+    cells = np.flatnonzero(rng.random(math.prod(core)) < 0.6)
+    out = None if route == "grid" else hessian._entry_major(len(cells), d, "hessians")
+    return grid_hessian(values, 0.1, kernels, field, cells=cells, out=out)
+
+
+_LAYOUT_CASES = [(field, n, route) for field, n in (("R", 3), ("C", 2), ("H", 2), ("O2", 2))
+                 for route in ("atom", "stencil")]
+_LAYOUT_CASES += [(field, n, route) for field, n in (("R", 3), ("C", 2), ("H", 1))
+                  for route in ("grid", "buffer")]  # no O2 grid: it would be 16-D
+
+
+@pytest.mark.parametrize("field,n,route", _LAYOUT_CASES)
+def test_entry_major_hessians_match_the_batch_major_reference_bit_for_bit(field, n, route):
+    # both Hessian routes lay each real entry out as a contiguous plane; a
+    # batch-major copy of the same values gives the field Hessians and every
+    # polarized determinant (i Hessian copies against n - i constant
+    # matrices) with the same bytes
+    H = _layout_case(field, n, route)
+    if route != "atom":
+        assert len(H) > 1 and _planes_are_contiguous(H)
+    ref = np.ascontiguousarray(H)
+    assert ref.strides != H.strides or len(H) == 1
+    hf, hf_ref = assemble_structured(field, H), assemble_structured(field, ref)
+    assert hf.tobytes() == hf_ref.tobytes()
+    rng = np.random.default_rng(7)
+    d = H.shape[-1]
+    consts = []
+    for _ in range(n - 1):
+        s = rng.standard_normal((d, d))
+        consts.append(assemble_structured(field, s + s.T))
+    for degree in range(1, n + 1):
+        got = algebra.polarized_det_batch(field, [hf] * degree + consts[:n - degree])
+        want = algebra.polarized_det_batch(field, [hf_ref] * degree + consts[:n - degree])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_grid_route_hands_grid_hessian_its_entry_major_thread_buffer(monkeypatch):
+    # eval_valuation's "hessians" slot is the buffer the Hessians are written
+    # into, as planes, and no second array is made on the way
+    spec, grid, body, sigma = verify._identity_config("R", np.random.default_rng(0))
+    seen = []
+
+    def spy(values, spacing, kernels, field, cells=None, out=None):
+        seen.append(out)
+        return grid_hessian(values, spacing, kernels, field, cells=cells, out=out)
+
+    ref = valuation.body_valuation(spec, body, grid, sigma_cells=sigma)
+    monkeypatch.setattr(valuation, "grid_hessian", spy)
+    assert valuation.body_valuation(spec, body, grid, sigma_cells=sigma).hex() == ref.hex()
+    (out,) = seen
+    assert len(out) > 1 and _planes_are_contiguous(out)
+    assert np.shares_memory(out, hessian._buffers.hessians)
 
 
 # ---------------------------------------------------------------------------

@@ -797,6 +797,20 @@ def test_non_finite_f_raises_on_both_routes(bad, sigma):
         eval_valuation(spec, f, grid, sigma_cells=sigma)  # the products warn on nan
 
 
+@pytest.mark.parametrize("sigma,step", [(2.0, -1.0), (2.0, math.nan), (2.0, 1e-3),
+                                        (0.0, -1.0), (0.0, math.nan)])
+def test_a_bad_step_or_a_step_on_the_grid_route_raises_before_b_is_read(sigma, step, monkeypatch):
+    # the grid route ignored step: -1.0 or nan gave the value of None; the
+    # stencil route checked it only after B had been read
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
+    quad = quadratic(np.eye(3))
+    assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=sigma, step=None))
+    monkeypatch.setattr(BumpWeight, "on_axes", lambda self, axes: pytest.fail("B was read"))
+    with pytest.raises(ValueError, match="step"):
+        eval_valuation(spec, quad, grid, sigma_cells=sigma, step=step)
+
+
 _SHIFTS = {"small": np.array([0.3, -0.2, 0.1]), "large": np.array([2.0, 1.0, -3.0])}
 
 
