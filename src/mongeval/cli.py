@@ -1,10 +1,11 @@
 """Command-line entry point: run experiments, list them, validate configs.
 
 Exit codes: 0 all checks passed, 1 an experiment ran and failed, 2 the
-configuration was invalid.  Reports are JSON, written atomically; the
-output directory may be overridden with the MONGEVAL_OUT environment
-variable (flags beat the environment).  For a fixed seed the report file
-is byte-identical across reruns and across --threads settings.
+configuration was invalid.  Reports are JSON, written atomically by
+``write_json_atomic``; the output directory may be overridden with the
+MONGEVAL_OUT environment variable (flags beat the environment).  For a
+fixed seed the report file is byte-identical across reruns and across
+--threads settings.
 
 The options of ``run`` are the keyword parameters of the experiment
 functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
@@ -22,9 +23,9 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 
-from .serialize import write_json_atomic
 from .verify import EXPERIMENTS, NAMED_BODIES, run_experiment
 
 # parameter -> flag, where the flag is not the parameter's own name
@@ -168,6 +169,23 @@ def validate_config(name: str, config: dict) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return kwargs
+
+
+def write_json_atomic(path: str, payload) -> None:
+    """Serialize to a temp file in the target directory, then rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _run_one(name, kwargs, out_dir, quiet):

@@ -374,40 +374,43 @@ class PLConvexFunction:
 # closed-form support functions of sliced balls
 # ---------------------------------------------------------------------------
 
-def ball_slab_support(u, s: float, t: float, radius: float = 1.0):
-    """Support function of {|x| <= radius, s <= <u, x> <= t} as a callable.
+def ball_slab_support(u, s: float, t: float):
+    """Support function of {|x| <= 1, s <= <u, x> <= t} as a callable.
 
     Piecewise closed form: the unconstrained spherical maximizer wins when
     its u-coordinate lies in [s, t]; otherwise the maximizer sits on the
     rim at height t (or s).  C^1 across the two interface cones, smooth
-    elsewhere away from 0.
+    elsewhere away from 0.  A zero or non-finite u raises GeometryError.
     """
     u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    if not (-radius <= s < t <= radius):
-        raise GeometryError(f"need -radius <= s < t <= radius, got s={s}, t={t}")
-    wt = np.sqrt(radius**2 - t**2)
-    ws = np.sqrt(radius**2 - s**2)
+    norm = np.linalg.norm(u)
+    if not 0.0 < norm < np.inf:
+        raise GeometryError(f"direction u must be nonzero and finite, got norm {norm}")
+    u = u / norm
+    if not (-1.0 <= s < t <= 1.0):
+        raise GeometryError(f"need -1 <= s < t <= 1, got s={s}, t={t}")
+    wt = np.sqrt(1.0 - t**2)
+    ws = np.sqrt(1.0 - s**2)
 
     def h(xi):
         xi = np.asarray(xi, dtype=float)
         r = np.linalg.norm(xi, axis=-1)
         xu = xi @ u
         perp = np.sqrt(np.maximum(r * r - xu * xu, 0.0))
-        top = radius * xu > t * r
-        bot = radius * xu < s * r
+        top = xu > t * r
+        bot = xu < s * r
         return np.select(
             [top, bot],
             [t * xu + wt * perp, s * xu + ws * perp],
-            default=radius * r,
+            default=r,
         )
 
     def interface_margin(xi):
         """Distance of xi (per row) from the two non-smooth cones, in the
-        cosine variable radius * xu / r; used to filter sample points."""
+        cosine variable xu / r; used to filter sample points."""
         xi = np.asarray(xi, dtype=float)
         r = np.linalg.norm(xi, axis=-1)
-        c = radius * (xi @ u) / np.where(r > 0, r, 1.0)
+        c = (xi @ u) / np.where(r > 0, r, 1.0)
         return np.minimum(np.abs(c - t), np.abs(c - s))
 
     h.interface_margin = interface_margin

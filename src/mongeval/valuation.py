@@ -72,7 +72,7 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Axis-aligned box with a fixed midpoint-rule resolution per axis;
-    its bounds must be finite."""
+    its bounds must be finite and its shape whole numbers (10.0 is 10)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -81,9 +81,12 @@ class Grid:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        shape = tuple(int(s) for s in np.atleast_1d(self.shape))
+        raw = np.atleast_1d(self.shape)
+        shape = tuple(int(s) for s in raw)
         if lo.shape != hi.shape or lo.ndim != 1 or len(shape) != lo.size:
             raise ValueError("grid bounds and shape are inconsistent")
+        if any(s != r for s, r in zip(shape, raw)):
+            raise ValueError(f"grid shape must hold whole cell counts, got {self.shape!r}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("grid bounds must be finite")
         if np.any(hi <= lo) or any(s < 1 for s in shape):
@@ -174,22 +177,23 @@ class BumpWeight:
         return self.height * np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
 
     def on_axes(self, axes):
-        """The mask B != 0 over the cells and B on it, both in C order, on
-        the tensor grid of ``axes``.  |x - center|^2 is an outer sum of
+        """B on every cell of the tensor grid of ``axes``, flat in C order
+        and 0 outside the support.  |x - center|^2 is an outer sum of
         (x_a - c_a)^2 from the first axis on, which is the order in which
         ``np.sum`` adds a node's coordinates for d <= 7, so the bits are
-        those of ``self(nodes)`` there.  From d = 8 numpy's pairwise sum
-        runs 8 accumulators, and the squared distances may differ by a
-        few ulp (3 in the tests), which the profile amplifies near the
-        edge of the support.  The profile runs only where that sum is
-        below radius^2, which holds wherever r < 1."""
+        those of ``self(nodes)`` there (a zero of a negative height is
+        +0.0 here).  From d = 8 numpy's pairwise sum runs 8 accumulators,
+        and the squared distances may differ by a few ulp (3 in the
+        tests), which the profile amplifies near the edge of the support.
+        The profile runs only where that sum is below radius^2, which
+        holds wherever r < 1."""
         center = np.broadcast_to(self.center, (len(axes),))  # as ``x - center`` broadcasts
         dist2 = functools.reduce(np.add.outer, [
             (np.asarray(x, dtype=float) - c) ** 2 for x, c in zip(axes, center)])
-        mask = dist2 < self.radius**2
-        values = self._profile(dist2[mask])
-        mask[mask] = values != 0
-        return mask.reshape(-1), values[values != 0]
+        inside = dist2 < self.radius**2
+        values = np.zeros(dist2.shape)
+        values[inside] = self._profile(dist2[inside])
+        return values.reshape(-1)
 
     @property
     def support_lo(self):
@@ -304,7 +308,7 @@ class ValuationSpec:
 # convex-hull volume and the exact PL route
 # ---------------------------------------------------------------------------
 
-def _affine_rank(points, tol=1e-10):
+def _affine_rank(points):
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return 0
@@ -312,7 +316,7 @@ def _affine_rank(points, tol=1e-10):
     scale = np.abs(rel).max(initial=0.0)
     if scale == 0.0:
         return 0
-    return int(np.linalg.matrix_rank(rel, tol=tol * scale))
+    return int(np.linalg.matrix_rank(rel, tol=1e-10 * scale))
 
 
 def hull_volume(points) -> float:
@@ -558,24 +562,21 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None, out=None):
     return assemble_structured(spec.field, hreal)
 
 
-def _bump_factor(weight, grid: Grid, active, node=None):
-    """The scalar times one matrix weight's constant matrix on the ``active``
-    cells of ``grid`` (read on its tensor axes) or at an atom spec's one
+def _bump_factor(weight, grid: Grid, node=None):
+    """The scalar times one matrix weight's constant matrix on every cell
+    of ``grid`` (read on its tensor axes) or at an atom spec's one
     ``node``: the bump, over its midpoint mass when normalized, or 1 for
-    an atom.  That mass sums every cell, its exact zeros included, so the
-    pairwise sum has the node array's bits."""
+    an atom.  That mass sums the per-cell array, its exact zeros
+    included, so the pairwise sum has the node array's bits."""
     if isinstance(weight, MatrixAtom):
         return 1.0
     if grid is None:
         if weight.normalize:
             raise ValueError("normalized bump weights need a quadrature grid")
         return weight.scalar(node)
-    mask, values = weight.scalar.on_axes(grid.axes())
-    every = np.zeros(grid.n_cells)
-    every[mask] = values
-    scal = every[active]
+    scal = weight.scalar.on_axes(grid.axes())
     if weight.normalize:
-        total = float(np.sum(every)) * grid.cell_volume
+        total = float(np.sum(scal)) * grid.cell_volume
         if total <= 0:
             raise ValueError("normalized bump has zero mass on this grid")
         scal = scal / total
@@ -587,17 +588,17 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     """Evaluate the valuation functional on a convex (or C^2) function.
 
     ``f`` is vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
-    ``Polytope`` for its support function.  Every spec runs one pipeline:
-    B, the weight w = B * prod s_k per cell, Hessian slots where w != 0,
-    the polarized determinant against the weights' constant matrices M_k,
-    and (n - i)! * cell * sum w * det.  A bump s_k M_k has the factor s_k
-    (over its midpoint mass when normalized), an atom 1.  The M_k
+    ``Polytope`` for its support function.  Every spec runs one pipeline: B,
+    the weight w = B * prod s_k as one per-cell array, Hessian slots where
+    w != 0, the polarized determinant against the weights' constant matrices
+    M_k, and (n - i)! * cell * sum w * det.  A bump s_k M_k has the factor
+    s_k (over its midpoint mass when normalized), an atom 1.  The M_k
     broadcast, so a subset made only of them costs one determinant.  A B
     that vanishes on every cell returns 0.0 before any matrix weight is
     read.  A spec with a point atom has one node, the atom location, with
-    weight 1 and no grid: B and the matrix bumps are read there.
-    Otherwise ``grid`` supplies the midpoints and the cell volume, and B
-    and the matrix bumps are read on its tensor axes (``on_axes``).
+    weight 1 and no grid: B and the matrix bumps are read there.  Otherwise
+    ``grid`` supplies the midpoints and the cell volume, and B and the
+    matrix bumps are read on its tensor axes (``on_axes``).
 
     ``sigma_cells`` picks the Hessians of the entries the field reads: 0
     means difference stencils at the active midpoints, in fixed blocks of
@@ -619,7 +620,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       negative or non-finite width, or a positive one with an atom or below
       1/8 cell, raises.  So does a ``step`` other than None that is not
       finite and > 0, or that comes with a positive width (the grid route
-      has no stencil); both are checked before B is read.
+      has no stencil), and a ``threads`` that is not an int >= 1 (a bool
+      is not); all three are checked before B is read.
     - A sum that is not finite raises ``FloatingPointError``.  Only
       active cells (B and every bump nonzero) get Hessians, so a
       non-finite f that no active cell's Hessian reads does not raise.
@@ -638,6 +640,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     owner = getattr(f, "__self__", f)  # a bound support's body
     if sigma_cells == 0 and isinstance(owner, (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
@@ -658,7 +662,6 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         if node.shape[1] != d:
             raise ValueError(f"atom location dimension {node.shape[1]} != {d}")
         weight = spec.scalar_weight(node)
-        active = weight != 0
     else:
         if grid is None:
             raise ValueError("a quadrature grid is required unless a weight is a point atom")
@@ -669,15 +672,14 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
             raise ValueError("joint weight support exceeds the quadrature box")
         node, cell = None, grid.cell_volume
-        active, weight = spec.scalar_weight.on_axes(grid.axes())  # B(x) = 0 cells add 0 * det
-    if active.any():  # B first: a B of 0 on every cell reads no matrix weight
+        weight = spec.scalar_weight.on_axes(grid.axes())
+    if weight.any():  # B first: a B of 0 on every cell reads no matrix weight
         for w in spec.weights:  # each is its constant matrix times this factor
-            weight = weight * _bump_factor(w, grid, active, node)
-    keep = weight != 0
-    if not keep.any():
+            weight = weight * _bump_factor(w, grid, node)
+    active = weight != 0  # w = 0 cells add 0 * det
+    if not active.any():
         return 0.0
-    active[active] = keep
-    weight = weight[keep]
+    weight = weight[active]
 
     slots = []
     if spec.degree > 0:

@@ -106,7 +106,7 @@ def _at_least(minimum, **values):
             raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
-def field_subset(fields, seed=0, threads=1, **counts):
+def field_subset(fields, seed, threads, **counts):
     """valuation-identity's and linear-invariance's check: the fields, a
     non-empty subset of R, C, H, O2, as a tuple (a str is one field).
 
@@ -193,24 +193,24 @@ def _identity_grid_residuals(field, n_pairs, rng, threads):
     return residuals, control
 
 
-def _random_o2_hermitian(rng, scale=0.4):
+def _random_o2_hermitian(rng):
     data = np.zeros((2, 2, 8))
     data[0, 0, 0] = rng.uniform(0.5, 1.5)
     data[1, 1, 0] = rng.uniform(0.5, 1.5)
-    q = scale * rng.standard_normal(8)
+    q = 0.4 * rng.standard_normal(8)
     data[0, 1] = q
     data[1, 0] = q
     data[1, 0, 1:] *= -1
     return data
 
 
-def _identity_probe_residuals_o2(n_pairs, rng, n_probes=6):
+def _identity_probe_residuals_o2(n_pairs, rng):
     """Pointwise identity for O^2 via closed-form sliced-ball supports.
 
     Full 16-dimensional quadrature is out of reach, so the check probes
-    the integrand at sampled locations kept away from the C^1 interface
-    cones of the sliced supports; there the four Hessians and hence the
-    determinant sums satisfy the identity pointwise.
+    the integrand at six sampled locations per pair, kept away from the
+    C^1 interface cones of the sliced supports; there the four Hessians
+    and hence the determinant sums satisfy the identity pointwise.
     """
     residuals = []
     control = 0.0
@@ -224,7 +224,7 @@ def _identity_probe_residuals_o2(n_pairs, rng, n_probes=6):
         hAB = cx.ball_slab_support(u, s, t)
         hK = lambda xi: np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
         probes = []
-        while len(probes) < n_probes:
+        while len(probes) < 6:
             xi = rng.standard_normal(16)
             xi *= rng.uniform(0.8, 1.4) / np.linalg.norm(xi)
             if hAB.interface_margin(xi[None])[0] > 0.2:
@@ -376,7 +376,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # experiment: continuity of the smoothed route
 # ---------------------------------------------------------------------------
 
-def smoothing_schedule(sigmas_cells, resolution=48, **_):
+def smoothing_schedule(sigmas_cells, resolution, **_):
     """continuity's check: its schedule as floats.
 
     Raises ValueError unless the resolution is at least 1 and the schedule
@@ -437,7 +437,7 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-def parity_shape(dim, degree, widths, threads=1, **_):
+def parity_shape(dim, degree, widths, threads, **_):
     """parity-break's check: (n, i) as ints.
 
     Raises ValueError unless 1 <= i <= n - 1, n <= 5 (each width
@@ -525,7 +525,7 @@ NAMED_BODIES = {
 }
 
 
-def named_body(body, seed=0, **_):
+def named_body(body, seed, **_):
     """volume-identity's check: ``body`` is None (ten random shells) or
     named, and the seed is at least 0."""
     _at_least(0, seed=seed)
@@ -609,7 +609,7 @@ def _bump4(x, center=0.0, radius=0.45):
     return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
 
 
-def perturbation_schedule(eps_schedule, resolution, seed=0, threads=1, **_):
+def perturbation_schedule(eps_schedule, resolution, seed, threads, **_):
     """kernel-laplacian's check: its schedule as floats, and the smallest
     eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
     the largest eps.

@@ -408,6 +408,11 @@ def test_ball_slab_support_against_brute_force():
 def test_ball_slab_validation():
     with pytest.raises(GeometryError):
         ball_slab_support(np.ones(3), 0.5, 0.2)
+    # u = 0 divided by 0 and read |xi| (1.732 at (1, 1, 1)), since every
+    # comparison with NaN is false
+    for u in (np.zeros(3), np.array([1.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])):
+        with pytest.raises(GeometryError, match="direction"):
+            ball_slab_support(u, -0.4, 0.3)
 
 
 def test_random_shell_polytope_separation():

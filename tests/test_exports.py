@@ -213,6 +213,17 @@ def test_every_experiment_calls_its_check_first():
             f"{fn.__name__} does not call {check.__name__} as its first statement"
 
 
+def test_registry_checks_take_no_defaults():
+    # each default lives on its experiment, which passes every argument to
+    # its check; a default on the check could drift from the experiment's
+    from mongeval.verify import EXPERIMENTS
+
+    for name, (_fn, check, _desc) in EXPERIMENTS.items():
+        defaults = [p.name for p in inspect.signature(check).parameters.values()
+                    if p.default is not p.empty]
+        assert not defaults, f"{name}'s check {check.__name__} has defaults for {defaults}"
+
+
 def test_readme_library_example_prints_its_values():
     # the README's example says it prints 1/3 and 4/3 (0.3333332 and
     # 1.3333327); run its code block as written, from the package exports

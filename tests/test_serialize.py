@@ -1,7 +1,7 @@
 import json
 import os
 
-from mongeval.serialize import write_json_atomic
+from mongeval.cli import write_json_atomic
 
 
 def test_write_json_atomic(tmp_path):

@@ -74,6 +74,14 @@ def test_grid_validation():
         Grid(np.array([0.0]), np.array([0.0]), (4,))
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 0.0]), np.array([1.0, 1.0]), (4,))
+    # a fractional cell count was truncated: (10.7, 3) built (10, 3) and
+    # Grid.cube(c, 0.5, 10.5, 2) 10 cells per axis, a different quadrature
+    with pytest.raises(ValueError, match="whole"):
+        Grid(np.zeros(2), np.ones(2), (10.7, 3))
+    with pytest.raises(ValueError, match="whole"):
+        Grid.cube(np.zeros(2), 0.5, 10.5, 2)
+    for whole in (10, np.int64(10), 10.0):
+        assert Grid.cube(np.zeros(2), 0.5, whole, 2).shape == (10, 10)
 
 
 @pytest.mark.parametrize("lo,hi", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan)),
@@ -797,18 +805,33 @@ def test_non_finite_f_raises_on_both_routes(bad, sigma):
         eval_valuation(spec, f, grid, sigma_cells=sigma)  # the products warn on nan
 
 
-@pytest.mark.parametrize("sigma,step", [(2.0, -1.0), (2.0, math.nan), (2.0, 1e-3),
-                                        (0.0, -1.0), (0.0, math.nan)])
-def test_a_bad_step_or_a_step_on_the_grid_route_raises_before_b_is_read(sigma, step, monkeypatch):
+# case id -> (sigma_cells, the bad keyword argument)
+_BAD_BEFORE_B = {
+    **{f"{sigma}-{step}": (sigma, {"step": step})
+       for sigma, step in [(2.0, -1.0), (2.0, math.nan), (2.0, 1e-3), (0.0, -1.0), (0.0, math.nan)]},
+    **{f"{sigma}-threads={threads!r}": (sigma, {"threads": threads})
+       for sigma in (0.0, 2.0) for threads in (0, -3, 2.5, True, "2", None)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BEFORE_B))
+def test_a_bad_step_or_a_step_on_the_grid_route_raises_before_b_is_read(case, monkeypatch):
     # the grid route ignored step: -1.0 or nan gave the value of None; the
-    # stencil route checked it only after B had been read
+    # stencil route checked it only after B had been read.  threads 0, -3,
+    # 2.5 and True gave the value of 1 on both routes, and "2" and None a
+    # TypeError inside chunked_apply
+    sigma, bad = _BAD_BEFORE_B[case]
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
     quad = quadratic(np.eye(3))
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=sigma, step=None))
     monkeypatch.setattr(BumpWeight, "on_axes", lambda self, axes: pytest.fail("B was read"))
-    with pytest.raises(ValueError, match="step"):
-        eval_valuation(spec, quad, grid, sigma_cells=sigma, step=step)
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        eval_valuation(spec, quad, grid, sigma_cells=sigma, **bad)
+    if name == "threads" and sigma > 0:  # body_valuation forwards it
+        with pytest.raises(ValueError, match=name):
+            body_valuation(spec, unit_cube(3, -0.2, 0.2), grid, sigma_cells=sigma, **bad)
 
 
 _SHIFTS = {"small": np.array([0.3, -0.2, 0.1]), "large": np.array([2.0, 1.0, -3.0])}
@@ -1289,18 +1312,21 @@ def test_bump_on_axes_matches_the_node_array(case, monkeypatch):
     d = len(shape)
     B = BumpWeight(np.array(center), radius, height, plateau)
     grid = Grid(np.full(d, lo), np.full(d, hi), shape)
-    mask, values = B.on_axes(grid.axes())
+    values = B.on_axes(grid.axes())
     ref = B(grid.nodes())
     assert 0 < np.count_nonzero(ref) < grid.n_cells
-    assert np.array_equal(mask, ref != 0)
+    assert values.shape == ref.shape
+    assert np.array_equal(values != 0, ref != 0)
     if d <= 7:
-        assert values.tobytes() == ref[ref != 0].tobytes()
+        # + 0.0 makes the -0.0 of a negative height 0.0 and keeps every other bit
+        assert values.tobytes() == (ref + 0.0).tobytes()
         return
     # from 8 terms np.sum adds pairwise, by 8 accumulators: the squared
     # distances, read through an identity profile, agree within 4 ulp
     monkeypatch.setattr(BumpWeight, "_profile", lambda self, dist2: dist2)
-    mask, dist2 = B.on_axes(grid.axes())
-    np.testing.assert_array_max_ulp(dist2, B(grid.nodes())[mask], maxulp=4)
+    dist2 = B.on_axes(grid.axes())
+    inside = dist2 != 0
+    np.testing.assert_array_max_ulp(dist2[inside], B(grid.nodes())[inside], maxulp=4)
 
 
 def _factor_on_nodes(weight, nodes, grid, active=slice(None)):
@@ -1388,7 +1414,7 @@ def test_normalized_bump_on_the_tensor_axes_keeps_the_node_array_total(d, res):
     scal = weight.scalar(grid.nodes())
     assert np.sum(scal[scal != 0]) != np.sum(scal)
     active = np.random.default_rng(d).random(grid.n_cells) < 0.5
-    got = valuation._bump_factor(weight, grid, active)
+    got = valuation._bump_factor(weight, grid)[active]
     ref = _factor_on_nodes(weight, grid.nodes(), grid, active)
     assert got.tobytes() == ref.tobytes()
 
