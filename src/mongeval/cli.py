@@ -8,11 +8,11 @@ fixed seed the report file is byte-identical across reruns and across
 --threads settings.
 
 The options of ``run`` are the keyword parameters of the experiment
-functions in ``verify.EXPERIMENTS``; each parameter's default fixes how
-its value is read (type and finite numbers), from a flag or a config
-file, whose keys are the flag names.  Every other rule, integer minimums
-included, is the experiment's registry check, which its library call
-applies too.
+functions in ``verify.EXPERIMENTS``, given as flags or in a config file
+keyed by flag name.  The CLI only parses text: a flag or a config string
+becomes the kind its parameter's default fixes, and any other config
+entry is passed on as it is.  Every rule, whole and finite numbers
+included, is the experiment's registry check, which a library call runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 import tempfile
@@ -99,37 +98,18 @@ def _build_parser(options):
     return parser
 
 
-def _read(kind, value):
-    """Convert a flag string or a config entry; TypeError/ValueError if it
-    does not have the parameter's type."""
-    if isinstance(value, bool) or (kind == "int" and isinstance(value, float)):
-        raise TypeError(f"not an {kind}")
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    if isinstance(value, str):
-        value = [v.strip() for v in value.split(",") if v.strip()]
-    if kind == "fields":
-        return list(value)
-    if any(isinstance(v, bool) for v in value):
-        raise TypeError("not a number")
-    return [float(v) for v in value]
-
-
 def _coerce(key, param, value):
-    """Read one option as its parameter's default dictates: its type and
-    finite numbers."""
+    """Parse text as its parameter's kind; pass any other value on as it is."""
     kind = _kind(param.default)
-    if kind == "body":
+    if kind == "body" or not isinstance(value, str):
         return value
     try:
-        value = _read(kind, value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if kind in ("int", "float"):
+            return int(value) if kind == "int" else float(value)
+        parts = [v.strip() for v in value.split(",") if v.strip()]
+        return parts if kind == "fields" else [float(v) for v in parts]
+    except ValueError as exc:
         raise ConfigError(f"{key} has the wrong type: {value!r}") from exc
-    if not all(map(math.isfinite, {"float": [value], "floats": value}.get(kind, []))):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return value
 
 
 def _read_config(path) -> dict:
@@ -147,10 +127,9 @@ def validate_config(name: str, config: dict) -> dict:
     """Read a config before any computation; returns kwargs.
 
     A key is an option's flag name, as ``mongeval run --help`` lists it
-    (``pairs``, not the parameter name ``n_pairs``); any other key raises
-    with the keys the experiment takes.  The experiment's registry check
-    then sees every argument, defaults filled in, and its ValueError is
-    raised here as a ConfigError with the message a library call raises.
+    (``pairs``, not ``n_pairs``); any other key raises with the keys the
+    experiment takes.  Its registry check then sees every argument,
+    defaults filled in, and its ValueError is raised as a ConfigError.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; see 'mongeval list'")

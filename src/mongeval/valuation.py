@@ -69,10 +69,20 @@ __all__ = [
 # quadrature grid
 # ---------------------------------------------------------------------------
 
+def _whole_number(name, value, minimum):
+    """``value`` as an int; ValueError unless it is an int or numpy integer
+    of at least ``minimum`` (a bool is not one, nor is 10.0, as in numpy)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Axis-aligned box with a fixed midpoint-rule resolution per axis;
-    its bounds must be finite and its shape whole numbers (10.0 is 10)."""
+    its bounds must be finite and its shape whole numbers, each >= 1."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -81,16 +91,11 @@ class Grid:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        raw = np.atleast_1d(self.shape)
-        shape = tuple(int(s) for s in raw)
+        shape = tuple(_whole_number("grid cell count", s, 1) for s in self.shape)
         if lo.shape != hi.shape or lo.ndim != 1 or len(shape) != lo.size:
             raise ValueError("grid bounds and shape are inconsistent")
-        if any(s != r for s, r in zip(shape, raw)):
-            raise ValueError(f"grid shape must hold whole cell counts, got {self.shape!r}")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("grid bounds must be finite")
-        if np.any(hi <= lo) or any(s < 1 for s in shape):
-            raise ValueError("grid box must be non-degenerate with positive resolution")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+            raise ValueError("grid bounds must be finite, with lo < hi on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)
@@ -243,7 +248,7 @@ class MatrixAtom:
 
 @dataclass(frozen=True, eq=False)
 class ValuationSpec:
-    """Field, matrix size n, homogeneity degree i, and the weights.
+    """Field, whole matrix size n >= 1, whole degree i in 0..n, and weights.
 
     ``scalar_weight`` is B, a ``BumpWeight``, so that its support box is
     always checked against the quadrature box and the origin.
@@ -263,13 +268,13 @@ class ValuationSpec:
             raise TypeError(f"scalar_weight must be a BumpWeight, not {self.scalar_weight!r}")
         if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
+        if _whole_number("degree", self.degree, 0) > _whole_number("n", self.n, 1):
+            raise ValueError(f"degree {self.degree} out of range 0..{self.n}")
         if self.field == "O2":
             if self.n != 2:
                 raise ValueError("field O2 requires n = 2")
             if self.degree not in (1, 2):
                 raise ValueError("field O2 supports degrees 1 and 2 only")
-        if not 0 <= self.degree <= self.n:
-            raise ValueError(f"degree {self.degree} out of range 0..{self.n}")
         object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.n - self.degree:
             raise ValueError(
@@ -481,8 +486,9 @@ def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
     """Apply a vectorized map over fixed row chunks, concatenated in order.
 
     Chunk boundaries do not depend on the thread count, so results are
-    bit-identical for any ``threads``.
+    bit-identical for any ``threads``, a whole number of at least 1.
     """
+    threads = _whole_number("threads", threads, 1)
     points = np.asarray(points)
     blocks = [points[i:i + chunk] for i in range(0, max(len(points), 1), chunk)]
     if threads <= 1 or len(blocks) == 1:
@@ -620,8 +626,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       negative or non-finite width, or a positive one with an atom or below
       1/8 cell, raises.  So does a ``step`` other than None that is not
       finite and > 0, or that comes with a positive width (the grid route
-      has no stencil), and a ``threads`` that is not an int >= 1 (a bool
-      is not); all three are checked before B is read.
+      has no stencil), and a ``threads`` that is not a whole number >= 1;
+      all three are checked before B is read.
     - A sum that is not finite raises ``FloatingPointError``.  Only
       active cells (B and every bump nonzero) get Hessians, so a
       non-finite f that no active cell's Hessian reads does not raise.
@@ -640,8 +646,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    _whole_number("threads", threads, 1)
     owner = getattr(f, "__self__", f)  # a bound support's body
     if sigma_cells == 0 and isinstance(owner, (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
@@ -722,8 +727,9 @@ def homogeneous_components(phi, K: ConvexBody, max_degree: int):
 
     Probes lambda = 1..n+1 and solves the Vandermonde system; for an
     i-homogeneous phi everything except c_i vanishes to solver precision.
+    n = ``max_degree`` is a whole number >= 0, checked before phi is called.
     """
-    n = int(max_degree)
+    n = _whole_number("max_degree", max_degree, 0)
     lambdas = np.arange(1, n + 2, dtype=float)
     values = np.array([phi(K.scale(lam)) for lam in lambdas])
     V = np.vander(lambdas, N=n + 1, increasing=True)

@@ -13,6 +13,7 @@ they carry no wall-clock time for that reason.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .valuation import (
     MatrixAtom,
     MatrixBump,
     ValuationSpec,
+    _whole_number,
     body_valuation,
     eval_valuation,
     hull_volume,
@@ -65,29 +67,33 @@ class ExperimentReport:
         return [c[2] for c in self.checks]
 
     @property
+    def verdicts(self) -> list:
+        """Each check's pass, |observed - expected| <= tolerance (NaN fails)."""
+        return [bool(abs(o - e) <= t) for _, o, e, t in self.checks]
+
+    @property
     def passed(self) -> bool:
-        return all(abs(o - e) <= t for _, o, e, t in self.checks)
+        return all(self.verdicts)
 
     def canonical(self) -> dict:
         """Deterministic payload: reruns with the same inputs are byte-equal."""
+        verdicts = self.verdicts
         return {
             "name": self.name,
             "parameters": self.parameters,
             "checks": [
-                {"label": l, "observed": o, "expected": e, "tolerance": t,
-                 "pass": bool(abs(o - e) <= t)}
-                for l, o, e, t in self.checks
+                {"label": l, "observed": o, "expected": e, "tolerance": t, "pass": ok}
+                for (l, o, e, t), ok in zip(self.checks, verdicts)
             ],
-            "passed": self.passed,
+            "passed": all(verdicts),
             "details": self.details,
         }
 
     def summary_lines(self):
-        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
-        for l, o, e, t in self.checks:
-            ok = "ok " if abs(o - e) <= t else "FAIL"
-            lines.append(f"  {ok} {l}: observed {o:.6g}, expected {e:.6g}, tol {t:.2g}")
-        return lines
+        verdicts = self.verdicts
+        return [f"[{'PASS' if all(verdicts) else 'FAIL'}] {self.name}"] + [
+            f"  {'ok ' if ok else 'FAIL'} {l}: observed {o:.6g}, expected {e:.6g}, tol {t:.2g}"
+            for (l, o, e, t), ok in zip(self.checks, verdicts)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +105,29 @@ def _centered_cube(dim, halfwidth):
     return cx.Polytope(corners)
 
 
-def _at_least(minimum, **values):
-    """Raise ValueError unless every value is at least ``minimum``."""
-    for name, value in values.items():
-        if value < minimum:
-            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+def _finite(name, value, many=False):
+    """``value``, a finite real number (not a bool or text), as a float, or
+    with ``many`` a list, tuple or 1-D array of them as floats; else ValueError."""
+    listed = isinstance(value, (list, tuple)) or np.ndim(value) == 1
+    if listed != many or not all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in (value if many else [value])):
+        form = "a list of finite numbers" if many else "a finite number"
+        raise ValueError(f"{name} must be {form}, got {value!r}")
+    return [float(v) for v in value] if many else float(value)
 
 
 def field_subset(fields, seed, threads, **counts):
     """valuation-identity's and linear-invariance's check: the fields, a
-    non-empty subset of R, C, H, O2, as a tuple (a str is one field).
+    non-empty list or tuple of R, C, H, O2, as a tuple (a str is one field).
 
-    Raises ValueError unless the seed is at least 0, and ``threads`` and
-    the count (``n_pairs`` or ``trials``) at least 1.
+    Raises ValueError unless the seed is a whole number of at least 0, and
+    ``threads`` and the count (``n_pairs`` or ``trials``) at least 1.
     """
-    _at_least(0, seed=seed)
-    _at_least(1, threads=threads, **counts)
+    for name, value in {"seed": seed, "threads": threads, **counts}.items():
+        _whole_number(name, value, 0 if name == "seed" else 1)
+    if not isinstance(fields, (str, list, tuple)):
+        raise ValueError(f"fields must be a str or a list of them, got {fields!r}")
     fields = (fields,) if isinstance(fields, str) else tuple(fields)
     if not fields:
         raise ValueError("fields must not be empty")
@@ -379,12 +392,12 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 def smoothing_schedule(sigmas_cells, resolution, **_):
     """continuity's check: its schedule as floats.
 
-    Raises ValueError unless the resolution is at least 1 and the schedule
-    has two or more widths (one would pass the monotone check vacuously),
-    each at least one cell, strictly decreasing.
+    Raises ValueError unless the resolution is a whole number >= 1 and the
+    schedule a list of two or more finite widths (one would pass the
+    monotone check vacuously), each >= 1 cell, strictly decreasing.
     """
-    _at_least(1, resolution=resolution)
-    sigmas = [float(s) for s in sigmas_cells]
+    _whole_number("resolution", resolution, 1)
+    sigmas = _finite("sigmas_cells", sigmas_cells, many=True)
     if len(sigmas) < 2:
         raise ValueError(f"smoothing schedule needs at least two widths, got {sigmas}")
     if any(s < 1.0 for s in sigmas):
@@ -438,22 +451,23 @@ def _basis_matrix(n, p):
 
 
 def parity_shape(dim, degree, widths, threads, **_):
-    """parity-break's check: (n, i) as ints.
+    """parity-break's check: (n, i) as ints and the widths as floats.
 
-    Raises ValueError unless 1 <= i <= n - 1, n <= 5 (each width
-    differences a 12^n-cell grid, whose float64 Hessians alone take 14 GB
-    at n = 7), there are one or more widths, all positive, and ``threads``
-    is at least 1.
+    Raises ValueError unless the whole numbers n and i have 1 <= i <= n - 1
+    and n <= 5 (each width differences a 12^n-cell grid, whose float64
+    Hessians alone take 14 GB at n = 7), the widths are a list of one or
+    more finite positive numbers, and ``threads`` is at least 1.
     """
-    _at_least(1, threads=threads)
-    n, i = int(dim), int(degree)
+    _whole_number("threads", threads, 1)
+    n, i = _whole_number("dim", dim, 2), _whole_number("degree", degree, 1)
     if n > 5:
         raise ValueError(f"dim {n} is above 5: parity-break differences a 12^dim-cell grid")
-    if not 1 <= i <= n - 1:
+    if i > n - 1:
         raise ValueError(f"degree out of range 1..{n - 1}")
-    if not (len(widths) and all(w > 0 for w in widths)):
-        raise ValueError(f"widths must be one or more positive numbers, got {list(widths)}")
-    return n, i
+    widths = _finite("widths", widths, many=True)
+    if not (widths and all(w > 0 for w in widths)):
+        raise ValueError(f"widths must be one or more positive numbers, got {widths}")
+    return n, i, widths
 
 
 def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
@@ -466,7 +480,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     atom is also approximated by shrinking normalized bumps, and a round
     ball is the symmetric control with equal values.
     """
-    n, i = parity_shape(dim, degree, widths, threads)
+    n, i, widths = parity_shape(dim, degree, widths, threads)
     from math import comb
 
     body = cx.make_two_ball_body(n)
@@ -506,7 +520,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     ]
     return ExperimentReport(
         "parity-break",
-        {"dim": n, "degree": i, "widths": list(widths), "seed": seed},
+        {"dim": n, "degree": i, "widths": widths, "seed": seed},
         checks,
         {"phi_plus": phi_plus, "phi_minus": phi_minus,
          "bump_values": bump_vals, "bump_gaps": bump_gaps,
@@ -525,12 +539,13 @@ NAMED_BODIES = {
 }
 
 
-def named_body(body, seed, **_):
-    """volume-identity's check: ``body`` is None (ten random shells) or
-    named, and the seed is at least 0."""
-    _at_least(0, seed=seed)
+def named_body(b_height, body, seed, **_):
+    """volume-identity's check: B(0) as a float; ValueError unless it is
+    finite, ``body`` None or named, and the seed a whole number >= 0."""
+    _whole_number("seed", seed, 0)
     if body is not None and not (isinstance(body, str) and body in NAMED_BODIES):
         raise ValueError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
+    return _finite("b_height", b_height)
 
 
 def _kernel_images(weights, bodies, volumes, grid):
@@ -553,12 +568,12 @@ def volume_identity(b_height=1.0, body=None, seed=0):
     origin lands in the kernel of the body-valuation map: its exact route
     gives 0, while the functional itself stays nonzero on a quadratic.
     """
-    named_body(body, seed)
+    b_height = named_body(b_height, body, seed)
     rng = np.random.default_rng(seed)
     bodies = ([NAMED_BODIES[body]()] if body is not None else
               [cx.random_shell_polytope(rng) for _ in range(10)])
 
-    weight = BumpWeight(np.zeros(3), 0.45, float(b_height), plateau=0.7)
+    weight = BumpWeight(np.zeros(3), 0.45, b_height, plateau=0.7)
     spec = ValuationSpec("R", 3, 3, weight)
     grid = Grid.cube(np.zeros(3), 0.5, 48, 3)
 
@@ -614,17 +629,17 @@ def perturbation_schedule(eps_schedule, resolution, seed, threads, **_):
     eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
     the largest eps.
 
-    Raises ValueError unless the seed is at least 0, the resolution and
-    ``threads`` at least 1, the schedule has two or more positive values
-    (for a halving ratio) and |x|^2/2 + eps psi is convex there, hence at
-    every eps.
+    Raises ValueError unless the seed is a whole number of at least 0, the
+    resolution and ``threads`` of at least 1, the schedule a list of two
+    or more finite positive values (for a halving ratio) and |x|^2/2 +
+    eps psi is convex there, hence at every eps.
     """
-    _at_least(0, seed=seed)
-    _at_least(1, resolution=resolution, threads=threads)
-    eps = [float(e) for e in eps_schedule]
+    for name, value in {"seed": seed, "resolution": resolution, "threads": threads}.items():
+        _whole_number(name, value, 0 if name == "seed" else 1)
+    eps = _finite("eps_schedule", eps_schedule, many=True)
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
-    nodes = Grid.cube(np.zeros(3), 0.5, int(resolution), 3).nodes()
+    nodes = Grid.cube(np.zeros(3), 0.5, resolution, 3).nodes()
     hpsi = fd_hessian_batch(_bump4, nodes[::5])
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
     if min_eig < 0:
@@ -645,7 +660,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     rng = np.random.default_rng(seed)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0)
     spec = ValuationSpec("R", 3, 3, weight)
-    grid = Grid.cube(np.zeros(3), 0.5, int(resolution), 3)
+    grid = Grid.cube(np.zeros(3), 0.5, resolution, 3)
     nodes = grid.nodes()
 
     def f0(x):
@@ -700,7 +715,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     ]
     return ExperimentReport(
         "kernel-laplacian",
-        {"eps_schedule": eps_schedule, "resolution": int(resolution), "seed": seed},
+        {"eps_schedule": eps_schedule, "resolution": resolution, "seed": seed},
         checks,
         {"reference": reference, "divided_differences": divided, "gaps": gaps,
          "ratios": ratios, "min_convexity_eig": min_eig,

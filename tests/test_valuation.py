@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -80,8 +81,31 @@ def test_grid_validation():
         Grid(np.zeros(2), np.ones(2), (10.7, 3))
     with pytest.raises(ValueError, match="whole"):
         Grid.cube(np.zeros(2), 0.5, 10.5, 2)
-    for whole in (10, np.int64(10), 10.0):
+    for whole in (10, np.int64(10)):
         assert Grid.cube(np.zeros(2), 0.5, whole, 2).shape == (10, 10)
+    # a count is an int, as a numpy shape is (np.zeros(10.0) raises): 10.0
+    # and True passed, and Grid.cube(c, 0.5, True, 2) was a 1 x 1 grid.
+    # Each count is checked as given: np.atleast_1d((True, 3)) reads True as 1
+    for bad in (10.0, True):
+        with pytest.raises(ValueError, match="grid cell count must be a whole number"):
+            Grid.cube(np.zeros(2), 0.5, bad, 2)
+    with pytest.raises(ValueError, match="grid cell count must be a whole number, got True"):
+        Grid(np.zeros(2), np.ones(2), (True, 3))
+    with pytest.raises(ValueError, match="grid cell count must be at least 1, got 0"):
+        Grid(np.zeros(2), np.ones(2), (0, 3))
+
+
+@pytest.mark.parametrize("n,degree,message", [
+    (3.0, 3, "n must be a whole number, got 3.0"),
+    (0, 0, "n must be at least 1, got 0"),
+    (3, True, "degree must be a whole number, got True"),
+    (3, -1, "degree must be at least 0, got -1"),
+])
+def test_valuation_spec_takes_whole_n_and_degree(n, degree, message):
+    # ValuationSpec("R", 3.0, 3.0, B) was built, and eval_valuation then
+    # failed on "can't multiply sequence by non-int of type 'float'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ValuationSpec("R", n, degree, BumpWeight(np.zeros(3), 0.45))
 
 
 @pytest.mark.parametrize("lo,hi", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan)),
@@ -707,6 +731,17 @@ def test_homogeneous_components_constant():
     comps = homogeneous_components(lambda K: 2.5, unit_cube(3), 3)
     assert np.isclose(comps[0], 2.5)
     assert np.abs(comps[1:]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("max_degree,message", [
+    (2.5, "max_degree must be a whole number, got 2.5"),
+    (True, "max_degree must be a whole number, got True"),
+    (-1, "max_degree must be at least 0, got -1"),
+])
+def test_homogeneous_components_takes_a_whole_max_degree(max_degree, message):
+    # 2.5 solved for 3 components, True for 2, and -1 raised LinAlgError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        homogeneous_components(lambda K: pytest.fail("phi was called"), unit_cube(3), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -1743,6 +1778,14 @@ def test_chunked_apply_order_independent_of_threads():
     a = chunked_apply(fn, pts, threads=1, chunk=7777)
     b = chunked_apply(fn, pts, threads=6, chunk=7777)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2", None])
+def test_chunked_apply_rejects_a_bad_thread_count(threads):
+    # 0, -3, True and 1.5 ran sequentially without a word, and "2" and
+    # None raised TypeError even for one block
+    with pytest.raises(ValueError, match="threads must be"):
+        chunked_apply(lambda b: pytest.fail("fn was called"), np.zeros((3, 1)), threads=threads)
 
 
 @pytest.mark.parametrize("plateau", [-0.1, 1.0, 1.5])

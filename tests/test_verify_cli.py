@@ -33,6 +33,13 @@ def test_report_pass_iff_within_tolerance():
     assert not bad.passed
     assert bad.canonical()["checks"][0]["pass"] is False
     assert ok.observed == [1.0, 0.5] and ok.expected == [1.0, 0.4]
+    # a NaN observation is outside every tolerance, in all three readings
+    nan = ExperimentReport("x", {}, [("a", 1.0, 1.0, 0.0), ("n", float("nan"), 0.0, 1.0)])
+    assert not nan.passed and nan.verdicts == [True, False]
+    assert [c["pass"] for c in nan.canonical()["checks"]] == [True, False]
+    assert nan.canonical()["passed"] is False
+    lines = nan.summary_lines()
+    assert [line.split(":")[0] for line in lines] == ["[FAIL] x", "  ok  a", "  FAIL n"]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,10 @@ def test_cli_bad_sigma_schedule_is_config_error(tmp_path, capsys, sigmas):
                                        ({"sigmas": 5}, "sigmas")])
 @pytest.mark.parametrize("command", ["validate-config", "run"])
 def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
+    # text that does not parse is the CLI's type error; a bare number for
+    # a list option is no text, so it reaches continuity's check
+    message = {"resolution": "resolution has the wrong type",
+               "sigmas": "sigmas_cells must be a list of finite numbers, got 5"}[key]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "continuity", **entry}))
     if command == "run":
@@ -330,8 +341,10 @@ def test_cli_config_type_error_exits_two(tmp_path, capsys, entry, key, command):
     else:
         argv = ["validate-config", str(cfg)]
     assert main(argv) == 2
-    assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
+    assert f"invalid config: {message}" in capsys.readouterr().err
 
+
+_NAN, _INF = float("nan"), float("inf")
 
 # one bad input per rule of each registry check: (experiment, config keyed
 # by flag name, part of the message)
@@ -388,37 +401,116 @@ _CHECK_RULES = {
                              "unknown body 'nosuch'; choose from cube3, ccube3, simplex3"),
     "volume-identity-negative-seed": ("volume-identity", {"seed": -1},
                                       "seed must be at least 0, got -1"),
+    # a whole-number argument that is not an int: parity_break ran on
+    # int(3.6) and int(1.9) and reported dim 3 and degree 1, kernel-laplacian
+    # reported resolution 32 for 32.5, continuity raised only after its
+    # exact PL reference, n_pairs=2.5 raised TypeError after the union
+    # valuation (and True ran one pair), and seed 0.5 raised in numpy
+    "parity-break-fractional-dim": ("parity-break", {"dim": 3.6},
+                                    "dim must be a whole number, got 3.6"),
+    "parity-break-fractional-degree": ("parity-break", {"degree": 1.9},
+                                       "degree must be a whole number, got 1.9"),
+    "parity-break-small-dim": ("parity-break", {"dim": 1}, "dim must be at least 2, got 1"),
+    "kernel-laplacian-fractional-resolution": ("kernel-laplacian", {"resolution": 32.5},
+                                               "resolution must be a whole number, got 32.5"),
+    "continuity-fractional-resolution": ("continuity", {"resolution": 48.5},
+                                         "resolution must be a whole number, got 48.5"),
+    "valuation-identity-fractional-pairs": ("valuation-identity", {"pairs": 2.5},
+                                            "n_pairs must be a whole number, got 2.5"),
+    "valuation-identity-fractional-threads": ("valuation-identity",
+                                              {"fields": "O2", "threads": 1.5},
+                                              "threads must be a whole number, got 1.5"),
+    "volume-identity-fractional-seed": ("volume-identity", {"seed": 0.5},
+                                        "seed must be a whole number, got 0.5"),
+    # JSON floats and bools for whole numbers, which the CLI rejected as its
+    # own type error before the check saw them
+    **{f"{name}-{key}-{value!r}": (name, {key: value},
+                                   f"{param} must be a whole number, got {value!r}")
+       for name, key, param in (("continuity", "resolution", "resolution"),
+                                ("valuation-identity", "pairs", "n_pairs"),
+                                ("volume-identity", "seed", "seed"))
+       for value in (2.7, 3.0, True, False)},
+    # a number that is not finite: an infinite eps raised LinAlgError, a NaN
+    # sigma passed the check and raised in eval_valuation after the PL
+    # reference, and the CLI's own finite rule held for no library call
+    "kernel-laplacian-infinite-eps": (
+        "kernel-laplacian", {"eps": [_INF, 5e-3]},
+        "eps_schedule must be a list of finite numbers, got [inf, 0.005]"),
+    "continuity-nan-sigma": ("continuity", {"sigmas": [_NAN, 2.0]},
+                             "sigmas_cells must be a list of finite numbers, got [nan, 2.0]"),
+    "continuity-infinite-sigma": ("continuity", {"sigmas": [_INF, 3.0]},
+                                  "sigmas_cells must be a list of finite numbers, got [inf, 3.0]"),
+    "volume-identity-nan-height": ("volume-identity", {"b_height": _NAN},
+                                   "b_height must be a finite number, got nan"),
+    "volume-identity-infinite-height": ("volume-identity", {"b_height": -_INF},
+                                        "b_height must be a finite number, got -inf"),
+    "parity-break-nan-width": ("parity-break", {"widths": [_NAN]},
+                               "widths must be a list of finite numbers, got [nan]"),
+    "parity-break-bool-width": ("parity-break", {"widths": [True]},
+                                "widths must be a list of finite numbers, got [True]"),
+    "continuity-bare-number": ("continuity", {"sigmas": 5},
+                               "sigmas_cells must be a list of finite numbers, got 5"),
+    # fields that are neither a str nor a list raised TypeError
+    "valuation-identity-number-fields": ("valuation-identity", {"fields": 5},
+                                         "fields must be a str or a list of them, got 5"),
+    "linear-invariance-null-fields": ("linear-invariance", {"fields": None},
+                                      "fields must be a str or a list of them, got None"),
 }
+
+# flag name -> parameter name, where they differ
+_PARAMS = {flag: param for param, flag in cli._FLAG_NAMES.items()}
+
+
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _flag_gives(name, key, value):
+    """Whether ``--key=text`` parses back to the config entry ``value``, by
+    repr so that nan is nan.  No flag gives 2.5 for ``--pairs`` (that text
+    is the CLI's type error) or a bare 5 for ``--sigmas``, so such rules
+    are checked through a config only."""
+    param = cli._parameters(name)[_PARAMS.get(key, key)]
+    try:
+        return repr(cli._coerce(key, param, _flag_text(value))) == repr(value)
+    except ConfigError:
+        return False
 
 
 def test_check_rules_cover_every_check():
     assert {name for name, _config, _msg in _CHECK_RULES.values()} == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("rule", sorted(_CHECK_RULES))
-def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rule):
-    # a rule that only the CLI knew let a library call run until it failed
-    # (kernel_laplacian(eps_schedule=(0.01,)) raised IndexError after every
-    # valuation), and one that only the library knew passed validate-config;
-    # the O2 identity probes compute through fd_hessian_batch, which
-    # kernel-laplacian's check also calls for Hess(psi)
-    name, config, message = _CHECK_RULES[rule]
+def _forbid_computing(monkeypatch):
+    """Fail the test if anything is valued or an experiment is run; the O2
+    identity probes compute through fd_hessian_batch, which
+    kernel-laplacian's check also calls for Hess(psi)."""
     for fn in ("eval_valuation", "body_valuation", "pl_valuation"):
         monkeypatch.setattr(verify, fn, lambda *a, **kw: pytest.fail("computed"))
     fd_hessian_batch = verify.fd_hessian_batch
     monkeypatch.setattr(verify, "fd_hessian_batch", lambda f, *a, **kw: (
         fd_hessian_batch(f, *a, **kw) if f is verify._bump4 else pytest.fail("computed")))
-    params = {flag: param for param, flag in cli._FLAG_NAMES.items()}
-    with pytest.raises(ValueError, match=re.escape(message)) as exc:
-        EXPERIMENTS[name][0](**{params.get(k, k): v for k, v in config.items()})
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+
+
+@pytest.mark.parametrize("rule", sorted(_CHECK_RULES))
+def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rule):
+    # a rule that only the CLI knew let a library call run until it failed
+    # (kernel_laplacian(eps_schedule=(0.01,)) raised IndexError after every
+    # valuation), and one that only the library knew passed validate-config
+    name, config, message = _CHECK_RULES[rule]
+    _forbid_computing(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        EXPERIMENTS[name][0](**{_PARAMS.get(k, k): v for k, v in config.items()})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": name, **config}))
     out = str(tmp_path / "r")
-    # --eps=-0.01,... keeps argparse from reading the value as a flag
-    flags = [f"--{k}=" + (",".join(map(str, v)) if isinstance(v, list) else str(v))
-             for k, v in config.items()]
-    for argv in (["validate-config", str(cfg)], ["run", name, *flags, "--out", out]):
+    argvs = [["validate-config", str(cfg)], ["run", name, "--config", str(cfg), "--out", out]]
+    if all(_flag_gives(name, k, v) for k, v in config.items()):
+        # --eps=-0.01,... keeps argparse from reading the value as a flag
+        argvs.append(["run", name, *[f"--{k.replace('_', '-')}={_flag_text(v)}"
+                                     for k, v in config.items()], "--out", out])
+    for argv in argvs:
         assert main(argv) == 2
         assert f"invalid config: {exc.value}\n" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -532,16 +624,21 @@ _WRONG = [(name, key, value, None)
     *_WRONG,
 ])
 def test_config_options_by_flag_or_parameter_name(tmp_path, capsys, name, key, value, kwargs):
-    # int options take int strings (as flags give them) but not floats or bools
+    # int options take int strings (as flags give them); a string that does
+    # not parse is the CLI's type error, and a float or a bool reaches the
+    # check, whose whole-number rule names the parameter
     if kwargs is not None:
         assert validate_config(name, {key: value}) == kwargs
         return
-    with pytest.raises(ConfigError, match=f"{key} has the wrong type"):
+    param = _PARAMS.get(key, key)
+    message = (f"{key} has the wrong type" if isinstance(value, str) else
+               f"{param} must be a whole number, got {value!r}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
         validate_config(name, {key: value})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": name, key: value}))
     assert main(["validate-config", str(cfg)]) == 2
-    assert f"invalid config: {key} has the wrong type" in capsys.readouterr().err
+    assert f"invalid config: {message}" in capsys.readouterr().err
 
 
 def _config_value(default):
@@ -598,8 +695,11 @@ def test_config_with_flag_and_parameter_name_exits_two(tmp_path, capsys, monkeyp
 def test_cli_non_finite_number_exits_two(tmp_path, capsys, monkeypatch, name, key, flag,
                                          value, source):
     # inf reached _gaussian_kernels as an OverflowError, and nan wrote a
-    # bare NaN into the report, which is not JSON
+    # bare NaN into the report, which is not JSON; the check names the
+    # parameter (sigmas_cells for --sigmas)
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    param = _PARAMS.get(key, key)
+    form = "a list of finite numbers" if isinstance(value, list) else "a finite number"
     out = str(tmp_path / "r")
     if source == "flag":
         argv = ["run", name, "--" + key.replace("_", "-"), flag, "--out", out]
@@ -608,8 +708,31 @@ def test_cli_non_finite_number_exits_two(tmp_path, capsys, monkeypatch, name, ke
         cfg.write_text(json.dumps({"experiment": name, key: value}))
         argv = ["validate-config", str(cfg)]
     assert main(argv) == 2
-    assert f"invalid config: {key} must be finite" in capsys.readouterr().err
+    assert f"invalid config: {param} must be {form}, got " in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+# JSON values that an option's kind does not take, by ``cli._kind``
+_BAD_VALUES = {"int": [None, True, 2.5, {}], "float": [_NAN, _INF, [1.0]], "floats": [5, [True]],
+               "fields": [5], "body": [5, ["cube3"]]}
+# parity_break does not read its seed, which goes when threads go, so no
+# check holds it
+_UNCHECKED = {("parity-break", "seed")}
+
+
+@pytest.mark.parametrize("name,param,value", [
+    (name, p.name, value) for name in sorted(EXPERIMENTS)
+    for p in cli._parameters(name).values() if (name, p.name) not in _UNCHECKED
+    for value in _BAD_VALUES[cli._kind(p.default)]])
+def test_every_option_rejects_what_its_kind_does_not_take(monkeypatch, name, param, value):
+    # generated from the signatures, so a new experiment or option is
+    # covered; a TypeError, IndexError or LinAlgError from a check fails
+    # here instead of reaching the user as a traceback
+    _forbid_computing(monkeypatch)
+    with pytest.raises(ValueError):
+        EXPERIMENTS[name][0](**{param: value})
+    with pytest.raises(ConfigError):
+        validate_config(name, {cli._FLAG_NAMES.get(param, param): value})
 
 
 @pytest.mark.parametrize("experiment", [["continuity"], {"a": 1}, 3])
