@@ -117,15 +117,14 @@ def _finite(name, value, many=False):
     return [float(v) for v in value] if many else float(value)
 
 
-def field_subset(fields, seed, threads, **counts):
+def field_subset(fields, seed, threads, **count):
     """valuation-identity's and linear-invariance's check: the fields, a
-    non-empty list or tuple of R, C, H, O2, as a tuple (a str is one field).
-
-    Raises ValueError unless the seed is a whole number of at least 0, and
-    ``threads`` and the count (``n_pairs`` or ``trials``) at least 1.
-    """
-    for name, value in {"seed": seed, "threads": threads, **counts}.items():
-        _whole_number(name, value, 0 if name == "seed" else 1)
+    non-empty list or tuple of R, C, H, O2, as a tuple (a str is one field),
+    the seed and the count (``n_pairs`` or ``trials``); ValueError unless
+    the seed is a whole number >= 0 and ``threads`` and the count >= 1."""
+    _whole_number("threads", threads, 1)
+    (name, value), = count.items()
+    seed, value = _whole_number("seed", seed, 0), _whole_number(name, value, 1)
     if not isinstance(fields, (str, list, tuple)):
         raise ValueError(f"fields must be a str or a list of them, got {fields!r}")
     fields = (fields,) if isinstance(fields, str) else tuple(fields)
@@ -134,7 +133,7 @@ def field_subset(fields, seed, threads, **counts):
     bad = [f for f in fields if f not in FIELDS]
     if bad:
         raise ValueError(f"unknown fields {bad}; choose from {', '.join(FIELDS)}")
-    return fields
+    return fields, seed, value
 
 
 def _slab_quad(K, rng):
@@ -211,8 +210,7 @@ def _random_o2_hermitian(rng):
     data[0, 0, 0] = rng.uniform(0.5, 1.5)
     data[1, 1, 0] = rng.uniform(0.5, 1.5)
     q = 0.4 * rng.standard_normal(8)
-    data[0, 1] = q
-    data[1, 0] = q
+    data[0, 1] = data[1, 0] = q
     data[1, 0, 1:] *= -1
     return data
 
@@ -275,7 +273,7 @@ def valuation_identity(fields=("R", "C", "H", "O2"), n_pairs=20, seed=0, threads
     grid quadrature; O2 probes the integrand pointwise.  A mutated
     functional (adding max f) must break the identity.
     """
-    fields = field_subset(fields, seed, threads, n_pairs=n_pairs)
+    fields, seed, n_pairs = field_subset(fields, seed, threads, n_pairs=n_pairs)
     checks = []
     details = {}
     rng = np.random.default_rng(seed)
@@ -352,7 +350,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
     rounding, which the chosen step keeps below 1e-9 relative.  A control
     functional f -> f(x0) with x0 != 0 is shifted by every linear term.
     """
-    fields = field_subset(fields, seed, threads, trials=trials)
+    fields, seed, trials = field_subset(fields, seed, threads, trials=trials)
     rng = np.random.default_rng(seed)
     checks = []
     details = {}
@@ -390,13 +388,13 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # ---------------------------------------------------------------------------
 
 def smoothing_schedule(sigmas_cells, resolution, **_):
-    """continuity's check: its schedule as floats.
+    """continuity's check: its schedule as floats and the resolution.
 
     Raises ValueError unless the resolution is a whole number >= 1 and the
     schedule a list of two or more finite widths (one would pass the
     monotone check vacuously), each >= 1 cell, strictly decreasing.
     """
-    _whole_number("resolution", resolution, 1)
+    resolution = _whole_number("resolution", resolution, 1)
     sigmas = _finite("sigmas_cells", sigmas_cells, many=True)
     if len(sigmas) < 2:
         raise ValueError(f"smoothing schedule needs at least two widths, got {sigmas}")
@@ -404,7 +402,7 @@ def smoothing_schedule(sigmas_cells, resolution, **_):
         raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
-    return sigmas
+    return sigmas, resolution
 
 
 def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48):
@@ -414,7 +412,7 @@ def continuity(sigmas_cells=(12.0, 6.0, 3.0, 1.5), resolution=48):
     single atom at the origin of mass vol(cube); gaps must decrease
     monotonically (10% slack) and end below 2%.
     """
-    sigmas = smoothing_schedule(sigmas_cells, resolution)
+    sigmas, resolution = smoothing_schedule(sigmas_cells, resolution)
     cube = _centered_cube(3, 0.5)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.6)
     ref = pl_valuation(weight, cx.PLConvexFunction.from_polytope_support(cube))
@@ -450,15 +448,16 @@ def _basis_matrix(n, p):
     return HermitianMatrix("R", m)
 
 
-def parity_shape(dim, degree, widths, threads, **_):
-    """parity-break's check: (n, i) as ints and the widths as floats.
+def parity_shape(dim, degree, widths, seed, threads):
+    """parity-break's check: (n, i), the widths as floats and the seed.
 
     Raises ValueError unless the whole numbers n and i have 1 <= i <= n - 1
     and n <= 5 (each width differences a 12^n-cell grid, whose float64
-    Hessians alone take 14 GB at n = 7), the widths are a list of one or
-    more finite positive numbers, and ``threads`` is at least 1.
+    Hessians alone take 14 GB at n = 7), the widths are one or more finite
+    positive numbers, the seed is whole and >= 0, and ``threads`` >= 1.
     """
     _whole_number("threads", threads, 1)
+    seed = _whole_number("seed", seed, 0)
     n, i = _whole_number("dim", dim, 2), _whole_number("degree", degree, 1)
     if n > 5:
         raise ValueError(f"dim {n} is above 5: parity-break differences a 12^dim-cell grid")
@@ -467,7 +466,7 @@ def parity_shape(dim, degree, widths, threads, **_):
     widths = _finite("widths", widths, many=True)
     if not (widths and all(w > 0 for w in widths)):
         raise ValueError(f"widths must be one or more positive numbers, got {widths}")
-    return n, i, widths
+    return n, i, widths, seed
 
 
 def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
@@ -480,7 +479,7 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
     atom is also approximated by shrinking normalized bumps, and a round
     ball is the symmetric control with equal values.
     """
-    n, i, widths = parity_shape(dim, degree, widths, threads)
+    n, i, widths, seed = parity_shape(dim, degree, widths, seed, threads)
     from math import comb
 
     body = cx.make_two_ball_body(n)
@@ -540,12 +539,12 @@ NAMED_BODIES = {
 
 
 def named_body(b_height, body, seed, **_):
-    """volume-identity's check: B(0) as a float; ValueError unless it is
-    finite, ``body`` None or named, and the seed a whole number >= 0."""
-    _whole_number("seed", seed, 0)
+    """volume-identity's check: B(0) as a float and the seed; ValueError
+    unless B(0) is finite, ``body`` None or named, and the seed whole, >= 0."""
+    seed = _whole_number("seed", seed, 0)
     if body is not None and not (isinstance(body, str) and body in NAMED_BODIES):
         raise ValueError(f"unknown body {body!r}; choose from {', '.join(NAMED_BODIES)}")
-    return _finite("b_height", b_height)
+    return _finite("b_height", b_height), seed
 
 
 def _kernel_images(weights, bodies, volumes, grid):
@@ -568,7 +567,7 @@ def volume_identity(b_height=1.0, body=None, seed=0):
     origin lands in the kernel of the body-valuation map: its exact route
     gives 0, while the functional itself stays nonzero on a quadratic.
     """
-    b_height = named_body(b_height, body, seed)
+    b_height, seed = named_body(b_height, body, seed)
     rng = np.random.default_rng(seed)
     bodies = ([NAMED_BODIES[body]()] if body is not None else
               [cx.random_shell_polytope(rng) for _ in range(10)])
@@ -625,17 +624,17 @@ def _bump4(x, center=0.0, radius=0.45):
 
 
 def perturbation_schedule(eps_schedule, resolution, seed, threads, **_):
-    """kernel-laplacian's check: its schedule as floats, and the smallest
-    eigenvalue of I + eps Hess(psi) over every fifth node of its grid, at
-    the largest eps.
+    """kernel-laplacian's check: its schedule as floats, the resolution and
+    the seed as ints, and the smallest eigenvalue of I + eps Hess(psi) over
+    every fifth node of its grid, at the largest eps.
 
     Raises ValueError unless the seed is a whole number of at least 0, the
     resolution and ``threads`` of at least 1, the schedule a list of two
     or more finite positive values (for a halving ratio) and |x|^2/2 +
     eps psi is convex there, hence at every eps.
     """
-    for name, value in {"seed": seed, "resolution": resolution, "threads": threads}.items():
-        _whole_number(name, value, 0 if name == "seed" else 1)
+    seed, resolution = _whole_number("seed", seed, 0), _whole_number("resolution", resolution, 1)
+    _whole_number("threads", threads, 1)
     eps = _finite("eps_schedule", eps_schedule, many=True)
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
@@ -644,7 +643,7 @@ def perturbation_schedule(eps_schedule, resolution, seed, threads, **_):
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
     if min_eig < 0:
         raise ValueError(f"f_eps is not convex at eps={max(eps)} (min eig {min_eig})")
-    return eps, min_eig
+    return eps, resolution, seed, min_eig
 
 
 def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, threads=1):
@@ -656,7 +655,8 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     independent weights with B(0) = 0 whose induced body valuations
     vanish while the functionals stay distinguishable.
     """
-    eps_schedule, min_eig = perturbation_schedule(eps_schedule, resolution, seed, threads)
+    eps_schedule, resolution, seed, min_eig = perturbation_schedule(
+        eps_schedule, resolution, seed, threads)
     rng = np.random.default_rng(seed)
     weight = BumpWeight(np.zeros(3), 0.45, 1.0)
     spec = ValuationSpec("R", 3, 3, weight)

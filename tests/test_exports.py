@@ -170,10 +170,9 @@ def test_benchmark_workload_calls_bind_to_signatures():
 
 
 # experiment parameters that only reach the report's ``parameters``, with
-# the reason each one stays
-_REPORT_ONLY = {
-    ("parity_break", "seed"): "perfbench/workloads.py passes it",
-}
+# the reason each one stays (parity_break's seed is not among them: its
+# check reads it, though nothing computed does)
+_REPORT_ONLY = {}
 
 
 def test_every_experiment_parameter_is_read():

@@ -422,14 +422,12 @@ _CHECK_RULES = {
                                               "threads must be a whole number, got 1.5"),
     "volume-identity-fractional-seed": ("volume-identity", {"seed": 0.5},
                                         "seed must be a whole number, got 0.5"),
-    # JSON floats and bools for whole numbers, which the CLI rejected as its
-    # own type error before the check saw them
-    **{f"{name}-{key}-{value!r}": (name, {key: value},
-                                   f"{param} must be a whole number, got {value!r}")
-       for name, key, param in (("continuity", "resolution", "resolution"),
-                                ("valuation-identity", "pairs", "n_pairs"),
-                                ("volume-identity", "seed", "seed"))
-       for value in (2.7, 3.0, True, False)},
+    # parity_break does not read its seed, and no check held it: a NaN seed
+    # ran the experiment and wrote a bare NaN, which is not JSON
+    "parity-break-nan-seed": ("parity-break", {"seed": _NAN},
+                              "seed must be a whole number, got nan"),
+    "parity-break-negative-seed": ("parity-break", {"seed": -1},
+                                   "seed must be at least 0, got -1"),
     # a number that is not finite: an infinite eps raised LinAlgError, a NaN
     # sigma passed the check and raised in eval_valuation after the PL
     # reference, and the CLI's own finite rule held for no library call
@@ -438,18 +436,8 @@ _CHECK_RULES = {
         "eps_schedule must be a list of finite numbers, got [inf, 0.005]"),
     "continuity-nan-sigma": ("continuity", {"sigmas": [_NAN, 2.0]},
                              "sigmas_cells must be a list of finite numbers, got [nan, 2.0]"),
-    "continuity-infinite-sigma": ("continuity", {"sigmas": [_INF, 3.0]},
-                                  "sigmas_cells must be a list of finite numbers, got [inf, 3.0]"),
-    "volume-identity-nan-height": ("volume-identity", {"b_height": _NAN},
-                                   "b_height must be a finite number, got nan"),
-    "volume-identity-infinite-height": ("volume-identity", {"b_height": -_INF},
-                                        "b_height must be a finite number, got -inf"),
-    "parity-break-nan-width": ("parity-break", {"widths": [_NAN]},
-                               "widths must be a list of finite numbers, got [nan]"),
     "parity-break-bool-width": ("parity-break", {"widths": [True]},
                                 "widths must be a list of finite numbers, got [True]"),
-    "continuity-bare-number": ("continuity", {"sigmas": 5},
-                               "sigmas_cells must be a list of finite numbers, got 5"),
     # fields that are neither a str nor a list raised TypeError
     "valuation-identity-number-fields": ("valuation-identity", {"fields": 5},
                                          "fields must be a str or a list of them, got 5"),
@@ -465,20 +453,21 @@ def _flag_text(value):
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def _flag_gives(name, key, value):
-    """Whether ``--key=text`` parses back to the config entry ``value``, by
-    repr so that nan is nan.  No flag gives 2.5 for ``--pairs`` (that text
-    is the CLI's type error) or a bare 5 for ``--sigmas``, so such rules
-    are checked through a config only."""
-    param = cli._parameters(name)[_PARAMS.get(key, key)]
-    try:
-        return repr(cli._coerce(key, param, _flag_text(value))) == repr(value)
-    except ConfigError:
-        return False
+# rules whose JSON value no flag text gives: "2.5" for an int flag and
+# "nan" for the seed are the CLI's type error, "True" for --widths too, and
+# "5" or "None" for --fields is a field name
+_CONFIG_ONLY = {
+    "parity-break-fractional-dim", "parity-break-fractional-degree",
+    "continuity-fractional-resolution", "kernel-laplacian-fractional-resolution",
+    "valuation-identity-fractional-pairs", "valuation-identity-fractional-threads",
+    "volume-identity-fractional-seed", "parity-break-nan-seed", "parity-break-bool-width",
+    "valuation-identity-number-fields", "linear-invariance-null-fields",
+}
 
 
 def test_check_rules_cover_every_check():
     assert {name for name, _config, _msg in _CHECK_RULES.values()} == set(EXPERIMENTS)
+    assert _CONFIG_ONLY <= set(_CHECK_RULES)
 
 
 def _forbid_computing(monkeypatch):
@@ -506,7 +495,7 @@ def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rul
     cfg.write_text(json.dumps({"experiment": name, **config}))
     out = str(tmp_path / "r")
     argvs = [["validate-config", str(cfg)], ["run", name, "--config", str(cfg), "--out", out]]
-    if all(_flag_gives(name, k, v) for k, v in config.items()):
+    if rule not in _CONFIG_ONLY:
         # --eps=-0.01,... keeps argparse from reading the value as a flag
         argvs.append(["run", name, *[f"--{k.replace('_', '-')}={_flag_text(v)}"
                                      for k, v in config.items()], "--out", out])
@@ -715,14 +704,11 @@ def test_cli_non_finite_number_exits_two(tmp_path, capsys, monkeypatch, name, ke
 # JSON values that an option's kind does not take, by ``cli._kind``
 _BAD_VALUES = {"int": [None, True, 2.5, {}], "float": [_NAN, _INF, [1.0]], "floats": [5, [True]],
                "fields": [5], "body": [5, ["cube3"]]}
-# parity_break does not read its seed, which goes when threads go, so no
-# check holds it
-_UNCHECKED = {("parity-break", "seed")}
 
 
 @pytest.mark.parametrize("name,param,value", [
     (name, p.name, value) for name in sorted(EXPERIMENTS)
-    for p in cli._parameters(name).values() if (name, p.name) not in _UNCHECKED
+    for p in cli._parameters(name).values()
     for value in _BAD_VALUES[cli._kind(p.default)]])
 def test_every_option_rejects_what_its_kind_does_not_take(monkeypatch, name, param, value):
     # generated from the signatures, so a new experiment or option is
@@ -733,6 +719,26 @@ def test_every_option_rejects_what_its_kind_does_not_take(monkeypatch, name, par
         EXPERIMENTS[name][0](**{param: value})
     with pytest.raises(ConfigError):
         validate_config(name, {cli._FLAG_NAMES.get(param, param): value})
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("valuation-identity", {"fields": "O2", "n_pairs": 1, "seed": 2, "threads": 1}),
+    ("linear-invariance", {"fields": "R", "trials": 1, "seed": 2, "threads": 1}),
+    ("continuity", {"sigmas_cells": (2.0, 1.5), "resolution": 16}),
+    ("parity-break", {"dim": 3, "degree": 1, "widths": (0.3,), "seed": 2, "threads": 1}),
+    ("volume-identity", {"body": "cube3", "seed": 2}),
+    ("kernel-laplacian", {"eps_schedule": (1e-2, 5e-3), "resolution": 8, "seed": 2,
+                          "threads": 1}),
+])
+def test_numpy_integer_arguments_report_as_ints(name, kwargs):
+    # a check returns each whole number as an int, which the report copies:
+    # kernel_laplacian(resolution=np.int64(32)) reported the numpy integer,
+    # and json.dumps of its report raised after the whole computation
+    rep = EXPERIMENTS[name][0](**{k: np.int64(v) if isinstance(v, int) else v
+                                  for k, v in kwargs.items()})
+    json.dumps(rep.canonical())
+    ints = [v for v in rep.parameters.values() if isinstance(v, (int, np.integer))]
+    assert ints and all(type(v) is int for v in ints)
 
 
 @pytest.mark.parametrize("experiment", [["continuity"], {"a": 1}, 3])
