@@ -210,11 +210,19 @@ def main(argv=None) -> int:
         jobs = [(name, validate_config(name, config if args.experiment != "all" else
                                        {k: v for k, v in config.items() if k in _parameters(name)}))
                 for name in names]
+        out_dir = args.out or os.environ.get("MONGEVAL_OUT", "reports")
+        # checked before any computation, so an unusable path exits 2
+        # rather than failing once every experiment has run
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise ConfigError(f"output directory {out_dir} is not writable")
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or os.environ.get("MONGEVAL_OUT", "reports")
     reports = []
     for name, kwargs in jobs:
         reports.append(_run_one(name, kwargs, out_dir, args.quiet))

@@ -91,34 +91,52 @@ class Polytope:
         """h on the tensor grid ``axes[0] x axes[1] x ...``, shaped
         ``(len(axes[0]), len(axes[1]), ...)``.
 
-        No node array is built: ``<v, x>`` is ``v_0 x_0`` plus the
-        outer sum ``sum_{a >= 1} v_a x_a``, which is formed once per
-        vertex; each block of ``_SUPPORT_ROWS`` leading rows then costs
-        one add and one running ``np.maximum`` per vertex into a
-        preallocated ``(rows,) + tail`` buffer, so each value takes the
-        same two operations as row by row.  Agrees with ``support`` on
-        the same points to a few ulp of ``sum |v_a x_a|`` (the summation
-        order differs).
+        No node array is built: ``<v, x>`` is ``c = v_0 x_0`` plus the
+        outer sum ``part_v = sum_{a >= 1} v_a x_a`` on the tail grid.  The
+        ``part_v`` of the vertices that share ``v_0`` are folded into one
+        running ``np.maximum`` on the tail grid, and ``c`` is added once
+        per distinct ``v_0``: one full-grid pass per distinct ``v_0`` (2
+        for an axis box in any dimension) plus one tail pass per vertex.
+        Rounding to nearest is monotone, so ``fl(c + max_v part_v) =
+        max_v fl(c + part_v)`` and the bits are those of one add per
+        vertex; ``part_v`` starts at +0.0, so neither it nor any sum is
+        -0.0, and no signed zero depends on the order of the maxima.  A
+        full-grid pass takes blocks of ``_SUPPORT_ROWS`` leading rows, one
+        add and one running ``np.maximum`` per block into a preallocated
+        ``(rows,) + tail`` buffer.  Agrees with ``support`` on the same
+        points to a few ulp of ``sum |v_a x_a|`` (the summation order
+        differs).
         """
         x0 = np.asarray(axes[0], dtype=float)
         tail = [np.asarray(a, dtype=float) for a in axes[1:]]
+        groups = {}  # v_0 -> tails; -0.0 and 0.0 share a key and the same bits
+        for v in self.vertices:
+            groups.setdefault(v[0], []).append(v[1:])
         # reused for every vertex: fresh tail-sized arrays (140 KB in 4D)
         # would each page-fault on allocation
-        part = np.empty(tuple(len(a) for a in tail))
-        buf = np.empty((min(_SUPPORT_ROWS, len(x0)),) + part.shape)
+        top = np.empty(tuple(len(a) for a in tail))
+        part = np.empty_like(top)
+        buf = np.empty((min(_SUPPORT_ROWS, len(x0)),) + top.shape)
+
+        def outer_sum(w, out):
+            out[...] = 0.0
+            for k, (wa, a) in enumerate(zip(w, tail)):
+                out += (wa * a).reshape((-1,) + (1,) * (len(tail) - k - 1))
+
         h = None
-        for v in self.vertices:
-            part[...] = 0.0
-            for k, (w, a) in enumerate(zip(v[1:], tail)):
-                part += (w * a).reshape((-1,) + (1,) * (len(tail) - k - 1))
-            c = (v[0] * x0).reshape((-1,) + (1,) * len(tail))
+        for v0, ws in groups.items():
+            outer_sum(ws[0], top)
+            for w in ws[1:]:
+                outer_sum(w, part)
+                np.maximum(top, part, out=top)
+            c = (v0 * x0).reshape((-1,) + (1,) * len(tail))
             if h is None:
-                h = c + part
+                h = c + top
                 continue
             for r0 in range(0, len(x0), _SUPPORT_ROWS):
                 rows = h[r0:r0 + _SUPPORT_ROWS]
                 out = buf[:len(rows)]
-                np.add(part, c[r0:r0 + _SUPPORT_ROWS], out=out)
+                np.add(top, c[r0:r0 + _SUPPORT_ROWS], out=out)
                 np.maximum(rows, out, out=rows)
         return h
 

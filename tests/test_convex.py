@@ -333,6 +333,36 @@ def test_support_grid_blocks_match_the_row_route_bit_for_bit(dim, lead):
         got, ref = P.support_grid(axes), _support_grid_by_rows(P, axes)
         assert got.shape == ref.shape == tuple(len(a) for a in axes)
         assert got.tobytes() == ref.tobytes()
+    # bodies whose vertices share leading coordinates, which support_grid
+    # folds on the tail grid before one full-grid pass per distinct v_0
+    for V, sub in _shared_lead_bodies(rng, dim, axes):
+        P = Polytope(V)
+        # a 1-D box (and the box with its midpoint) has distinct v_0
+        assert dim == 1 or len(np.unique(P.vertices[:, 0])) < len(P.vertices)
+        got, ref = P.support_grid(sub), _support_grid_by_rows(P, sub)
+        assert got.shape == ref.shape == tuple(len(a) for a in sub)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _shared_lead_bodies(rng, dim, axes):
+    """(vertices, axes) pairs with repeated leading coordinates: an axis
+    box, the box with an interior point, repeated vertices, a shell clipped
+    twice across axis 0 (the crossing points share v_0), and v_0 = -0.0
+    beside +0.0 on axes that hold both zeros."""
+    lo, hi = rng.uniform(-0.6, -0.1, dim), rng.uniform(0.1, 0.6, dim)
+    box = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(dim, -1).T
+    yield box, axes
+    yield np.vstack([box, 0.5 * (lo + hi)]), axes
+    W = rng.standard_normal((5, dim))
+    yield np.vstack([W, W[[3, 0, 3]]]), axes
+    if dim > 1:
+        e = np.eye(dim)[0]
+        shell = random_shell_polytope(rng, dim=dim, n_vertices=2 * dim + 2, min_sep=0.6)
+        yield halfspace_clip(halfspace_clip(shell, e, 0.1), -e, 0.05).vertices, axes
+    Z = rng.standard_normal((6, dim))
+    Z[[0, 2, 5], 0] = [-0.0, 0.0, -0.0]
+    zeros = [np.concatenate([a, [-0.0, 0.0]]) for a in axes]
+    yield Z, zeros
 
 
 # ---------------------------------------------------------------------------

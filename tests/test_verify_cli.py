@@ -223,6 +223,35 @@ def test_cli_env_output_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "parity-break.json").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_cli_unusable_output_dir_exits_two_before_computing(tmp_path, capsys, monkeypatch, via):
+    # a regular file on the path used to raise NotADirectoryError with a
+    # traceback after the whole experiment had run
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    argv = ["run", "valuation-identity", "--fields", "R", "--pairs", "2"]
+    if via == "flag":
+        argv += ["--out", out]
+    else:
+        monkeypatch.setenv("MONGEVAL_OUT", out)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: cannot create output directory {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_cli_read_only_output_dir_exits_two_before_computing(tmp_path, capsys, monkeypatch):
+    # mode bits do not bind root, so the access check itself is stubbed
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+    assert main(["run", "parity-break", "--out", str(tmp_path)]) == 2
+    assert (capsys.readouterr().err
+            == f"invalid config: output directory {tmp_path} is not writable\n")
+
+
 def test_cli_threads_byte_identical_reports(tmp_path, monkeypatch):
     # kernel-laplacian's stencil route splits into blocks, so --threads 2
     # really runs them in parallel
