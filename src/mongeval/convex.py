@@ -91,32 +91,40 @@ class Polytope:
         """h on the tensor grid ``axes[0] x axes[1] x ...``, shaped
         ``(len(axes[0]), len(axes[1]), ...)``.
 
-        No node array is built: ``<v, x>`` is ``c = v_0 x_0`` plus the
-        outer sum ``part_v = sum_{a >= 1} v_a x_a`` on the tail grid.  The
-        ``part_v`` of the vertices that share ``v_0`` are folded into one
-        running ``np.maximum`` on the tail grid, and ``c`` is added once
-        per distinct ``v_0``: one full-grid pass per distinct ``v_0`` (2
-        for an axis box in any dimension) plus one tail pass per vertex.
-        Rounding to nearest is monotone, so ``fl(c + max_v part_v) =
-        max_v fl(c + part_v)`` and the bits are those of one add per
-        vertex; ``part_v`` starts at +0.0, so neither it nor any sum is
-        -0.0, and no signed zero depends on the order of the maxima.  A
-        full-grid pass takes blocks of ``_SUPPORT_ROWS`` leading rows, one
-        add and one running ``np.maximum`` per block into a preallocated
-        ``(rows,) + tail`` buffer.  Agrees with ``support`` on the same
-        points to a few ulp of ``sum |v_a x_a|`` (the summation order
-        differs).
+        No node array is built.  The sum runs over a lead axis ``l``, the
+        one whose vertex coordinates take the fewest distinct values
+        (axis 0 on a tie): ``<v, x>`` is ``c = v_l x_l`` plus the outer
+        sum ``part_v`` of ``v_a x_a`` over the other axes in increasing
+        order, on the tail grid of those axes.  The ``part_v`` of the
+        vertices that share ``v_l`` are folded into one running
+        ``np.maximum`` on the tail grid, and ``c`` is added once per
+        distinct ``v_l``: one full-grid pass per distinct ``v_l`` (2 for
+        an axis box in any dimension, a few for a body clipped across any
+        one axis) plus one tail pass per vertex.  Rounding to nearest is
+        monotone, so ``fl(c + max_v part_v) = max_v fl(c + part_v)`` and
+        the bits are those of one add per vertex in this order; ``part_v``
+        starts at +0.0, so neither it nor any sum is -0.0, and no signed
+        zero depends on the order of the maxima.  A full-grid pass takes
+        blocks of ``_SUPPORT_ROWS`` rows of the lead axis, one add and one
+        running ``np.maximum`` per block into a preallocated
+        ``(rows,) + tail`` buffer; for ``l > 0`` the result is then copied
+        into the axes' order.  Agrees with ``support`` on the same points
+        to a few ulp of ``sum |v_a x_a|`` (the summation order differs).
         """
-        x0 = np.asarray(axes[0], dtype=float)
-        tail = [np.asarray(a, dtype=float) for a in axes[1:]]
-        groups = {}  # v_0 -> tails; -0.0 and 0.0 share a key and the same bits
-        for v in self.vertices:
+        # a set of floats holds -0.0 and 0.0 once, as the groups below do
+        distinct = [len(set(coords)) for coords in self.vertices.T.tolist()]
+        lead = distinct.index(min(distinct))
+        order = [lead] + [a for a in range(len(distinct)) if a != lead]
+        xl = np.asarray(axes[lead], dtype=float)
+        tail = [np.asarray(axes[a], dtype=float) for a in order[1:]]
+        groups = {}  # v_l -> tails; -0.0 and 0.0 share a key and the same bits
+        for v in self.vertices[:, order]:
             groups.setdefault(v[0], []).append(v[1:])
         # reused for every vertex: fresh tail-sized arrays (140 KB in 4D)
         # would each page-fault on allocation
         top = np.empty(tuple(len(a) for a in tail))
         part = np.empty_like(top)
-        buf = np.empty((min(_SUPPORT_ROWS, len(x0)),) + top.shape)
+        buf = np.empty((min(_SUPPORT_ROWS, len(xl)),) + top.shape)
 
         def outer_sum(w, out):
             out[...] = 0.0
@@ -124,21 +132,21 @@ class Polytope:
                 out += (wa * a).reshape((-1,) + (1,) * (len(tail) - k - 1))
 
         h = None
-        for v0, ws in groups.items():
+        for vl, ws in groups.items():
             outer_sum(ws[0], top)
             for w in ws[1:]:
                 outer_sum(w, part)
                 np.maximum(top, part, out=top)
-            c = (v0 * x0).reshape((-1,) + (1,) * len(tail))
+            c = (vl * xl).reshape((-1,) + (1,) * len(tail))
             if h is None:
                 h = c + top
                 continue
-            for r0 in range(0, len(x0), _SUPPORT_ROWS):
+            for r0 in range(0, len(xl), _SUPPORT_ROWS):
                 rows = h[r0:r0 + _SUPPORT_ROWS]
                 out = buf[:len(rows)]
                 np.add(top, c[r0:r0 + _SUPPORT_ROWS], out=out)
                 np.maximum(rows, out, out=rows)
-        return h
+        return h if lead == 0 else np.ascontiguousarray(np.moveaxis(h, 0, lead))
 
     def scale(self, lam: float) -> "Polytope":
         if lam <= 0:

@@ -344,6 +344,26 @@ def test_support_grid_blocks_match_the_row_route_bit_for_bit(dim, lead):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_support_grid_leads_with_the_axis_of_fewest_coordinates(dim):
+    # a shell clipped twice across axis a > 0 is summed with v_a x_a
+    # outermost: the row route on the axes moved to put a first, moved
+    # back, bit for bit, and laid out as the axes are
+    rng = np.random.default_rng(40 + dim)
+    axes = [np.sort(rng.uniform(-0.8, 0.8, 9 + a)) for a in range(dim)]
+    for a in range(1, dim):
+        e = np.eye(dim)[a]
+        shell = random_shell_polytope(rng, dim=dim, n_vertices=2 * dim + 2, min_sep=0.6)
+        P = halfspace_clip(halfspace_clip(shell, e, 0.1), -e, 0.05)
+        distinct = [len(np.unique(P.vertices[:, b])) for b in range(dim)]
+        assert distinct.index(min(distinct)) == a
+        order = [a] + [b for b in range(dim) if b != a]
+        ref = _support_grid_by_rows(Polytope(P.vertices[:, order]), [axes[b] for b in order])
+        got = P.support_grid(axes)
+        assert got.shape == tuple(len(x) for x in axes) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(np.moveaxis(ref, 0, a)).tobytes()
+
+
 def _shared_lead_bodies(rng, dim, axes):
     """(vertices, axes) pairs with repeated leading coordinates: an axis
     box, the box with an interior point, repeated vertices, a shell clipped
