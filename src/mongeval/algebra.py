@@ -62,6 +62,18 @@ FIELDS = ("R", "C", "H", "O2")
 FIELD_COMPONENTS = {"R": 1, "C": 2, "H": 4, "O2": 8}
 
 
+def _whole_number(name, value, minimum):
+    """``value`` as an int; ValueError unless it is an int or numpy integer
+    of at least ``minimum`` (a bool is not one, nor is 10.0, as in numpy).
+    The library's one whole-number rule, here because every module can
+    import this one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 class PairingError(ArithmeticError):
     """The spectrum of a complex embedding did not split into duplicated
     pairs within tolerance, so the Moore determinant is ambiguous."""

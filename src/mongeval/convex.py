@@ -13,13 +13,16 @@ overlapping half-spaces.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .hessian import fd_hessian_batch
+from .algebra import _whole_number
+from .hessian import _row_norms, fd_hessian_batch
 
 __all__ = [
     "GeometryError",
@@ -166,7 +169,9 @@ class SmoothProfileBody:
 
     h(xi) = |xi| g(xi_1 / |xi|) + <center, xi>, with g smooth on [-1, 1].
     1-homogeneity holds by construction; convexity of h is a property of g
-    and is certified numerically (see certify_support_convexity).
+    and is certified numerically (see certify_support_convexity).  ``dim``
+    must be a whole number >= 1 (ValueError otherwise); the center is a
+    read-only copy, so a shared body cannot be moved by one of its users.
     """
 
     dim: int
@@ -174,14 +179,23 @@ class SmoothProfileBody:
     center: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        c = np.zeros(self.dim) if self.center is None else np.asarray(self.center, dtype=float)
-        if c.shape != (self.dim,):
-            raise GeometryError(f"center shape {c.shape} does not match dim {self.dim}")
+        dim = _whole_number("dim", self.dim, 1)
+        c = np.zeros(dim) if self.center is None else np.array(self.center, dtype=float)
+        if c.shape != (dim,):
+            raise GeometryError(f"center shape {c.shape} does not match dim {dim}")
+        c.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "center", c)
 
     def support(self, xi):
+        """h over the last axis of ``xi``; a scalar for one direction.
+
+        |xi| is ``hessian._row_norms``: the squares summed in axis order
+        below 8 coordinates, the bits of ``np.linalg.norm(xi, axis=-1)``
+        at about a fifth of its cost, and that norm from 8 up.
+        """
         xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(xi, axis=-1)
+        r = _row_norms(xi)
         u = np.divide(xi[..., 0], r, out=np.zeros_like(r), where=r > 0)
         return r * self.profile(np.clip(u, -1.0, 1.0)) + xi @ self.center
 
@@ -237,6 +251,12 @@ def _smoothstep(t):
 def make_two_ball_body(dim: int) -> SmoothProfileBody:
     """Smoothed intersection of balls of radii 1 and 2 along the first axis.
 
+    ``dim`` must be a whole number (ValueError otherwise: 3.0 and True are
+    not) and at least 2 (GeometryError).  The body is built and its
+    convexity certificate run once per dimension in a process: every call
+    with the same ``dim``, an int or a numpy integer, returns the same
+    body, whose ``dim`` is an int.
+
     The support profile equals 1 on directions with xi_1/|xi| >= 0.8 and 2
     for xi_1/|xi| <= -0.8, so near +-e_1 the support function is exactly
     |xi| resp. 2 |xi| and its Hessians there are diag(0, 1, ..., 1) and
@@ -245,8 +265,15 @@ def make_two_ball_body(dim: int) -> SmoothProfileBody:
     keeps h convex (the angular blend has min principal curvature ~ 0.25,
     while the same blend in the cosine variable dips negative).
     """
+    dim = _whole_number("dim", dim, 0)
     if dim < 2:
         raise GeometryError("the two-ball body needs dimension >= 2")
+    return _two_ball_body(dim)
+
+
+@functools.cache
+def _two_ball_body(dim):
+    """The two-ball body of a checked ``dim``, certified on its first call."""
     th_lo = float(np.arccos(0.8))
     th_hi = float(np.arccos(-0.8))
 
@@ -342,8 +369,9 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float
     tries = 0
     while len(dirs) < n_vertices:
         v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        if all(np.linalg.norm(v - w) > min_sep for w in dirs):
+        # |d| as sqrt(d . d), the bits of np.linalg.norm on a vector
+        v /= math.sqrt(v.dot(v))
+        if all(math.sqrt(d.dot(d)) > min_sep for d in (v - w for w in dirs)):
             dirs.append(v)
         tries += 1
         if tries > 10000:

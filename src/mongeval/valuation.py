@@ -43,7 +43,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
-from .algebra import FIELD_COMPONENTS, FIELDS, HermitianMatrix, polarized_det_batch
+from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _whole_number,
+                      polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
 from .hessian import (_entry_major, _stencil_steps, assemble_structured, fd_hessian_batch,
                       grid_hessian)
@@ -68,16 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # quadrature grid
 # ---------------------------------------------------------------------------
-
-def _whole_number(name, value, minimum):
-    """``value`` as an int; ValueError unless it is an int or numpy integer
-    of at least ``minimum`` (a bool is not one, nor is 10.0, as in numpy)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:

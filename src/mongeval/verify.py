@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import convex as cx
-from .algebra import FIELDS, HermitianMatrix, det_batch, polarized_det_batch
+from .algebra import FIELDS, HermitianMatrix, _whole_number, det_batch, polarized_det_batch
 from .hessian import assemble_structured, fd_hessian_batch, fd_laplacian_batch
 from .valuation import (
     BumpWeight,
@@ -27,7 +27,6 @@ from .valuation import (
     MatrixAtom,
     MatrixBump,
     ValuationSpec,
-    _whole_number,
     body_valuation,
     eval_valuation,
     hull_volume,

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from mongeval import convex
 from mongeval.convex import (
     GeometryError,
     PLConvexFunction,
     Polytope,
+    SmoothProfileBody,
     ball_body,
     ball_slab_support,
     certify_support_convexity,
@@ -129,6 +131,78 @@ def test_two_ball_convexity_certificate():
 def test_two_ball_requires_dim_2():
     with pytest.raises(GeometryError):
         make_two_ball_body(1)
+
+
+def test_two_ball_body_is_built_and_certified_once_per_dimension(monkeypatch):
+    calls = []
+    certify = convex.certify_support_convexity
+    monkeypatch.setattr(convex, "certify_support_convexity",
+                        lambda body: calls.append(body.dim) or certify(body))
+    convex._two_ball_body.cache_clear()
+    bodies = [make_two_ball_body(d) for d in (2, 3, 3, np.int64(2), np.int32(3))]
+    assert calls == [2, 3]
+    assert bodies[0] is bodies[3] and bodies[1] is bodies[2] is bodies[4]
+    assert [type(b.dim) for b in bodies] == [int] * 5
+    with pytest.raises(ValueError):  # every caller shares the body, so none may move it
+        bodies[1].center[0] = 1.0
+
+
+@pytest.mark.parametrize("dim,error", [(2.5, "whole number"), (3.0, "whole number"),
+                                       (True, "whole number"), ("3", "whole number"),
+                                       (None, "whole number"), (-1, "at least 0"),
+                                       (0, "dimension >= 2")])
+def test_two_ball_checks_dim_before_its_cache(dim, error):
+    # 3.0 == 3 hashes as 3 does: a cache asked first would hand back the 3-D body
+    make_two_ball_body(3)
+    cached = convex._two_ball_body.cache_info().currsize
+    with pytest.raises(ValueError, match=error):
+        make_two_ball_body(dim)
+    assert convex._two_ball_body.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("dim", [0, -2, 2.5, 3.0, False, "3", None])
+def test_smooth_body_dim_is_a_whole_number_of_at_least_1(dim):
+    # ball_body(0) built and raised IndexError at its first support call;
+    # ball_body(2.5) raised TypeError from np.zeros
+    with pytest.raises(ValueError, match="dim"):
+        ball_body(dim)
+    with pytest.raises(ValueError, match="dim"):
+        SmoothProfileBody(dim, np.cos, np.zeros(3))
+
+
+def test_smooth_body_keeps_its_own_center():
+    c = np.array([0.1, -0.2, 0.3])
+    body = SmoothProfileBody(np.int64(3), np.cos, c)
+    c[0] = 5.0
+    assert type(body.dim) is int and body.center[0] == 0.1
+
+
+def _support_by_norm(body, xi):
+    """``SmoothProfileBody.support`` with |xi| from np.linalg.norm, the
+    route ``hessian._row_norms`` replaced."""
+    xi = np.asarray(xi, dtype=float)
+    r = np.linalg.norm(xi, axis=-1)
+    u = np.divide(xi[..., 0], r, out=np.zeros_like(r), where=r > 0)
+    return r * body.profile(np.clip(u, -1.0, 1.0)) + xi @ body.center
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_smooth_support_matches_the_norm_route_bit_for_bit(d):
+    rng = np.random.default_rng(30 + d)
+    two = make_two_ball_body(d)
+    bodies = [two, ball_body(d, 1.3), two.negate(), ball_body(d).negate(), two.scale(0.3),
+              two.translate(rng.standard_normal(d)), two.negate().scale(2.5).translate(np.ones(d))]
+    xi = rng.standard_normal((3000, d)) * rng.uniform(1e-3, 1e3, (3000, 1))
+    xi[:3] = 0.0
+    xi[1, 0] = -0.0
+    xi[2, 0] = -1.0  # a pole
+    xi[3:30, 1:] = rng.choice([0.0, -0.0, 5e-324], (27, d - 1))
+    # the stencil points around v0 = e_1 that parity-break's bump calls read
+    near = np.eye(d)[0] + 0.3 * rng.uniform(-1.0, 1.0, (2000, d))
+    for body in bodies:
+        for x in (xi, near, xi[5], xi[0], xi.reshape(30, 100, d)):
+            got, ref = body.support(x), _support_by_norm(body, x)
+            assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,29 @@ def _stencil_centres(d, N):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
 def test_broadcast_stencil_matches_the_loop_route_bit_for_bit(d, N, step):
     f, pts = _sign_sensitive(d), _stencil_centres(d, N)
+    h = _loop_stencil_points(pts, step, 1)[1]
+    assert hessian._stencil_steps(pts, step).tobytes() == h.tobytes()
+    assert hessian._stencil_steps(pts[0], step).tobytes() == h[0].tobytes()  # one atom's location
     assert fd_hessian_batch(f, pts, step).tobytes() == _loop_fd_hessian_batch(f, pts, step).tobytes()
     assert fd_laplacian_batch(f, pts, step).tobytes() == _loop_fd_laplacian_batch(f, pts, step).tobytes()
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2e-308, 1.5e154, -1e200, 1e308, np.inf, -np.inf,
+            np.nan, -np.nan, 1.0, -3.0]
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_norms_have_the_bits_of_numpys_norm(d):
+    # below 8 entries numpy adds the squares one after another in axis
+    # order, as the helper does; from 8 up it sums pairwise and the helper
+    # calls the norm
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((20000, d)) * np.exp(rng.uniform(-30.0, 30.0, (20000, 1)))
+    special = rng.choice(_SPECIAL, (5000, d))
+    for rows in (x, special, x[:, ::-1], x[7], special[3], x.reshape(20, 1000, d)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = hessian._row_norms(rows), np.linalg.norm(rows, axis=-1)
+        assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cross", [False, True])
