@@ -152,8 +152,8 @@ class Polytope:
         return h if lead == 0 else np.ascontiguousarray(np.moveaxis(h, 0, lead))
 
     def scale(self, lam: float) -> "Polytope":
-        if lam <= 0:
-            raise GeometryError(f"scale factor must be positive, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise GeometryError(f"scale factor must be finite and positive, got {lam}")
         return Polytope(lam * self.vertices)
 
     def negate(self) -> "Polytope":
@@ -200,8 +200,8 @@ class SmoothProfileBody:
         return r * self.profile(np.clip(u, -1.0, 1.0)) + xi @ self.center
 
     def scale(self, lam: float) -> "SmoothProfileBody":
-        if lam <= 0:
-            raise GeometryError(f"scale factor must be positive, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise GeometryError(f"scale factor must be finite and positive, got {lam}")
         g = self.profile
         return SmoothProfileBody(self.dim, lambda u: lam * g(u), lam * self.center)
 
@@ -223,9 +223,10 @@ ConvexBody = Union[Polytope, SmoothProfileBody]
 def unit_directions(dim: int, count: int):
     """Deterministic unit directions: +-axes first, then a fixed random stream.
 
-    The first m directions are a prefix of the first m' > m, so sampled
-    suprema are monotone in the sample count.
+    The first m directions are a prefix of the first m' > m, so sampled suprema
+    are monotone in the sample count, a whole number >= 1 (ValueError otherwise).
     """
+    count = _whole_number("count", count, 1)
     axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
     if count <= len(axes):
         return axes[:count]
@@ -240,6 +241,9 @@ def unit_directions(dim: int, count: int):
 # ---------------------------------------------------------------------------
 
 def ball_body(dim: int, radius: float = 1.0) -> SmoothProfileBody:
+    """The ball of ``radius``, finite and > 0 (ValueError otherwise), about 0."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and > 0, got {radius!r}")
     return SmoothProfileBody(dim, lambda u: np.full_like(np.asarray(u, dtype=float), radius))
 
 
@@ -356,9 +360,9 @@ def generate_union_convex_pair(K: Polytope, s: float, t: float, axis: int = 0):
     return A, B
 
 
-def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float = 0.35,
+def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10,
                           min_sep: float = 0.7) -> Polytope:
-    """Random polytope with well-separated vertices near a sphere shell.
+    """Random polytope with well-separated vertices near the sphere of radius 0.35.
 
     A minimum chordal separation between vertex directions keeps the
     normal fan well conditioned: near-duplicate vertices produce weak,
@@ -376,7 +380,7 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10, radius: float
         tries += 1
         if tries > 10000:
             raise GeometryError("could not place separated vertices; lower min_sep")
-    radii = radius * rng.uniform(0.85, 1.0, (n_vertices, 1))
+    radii = 0.35 * rng.uniform(0.85, 1.0, (n_vertices, 1))
     return Polytope(np.array(dirs) * radii)
 
 

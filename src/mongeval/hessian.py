@@ -242,7 +242,7 @@ def _entry_major(n, d, slot=None):
     return planes.transpose(2, 0, 1)
 
 
-def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
+def grid_hessian(values, spacing, kernels, field, cells, out):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
     ``kernels`` are the 1-D correlation kernels of orders 0, 1 and 2, all
@@ -275,16 +275,11 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
     as one block: BLAS sends it to gemv, whose sums depend on the band's
     length.  Each value has the bits of the full band's product.
 
-    The core is the grid with each axis shortened by 2 r.  ``cells``
-    picks flat C-order core indices; the last axis's product of each
-    entry (a, b) is a contiguous core plane, gathered at ``cells`` into
-    columns (a, b) and (b, a) of an (N, d, d) result.  With ``cells``
-    None every cell is taken, in order, and the result is returned with
-    shape ``core_shape + (d, d)``.  ``out``, if given, is that (N, d, d)
-    float64 result, owned by the caller (for None, ``prod(core_shape)``
-    rows); it may have any layout and gets the same values in each.  The
-    routes pass an entry-major one (``_entry_major``), where each column
-    is one contiguous plane, and a new result is entry-major too.
+    The core is the grid with each axis shortened by 2 r.  The last
+    axis's product of entry (a, b) is a contiguous core plane, gathered at
+    ``cells``, N flat C-order core indices, into columns (a, b) and (b, a)
+    of ``out``: the caller's (N, d, d) float64 array, returned, with the
+    same values in any layout (the grid route's is ``_entry_major``).
     """
     values = np.asarray(values, dtype=float)
     d, m = values.ndim, FIELD_COMPONENTS[field]
@@ -300,10 +295,8 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
               for i, j in np.argwhere(np.triu(read)).tolist()]
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
     core = tuple(n - width + 1 for n in values.shape)
-    shape = (math.prod(core) if cells is None else len(cells), d, d)
-    if out is None:
-        out = _entry_major(shape[0], d)
-    elif out.shape != shape:
+    shape = (len(cells), d, d)
+    if out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
     elif out.dtype != np.float64:
         raise ValueError(f"out has dtype {out.dtype}, expected float64")
@@ -338,11 +331,11 @@ def grid_hessian(values, spacing, kernels, field="R", cells=None, out=None):
         else:  # the last axis completes order 2: its product is entry (i, j)'s plane
             i, j = np.repeat(np.arange(d), key)
             plane = product.reshape(-1)
-            out[:, i, j] = plane if cells is None else plane[cells]
+            out[:, i, j] = plane[cells]
             if i != j:
                 out[:, j, i] = out[:, i, j]
 
-    return out.reshape(core + (d, d)) if cells is None else out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,9 @@ __all__ = [
     "chunked_apply",
 ]
 
+#: rows per block of ``chunked_apply``, whatever the thread count
+_CHUNK_ROWS = 8192
+
 
 # ---------------------------------------------------------------------------
 # quadrature grid
@@ -224,13 +227,16 @@ class MatrixBump:
 
 @dataclass(frozen=True, eq=False)
 class MatrixAtom:
-    """Point mass: matrix * delta(location)."""
+    """Point mass: matrix * delta(location), one finite point (ValueError otherwise)."""
 
     matrix: HermitianMatrix
     location: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "location", np.atleast_1d(np.asarray(self.location, dtype=float)))
+        location = np.atleast_1d(np.asarray(self.location, dtype=float))
+        if location.ndim != 1 or not np.all(np.isfinite(location)):
+            raise ValueError(f"atom location must be one finite point, got {self.location!r}")
+        object.__setattr__(self, "location", location)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +249,10 @@ class ValuationSpec:
 
     ``scalar_weight`` is B, a ``BumpWeight``, so that its support box is
     always checked against the quadrature box and the origin.
-    ``weights`` carries the n - i matrix slots (bumps or at most one
-    atom); for degree n it is empty, and for degree 0 the functional is
-    constant in its argument.
+    ``weights`` carries the n - i matrix slots, each a ``MatrixBump`` or
+    a ``MatrixAtom`` (TypeError otherwise), with at most one atom; for
+    degree n it is empty, and for degree 0 the functional is constant in
+    its argument.
     """
 
     field: str
@@ -271,10 +278,11 @@ class ValuationSpec:
             raise ValueError(
                 f"expected {self.n - self.degree} matrix weights, got {len(self.weights)}"
             )
-        n_atoms = sum(isinstance(w, MatrixAtom) for w in self.weights)
-        if n_atoms > 1:
+        if sum(isinstance(w, MatrixAtom) for w in self.weights) > 1:
             raise ValueError("at most one matrix weight may be a point atom")
         for w in self.weights:
+            if not isinstance(w, (MatrixBump, MatrixAtom)):
+                raise TypeError(f"a matrix weight must be a MatrixBump or a MatrixAtom, not {w!r}")
             if w.matrix.field != self.field or w.matrix.n != self.n:
                 raise ValueError("matrix weight does not match the valuation's field/size")
 
@@ -473,15 +481,15 @@ def pl_valuation(scalar_weight, f: PLConvexFunction) -> float:
 # quadrature evaluation
 # ---------------------------------------------------------------------------
 
-def chunked_apply(fn, points, threads: int = 1, chunk: int = 65536):
-    """Apply a vectorized map over fixed row chunks, concatenated in order.
+def chunked_apply(fn, points, threads: int = 1):
+    """Apply a vectorized map over fixed row blocks, concatenated in order.
 
-    Chunk boundaries do not depend on the thread count, so results are
+    The blocks do not depend on the thread count, so results are
     bit-identical for any ``threads``, a whole number of at least 1.
     """
     threads = _whole_number("threads", threads, 1)
     points = np.asarray(points)
-    blocks = [points[i:i + chunk] for i in range(0, max(len(points), 1), chunk)]
+    blocks = [points[i:i + _CHUNK_ROWS] for i in range(0, max(len(points), 1), _CHUNK_ROWS)]
     if threads <= 1 or len(blocks) == 1:
         parts = map(fn, blocks)
     else:
@@ -524,9 +532,8 @@ def _gaussian_kernels(sigma_cells):
     return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
 
 
-def _field_hessians_grid(spec, f, grid, sigma_cells, active=None, out=None):
-    """Field Hessians of the Gaussian-smoothed ``f`` on the cells the
-    boolean ``active`` picks from the flat ``grid`` (every cell for None).
+def _field_hessians_grid(spec, f, grid, sigma_cells, active, out):
+    """Field Hessians of the Gaussian-smoothed ``f`` on the ``active`` cells of ``grid``.
 
     ``f`` is sampled only on the active box (the bounding box of the
     active cells, from one ``any`` over the mask per axis) plus the kernel
@@ -537,15 +544,15 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None, out=None):
     moment-exact kernels of ``_gaussian_kernels``, each cropping r cells,
     so D^2 (G_sigma * f) comes without a difference stencil; it computes
     only the entries the field reads, and gathers each entry's plane at
-    the active cells' flat indices in the box straight into one (N, d, d)
-    array of real Hessians.  That array is ``out`` when given (over R the
-    result is then ``out`` itself), else a new one.
+    the active cells' flat indices in the box straight into ``out``: the
+    caller's (N, d, d) float64 array for the N cells the flat boolean
+    ``active`` picks, and over R the result.
     """
     d = grid.dim
     kernels = _gaussian_kernels(sigma_cells)
     r = len(kernels[0]) // 2
     ext = grid.with_margin(r)
-    mask = np.ones(grid.shape, bool) if active is None else np.reshape(active, grid.shape)
+    mask = np.reshape(active, grid.shape)
     hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
     box = [slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
     cells = np.flatnonzero(mask[tuple(box)])
@@ -555,7 +562,7 @@ def _field_hessians_grid(spec, f, grid, sigma_cells, active=None, out=None):
     else:
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         values = f(nodes).reshape(tuple(len(x) for x in axes))
-    hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells=cells, out=out)
+    hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells, out)
     return assemble_structured(spec.field, hreal)
 
 
@@ -691,7 +698,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                 cells = np.unravel_index(np.flatnonzero(active), grid.shape)
                 points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
             hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), points,
-                                  threads=threads, chunk=8192)
+                                  threads)
             hf = assemble_structured(spec.field, hreal)
         slots.extend([hf] * spec.degree)
     slots.extend(w.matrix.data for w in spec.weights)

@@ -156,24 +156,18 @@ def _slab_quad(K, rng):
 # ---------------------------------------------------------------------------
 
 def _identity_config(field, rng):
+    """The spec, grid, body and smoothing width of ``field``'s identity check."""
     if field == "R":
         spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.7))
-        grid = Grid.cube(np.zeros(3), 0.5, 48, 3)
-        body = _centered_cube(3, 0.35)
-        sigma = 2.0
-    elif field == "C":
+        return spec, Grid.cube(np.zeros(3), 0.5, 48, 3), _centered_cube(3, 0.35), 2.0
+    B = BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7)
+    if field == "C":
         mat = HermitianMatrix("C", np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]]))
-        weight = MatrixBump(mat, np.zeros(4), 0.45, plateau=0.7)
-        spec = ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7), (weight,))
-        grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
-        body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
-        sigma = 1.5
+        spec = ValuationSpec("C", 2, 1, B, (MatrixBump(mat, np.zeros(4), 0.45, plateau=0.7),))
     else:  # H
-        spec = ValuationSpec("H", 1, 1, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7))
-        grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
-        body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, radius=0.35, min_sep=0.6)
-        sigma = 1.5
-    return spec, grid, body, sigma
+        spec = ValuationSpec("H", 1, 1, B)
+    body = cx.random_shell_polytope(rng, dim=4, n_vertices=10, min_sep=0.6)
+    return spec, Grid.cube(np.zeros(4), 0.5, 10, 4), body, 1.5
 
 
 def _identity_grid_residuals(field, n_pairs, rng, threads):
@@ -386,7 +380,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
 # experiment: continuity of the smoothed route
 # ---------------------------------------------------------------------------
 
-def smoothing_schedule(sigmas_cells, resolution, **_):
+def smoothing_schedule(sigmas_cells, resolution):
     """continuity's check: its schedule as floats and the resolution.
 
     Raises ValueError unless the resolution is a whole number >= 1 and the
@@ -537,7 +531,7 @@ NAMED_BODIES = {
 }
 
 
-def named_body(b_height, body, seed, **_):
+def named_body(b_height, body, seed):
     """volume-identity's check: B(0) as a float and the seed; ValueError
     unless B(0) is finite, ``body`` None or named, and the seed whole, >= 0."""
     seed = _whole_number("seed", seed, 0)
@@ -622,7 +616,7 @@ def _bump4(x, center=0.0, radius=0.45):
     return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
 
 
-def perturbation_schedule(eps_schedule, resolution, seed, threads, **_):
+def perturbation_schedule(eps_schedule, resolution, seed, threads):
     """kernel-laplacian's check: its schedule as floats, the resolution and
     the seed as ints, and the smallest eigenvalue of I + eps Hess(psi) over
     every fifth node of its grid, at the largest eps.

@@ -323,6 +323,22 @@ def test_moore_rejects_non_hermitian():
         moore_det(rng.standard_normal((2, 2, 4)))
 
 
+def test_moore_batch_raises_when_the_spectrum_does_not_pair():
+    # the batch route has no Hermitian check: a non-Hermitian matrix's
+    # embedding has no duplicated eigenvalue pairs
+    data = np.random.default_rng(0).standard_normal((1, 2, 2, 4))
+    with pytest.raises(algebra.PairingError, match="do not pair up"):
+        algebra.moore_det_batch(data)
+
+
+def test_moore_raises_when_the_realization_disagrees(monkeypatch):
+    # moore_det checks its batch value against det(realization) = moore^4
+    batch = algebra.moore_det_batch
+    monkeypatch.setattr(algebra, "moore_det_batch", lambda data: 1.01 * batch(data))
+    with pytest.raises(algebra.DeterminantConsistencyError, match="relative gap"):
+        moore_det(HermitianMatrix.identity("H", 2))
+
+
 # ---------------------------------------------------------------------------
 # octonionic 2x2 determinant
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -158,6 +160,29 @@ def test_two_ball_checks_dim_before_its_cache(dim, error):
     with pytest.raises(ValueError, match=error):
         make_two_ball_body(dim)
     assert convex._two_ball_body.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_ball_radius_is_finite_and_positive(radius):
+    # ball_body(3, -1.0) gave h = -|xi|, which is not convex, and ran
+    with pytest.raises(ValueError, match="ball radius must be finite and > 0"):
+        ball_body(3, radius)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_scale_rejects_a_non_finite_factor(lam):
+    # the smooth body's support was NaN everywhere; the polytope raised
+    # only through its vertex check
+    for body in (make_two_ball_body(3), unit_cube(3)):
+        with pytest.raises(GeometryError, match="scale factor must be finite"):
+            body.scale(lam)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, "6", None])
+def test_unit_directions_count_is_a_whole_number_of_at_least_1(count):
+    # -1 returned 5 directions and 0 none, without a word
+    with pytest.raises(ValueError, match="count"):
+        unit_directions(3, count)
 
 
 @pytest.mark.parametrize("dim", [0, -2, 2.5, 3.0, False, "3", None])

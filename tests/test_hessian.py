@@ -364,9 +364,9 @@ def test_grid_hessian_exact_on_cubic(d, sigma):
     r = len(kernels[0]) // 2
     axes = [np.linspace(-1.0, 1.0 + 0.1 * a, {1: 40, 2: 24, 3: 17, 4: 14}[d] + a) for a in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    H = grid_hessian(value(mesh), [ax[1] - ax[0] for ax in axes], kernels)
-    core = mesh[tuple(slice(r, len(ax) - r) for ax in axes)]
-    assert H.shape == core.shape[:-1] + (d, d)
+    core = mesh[tuple(slice(r, len(ax) - r) for ax in axes)].reshape(-1, d)
+    H = grid_hessian(value(mesh), [ax[1] - ax[0] for ax in axes], kernels, "R",
+                     np.arange(len(core)), hessian._entry_major(len(core), d))
     ref = hess(core)
     assert np.max(np.abs(H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -374,9 +374,11 @@ def test_grid_hessian_exact_on_cubic(d, sigma):
 def test_grid_hessian_margin_validation():
     # each product crops the kernel radius r per side: an axis needs 2 r + 1 samples
     kernels = valuation._gaussian_kernels(1.0)  # r = 4
-    assert grid_hessian(np.zeros((9, 9)), [0.1, 0.1], kernels).shape == (1, 1, 2, 2)
-    with pytest.raises(ValueError):
-        grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels)
+    out = np.full((1, 2, 2), np.nan)
+    assert grid_hessian(np.zeros((9, 9)), [0.1, 0.1], kernels, "R", np.arange(1), out) is out
+    assert not out.any()
+    with pytest.raises(ValueError, match="at least 9 samples per axis"):
+        grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels, "R", np.arange(1), out)
 
 
 def _grid_hessian_dense(values, spacing, kernels, field="R"):
@@ -432,17 +434,20 @@ def test_grid_hessian_blocks_match_the_dense_band_bit_for_bit(field, d, sigma):
     shapes = [tuple(_NOUTS[(k + 2 * a) % len(_NOUTS)] for a in range(d)) for k in range(len(_NOUTS))]
     for shape in shapes + [(1,) * (d - 1) + (44,)]:
         values = rng.standard_normal(tuple(s + 2 * r for s in shape))
-        got = grid_hessian(values, spacing, kernels, field)
         ref = _grid_hessian_dense(values, spacing, kernels, field)
-        assert got.shape == ref.shape == shape + (d, d)
+        assert ref.shape == shape + (d, d)
+        n = math.prod(shape)
+        got = grid_hessian(values, spacing, kernels, field, np.arange(n),
+                           hessian._entry_major(n, d))
         assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("field,d", [("R", 1), ("R", 2), ("R", 3), ("C", 2), ("C", 4), ("H", 4)])
 def test_grid_hessian_cells_and_out_match_the_dense_band_bit_for_bit(field, d):
     # ``cells`` (none, every cell, a random subset) gathers the dense
-    # reference's rows at those flat core indices, and an ``out`` filled
-    # with NaN gets the bytes of a new result, unread entries 0 included
+    # reference's rows at those flat core indices into ``out``: one filled
+    # with NaN, entry-major or batch-major, gets the reference's bytes,
+    # unread entries 0 included
     kernels = valuation._gaussian_kernels(1.0)
     r = len(kernels[0]) // 2
     rng = np.random.default_rng(30 + d)
@@ -453,18 +458,13 @@ def test_grid_hessian_cells_and_out_match_the_dense_band_bit_for_bit(field, d):
         ref = _grid_hessian_dense(values, spacing, kernels, field).reshape(-1, d, d)
         subset = np.flatnonzero(rng.random(len(ref)) < 0.3)
         for cells in (np.empty(0, int), np.arange(len(ref)), subset):
-            got = grid_hessian(values, spacing, kernels, field, cells=cells)
-            assert got.shape == (len(cells), d, d)
-            assert got.tobytes() == ref[cells].tobytes()
-            out = np.full(got.shape, np.nan)
-            assert grid_hessian(values, spacing, kernels, field, cells=cells, out=out) is out
-            assert out.tobytes() == got.tobytes()
-        out = np.full(ref.shape, np.nan)
-        full = grid_hessian(values, spacing, kernels, field, out=out)
-        assert full.shape == shape + (d, d) and np.shares_memory(full, out)
-        assert out.tobytes() == ref.tobytes()
+            for out in (hessian._entry_major(len(cells), d), np.empty((len(cells), d, d))):
+                out[...] = np.nan
+                assert grid_hessian(values, spacing, kernels, field, cells, out) is out
+                assert out.tobytes() == ref[cells].tobytes()
         with pytest.raises(ValueError, match="out has shape"):
-            grid_hessian(values, spacing, kernels, field, out=np.empty((len(ref) + 1, d, d)))
+            grid_hessian(values, spacing, kernels, field, np.arange(len(ref)),
+                         np.empty((len(ref) + 1, d, d)))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
@@ -474,7 +474,7 @@ def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
     values = np.random.default_rng(0).standard_normal((11, 11))
     out = np.zeros((9, 2, 2), dtype)
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
-        grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), out=out)
+        grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), "R", np.arange(9), out)
     assert not out.any()
 
 
@@ -506,7 +506,8 @@ def test_hessian_routes_are_exactly_symmetric():
         for field in ("R", "C") if d % 2 else ("R", "C", "H"):
             if d % FIELD_COMPONENTS[field]:
                 continue
-            G = grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), field)
+            G = grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), field,
+                             np.arange(3 ** d), hessian._entry_major(3 ** d, d))
             assert G.tobytes() == np.swapaxes(G, -1, -2).tobytes()
         R = assemble_structured("R", H)
         assert R.tobytes() == H.tobytes()
@@ -526,22 +527,22 @@ def _layout_case(field, n, route):
     """Real Hessians (N, d, d) of ``field`` with n x n field matrices from
     ``route``: "atom" is one stencil node, "stencil" 9,000 nodes in
     ``chunked_apply``'s blocks of 8,192 (40 for O2, 289 points each),
-    "grid" a random subset of a grid's cells and "buffer" the same cells
-    written into the thread's "hessians" buffer slot."""
+    "grid" a random subset of a grid's cells written into a new
+    entry-major array and "buffer" the same cells written into the
+    thread's "hessians" buffer slot."""
     d = n * FIELD_COMPONENTS[field]
     rng = np.random.default_rng(d + n)
     if route in ("atom", "stencil"):
         c = rng.standard_normal((d, d)) / math.sqrt(d)
         f = lambda x: np.sum(np.cos(x @ c), axis=-1) + np.sum(x * x, axis=-1) ** 1.5
         points = rng.standard_normal((1 if route == "atom" else 40 if field == "O2" else 9000, d))
-        return valuation.chunked_apply(lambda b: fd_hessian_batch(f, b, None, field), points,
-                                       chunk=8192)
+        return valuation.chunked_apply(lambda b: fd_hessian_batch(f, b, None, field), points)
     kernels = valuation._gaussian_kernels(1.0)
     core = (20,) * d if d == 3 else (8,) * d
     values = rng.standard_normal(tuple(k + len(kernels[0]) - 1 for k in core))
     cells = np.flatnonzero(rng.random(math.prod(core)) < 0.6)
-    out = None if route == "grid" else hessian._entry_major(len(cells), d, "hessians")
-    return grid_hessian(values, 0.1, kernels, field, cells=cells, out=out)
+    out = hessian._entry_major(len(cells), d, None if route == "grid" else "hessians")
+    return grid_hessian(values, 0.1, kernels, field, cells, out)
 
 
 _LAYOUT_CASES = [(field, n, route) for field, n in (("R", 3), ("C", 2), ("H", 2), ("O2", 2))
@@ -581,9 +582,9 @@ def test_the_grid_route_hands_grid_hessian_its_entry_major_thread_buffer(monkeyp
     spec, grid, body, sigma = verify._identity_config("R", np.random.default_rng(0))
     seen = []
 
-    def spy(values, spacing, kernels, field, cells=None, out=None):
+    def spy(values, spacing, kernels, field, cells, out):
         seen.append(out)
-        return grid_hessian(values, spacing, kernels, field, cells=cells, out=out)
+        return grid_hessian(values, spacing, kernels, field, cells, out)
 
     ref = valuation.body_valuation(spec, body, grid, sigma_cells=sigma)
     monkeypatch.setattr(valuation, "grid_hessian", spy)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
-from mongeval import valuation, verify
+from mongeval import hessian, valuation, verify
 from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch
 from mongeval.convex import (
     PLConvexFunction,
@@ -1084,7 +1084,9 @@ def test_kernel_route_recovers_the_simplex_volume_where_the_stencil_did_not():
         return abs(grid.cell_volume * np.sum(bvals * dets) / vol - 1.0)
 
     assert rel_err(_stencil_route(K.support, grid, 2.0)) > 0.02
-    new = rel_err(valuation._field_hessians_grid(spec, K, grid, 2.0))
+    every = np.ones(grid.n_cells, bool)
+    new = rel_err(valuation._field_hessians_grid(spec, K, grid, 2.0, every,
+                                                 np.empty((grid.n_cells, 3, 3))))
     assert new < 0.01
     assert abs(abs(body_valuation(spec, K, grid, sigma_cells=2.0) / vol - 1.0) - new) <= 1e-12
 
@@ -1120,10 +1122,13 @@ def _grid_hessians_banded(spec, f, grid, sigma_cells, margin):
     kernels = valuation._gaussian_kernels(sigma_cells)
     ext = grid.with_margin(margin)
     values = f(ext.nodes()).reshape(ext.shape)
-    extra = margin - len(kernels[0]) // 2
-    hreal = grid_hessian(values, ext.spacing, kernels)
-    hreal = hreal[tuple(slice(extra, extra + s) for s in grid.shape)]
-    return assemble_structured(spec.field, hreal.reshape(-1, grid.dim, grid.dim))
+    extra, d = margin - len(kernels[0]) // 2, grid.dim
+    core = tuple(s + 2 * extra for s in grid.shape)
+    crop = tuple(slice(extra, extra + s) for s in grid.shape)
+    cells = np.arange(math.prod(core)).reshape(core)[crop]
+    hreal = grid_hessian(values, ext.spacing, kernels, "R", cells.ravel(),
+                         np.empty((cells.size, d, d)))
+    return assemble_structured(spec.field, hreal)
 
 
 _GRID_ROUTE_CASES = [("R", 3, 3, 3, 12), ("C", 2, 2, 4, 6), ("H", 1, 1, 4, 6)]
@@ -1135,7 +1140,8 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     spec = ValuationSpec(field, n, degree, BumpWeight(np.zeros(dim), 0.45))
     K = random_shell_polytope(np.random.default_rng(dim), dim=dim)
     grid = Grid.cube(np.full(dim, 0.01), 0.5, res, dim)  # no dyadic node coordinates
-    new = valuation._field_hessians_grid(spec, K.support, grid, sigma)
+    new = valuation._field_hessians_grid(spec, K.support, grid, sigma, np.ones(grid.n_cells, bool),
+                                         np.empty((grid.n_cells, dim, dim)))
     ref = _grid_hessians_full(spec, K.support, grid, sigma)
     assert new.shape == ref.shape
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1145,7 +1151,9 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     # line-by-line correlation differs only by its summation order;
     # "nearest" never clamps inside what is kept
     dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
-    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma)
+    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma,
+                                         np.ones(dyadic.n_cells, bool),
+                                         np.empty((dyadic.n_cells, dim, dim)))
     ref = _grid_hessians_full(spec, K.support, dyadic, sigma)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
     wide = int(4.0 * sigma + 0.5) + 3
@@ -1161,6 +1169,7 @@ def test_grid_route_reach_is_exact(sigma):
     K = random_shell_polytope(np.random.default_rng(2), dim=3)
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     grid = Grid(np.full(3, -0.5), np.full(3, 0.5), (16,) * 3)
+    every, out = np.ones(grid.n_cells, bool), np.empty((grid.n_cells, 3, 3))
     seen = []
 
     def f(x):
@@ -1169,10 +1178,10 @@ def test_grid_route_reach_is_exact(sigma):
 
     if sigma == 0.0:
         with pytest.raises(ValueError):
-            valuation._field_hessians_grid(spec, f, grid, sigma)
+            valuation._field_hessians_grid(spec, f, grid, sigma, every, out)
         assert not seen
         return
-    new = valuation._field_hessians_grid(spec, f, grid, sigma)
+    new = valuation._field_hessians_grid(spec, f, grid, sigma, every, out)
     pts = np.concatenate(seen)
     outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
     reach = int(4.0 * sigma + 0.5)
@@ -1194,8 +1203,10 @@ def test_grid_route_active_box_matches_unmasked_route(field, n, degree, dim, res
     active = spec.scalar_weight(grid.nodes()) != 0
     assert 0 < np.count_nonzero(active) < grid.n_cells
     for f in (K, K.support):
-        full = valuation._field_hessians_grid(spec, f, grid, 1.5)
-        masked = valuation._field_hessians_grid(spec, f, grid, 1.5, active)
+        full = valuation._field_hessians_grid(spec, f, grid, 1.5, np.ones(grid.n_cells, bool),
+                                              np.empty((grid.n_cells, dim, dim)))
+        masked = valuation._field_hessians_grid(spec, f, grid, 1.5, active,
+                                                np.empty((np.count_nonzero(active), dim, dim)))
         assert np.array_equal(masked, full[active])
 
 
@@ -1248,15 +1259,15 @@ def test_grid_hessian_computes_only_the_entries_the_field_reads(field, d, produc
         blocks.append((out.shape[1], out.strides[0] // out.itemsize))
         return matmul(*args, out=out)
 
+    ref = _grid_hessian_all_entries(values, spacing, kernels).reshape(-1, d, d)
+    out = hessian._entry_major(len(ref), d)
     monkeypatch.setattr(np, "matmul", recording)
-    H = grid_hessian(values, spacing, kernels, field)
+    H = grid_hessian(values, spacing, kernels, field, np.arange(len(ref)), out)
     monkeypatch.undo()
     assert sum(Fraction(w, n_out) for w, n_out in blocks) == products
     assert all(w > 1 or n_out == 1 for w, n_out in blocks)  # a one-row block would go to gemv
-    ref = _grid_hessian_all_entries(values, spacing, kernels)
     block = np.arange(d) // FIELD_COMPONENTS[field]  # entries off the diagonal of a block are unread
     read = np.eye(d, dtype=bool) | (block[:, None] != block[None, :])
-    assert H.shape == ref.shape
     assert H[..., read].tobytes() == ref[..., read].tobytes()
     assert not np.any(H[..., ~read])
     assert np.all(H[..., read])
@@ -1299,11 +1310,13 @@ def test_grid_route_hessians_match_the_previous_route_bit_for_bit(field, n, degr
     assert 0 < np.count_nonzero(active) < grid.n_cells
     for f in (K, K.support):
         for sigma in (1.0, 1.5):
-            new = valuation._field_hessians_grid(spec, f, grid, sigma, active)
             ref = _field_hessians_previous(spec, f, grid, sigma, active)
+            new = valuation._field_hessians_grid(spec, f, grid, sigma, active,
+                                                 np.empty((len(ref), dim, dim)))
             assert new.shape == ref.shape
             assert new.tobytes() == ref.tobytes()
-    full = valuation._field_hessians_grid(spec, K, grid, 1.5)
+    full = valuation._field_hessians_grid(spec, K, grid, 1.5, np.ones(grid.n_cells, bool),
+                                          np.empty((grid.n_cells, dim, dim)))
     assert full.tobytes() == _field_hessians_previous(spec, K, grid, 1.5).tobytes()
 
 
@@ -1320,9 +1333,11 @@ def test_plane_gather_matches_reshape_and_keep(field, dim, res):
     one[grid.n_cells // 3] = True
     for active in (rng.random(grid.n_cells) < 0.3, rng.random(grid.n_cells) < 0.9, one,
                    np.ones(grid.n_cells, bool)):
-        new = valuation._field_hessians_grid(spec, K, grid, 1.0, active)
+        n_active = np.count_nonzero(active)
+        new = valuation._field_hessians_grid(spec, K, grid, 1.0, active,
+                                             np.empty((n_active, dim, dim)))
         ref = _field_hessians_previous(spec, K, grid, 1.0, active)
-        assert len(new) == np.count_nonzero(active)
+        assert len(ref) == n_active
         assert new.tobytes() == ref.tobytes()
 
 
@@ -1386,10 +1401,10 @@ def _hessians_on_nodes(spec, f, grid, nodes, active, sigma_cells, step):
     """The field Hessians at ``nodes[active]``: difference stencils in
     blocks of 8,192 nodes, or the smoothed grid route."""
     if sigma_cells == 0:
-        hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active],
-                              chunk=8192)
+        hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active])
         return assemble_structured(spec.field, hreal)
-    return valuation._field_hessians_grid(spec, f, grid, sigma_cells, active)
+    out = np.empty((np.count_nonzero(active), grid.dim, grid.dim))
+    return valuation._field_hessians_grid(spec, f, grid, sigma_cells, active, out)
 
 
 def _eval_broadcast_slots(spec, f, grid, sigma_cells=0.0, step=None):
@@ -1689,9 +1704,11 @@ def test_grid_route_polytope_path_matches_callable_path(case, sigma):
     field, n = ("C", 2) if d == 4 else ("R", d)
     spec = ValuationSpec(field, n, n, BumpWeight(np.zeros(d), 0.45))
     grid = Grid.cube(np.full(d, 0.01), 0.5, {1: 40, 3: 12, 4: 6}[d], d)
-    new = valuation._field_hessians_grid(spec, K, grid, sigma)
-    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma)
-    assert new.shape == ref.shape
+    every = np.ones(grid.n_cells, bool)
+    new = valuation._field_hessians_grid(spec, K, grid, sigma, every,
+                                         np.empty((grid.n_cells, d, d)))
+    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma, every,
+                                         np.empty((grid.n_cells, d, d)))
     # the largest entry; a linear h (one vertex) has only rounding noise
     # there, so its floor is the second difference |v| / cell of a kink
     scale = max(np.max(np.abs(ref)), np.abs(K.vertices).max() / grid.spacing.min())
@@ -1718,7 +1735,8 @@ def _eval_unmasked(spec, f, grid, smooth, sigma_cells=1.5):
     if smooth:
         hf = assemble_structured(spec.field, fd_hessian_batch(f, nodes))
     else:
-        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells)
+        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, np.ones(grid.n_cells, bool),
+                                            np.empty((grid.n_cells, grid.dim, grid.dim)))
     slots = [hf] * spec.degree
     slots += [_slot_on_nodes(w, nodes, grid) for w in spec.weights]
     dets = polarized_det_batch(spec.field, slots)
@@ -1774,9 +1792,16 @@ def test_non_finite_f_raises_only_on_active_cells():
 
 def test_chunked_apply_order_independent_of_threads():
     pts = np.arange(300000, dtype=float)[:, None]
-    fn = lambda b: np.sin(b[:, 0])
-    a = chunked_apply(fn, pts, threads=1, chunk=7777)
-    b = chunked_apply(fn, pts, threads=6, chunk=7777)
+    sizes = []
+
+    def fn(b):
+        sizes.append(len(b))
+        return np.sin(b[:, 0])
+
+    a = chunked_apply(fn, pts, threads=1)
+    assert sizes == [8192] * 36 + [5088]  # fixed blocks of 8,192 rows
+    b = chunked_apply(fn, pts, threads=6)
+    assert sorted(sizes[37:]) == sorted(sizes[:37])
     assert np.array_equal(a, b)
 
 
@@ -1810,6 +1835,23 @@ def test_bump_weights_reject_non_finite_parameters(name, value):
     if name != "height":
         with pytest.raises(ValueError, match="finite"):
             MatrixBump(HermitianMatrix.identity("R", 3), args["center"], args["radius"])
+
+
+@pytest.mark.parametrize("location", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.zeros((1, 3))])
+def test_matrix_atom_takes_one_finite_point(location):
+    # a NaN atom made eval_valuation return 0.0 (B reads 0 there), and a
+    # 2-row location was reported as "atom location dimension 2 != 3"
+    with pytest.raises(ValueError, match="atom location must be one finite point"):
+        MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), location)
+
+
+@pytest.mark.parametrize("weight", [BumpWeight(np.zeros(3), 0.4), HermitianMatrix.identity("R", 3),
+                                    None])
+def test_matrix_weights_are_bumps_or_atoms(weight):
+    # a BumpWeight in a matrix slot died with AttributeError on .matrix
+    with pytest.raises(TypeError, match="MatrixBump or a MatrixAtom"):
+        ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.4), (weight,))
 
 
 def test_matrix_bump_scalar_is_the_unit_bump():

@@ -258,9 +258,9 @@ def test_cli_threads_byte_identical_reports(tmp_path, monkeypatch):
     blocks = []
     chunked_apply = valuation.chunked_apply
 
-    def recording(fn, points, threads=1, chunk=65536):
-        blocks.append(-(-len(points) // chunk))
-        return chunked_apply(fn, points, threads, chunk)
+    def recording(fn, points, threads=1):
+        blocks.append(-(-len(points) // valuation._CHUNK_ROWS))
+        return chunked_apply(fn, points, threads)
 
     monkeypatch.setattr(valuation, "chunked_apply", recording)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
