@@ -74,6 +74,13 @@ def _whole_number(name, value, minimum):
     return int(value)
 
 
+def _read_only(array):
+    """``array`` with writing switched off, for an array that an object or
+    a memo shares with every caller; returned, for use in an expression."""
+    array.flags.writeable = False
+    return array
+
+
 class PairingError(ArithmeticError):
     """The spectrum of a complex embedding did not split into duplicated
     pairs within tolerance, so the Moore determinant is ambiguous."""
@@ -266,7 +273,8 @@ class HermitianMatrix:
     """Square Hermitian matrix over R, C, H, or O2 (the latter 2x2 only).
 
     Storage: R -> (n, n) float, C -> (n, n) complex, H -> (n, n, 4),
-    O2 -> (2, 2, 8) with scalar components on the trailing axis.
+    O2 -> (2, 2, 8) with scalar components on the trailing axis, in a
+    read-only copy of the caller's array.
     """
 
     field: str
@@ -276,7 +284,7 @@ class HermitianMatrix:
         if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
         dtype = complex if self.field == "C" else float
-        data = np.asarray(self.data, dtype=dtype)
+        data = _read_only(np.array(self.data, dtype=dtype))
         comps = FIELD_COMPONENTS[self.field]
         if self.field in ("R", "C"):
             if data.ndim != 2 or data.shape[0] != data.shape[1]:

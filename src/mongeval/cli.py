@@ -49,8 +49,7 @@ class ConfigError(ValueError):
 
 def _parameters(name) -> dict:
     """The keyword parameters of one experiment, by name."""
-    return {p.name: p for p in inspect.signature(EXPERIMENTS[name][0]).parameters.values()
-            if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
+    return dict(inspect.signature(EXPERIMENTS[name][0]).parameters)
 
 
 def _kind(default) -> str:

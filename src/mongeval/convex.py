@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .algebra import _whole_number
+from .algebra import _read_only, _whole_number
 from .hessian import _row_norms, fd_hessian_batch
 
 __all__ = [
@@ -180,10 +180,9 @@ class SmoothProfileBody:
 
     def __post_init__(self):
         dim = _whole_number("dim", self.dim, 1)
-        c = np.zeros(dim) if self.center is None else np.array(self.center, dtype=float)
+        c = _read_only(np.zeros(dim) if self.center is None else np.array(self.center, dtype=float))
         if c.shape != (dim,):
             raise GeometryError(f"center shape {c.shape} does not match dim {dim}")
-        c.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "center", c)
 
@@ -282,8 +281,15 @@ def _two_ball_body(dim):
     th_hi = float(np.arccos(-0.8))
 
     def profile(u):
-        theta = np.arccos(np.clip(u, -1.0, 1.0))
-        return 1.0 + _smoothstep((theta - th_lo) / (th_hi - th_lo))
+        # the smoothstep clips to exactly 1.0 from u = 0.8 up and 2.0 from
+        # -0.8 down, so the blend runs only between them (and on NaN)
+        u = np.asarray(u, dtype=float)
+        g = np.where(u < 0.0, 2.0, 1.0)
+        blend = ~(np.abs(u) >= 0.8)
+        if blend.any():
+            theta = np.arccos(u[blend])
+            g[blend] = 1.0 + _smoothstep((theta - th_lo) / (th_hi - th_lo))
+        return g
 
     body = SmoothProfileBody(dim, profile)
     min_eig = certify_support_convexity(body)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
-from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _whole_number,
+from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _read_only, _whole_number,
                       polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
 from .hessian import (_entry_major, _stencil_steps, assemble_structured, fd_hessian_batch,
@@ -76,15 +76,16 @@ _CHUNK_ROWS = 8192
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Axis-aligned box with a fixed midpoint-rule resolution per axis;
-    its bounds must be finite and its shape whole numbers, each >= 1."""
+    its bounds must be finite and its shape whole numbers, each >= 1.
+    ``lo`` and ``hi`` are read-only copies of the caller's arrays."""
 
     lo: np.ndarray
     hi: np.ndarray
     shape: tuple
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = _read_only(np.array(self.lo, dtype=float))
+        hi = _read_only(np.array(self.hi, dtype=float))
         shape = tuple(_whole_number("grid cell count", s, 1) for s in self.shape)
         if lo.shape != hi.shape or lo.ndim != 1 or len(shape) != lo.size:
             raise ValueError("grid bounds and shape are inconsistent")
@@ -144,7 +145,8 @@ class BumpWeight:
     value = height * profile(|x - center| / radius); with plateau > 0 the
     profile is exactly ``height`` on the inner fraction of the support.
     The center, radius and height must be finite: a NaN would make every
-    comparison false and the weight 0 or NaN on every cell.
+    comparison false and the weight 0 or NaN on every cell.  The center is
+    a read-only copy of the caller's array.
     ``on_axes`` gives the same bits on a tensor grid up to 7-D without a
     node array.
     """
@@ -155,7 +157,7 @@ class BumpWeight:
     plateau: float = 0.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
+        c = _read_only(np.atleast_1d(np.array(self.center, dtype=float)))
         if not (np.all(np.isfinite(c)) and np.isfinite(self.radius) and np.isfinite(self.height)):
             raise ValueError("bump center, radius and height must be finite")
         if self.radius <= 0:
@@ -227,13 +229,14 @@ class MatrixBump:
 
 @dataclass(frozen=True, eq=False)
 class MatrixAtom:
-    """Point mass: matrix * delta(location), one finite point (ValueError otherwise)."""
+    """Point mass: matrix * delta(location), one finite point (ValueError
+    otherwise), kept as a read-only copy of the caller's array."""
 
     matrix: HermitianMatrix
     location: np.ndarray
 
     def __post_init__(self):
-        location = np.atleast_1d(np.asarray(self.location, dtype=float))
+        location = _read_only(np.atleast_1d(np.array(self.location, dtype=float)))
         if location.ndim != 1 or not np.all(np.isfinite(location)):
             raise ValueError(f"atom location must be one finite point, got {self.location!r}")
         object.__setattr__(self, "location", location)
@@ -532,38 +535,50 @@ def _gaussian_kernels(sigma_cells):
     return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
 
 
-def _field_hessians_grid(spec, f, grid, sigma_cells, active, out):
-    """Field Hessians of the Gaussian-smoothed ``f`` on the ``active`` cells of ``grid``.
+def _grid_box(grid, sigma_cells, active):
+    """Where the grid route samples ``f`` for the flat boolean ``active``
+    cells of ``grid``, in read-only arrays: the kernels of
+    ``_gaussian_kernels``, the extended grid's spacing, the sample axes
+    and the active cells' flat C-order indices in the box.
 
-    ``f`` is sampled only on the active box (the bounding box of the
-    active cells, from one ``any`` over the mask per axis) plus the kernel
-    radius r, at nodes sliced from the extended grid's axes: a
-    ``Polytope`` by ``support_grid``, a callable in one call.  Then one
-    ``grid_hessian`` call smooths and differentiates in the same
-    separable pass: entry (a, b) is a banded product per axis with the
-    moment-exact kernels of ``_gaussian_kernels``, each cropping r cells,
-    so D^2 (G_sigma * f) comes without a difference stencil; it computes
-    only the entries the field reads, and gathers each entry's plane at
-    the active cells' flat indices in the box straight into ``out``: the
-    caller's (N, d, d) float64 array for the N cells the flat boolean
-    ``active`` picks, and over R the result.
+    The box is the bounding box of the active cells, from one ``any``
+    over the mask per axis; its sample axes are sliced from the extended
+    grid's and reach r = int(4 sigma + 0.5) cells further on every side.
     """
     d = grid.dim
-    kernels = _gaussian_kernels(sigma_cells)
+    kernels = tuple(map(_read_only, _gaussian_kernels(sigma_cells)))
     r = len(kernels[0]) // 2
     ext = grid.with_margin(r)
     mask = np.reshape(active, grid.shape)
     hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a))) for a in range(d)]
     box = [slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
     cells = np.flatnonzero(mask[tuple(box)])
-    axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
+    axes = tuple(_read_only(ext.axis_nodes(a)[s.start:s.stop + 2 * r]) for a, s in enumerate(box))
+    return kernels, _read_only(ext.spacing), axes, _read_only(cells)
+
+
+def _field_hessians_grid(field, f, box, out):
+    """Field Hessians of the Gaussian-smoothed ``f`` on the active cells of
+    ``box``, from ``_grid_box``.
+
+    ``f`` is sampled on the box's axes: a ``Polytope`` by
+    ``support_grid``, a callable in one call.  Then one ``grid_hessian``
+    call smooths and differentiates in the same separable pass: entry (a,
+    b) is a banded product per axis with the box's moment-exact kernels,
+    each cropping r cells, so D^2 (G_sigma * f) comes without a difference
+    stencil; it computes only the entries the field reads, and gathers
+    each entry's plane at the box's active cells straight into ``out``:
+    the caller's (N, d, d) float64 array for the N active cells, and over
+    R the result.
+    """
+    kernels, spacing, axes, cells = box
     if isinstance(f, Polytope):
         values = f.support_grid(axes)
     else:
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         values = f(nodes).reshape(tuple(len(x) for x in axes))
-    hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells, out)
-    return assemble_structured(spec.field, hreal)
+    hreal = grid_hessian(values, spacing, kernels, field, cells, out)
+    return assemble_structured(field, hreal)
 
 
 def _bump_factor(weight, grid: Grid, node=None):
@@ -585,6 +600,45 @@ def _bump_factor(weight, grid: Grid, node=None):
             raise ValueError("normalized bump has zero mass on this grid")
         scal = scal / total
     return scal
+
+
+@functools.lru_cache(maxsize=1)
+def _quadrature(spec, grid, sigma_cells):
+    """The part of a checked call of ``eval_valuation`` fixed by its spec,
+    grid (None for an atom spec) and width, in read-only arrays: the
+    weight w on the active cells (empty when none is active), the cell
+    volume, and where the Hessians are read: the ``_grid_box`` for a
+    positive width, else the active midpoints or the atom's one node;
+    None at degree 0.
+
+    A memo of one entry: experiments and the benchmark evaluate one
+    functional on many bodies in a row, so nearly every call shares the
+    key of the call before it.  The spec and the grid are ``eq=False``
+    objects, so they hash by identity, and the entry keeps them alive, so
+    no other object can take over their ids; their arrays are read-only,
+    so they cannot change under the entry.  An exception is not cached,
+    so a spec that raises here raises on every call.
+    """
+    if grid is None:  # an atom spec: one node, at the atom's location
+        node, cell = spec.atom.location[None, :], 1.0
+        weight = spec.scalar_weight(node)
+    else:
+        node, cell = None, grid.cell_volume
+        weight = spec.scalar_weight.on_axes(grid.axes())
+    if weight.any():  # B first: a B of 0 on every cell reads no matrix weight
+        for w in spec.weights:  # each is its constant matrix times this factor
+            weight = weight * _bump_factor(w, grid, node)
+    active = weight != 0  # w = 0 cells add 0 * det
+    sample = None
+    if spec.degree > 0 and active.any():
+        if sigma_cells > 0:
+            sample = _grid_box(grid, sigma_cells, active)
+        elif grid is None:
+            sample = node
+        else:  # the active midpoints, gathered from the axes
+            cells = np.unravel_index(np.flatnonzero(active), grid.shape)
+            sample = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
+    return _read_only(weight[active]), cell, sample
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
@@ -611,6 +665,11 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     bounding box plus the kernel radius ``int(4 sigma + 0.5)`` in one call,
     and each entry, of the Gaussian of ``sigma_cells`` cells convolved with
     f, is one banded product per axis with a derivative-of-Gaussian kernel.
+
+    What depends only on (spec, grid, sigma_cells), B and the matrix bumps
+    on the grid, the active cells and their weights, the kernels and the
+    sampling box or the active midpoints, is kept for the last such key
+    (``_quadrature``), read-only; the checks below run on every call.
 
     One contract holds for every form of h_K and both routes:
 
@@ -661,10 +720,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                          "but sigma_cells = 0; h_K is singular there (smooth it on a grid)")
     d = spec.real_dim
     if atom is not None:
-        grid, node, cell = None, atom.location[None, :], 1.0
-        if node.shape[1] != d:
-            raise ValueError(f"atom location dimension {node.shape[1]} != {d}")
-        weight = spec.scalar_weight(node)
+        grid = None
+        if atom.location.size != d:
+            raise ValueError(f"atom location dimension {atom.location.size} != {d}")
     else:
         if grid is None:
             raise ValueError("a quadrature grid is required unless a weight is a point atom")
@@ -674,15 +732,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             return 0.0
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
             raise ValueError("joint weight support exceeds the quadrature box")
-        node, cell = None, grid.cell_volume
-        weight = spec.scalar_weight.on_axes(grid.axes())
-    if weight.any():  # B first: a B of 0 on every cell reads no matrix weight
-        for w in spec.weights:  # each is its constant matrix times this factor
-            weight = weight * _bump_factor(w, grid, node)
-    active = weight != 0  # w = 0 cells add 0 * det
-    if not active.any():
+    weight, cell, sample = _quadrature(spec, grid, float(sigma_cells))
+    if not weight.size:
         return 0.0
-    weight = weight[active]
 
     slots = []
     if spec.degree > 0:
@@ -690,14 +742,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             # this thread's buffer, entry-major so each real entry is one contiguous
             # plane; the Hessians are consumed below, before its next grid call
             out = _entry_major(len(weight), d, "hessians")
-            hf = _field_hessians_grid(spec, f, grid, sigma_cells, active, out)
+            hf = _field_hessians_grid(spec.field, f, sample, out)
         else:
-            if grid is None:
-                points = node
-            else:  # the active midpoints, gathered from the axes
-                cells = np.unravel_index(np.flatnonzero(active), grid.shape)
-                points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), points,
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), sample,
                                   threads)
             hf = assemble_structured(spec.field, hreal)
         slots.extend([hf] * spec.degree)

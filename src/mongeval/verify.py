@@ -546,8 +546,9 @@ def _kernel_images(weights, bodies, volumes, grid):
     route and the largest |phi(K)| / vol(K) by the smoothed quadrature."""
     exact = max(abs(pl_valuation(w, cx.PLConvexFunction.from_polytope_support(K)))
                 for w in weights for K in bodies)
-    quad = max(abs(body_valuation(ValuationSpec("R", 3, 3, w), K, grid, sigma_cells=2.0)) / vol
-               for w in weights for K, vol in zip(bodies, volumes))
+    specs = [ValuationSpec("R", 3, 3, w) for w in weights]  # one per weight, prepared once
+    quad = max(abs(body_valuation(spec, K, grid, sigma_cells=2.0)) / vol
+               for spec in specs for K, vol in zip(bodies, volumes))
     return exact, quad
 
 

@@ -149,6 +149,33 @@ def test_two_ball_body_is_built_and_certified_once_per_dimension(monkeypatch):
         bodies[1].center[0] = 1.0
 
 
+def _two_ball_profile_reference(u):
+    """The two-ball profile as it was before its plateaus were skipped,
+    kept verbatim as the reference."""
+    th_lo = float(np.arccos(0.8))
+    th_hi = float(np.arccos(-0.8))
+    theta = np.arccos(np.clip(u, -1.0, 1.0))
+    return 1.0 + convex._smoothstep((theta - th_lo) / (th_hi - th_lo))
+
+
+def test_two_ball_profile_blends_only_off_its_plateaus():
+    # from u = 0.8 up the profile is exactly 1.0 and from -0.8 down exactly
+    # 2.0, so the blend runs only between; every value keeps its bits
+    edges = [np.nextafter(e, t) for e in (0.8, -0.8) for t in (-1.0, 1.0)]
+    u = np.concatenate([np.random.default_rng(0).uniform(-1.0, 1.0, 4000),
+                        [1.0, -1.0, 0.8, -0.8, 0.0, -0.0, math.nan], edges,
+                        np.linspace(0.79, 0.81, 301), np.linspace(-0.81, -0.79, 301)])
+    for d in (2, 3):
+        profile = make_two_ball_body(d).profile
+        got = profile(u)
+        assert got.tobytes() == _two_ball_profile_reference(u).tobytes()
+        assert np.all(got[u >= 0.8] == 1.0) and np.all(got[u <= -0.8] == 2.0)
+        for one in (0.3, 0.9, -0.9, -0.0):  # one direction: a 0-d value
+            assert float(profile(np.float64(one))) == float(_two_ball_profile_reference(one))
+    xi = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert make_two_ball_body(3).support(xi).tolist() == [1.0, 2.0, 1.5]
+
+
 @pytest.mark.parametrize("dim,error", [(2.5, "whole number"), (3.0, "whole number"),
                                        (True, "whole number"), ("3", "whole number"),
                                        (None, "whole number"), (-1, "at least 0"),

@@ -1060,6 +1060,14 @@ def _stencil_hessian(values, spacing, margin):
     return H
 
 
+def _field_hessians_on(spec, f, grid, sigma_cells, active, out):
+    """The grid route's field Hessians on the caller's flat boolean
+    ``active`` cells: the ``_grid_box`` of that mask, then the route's one
+    sampling form."""
+    box = valuation._grid_box(grid, sigma_cells, active)
+    return valuation._field_hessians_grid(spec.field, f, box, out)
+
+
 def _stencil_route(f, grid, sigma_cells):
     """Gaussian smoothing by scipy on the whole extended grid, then the
     fourth-order stencil: real Hessians on every cell of ``grid``."""
@@ -1085,8 +1093,8 @@ def test_kernel_route_recovers_the_simplex_volume_where_the_stencil_did_not():
 
     assert rel_err(_stencil_route(K.support, grid, 2.0)) > 0.02
     every = np.ones(grid.n_cells, bool)
-    new = rel_err(valuation._field_hessians_grid(spec, K, grid, 2.0, every,
-                                                 np.empty((grid.n_cells, 3, 3))))
+    new = rel_err(_field_hessians_on(spec, K, grid, 2.0, every,
+                                     np.empty((grid.n_cells, 3, 3))))
     assert new < 0.01
     assert abs(abs(body_valuation(spec, K, grid, sigma_cells=2.0) / vol - 1.0) - new) <= 1e-12
 
@@ -1140,8 +1148,8 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     spec = ValuationSpec(field, n, degree, BumpWeight(np.zeros(dim), 0.45))
     K = random_shell_polytope(np.random.default_rng(dim), dim=dim)
     grid = Grid.cube(np.full(dim, 0.01), 0.5, res, dim)  # no dyadic node coordinates
-    new = valuation._field_hessians_grid(spec, K.support, grid, sigma, np.ones(grid.n_cells, bool),
-                                         np.empty((grid.n_cells, dim, dim)))
+    new = _field_hessians_on(spec, K.support, grid, sigma, np.ones(grid.n_cells, bool),
+                             np.empty((grid.n_cells, dim, dim)))
     ref = _grid_hessians_full(spec, K.support, grid, sigma)
     assert new.shape == ref.shape
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1151,9 +1159,9 @@ def test_grid_route_matches_full_grid_reference(field, n, degree, dim, res, sigm
     # line-by-line correlation differs only by its summation order;
     # "nearest" never clamps inside what is kept
     dyadic = Grid(np.full(dim, -0.5), np.full(dim, 0.5), (16 if dim == 3 else 8,) * dim)
-    new = valuation._field_hessians_grid(spec, K.support, dyadic, sigma,
-                                         np.ones(dyadic.n_cells, bool),
-                                         np.empty((dyadic.n_cells, dim, dim)))
+    new = _field_hessians_on(spec, K.support, dyadic, sigma,
+                             np.ones(dyadic.n_cells, bool),
+                             np.empty((dyadic.n_cells, dim, dim)))
     ref = _grid_hessians_full(spec, K.support, dyadic, sigma)
     assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
     wide = int(4.0 * sigma + 0.5) + 3
@@ -1178,10 +1186,10 @@ def test_grid_route_reach_is_exact(sigma):
 
     if sigma == 0.0:
         with pytest.raises(ValueError):
-            valuation._field_hessians_grid(spec, f, grid, sigma, every, out)
+            _field_hessians_on(spec, f, grid, sigma, every, out)
         assert not seen
         return
-    new = valuation._field_hessians_grid(spec, f, grid, sigma, every, out)
+    new = _field_hessians_on(spec, f, grid, sigma, every, out)
     pts = np.concatenate(seen)
     outside = np.maximum(grid.lo - pts, pts - grid.hi).max()
     reach = int(4.0 * sigma + 0.5)
@@ -1203,10 +1211,10 @@ def test_grid_route_active_box_matches_unmasked_route(field, n, degree, dim, res
     active = spec.scalar_weight(grid.nodes()) != 0
     assert 0 < np.count_nonzero(active) < grid.n_cells
     for f in (K, K.support):
-        full = valuation._field_hessians_grid(spec, f, grid, 1.5, np.ones(grid.n_cells, bool),
-                                              np.empty((grid.n_cells, dim, dim)))
-        masked = valuation._field_hessians_grid(spec, f, grid, 1.5, active,
-                                                np.empty((np.count_nonzero(active), dim, dim)))
+        full = _field_hessians_on(spec, f, grid, 1.5, np.ones(grid.n_cells, bool),
+                                  np.empty((grid.n_cells, dim, dim)))
+        masked = _field_hessians_on(spec, f, grid, 1.5, active,
+                                    np.empty((np.count_nonzero(active), dim, dim)))
         assert np.array_equal(masked, full[active])
 
 
@@ -1311,12 +1319,12 @@ def test_grid_route_hessians_match_the_previous_route_bit_for_bit(field, n, degr
     for f in (K, K.support):
         for sigma in (1.0, 1.5):
             ref = _field_hessians_previous(spec, f, grid, sigma, active)
-            new = valuation._field_hessians_grid(spec, f, grid, sigma, active,
-                                                 np.empty((len(ref), dim, dim)))
+            new = _field_hessians_on(spec, f, grid, sigma, active,
+                                     np.empty((len(ref), dim, dim)))
             assert new.shape == ref.shape
             assert new.tobytes() == ref.tobytes()
-    full = valuation._field_hessians_grid(spec, K, grid, 1.5, np.ones(grid.n_cells, bool),
-                                          np.empty((grid.n_cells, dim, dim)))
+    full = _field_hessians_on(spec, K, grid, 1.5, np.ones(grid.n_cells, bool),
+                              np.empty((grid.n_cells, dim, dim)))
     assert full.tobytes() == _field_hessians_previous(spec, K, grid, 1.5).tobytes()
 
 
@@ -1334,8 +1342,8 @@ def test_plane_gather_matches_reshape_and_keep(field, dim, res):
     for active in (rng.random(grid.n_cells) < 0.3, rng.random(grid.n_cells) < 0.9, one,
                    np.ones(grid.n_cells, bool)):
         n_active = np.count_nonzero(active)
-        new = valuation._field_hessians_grid(spec, K, grid, 1.0, active,
-                                             np.empty((n_active, dim, dim)))
+        new = _field_hessians_on(spec, K, grid, 1.0, active,
+                                 np.empty((n_active, dim, dim)))
         ref = _field_hessians_previous(spec, K, grid, 1.0, active)
         assert len(ref) == n_active
         assert new.tobytes() == ref.tobytes()
@@ -1404,7 +1412,7 @@ def _hessians_on_nodes(spec, f, grid, nodes, active, sigma_cells, step):
         hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step=step), nodes[active])
         return assemble_structured(spec.field, hreal)
     out = np.empty((np.count_nonzero(active), grid.dim, grid.dim))
-    return valuation._field_hessians_grid(spec, f, grid, sigma_cells, active, out)
+    return _field_hessians_on(spec, f, grid, sigma_cells, active, out)
 
 
 def _eval_broadcast_slots(spec, f, grid, sigma_cells=0.0, step=None):
@@ -1705,10 +1713,10 @@ def test_grid_route_polytope_path_matches_callable_path(case, sigma):
     spec = ValuationSpec(field, n, n, BumpWeight(np.zeros(d), 0.45))
     grid = Grid.cube(np.full(d, 0.01), 0.5, {1: 40, 3: 12, 4: 6}[d], d)
     every = np.ones(grid.n_cells, bool)
-    new = valuation._field_hessians_grid(spec, K, grid, sigma, every,
-                                         np.empty((grid.n_cells, d, d)))
-    ref = valuation._field_hessians_grid(spec, K.support, grid, sigma, every,
-                                         np.empty((grid.n_cells, d, d)))
+    new = _field_hessians_on(spec, K, grid, sigma, every,
+                             np.empty((grid.n_cells, d, d)))
+    ref = _field_hessians_on(spec, K.support, grid, sigma, every,
+                             np.empty((grid.n_cells, d, d)))
     # the largest entry; a linear h (one vertex) has only rounding noise
     # there, so its floor is the second difference |v| / cell of a kink
     scale = max(np.max(np.abs(ref)), np.abs(K.vertices).max() / grid.spacing.min())
@@ -1735,8 +1743,8 @@ def _eval_unmasked(spec, f, grid, smooth, sigma_cells=1.5):
     if smooth:
         hf = assemble_structured(spec.field, fd_hessian_batch(f, nodes))
     else:
-        hf = valuation._field_hessians_grid(spec, f, grid, sigma_cells, np.ones(grid.n_cells, bool),
-                                            np.empty((grid.n_cells, grid.dim, grid.dim)))
+        hf = _field_hessians_on(spec, f, grid, sigma_cells, np.ones(grid.n_cells, bool),
+                                np.empty((grid.n_cells, grid.dim, grid.dim)))
     slots = [hf] * spec.degree
     slots += [_slot_on_nodes(w, nodes, grid) for w in spec.weights]
     dets = polarized_det_batch(spec.field, slots)
@@ -1888,7 +1896,8 @@ def test_widen_requires_atom():
 # ---------------------------------------------------------------------------
 
 def test_grid_route_threads_get_the_bits_of_a_sequential_run():
-    # each thread owns its grid-route buffers: two threads, each running
+    # each thread owns its grid-route buffers, and the two keep replacing
+    # each other's entry in the one-entry memo: two threads, each running
     # one acceptance-05 config (R on 48^3, C on 10^4) 5 times with a short
     # switch interval, get the bits of the same calls run one by one
     cases = [verify._identity_config(field, np.random.default_rng(5)) for field in ("R", "C")]
@@ -1931,3 +1940,179 @@ def test_warmed_r_identity_call_allocates_no_grid_sized_transients():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+# ---------------------------------------------------------------------------
+# the memo of the call-invariant half of eval_valuation
+# ---------------------------------------------------------------------------
+
+def _eval_before_memo(spec, f, grid, sigma_cells=0.0, step=None):
+    """``eval_valuation`` after its checks, as it ran before its
+    call-invariant half was memoized (kept as the reference): B, the
+    matrix bumps, the mask, the weights, the kernels, the box, its cells
+    and axes, and the active midpoints are rebuilt on every call.  ``f``
+    is a ``Polytope`` itself on the grid route."""
+    d = spec.real_dim
+    atom = spec.atom
+    if atom is not None:
+        grid, node, cell = None, atom.location[None, :], 1.0
+        weight = spec.scalar_weight(node)
+    else:
+        node, cell = None, grid.cell_volume
+        weight = spec.scalar_weight.on_axes(grid.axes())
+    if weight.any():
+        for w in spec.weights:
+            weight = weight * valuation._bump_factor(w, grid, node)
+    active = weight != 0
+    if not active.any():
+        return 0.0
+    weight = weight[active]
+    slots = []
+    if spec.degree > 0:
+        if sigma_cells > 0:
+            kernels = valuation._gaussian_kernels(sigma_cells)
+            r = len(kernels[0]) // 2
+            ext = grid.with_margin(r)
+            mask = np.reshape(active, grid.shape)
+            hits = [np.flatnonzero(mask.any(axis=tuple(b for b in range(d) if b != a)))
+                    for a in range(d)]
+            box = [slice(int(hit[0]), int(hit[-1]) + 1) for hit in hits]
+            cells = np.flatnonzero(mask[tuple(box)])
+            axes = [ext.axis_nodes(a)[s.start:s.stop + 2 * r] for a, s in enumerate(box)]
+            if isinstance(f, Polytope):
+                values = f.support_grid(axes)
+            else:
+                nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+                values = f(nodes).reshape(tuple(len(x) for x in axes))
+            out = hessian._entry_major(len(weight), d)
+            hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells, out)
+        else:
+            if grid is None:
+                points = node
+            else:
+                cells = np.unravel_index(np.flatnonzero(active), grid.shape)
+                points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), points)
+        slots.extend([assemble_structured(spec.field, hreal)] * spec.degree)
+    slots.extend(w.matrix.data for w in spec.weights)
+    dets = polarized_det_batch(spec.field, slots)
+    return float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
+
+
+def _memo_cases(route):
+    """(two specs, grid, sigma_cells, two functions): the grid route on two
+    polytopes, the stencil route on two smooth functions, and the atom
+    route's parity-break specs on the two-ball body and its dilate."""
+    if route == "atom":
+        (s1, _f, _), _, (s2, _g, _), _ = _atom_cases()[:4]
+        body = make_two_ball_body(3)
+        return (s1, s2), None, 0.0, (body.support, body.scale(1.5).support)
+    r_spec, grid = _active_cell_specs()["R"]
+    top = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    rng = np.random.default_rng(11)
+    if route == "grid":
+        return (r_spec, top), grid, 1.5, (random_shell_polytope(rng), random_shell_polytope(rng))
+    quads = [quadratic(np.diag(rng.uniform(0.5, 2.0, 3))) for _ in range(2)]
+    fs = tuple(lambda x, q=q: q(x) + 0.3 * np.sum(np.asarray(x) ** 4, axis=-1) for q in quads)
+    return (r_spec, top), grid, 0.0, fs
+
+
+def _arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays_in(item)
+
+
+@pytest.mark.parametrize("route", ["grid", "stencil", "atom"])
+def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
+    # specs interleaved on one grid, a second function under the same key,
+    # and a call after cache_clear each give the rebuilt route's bits
+    (s1, s2), grid, sigma, (f1, f2) = _memo_cases(route)
+    memo = valuation._quadrature
+    memo.cache_clear()
+    calls = [(s1, f1), (s1, f2), (s2, f1), (s1, f2), "clear", (s1, f1)]
+    for call in calls:
+        if call == "clear":
+            assert memo.cache_info().hits == 1 and memo.cache_info().misses == 3
+            memo.cache_clear()
+            continue
+        spec, f = call
+        got = eval_valuation(spec, f, grid, sigma_cells=sigma)
+        ref = _eval_before_memo(spec, f, grid, sigma)
+        assert ref != 0.0
+        assert got.hex() == ref.hex()
+        assert memo.cache_info().currsize == 1
+    assert memo.cache_info().maxsize == 1
+    key = (s1, None if route == "atom" else grid, sigma)
+    arrays = list(_arrays_in(memo(*key)))
+    assert len(arrays) >= {"grid": 7, "stencil": 2, "atom": 2}[route]
+    assert memo.cache_info().hits == 1
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 1.0
+
+
+def test_the_memo_takes_sigma_into_its_key():
+    (spec, _), grid, _sigma, (K, _) = _memo_cases("grid")
+    valuation._quadrature.cache_clear()
+    for sigma in (1.5, 1.0, 1.5):
+        got = eval_valuation(spec, K, grid, sigma_cells=sigma)
+        assert got.hex() == _eval_before_memo(spec, K, grid, sigma).hex()
+    assert valuation._quadrature.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("case", ["zero-mass", "narrow-kernel"])
+def test_a_spec_that_raises_in_the_memo_raises_on_every_call(case):
+    # a normalized bump of radius 0.1 reaches no midpoint of a 4^3 grid; a
+    # width of 0.1 cell truncates the Gaussian to one cell
+    grid = Grid.cube(np.zeros(3), 0.5, 4, 3)
+    mat = HermitianMatrix("R", np.eye(3))
+    if case == "zero-mass":
+        tiny = MatrixBump(mat, np.zeros(3), 0.1, normalize=True)
+        spec = ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.45), (tiny,))
+        sigma, message = 0.0, "zero mass"
+    else:
+        spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+        sigma, message = 0.1, "below 1/8 cell"
+    good = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
+    K = random_shell_polytope(np.random.default_rng(2))
+    memo = valuation._quadrature
+    memo.cache_clear()
+    eval_valuation(good, K, grid, sigma_cells=1.0)
+    f = quadratic(np.eye(3)) if sigma == 0 else K
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            eval_valuation(spec, f, grid, sigma_cells=sigma)
+    assert memo.cache_info().currsize == 1
+    eval_valuation(good, K, grid, sigma_cells=1.0)  # the last good key is still held
+    assert memo.cache_info().hits == 1
+
+
+def test_arrays_held_by_grids_weights_and_matrices_are_read_only_copies():
+    # a key's arrays cannot change under the memo: writing into them
+    # raises, and the caller's own arrays were copied
+    lo, hi, center = np.full(3, -0.5), np.full(3, 0.5), np.zeros(3)
+    location, data = np.array([0.1, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0])
+    grid = Grid(lo, hi, (12, 12, 12))
+    bump = BumpWeight(center, 0.45)
+    atom = MatrixAtom(HermitianMatrix("R", data), location)
+    held = (grid.lo, grid.hi, bump.center, atom.location, atom.matrix.data)
+    for array in held:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+    grid_spec = ValuationSpec("R", 3, 3, bump)
+    atom_spec = ValuationSpec("R", 3, 2, bump, (atom,))
+    K = random_shell_polytope(np.random.default_rng(5))
+    f = quadratic(np.diag([1.0, 2.0, 3.0]))
+    before = [eval_valuation(grid_spec, K, grid, sigma_cells=1.5), eval_valuation(atom_spec, f)]
+    copies = [a.copy() for a in held]
+    for source in (lo, hi, center, location, data):
+        source[...] = 0.25
+    assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+    after = [eval_valuation(grid_spec, K, grid, sigma_cells=1.5), eval_valuation(atom_spec, f)]
+    assert [v.hex() for v in after] == [v.hex() for v in before]

@@ -332,7 +332,7 @@ def test_cli_failing_experiment_exits_one(tmp_path, monkeypatch):
     # an impossible tolerance forces a clean failure path
     from mongeval import verify as v
 
-    def fake(**kwargs):
+    def fake(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
         return ExperimentReport("parity-break", {}, [("x", 1.0, 0.0, 0.1)])
 
     monkeypatch.setitem(v.EXPERIMENTS, "parity-break", (fake, lambda **_: None, "doc"))
