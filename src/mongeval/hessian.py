@@ -70,6 +70,7 @@ __all__ = [
     "fd_hessian_batch",
     "fd_laplacian_batch",
     "grid_hessian",
+    "grid_hessian_adjoint",
     "assemble_structured",
     "structured_hessian",
 ]
@@ -336,6 +337,92 @@ def grid_hessian(values, spacing, kernels, field, cells, out):
                 out[:, j, i] = out[:, i, j]
 
     return out
+
+
+def grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, shape):
+    """The adjoint of ``grid_hessian`` against a linear form of its entries.
+
+    Returns the float64 array K, of the samples' ``shape``, with <K,
+    values> = sum_{a <= b} coefficients[a, b] sum_c weights[c] H_ab[c] for
+    every ``values``, where H is ``grid_hessian``'s result on ``values``
+    with the same ``spacing``, ``kernels``, ``field`` and ``cells``.  Only
+    the entries ``field`` reads (``_field_pairs``, the rule of both
+    Hessian routes) and whose coefficient is nonzero take part; an
+    off-diagonal coefficient stands for H_ab and H_ba together, which are
+    one plane.
+
+    Entry (a, b)'s plane is one banded product per axis, so its adjoint
+    scatters the weights onto the core (the sample box shortened by 2 r
+    per axis) and applies each axis's transposed band, of the same
+    kernels scaled per unit length: a product contracts the leading core
+    axis and appends the box axis, so after d products the axes are back
+    in order.  The entries walk the tree of their order suffixes, the
+    mirror of ``grid_hessian``'s prefix tree.  An entry's suffix after
+    axis 0 is its own, so its coefficient is folded into its axis-0 band.
+    At each later axis the suffixes that share every order after it are
+    adjacent in the stack (colexicographic order), and one ``np.matmul``
+    of their stacked arrays with their stacked bands sums their products;
+    the last one writes K.  So no product is added outside a matrix
+    product.  The stacks of two consecutive axes lie at either end of one
+    buffer: this thread's "hessians" slot (``_thread_buffer``), which
+    holds the grid route's Hessians at degree >= 2 and only the products
+    K * samples of a degree-1 call, so a thread that has made a larger
+    Hessian call allocates no stack.
+    The bands are dense (core by box cells), which on the C and H
+    identity boxes (8 core and 20 box cells per axis) costs half again
+    the multiply-adds of their nonzeros.
+    """
+    d, width = len(shape), len(kernels[0])
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
+    core = tuple(n - width + 1 for n in shape)
+    if min(core) < 1:
+        raise ValueError(f"grid_hessian_adjoint needs at least {width} samples per axis")
+
+    a, b = _field_pairs(d, FIELD_COMPONENTS[field])
+    read = np.eye(d, dtype=bool)
+    read[a, b] = True
+    terms = {tuple((c == i) + (c == j) for c in range(d)): coefficients[i, j]  # by axis orders
+             for i, j in np.argwhere(read).tolist() if coefficients[i, j] != 0}
+    if not terms:
+        return np.zeros(shape)
+    kernel = np.empty(shape)  # the last product writes every value
+    bands = []
+    for a, n in enumerate(shape):
+        rows = np.arange(core[a])[:, None]
+        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
+        bands.append(np.zeros((3, core[a], n)))  # [order][i, i + j] = scaled[order, j]
+        bands[a][:, rows, rows + np.arange(width)] = scaled[:, None, :]
+
+    def colex(keys):
+        return sorted(set(keys), key=lambda k: k[::-1])
+
+    levels = [colex(terms)]  # levels[a]: the suffixes from axis a on
+    for a in range(d):
+        levels.append(colex(k[1:] for k in levels[a]))
+    sizes = [len(levels[a + 1]) * math.prod(core[a + 1:] + shape[:a + 1]) for a in range(d - 1)]
+    span = max([s + t for s, t in zip(sizes, sizes[1:])] + sizes, default=0)
+    buffer = _thread_buffer("hessians", (span,))
+    stack = np.zeros((1,) + core)
+    stack.reshape(-1)[cells] = weights
+    for a, n in enumerate(shape):
+        if a == d - 1:
+            out = kernel.reshape(1, -1)
+        else:
+            out = buffer[:sizes[a]] if a % 2 == 0 else buffer[span - sizes[a]:]
+            out = out.reshape(len(levels[a + 1]), -1)
+        first = 0
+        for q, key in enumerate(levels[a + 1]):
+            run = [k for k in levels[a] if k[1:] == key]
+            if a == 0:  # one entry: its coefficient scales its band
+                (entry,) = run
+                rows, band = stack[0].reshape(core[0], -1), terms[entry] * bands[0][entry[0]]
+            else:
+                rows = stack[first:first + len(run)].reshape(len(run) * core[a], -1)
+                band = bands[a][[k[0] for k in run]].reshape(len(run) * core[a], n)
+                first += len(run)
+            np.matmul(rows.T, band, out=out[q].reshape(-1, n))
+        stack = out
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from scipy.spatial import ConvexHull, QhullError
 from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _read_only, _whole_number,
                       polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
-from .hessian import (_entry_major, _stencil_steps, assemble_structured, fd_hessian_batch,
-                      grid_hessian)
+from .hessian import (_entry_major, _field_pairs, _stencil_steps, _thread_buffer,
+                      assemble_structured, fd_hessian_batch, grid_hessian, grid_hessian_adjoint)
 
 __all__ = [
     "Grid",
@@ -557,6 +557,16 @@ def _grid_box(grid, sigma_cells, active):
     return kernels, _read_only(ext.spacing), axes, _read_only(cells)
 
 
+def _box_samples(f, axes):
+    """``f`` on the tensor grid of ``axes``, shaped ``(len(axes[0]), ...)``:
+    a ``Polytope`` by ``support_grid``, a callable in one call on the
+    grid's nodes."""
+    if isinstance(f, Polytope):
+        return f.support_grid(axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return np.asarray(f(nodes), dtype=float).reshape(tuple(len(x) for x in axes))
+
+
 def _field_hessians_grid(field, f, box, out):
     """Field Hessians of the Gaussian-smoothed ``f`` on the active cells of
     ``box``, from ``_grid_box``.
@@ -572,13 +582,26 @@ def _field_hessians_grid(field, f, box, out):
     R the result.
     """
     kernels, spacing, axes, cells = box
-    if isinstance(f, Polytope):
-        values = f.support_grid(axes)
-    else:
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        values = f(nodes).reshape(tuple(len(x) for x in axes))
-    hreal = grid_hessian(values, spacing, kernels, field, cells, out)
+    hreal = grid_hessian(_box_samples(f, axes), spacing, kernels, field, cells, out)
     return assemble_structured(field, hreal)
+
+
+def _linear_form(spec):
+    """The (d, d) coefficients c of a degree-1 spec's integrand as a linear
+    form of the real Hessian: D(Hess_F f, M_1, ..., M_{n-1}) = sum_{a <= b}
+    c[a, b] f_ab over the entries the field reads (``_field_pairs``; c is 0
+    elsewhere).  They are that determinant of the unit symmetric matrix of
+    each entry, assembled and polarized against the weights' constant
+    matrices as the Hessians are."""
+    d = spec.real_dim
+    a, b = _field_pairs(d, FIELD_COMPONENTS[spec.field])
+    a, b = np.concatenate([np.arange(d), a]), np.concatenate([np.arange(d), b])
+    units = np.zeros((len(a), d, d))
+    units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
+    slots = [assemble_structured(spec.field, units)] + [w.matrix.data for w in spec.weights]
+    coefficients = np.zeros((d, d))
+    coefficients[a, b] = polarized_det_batch(spec.field, slots)
+    return coefficients
 
 
 def _bump_factor(weight, grid: Grid, node=None):
@@ -609,7 +632,11 @@ def _quadrature(spec, grid, sigma_cells):
     weight w on the active cells (empty when none is active), the cell
     volume, and where the Hessians are read: the ``_grid_box`` for a
     positive width, else the active midpoints or the atom's one node;
-    None at degree 0.
+    None at degree 0.  At degree 1 with a positive width the integral is a
+    fixed linear form of the box samples, so in place of the box this
+    holds its sample axes and the kernel K of that form: the adjoint of
+    the box's Hessian products (``grid_hessian_adjoint``) applied to w and
+    to the coefficients of ``_linear_form``, times (n - 1)! * cell.
 
     A memo of one entry: experiments and the benchmark evaluate one
     functional on many bodies in a row, so nearly every call shares the
@@ -629,16 +656,24 @@ def _quadrature(spec, grid, sigma_cells):
         for w in spec.weights:  # each is its constant matrix times this factor
             weight = weight * _bump_factor(w, grid, node)
     active = weight != 0  # w = 0 cells add 0 * det
+    weight = _read_only(weight[active])
     sample = None
     if spec.degree > 0 and active.any():
         if sigma_cells > 0:
             sample = _grid_box(grid, sigma_cells, active)
+            if spec.degree == 1:  # the sum is <K, f on the box>: keep the axes and K
+                kernels, spacing, axes, cells = sample
+                scale = math.factorial(spec.n - 1) * cell
+                kernel = grid_hessian_adjoint(weight, scale * _linear_form(spec), spacing,
+                                              kernels, spec.field, cells,
+                                              tuple(len(x) for x in axes))
+                sample = axes, _read_only(kernel)
         elif grid is None:
             sample = node
         else:  # the active midpoints, gathered from the axes
             cells = np.unravel_index(np.flatnonzero(active), grid.shape)
             sample = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
-    return _read_only(weight[active]), cell, sample
+    return weight, cell, sample
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
@@ -665,11 +700,19 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     bounding box plus the kernel radius ``int(4 sigma + 0.5)`` in one call,
     and each entry, of the Gaussian of ``sigma_cells`` cells convolved with
     f, is one banded product per axis with a derivative-of-Gaussian kernel.
+    At degree 1 that route's value is linear in the samples: the mixed
+    determinant is linear in its one Hessian slot, and the Hessians are
+    fixed linear maps of the samples.  So it is <K, samples> for a kernel
+    K on the box, summed by numpy's pairwise sum of K * samples in a
+    fixed order; a BLAS dot would split a long sum by its thread count.
 
     What depends only on (spec, grid, sigma_cells), B and the matrix bumps
     on the grid, the active cells and their weights, the kernels and the
-    sampling box or the active midpoints, is kept for the last such key
-    (``_quadrature``), read-only; the checks below run on every call.
+    sampling box or the active midpoints, or at degree 1 on the grid the
+    box axes and K, is kept for the last such key (``_quadrature``),
+    read-only; the checks below run on every call.  A key's first call
+    pays for K, so at degree 1 a key with one call costs more than the
+    Hessian route.
 
     One contract holds for every form of h_K and both routes:
 
@@ -687,7 +730,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       all three are checked before B is read.
     - A sum that is not finite raises ``FloatingPointError``.  Only
       active cells (B and every bump nonzero) get Hessians, so a
-      non-finite f that no active cell's Hessian reads does not raise.
+      non-finite f that no active cell's Hessian reads does not raise;
+      but at degree 1 on the grid route every sample of the box enters
+      the sum, so a non-finite sample anywhere in the box raises.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that
@@ -736,23 +781,30 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     if not weight.size:
         return 0.0
 
-    slots = []
-    if spec.degree > 0:
-        if sigma_cells > 0:
-            # this thread's buffer, entry-major so each real entry is one contiguous
-            # plane; the Hessians are consumed below, before its next grid call
-            out = _entry_major(len(weight), d, "hessians")
-            hf = _field_hessians_grid(spec.field, f, sample, out)
-        else:
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), sample,
-                                  threads)
-            hf = assemble_structured(spec.field, hreal)
-        slots.extend([hf] * spec.degree)
-    slots.extend(w.matrix.data for w in spec.weights)
-    dets = polarized_det_batch(spec.field, slots)
-    value = float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
+    if spec.degree == 1 and sigma_cells > 0:
+        axes, kernel = sample
+        # numpy's pairwise sum, not a BLAS dot: its order does not depend on
+        # how many threads BLAS runs; the products go to this thread's buffer
+        products = _thread_buffer("hessians", kernel.shape)
+        value = float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
+    else:
+        slots = []
+        if spec.degree > 0:
+            if sigma_cells > 0:
+                # this thread's buffer, entry-major so each real entry is one contiguous
+                # plane; the Hessians are consumed below, before its next grid call
+                out = _entry_major(len(weight), d, "hessians")
+                hf = _field_hessians_grid(spec.field, f, sample, out)
+            else:
+                hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), sample,
+                                      threads)
+                hf = assemble_structured(spec.field, hreal)
+            slots.extend([hf] * spec.degree)
+        slots.extend(w.matrix.data for w in spec.weights)
+        dets = polarized_det_batch(spec.field, slots)
+        value = float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
     if not math.isfinite(value):
-        raise FloatingPointError(f"the integrand sum {value} is not finite on the active cells")
+        raise FloatingPointError(f"the integrand sum {value} is not finite")
     return value
 
 

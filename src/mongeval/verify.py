@@ -685,11 +685,12 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     def f_probe(c):
         return lambda x: f0(x) + 0.4 * _bump4(x, c, 0.18)
 
-    kbase = [eval_valuation(ks, f0, grid, threads=threads) for ks in kspecs]
-    gram = np.array([
-        [eval_valuation(ks, f_probe(c), grid, threads=threads) - base for c in centers]
-        for ks, base in zip(kspecs, kbase)
-    ])
+    gram = []
+    for ks in kspecs:  # each spec's base next to its probes, so the memo keeps its key
+        base = eval_valuation(ks, f0, grid, threads=threads)
+        gram.append([eval_valuation(ks, f_probe(c), grid, threads=threads) - base
+                     for c in centers])
+    gram = np.array(gram)
     svals = np.linalg.svd(gram, compute_uv=False)
     independence = float(svals[-1] / svals[0])
 

@@ -15,6 +15,7 @@ from mongeval.hessian import (
     fd_hessian_batch,
     fd_laplacian_batch,
     grid_hessian,
+    grid_hessian_adjoint,
     structured_hessian,
 )
 
@@ -476,6 +477,44 @@ def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
         grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), "R", np.arange(9), out)
     assert not out.any()
+
+
+@pytest.mark.parametrize("field,d", [("R", 1), ("R", 3), ("C", 4), ("H", 4)])
+def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
+    # for random core weights W and samples h, <adjoint_e(W), h> equals
+    # <W, plane_e(h)> from grid_hessian for every entry e the field reads;
+    # a coefficient matrix gives the sum over the read entries of the upper
+    # triangle and ignores the rest
+    kernels = valuation._gaussian_kernels(1.0)
+    rng = np.random.default_rng(40 + d)
+    core = (5, 3, 4, 6)[:d]
+    shape = tuple(c + len(kernels[0]) - 1 for c in core)
+    spacing = 0.1 + 0.01 * np.arange(d)
+    cells = np.flatnonzero(rng.random(math.prod(core)) < 0.7)
+    weights = rng.standard_normal(len(cells))
+    values = rng.standard_normal(shape)
+    H = grid_hessian(values, spacing, kernels, field, cells, np.empty((len(cells), d, d)))
+    a, b = hessian._field_pairs(d, FIELD_COMPONENTS[field])
+    read = np.eye(d, dtype=bool)
+    read[a, b] = True
+
+    def check(coefficients, want):
+        K = grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, shape)
+        assert K.shape == shape and K.dtype == np.float64
+        terms = K * values
+        assert abs(terms.sum() - want) <= 1e-13 * np.abs(terms).sum()
+
+    for i, j in np.argwhere(read):
+        unit = np.zeros((d, d))
+        unit[i, j] = 1.0
+        check(unit, np.sum(weights * H[:, i, j]))
+    coefficients = rng.standard_normal((d, d))
+    check(coefficients, np.sum(weights * np.einsum("nij,ij->n", H, coefficients * read)))
+    assert not grid_hessian_adjoint(weights, coefficients * ~read, spacing, kernels, field, cells,
+                                    shape).any()
+    with pytest.raises(ValueError, match="at least 9 samples per axis"):
+        grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells,
+                             shape[:-1] + (8,))
 
 
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])

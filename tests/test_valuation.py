@@ -989,15 +989,22 @@ def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
 
 
 def test_grid_route_bits_do_not_depend_on_blas_threads():
-    # the grid route smooths by BLAS matrix products; one 4D call gives the
+    # the grid route smooths by BLAS matrix products, and at degree 1 builds
+    # its kernel K by them; a degree-2 and a degree-1 4D call each give the
     # same bits on one and on two OpenBLAS threads
     code = (
         "import numpy as np\n"
+        "from mongeval.algebra import HermitianMatrix\n"
         "from mongeval.convex import random_shell_polytope\n"
-        "from mongeval.valuation import BumpWeight, Grid, ValuationSpec, body_valuation\n"
+        "from mongeval.valuation import (BumpWeight, Grid, MatrixBump, ValuationSpec,\n"
+        "                                body_valuation)\n"
         "K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)\n"
         "spec = ValuationSpec('C', 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))\n"
         "grid = Grid.cube(np.zeros(4), 0.5, 16, 4)\n"
+        "print(body_valuation(spec, K, grid, sigma_cells=1.5).hex())\n"
+        "mat = HermitianMatrix('C', np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]]))\n"
+        "bump = MatrixBump(mat, np.zeros(4), 0.45, plateau=0.7)\n"
+        "spec = ValuationSpec('C', 2, 1, BumpWeight(np.zeros(4), 0.45, plateau=0.6), (bump,))\n"
         "print(body_valuation(spec, K, grid, sigma_cells=1.5).hex())\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1008,7 +1015,7 @@ def test_grid_route_bits_do_not_depend_on_blas_threads():
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         bits.add(run.stdout)
-    assert len(bits) == 1
+    assert len(bits) == 1 and len(bits.pop().split()) == 2
 
 
 @pytest.mark.parametrize("sigma", [0.125, 0.5, 1.5, 2.0, 3.3])
@@ -1487,15 +1494,23 @@ def _tensor_route_specs():
 
 @pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "identity-R"])
 def test_grid_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch):
-    # B and the matrix bumps on the tensor axes give the bits of the node
-    # route; the smoothed route never calls Grid.nodes
+    # B and the matrix bumps on the tensor axes give the node route's
+    # weights bit for bit, and the smoothed route never calls Grid.nodes;
+    # the value has the node route's bits at degree >= 2, and at degree 1,
+    # where it is <K, samples> (a sum in another order), is within 1e-13
     spec, grid = _tensor_route_specs()[case]
     K = random_shell_polytope(np.random.default_rng(3), dim=grid.dim)
     ref = _eval_on_nodes(spec, K, grid, sigma_cells=1.5)
+    weight = _weight_on_nodes(spec, grid)
     monkeypatch.setattr(Grid, "nodes", _no_nodes)
+    valuation._quadrature.cache_clear()
     got = eval_valuation(spec, K, grid, sigma_cells=1.5)
+    assert valuation._quadrature(spec, grid, 1.5)[0].tobytes() == weight[weight != 0].tobytes()
     assert ref != 0.0
-    assert got.hex() == ref.hex()
+    if spec.degree == 1:
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    else:
+        assert got.hex() == ref.hex()
 
 
 def _stencil_route_cases():
@@ -2025,14 +2040,38 @@ def _arrays_in(value):
             yield from _arrays_in(item)
 
 
+def _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma):
+    """``got`` has the bits of ``_eval_before_memo``, or, for a degree-1
+    spec on the grid route (a sum <K, samples> in another order), is
+    within 1e-13 of it."""
+    ref = _eval_before_memo(spec, f, grid, sigma)
+    assert ref != 0.0
+    if spec.degree == 1 and sigma > 0:
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    else:
+        assert got.hex() == ref.hex()
+
+
+def _fresh_values(calls, grid, sigma):
+    """Each (spec, f) call's value from an emptied memo."""
+    values = {}
+    for spec, f in calls:
+        valuation._quadrature.cache_clear()
+        values[spec, f] = eval_valuation(spec, f, grid, sigma_cells=sigma)
+    return values
+
+
 @pytest.mark.parametrize("route", ["grid", "stencil", "atom"])
 def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
     # specs interleaved on one grid, a second function under the same key,
-    # and a call after cache_clear each give the rebuilt route's bits
+    # and a call after cache_clear each give the bits of the same call from
+    # an emptied memo, and those of the route before the memo (within 1e-13
+    # for the grid route's degree-1 spec, whose sum runs in another order)
     (s1, s2), grid, sigma, (f1, f2) = _memo_cases(route)
     memo = valuation._quadrature
-    memo.cache_clear()
     calls = [(s1, f1), (s1, f2), (s2, f1), (s1, f2), "clear", (s1, f1)]
+    fresh = _fresh_values([c for c in calls if c != "clear"], grid, sigma)
+    memo.cache_clear()
     for call in calls:
         if call == "clear":
             assert memo.cache_info().hits == 1 and memo.cache_info().misses == 3
@@ -2040,14 +2079,14 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
             continue
         spec, f = call
         got = eval_valuation(spec, f, grid, sigma_cells=sigma)
-        ref = _eval_before_memo(spec, f, grid, sigma)
-        assert ref != 0.0
-        assert got.hex() == ref.hex()
+        assert got.hex() == fresh[call].hex()
+        _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma)
         assert memo.cache_info().currsize == 1
     assert memo.cache_info().maxsize == 1
     key = (s1, None if route == "atom" else grid, sigma)
     arrays = list(_arrays_in(memo(*key)))
-    assert len(arrays) >= {"grid": 7, "stencil": 2, "atom": 2}[route]
+    # the grid route's degree-1 entry: the weights, the three box axes and K
+    assert len(arrays) >= {"grid": 5, "stencil": 2, "atom": 2}[route]
     assert memo.cache_info().hits == 1
     for array in arrays:
         assert not array.flags.writeable
@@ -2057,11 +2096,73 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
 
 def test_the_memo_takes_sigma_into_its_key():
     (spec, _), grid, _sigma, (K, _) = _memo_cases("grid")
+    fresh = {sigma: _fresh_values([(spec, K)], grid, sigma)[spec, K] for sigma in (1.5, 1.0)}
     valuation._quadrature.cache_clear()
     for sigma in (1.5, 1.0, 1.5):
         got = eval_valuation(spec, K, grid, sigma_cells=sigma)
-        assert got.hex() == _eval_before_memo(spec, K, grid, sigma).hex()
+        assert got.hex() == fresh[sigma].hex()
+        _assert_matches_the_route_before_the_memo(got, spec, K, grid, sigma)
     assert valuation._quadrature.cache_info().misses == 3
+
+
+def _degree_one_cases():
+    """case -> (spec, grid, body): the R spec with two matrix bumps and the C
+    spec of ``_active_cell_specs``, the C and H identity configurations, and
+    a degree-2 C spec, which keeps the Hessian route."""
+    cases = {name: (*_active_cell_specs()[name], None) for name in ("R", "C")}
+    for field in "CH":
+        spec, grid, body, _sigma = verify._identity_config(field, np.random.default_rng(2))
+        cases[f"identity-{field}"] = spec, grid, body
+    cases["degree-2-C"] = (ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6)),
+                           Grid.cube(np.zeros(4), 0.5, 8, 4), None)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "degree-2-C"])
+def test_degree_one_grid_values_match_the_hessian_route(case):
+    # at degree 1 the grid route returns <K, samples>: within 1e-13 of the
+    # Hessian route kept verbatim (_eval_before_memo) on a polytope and on a
+    # smooth callable, with a memo of the axes, K and the weights, not the
+    # kernels or the box cells; a degree-2 spec keeps the Hessian route's bits
+    spec, grid, body = _degree_one_cases()[case]
+    rng = np.random.default_rng(6)
+    d = grid.dim
+    body = body or random_shell_polytope(rng, dim=d)
+    m = rng.standard_normal((d, d))
+    quad = quadratic(m @ m.T + 0.5 * np.eye(d))
+    smooth = lambda x: quad(x) + 0.3 * np.sum(np.cos(2.0 * np.asarray(x)), axis=-1)
+    for f in (body, smooth):
+        got = eval_valuation(spec, f, grid, sigma_cells=1.5)
+        ref = _eval_before_memo(spec, f, grid, 1.5)
+        assert ref != 0.0
+        if spec.degree == 1:
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+        else:
+            assert got.hex() == ref.hex()
+    weight, cell, sample = valuation._quadrature(spec, grid, 1.5)
+    if spec.degree == 1:
+        axes, kernel = sample
+        assert len(axes) == d and kernel.shape == tuple(len(x) for x in axes)
+        assert not kernel.flags.writeable
+    else:
+        assert len(sample) == 4  # the kernels, the spacing, the axes and the cells
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_sample_anywhere_in_the_box_raises_at_degree_1(bad):
+    # <K, samples> multiplies every sample of the box, so one non-finite
+    # value at its corner, beyond the kernel's reach of every active cell
+    # (where K is 0), makes the sum non-finite
+    spec, grid = _active_cell_specs()["C"]
+    quad = quadratic(np.eye(4))
+    corner = lambda x: np.where(np.all(np.asarray(x) < -1.0, axis=-1), bad, quad(x))
+    valuation._quadrature.cache_clear()
+    assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
+    axes, kernel = valuation._quadrature(spec, grid, 1.5)[2]
+    assert [x[0] < -1.0 < x[1] for x in axes] == [True] * 4  # one corner sample
+    assert kernel[0, 0, 0, 0] == 0.0
+    with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):
+        eval_valuation(spec, corner, grid, sigma_cells=1.5)
 
 
 @pytest.mark.parametrize("case", ["zero-mass", "narrow-kernel"])
