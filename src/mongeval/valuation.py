@@ -10,8 +10,10 @@ A_k are Hermitian matrix weights: bumps (a constant matrix M times a
 ``BumpWeight`` s) or single point atoms.  Every case runs one quadrature
 pipeline: B, the weight B * prod s (the mixed determinant is multilinear,
 so M enters its slot as a constant), Hessian slots where that weight is
-nonzero, the polarized determinant, and the weighted sum.  On a grid the
-bumps are read on its tensor axes, so no node array is built.  A point
+nonzero, the polarized determinant, and the weighted sum.  At degree 1
+the determinant is linear in its one Hessian slot, so it is a linear form
+of the real Hessian whose coefficients are polarized once per spec.  On a
+grid the bumps are read on its tensor axes, so no node array is built.  A point
 atom makes it a one-node quadrature at the atom's location with weight 1
 (by multilinearity a delta factor pulls everything there); at most one
 atom is allowed since a product of deltas at distinct points vanishes
@@ -586,22 +588,58 @@ def _field_hessians_grid(field, f, box, out):
     return assemble_structured(field, hreal)
 
 
+@functools.cache
+def _unit_hessians(field, d):
+    """The real entries (a, b), a <= b, that ``field`` reads in dimension
+    ``d`` (the diagonal, then ``_field_pairs``), and the field Hessian of
+    each entry's unit symmetric matrix, in read-only arrays.  They depend
+    on (field, d) alone, so each pair is assembled once per process: O2's
+    80 units in 16-D cost more to assemble than a spec's polarization."""
+    a, b = _field_pairs(d, FIELD_COMPONENTS[field])
+    a, b = np.concatenate([np.arange(d), a]), np.concatenate([np.arange(d), b])
+    units = np.zeros((len(a), d, d))
+    units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
+    return _read_only(a), _read_only(b), _read_only(assemble_structured(field, units))
+
+
+def _power_of_two_scale(matrix):
+    """2^round(log2 |M|_F) for a matrix weight, or 1 for a zero (or
+    non-finite) M: dividing by it is exact and leaves |M / scale| within a
+    factor sqrt(2) of 1."""
+    norm = matrix.norm()
+    return 2.0 ** round(math.log2(norm)) if 0.0 < norm < math.inf else 1.0
+
+
 def _linear_form(spec):
     """The (d, d) coefficients c of a degree-1 spec's integrand as a linear
     form of the real Hessian: D(Hess_F f, M_1, ..., M_{n-1}) = sum_{a <= b}
     c[a, b] f_ab over the entries the field reads (``_field_pairs``; c is 0
-    elsewhere).  They are that determinant of the unit symmetric matrix of
-    each entry, assembled and polarized against the weights' constant
-    matrices as the Hessians are."""
+    elsewhere, and an off-diagonal c[a, b] stands for f_ab and f_ba, which
+    are equal).  They are that determinant of the unit Hessians
+    (``_unit_hessians``), polarized against the weights' constant matrices.
+
+    The polarization cancels terms of the size of the largest slot, so
+    each M_k enters divided by its ``_power_of_two_scale`` s_k and c is
+    multiplied by the product of the s_k: the units have norm about 1,
+    and a large M_k would otherwise cost digits (the determinant is
+    multilinear, so this is the same form).  Both steps are exact in
+    binary, so an M of unit norm keeps the bits of the unscaled form."""
     d = spec.real_dim
-    a, b = _field_pairs(d, FIELD_COMPONENTS[spec.field])
-    a, b = np.concatenate([np.arange(d), a]), np.concatenate([np.arange(d), b])
-    units = np.zeros((len(a), d, d))
-    units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
-    slots = [assemble_structured(spec.field, units)] + [w.matrix.data for w in spec.weights]
+    a, b, units = _unit_hessians(spec.field, d)
+    scales = [_power_of_two_scale(w.matrix) for w in spec.weights]
+    slots = [units] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
     coefficients = np.zeros((d, d))
-    coefficients[a, b] = polarized_det_batch(spec.field, slots)
+    coefficients[a, b] = polarized_det_batch(spec.field, slots) * math.prod(scales)
     return coefficients
+
+
+def _linear_values(hreal, coefficients, entries):
+    """sum_k coefficients[k] H[:, a_k, b_k] for an entry-major (N, d, d)
+    batch H (``_entry_major``) and flat indices ``entries`` = a_k d + b_k:
+    one ``einsum`` over the entries' planes, which adds the terms in the
+    order of ``entries`` and calls no BLAS routine."""
+    planes = hreal.transpose(1, 2, 0).reshape(-1, len(hreal))
+    return np.einsum("k,kn->n", coefficients, planes[entries])
 
 
 def _bump_factor(weight, grid: Grid, node=None):
@@ -632,11 +670,14 @@ def _quadrature(spec, grid, sigma_cells):
     weight w on the active cells (empty when none is active), the cell
     volume, and where the Hessians are read: the ``_grid_box`` for a
     positive width, else the active midpoints or the atom's one node;
-    None at degree 0.  At degree 1 with a positive width the integral is a
-    fixed linear form of the box samples, so in place of the box this
-    holds its sample axes and the kernel K of that form: the adjoint of
-    the box's Hessian products (``grid_hessian_adjoint``) applied to w and
-    to the coefficients of ``_linear_form``, times (n - 1)! * cell.
+    None at degree 0.  At degree 1 the integrand is the linear form of
+    ``_linear_form`` in the real Hessian.  With a positive width the
+    integral is then a fixed linear form of the box samples, so in place
+    of the box this holds its sample axes and the kernel K of that form:
+    the adjoint of the box's Hessian products (``grid_hessian_adjoint``)
+    applied to w and to those coefficients, times (n - 1)! * cell.  At
+    width 0 it holds the nodes, the form's nonzero coefficients and their
+    flat indices a * d + b (a <= b), in row-major order.
 
     A memo of one entry: experiments and the benchmark evaluate one
     functional on many bodies in a row, so nearly every call shares the
@@ -673,6 +714,10 @@ def _quadrature(spec, grid, sigma_cells):
         else:  # the active midpoints, gathered from the axes
             cells = np.unravel_index(np.flatnonzero(active), grid.shape)
             sample = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
+        if spec.degree == 1 and sigma_cells == 0:  # the form's nonzero c[a, b] and a * d + b
+            coefficients = _linear_form(spec).reshape(-1)
+            entries = np.flatnonzero(coefficients)
+            sample = sample, _read_only(coefficients[entries]), _read_only(entries)
     return weight, cell, sample
 
 
@@ -705,14 +750,20 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     fixed linear maps of the samples.  So it is <K, samples> for a kernel
     K on the box, summed by numpy's pairwise sum of K * samples in a
     fixed order; a BLAS dot would split a long sum by its thread count.
+    On the stencil route and at an atom a degree-1 determinant is that
+    linear form of each node's real Hessian, sum_{a <= b} c_ab f_ab
+    (``_linear_form``), one ``einsum`` per block in a fixed order: no
+    field Hessian is assembled and nothing is polarized per call.  So
+    every degree-1 integrand is one linear form, and only degree >= 2
+    polarizes.
 
     What depends only on (spec, grid, sigma_cells), B and the matrix bumps
     on the grid, the active cells and their weights, the kernels and the
     sampling box or the active midpoints, or at degree 1 on the grid the
-    box axes and K, is kept for the last such key (``_quadrature``),
-    read-only; the checks below run on every call.  A key's first call
-    pays for K, so at degree 1 a key with one call costs more than the
-    Hessian route.
+    box axes and K, and at degree 1 elsewhere the form's coefficients, is
+    kept for the last such key (``_quadrature``), read-only; the checks
+    below run on every call.  A key's first call pays for K, so at degree
+    1 a grid key with one call costs more than the Hessian route.
 
     One contract holds for every form of h_K and both routes:
 
@@ -728,11 +779,17 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       finite and > 0, or that comes with a positive width (the grid route
       has no stencil), and a ``threads`` that is not a whole number >= 1;
       all three are checked before B is read.
-    - A sum that is not finite raises ``FloatingPointError``.  Only
-      active cells (B and every bump nonzero) get Hessians, so a
-      non-finite f that no active cell's Hessian reads does not raise;
-      but at degree 1 on the grid route every sample of the box enters
-      the sum, so a non-finite sample anywhere in the box raises.
+    - A non-finite value of f that a call reads raises
+      ``FloatingPointError``, and which values it reads depends on the
+      route.  The stencil route (and an atom) reads f only at the stencil
+      points of the active nodes, where B and every bump are nonzero, so
+      a non-finite f elsewhere does not raise.  The degree-1 grid route
+      reads every sample of the box, and each enters the sum.  The degree
+      >= 2 grid route reads every sample of the box into its banded
+      products, and a row block's product multiplies each sample in it,
+      by the band's zeros too (NaN * 0 is NaN): a non-finite sample may
+      reach the active cells although none of their Hessians depends on
+      it, and then it raises.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that
@@ -787,6 +844,11 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         # how many threads BLAS runs; the products go to this thread's buffer
         products = _thread_buffer("hessians", kernel.shape)
         value = float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
+    elif spec.degree == 1:  # D(H, M_1, ...) is the linear form of each node's real Hessian
+        points, coefficients, entries = sample
+        lin = chunked_apply(lambda b: _linear_values(fd_hessian_batch(f, b, step, spec.field),
+                                                     coefficients, entries), points, threads)
+        value = float(math.factorial(spec.n - 1) * cell * (weight * lin).sum())
     else:
         slots = []
         if spec.degree > 0:

@@ -524,10 +524,17 @@ def _atom_cases():
 
 
 def test_atom_quadrature_matches_atom_route_reference_bit_for_bit():
+    # degree 2 keeps the reference's bits; at degree 1 the value is the
+    # linear form of the real Hessian, a sum in another order than the
+    # polarization's, so it is within 1e-13
     for spec, f, step in _atom_cases():
         got = eval_valuation(spec, f, step=step)
+        ref = _eval_atom_reference(spec, f, step)
         assert got != 0.0
-        assert got == _eval_atom_reference(spec, f, step)
+        if spec.degree == 1:
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+        else:
+            assert got == ref
 
 
 def test_two_atoms_rejected():
@@ -1531,14 +1538,19 @@ def _stencil_route_cases():
 
 @pytest.mark.parametrize("case", ["linear-invariance-H", "parity-bump", "active-R"])
 def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch):
-    # the stencils run at the active midpoints gathered from the axes,
-    # with the node route's bits
+    # the stencils run at the active midpoints gathered from the axes; H
+    # (n = 1, where the linear form is the determinant term for term) keeps
+    # the node route's bits, and the degree-1 specs with n = 3, whose linear
+    # form sums in another order than the polarization, are within 1e-13
     spec, f, grid, step = _stencil_route_cases()[case]
     ref = _eval_on_nodes(spec, f, grid, step=step)
     monkeypatch.setattr(Grid, "nodes", _no_nodes)
     got = eval_valuation(spec, f, grid, step=step)
     assert ref != 0.0
-    assert got.hex() == ref.hex()
+    if case == "linear-invariance-H":
+        assert got.hex() == ref.hex()
+    else:
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_stencil_route_calls_f_one_block_at_a_time():
@@ -1606,10 +1618,10 @@ def _mixed_det_exact(mats):
     return total / math.factorial(n)
 
 
-def test_full_rank_matrix_weights_in_4d_match_an_exact_rational_sum():
-    # n = 4, i = 1 with full-rank weights and a normalized bump whose factor
-    # reaches 213: the broadcast slots s * M made the polarization cancel
-    # terms of order s^3 and read 3.5e-10 relative off the exact sum
+def _full_rank_4d_relative_error(first_scale):
+    """The relative error of the n = 4, i = 1 stencil value with full-rank
+    weights, the first M times ``first_scale``, against the same midpoint
+    sum in rationals."""
     n = 4
     rng = np.random.default_rng(2)
 
@@ -1618,7 +1630,8 @@ def test_full_rank_matrix_weights_in_4d_match_an_exact_rational_sum():
         return HermitianMatrix("R", m @ m.T / n + 0.5 * np.eye(n))
 
     c = np.array([0.02, -0.01, 0.015, 0.0])
-    weights = (MatrixBump(spd(), c, 0.28, normalize=True), MatrixBump(spd(), -c, 0.45, plateau=0.5),
+    first = HermitianMatrix("R", first_scale * spd().data)
+    weights = (MatrixBump(first, c, 0.28, normalize=True), MatrixBump(spd(), -c, 0.45, plateau=0.5),
                MatrixBump(spd(), np.zeros(n), 0.4))
     spec = ValuationSpec("R", n, 1, BumpWeight(np.zeros(n), 0.45, plateau=0.3), weights)
     grid = Grid.cube(np.zeros(n), 0.5, 8, n)
@@ -1646,7 +1659,21 @@ def test_full_rank_matrix_weights_in_4d_match_an_exact_rational_sum():
     total = sum(wk * sum(Fraction(h[a][b]) * coef[a, b] for a in range(n) for b in range(n))
                 for wk, h in zip((x for x in weight if x != 0), hess))
     exact = math.factorial(n - 1) * cell * total
-    assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * abs(exact)
+    return abs(Fraction(got) - exact) / abs(exact)
+
+
+def test_full_rank_matrix_weights_in_4d_match_an_exact_rational_sum():
+    # n = 4, i = 1 with full-rank weights and a normalized bump whose factor
+    # reaches 213: the broadcast slots s * M made the polarization cancel
+    # terms of order s^3 and read 3.5e-10 relative off the exact sum
+    assert _full_rank_4d_relative_error(1.0) <= Fraction(1, 10**12)
+
+
+def test_a_matrix_weight_of_norm_1e3_keeps_the_exact_rational_sum():
+    # the same spec with its first M times 1e3: the linear form polarizes
+    # unit Hessians against the weights, so without scaling each M by a power
+    # of two near its norm it read about 1e-7 relative off the exact sum
+    assert _full_rank_4d_relative_error(1e3) <= Fraction(1, 10**12)
 
 
 def test_hessians_only_where_b_and_every_matrix_bump_are_nonzero():
@@ -2042,11 +2069,12 @@ def _arrays_in(value):
 
 def _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma):
     """``got`` has the bits of ``_eval_before_memo``, or, for a degree-1
-    spec on the grid route (a sum <K, samples> in another order), is
-    within 1e-13 of it."""
+    spec (a sum <K, samples> on the grid route, the linear form of each
+    node's real Hessian on the others: sums in another order), is within
+    1e-13 of it."""
     ref = _eval_before_memo(spec, f, grid, sigma)
     assert ref != 0.0
-    if spec.degree == 1 and sigma > 0:
+    if spec.degree == 1:
         assert abs(got - ref) <= 1e-13 * abs(ref)
     else:
         assert got.hex() == ref.hex()
@@ -2066,7 +2094,7 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
     # specs interleaved on one grid, a second function under the same key,
     # and a call after cache_clear each give the bits of the same call from
     # an emptied memo, and those of the route before the memo (within 1e-13
-    # for the grid route's degree-1 spec, whose sum runs in another order)
+    # for a degree-1 spec, whose sum runs in another order)
     (s1, s2), grid, sigma, (f1, f2) = _memo_cases(route)
     memo = valuation._quadrature
     calls = [(s1, f1), (s1, f2), (s2, f1), (s1, f2), "clear", (s1, f1)]
@@ -2085,8 +2113,9 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
     assert memo.cache_info().maxsize == 1
     key = (s1, None if route == "atom" else grid, sigma)
     arrays = list(_arrays_in(memo(*key)))
-    # the grid route's degree-1 entry: the weights, the three box axes and K
-    assert len(arrays) >= {"grid": 5, "stencil": 2, "atom": 2}[route]
+    # degree-1 entries: on the grid route the weights, the three box axes and
+    # K; on the others the weights, the nodes, the coefficients and their indices
+    assert len(arrays) >= {"grid": 5, "stencil": 4, "atom": 4}[route]
     assert memo.cache_info().hits == 1
     for array in arrays:
         assert not array.flags.writeable
@@ -2217,3 +2246,180 @@ def test_arrays_held_by_grids_weights_and_matrices_are_read_only_copies():
     assert all(np.array_equal(a, c) for a, c in zip(held, copies))
     after = [eval_valuation(grid_spec, K, grid, sigma_cells=1.5), eval_valuation(atom_spec, f)]
     assert [v.hex() for v in after] == [v.hex() for v in before]
+
+
+# ---------------------------------------------------------------------------
+# the degree-1 linear form on the stencil and atom routes
+# ---------------------------------------------------------------------------
+
+def _parity_spec(n, degree):
+    """parity-break's spec: a unit-diagonal atom at e_1, unit-diagonal
+    bumps, and B = 1 near e_1."""
+    v0 = np.eye(n)[0]
+    weights = [MatrixAtom(verify._basis_matrix(n, 0), v0)]
+    weights += [MatrixBump(verify._basis_matrix(n, l), v0, 0.5, plateau=0.5)
+                for l in range(1, n - degree)]
+    return ValuationSpec("R", n, degree, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
+
+
+def _linear_form_cases(case):
+    """(spec, grid or None, functions, step) on the stencil or atom route:
+    parity-break's atom spec at n = 3 and 5 and its widened spec on a
+    coarse bump grid, both on the two-ball body and its reflection, and
+    linear-invariance's C, H and O2 specs on their base function and on
+    one linear shift of it."""
+    if case.startswith("R"):
+        n = int(case[2])
+        body = make_two_ball_body(n)
+        fs, spec = (body.support, body.negate().support), _parity_spec(n, 1)
+        if case.endswith("atom"):
+            return spec, None, fs, None
+        v0 = np.eye(n)[0]
+        return spec.with_atom_widened(0.15), Grid.cube(v0, 0.15, 12 if n == 3 else 5, n), fs, None
+    rng = np.random.default_rng(0)
+    spec, grid, fn, _x0 = verify._invariance_case(case, rng)
+    ell = rng.uniform(-1.0, 1.0, spec.real_dim)
+    return spec, grid, (fn, verify._plus_linear(fn, ell)), 1e-3
+
+
+_LINEAR_FORM_CASES = ["R-3-atom", "R-3-bump", "R-5-atom", "R-5-bump", "C", "H", "O2"]
+
+
+@pytest.mark.parametrize("case", _LINEAR_FORM_CASES)
+def test_degree_one_stencil_and_atom_values_match_the_polarized_route(case):
+    # at degree 1 each node's determinant is the linear form of its real
+    # Hessian; the polarized routes kept verbatim give the same values to
+    # within 1e-13, and H (n = 1, no matrix weight) keeps their bits
+    spec, grid, fs, step = _linear_form_cases(case)
+    assert spec.degree == 1
+    for f in fs:
+        got = eval_valuation(spec, f, grid, step=step)
+        if grid is None:
+            ref = _eval_atom_reference(spec, f, step)
+        else:
+            ref = _eval_on_nodes(spec, f, grid, step=step)
+        assert ref == _eval_before_memo(spec, f, grid, step=step)
+        assert ref != 0.0
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        if case == "H":
+            assert got.hex() == ref.hex()
+
+
+def _counting(monkeypatch, names):
+    """Replace each ``valuation`` function in ``names`` by a wrapper that
+    counts its calls; returns the counter."""
+    calls = collections.Counter()
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(valuation, name, wrap(name, getattr(valuation, name)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["R-3-atom", "R-3-bump", "C", "H", "O2"])
+def test_a_repeat_degree_one_call_neither_assembles_nor_polarizes(case, monkeypatch):
+    # a key's first call polarizes once, for the coefficients of its
+    # linear form; after it no call of that key assembles a field Hessian
+    # or polarizes, and each gives the first call's bits
+    spec, grid, (f, g), step = _linear_form_cases(case)
+    valuation._quadrature.cache_clear()
+    valuation._unit_hessians(spec.field, spec.real_dim)
+    calls = _counting(monkeypatch, ["assemble_structured", "polarized_det_batch"])
+    first = eval_valuation(spec, f, grid, step=step)
+    assert calls == {"polarized_det_batch": 1}
+    calls.clear()
+    again = [eval_valuation(spec, h, grid, step=step) for h in (g, f)]
+    assert not calls
+    assert again[1].hex() == first.hex()
+
+
+def test_unit_hessians_are_built_once_per_field_and_dimension():
+    # the units depend on (field, d) alone: R in 3-D and 5-D are two
+    # entries, and a second spec of a pair reuses its read-only arrays
+    units = valuation._unit_hessians
+    units.cache_clear()
+    specs = [_parity_spec(3, 1), _parity_spec(5, 1)]
+    for case in ("C", "O2"):
+        rng = np.random.default_rng(0)
+        specs.append(verify._invariance_case(case, rng)[0])
+    rng = np.random.default_rng(7)
+    specs.append(ValuationSpec("O2", 2, 1, BumpWeight(np.zeros(16), 0.5),
+                               (MatrixAtom(HermitianMatrix("O2", verify._random_o2_hermitian(rng)),
+                                           np.zeros(16)),)))
+    for spec in specs:
+        d = spec.real_dim
+        coefficients = valuation._linear_form(spec)
+        a, b, _ = units(spec.field, d)
+        fresh = np.zeros((len(a), d, d))
+        fresh[np.arange(len(a)), a, b] = fresh[np.arange(len(a)), b, a] = 1.0
+        ref = polarized_det_batch(spec.field, [assemble_structured(spec.field, fresh)]
+                                  + [w.matrix.data for w in spec.weights])
+        assert np.allclose(coefficients[a, b], ref, rtol=1e-13, atol=1e-15)
+    info = units.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)  # R 3, R 5, C 4, O2 16
+    for field, d in [("R", 3), ("R", 5), ("C", 4), ("O2", 16)]:
+        for array in units(field, d):
+            assert not array.flags.writeable
+        assert units(field, d)[2].shape[0] == len(units(field, d)[0])
+
+
+def test_power_of_two_scales_are_exact_and_leave_a_unit_norm_matrix_alone():
+    e1 = verify._basis_matrix(3, 0)
+    assert valuation._power_of_two_scale(e1) == 1.0
+    assert valuation._power_of_two_scale(HermitianMatrix("R", np.zeros((3, 3)))) == 1.0
+    for factor, scale in [(1e3, 1024.0), (3e-3, 2.0**-8), (0.75, 1.0), (1.5, 2.0)]:
+        assert valuation._power_of_two_scale(e1 * factor) == scale
+    # the scaled form is the unscaled one for unit-norm weights, bit for bit
+    spec = _parity_spec(5, 1)
+    d = spec.real_dim
+    a, b, units = valuation._unit_hessians("R", d)
+    plain = np.zeros((d, d))
+    plain[a, b] = polarized_det_batch("R", [units] + [w.matrix.data for w in spec.weights])
+    assert valuation._linear_form(spec).tobytes() == plain.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# which values of f each route reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_stencil_route_reads_only_the_active_stencils(degree):
+    # a NaN just beyond the reach of every active node's stencil does not
+    # raise; a NaN at the outermost active nodes' +e_1 stencil points does
+    spec, grid = _active_cell_specs()["R"]
+    spec = ValuationSpec("R", 3, degree, spec.scalar_weight, spec.weights[:3 - degree])
+    quad = quadratic(np.diag([1.0, 2.0, 3.0]))
+    valuation._quadrature.cache_clear()
+    clean = eval_valuation(spec, quad, grid)
+    sample = valuation._quadrature(spec, grid, 0.0)[2]
+    points = sample[0] if degree == 1 else sample
+    outer = points[:, 0].max()
+    reach = np.max(points[:, 0] + hessian._stencil_steps(points))
+
+    def poisoned(edge):
+        return lambda x: np.where(np.asarray(x)[..., 0] > edge, np.nan, quad(x))
+
+    assert eval_valuation(spec, poisoned(reach), grid).hex() == clean.hex()
+    with pytest.raises(FloatingPointError, match="stencil"):
+        eval_valuation(spec, poisoned(outer), grid)
+
+
+def test_a_nan_at_the_box_corner_raises_on_the_degree_two_grid_route():
+    # no active cell's Hessian reads the corner sample, but the banded
+    # products multiply every sample of a row block, by the band corner's
+    # zeros too, and NaN * 0 is NaN
+    spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.35))
+    grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
+    quad = quadratic(np.eye(4))
+    valuation._quadrature.cache_clear()
+    assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
+    _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5)[2]
+    assert len(cells) == 304 and cells[0] != 0  # core cell 0 alone reads the corner
+    corner = lambda x: np.where(np.all(np.asarray(x) < axes[0][1], axis=-1), np.nan, quad(x))
+    with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):
+        eval_valuation(spec, corner, grid, sigma_cells=1.5)
