@@ -274,7 +274,7 @@ class HermitianMatrix:
 
     Storage: R -> (n, n) float, C -> (n, n) complex, H -> (n, n, 4),
     O2 -> (2, 2, 8) with scalar components on the trailing axis, in a
-    read-only copy of the caller's array.
+    read-only copy of the caller's array, whose entries must be finite.
     """
 
     field: str
@@ -294,6 +294,8 @@ class HermitianMatrix:
                 raise ValueError(f"bad shape {data.shape} for field {self.field}")
         if self.field == "O2" and data.shape[0] != 2:
             raise ValueError("octonionic Hermitian matrices are supported for size 2 only")
+        if not np.all(np.isfinite(data)):  # a NaN passes the deviation test; inf - inf warns
+            raise ValueError(f"matrix entries must be finite over {self.field}")
         dev = hermitian_deviation(self.field, data)
         if dev > 1e-8 * (1.0 + float(np.abs(data).max(initial=0.0))):
             raise ValueError(f"matrix is not Hermitian over {self.field} (deviation {dev:.3e})")

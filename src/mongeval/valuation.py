@@ -7,25 +7,25 @@ The central object evaluates
 over a box, where F is one of the scalar fields R, C, H, O2, B is a
 continuous compactly supported scalar weight (a ``BumpWeight``), and the
 A_k are Hermitian matrix weights: bumps (a constant matrix M times a
-``BumpWeight`` s) or single point atoms.  Every case runs one quadrature
-pipeline: B, the weight B * prod s (the mixed determinant is multilinear,
-so M enters its slot as a constant), Hessian slots where that weight is
-nonzero, the polarized determinant, and the weighted sum.  At degree 1
-the determinant is linear in its one Hessian slot, so it is a linear form
-of the real Hessian whose coefficients are polarized once per spec.  On a
-grid the bumps are read on its tensor axes, so no node array is built.  A point
-atom makes it a one-node quadrature at the atom's location with weight 1
-(by multilinearity a delta factor pulls everything there); at most one
-atom is allowed since a product of deltas at distinct points vanishes
-and at a common point is undefined.
+``BumpWeight`` s) or single point atoms.  Every case is one quadrature:
+the weight B * prod s (the mixed determinant is multilinear, so M enters
+its slot as a constant), Hessians where it is nonzero, the determinant
+and the weighted sum, by one route chosen once per (spec, grid, width).
+At degree 1 the determinant is a linear form of the real Hessian whose
+coefficients are polarized once per spec.  On a grid the bumps are read
+on its tensor axes, so no node array is built.  A point atom makes it a
+one-node quadrature at the atom's location with weight 1 (by
+multilinearity a delta factor pulls everything there); at most one atom
+is allowed since a product of deltas at distinct points vanishes and at
+a common point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
 difference stencils at the active nodes (sigma_cells = 0; optional
 threading only splits them into fixed chunks and never changes a bit)
-or, for non-smooth inputs such as support functions, as D^2 (G_sigma * f) on the
-grid: separable derivative-of-Gaussian kernels of width sigma_cells > 0
-cells smooth and differentiate in one pass.
+or, for non-smooth inputs such as support functions, as D^2 (G_sigma *
+f) on the grid: separable derivative-of-Gaussian kernels of width
+sigma_cells > 0 cells smooth and differentiate in one pass.
 
 For piecewise-linear convex inputs and i = n over R there is an exact
 route: the determinant-of-Hessian measure of a PL convex function is
@@ -255,9 +255,10 @@ class ValuationSpec:
     ``scalar_weight`` is B, a ``BumpWeight``, so that its support box is
     always checked against the quadrature box and the origin.
     ``weights`` carries the n - i matrix slots, each a ``MatrixBump`` or
-    a ``MatrixAtom`` (TypeError otherwise), with at most one atom; for
-    degree n it is empty, and for degree 0 the functional is constant in
-    its argument.
+    a ``MatrixAtom`` (TypeError otherwise), with at most one atom, and
+    none beside a normalized bump, which is normalized on the grid an atom
+    spec does not have; for degree n it is empty, and for degree 0 the
+    functional is constant in its argument.
     """
 
     field: str
@@ -290,6 +291,10 @@ class ValuationSpec:
                 raise TypeError(f"a matrix weight must be a MatrixBump or a MatrixAtom, not {w!r}")
             if w.matrix.field != self.field or w.matrix.n != self.n:
                 raise ValueError("matrix weight does not match the valuation's field/size")
+        if self.atom is not None and any(isinstance(w, MatrixBump) and w.normalize
+                                           for w in self.weights):
+            raise ValueError("a normalized bump needs a quadrature grid to normalize on, and a "
+                             "spec with a point atom has none")
 
     @property
     def real_dim(self) -> int:
@@ -569,25 +574,6 @@ def _box_samples(f, axes):
     return np.asarray(f(nodes), dtype=float).reshape(tuple(len(x) for x in axes))
 
 
-def _field_hessians_grid(field, f, box, out):
-    """Field Hessians of the Gaussian-smoothed ``f`` on the active cells of
-    ``box``, from ``_grid_box``.
-
-    ``f`` is sampled on the box's axes: a ``Polytope`` by
-    ``support_grid``, a callable in one call.  Then one ``grid_hessian``
-    call smooths and differentiates in the same separable pass: entry (a,
-    b) is a banded product per axis with the box's moment-exact kernels,
-    each cropping r cells, so D^2 (G_sigma * f) comes without a difference
-    stencil; it computes only the entries the field reads, and gathers
-    each entry's plane at the box's active cells straight into ``out``:
-    the caller's (N, d, d) float64 array for the N active cells, and over
-    R the result.
-    """
-    kernels, spacing, axes, cells = box
-    hreal = grid_hessian(_box_samples(f, axes), spacing, kernels, field, cells, out)
-    return assemble_structured(field, hreal)
-
-
 @functools.cache
 def _unit_hessians(field, d):
     """The real entries (a, b), a <= b, that ``field`` reads in dimension
@@ -645,16 +631,12 @@ def _linear_values(hreal, coefficients, entries):
 def _bump_factor(weight, grid: Grid, node=None):
     """The scalar times one matrix weight's constant matrix on every cell
     of ``grid`` (read on its tensor axes) or at an atom spec's one
-    ``node``: the bump, over its midpoint mass when normalized, or 1 for
-    an atom.  That mass sums the per-cell array, its exact zeros
-    included, so the pairwise sum has the node array's bits."""
+    ``node``: the bump, over its midpoint mass when normalized (on a grid
+    only, see ``ValuationSpec``), or 1 for an atom.  That mass sums the
+    per-cell array, its exact zeros included, so it has the node array's bits."""
     if isinstance(weight, MatrixAtom):
         return 1.0
-    if grid is None:
-        if weight.normalize:
-            raise ValueError("normalized bump weights need a quadrature grid")
-        return weight.scalar(node)
-    scal = weight.scalar.on_axes(grid.axes())
+    scal = weight.scalar(node) if grid is None else weight.scalar.on_axes(grid.axes())
     if weight.normalize:
         total = float(np.sum(scal)) * grid.cell_volume
         if total <= 0:
@@ -663,29 +645,76 @@ def _bump_factor(weight, grid: Grid, node=None):
     return scal
 
 
+def _polarized(hreal, field, degree, matrices):
+    """The degree >= 2 integrand D(H [degree], *matrices) per field Hessian H."""
+    return polarized_det_batch(field, (assemble_structured(field, hreal),) * degree + matrices)
+
+
+def _constant(f, step, threads, value):
+    """The integral at degree 0 or with no active cell, which reads no f."""
+    return value
+
+
+def _kernel_sum(f, step, threads, axes, kernel):
+    """The degree-1 grid integral <K, samples> on the box of ``axes``:
+    numpy's pairwise sum of K * samples, never a BLAS dot, which splits a
+    long sum by its thread count; the products go to this thread's
+    "hessians" buffer."""
+    products = _thread_buffer("hessians", kernel.shape)
+    return float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
+
+
+def _box_integral(f, step, threads, field, integrand, weight, scale, box):
+    """scale * sum w * integrand(H) on the active cells of ``box``
+    (``_grid_box``), H the real Hessians of the smoothed f from one
+    ``grid_hessian`` call into this thread's "hessians" buffer."""
+    kernels, spacing, axes, cells = box
+    out = _entry_major(len(weight), len(axes), "hessians")
+    hreal = grid_hessian(_box_samples(f, axes), spacing, kernels, field, cells, out)
+    return float(scale * (weight * integrand(hreal)).sum())
+
+
+def _stencil_integral(f, step, threads, field, integrand, weight, scale, points):
+    """scale * sum w * integrand(H) at ``points``, H the difference
+    stencils' real Hessians, one ``chunked_apply`` block of 8,192 points
+    (and one call of ``f``) at a time."""
+    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, field)), points,
+                           threads)
+    return float(scale * (weight * values).sum())
+
+
 @functools.lru_cache(maxsize=1)
 def _quadrature(spec, grid, sigma_cells):
-    """The part of a checked call of ``eval_valuation`` fixed by its spec,
-    grid (None for an atom spec) and width, in read-only arrays: the
-    weight w on the active cells (empty when none is active), the cell
-    volume, and where the Hessians are read: the ``_grid_box`` for a
-    positive width, else the active midpoints or the atom's one node;
-    None at degree 0.  At degree 1 the integrand is the linear form of
-    ``_linear_form`` in the real Hessian.  With a positive width the
-    integral is then a fixed linear form of the box samples, so in place
-    of the box this holds its sample axes and the kernel K of that form:
-    the adjoint of the box's Hessian products (``grid_hessian_adjoint``)
-    applied to w and to those coefficients, times (n - 1)! * cell.  At
-    width 0 it holds the nodes, the form's nonzero coefficients and their
-    flat indices a * d + b (a <= b), in row-major order.
+    """A checked call of ``eval_valuation`` fixed by its spec, grid (None
+    for an atom spec) and width: the pair (w, integral) of the read-only
+    weight w on the active cells and the one route ``integral(f, step,
+    threads) -> float`` chosen for the key, a ``functools.partial`` of a
+    module function over read-only arrays:
 
-    A memo of one entry: experiments and the benchmark evaluate one
-    functional on many bodies in a row, so nearly every call shares the
-    key of the call before it.  The spec and the grid are ``eq=False``
-    objects, so they hash by identity, and the entry keeps them alive, so
-    no other object can take over their ids; their arrays are read-only,
-    so they cannot change under the entry.  An exception is not cached,
-    so a spec that raises here raises on every call.
+    - ``_constant`` at degree 0, (n - i)! * cell * sum w * D(M_1, ...,
+      M_n), or 0.0 when no cell is active: f is never read;
+    - ``_kernel_sum`` at degree 1 with a positive width: the determinant
+      is the linear form ``_linear_form`` of the real Hessian, and the
+      Hessians are fixed linear maps of the box samples, so the integral
+      is <K, samples> with K the adjoint of the box's Hessian products
+      (``grid_hessian_adjoint``) applied to w and to those coefficients,
+      times (n - 1)! * cell;
+    - else one integrand per Hessian batch: the form's nonzero
+      coefficients and their flat indices a * d + b (a <= b, row-major;
+      ``_linear_values``) at degree 1, assembly and polarization
+      (``_polarized``) at degree >= 2.  ``_box_integral`` runs it once on
+      the ``_grid_box``'s gathered Hessians at a positive width,
+      ``_stencil_integral`` once per stencil block of the active
+      midpoints or the atom's one node.
+
+    The routes look up ``grid_hessian``, ``fd_hessian_batch``,
+    ``assemble_structured`` and ``polarized_det_batch`` in this module
+    when they run.  A memo of one entry: experiments evaluate one
+    functional on many bodies in a row.  The spec and the grid are
+    ``eq=False`` objects, which hash by identity, and the entry keeps
+    them alive, so no other object takes over their ids; their arrays are
+    read-only.  An exception is not cached, so a spec that raises here
+    raises on every call.
     """
     if grid is None:  # an atom spec: one node, at the atom's location
         node, cell = spec.atom.location[None, :], 1.0
@@ -698,27 +727,35 @@ def _quadrature(spec, grid, sigma_cells):
             weight = weight * _bump_factor(w, grid, node)
     active = weight != 0  # w = 0 cells add 0 * det
     weight = _read_only(weight[active])
-    sample = None
-    if spec.degree > 0 and active.any():
-        if sigma_cells > 0:
-            sample = _grid_box(grid, sigma_cells, active)
-            if spec.degree == 1:  # the sum is <K, f on the box>: keep the axes and K
-                kernels, spacing, axes, cells = sample
-                scale = math.factorial(spec.n - 1) * cell
-                kernel = grid_hessian_adjoint(weight, scale * _linear_form(spec), spacing,
-                                              kernels, spec.field, cells,
-                                              tuple(len(x) for x in axes))
-                sample = axes, _read_only(kernel)
-        elif grid is None:
-            sample = node
-        else:  # the active midpoints, gathered from the axes
+    field, scale = spec.field, math.factorial(spec.n - spec.degree) * cell
+    matrices = tuple(w.matrix.data for w in spec.weights)
+    if spec.degree == 0 or not weight.size:  # an empty sum is 0.0 and polarizes nothing
+        dets = polarized_det_batch(field, matrices) if weight.size else 0.0
+        return weight, functools.partial(_constant, value=float(scale * (weight * dets).sum()))
+    box = _grid_box(grid, sigma_cells, active) if sigma_cells > 0 else None
+    if spec.degree == 1:
+        coefficients = _linear_form(spec)
+        if box is not None:
+            kernels, spacing, axes, cells = box
+            kernel = grid_hessian_adjoint(weight, scale * coefficients, spacing, kernels, field,
+                                          cells, tuple(len(x) for x in axes))
+            return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
+        coefficients = coefficients.reshape(-1)
+        entries = np.flatnonzero(coefficients)
+        integrand = functools.partial(_linear_values, entries=_read_only(entries),
+                                      coefficients=_read_only(coefficients[entries]))
+    else:
+        integrand = functools.partial(_polarized, field=field, degree=spec.degree,
+                                      matrices=matrices)
+    if box is not None:
+        route = functools.partial(_box_integral, box=box)
+    else:  # the atom's node, or the active midpoints gathered from the axes
+        if grid is not None:
             cells = np.unravel_index(np.flatnonzero(active), grid.shape)
-            sample = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
-        if spec.degree == 1 and sigma_cells == 0:  # the form's nonzero c[a, b] and a * d + b
-            coefficients = _linear_form(spec).reshape(-1)
-            entries = np.flatnonzero(coefficients)
-            sample = sample, _read_only(coefficients[entries]), _read_only(entries)
-    return weight, cell, sample
+            node = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
+        route = functools.partial(_stencil_integral, points=node)
+    return weight, functools.partial(route, field=field, integrand=integrand, weight=weight,
+                                     scale=scale)
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
@@ -726,44 +763,33 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     """Evaluate the valuation functional on a convex (or C^2) function.
 
     ``f`` is vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
-    ``Polytope`` for its support function.  Every spec runs one pipeline: B,
-    the weight w = B * prod s_k as one per-cell array, Hessian slots where
-    w != 0, the polarized determinant against the weights' constant matrices
-    M_k, and (n - i)! * cell * sum w * det.  A bump s_k M_k has the factor
-    s_k (over its midpoint mass when normalized), an atom 1.  The M_k
-    broadcast, so a subset made only of them costs one determinant.  A B
-    that vanishes on every cell returns 0.0 before any matrix weight is
-    read.  A spec with a point atom has one node, the atom location, with
-    weight 1 and no grid: B and the matrix bumps are read there.  Otherwise
-    ``grid`` supplies the midpoints and the cell volume, and B and the
-    matrix bumps are read on its tensor axes (``on_axes``).
+    ``Polytope`` for its support function.  Every spec is one quadrature:
+    the weight w = B * prod s_k on the cells, the Hessians of the entries
+    the field reads where w != 0, and (n - i)! * cell * sum w * D(Hess_F
+    f [i], M_1, ..., M_{n-i}) against the weights' constant matrices M_k.
+    A bump s_k M_k has the factor s_k (over its midpoint mass when
+    normalized), an atom 1.  A spec with a point atom has one node, the
+    atom location, with weight 1 and no grid; otherwise ``grid`` supplies
+    the cell volume and B and the matrix bumps are read on its tensor
+    axes (``on_axes``).  A B that vanishes on every cell gives 0.0 before
+    any matrix weight is read.
 
-    ``sigma_cells`` picks the Hessians of the entries the field reads: 0
-    means difference stencils at the active midpoints, in fixed blocks of
-    8,192 nodes over ``threads``, one call of ``f`` per block; a positive
-    width means the smoothed grid route: f is sampled on the active cells'
-    bounding box plus the kernel radius ``int(4 sigma + 0.5)`` in one call,
-    and each entry, of the Gaussian of ``sigma_cells`` cells convolved with
-    f, is one banded product per axis with a derivative-of-Gaussian kernel.
-    At degree 1 that route's value is linear in the samples: the mixed
-    determinant is linear in its one Hessian slot, and the Hessians are
-    fixed linear maps of the samples.  So it is <K, samples> for a kernel
-    K on the box, summed by numpy's pairwise sum of K * samples in a
-    fixed order; a BLAS dot would split a long sum by its thread count.
-    On the stencil route and at an atom a degree-1 determinant is that
-    linear form of each node's real Hessian, sum_{a <= b} c_ab f_ab
-    (``_linear_form``), one ``einsum`` per block in a fixed order: no
-    field Hessian is assembled and nothing is polarized per call.  So
-    every degree-1 integrand is one linear form, and only degree >= 2
-    polarizes.
+    ``sigma_cells`` picks the Hessians: 0 means difference stencils at
+    the active midpoints, in fixed blocks of 8,192 nodes over
+    ``threads``, one call of ``f`` per block; a positive width means the
+    smoothed grid route: f is sampled on the active cells' bounding box
+    plus the kernel radius ``int(4 sigma + 0.5)`` in one call, and each
+    entry of the Gaussian of ``sigma_cells`` cells convolved with f is
+    one banded product per axis with a derivative-of-Gaussian kernel.
+    At degree 1 the determinant is linear in its one Hessian slot, so it
+    is a linear form of the real Hessian, and on the grid route the value
+    is <K, samples> for a kernel K on the box; only degree >= 2 assembles
+    and polarizes.
 
-    What depends only on (spec, grid, sigma_cells), B and the matrix bumps
-    on the grid, the active cells and their weights, the kernels and the
-    sampling box or the active midpoints, or at degree 1 on the grid the
-    box axes and K, and at degree 1 elsewhere the form's coefficients, is
-    kept for the last such key (``_quadrature``), read-only; the checks
-    below run on every call.  A key's first call pays for K, so at degree
-    1 a grid key with one call costs more than the Hessian route.
+    The checks below run on every call.  What (spec, grid, sigma_cells)
+    fixes, the route included, is built once for the last such key
+    (``_quadrature``), so a call is its checks and that route on f.  A
+    degree-1 grid key's first call also pays for its K.
 
     One contract holds for every form of h_K and both routes:
 
@@ -834,37 +860,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
             return 0.0
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
             raise ValueError("joint weight support exceeds the quadrature box")
-    weight, cell, sample = _quadrature(spec, grid, float(sigma_cells))
-    if not weight.size:
-        return 0.0
-
-    if spec.degree == 1 and sigma_cells > 0:
-        axes, kernel = sample
-        # numpy's pairwise sum, not a BLAS dot: its order does not depend on
-        # how many threads BLAS runs; the products go to this thread's buffer
-        products = _thread_buffer("hessians", kernel.shape)
-        value = float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
-    elif spec.degree == 1:  # D(H, M_1, ...) is the linear form of each node's real Hessian
-        points, coefficients, entries = sample
-        lin = chunked_apply(lambda b: _linear_values(fd_hessian_batch(f, b, step, spec.field),
-                                                     coefficients, entries), points, threads)
-        value = float(math.factorial(spec.n - 1) * cell * (weight * lin).sum())
-    else:
-        slots = []
-        if spec.degree > 0:
-            if sigma_cells > 0:
-                # this thread's buffer, entry-major so each real entry is one contiguous
-                # plane; the Hessians are consumed below, before its next grid call
-                out = _entry_major(len(weight), d, "hessians")
-                hf = _field_hessians_grid(spec.field, f, sample, out)
-            else:
-                hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), sample,
-                                      threads)
-                hf = assemble_structured(spec.field, hreal)
-            slots.extend([hf] * spec.degree)
-        slots.extend(w.matrix.data for w in spec.weights)
-        dets = polarized_det_batch(spec.field, slots)
-        value = float(math.factorial(spec.n - spec.degree) * cell * (weight * dets).sum())
+    value = _quadrature(spec, grid, float(sigma_cells))[1](f, step, threads)
     if not math.isfinite(value):
         raise FloatingPointError(f"the integrand sum {value} is not finite")
     return value

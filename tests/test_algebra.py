@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,23 @@ def test_hermitian_matrix_validation():
     m = HermitianMatrix("C", np.array([[1.0, 1j], [-1j, 2.0]]))
     assert m.n == 2
     assert np.isclose(m.det(), 2.0 - 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["R", "C", "H", "O2"])
+def test_hermitian_matrix_rejects_non_finite_entries(field, bad):
+    # the check runs before the Hermitian deviation, which a NaN passes
+    # (its comparisons are false) and where inf - inf warns; [[1, nan], [5,
+    # 1]] over R was accepted
+    identity = HermitianMatrix.identity(field, 2).data
+    off, diagonal = np.array(identity), np.array(identity)
+    off[0, 1], off[1, 0] = bad, 5.0
+    diagonal[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (off, diagonal):
+            with pytest.raises(ValueError, match="finite"):
+                HermitianMatrix(field, data)
 
 
 def _random_hermitian(field, n, rng, scale=1.0):

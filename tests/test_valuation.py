@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import os
@@ -425,9 +426,15 @@ def test_degree_zero_is_constant_in_argument():
     )
     spec = ValuationSpec("R", 2, 0, weight, mats)
     grid = Grid.cube(np.zeros(2), 0.5, 40, 2)
-    v1 = eval_valuation(spec, quadratic(np.eye(2)), grid)
-    v2 = eval_valuation(spec, lambda x: np.abs(np.asarray(x)).sum(axis=-1), grid)
-    assert np.isclose(v1, v2)
+
+    def never(x):
+        pytest.fail("a degree-0 functional read its argument")
+
+    # the call that builds the memo entry and a call that reuses it
+    valuation._quadrature.cache_clear()
+    v1 = eval_valuation(spec, never, grid)
+    v2 = eval_valuation(spec, lambda x: never(x), grid)
+    assert v1 == v2
     # unit-diagonal slot matrices leave B times the two bump profiles;
     # reference by dense trapezoid quadrature
     xs = np.linspace(-0.5, 0.5, 801)
@@ -1076,10 +1083,17 @@ def _stencil_hessian(values, spacing, margin):
 
 def _field_hessians_on(spec, f, grid, sigma_cells, active, out):
     """The grid route's field Hessians on the caller's flat boolean
-    ``active`` cells: the ``_grid_box`` of that mask, then the route's one
-    sampling form."""
+    ``active`` cells: ``_box_integral`` on the ``_grid_box`` of that mask,
+    with an integrand that copies its real Hessians into ``out``."""
     box = valuation._grid_box(grid, sigma_cells, active)
-    return valuation._field_hessians_grid(spec.field, f, box, out)
+
+    def copy(hreal):
+        out[...] = hreal
+        return np.zeros(len(hreal))
+
+    valuation._box_integral(f, None, 1, field=spec.field, integrand=copy,
+                            weight=np.ones(len(out)), scale=1.0, box=box)
+    return assemble_structured(spec.field, out)
 
 
 def _stencil_route(f, grid, sigma_cells):
@@ -1553,17 +1567,20 @@ def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypa
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
-def test_stencil_route_calls_f_one_block_at_a_time():
+@pytest.mark.parametrize("degree", [1, 2])
+def test_stencil_route_calls_f_one_block_at_a_time(degree):
     # parity-break --dim 5 differences 41,856 nodes x 51 stencil points x 5
     # coordinates, 85 MB in one call of f against 16.7 MB per block of 8,192
     # nodes; its 4-D spec widened to 0.15 on 16^4 has 20,352 nodes where B
-    # and every matrix bump are nonzero, x 33 points
+    # and every matrix bump are nonzero, x 33 points.  At degree 2 each
+    # block is assembled and polarized on its own, with the bits of the
+    # route that polarized all the nodes at once
     n = 4
     v0 = np.eye(n)[0]
     unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
     weights = [MatrixAtom(unit[0], v0)]
-    weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - 1)]
-    spec = ValuationSpec("R", n, 1, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
+    weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - degree)]
+    spec = ValuationSpec("R", n, degree, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
     spec = spec.with_atom_widened(0.15)
     grid = Grid.cube(v0, 0.15, 16, n)
     body = make_two_ball_body(n)
@@ -1573,10 +1590,14 @@ def test_stencil_route_calls_f_one_block_at_a_time():
         sizes.append(len(x))
         return body.support(x)
 
-    eval_valuation(spec, recording, grid)
+    value = eval_valuation(spec, recording, grid)
     assert sum(sizes) == np.count_nonzero(_weight_on_nodes(spec, grid)) * 33
     assert len(sizes) >= 2
     assert max(sizes) <= 8192 * 33
+    if degree == 2:
+        ref = _eval_before_memo(spec, body.support, grid)
+        assert ref != 0.0
+        assert value.hex() == ref.hex()
 
 
 @pytest.mark.parametrize("case", ["R", "C", "identity-C", "identity-H", "identity-R",
@@ -1933,6 +1954,28 @@ def test_widen_requires_atom():
         spec.with_atom_widened(0.1)
 
 
+def test_a_point_atom_beside_a_normalized_bump_is_rejected_at_construction():
+    # a normalized bump is normalized on the quadrature grid, and an atom
+    # spec has none; widening the atom gives a grid spec with one
+    v0 = np.array([1.0, 0, 0])
+    unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(3)]
+    B = BumpWeight(v0, 0.5, plateau=0.5)
+    atom = MatrixAtom(unit[0], v0)
+    normalized = MatrixBump(unit[1], v0, 0.3, normalize=True)
+    for weights in ((atom, normalized), (normalized, atom)):
+        with pytest.raises(ValueError, match="normalized bump needs a quadrature grid"):
+            ValuationSpec("R", 3, 1, B, weights)
+    spec = ValuationSpec("R", 3, 1, B, (atom, MatrixBump(unit[1], v0, 0.5, plateau=0.5)))
+    wide = spec.with_atom_widened(0.15)
+    assert wide.atom is None
+    assert [w.normalize for w in wide.weights] == [True, False]
+    grid = Grid.cube(v0, 0.15, 12, 3)
+    body = make_two_ball_body(3)
+    got, ref = eval_valuation(wide, body.support, grid), _eval_on_nodes(wide, body.support, grid)
+    assert ref != 0.0
+    assert abs(got - ref) <= 1e-13 * abs(ref)  # degree 1: the linear form sums in another order
+
+
 # ---------------------------------------------------------------------------
 # the grid route's buffers
 # ---------------------------------------------------------------------------
@@ -2065,6 +2108,8 @@ def _arrays_in(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays_in(item)
+    elif isinstance(value, functools.partial):
+        yield from _arrays_in(value.args + tuple(value.keywords.values()))
 
 
 def _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma):
@@ -2112,7 +2157,7 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
         assert memo.cache_info().currsize == 1
     assert memo.cache_info().maxsize == 1
     key = (s1, None if route == "atom" else grid, sigma)
-    arrays = list(_arrays_in(memo(*key)))
+    arrays = list({id(a): a for a in _arrays_in(memo(*key))}.values())
     # degree-1 entries: on the grid route the weights, the three box axes and
     # K; on the others the weights, the nodes, the coefficients and their indices
     assert len(arrays) >= {"grid": 5, "stencil": 4, "atom": 4}[route]
@@ -2168,13 +2213,15 @@ def test_degree_one_grid_values_match_the_hessian_route(case):
             assert abs(got - ref) <= 1e-13 * abs(ref)
         else:
             assert got.hex() == ref.hex()
-    weight, cell, sample = valuation._quadrature(spec, grid, 1.5)
+    integral = valuation._quadrature(spec, grid, 1.5)[1]
     if spec.degree == 1:
-        axes, kernel = sample
+        assert integral.func is valuation._kernel_sum
+        axes, kernel = integral.keywords["axes"], integral.keywords["kernel"]
         assert len(axes) == d and kernel.shape == tuple(len(x) for x in axes)
         assert not kernel.flags.writeable
     else:
-        assert len(sample) == 4  # the kernels, the spacing, the axes and the cells
+        assert integral.func is valuation._box_integral
+        assert len(integral.keywords["box"]) == 4  # the kernels, spacing, axes and cells
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -2187,7 +2234,8 @@ def test_a_non_finite_sample_anywhere_in_the_box_raises_at_degree_1(bad):
     corner = lambda x: np.where(np.all(np.asarray(x) < -1.0, axis=-1), bad, quad(x))
     valuation._quadrature.cache_clear()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
-    axes, kernel = valuation._quadrature(spec, grid, 1.5)[2]
+    keywords = valuation._quadrature(spec, grid, 1.5)[1].keywords
+    axes, kernel = keywords["axes"], keywords["kernel"]
     assert [x[0] < -1.0 < x[1] for x in axes] == [True] * 4  # one corner sample
     assert kernel[0, 0, 0, 0] == 0.0
     with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):
@@ -2396,8 +2444,7 @@ def test_the_stencil_route_reads_only_the_active_stencils(degree):
     quad = quadratic(np.diag([1.0, 2.0, 3.0]))
     valuation._quadrature.cache_clear()
     clean = eval_valuation(spec, quad, grid)
-    sample = valuation._quadrature(spec, grid, 0.0)[2]
-    points = sample[0] if degree == 1 else sample
+    points = valuation._quadrature(spec, grid, 0.0)[1].keywords["points"]
     outer = points[:, 0].max()
     reach = np.max(points[:, 0] + hessian._stencil_steps(points))
 
@@ -2418,7 +2465,7 @@ def test_a_nan_at_the_box_corner_raises_on_the_degree_two_grid_route():
     quad = quadratic(np.eye(4))
     valuation._quadrature.cache_clear()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
-    _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5)[2]
+    _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5)[1].keywords["box"]
     assert len(cells) == 304 and cells[0] != 0  # core cell 0 alone reads the corner
     corner = lambda x: np.where(np.all(np.asarray(x) < axes[0][1], axis=-1), np.nan, quad(x))
     with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):
