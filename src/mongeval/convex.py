@@ -92,14 +92,19 @@ class Polytope:
 
     def support_grid(self, axes):
         """h on the tensor grid ``axes[0] x axes[1] x ...``, shaped
-        ``(len(axes[0]), len(axes[1]), ...)``.
+        ``(len(axes[0]), len(axes[1]), ...)``; one axis per coordinate of
+        the vertices (ValueError otherwise).
 
         No node array is built.  The sum runs over a lead axis ``l``, the
         one whose vertex coordinates take the fewest distinct values
         (axis 0 on a tie): ``<v, x>`` is ``c = v_l x_l`` plus the outer
         sum ``part_v`` of ``v_a x_a`` over the other axes in increasing
-        order, on the tail grid of those axes.  The ``part_v`` of the
-        vertices that share ``v_l`` are folded into one running
+        order, on the tail grid of those axes.  ``part_v`` is built by
+        prefix outer sums: ``0.0 + v_a x_a`` on the first tail axis, then
+        one ``np.add.outer`` per next axis, the last straight into a
+        reused tail buffer, so each element is ``((0.0 + p_1) + p_2) +
+        ...`` and only the last level is tail-sized.  The ``part_v`` of
+        the vertices that share ``v_l`` are folded into one running
         ``np.maximum`` on the tail grid, and ``c`` is added once per
         distinct ``v_l``: one full-grid pass per distinct ``v_l`` (2 for
         an axis box in any dimension, a few for a body clipped across any
@@ -110,10 +115,15 @@ class Polytope:
         zero depends on the order of the maxima.  A full-grid pass takes
         blocks of ``_SUPPORT_ROWS`` rows of the lead axis, one add and one
         running ``np.maximum`` per block into a preallocated
-        ``(rows,) + tail`` buffer; for ``l > 0`` the result is then copied
-        into the axes' order.  Agrees with ``support`` on the same points
-        to a few ulp of ``sum |v_a x_a|`` (the summation order differs).
+        ``(rows,) + tail`` buffer.  The sum is laid out lead axis first,
+        so for ``l > 0`` the result is a view of that lead-first buffer in
+        the axes' order: the same shape and values, not C-contiguous, and
+        no copy.  Agrees with ``support`` on the same points to a few ulp
+        of ``sum |v_a x_a|`` (the summation order differs).
         """
+        if len(axes) != self.dim:
+            raise ValueError(f"support_grid needs one axis per coordinate: {len(axes)} axes "
+                             f"for a {self.dim}-dimensional polytope")
         # a set of floats holds -0.0 and 0.0 once, as the groups below do
         distinct = [len(set(coords)) for coords in self.vertices.T.tolist()]
         lead = distinct.index(min(distinct))
@@ -130,9 +140,11 @@ class Polytope:
         buf = np.empty((min(_SUPPORT_ROWS, len(xl)),) + top.shape)
 
         def outer_sum(w, out):
-            out[...] = 0.0
-            for k, (wa, a) in enumerate(zip(w, tail)):
-                out += (wa * a).reshape((-1,) + (1,) * (len(tail) - k - 1))
+            if not tail:
+                out[...] = 0.0
+            s = 0.0  # the +0.0 start: no part_v is -0.0
+            for k, (wa, a) in enumerate(zip(w, tail), 1):
+                s = np.add.outer(s, wa * a, out=out if k == len(tail) else None)
 
         h = None
         for vl, ws in groups.items():
@@ -149,7 +161,7 @@ class Polytope:
                 out = buf[:len(rows)]
                 np.add(top, c[r0:r0 + _SUPPORT_ROWS], out=out)
                 np.maximum(rows, out, out=rows)
-        return h if lead == 0 else np.ascontiguousarray(np.moveaxis(h, 0, lead))
+        return np.moveaxis(h, 0, lead)
 
     def scale(self, lam: float) -> "Polytope":
         if not (math.isfinite(lam) and lam > 0):

@@ -566,8 +566,10 @@ def _grid_box(grid, sigma_cells, active):
 
 def _box_samples(f, axes):
     """``f`` on the tensor grid of ``axes``, shaped ``(len(axes[0]), ...)``:
-    a ``Polytope`` by ``support_grid``, a callable in one call on the
-    grid's nodes."""
+    a ``Polytope`` by ``support_grid`` (for a lead axis l > 0 a view of
+    its lead-first buffer, not C-contiguous; ``_kernel_sum`` multiplies
+    it into a contiguous buffer, ``grid_hessian`` copies it once), a
+    callable in one call on the grid's nodes."""
     if isinstance(f, Polytope):
         return f.support_grid(axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -796,6 +798,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     - A body's bound ``support`` stands for the body, so a polytope, passed
       itself or as ``K.support``, is sampled by ``Polytope.support_grid``:
       both forms give the same bits.
+    - A body-backed f (a ``Polytope``, ``SmoothProfileBody`` or
+      ``PLConvexFunction``, or a body's bound ``support``) whose ``dim``
+      is not the spec's real dimension raises ``ValueError`` before f is
+      read.
     - At sigma_cells = 0 a ``Polytope`` or ``PLConvexFunction``, in any
       form, is kinked and raises; a ``SmoothProfileBody`` support is
       singular at 0 and raises when the origin lies in the joint support
@@ -832,7 +838,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")
     _whole_number("threads", threads, 1)
-    owner = getattr(f, "__self__", f)  # a bound support's body
+    owner, d = getattr(f, "__self__", f), spec.real_dim  # owner: a bound support's body
+    if isinstance(owner, (Polytope, SmoothProfileBody, PLConvexFunction)) and owner.dim != d:
+        raise ValueError(f"f is a {owner.dim}-dimensional {type(owner).__name__}, but the spec's "
+                         f"real dimension is {d}")
     if sigma_cells == 0 and isinstance(owner, (Polytope, PLConvexFunction)):
         raise ValueError("a piecewise-linear f (a Polytope, its support or a PLConvexFunction) "
                          "is kinked; pass sigma_cells > 0 to smooth it")
@@ -846,7 +855,6 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     if singular and np.all(lo <= 0) and np.all(hi >= 0):
         raise ValueError("origin lies inside the joint weight support (or the atom's stencil) "
                          "but sigma_cells = 0; h_K is singular there (smooth it on a grid)")
-    d = spec.real_dim
     if atom is not None:
         grid = None
         if atom.location.size != d:

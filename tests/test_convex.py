@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,7 +475,8 @@ def test_support_grid_blocks_match_the_row_route_bit_for_bit(dim, lead):
 def test_support_grid_leads_with_the_axis_of_fewest_coordinates(dim):
     # a shell clipped twice across axis a > 0 is summed with v_a x_a
     # outermost: the row route on the axes moved to put a first, moved
-    # back, bit for bit, and laid out as the axes are
+    # back, bit for bit, and returned as a view of the lead-first buffer
+    # (no transposing copy)
     rng = np.random.default_rng(40 + dim)
     axes = [np.sort(rng.uniform(-0.8, 0.8, 9 + a)) for a in range(dim)]
     for a in range(1, dim):
@@ -486,8 +488,37 @@ def test_support_grid_leads_with_the_axis_of_fewest_coordinates(dim):
         order = [a] + [b for b in range(dim) if b != a]
         ref = _support_grid_by_rows(Polytope(P.vertices[:, order]), [axes[b] for b in order])
         got = P.support_grid(axes)
-        assert got.shape == tuple(len(x) for x in axes) and got.flags.c_contiguous
+        assert got.shape == tuple(len(x) for x in axes) and np.moveaxis(got, a, 0).flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(np.moveaxis(ref, 0, a)).tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_support_grid_needs_one_axis_per_coordinate(count):
+    # three axes for a 4-D polytope raised IndexError; five gave a 4-D array
+    P = random_shell_polytope(np.random.default_rng(6), dim=4, n_vertices=10)
+    with pytest.raises(ValueError, match=f"{count} axes for a 4-dimensional polytope"):
+        P.support_grid([np.linspace(-0.5, 0.5, 6)] * count)
+
+
+def test_support_grid_holds_one_box_sized_array():
+    # a body that leads with axis 2 is summed lead-first and returned as a
+    # view: the transposing copy into the axes' order (a second 1.28 MB
+    # array on 20^4 samples) read a traced peak of 2.5x the box's bytes
+    rng = np.random.default_rng(0)
+    e = np.eye(4)[2]
+    shell = random_shell_polytope(rng, dim=4, n_vertices=10, min_sep=0.6)
+    P = halfspace_clip(halfspace_clip(shell, e, 0.12), -e, 0.08)
+    distinct = [len(np.unique(P.vertices[:, b])) for b in range(4)]
+    assert distinct.index(min(distinct)) == 2
+    axes = [np.linspace(-0.7, 0.7, 20)] * 4
+    tracemalloc.start()
+    try:
+        h = P.support_grid(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (20,) * 4
+    assert peak <= 1.75 * h.nbytes
 
 
 def _shared_lead_bodies(rng, dim, axes):

@@ -1056,6 +1056,84 @@ def test_widths_below_an_eighth_cell_raise_before_sampling(sigma, monkeypatch):
         body_valuation(spec, K, Grid.cube(np.zeros(3), 0.5, 12, 3), sigma_cells=sigma)
 
 
+def _degree_spec(degree):
+    """A 4-D grid spec on the degree-1 (H, n = 1) or the degree-2 (C, n = 2)
+    grid route."""
+    B = BumpWeight(np.zeros(4), 0.45, plateau=0.6)
+    return ValuationSpec("H", 1, 1, B) if degree == 1 else ValuationSpec("C", 2, 2, B)
+
+
+@pytest.mark.parametrize("form", ["polytope", "support", "body_valuation"])
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_polytope_of_another_dimension_raises_before_sampling(degree, dim, form, monkeypatch):
+    # a 3-D polytope on a 4-D degree-1 spec gave a number in every form:
+    # support_grid skipped the fourth axis and the product with K broadcast
+    # the samples; a 5-D one raised IndexError
+    P = random_shell_polytope(np.random.default_rng(2), dim=dim, n_vertices=2 * dim + 2)
+    spec, grid = _degree_spec(degree), Grid.cube(np.zeros(4), 0.5, 8, 4)
+    monkeypatch.setattr(Polytope, "support_grid", lambda self, axes: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=f"f is a {dim}-dimensional Polytope, but the spec's "
+                                         f"real dimension is 4"):
+        if form == "body_valuation":
+            body_valuation(spec, P, grid, sigma_cells=1.5)
+        else:
+            eval_valuation(spec, P if form == "polytope" else P.support, grid, sigma_cells=1.5)
+
+
+@pytest.mark.parametrize("kind", ["SmoothProfileBody", "PLConvexFunction"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_body_backed_f_of_another_dimension_raises_before_it_is_read(degree, kind):
+    # a matmul shape error used to be the first word on it
+    if kind == "SmoothProfileBody":
+        f = ball_body(3, 0.3).support
+    else:
+        f = PLConvexFunction.from_polytope_support(
+            random_shell_polytope(np.random.default_rng(2), dim=3, n_vertices=8))
+    with pytest.raises(ValueError, match=f"f is a 3-dimensional {kind}, but the spec's "
+                                         f"real dimension is 4"):
+        eval_valuation(_degree_spec(degree), f, Grid.cube(np.zeros(4), 0.5, 8, 4), sigma_cells=1.5)
+
+
+def _leads_with(axis, dim, seed):
+    """A shell clipped twice across ``axis``: ``support_grid`` leads with it."""
+    e = np.eye(dim)[axis]
+    shell = random_shell_polytope(np.random.default_rng(seed), dim=dim, n_vertices=2 * dim + 2,
+                                  min_sep=0.6)
+    P = halfspace_clip(halfspace_clip(shell, e, 0.12), -e, 0.08)
+    distinct = [len(np.unique(P.vertices[:, b])) for b in range(dim)]
+    assert distinct.index(min(distinct)) == axis
+    return P
+
+
+def test_the_degree_one_sum_reads_a_lead_first_view_as_its_contiguous_copy():
+    # support_grid returns the lead-first buffer viewed in the axes' order;
+    # the products go to a contiguous buffer, so the sum has the bits of
+    # the same sum over a C-contiguous copy of the samples
+    P, spec, grid = _leads_with(3, 4, 11), _degree_spec(1), Grid.cube(np.zeros(4), 0.5, 8, 4)
+    route = valuation._quadrature(spec, grid, 1.5)[1]
+    assert route.func is valuation._kernel_sum
+    axes, kernel = route.keywords["axes"], route.keywords["kernel"]
+    samples = P.support_grid(axes)
+    assert not samples.flags.c_contiguous and np.moveaxis(samples, 3, 0).flags.c_contiguous
+    ref = float((kernel * np.ascontiguousarray(samples)).sum())
+    assert eval_valuation(spec, P, grid, sigma_cells=1.5).hex() == ref.hex()
+
+
+def test_the_degree_two_grid_route_reads_a_lead_first_view_as_its_contiguous_copy(monkeypatch):
+    P = _leads_with(2, 3, 12)
+    spec = ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.45, plateau=0.6),
+                         (MatrixBump(HermitianMatrix("R", np.diag([1.0, 0.6, 0.3])), np.zeros(3),
+                                     0.45, plateau=0.7),))
+    grid = Grid.cube(np.zeros(3), 0.5, 12, 3)
+    assert not P.support_grid([np.linspace(-0.5, 0.5, 6)] * 3).flags.c_contiguous
+    got = eval_valuation(spec, P, grid, sigma_cells=2.0)
+    support_grid = Polytope.support_grid
+    monkeypatch.setattr(Polytope, "support_grid",
+                        lambda self, axes: np.ascontiguousarray(support_grid(self, axes)))
+    assert got.hex() == eval_valuation(spec, P, grid, sigma_cells=2.0).hex()
+
+
 def _stencil_hessian(values, spacing, margin):
     """The fourth-order difference stencil the kernel route replaced:
     reach 2 cells, ``margin`` cells cropped per side."""
