@@ -69,6 +69,8 @@ __all__ = [
 
 #: rows per block of ``chunked_apply``, whatever the thread count
 _CHUNK_ROWS = 8192
+#: the least positive normal float
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,10 @@ class ValuationSpec:
 # ---------------------------------------------------------------------------
 
 def _affine_rank(points):
+    """Affine rank of a point set: the numerical rank of p_j - p_0 by
+    ``np.linalg.matrix_rank``, counting singular values above 1e-10 * s
+    with s = max |p_j - p_0| over every coordinate.  One point, or points
+    that all coincide, have rank 0."""
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         return 0
@@ -334,37 +340,62 @@ def _affine_rank(points):
 
 
 def hull_volume(points) -> float:
-    """Volume of the convex hull of a point set, by qhull.
+    """Volume of the convex hull of an (m, n) point set, by qhull.
 
-    A 1-D set gives its extent; degenerate (lower dimensional) hulls
-    return 0.  Non-finite points raise ValueError.
+    A 1-D set gives its extent.  Fewer than n + 1 points, and sets of
+    lower affine rank, give 0.0, as does a nearly flat set qhull refuses.
+    Non-finite points, and an array that is not (m, n) with n >= 1,
+    raise ValueError.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("expected an (m, n) point array")
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise ValueError(f"expected an (m, n) point array with n >= 1, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("hull points must be finite")
-    n = points.shape[1]
-    if n > 1 and _affine_rank(points) < n:
-        return 0.0
-    return _spanning_hull_volume(points)
+    volume = _spanning_volume(points)
+    return 0.0 if volume is None else volume
 
 
-def _spanning_hull_volume(points):
-    """hull_volume of finite points whose affine rank is already known to be
-    full: the extent for n = 1, else qhull's volume (0 if qhull refuses a
-    nearly flat set)."""
-    if points.shape[1] == 1:
-        return float(points.max() - points.min())
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
-        return 0.0
+def _spanning_volume(points):
+    """The hull volume of finite (m, n) points if their affine rank is n,
+    else None: fewer than n + 1 points are None, and qhull is not called.
+
+    The volume comes first, and it certifies the rank itself.  Let s be
+    max |p_j - p_0| over every coordinate and sigma the least singular
+    value of the differences p_j - p_0.  Every point lies in a slab of
+    width 2 sigma, and across it within sqrt(n) s of p_0, so the volume V
+    is at most 2 sigma (2 sqrt(n) s)^(n - 1).  V above 2e-6 s
+    (2 sqrt(n) s)^(n - 1), a normal float, thus proves sigma > 1e-6 s,
+    10^4 times ``_affine_rank``'s tolerance, and its SVD would count full
+    rank too.  Only a set this does not certify (nearly flat, refused by
+    qhull, or so small or large that the bound leaves the normal floats)
+    pays for ``_affine_rank``."""
+    m, n = points.shape
+    if m <= n:
+        return None
+    if n == 1:
+        volume = float(points.max() - points.min())
+    else:
+        try:
+            volume = float(ConvexHull(points).volume)
+        except QhullError:
+            volume = 0.0
+    scale = float(np.abs(points[1:] - points[0]).max())
+    # a product, not **, which raises OverflowError where this gives inf
+    bound = math.prod([2e-6 * scale] + [2.0 * math.sqrt(n) * scale] * (n - 1))
+    if volume > bound >= _TINY or _affine_rank(points) == n:
+        return volume
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finitely many point masses; total_mass is their exact sum."""
+    """Finitely many point masses; total_mass is their exact sum.
+
+    The m locations are rows, and the masses must have shape (m,)
+    (ValueError otherwise): an (m, 1) column would broadcast against the
+    values ``integrate`` reads and sum every value times every mass.
+    """
 
     locations: np.ndarray
     masses: np.ndarray
@@ -372,8 +403,8 @@ class AtomicMeasure:
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if loc.shape[0] != m.shape[0]:
-            raise ValueError("locations and masses disagree in length")
+        if m.shape != (loc.shape[0],):
+            raise ValueError(f"masses of shape {m.shape} do not match {loc.shape[0]} locations")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", m)
 
@@ -382,9 +413,15 @@ class AtomicMeasure:
         return float(np.sum(self.masses))
 
     def integrate(self, fn) -> float:
+        """The sum of fn(location) * mass; ``fn`` maps the (m, n)
+        locations to m values, of shape (m,) (ValueError otherwise)."""
         if len(self.masses) == 0:
             return 0.0
-        return float(np.sum(np.asarray(fn(self.locations), dtype=float) * self.masses))
+        values = np.asarray(fn(self.locations), dtype=float)
+        if values.shape != self.masses.shape:
+            raise ValueError(f"fn gave values of shape {values.shape} for "
+                             f"{len(self.masses)} locations; expected {self.masses.shape}")
+        return float(np.sum(values * self.masses))
 
 
 def _empty_measure(dim):
@@ -395,15 +432,15 @@ def _dedupe_pieces(slopes, offsets):
     """The pieces whose (a_j, b_j) rounded to 12 decimals is new, in their
     first-seen order.
 
-    A stable lexsort groups equal rounded rows; each run keeps its first
-    index.  The rows are compared as floats, so -0.0 and +0.0 merge.
+    One pass keeps the first index of each rounded row in a dict keyed by
+    the row's tuple.  Tuples compare their floats by value, so -0.0 and
+    +0.0 merge (they are equal, and hash alike).
     """
-    stacked = np.round(np.column_stack([slopes, offsets]), 12)
-    order = np.lexsort(stacked.T)
-    ranked = stacked[order]
-    first = np.ones(len(order), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
-    idx = np.sort(order[first])
+    rows = np.concatenate([slopes, offsets[:, None]], axis=1).round(12).tolist()
+    first = {}
+    for i, row in enumerate(map(tuple, rows)):
+        first.setdefault(row, i)
+    idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     return slopes[idx], offsets[idx]
 
 
@@ -419,9 +456,11 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     primal point where those pieces are all active, and its projected
     volume is the atom mass.  Total mass is vol(conv{a_j}).
 
-    The cost is one hull for a support function: duplicate pieces go by
-    one sort, one rank test sends rank-deficient slopes to the empty
-    measure, and constant offsets skip the least squares and the lifted
+    The cost is one hull and no SVD for a support function: duplicate
+    pieces go in one dict pass, the hull of the slopes certifies their
+    full rank from its volume (``_spanning_volume``; only a nearly flat
+    set pays for the rank test, and rank-deficient slopes give the empty
+    measure), and constant offsets skip the least squares and the lifted
     hull, since their one atom sits at exactly 0.
 
     Exact mode is limited to dimension <= 3.
@@ -430,10 +469,9 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     if n > 3:
         raise ValueError("exact PL measure supports dimension <= 3")
     slopes, offsets = _dedupe_pieces(f.slopes, f.offsets)
-    if len(slopes) == 1 or _affine_rank(slopes) < n:
+    total_expected = _spanning_volume(slopes)
+    if total_expected is None:
         return _empty_measure(n)
-
-    total_expected = _spanning_hull_volume(slopes)
 
     # constant b: -b is affine in a with zero gradient, so there is a single
     # cell whose atom sits at exactly 0 (support functions land here, b = 0)

@@ -139,6 +139,24 @@ def test_hull_volume_rejects_non_finite_points(bad):
         hull_volume(pts)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hull_volume_of_fewer_than_dim_plus_one_points_is_zero(dim, monkeypatch):
+    # an empty 1-D set raised numpy's zero-size reduction error
+    def refuse(*args, **kwargs):
+        raise AssertionError("qhull was called")
+    monkeypatch.setattr(valuation, "ConvexHull", refuse)
+    rng = np.random.default_rng(dim)
+    for m in range(dim + 1):
+        assert hull_volume(rng.standard_normal((m, dim))) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (3,), (2, 2, 2)])
+def test_hull_volume_rejects_arrays_that_are_not_m_by_n(shape):
+    # an (m, 0) array raised qhull's own message
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        hull_volume(np.zeros(shape))
+
+
 def test_hull_volume_matches_qhull_on_random_sets():
     # reference: qhull's facets coned to the vertex centroid, |det| / n! each
     rng = np.random.default_rng(0)
@@ -374,12 +392,80 @@ def test_support_function_pl_valuation_pays_for_one_hull(monkeypatch):
     K = random_shell_polytope(np.random.default_rng(0))
     f = PLConvexFunction.from_polytope_support(K)
     assert pl_valuation(BumpWeight(np.zeros(3), 0.5), f) > 0.0
-    assert calls == {"rank": 1, "hull": 1}
+    # the hull's volume certifies the slopes' full rank: no rank test
+    assert calls == {"hull": 1}
     # general offsets still take the least squares and the lifted hull
     calls.clear()
     offsets = np.random.default_rng(1).uniform(-1.0, 0.0, len(K.vertices))
     ma_measure_pl(PLConvexFunction(K.vertices, offsets))
-    assert calls == {"rank": 1, "hull": 2, "lstsq": 1}
+    assert calls == {"hull": 2, "lstsq": 1}
+
+
+def _flat_sets():
+    """(kind, points) in dims 1-3: a unit cube and five random points with the
+    last axis scaled by 10^-e, e = 2, 4, ..., 14, turned and moved at random,
+    so that sigma / s (the least singular value of p_j - p_0 over their
+    largest coordinate) is about 10^-e from dim 2 on, and at least 1 in 1-D.
+    The kind is "flat" where sigma <= 1e-6 s, which bounds the hull's volume
+    below the certificate, and "spread" in 1-D and at e = 2.  The 1e7 + 1e-8
+    set that qhull refuses ends the flat sets; a spread 2-D set scaled by
+    1e-160 and a 3-D one by 1e120, whose certificate bound leaves the normal
+    floats, end the family."""
+    rng = np.random.default_rng(34)
+    for dim in (1, 2, 3):
+        cube = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
+        for e in range(2, 15, 2):
+            pts = np.vstack([cube, rng.uniform(0.0, 1.0, (5, dim))])
+            pts[:, -1] *= 10.0**-e
+            turn = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            pts = (pts - 0.5) @ turn.T + rng.uniform(-2.0, 2.0, dim)
+            rel = pts[1:] - pts[0]
+            sigma = np.linalg.svd(rel, compute_uv=False)[-1]
+            if sigma <= 1e-6 * np.abs(rel).max():
+                yield "flat", pts
+            else:
+                yield "spread" if dim == 1 or e == 2 else "between", pts
+    yield "flat", np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 1e-8]]) + 1e7
+    yield "outside", rng.uniform(-1.0, 1.0, (8, 2)) * 1e-160
+    yield "outside", rng.uniform(-1.0, 1.0, (8, 3)) * 1e120
+
+
+def test_near_flat_sets_pay_for_the_rank_test_and_keep_their_bits(monkeypatch):
+    ranks = collections.Counter()
+    rank = valuation._affine_rank
+
+    def counted(points):
+        ranks["rank"] += 1
+        return rank(points)
+
+    flat_volumes = []
+    for kind, pts in _flat_sets():
+        offsets = np.random.default_rng(len(pts)).uniform(-1.0, 0.0, len(pts))
+        pieces = [PLConvexFunction(pts), PLConvexFunction(pts, offsets)]
+        # the PL route rounds slopes of 1e-160 to 0 and merges them
+        for f in [None] + (pieces if kind != "outside" else []):
+            ranks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(valuation, "_affine_rank", counted)
+                got = hull_volume(pts) if f is None else _pl_outcome(ma_measure_pl, f)
+            if f is None:
+                assert got.hex() == _ref_hull_volume(pts).hex()
+                flat_volumes += [got] if kind == "flat" else []
+            else:
+                want = _pl_outcome(_ref_ma_measure_pl, f)
+                if got[1] is None:
+                    assert got[0] is want[0]
+                else:
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+            if kind in ("flat", "outside"):
+                assert ranks == {"rank": 1}
+            elif kind == "spread":
+                assert not ranks
+    # the flat sets span numerically (sigma above 1e-10 s) or not, and the
+    # refused one gives 0.0 although it spans
+    assert len(flat_volumes) == 9
+    assert 0 < sum(v > 0.0 for v in flat_volumes) < 8 and flat_volumes[-1] == 0.0
 
 
 def test_atomic_measure_invariants():
@@ -388,6 +474,18 @@ def test_atomic_measure_invariants():
     assert np.isclose(mu.integrate(lambda x: x[:, 0] + 1.0), 0.25 + 2 * 0.5)
     with pytest.raises(ValueError):
         AtomicMeasure(np.zeros((2, 2)), np.zeros(3))
+
+
+def test_atomic_measure_rejects_shapes_that_would_broadcast():
+    # a mass column broadcast against the values: 1.5 where 0.75 is right
+    with pytest.raises(ValueError, match=re.escape("(2, 1)")):
+        AtomicMeasure(np.zeros((2, 2)), [[0.25], [0.5]])
+    # values as a column gave 2.25 where 1.25 is right; a scalar broadcast too
+    mu = AtomicMeasure(np.array([[0.0, 0], [1, 1]]), np.array([0.25, 0.5]))
+    for fn in (lambda x: (x[:, 0] + 1.0)[:, None], lambda x: 1.0, lambda x: np.ones(3)):
+        with pytest.raises(ValueError, match="shape"):
+            mu.integrate(fn)
+    assert AtomicMeasure(np.zeros((1, 3)), 0.5).integrate(lambda x: x[:, 0] + 2.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
