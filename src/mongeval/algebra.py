@@ -125,11 +125,8 @@ def quat_abs2(p):
     return np.sum(p * p, axis=-1)
 
 
-# e_a e_b = sum_c _QTAB[a, b, c] e_c
-_QTAB = np.zeros((4, 4, 4))
-for _a in range(4):
-    for _b in range(4):
-        _QTAB[_a, _b] = quat_mul(np.eye(4)[_a], np.eye(4)[_b])
+# e_a e_b = sum_c _QTAB[a, b, c] e_c, every pair in one broadcast product
+_QTAB = quat_mul(np.eye(4)[:, None], np.eye(4)[None])
 
 
 def quat_matmul(A, B):

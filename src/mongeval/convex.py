@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import _read_only, _whole_number
 from .hessian import _row_norms, fd_hessian_batch
@@ -356,6 +355,7 @@ def halfspace_clip(P: Polytope, normal, offset: float) -> Polytope:
         pts.append(cross.reshape(-1, P.dim))
     verts = np.unique(np.round(np.vstack(pts), 12), axis=0)
     if P.dim > 1:  # qhull needs points of dimension 2 or more
+        from scipy.spatial import ConvexHull, QhullError
         try:
             verts = verts[np.sort(ConvexHull(verts).vertices)]
         except QhullError:

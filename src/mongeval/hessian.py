@@ -59,7 +59,6 @@ from .algebra import (
     HermitianMatrix,
     conj_transpose,
     oct_mul,
-    oct_unit,
     quat_conj,
     quat_mul,
 )
@@ -432,17 +431,12 @@ def grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, 
 # complex: conj(u_mu) u_nu / 4 with u = (1, i)
 _COEF_C = np.array([[1.0, 1.0j], [-1.0j, 1.0]]) / 4.0
 
-# quaternionic: u_mu * conj(u_nu), components on the trailing axis
-_COEF_H = np.zeros((4, 4, 4))
-for _m in range(4):
-    for _n in range(4):
-        _COEF_H[_m, _n] = quat_mul(np.eye(4)[_m], quat_conj(np.eye(4)[_n]))
+# quaternionic: u_mu * conj(u_nu), components on the trailing axis; each
+# table is one broadcast product over every (mu, nu) pair
+_COEF_H = quat_mul(np.eye(4)[:, None], quat_conj(np.eye(4))[None])
 
 # octonionic: e_i * conj(e_j)
-_COEF_O = np.zeros((8, 8, 8))
-for _i in range(8):
-    for _j in range(8):
-        _COEF_O[_i, _j] = oct_mul(oct_unit(_i), quat_conj(oct_unit(_j)))
+_COEF_O = oct_mul(np.eye(8)[:, None], quat_conj(np.eye(8))[None])
 
 
 def assemble_structured(field, hreal):

@@ -42,8 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
-from scipy.spatial import ConvexHull, QhullError
 
 from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _read_only, _whole_number,
                       polarized_det_batch)
@@ -376,6 +374,7 @@ def _spanning_volume(points):
     if n == 1:
         volume = float(points.max() - points.min())
     else:
+        from scipy.spatial import ConvexHull, QhullError
         try:
             volume = float(ConvexHull(points).volume)
         except QhullError:
@@ -428,15 +427,29 @@ def _empty_measure(dim):
     return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
 
 
+def _pow2(top):
+    """2^round(log2 top), or 1.0 for top = 0: dividing by it is exact."""
+    return 2.0 ** min(round(math.log2(top)), 1023) if top > 0.0 else 1.0
+
+
 def _dedupe_pieces(slopes, offsets):
     """The pieces whose (a_j, b_j) rounded to 12 decimals is new, in their
-    first-seen order.
+    first-seen order, with the slopes and the offsets each divided first by
+    its own power of two ``_pow2`` of its largest magnitude.
 
-    One pass keeps the first index of each rounded row in a dict keyed by
-    the row's tuple.  Tuples compare their floats by value, so -0.0 and
-    +0.0 merge (they are equal, and hash alike).
+    The scales make the rounding relative: without them, 2-D slopes of
+    order 1e-13 all rounded to one row and gave the empty measure.  The
+    keys are the scaled values in units of 1e-12, rounded to whole
+    numbers: ``np.round(x, 12)`` is that divided back by 1e12, which
+    merges no other rows.  One pass keeps the first index of each key in
+    a dict.  Tuples compare their floats by value, so -0.0 and +0.0 merge
+    (they are equal, and hash alike).
     """
-    rows = np.concatenate([slopes, offsets[:, None]], axis=1).round(12).tolist()
+    rows = np.concatenate([slopes, offsets[:, None]], axis=1)
+    top = np.abs(rows).max(axis=0).tolist()
+    rows /= [_pow2(max(top[:-1]))] * (len(top) - 1) + [_pow2(top[-1])]
+    rows *= 1e12
+    rows = np.rint(rows, out=rows).tolist()
     first = {}
     for i, row in enumerate(map(tuple, rows)):
         first.setdefault(row, i)
@@ -486,6 +499,8 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     scale = 1.0 + np.abs(offsets).max(initial=0.0)
     if np.abs(resid).max() <= 1e-10 * scale:
         return AtomicMeasure(coef[:n][None, :], np.array([total_expected]))
+
+    from scipy.spatial import ConvexHull
 
     lifted = np.column_stack([slopes, -offsets])
     hull = ConvexHull(lifted)
@@ -559,14 +574,29 @@ def _joint_support(spec: ValuationSpec):
             functools.reduce(np.minimum, [b.support_hi for b in bumps]))
 
 
+def gaussian_filter(k, sigma_cells):
+    """Gaussian weights of width ``sigma_cells`` cells on the offsets k:
+    exp(-0.5 / sigma^2 k^2) over its sum.
+
+    This is scipy's own ``_gaussian_kernel1d`` formula in its order of
+    operations, so the weights keep the bits of
+    ``scipy.ndimage.gaussian_filter`` on the identity, which stays the
+    reference in the tests, without importing ``scipy.ndimage``.  The
+    name is the benchmark tracer's patch point (``valuation.smooth``),
+    so ``_gaussian_kernels`` calls it through the module global.
+    """
+    g = np.exp(-0.5 / (sigma_cells * sigma_cells) * k**2)
+    return g / g.sum()
+
+
 def _gaussian_kernels(sigma_cells):
     """Correlation kernels of orders 0, 1 and 2 for a Gaussian of
     ``sigma_cells`` cells, on offsets k = -r..r with r = int(4 sigma + 0.5).
 
-    g holds scipy's weights (``gaussian_filter`` on the identity).  The
-    derivative kernels are k g and (k^2 - m2) g, scaled so that their
-    discrete moments are exact: sum g = 1, sum k g1 = 1 (g1 odd), sum g2 =
-    0 and sum k^2 g2 = 2, with m2 = sum k^2 g and m4 = sum k^4 g.  So a
+    g holds the weights of ``gaussian_filter``.  The derivative kernels
+    are k g and (k^2 - m2) g, scaled so that their discrete moments are
+    exact: sum g = 1, sum k g1 = 1 (g1 odd), sum g2 = 0 and sum k^2 g2 =
+    2, with m2 = sum k^2 g and m4 = sum k^4 g.  So a
     linear h adds nothing to g2, and the three differentiate cubics
     exactly.  A width below 1/8 cell has r = 0 and no derivative kernels.
     """
@@ -574,8 +604,8 @@ def _gaussian_kernels(sigma_cells):
     if r < 1:
         raise ValueError(f"sigma_cells = {sigma_cells} is below 1/8 cell: the Gaussian "
                          "truncates to one cell and cannot be differentiated")
-    g = gaussian_filter(np.eye(2 * r + 1), (sigma_cells, 0), mode="nearest", radius=r)[r]
     k = np.arange(-r, r + 1.0)
+    g = gaussian_filter(k, sigma_cells)
     m2, m4 = np.sum(k**2 * g), np.sum(k**4 * g)
     return g, k * g / m2, (k**2 - m2) * g * 2.0 / (m4 - m2**2)
 

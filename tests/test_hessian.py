@@ -676,6 +676,24 @@ def test_structured_hessian_is_hermitian_for_random_smooth(field):
     assert hermitian_deviation(field, H.data) <= 1e-8
 
 
+def test_product_tables_keep_the_bits_of_their_loop_form():
+    # the tables are built by one broadcast product each; the loops they
+    # replaced are the reference, and tobytes counts signed zeros too
+    eye4, eye8 = np.eye(4), np.eye(8)
+    qtab, coef_h, coef_o = np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), np.zeros((8, 8, 8))
+    for a in range(4):
+        for b in range(4):
+            qtab[a, b] = algebra.quat_mul(eye4[a], eye4[b])
+            coef_h[a, b] = algebra.quat_mul(eye4[a], algebra.quat_conj(eye4[b]))
+    for i in range(8):
+        for j in range(8):
+            coef_o[i, j] = algebra.oct_mul(algebra.oct_unit(i),
+                                           algebra.quat_conj(algebra.oct_unit(j)))
+    for got, want in ((algebra._QTAB, qtab), (hessian._COEF_H, coef_h),
+                      (hessian._COEF_O, coef_o)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_structured_dimension_validation():
     with pytest.raises(ValueError):
         assemble_structured("H", np.zeros((5, 6, 6)))

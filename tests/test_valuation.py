@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
@@ -144,7 +145,8 @@ def test_hull_volume_of_fewer_than_dim_plus_one_points_is_zero(dim, monkeypatch)
     # an empty 1-D set raised numpy's zero-size reduction error
     def refuse(*args, **kwargs):
         raise AssertionError("qhull was called")
-    monkeypatch.setattr(valuation, "ConvexHull", refuse)
+    # the hull is imported where it is built, so the seam is scipy.spatial
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
     rng = np.random.default_rng(dim)
     for m in range(dim + 1):
         assert hull_volume(rng.standard_normal((m, dim))) == 0.0
@@ -226,7 +228,9 @@ def test_pl_measure_dimension_guard():
 
 
 # the exact PL route before it paid for one hull, kept verbatim as the
-# reference for the bit-for-bit comparison below
+# reference for the bit-for-bit comparison below, except that the rows
+# are rounded relative to a power-of-two scale, as the route does since
+# rounding them in absolute terms merged every piece of tiny slopes
 
 def _ref_hull_volume(points) -> float:
     points = np.asarray(points, dtype=float)
@@ -243,8 +247,14 @@ def _ref_hull_volume(points) -> float:
         return 0.0
 
 
+def _ref_scale(x):
+    top = np.abs(x).max(initial=0.0)
+    return 1.0 if top == 0.0 else float(np.exp2(np.rint(np.log2(top))))
+
+
 def _ref_dedupe_pieces(slopes, offsets):
-    stacked = np.round(np.column_stack([slopes, offsets]), 12)
+    stacked = np.round(np.column_stack([slopes / _ref_scale(slopes),
+                                        offsets / _ref_scale(offsets)]), 12)
     _, idx = np.unique(stacked, axis=0, return_index=True)
     idx = np.sort(idx)
     return slopes[idx], offsets[idx]
@@ -377,6 +387,19 @@ def test_dedupe_merges_rows_that_round_to_signed_zeros():
         assert a.tobytes() == slopes[:2].tobytes() and b.tobytes() == np.zeros(2).tobytes()
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-20, 1e6])
+def test_pl_measure_of_tiny_or_large_slopes_keeps_its_mass(scale):
+    # rounding the pieces to 12 decimals in absolute terms merged 2-D slopes
+    # of order 1e-13 into one piece: the empty measure, total mass 0.0
+    a = np.random.default_rng(0).standard_normal((8, 2)) * scale
+    offsets = np.random.default_rng(1).uniform(-1.0, 0.0, 8) * scale
+    want = hull_volume(a)
+    assert want > 0.0
+    for f in (PLConvexFunction(a), PLConvexFunction(a, offsets)):
+        got = ma_measure_pl(f).total_mass
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_support_function_pl_valuation_pays_for_one_hull(monkeypatch):
     calls = collections.Counter()
 
@@ -387,7 +410,7 @@ def test_support_function_pl_valuation_pays_for_one_hull(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(valuation, "_affine_rank", counting("rank", valuation._affine_rank))
-    monkeypatch.setattr(valuation, "ConvexHull", counting("hull", ConvexHull))
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting("hull", ConvexHull))
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     K = random_shell_polytope(np.random.default_rng(0))
     f = PLConvexFunction.from_polytope_support(K)
@@ -1130,14 +1153,24 @@ def test_grid_route_bits_do_not_depend_on_blas_threads():
     assert len(bits) == 1 and len(bits.pop().split()) == 2
 
 
-@pytest.mark.parametrize("sigma", [0.125, 0.5, 1.5, 2.0, 3.3])
+_MOMENT_WIDTHS = [0.125, 0.5, 1.5, 2.0, 3.3]
+
+
+@pytest.mark.parametrize("sigma", _MOMENT_WIDTHS)
 def test_gaussian_kernel_moments(sigma):
     g, g1, g2 = valuation._gaussian_kernels(sigma)
     r = int(4.0 * sigma + 0.5)
     k = np.arange(-r, r + 1.0)
     assert len(g) == len(g1) == len(g2) == 2 * r + 1
-    assert np.array_equal(g, gaussian_filter(np.eye(2 * r + 1), (sigma, 0), mode="nearest",
-                                             radius=r)[r])
+    # scipy's weights stay the reference of the numpy formula, bit for bit,
+    # on this width and on every fifth of a sweep of 600 widths from 1/8 to
+    # 12 cells, which the five cases share
+    sweep = np.linspace(0.125, 12.0, 600)[_MOMENT_WIDTHS.index(sigma)::len(_MOMENT_WIDTHS)]
+    for s in (sigma, *sweep):
+        s = float(s)
+        rs = int(4.0 * s + 0.5)
+        want = gaussian_filter(np.eye(2 * rs + 1), (s, 0), mode="nearest", radius=rs)[rs]
+        assert valuation._gaussian_kernels(s)[0].tobytes() == want.tobytes(), s
     assert np.array_equal(g1, -g1[::-1]) and np.array_equal(g2, g2[::-1])
     for value, target in ((np.sum(g), 1.0), (np.sum(k * g1), 1.0),
                           (np.sum(g2), 0.0), (np.sum(k**2 * g2), 2.0)):

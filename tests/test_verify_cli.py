@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -838,3 +840,42 @@ def test_cli_run_all_passes_seed_and_threads(tmp_path, monkeypatch):
     ]
     with open(os.path.join(tmp_path, "index.json")) as fh:
         assert json.load(fh)["passed"] == len(EXPERIMENTS)
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+_COLD_START = """
+import sys
+
+import mongeval
+import mongeval.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+assert not [m for m in scipy_modules() if m.startswith(("scipy.ndimage", "scipy.spatial"))], \\
+    scipy_modules()
+for name in ("parity-break", "linear-invariance"):
+    assert mongeval.cli.main(["run", name, "--out", sys.argv[1], "--quiet"]) == 0
+    assert not scipy_modules(), (name, scipy_modules())
+# a hull imports scipy.spatial where it is built
+assert mongeval.hull_volume([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]]) == 2.0
+assert mongeval.cli.main(["run", "volume-identity", "--out", sys.argv[1], "--quiet"]) == 0
+assert "scipy.spatial" in sys.modules and "scipy.ndimage" not in sys.modules
+"""
+
+
+def test_a_cold_start_imports_no_scipy_module_that_the_run_does_not_use(tmp_path):
+    # scipy.spatial and scipy.ndimage were most of a cold CLI run: the
+    # Gaussian weights are numpy, and hulls import scipy.spatial when built
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert sorted(os.listdir(tmp_path)) == ["linear-invariance.json", "parity-break.json",
+                                            "volume-identity.json"]
