@@ -373,37 +373,23 @@ def polarized_det_batch(field, slots):
     batch entry.  Uses the inclusion-exclusion form
 
         pbar(x_1, ..., x_n)
-            = (1/n!) sum_{0 != S subset [n]} (-1)^{n - |S|} p(sum_{i in S} x_i).
+            = (1/n!) sum_{0 != S subset [n]} (-1)^{n - |S|} p(sum_{i in S} x_i):
 
-    Slots that are the same object as ``slots[0]`` (i copies of one
-    Hessian, say H) are grouped, and the other m = n - i slots are kept.
-    Subsets S that take k of the copies and a subset T of the others share
-    the argument k H + sum_T x, so the sum runs over these distinct terms
-    with weight binomial(i, k) (-1)^{n - k - |T|}.  That costs
-    (i + 1) 2^m - 1 determinant evaluations instead of 2^n - 1, and a single
-    one, p(H) itself, when every slot is ``slots[0]`` (m = 0).  A term made
-    only of constant slots is one determinant, not one per batch entry.
+    one determinant pass per subset, in the order of its bit mask, with
+    the argument summed in slot order, and the terms added in that order.
+    A term made only of constant slots is one determinant, not one per
+    batch entry.  The library's callers pass constant matrices and the
+    unit Hessians of a polynomial form's monomials
+    (``valuation._polynomial_form``), never one array twice.
     """
     if not slots:
         raise ValueError("need at least one slot")
-    n = len(slots)
-    head = slots[0]
-    i = sum(s is head for s in slots)
-    others = [s for s in slots if s is not head]
-    if not others:
-        return det_batch(field, head)
-    total = None
-    # j = k + (i + 1) * mask: k copies of head, the others selected by mask
-    for j in range(1, (i + 1) << len(others)):
-        k, mask = j % (i + 1), j // (i + 1)
-        acc = None if k == 0 else head if k == 1 else k * head
-        for b, x in enumerate(others):
-            if mask >> b & 1:
-                acc = x if acc is None else acc + x
-        sign = -1.0 if (n - k - bin(mask).count("1")) % 2 else 1.0
-        term = math.comb(i, k) * sign * det_batch(field, acc)
-        total = term if total is None else total + term
-    return total / math.factorial(n)
+    n, terms = len(slots), []
+    for mask in range(1, 1 << n):
+        subset = [x for b, x in enumerate(slots) if mask >> b & 1]
+        term = det_batch(field, sum(subset[1:], subset[0]))
+        terms.append(-term if (n - len(subset)) % 2 else term)
+    return sum(terms[1:], terms[0]) / math.factorial(n)
 
 
 def mixed_det(mats: Sequence[HermitianMatrix]) -> float:

@@ -31,12 +31,13 @@ field Hessians keep their bits.
 Both routes lay a batch of real Hessians out entry-major (``_entry_major``):
 the (N, d, d) result is the transposed view of a C-ordered (d, d, N) array,
 so each entry ``H[:, i, j]`` is one contiguous plane.  The routes write
-whole planes, and the field assembly's ``einsum`` reads them as planes;
-over R and C its result keeps the layout, so the polarization sums and
-the closed-form determinants read planes too, not a stride of d * d
-values (over H and O2 its result is batch-major).  Each value
-is elementwise or an ``einsum`` summing its terms in the same order, so
-the layout changes no bit.
+whole planes, and the valuation's integrand, a polynomial in the real
+entries, reads them as planes, not a stride of d * d values.  So does the
+field assembly's ``einsum``; over R and C its result keeps the layout, so
+the polarization sums and the closed-form determinants read planes too
+(over H and O2 its result is batch-major).  Each value is elementwise or
+an ``einsum`` summing its terms in the same order, so the layout changes
+no bit.
 
 The pointwise stencil route runs no Python loop per offset or axis pair:
 one broadcast over a memoized offset table forms every stencil point, ``f``

@@ -11,13 +11,13 @@ A_k are Hermitian matrix weights: bumps (a constant matrix M times a
 the weight B * prod s (the mixed determinant is multilinear, so M enters
 its slot as a constant), Hessians where it is nonzero, the determinant
 and the weighted sum, by one route chosen once per (spec, grid, width).
-At degree 1 the determinant is a linear form of the real Hessian whose
-coefficients are polarized once per spec.  On a grid the bumps are read
-on its tensor axes, so no node array is built.  A point atom makes it a
-one-node quadrature at the atom's location with weight 1 (by
-multilinearity a delta factor pulls everything there); at most one atom
-is allowed since a product of deltas at distinct points vanishes and at
-a common point is undefined.
+At degree i >= 1 the determinant is a homogeneous polynomial of degree i
+in the real Hessian entries, whose coefficients are polarized once per
+spec.  On a grid the bumps are read on its tensor axes, so no node array
+is built.  A point atom makes it a one-node quadrature at the atom's
+location with weight 1 (by multilinearity a delta factor pulls
+everything there); at most one atom is allowed since a product of deltas
+at distinct points vanishes and at a common point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -647,12 +648,14 @@ def _box_samples(f, axes):
 @functools.cache
 def _unit_hessians(field, d):
     """The real entries (a, b), a <= b, that ``field`` reads in dimension
-    ``d`` (the diagonal, then ``_field_pairs``), and the field Hessian of
-    each entry's unit symmetric matrix, in read-only arrays.  They depend
-    on (field, d) alone, so each pair is assembled once per process: O2's
-    80 units in 16-D cost more to assemble than a spec's polarization."""
-    a, b = _field_pairs(d, FIELD_COMPONENTS[field])
-    a, b = np.concatenate([np.arange(d), a]), np.concatenate([np.arange(d), b])
+    ``d`` (the diagonal and ``_field_pairs``), in row-major order, and the
+    field Hessian of each entry's unit symmetric matrix, in read-only
+    arrays.  They depend on (field, d) alone, so each pair is assembled
+    once per process: O2's 80 units in 16-D cost more to assemble than a
+    spec's polarization."""
+    read = np.eye(d, dtype=bool)
+    read[_field_pairs(d, FIELD_COMPONENTS[field])] = True
+    a, b = np.nonzero(read)
     units = np.zeros((len(a), d, d))
     units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
     return _read_only(a), _read_only(b), _read_only(assemble_structured(field, units))
@@ -666,36 +669,61 @@ def _power_of_two_scale(matrix):
     return 2.0 ** round(math.log2(norm)) if 0.0 < norm < math.inf else 1.0
 
 
-def _linear_form(spec):
-    """The (d, d) coefficients c of a degree-1 spec's integrand as a linear
-    form of the real Hessian: D(Hess_F f, M_1, ..., M_{n-1}) = sum_{a <= b}
-    c[a, b] f_ab over the entries the field reads (``_field_pairs``; c is 0
-    elsewhere, and an off-diagonal c[a, b] stands for f_ab and f_ba, which
-    are equal).  They are that determinant of the unit Hessians
-    (``_unit_hessians``), polarized against the weights' constant matrices.
+def _polynomial_form(spec):
+    """A spec's integrand D(Hess_F f [i], M_1, ..., M_{n-i}) as a homogeneous
+    polynomial of degree i >= 1 in the real Hessian entries h_e the field
+    reads (``_unit_hessians``; an off-diagonal e = (a, b) stands for f_ab
+    and f_ba, which are equal): the sum of c_m prod_k h_{e_mk} over the
+    monomials m, multisets of i entries.
 
-    The polarization cancels terms of the size of the largest slot, so
-    each M_k enters divided by its ``_power_of_two_scale`` s_k and c is
-    multiplied by the product of the s_k: the units have norm about 1,
-    and a large M_k would otherwise cost digits (the determinant is
-    multilinear, so this is the same form).  Both steps are exact in
-    binary, so an M of unit norm keeps the bits of the unscaled form."""
-    d = spec.real_dim
+    The determinant is multilinear and symmetric, so c_m is D(U_{e_m1},
+    ..., U_{e_mi}, M_1, ...) of the unit Hessians U_e, times the number
+    i! / prod m_e! of orderings of the multiset, with m_e the multiplicity
+    of e (prod m_e! is the product over the factors of how many factors up
+    to it equal it).  One ``polarized_det_batch`` gives every monomial's
+    mixed determinant.  It cancels terms of the size of its largest slot,
+    so each M_k enters divided by its ``_power_of_two_scale`` s_k, and c
+    is multiplied by the product of the s_k: the units have norm about 1,
+    and a large M_k would otherwise cost digits.  Both steps are exact in
+    binary, so an M of unit norm keeps the bits of the unscaled form.
+
+    Only the nonzero c_m are kept, as read-only groups (head, c, last): the
+    monomials, in lexicographic order of their flat entry indices a d + b,
+    that share their first i - 1 entries ``head``, with their coefficients
+    and last entries.  At i = 1 that is one group, every read entry with a
+    nonzero coefficient in row-major order, with an empty head."""
+    d, i = spec.real_dim, spec.degree
     a, b, units = _unit_hessians(spec.field, d)
+    monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
     scales = [_power_of_two_scale(w.matrix) for w in spec.weights]
-    slots = [units] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
-    coefficients = np.zeros((d, d))
-    coefficients[a, b] = polarized_det_batch(spec.field, slots) * math.prod(scales)
-    return coefficients
+    slots = [units[m] for m in monos.T] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
+    orderings = math.factorial(i) / np.tril(monos[:, :, None] == monos[:, None]).sum(2).prod(1)
+    coefficients = polarized_det_batch(spec.field, slots) * orderings * math.prod(scales)
+    keep = np.flatnonzero(coefficients)
+    entries, coefficients = (a * d + b)[monos[keep]], coefficients[keep]
+    cuts = np.flatnonzero(np.any(entries[1:, :-1] != entries[:-1, :-1], axis=1)) + 1
+    return tuple((tuple(e[0, :-1].tolist()), _read_only(c), _read_only(e[:, -1]))
+                 for e, c in zip(np.split(entries, cuts), np.split(coefficients, cuts)) if len(c))
 
 
-def _linear_values(hreal, coefficients, entries):
-    """sum_k coefficients[k] H[:, a_k, b_k] for an entry-major (N, d, d)
-    batch H (``_entry_major``) and flat indices ``entries`` = a_k d + b_k:
-    one ``einsum`` over the entries' planes, which adds the terms in the
-    order of ``entries`` and calls no BLAS routine."""
+def _polynomial_values(hreal, groups):
+    """The polynomial of ``_polynomial_form``'s ``groups`` at each Hessian of
+    an entry-major (N, d, d) batch H (``_entry_major``), whose entry e =
+    a d + b is the contiguous plane e of the (d d, N) view.  A group is one
+    ``einsum`` of its coefficients against its last entries' planes, which
+    adds the terms in their order and calls no BLAS routine (at degree 1
+    the whole value), or for a lone monomial of degree >= 2 its plane times
+    its coefficient; then times each plane of its head.  The groups are
+    added in order, and no (monomials, i, N) gather is formed."""
     planes = hreal.transpose(1, 2, 0).reshape(-1, len(hreal))
-    return np.einsum("k,kn->n", coefficients, planes[entries])
+    total = np.zeros(len(hreal)) if not groups else None
+    for head, coefficients, last in groups:
+        values = (planes[last[0]] * coefficients[0] if head and len(last) == 1
+                  else np.einsum("k,kn->n", coefficients, planes[last]))
+        for e in head:
+            values *= planes[e]
+        total = values if total is None else np.add(total, values, out=total)
+    return total
 
 
 def _bump_factor(weight, grid: Grid, node=None):
@@ -713,11 +741,6 @@ def _bump_factor(weight, grid: Grid, node=None):
             raise ValueError("normalized bump has zero mass on this grid")
         scal = scal / total
     return scal
-
-
-def _polarized(hreal, field, degree, matrices):
-    """The degree >= 2 integrand D(H [degree], *matrices) per field Hessian H."""
-    return polarized_det_batch(field, (assemble_structured(field, hreal),) * degree + matrices)
 
 
 def _constant(f, step, threads, value):
@@ -764,27 +787,26 @@ def _quadrature(spec, grid, sigma_cells):
     - ``_constant`` at degree 0, (n - i)! * cell * sum w * D(M_1, ...,
       M_n), or 0.0 when no cell is active: f is never read;
     - ``_kernel_sum`` at degree 1 with a positive width: the determinant
-      is the linear form ``_linear_form`` of the real Hessian, and the
-      Hessians are fixed linear maps of the box samples, so the integral
-      is <K, samples> with K the adjoint of the box's Hessian products
-      (``grid_hessian_adjoint``) applied to w and to those coefficients,
-      times (n - 1)! * cell;
-    - else one integrand per Hessian batch: the form's nonzero
-      coefficients and their flat indices a * d + b (a <= b, row-major;
-      ``_linear_values``) at degree 1, assembly and polarization
-      (``_polarized``) at degree >= 2.  ``_box_integral`` runs it once on
-      the ``_grid_box``'s gathered Hessians at a positive width,
+      is a linear form of the real Hessian (``_polynomial_form`` at i =
+      1), and the Hessians are fixed linear maps of the box samples, so
+      the integral is <K, samples> with K the adjoint of the box's Hessian
+      products (``grid_hessian_adjoint``) applied to w and to the form's
+      coefficients, times (n - 1)! * cell;
+    - else the key's ``_polynomial_form``, evaluated per Hessian batch by
+      ``_polynomial_values``: ``_box_integral`` runs it once on the
+      ``_grid_box``'s gathered Hessians at a positive width,
       ``_stencil_integral`` once per stencil block of the active
-      midpoints or the atom's one node.
+      midpoints or the atom's one node.  The form is built once per key,
+      so no call assembles a field Hessian or polarizes.
 
-    The routes look up ``grid_hessian``, ``fd_hessian_batch``,
-    ``assemble_structured`` and ``polarized_det_batch`` in this module
-    when they run.  A memo of one entry: experiments evaluate one
-    functional on many bodies in a row.  The spec and the grid are
-    ``eq=False`` objects, which hash by identity, and the entry keeps
-    them alive, so no other object takes over their ids; their arrays are
-    read-only.  An exception is not cached, so a spec that raises here
-    raises on every call.
+    The routes look up ``grid_hessian`` and ``fd_hessian_batch`` in this
+    module when they run, and the build looks up ``polarized_det_batch``
+    (and, once per field and dimension, ``assemble_structured``).  A memo
+    of one entry: experiments evaluate one functional on many bodies in a
+    row.  The spec and the grid are ``eq=False`` objects, which hash by
+    identity, and the entry keeps them alive, so no other object takes
+    over their ids; their arrays are read-only.  An exception is not
+    cached, so a spec that raises here raises on every call.
     """
     if grid is None:  # an atom spec: one node, at the atom's location
         node, cell = spec.atom.location[None, :], 1.0
@@ -798,25 +820,21 @@ def _quadrature(spec, grid, sigma_cells):
     active = weight != 0  # w = 0 cells add 0 * det
     weight = _read_only(weight[active])
     field, scale = spec.field, math.factorial(spec.n - spec.degree) * cell
-    matrices = tuple(w.matrix.data for w in spec.weights)
     if spec.degree == 0 or not weight.size:  # an empty sum is 0.0 and polarizes nothing
+        matrices = [w.matrix.data for w in spec.weights]
         dets = polarized_det_batch(field, matrices) if weight.size else 0.0
         return weight, functools.partial(_constant, value=float(scale * (weight * dets).sum()))
     box = _grid_box(grid, sigma_cells, active) if sigma_cells > 0 else None
-    if spec.degree == 1:
-        coefficients = _linear_form(spec)
-        if box is not None:
-            kernels, spacing, axes, cells = box
-            kernel = grid_hessian_adjoint(weight, scale * coefficients, spacing, kernels, field,
-                                          cells, tuple(len(x) for x in axes))
-            return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
-        coefficients = coefficients.reshape(-1)
-        entries = np.flatnonzero(coefficients)
-        integrand = functools.partial(_linear_values, entries=_read_only(entries),
-                                      coefficients=_read_only(coefficients[entries]))
-    else:
-        integrand = functools.partial(_polarized, field=field, degree=spec.degree,
-                                      matrices=matrices)
+    groups = _polynomial_form(spec)
+    if box is not None and spec.degree == 1:
+        kernels, spacing, axes, cells = box
+        coefficients = np.zeros((spec.real_dim,) * 2)
+        for _head, c, last in groups:
+            coefficients.flat[last] = scale * c
+        kernel = grid_hessian_adjoint(weight, coefficients, spacing, kernels, field, cells,
+                                      tuple(len(x) for x in axes))
+        return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
+    integrand = functools.partial(_polynomial_values, groups=groups)
     if box is not None:
         route = functools.partial(_box_integral, box=box)
     else:  # the atom's node, or the active midpoints gathered from the axes
@@ -851,15 +869,17 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     plus the kernel radius ``int(4 sigma + 0.5)`` in one call, and each
     entry of the Gaussian of ``sigma_cells`` cells convolved with f is
     one banded product per axis with a derivative-of-Gaussian kernel.
-    At degree 1 the determinant is linear in its one Hessian slot, so it
-    is a linear form of the real Hessian, and on the grid route the value
-    is <K, samples> for a kernel K on the box; only degree >= 2 assembles
-    and polarizes.
+    The M_k are constant, so the determinant is a polynomial of degree i
+    in the real Hessian entries the field reads, and a call evaluates it
+    on the Hessians without assembling or polarizing them.  At degree 1 it
+    is a linear form, and on the grid route the value is <K, samples> for
+    a kernel K on the box.
 
     The checks below run on every call.  What (spec, grid, sigma_cells)
-    fixes, the route included, is built once for the last such key
-    (``_quadrature``), so a call is its checks and that route on f.  A
-    degree-1 grid key's first call also pays for its K.
+    fixes, the route and the polynomial's coefficients included, is built
+    once for the last such key (``_quadrature``), so a call is its checks
+    and that route on f.  A degree-1 grid key's first call also pays for
+    its K.
 
     One contract holds for every form of h_K and both routes:
 

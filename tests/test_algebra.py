@@ -570,11 +570,12 @@ def test_det_batch_uses_lapack_beyond_the_closed_forms(field, n):
 
 
 # ---------------------------------------------------------------------------
-# grouped polarization against the full inclusion-exclusion loop
+# polarization against the inclusion-exclusion loop written out
 # ---------------------------------------------------------------------------
 
 def _polarized_reference(field, slots):
-    """The ungrouped route: 2^n - 1 determinant passes, one per subset."""
+    """Inclusion-exclusion written out: 2^n - 1 determinant passes, one per
+    subset."""
     n = len(slots)
     total = 0.0
     for mask in range(1, 2**n):
@@ -588,7 +589,7 @@ def _random_slot_batch(field, n, rng, size=6):
     return np.stack([_random_hermitian(field, n, rng).data for _ in range(size)])
 
 
-GROUPED_CASES = [(field, n, i) for field, n in MIXED_CASES for i in range(1, n + 1)]
+POLARIZED_CASES = [(field, n, i) for field, n in MIXED_CASES for i in range(1, n + 1)]
 
 
 @pytest.fixture
@@ -605,33 +606,32 @@ def det_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("field,n,i", GROUPED_CASES)
-def test_grouped_polarization_matches_full_loop(field, n, i, det_calls):
+@pytest.mark.parametrize("field,n,i", POLARIZED_CASES)
+def test_polarization_is_the_inclusion_exclusion_loop(field, n, i, det_calls):
+    # i batches of Hessians and n - i constant matrices: one pass per
+    # subset, summed in the loop's order, so the bits of the loop
     rng = np.random.default_rng(100 * n + i)
-    H = _random_slot_batch(field, n, rng)
-    others = [_random_slot_batch(field, n, rng) for _ in range(n - i)]
-    slots = [H] * i + others
+    slots = [_random_slot_batch(field, n, rng) for _ in range(i)]
+    slots += [_random_hermitian(field, n, rng).data for _ in range(n - i)]
     ref = _polarized_reference(field, slots)
     del det_calls[:]
     got = polarized_det_batch(field, slots)
-    m = n - i
-    assert len(det_calls) == (1 if m == 0 else (i + 1) * 2**m - 1)
-    scale = (1.0 + i * np.sqrt(np.sum(np.abs(H) ** 2))
-             + sum(np.sqrt(np.sum(np.abs(x) ** 2)) for x in others)) ** n
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    assert len(det_calls) == 2**n - 1
+    assert got.shape == ref.shape == (6,)
+    assert got.tobytes() == ref.tobytes()
 
 
-def test_grouped_polarization_counts_only_the_same_object(det_calls):
-    # equal values in distinct arrays are separate slots: full 2^n - 1 passes
+def test_a_repeated_slot_is_one_more_slot(det_calls):
+    # the same array in every slot costs every subset, as distinct copies do,
+    # and restores the determinant up to roundoff
     rng = np.random.default_rng(18)
     H = _random_slot_batch("R", 3, rng)
-    grouped = polarized_det_batch("R", [H, H, H])
-    assert len(det_calls) == 1
-    ungrouped = polarized_det_batch("R", [H, H.copy(), H.copy()])
-    assert len(det_calls) == 1 + 7
-    assert np.array_equal(grouped, det_batch("R", H))
-    assert np.allclose(ungrouped, grouped, rtol=1e-10, atol=1e-12)
+    same = polarized_det_batch("R", [H, H, H])
+    assert len(det_calls) == 7
+    copies = polarized_det_batch("R", [H, H.copy(), H.copy()])
+    assert len(det_calls) == 14
+    assert same.tobytes() == copies.tobytes()
+    assert np.allclose(same, det_batch("R", H), rtol=1e-10, atol=1e-12)
 
 
 def test_polarized_det_batch_needs_a_slot():
