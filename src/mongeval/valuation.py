@@ -477,6 +477,14 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     measure), and constant offsets skip the least squares and the lifted
     hull, since their one atom sits at exactly 0.
 
+    Other offsets read the lower facets in one array pass: one batched
+    ``np.linalg.det`` over their (F, n, n) edge stack, one rounding of
+    their gradients to 7 decimals, and ``np.unique`` over the rounded rows.
+    Each atom keeps its first facet's gradient and adds its facets' masses
+    in facet order (``np.bincount``), so the bits are those of a loop that
+    keys a dict by the rounded tuples and sorts the keys: ``np.unique``
+    orders rows by value as tuples compare, and merges -0.0 with +0.0.
+
     Exact mode is limited to dimension <= 3.
     """
     n = f.dim
@@ -503,30 +511,19 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
 
     from scipy.spatial import ConvexHull
 
-    lifted = np.column_stack([slopes, -offsets])
-    hull = ConvexHull(lifted)
-    atoms = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        nu, _off = eq[:-1], eq[-1]
-        if nu[n] >= -1e-9:  # not a lower facet
-            continue
-        grad = -nu[:n] / nu[n]
-        verts = slopes[simplex]
-        mass = abs(np.linalg.det(verts[1:] - verts[0])) / math.factorial(n)
-        if mass <= 0.0:
-            continue
-        key = tuple(np.round(grad, 7))
-        if key in atoms:
-            atoms[key][1] += mass
-        else:
-            atoms[key] = [grad, mass]
-
-    if not atoms:
+    hull = ConvexHull(np.column_stack([slopes, -offsets]))
+    eq = hull.equations
+    lower = eq[:, n] < -1e-9
+    grads = -eq[lower, :n] / eq[lower, n:n + 1]
+    verts = slopes[hull.simplices[lower]]
+    masses = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
+    keep = masses > 0.0
+    if not keep.any():
         return _empty_measure(n)
-    keys = sorted(atoms.keys())
-    locations = np.array([atoms[k][0] for k in keys])
-    masses = np.array([atoms[k][1] for k in keys])
-    measure = AtomicMeasure(locations, masses)
+    grads, masses = grads[keep], masses[keep]
+    _, first, group = np.unique(np.round(grads, 7), axis=0, return_index=True,
+                                return_inverse=True)
+    measure = AtomicMeasure(grads[first], np.bincount(group, masses))
     gap = abs(measure.total_mass - total_expected)
     if gap > 1e-8 * max(1.0, total_expected):
         raise ArithmeticError(

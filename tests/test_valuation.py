@@ -344,6 +344,28 @@ def _pl_family(seed, count):
         yield kind, a, b
 
 
+def _tangent_plane_family():
+    """Many-piece (kind, slopes, offsets) cases: the tangent planes of the
+    smooth convex u = x.Qx/2 + 0.3 sum_k (u_k.x)^4 at the k^d nodes of a
+    lattice on [-0.5, 0.5]^d, plain and jittered by 1% of its spacing, for
+    k = 6, 9 in dims 2 and 3 (up to 729 pieces and about 4,900 atoms).  Then
+    f = max(-x - 1e-9, 0, x - 2e-9), whose two lower facets have the
+    gradients -1e-9 and 2e-9: they round to -0.0 and +0.0, one atom."""
+    for dim, k, jitter in itertools.product((2, 3), (6, 9), (0.0, 0.01)):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((dim, dim))
+        Q = m @ m.T + 0.5 * np.eye(dim)
+        u = rng.standard_normal((dim, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        nodes = np.array(list(itertools.product(np.linspace(-0.5, 0.5, k), repeat=dim)))
+        nodes += rng.uniform(-1.0, 1.0, nodes.shape) * jitter / (k - 1)
+        proj = nodes @ u.T
+        grads = nodes @ Q + 1.2 * proj**3 @ u
+        values = 0.5 * np.einsum("ji,ik,jk->j", nodes, Q, nodes) + 0.3 * (proj**4).sum(axis=1)
+        yield "tangent", grads, values - np.einsum("ji,ji->j", grads, nodes)
+    yield "signed-zero", np.array([[-1.0], [0.0], [1.0]]), np.array([-1e-9, 0.0, -2e-9])
+
+
 def _pl_outcome(route, f):
     try:
         mu = route(f)
@@ -354,7 +376,7 @@ def _pl_outcome(route, f):
 
 def test_pl_route_matches_the_reference_bit_for_bit():
     flat_refused = constant_moved = 0
-    for kind, a, b in _pl_family(seed=22, count=540):
+    for kind, a, b in itertools.chain(_pl_family(seed=22, count=540), _tangent_plane_family()):
         for got, ref in zip(valuation._dedupe_pieces(a, b), _ref_dedupe_pieces(a, b)):
             assert got.tobytes() == ref.tobytes()
         f = PLConvexFunction(a, b)
@@ -374,6 +396,8 @@ def test_pl_route_matches_the_reference_bit_for_bit():
             constant_moved += bool(ref_loc.any())
         else:
             assert loc.tobytes() == ref_loc.tobytes()
+        if kind == "signed-zero":  # merged, at the first facet's gradient
+            assert mass.tolist() == [2.0] and loc.tolist() == [[-1e-9]]
         flat_refused += a[0, 0] == 1e7 and len(mass) == 1 and mass[0] == 0.0
     # the family reaches the cases it is built for
     assert flat_refused > 0 and constant_moved > 0
@@ -412,16 +436,18 @@ def test_support_function_pl_valuation_pays_for_one_hull(monkeypatch):
     monkeypatch.setattr(valuation, "_affine_rank", counting("rank", valuation._affine_rank))
     monkeypatch.setattr(scipy.spatial, "ConvexHull", counting("hull", ConvexHull))
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
     K = random_shell_polytope(np.random.default_rng(0))
     f = PLConvexFunction.from_polytope_support(K)
     assert pl_valuation(BumpWeight(np.zeros(3), 0.5), f) > 0.0
     # the hull's volume certifies the slopes' full rank: no rank test
     assert calls == {"hull": 1}
-    # general offsets still take the least squares and the lifted hull
+    # general offsets still take the least squares and the lifted hull, and
+    # one determinant call over the stack of every lower facet
     calls.clear()
     offsets = np.random.default_rng(1).uniform(-1.0, 0.0, len(K.vertices))
-    ma_measure_pl(PLConvexFunction(K.vertices, offsets))
-    assert calls == {"hull": 2, "lstsq": 1}
+    assert len(ma_measure_pl(PLConvexFunction(K.vertices, offsets)).masses) > 1
+    assert calls == {"hull": 2, "lstsq": 1, "det": 1}
 
 
 def _flat_sets():
@@ -1045,6 +1071,66 @@ def test_body_valuations_are_translation_invariant(route):
             mutated = (moved + K.translate(x).support(e1)) - (base + K.support(e1))
             assert abs(mutated - x[0]) <= 1e-9 + tol * abs(base)
             assert abs(mutated) > tol * abs(base)  # the gate sees the control
+
+
+def _complex_as_real(U):
+    """The real 2n x 2n matrix of z -> Uz on (Re z_1, Im z_1, ..., Re z_n, Im z_n)."""
+    real = np.zeros((2 * len(U), 2 * len(U)))
+    for (a, b), z in np.ndenumerate(U):
+        real[2 * a:2 * a + 2, 2 * b:2 * b + 2] = [[z.real, -z.imag], [z.imag, z.real]]
+    return real
+
+
+def _symmetry_cases(field):
+    """phi(P, M) on the grid route, M, three bodies P, and the maps as
+    (g, M moved to the side that keeps phi, [M moved to a wrong side]).
+    B and the bump are radial about 0, and each g is a signed permutation
+    of the real coordinates, which maps the grid onto itself.
+
+    R (n = 3, i = 2): h_{gP}(x) = h_P(g^T x), so Hess h_{gP} = g H g^T at
+    g x, and D(g H g^T [2], M) = D(H [2], g^T M g).  C (the identity
+    configuration, n = 2, i = 1): the field Hessian reads
+    H_ab = d^2 f / dz_a dzbar_b (``hessian._COEF_C``), so f(U* z) has
+    Hessian conj(U) H U^T and M moves to U^T M conj(U).  That is U M U*
+    for U = diag(i, 1), and neither U M U* nor U* M U for the U that
+    sends (z_1, z_2) to (i z_2, z_1)."""
+    if field == "R":
+        B = BumpWeight(np.zeros(3), 0.45, 1.0, plateau=0.7)
+        grid, sigma = Grid.cube(np.zeros(3), 0.5, 24, 3), 2.0
+        M = np.array([[1.0, 0.5, 0.2], [0.5, 0.8, 0.3], [0.2, 0.3, 0.4]])
+        g = np.eye(3)[[2, 0, 1]]  # e_0 -> e_1 -> e_2 -> e_0
+        maps = [(g, g.T @ M @ g, [g @ M @ g.T])]
+        bodies = [random_shell_polytope(np.random.default_rng(seed)) for seed in range(3)]
+    else:
+        spec, grid, _, sigma = verify._identity_config("C", np.random.default_rng(0))
+        B, M = spec.scalar_weight, spec.weights[0].matrix.data
+        diag, swap = np.diag([1j, 1.0]), np.array([[0.0, 1j], [1.0, 0.0]])
+        maps = []
+        for U, wrong in [(diag, [diag.conj().T @ M @ diag]),
+                         (swap, [swap.conj().T @ M @ swap, swap @ M @ swap.conj().T])]:
+            maps.append((_complex_as_real(U), U.T @ M @ U.conj(), wrong))
+        bodies = [random_shell_polytope(np.random.default_rng(seed), dim=4, n_vertices=10,
+                                        min_sep=0.6) for seed in range(3)]
+
+    def phi(P, weight):
+        bump = MatrixBump(HermitianMatrix(field, weight), np.zeros(P.dim), 0.45, plateau=0.7)
+        spec = ValuationSpec(field, len(weight), len(weight) - 1, B, (bump,))
+        return body_valuation(spec, P, grid, sigma_cells=sigma)
+
+    return phi, M, bodies, maps
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_matrix_weights_move_by_the_field_linear_map_of_the_body(field):
+    # phi(gP; M) = phi(P; M moved by g), to rounding on the grid route;
+    # M moved the other way is off by at least 1e-3 (1.7e-2 to 2.6e-1)
+    phi, M, bodies, maps = _symmetry_cases(field)
+    for P in bodies:
+        for g, moved, wrong in maps:
+            value = phi(Polytope(P.vertices @ g.T), M)
+            assert abs(phi(P, moved) - value) <= 1e-13 * abs(value)
+            for control in wrong:
+                assert abs(phi(P, control) - value) >= 1e-3 * abs(value)
 
 
 # ---------------------------------------------------------------------------
