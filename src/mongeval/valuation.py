@@ -39,6 +39,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -773,8 +774,123 @@ def _stencil_integral(f, step, threads, field, integrand, weight, scale, points)
     return float(scale * (weight * values).sum())
 
 
+def _value_key(value):
+    """A hashable key of ``value``'s value: one flat tuple of the type of
+    every part, in a fixed depth-first order, each followed by its value: a
+    dataclass by its fields, a tuple by its length and items, an array by
+    its dtype, shape and bytes, a float by ``float.hex`` (so -0.0 and +0.0,
+    or two floats 1 ulp apart, have two keys), a numpy scalar by its bytes,
+    an int, str or None by itself.  Any other part raises ``TypeError``."""
+    parts, stack = [], [value]
+    while stack:
+        obj = stack.pop()
+        kind = type(obj)
+        parts.append(kind)
+        if isinstance(obj, np.ndarray):
+            parts += obj.dtype.str, obj.shape, obj.tobytes()
+        elif isinstance(obj, np.generic):
+            parts.append(obj.tobytes())
+        elif isinstance(obj, float):
+            parts.append(float.hex(obj))
+        elif hasattr(kind, "__dataclass_fields__"):  # what ``dataclasses.fields`` reads
+            stack += [getattr(obj, name) for name in kind.__dataclass_fields__]
+        elif isinstance(obj, tuple):
+            parts.append(len(obj))
+            stack += obj
+        elif isinstance(obj, (int, str)) or obj is None:
+            parts.append(obj)
+        else:
+            raise TypeError(f"no value key for a {kind.__name__}")
+    return tuple(parts)
+
+
+def _held_bytes(value):
+    """The memory of the distinct objects in ``value``, through its tuples,
+    dicts and partials (not the partial's function), classes left out
+    (every value key holds them, and shares them): ``sys.getsizeof`` of
+    each, which holds an array's data when the array owns it, and a view's
+    ``nbytes``."""
+    seen, total, stack = set(), 0, [value]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, np.ndarray):
+            total += obj.nbytes if obj.base is not None else 0
+        elif isinstance(obj, tuple):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, functools.partial):
+            stack += obj.args, obj.keywords
+    return total
+
+
+class _ValueStore:
+    """Built entries by value key, least recently used first, that hold at
+    most ``limit`` bytes with their keys (``_held_bytes``), counted as
+    entries come and go; an entry larger than ``limit`` is never kept."""
+
+    def __init__(self, limit):
+        self.limit, self.nbytes, self.entries = limit, 0, {}
+
+    def get(self, key):
+        held = self.entries.pop(key, None)
+        if held is None:
+            return None
+        self.entries[key] = held  # now the most recently used
+        return held[0]
+
+    def put(self, key, entry):
+        nbytes = _held_bytes((key, entry))
+        if nbytes > self.limit:
+            return
+        self.entries[key], self.nbytes = (entry, nbytes), self.nbytes + nbytes
+        while self.nbytes > self.limit:
+            self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+
+    def clear(self):
+        self.entries.clear()
+        self.nbytes = 0
+
+
+#: ``_quadrature``'s store behind its identity memo, 512 KiB: a 12^3
+#: stencil entry is about 36 kB with its key, and each identity key's entry
+#: is over the bound (R on 48^3 0.68 MB, a degree-1 C or H K on 20^4 samples
+#: 1.28 MB), so those keys keep the one-entry memo alone, and its memory
+_BUILT = _ValueStore(1 << 19)
+
+
 @functools.lru_cache(maxsize=1)
 def _quadrature(spec, grid, sigma_cells):
+    """The entry of ``_build_quadrature`` for a checked call's spec, grid
+    (None for an atom spec) and width, built once per value.
+
+    Two levels.  In front, a memo of one entry keyed by the objects: the
+    experiments evaluate one functional on many bodies in a row, and the
+    spec and the grid are ``eq=False`` objects, which hash by identity, so
+    a hit costs one lookup; the entry keeps them alive, so no other object
+    takes over their ids.  On a miss, ``_BUILT``, keyed by
+    ``_value_key((spec, grid, sigma_cells))``: an equal spec or grid made
+    again (``parity_break`` makes its own on every call) shares the entry
+    built for the first, whose arrays are read-only.  A key with a part
+    ``_value_key`` cannot key is built and never stored, and an exception
+    is never cached, so a spec that raises here raises on every call.
+    """
+    try:
+        key = _value_key((spec, grid, sigma_cells))
+    except TypeError:
+        return _build_quadrature(spec, grid, sigma_cells)
+    entry = _BUILT.get(key)
+    if entry is None:
+        entry = _build_quadrature(spec, grid, sigma_cells)
+        _BUILT.put(key, entry)
+    return entry
+
+
+def _build_quadrature(spec, grid, sigma_cells):
     """A checked call of ``eval_valuation`` fixed by its spec, grid (None
     for an atom spec) and width: the pair (w, integral) of the read-only
     weight w on the active cells and the one route ``integral(f, step,
@@ -798,12 +914,9 @@ def _quadrature(spec, grid, sigma_cells):
 
     The routes look up ``grid_hessian`` and ``fd_hessian_batch`` in this
     module when they run, and the build looks up ``polarized_det_batch``
-    (and, once per field and dimension, ``assemble_structured``).  A memo
-    of one entry: experiments evaluate one functional on many bodies in a
-    row.  The spec and the grid are ``eq=False`` objects, which hash by
-    identity, and the entry keeps them alive, so no other object takes
-    over their ids; their arrays are read-only.  An exception is not
-    cached, so a spec that raises here raises on every call.
+    (and, once per field and dimension, ``assemble_structured``).  It
+    reads only the values of its arguments, so equal keys build the same
+    bits (``_quadrature`` builds each value once).
     """
     if grid is None:  # an atom spec: one node, at the atom's location
         node, cell = spec.atom.location[None, :], 1.0
@@ -874,9 +987,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     The checks below run on every call.  What (spec, grid, sigma_cells)
     fixes, the route and the polynomial's coefficients included, is built
-    once for the last such key (``_quadrature``), so a call is its checks
-    and that route on f.  A degree-1 grid key's first call also pays for
-    its K.
+    once per value of that key (``_quadrature``): a call with the last
+    call's objects, or with equal ones made again while the store (512 KiB
+    of built entries) holds theirs, is its checks and that route on f.
+    A degree-1 grid key's first call also pays for its K.
 
     One contract holds for every form of h_K and both routes:
 

@@ -1,6 +1,8 @@
 import collections
 import functools
+import gc
 import itertools
+import json
 import math
 import os
 import re
@@ -17,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
-from mongeval import hessian, valuation, verify
+from mongeval import cli, hessian, valuation, verify
 from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch
 from mongeval.convex import (
     PLConvexFunction,
@@ -55,6 +57,28 @@ def quadratic(Q):
         x = np.asarray(x, dtype=float)
         return 0.5 * np.einsum("...i,ij,...j->...", x, Q, x)
     return fn
+
+
+def clear_quadrature():
+    """Empty both levels of ``valuation._quadrature``, the identity memo and
+    the value store behind it, so that the next call builds its entry."""
+    valuation._quadrature.cache_clear()
+    valuation._BUILT.clear()
+
+
+def held_arrays(entry):
+    """The distinct arrays a built entry holds, through its tuples and
+    partials."""
+    arrays, stack = {}, [entry]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            arrays[id(value)] = value
+        elif isinstance(value, tuple):
+            stack += value
+        elif isinstance(value, functools.partial):
+            stack += value.args + tuple(value.keywords.values())
+    return list(arrays.values())
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +601,7 @@ def test_degree_zero_is_constant_in_argument():
         pytest.fail("a degree-0 functional read its argument")
 
     # the call that builds the memo entry and a call that reuses it
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     v1 = eval_valuation(spec, never, grid)
     v2 = eval_valuation(spec, lambda x: never(x), grid)
     assert v1 == v2
@@ -1814,7 +1838,7 @@ def test_grid_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch
     ref = _eval_on_nodes(spec, K, grid, sigma_cells=1.5)
     weight = _weight_on_nodes(spec, grid)
     monkeypatch.setattr(Grid, "nodes", _no_nodes)
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     got = eval_valuation(spec, K, grid, sigma_cells=1.5)
     assert valuation._quadrature(spec, grid, 1.5)[0].tobytes() == weight[weight != 0].tobytes()
     assert ref != 0.0
@@ -2399,16 +2423,6 @@ def _memo_cases(route):
     return (r_spec, top), grid, 0.0, fs
 
 
-def _arrays_in(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _arrays_in(item)
-    elif isinstance(value, functools.partial):
-        yield from _arrays_in(value.args + tuple(value.keywords.values()))
-
-
 def _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma):
     """``got`` is within 1e-13 of ``_eval_before_memo``: a degree-1 grid
     value is a sum <K, samples>, and every other value the polynomial form
@@ -2422,7 +2436,7 @@ def _fresh_values(calls, grid, sigma):
     """Each (spec, f) call's value from an emptied memo."""
     values = {}
     for spec, f in calls:
-        valuation._quadrature.cache_clear()
+        clear_quadrature()
         values[spec, f] = eval_valuation(spec, f, grid, sigma_cells=sigma)
     return values
 
@@ -2430,18 +2444,18 @@ def _fresh_values(calls, grid, sigma):
 @pytest.mark.parametrize("route", ["grid", "stencil", "atom"])
 def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
     # specs interleaved on one grid, a second function under the same key,
-    # and a call after cache_clear each give the bits of the same call from
+    # and a call after clear_quadrature each give the bits of the same call from
     # an emptied memo, and are within 1e-13 of the route before the memo,
     # whose sums run in another order
     (s1, s2), grid, sigma, (f1, f2) = _memo_cases(route)
     memo = valuation._quadrature
     calls = [(s1, f1), (s1, f2), (s2, f1), (s1, f2), "clear", (s1, f1)]
     fresh = _fresh_values([c for c in calls if c != "clear"], grid, sigma)
-    memo.cache_clear()
+    clear_quadrature()
     for call in calls:
         if call == "clear":
             assert memo.cache_info().hits == 1 and memo.cache_info().misses == 3
-            memo.cache_clear()
+            clear_quadrature()
             continue
         spec, f = call
         got = eval_valuation(spec, f, grid, sigma_cells=sigma)
@@ -2450,7 +2464,7 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
         assert memo.cache_info().currsize == 1
     assert memo.cache_info().maxsize == 1
     key = (s1, None if route == "atom" else grid, sigma)
-    arrays = list({id(a): a for a in _arrays_in(memo(*key))}.values())
+    arrays = held_arrays(memo(*key))
     # degree-1 entries: on the grid route the weights, the three box axes and
     # K; on the others the weights, the nodes, the coefficients and their indices
     assert len(arrays) >= {"grid": 5, "stencil": 4, "atom": 4}[route]
@@ -2464,7 +2478,7 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
 def test_the_memo_takes_sigma_into_its_key():
     (spec, _), grid, _sigma, (K, _) = _memo_cases("grid")
     fresh = {sigma: _fresh_values([(spec, K)], grid, sigma)[spec, K] for sigma in (1.5, 1.0)}
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     for sigma in (1.5, 1.0, 1.5):
         got = eval_valuation(spec, K, grid, sigma_cells=sigma)
         assert got.hex() == fresh[sigma].hex()
@@ -2525,7 +2539,7 @@ def test_a_non_finite_sample_anywhere_in_the_box_raises_at_degree_1(bad):
     spec, grid = _active_cell_specs()["C"]
     quad = quadratic(np.eye(4))
     corner = lambda x: np.where(np.all(np.asarray(x) < -1.0, axis=-1), bad, quad(x))
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
     keywords = valuation._quadrature(spec, grid, 1.5)[1].keywords
     axes, kernel = keywords["axes"], keywords["kernel"]
@@ -2551,7 +2565,7 @@ def test_a_spec_that_raises_in_the_memo_raises_on_every_call(case):
     good = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     K = random_shell_polytope(np.random.default_rng(2))
     memo = valuation._quadrature
-    memo.cache_clear()
+    clear_quadrature()
     eval_valuation(good, K, grid, sigma_cells=1.0)
     f = quadratic(np.eye(3)) if sigma == 0 else K
     for _ in range(2):
@@ -2717,7 +2731,7 @@ def test_a_repeat_call_neither_assembles_nor_polarizes(case, monkeypatch):
     # polynomial form; after it no call of that key assembles a field
     # Hessian or polarizes, and each gives the first call's bits
     spec, grid, sigma, step, (f, g) = _repeat_cases(case)
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     valuation._unit_hessians(spec.field, spec.real_dim)
     calls = _counting(monkeypatch, ["assemble_structured", "polarized_det_batch"])
     first = eval_valuation(spec, f, grid, sigma_cells=sigma, step=step)
@@ -2726,6 +2740,243 @@ def test_a_repeat_call_neither_assembles_nor_polarizes(case, monkeypatch):
     again = [eval_valuation(spec, h, grid, sigma_cells=sigma, step=step) for h in (g, f)]
     assert not calls
     assert again[1].hex() == first.hex()
+
+
+# ---------------------------------------------------------------------------
+# the value store behind the memo
+# ---------------------------------------------------------------------------
+
+def _next(x):
+    """The float 1 ulp above ``x``."""
+    return float(np.nextafter(x, math.inf))
+
+
+def _grid_key(**changed):
+    """(spec, grid, sigma_cells) made anew: a degree-2 R spec with one
+    matrix bump on 8^3 at 1.5 cells, with the parts in ``changed`` in place
+    of the defaults below."""
+    p = dict(center=np.zeros(3), radius=0.45, height=1.0, plateau=0.5, degree=2,
+             matrix=np.diag([1.0, 2.0, 3.0]) + 0.25, bump_plateau=0.3, normalize=False,
+             lo=np.full(3, -0.5), hi=np.full(3, 0.5), shape=(8, 8, 8), sigma=1.5)
+    p.update(changed)
+    bump = MatrixBump(HermitianMatrix("R", p["matrix"]), np.zeros(3), 0.4, p["bump_plateau"],
+                      p["normalize"])
+    B = BumpWeight(p["center"], p["radius"], p["height"], p["plateau"])
+    spec = ValuationSpec("R", 3, p["degree"], B, (bump,)[:3 - p["degree"]])
+    return spec, Grid(p["lo"], p["hi"], p["shape"]), p["sigma"]
+
+
+def _complex_key(imag=0.5):
+    """The degree-1 C key of the K route on 6^4 at 1.0 cell, its matrix's
+    entry (0, 1) with imaginary part ``imag`` (and (1, 0) with -0.5)."""
+    mat = HermitianMatrix("C", np.array([[1.0, 0.2 + imag * 1j], [0.2 - 0.5j, 2.0]]))
+    spec = ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.45),
+                         (MatrixBump(mat, np.zeros(4), 0.4),))
+    return spec, Grid.cube(np.zeros(4), 0.5, 6, 4), 1.0
+
+
+def _atom_key(x=0.1):
+    """A degree-2 R atom key, the atom at (x, 0, 0)."""
+    atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 2.0, 3.0])), np.array([x, 0.0, 0.0]))
+    return ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.45), (atom,)), None, 0.0
+
+
+def _top_degree_key(field, n):
+    """A degree-n key over ``field`` in real dimension 4, the stencil route on 4^4."""
+    return ValuationSpec(field, n, n, BumpWeight(np.zeros(4), 0.45)), Grid.cube(
+        np.zeros(4), 0.5, 4, 4), 0.0
+
+
+_MOVED_ENTRY = np.diag([1.0, 2.0, 3.0]) + 0.25
+_MOVED_ENTRY[0, 1] = _next(_MOVED_ENTRY[0, 1])
+
+#: name -> (the base key, the key with that one part changed), each made anew
+_KEY_CHANGES = {
+    "field and n": (lambda: _top_degree_key("R", 4), lambda: _top_degree_key("C", 2)),
+    "field, n and degree": (lambda: _top_degree_key("C", 2), lambda: _top_degree_key("H", 1)),
+    "degree": (_grid_key, lambda: _grid_key(degree=3)),
+    "B center -0.0": (_grid_key, lambda: _grid_key(center=np.array([-0.0, 0.0, 0.0]))),
+    "B radius": (_grid_key, lambda: _grid_key(radius=_next(0.45))),
+    "B height": (_grid_key, lambda: _grid_key(height=_next(1.0))),
+    "B plateau": (_grid_key, lambda: _grid_key(plateau=_next(0.5))),
+    "matrix entry": (_grid_key, lambda: _grid_key(matrix=_MOVED_ENTRY)),
+    "imaginary part": (_complex_key, lambda: _complex_key(_next(0.5))),
+    "bump plateau": (_grid_key, lambda: _grid_key(bump_plateau=_next(0.3))),
+    "bump normalize": (_grid_key, lambda: _grid_key(normalize=True)),
+    "atom location": (_atom_key, lambda: _atom_key(_next(0.1))),
+    "grid lo": (_grid_key, lambda: _grid_key(lo=np.array([_next(-0.5), -0.5, -0.5]))),
+    "grid hi": (_grid_key, lambda: _grid_key(hi=np.array([0.5, 0.5, _next(0.5)]))),
+    "grid shape": (_grid_key, lambda: _grid_key(shape=(8, 8, 9))),
+    "sigma": (_grid_key, lambda: _grid_key(sigma=_next(1.5))),
+}
+
+
+def _entry_bits(entry, key):
+    """A built entry's route function, the bytes of its arrays and its value
+    on a smooth f."""
+    integral = entry[1]
+    f = _smooth_convex(key[0].real_dim, 5)
+    return (integral.func, [a.tobytes() for a in held_arrays(entry)],
+            integral(f, None, 1).hex())
+
+
+@pytest.mark.parametrize("name", sorted(_KEY_CHANGES))
+def test_a_key_that_differs_in_one_part_is_built_again(name, monkeypatch):
+    # a float moved by 1 ulp, -0.0 for +0.0, an imaginary part, a flag or a
+    # shape is a second build, never the first key's entry, and that entry
+    # has the bits of a fresh build
+    base, changed = _KEY_CHANGES[name]
+    clear_quadrature()
+    builds = _counting(monkeypatch, ["_build_quadrature"])
+    valuation._quadrature(*base())
+    key = changed()
+    entry = valuation._quadrature(*key)
+    assert builds == {"_build_quadrature": 2}
+    assert _entry_bits(entry, key) == _entry_bits(valuation._build_quadrature(*key), key)
+
+
+@pytest.mark.parametrize("route", ["grid", "stencil", "atom"])
+def test_an_equal_key_made_again_shares_its_entry(route, monkeypatch):
+    # equal objects made again miss the identity memo and hit the value
+    # store: no build, the first entry, and the bits of a fresh build
+    make = {"grid": _grid_key, "stencil": lambda: _grid_key(sigma=0.0), "atom": _atom_key}[route]
+    clear_quadrature()
+    builds = _counting(monkeypatch, ["_build_quadrature"])
+    first = valuation._quadrature(*make())
+    key = make()
+    assert valuation._quadrature(*key) is first
+    assert builds == {"_build_quadrature": 1}
+    assert valuation._quadrature.cache_info().misses == 2
+    assert _entry_bits(first, key) == _entry_bits(valuation._build_quadrature(*key), key)
+
+
+def test_the_value_key_holds_types_and_bits():
+    key = valuation._value_key
+    assert key(0.0) != key(-0.0) and key(0.5) != key(_next(0.5))
+    assert key(np.float64(0.0)) != key(np.float64(-0.0))
+    assert len({key(1.0), key(1), key(True), key(np.float64(1.0)), key(np.int64(1))}) == 5
+    assert key(np.zeros(2)) != key(np.zeros(2, dtype=np.float32))
+    assert key(np.zeros(2)) != key(np.zeros((1, 2)))
+    assert key(np.zeros(2)) != key(np.array([0.0, -0.0]))
+    assert key((1.0, 2.0)) != key((1.0, 2))
+    assert key(_grid_key()) == key(_grid_key())
+    for other in (object(), [1.0]):
+        with pytest.raises(TypeError, match="no value key"):
+            key(other)
+
+
+def test_a_key_with_a_part_of_no_value_is_built_and_never_stored(monkeypatch):
+    # a truthy flag that is not a bool has no value key: every identity miss
+    # builds, as before the store, and nothing is stored
+    clear_quadrature()
+    builds = _counting(monkeypatch, ["_build_quadrature"])
+    flag = object()
+    for _ in range(2):
+        valuation._quadrature(*_grid_key(normalize=flag))
+    assert builds == {"_build_quadrature": 2}
+    assert not valuation._BUILT.entries
+
+
+def test_the_store_evicts_the_least_recently_used_entries_down_to_its_bound():
+    entry = lambda nbytes: (np.zeros(nbytes, dtype=np.uint8), None)
+    size = valuation._held_bytes(("a", entry(40_000)))  # with its key
+    store = valuation._ValueStore(size * 5 // 2)
+    store.put("a", entry(40_000))
+    store.put("b", entry(40_000))
+    assert store.get("a") is not None  # now "b" is the least recently used
+    store.put("c", entry(40_000))
+    assert list(store.entries) == ["a", "c"] and store.nbytes == 2 * size
+    store.put("big", entry(store.limit))  # over the bound alone: never stored
+    shared = np.zeros(100, dtype=np.uint8)
+    store.put("d", (shared, functools.partial(max, shared)))
+    assert list(store.entries) == ["a", "c", "d"]
+    assert store.nbytes == 2 * size + valuation._held_bytes(("d", store.get("d")))
+    assert store.get("b") is None and store.get("big") is None
+    store.clear()
+    assert not store.entries and store.nbytes == 0
+
+
+def test_held_bytes_counts_an_object_once_and_a_view_with_its_data():
+    x = np.zeros(1000)
+    once = valuation._held_bytes((x,)) - sys.getsizeof((x,))
+    assert once == sys.getsizeof(x) >= x.nbytes
+    assert valuation._held_bytes((x, x)) - sys.getsizeof((x, x)) == once
+    assert valuation._held_bytes(x[:500]) == sys.getsizeof(x[:500]) + 4000
+    assert valuation._held_bytes((float, x)) == sys.getsizeof((float, x)) + once  # no class
+    pair = (x, 1.5)
+    inner = functools.partial(max, x, key={"k": pair})  # dict keys are not walked
+    assert valuation._held_bytes(inner) == sum(map(sys.getsizeof, (
+        inner, inner.args, inner.keywords, inner.keywords["key"], pair, x, 1.5)))
+
+
+def test_the_store_bounds_the_memory_of_many_small_entries():
+    # distinct atom keys with about 200 bytes of arrays each, and about
+    # 5 kB of key, partials and array headers: the store charges all of
+    # it, so what it holds stays near its bound (charging the arrays alone
+    # held 1.7 MB here); the store's dict slots and the arrays' shape
+    # buffers are not charged, about 9% here
+    clear_quadrature()
+    valuation._quadrature(*_atom_key(0.0))
+    clear_quadrature()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(300):
+            valuation._quadrature(*_atom_key(0.1 + 1e-6 * k))
+        valuation._quadrature.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    store = valuation._BUILT
+    assert 0 < len(store.entries) < 300 and store.nbytes <= store.limit
+    assert held <= 1.25 * store.limit
+
+
+def test_the_identity_keys_are_over_the_bound_and_never_stored():
+    # the R identity entry (0.68 MB) and each C and H identity K on 20^4
+    # samples (1.28 MB) are over the 512 KiB bound: those keys keep the
+    # one-entry identity memo alone, and the store holds none of their arrays
+    clear_quadrature()
+    store = valuation._BUILT
+    for field in "RCH":
+        spec, grid, body, sigma = verify._identity_config(field, np.random.default_rng(0))
+        eval_valuation(spec, body, grid, sigma_cells=sigma)
+        entry = valuation._quadrature(spec, grid, sigma)
+        assert valuation._held_bytes(entry) > store.limit
+        assert not store.entries and store.nbytes == 0
+    assert store.limit == 2**19
+    assert entry[1].keywords["kernel"].shape == (20,) * 4
+
+
+def test_parity_break_at_a_second_seed_builds_nothing(monkeypatch):
+    # parity_break makes its specs and grids anew on every call, and a
+    # second seed gives equal ones: the run neither builds nor polarizes,
+    # and its report has the bytes of a run from an emptied store
+    clear_quadrature()
+    verify.parity_break(dim=3, degree=1, seed=0)
+    calls = _counting(monkeypatch, ["_build_quadrature", "polarized_det_batch"])
+    shared = verify.parity_break(dim=3, degree=1, seed=1)
+    assert not calls
+    clear_quadrature()
+    fresh = verify.parity_break(dim=3, degree=1, seed=1)
+    assert calls["_build_quadrature"] == 4  # the atom spec and one bump spec per width
+    assert (json.dumps(shared.canonical(), sort_keys=True)
+            == json.dumps(fresh.canonical(), sort_keys=True))
+
+
+def test_two_in_process_cli_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    # the second run's keys are all in the store
+    clear_quadrature()
+    argv = ["run", "parity-break", "--quiet", "--out"]
+    assert cli.main(argv + [str(tmp_path / "first")]) == 0
+    builds = _counting(monkeypatch, ["_build_quadrature"])
+    assert cli.main(argv + [str(tmp_path / "second")]) == 0
+    assert not builds
+    first, second = ((tmp_path / run / "parity-break.json").read_bytes()
+                     for run in ("first", "second"))
+    assert first == second
 
 
 def _polarized(hreal, field, degree, matrices):
@@ -2867,7 +3118,7 @@ def test_the_stencil_route_reads_only_the_active_stencils(degree):
     spec, grid = _active_cell_specs()["R"]
     spec = ValuationSpec("R", 3, degree, spec.scalar_weight, spec.weights[:3 - degree])
     quad = quadratic(np.diag([1.0, 2.0, 3.0]))
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     clean = eval_valuation(spec, quad, grid)
     points = valuation._quadrature(spec, grid, 0.0)[1].keywords["points"]
     outer = points[:, 0].max()
@@ -2888,7 +3139,7 @@ def test_a_nan_at_the_box_corner_raises_on_the_degree_two_grid_route():
     spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.35))
     grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
     quad = quadratic(np.eye(4))
-    valuation._quadrature.cache_clear()
+    clear_quadrature()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
     _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5)[1].keywords["box"]
     assert len(cells) == 304 and cells[0] != 0  # core cell 0 alone reads the corner
