@@ -58,15 +58,17 @@ class Polytope:
     """Convex hull of a finite vertex list; h(xi) = max_v <v, xi>.
 
     Points inside the hull may appear in the list; they do not change the
-    support function.
+    support function.  The vertices are the rows of an (m, d) array, or
+    one 1-D vertex; any other shape raises GeometryError.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if v.size == 0:
-            raise GeometryError("a polytope needs at least one vertex")
+        if v.ndim != 2 or v.size == 0:
+            raise GeometryError(f"a polytope needs at least one vertex, as the rows of an (m, d) "
+                                f"array; got shape {v.shape}")
         if not np.isfinite(v).all():
             raise GeometryError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", v)
@@ -410,8 +412,8 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10,
 class PLConvexFunction:
     """f(x) = max_j (<a_j, x> + b_j): a finite max of affine pieces.
 
-    Needs at least one piece, and finite slopes and offsets (ValueError
-    otherwise).
+    Needs at least one piece, finite slopes and offsets, and the slopes as
+    the rows of an (m, d) array or one 1-D slope (ValueError otherwise).
     """
 
     slopes: np.ndarray
@@ -419,9 +421,10 @@ class PLConvexFunction:
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.slopes, dtype=float))
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError(f"a PL convex function needs at least one piece, its slopes the rows "
+                             f"of an (m, d) array; got shape {a.shape}")
         b = np.zeros(a.shape[0]) if self.offsets is None else np.asarray(self.offsets, dtype=float)
-        if a.size == 0:
-            raise ValueError("a PL convex function needs at least one piece")
         if b.shape != (a.shape[0],):
             raise ValueError(f"offsets shape {b.shape} does not match {a.shape[0]} pieces")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):

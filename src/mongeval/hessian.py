@@ -22,11 +22,13 @@ These combinations are precomputed once as coefficient tables and
 contracted against a real Hessian, rather than nesting first-difference
 quotients.
 
-Both Hessian routes compute only the real entries a field reads: the
-diagonal and the pairs a < b in different coordinate blocks
-(``_field_pairs``).  The others are written as 0; they would feed only
-imaginary parts that the Hermitian symmetrization cancels exactly, so the
-field Hessians keep their bits.
+Both Hessian routes compute only the real entries they are given, as flat
+indices a d + b, and write the others as 0.  A valuation gives the entries
+its polynomial form reads (``valuation._polynomial_form``); a whole field
+Hessian takes the entries its field reads (``_field_entries``): the
+diagonal and the pairs a < b in different coordinate blocks.  The others
+would feed only imaginary parts that the Hermitian symmetrization cancels
+exactly, so the field Hessians keep their bits.
 
 Both routes lay a batch of real Hessians out entry-major (``_entry_major``):
 the (N, d, d) result is the transposed view of a C-ordered (d, d, N) array,
@@ -43,8 +45,10 @@ The pointwise stencil route runs no Python loop per offset or axis pair:
 one broadcast over a memoized offset table forms every stencil point, ``f``
 is called once on all of them, and the Hessian entries are array formulas.
 Each value has the bits a loop over the offsets gives.  A node costs
-1 + 2 d + 4 P points for P read pairs: 19 for R with n = 3, 25 for C with
-n = 2, 9 for H with n = 1 and 289 for O2, where every pair would cost 513.
+1 + 2 D + 4 P points for D diagonal and P other entries.  A field's read
+set costs 19 for R with n = 3, 25 for C with n = 2, 9 for H with n = 1
+and 289 for O2, where every pair would cost 513; parity-break's form at
+n = 3 reads 1 entry (3 points) at i = 1 and 3 (9 points) at i = 2.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ import numpy as np
 from .algebra import (
     FIELD_COMPONENTS,
     HermitianMatrix,
+    _read_only,
     conj_transpose,
     oct_mul,
     quat_conj,
@@ -81,40 +86,46 @@ __all__ = [
 DEFAULT_STEP = 5e-4
 
 
-def _field_pairs(d, m):
-    """The off-diagonal entries a < b that a field with ``m`` real
-    components per coordinate reads, in ``np.triu_indices`` order: the
-    pairs in different blocks, a // m != b // m.  R (m = 1) reads every
-    pair and m = d none."""
-    a, b = np.triu_indices(d, 1)
-    keep = a // m != b // m
-    return a[keep], b[keep]
+@functools.cache
+def _field_entries(d, m):
+    """The real Hessian entries that a field with ``m`` real components per
+    coordinate reads, as a read-only array of flat indices a d + b, a <=
+    b, in row-major order: the diagonal and the pairs in different blocks,
+    a // m != b // m.  R (m = 1) reads every entry, and m = d the diagonal
+    alone.  Memoized: a whole field Hessian's caller (the O2 identity
+    probe, four per pair) would otherwise pay about 40 us a call to
+    rebuild it."""
+    a, b = np.triu_indices(d)
+    return _read_only((a * d + b)[(a == b) | (a // m != b // m)])
 
 
 @functools.cache
-def _stencil_offsets(d, m):
-    """Read-only (K, d) stencil offsets in units of h, and the pairs a < b.
+def _stencil_offsets(d, entries):
+    """Read-only stencil offsets for the flat ``entries`` a d + b, a tuple
+    of ints each in [0, d d) (numpy's ValueError otherwise), one table per
+    distinct (d, entries): the (K, d) offsets in units of h, the axes a of
+    the diagonal entries and the rows a and columns b of the others.
 
-    Rows: the center, then +e_a, -e_a for each axis a, then e_a + e_b,
-    e_a - e_b, -(e_a - e_b), -(e_a + e_b) for each pair of
-    ``_field_pairs(d, m)``.  So K = 1 + 2 d + 4 P, with P = C(d, 2) -
-    (d / m) C(m, 2) pairs: 19 points for R with n = 3, 25 for C with n = 2,
-    9 for H with n = 1 (no pair) and 289 for O2 (64 pairs).  Where a row
-    subtracts, its zeros are -0.0, and the center is all -0.0: x + h *
-    (-0.0) is x - 0.0, so every point, the sign of a zero coordinate
-    included, is the one x - h e gives.
+    Rows: the center, then +e_a, -e_a for each diagonal entry, then e_a +
+    e_b, e_a - e_b, -(e_a - e_b), -(e_a + e_b) for each other one, in the
+    order of ``entries``.  So K = 1 + 2 D + 4 P for D diagonal and P other
+    entries: a field's read set (``_field_entries``) gives 19 points for R
+    with n = 3, 25 for C with n = 2, 9 for H with n = 1 and 289 for O2,
+    and parity-break's form at n = 3, i = 1, the entry f_33 alone, 3.
+    Where a row subtracts, its zeros are -0.0, and the center is all -0.0:
+    x + h * (-0.0) is x - 0.0, so every point, the sign of a zero
+    coordinate included, is the one x - h e gives.
     """
     eye = np.eye(d)
-    pairs = _field_pairs(d, m)
-    plus, minus = eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]
+    a, b = np.unravel_index(np.array(entries, dtype=np.intp), (d, d))
+    axes, a, b = a[a == b], a[a != b], b[a != b]
+    plus, minus = eye[a] + eye[b], eye[a] - eye[b]
     offsets = np.concatenate([
         np.full((1, d), -0.0),
-        np.stack([eye, -eye], axis=1).reshape(-1, d),
+        np.stack([eye[axes], -eye[axes]], axis=1).reshape(-1, d),
         np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, d),
     ])
-    for table in (offsets, *pairs):
-        table.flags.writeable = False
-    return offsets, pairs
+    return tuple(map(_read_only, (offsets, axes, a, b)))
 
 
 def _row_norms(x):
@@ -146,28 +157,30 @@ def _stencil_steps(points, step=None):
     return step * (1.0 + _row_norms(np.asarray(points, dtype=float)))
 
 
-def _stencil_values(f, points, step, m):
-    """Values of ``f`` on the central-difference stencil around each row.
+def _stencil_values(f, points, step, entries):
+    """Values of ``f`` on the central-difference stencil of ``entries``
+    (every entry for None) around each row.
 
     Row k of the returned (K, N) array is f at points + h * offsets[k], for
-    the rows of ``_stencil_offsets(d, m)``, with h from
-    ``_stencil_steps``.  All K * N points come from one broadcast and go to
-    ``f`` in one (K * N, d) call, offset-major.  Returns (values, h, pairs).
+    the rows of ``_stencil_offsets``, with h from ``_stencil_steps``.  All
+    K * N points come from one broadcast and go to ``f`` in one (K * N, d)
+    call, offset-major.  Returns (values, h, axes, a, b).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
     h = _stencil_steps(points, step)  # (N,)
 
-    offsets, pairs = _stencil_offsets(d, m)
+    entries = _field_entries(d, 1) if entries is None else np.asarray(entries)
+    offsets, axes, a, b = _stencil_offsets(d, tuple(entries.tolist()))
     stencil = h[:, None] * offsets[:, None, :]  # (K, N, d)
     stencil += points
     vals = np.asarray(f(stencil.reshape(-1, d)), dtype=float).reshape(len(offsets), N)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite function value inside the Hessian stencil")
-    return vals, h, pairs
+    return vals, h, axes, a, b
 
 
-def fd_hessian_batch(f, points, step=None, field="R"):
+def fd_hessian_batch(f, points, step=None, entries=None):
     """Central-difference Hessians of ``f`` at rows of ``points``.
 
     ``f`` must be vectorized: (m, d) -> (m,); it is called once, on all
@@ -177,31 +190,32 @@ def fd_hessian_batch(f, points, step=None, field="R"):
     off-diagonal, exact on quadratics up to roundoff.  Both are formed for
     all axes or pairs at once, as (axes, N) and (pairs, N) rows written
     straight into the (d, d, N) array under the view, and each cross value
-    is written to (a, b) and (b, a).  Only the entries ``field`` reads are
-    differenced (``_field_pairs``), the others are 0, so the field Hessian
-    ``assemble_structured(field, ...)`` has the bits of the all-pairs one.
+    is written to (a, b) and (b, a).  Only the flat ``entries`` a d + b, a
+    sequence of ints, are differenced (None: every entry), the others are
+    0, and each entry has the bits it has in the all-entries call.  A
+    valuation passes its polynomial form's entries; a field's own
+    (``_field_entries``) give the field Hessian ``assemble_structured(field,
+    ...)`` the all-entries bits.
     """
-    d = np.shape(points)[-1]
-    vals, h, (a, b) = _stencil_values(f, points, step, FIELD_COMPONENTS[field])
-    h2 = h * h
-    H = _entry_major(len(h), d)
+    vals, h, axes, a, b = _stencil_values(f, points, step, entries)
+    h2, k = h * h, 2 * len(axes)
+    H = _entry_major(len(h), np.shape(points)[-1])
     planes = H.transpose(1, 2, 0)  # the (d, d, N) array under the view
-    axes = np.arange(d)
-    planes[axes, axes] = (vals[1:2 * d + 1:2] - 2.0 * vals[0] + vals[2:2 * d + 2:2]) / h2
-    fpp, fpm, fmp, fmm = (vals[2 * d + 1 + k::4] for k in range(4))
+    planes[axes, axes] = (vals[1:k + 1:2] - 2.0 * vals[0] + vals[2:k + 2:2]) / h2
+    fpp, fpm, fmp, fmm = (vals[k + 1 + i::4] for i in range(4))
     planes[a, b] = planes[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
     return H
 
 
 def fd_hessian(f, x, step=None):
     """Central-difference Hessian at a single point; see fd_hessian_batch."""
-    x = np.asarray(x, dtype=float)
-    return fd_hessian_batch(f, x[None, :], step=step)[0]
+    return fd_hessian_batch(f, np.asarray(x, dtype=float)[None, :], step=step)[0]
 
 
 def fd_laplacian_batch(f, points, step=None):
     """Central-difference Laplacian (diagonal stencil only) at each row."""
-    vals, h, _ = _stencil_values(f, points, step, np.shape(points)[-1])
+    d = np.shape(points)[-1]
+    vals, h, *_ = _stencil_values(f, points, step, _field_entries(d, d))
     # the built-in sum adds the axes' terms in order from 0.0; np.sum may pair them
     return sum(vals[1::2] + vals[2::2] - 2.0 * vals[0], 0.0) / (h * h)
 
@@ -243,7 +257,18 @@ def _entry_major(n, d, slot=None):
     return planes.transpose(2, 0, 1)
 
 
-def grid_hessian(values, spacing, kernels, field, cells, out):
+def _bands(kernels, spacing, rows, columns):
+    """The (3, rows, columns) Toeplitz bands of the kernels of orders 0, 1
+    and 2 per unit length on an axis of ``spacing``: [order][i, i + j] =
+    kernels[order][j] / spacing^order, 0 elsewhere."""
+    i = np.arange(rows)[:, None]
+    bands = np.zeros((3, rows, columns))
+    bands[:, i, i + np.arange(len(kernels[0]))] = (
+        np.asarray(kernels) / spacing ** np.arange(3.0)[:, None])[:, None, :]
+    return bands
+
+
+def grid_hessian(values, spacing, kernels, entries, cells, out):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
     ``kernels`` are the 1-D correlation kernels of orders 0, 1 and 2, all
@@ -252,13 +277,11 @@ def grid_hessian(values, spacing, kernels, field, cells, out):
     b otherwise, order 0 on every other axis.  Each product contracts the
     leading axis, crops r cells per side and appends the result, so after
     d products the axes are back in order; entries share the products of
-    their common axis prefix.  Only the entries ``field`` reads are
-    computed (``_field_pairs``, the rule of both Hessian routes), the
-    others are 0: over C and H an off-diagonal entry inside one
-    coordinate's block feeds only the imaginary part of a diagonal field
-    entry, which the Hermitian symmetrization cancels exactly.  So R
-    takes 3 + 6 + 6 products in 3D, C with n = 2 takes 24 of 29 in 4D and
-    H with n = 1 (the diagonal) 13.
+    their common axis prefix.  Only the flat ``entries`` a d + b are
+    computed, each in [0, d d), the others are 0, as on the stencil route.
+    With a field's read set (``_field_entries``) R takes 3 + 6 + 6
+    products in 3D, C with n = 2 takes 24 of 29 in 4D and H with n = 1
+    (the diagonal) 13.
 
     The products walk the tree of axis-order prefixes depth first.  Each
     axis has one product buffer (``_thread_buffer``, kept by the thread
@@ -283,17 +306,17 @@ def grid_hessian(values, spacing, kernels, field, cells, out):
     same values in any layout (the grid route's is ``_entry_major``).
     """
     values = np.asarray(values, dtype=float)
-    d, m = values.ndim, FIELD_COMPONENTS[field]
+    d = values.ndim
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,))
     width = len(kernels[0])
     if min(values.shape) < width:
         raise ValueError(f"grid_hessian needs at least {width} samples per axis")
 
-    a, b = _field_pairs(d, m)
-    read = np.eye(d, dtype=bool)
+    a, b = np.unravel_index(np.array(entries, dtype=np.intp), (d, d))
+    read = np.zeros((d, d), dtype=bool)
     read[a, b] = read[b, a] = True
     orders = [tuple((c == i) + (c == j) for c in range(d))
-              for i, j in np.argwhere(np.triu(read)).tolist()]
+              for i, j in zip(a.tolist(), b.tolist())]
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
     core = tuple(n - width + 1 for n in values.shape)
     shape = (len(cells), d, d)
@@ -311,10 +334,7 @@ def grid_hessian(values, spacing, kernels, field, cells, out):
         bounds = [nout * k // count for k in range(count + 1)]  # near-equal blocks
         blocks.append(list(zip(bounds, bounds[1:])))
         tall = -(-nout // count)
-        rows = np.arange(tall)[:, None]
-        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
-        bands.append(np.zeros((3, tall, tall + width - 1)))  # [order][i, i + j] = scaled[order, j]
-        bands[a][:, rows, rows + np.arange(width)] = scaled[:, None, :]
+        bands.append(_bands(kernels, spacing[a], tall, tall + width - 1))
 
     # depth first: a key's children are stacked on top of its later siblings,
     # so they read its product before the next sibling overwrites the buffer
@@ -339,17 +359,16 @@ def grid_hessian(values, spacing, kernels, field, cells, out):
     return out
 
 
-def grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, shape):
+def grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape):
     """The adjoint of ``grid_hessian`` against a linear form of its entries.
 
     Returns the float64 array K, of the samples' ``shape``, with <K,
     values> = sum_{a <= b} coefficients[a, b] sum_c weights[c] H_ab[c] for
     every ``values``, where H is ``grid_hessian``'s result on ``values``
-    with the same ``spacing``, ``kernels``, ``field`` and ``cells``.  Only
-    the entries ``field`` reads (``_field_pairs``, the rule of both
-    Hessian routes) and whose coefficient is nonzero take part; an
-    off-diagonal coefficient stands for H_ab and H_ba together, which are
-    one plane.
+    with the same ``spacing``, ``kernels`` and ``cells``.  Only the
+    entries a <= b whose coefficient is nonzero take part, those of the
+    lower triangle not at all; an off-diagonal coefficient stands for H_ab
+    and H_ba together, which are one plane.
 
     Entry (a, b)'s plane is one banded product per axis, so its adjoint
     scatters the weights onto the core (the sample box shortened by 2 r
@@ -378,20 +397,12 @@ def grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, 
     if min(core) < 1:
         raise ValueError(f"grid_hessian_adjoint needs at least {width} samples per axis")
 
-    a, b = _field_pairs(d, FIELD_COMPONENTS[field])
-    read = np.eye(d, dtype=bool)
-    read[a, b] = True
     terms = {tuple((c == i) + (c == j) for c in range(d)): coefficients[i, j]  # by axis orders
-             for i, j in np.argwhere(read).tolist() if coefficients[i, j] != 0}
+             for i, j in np.argwhere(np.triu(coefficients)).tolist()}
     if not terms:
         return np.zeros(shape)
     kernel = np.empty(shape)  # the last product writes every value
-    bands = []
-    for a, n in enumerate(shape):
-        rows = np.arange(core[a])[:, None]
-        scaled = np.asarray(kernels) / spacing[a] ** np.arange(3.0)[:, None]  # per unit length
-        bands.append(np.zeros((3, core[a], n)))  # [order][i, i + j] = scaled[order, j]
-        bands[a][:, rows, rows + np.arange(width)] = scaled[:, None, :]
+    bands = [_bands(kernels, spacing[a], core[a], n) for a, n in enumerate(shape)]
 
     def colex(keys):
         return sorted(set(keys), key=lambda k: k[::-1])
@@ -468,5 +479,6 @@ def assemble_structured(field, hreal):
 
 def structured_hessian(field, f, p, step=None):
     """Field Hessian of a real-valued function at a point, as a HermitianMatrix."""
-    hreal = fd_hessian_batch(f, np.asarray(p, dtype=float)[None, :], step, field)[0]
-    return HermitianMatrix(field, assemble_structured(field, hreal))
+    p = np.asarray(p, dtype=float)
+    hreal = fd_hessian_batch(f, p[None, :], step, _field_entries(p.size, FIELD_COMPONENTS[field]))
+    return HermitianMatrix(field, assemble_structured(field, hreal[0]))

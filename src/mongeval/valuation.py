@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _read_only, _whole_number,
                       polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
-from .hessian import (_entry_major, _field_pairs, _stencil_steps, _thread_buffer,
+from .hessian import (_entry_major, _field_entries, _stencil_steps, _thread_buffer,
                       assemble_structured, fd_hessian_batch, grid_hessian, grid_hessian_adjoint)
 
 __all__ = [
@@ -150,7 +150,9 @@ class BumpWeight:
     profile is exactly ``height`` on the inner fraction of the support.
     The center, radius and height must be finite: a NaN would make every
     comparison false and the weight 0 or NaN on every cell.  The center is
-    a read-only copy of the caller's array.
+    a read-only copy of the caller's array, a scalar or a 1-D point
+    (ValueError otherwise: a column center broadcast against the nodes
+    into a matrix of distances).
     ``on_axes`` gives the same bits on a tensor grid up to 7-D without a
     node array.
     """
@@ -162,8 +164,9 @@ class BumpWeight:
 
     def __post_init__(self):
         c = _read_only(np.atleast_1d(np.array(self.center, dtype=float)))
-        if not (np.all(np.isfinite(c)) and np.isfinite(self.radius) and np.isfinite(self.height)):
-            raise ValueError("bump center, radius and height must be finite")
+        if c.ndim != 1 or not np.isfinite([*c, self.radius, self.height]).all():
+            raise ValueError(f"a bump center is a scalar or a 1-D point (got shape {c.shape}), and "
+                             "the bump center, radius and height must be finite")
         if self.radius <= 0:
             raise ValueError("bump radius must be positive")
         if not 0.0 <= self.plateau < 1.0:
@@ -260,7 +263,9 @@ class ValuationSpec:
     a ``MatrixAtom`` (TypeError otherwise), with at most one atom, and
     none beside a normalized bump, which is normalized on the grid an atom
     spec does not have; for degree n it is empty, and for degree 0 the
-    functional is constant in its argument.
+    functional is constant in its argument.  An atom's location has
+    ``real_dim`` coordinates, and the center of B or of a bump 1 (it
+    broadcasts, see ``on_axes``) or ``real_dim`` (ValueError otherwise).
     """
 
     field: str
@@ -297,6 +302,11 @@ class ValuationSpec:
                                            for w in self.weights):
             raise ValueError("a normalized bump needs a quadrature grid to normalize on, and a "
                              "spec with a point atom has none")
+        d = self.real_dim
+        for w in (self.scalar_weight, *self.weights):
+            point, sizes = (w.location, (d,)) if isinstance(w, MatrixAtom) else (w.center, (1, d))
+            if point.size not in sizes:
+                raise ValueError(f"{type(w).__name__} dimension {point.size} != real dimension {d}")
 
     @property
     def real_dim(self) -> int:
@@ -646,14 +656,12 @@ def _box_samples(f, axes):
 @functools.cache
 def _unit_hessians(field, d):
     """The real entries (a, b), a <= b, that ``field`` reads in dimension
-    ``d`` (the diagonal and ``_field_pairs``), in row-major order, and the
-    field Hessian of each entry's unit symmetric matrix, in read-only
-    arrays.  They depend on (field, d) alone, so each pair is assembled
-    once per process: O2's 80 units in 16-D cost more to assemble than a
-    spec's polarization."""
-    read = np.eye(d, dtype=bool)
-    read[_field_pairs(d, FIELD_COMPONENTS[field])] = True
-    a, b = np.nonzero(read)
+    ``d`` (``_field_entries``), in row-major order, and the field Hessian
+    of each entry's unit symmetric matrix, in read-only arrays.  They
+    depend on (field, d) alone, so each pair is assembled once per
+    process: O2's 80 units in 16-D cost more to assemble than a spec's
+    polarization."""
+    a, b = np.divmod(_field_entries(d, FIELD_COMPONENTS[field]), d)
     units = np.zeros((len(a), d, d))
     units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
     return _read_only(a), _read_only(b), _read_only(assemble_structured(field, units))
@@ -689,7 +697,10 @@ def _polynomial_form(spec):
     monomials, in lexicographic order of their flat entry indices a d + b,
     that share their first i - 1 entries ``head``, with their coefficients
     and last entries.  At i = 1 that is one group, every read entry with a
-    nonzero coefficient in row-major order, with an empty head."""
+    nonzero coefficient in row-major order, with an empty head.  The heads'
+    and last entries are the only real entries a call of the spec computes
+    (``_build_quadrature``): parity-break's unit-diagonal weights leave one
+    principal minor, the entry f_33 alone at n = 3, i = 1."""
     d, i = spec.real_dim, spec.degree
     a, b, units = _unit_hessians(spec.field, d)
     monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
@@ -755,21 +766,21 @@ def _kernel_sum(f, step, threads, axes, kernel):
     return float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
 
 
-def _box_integral(f, step, threads, field, integrand, weight, scale, box):
+def _box_integral(f, step, threads, entries, integrand, weight, scale, box):
     """scale * sum w * integrand(H) on the active cells of ``box``
-    (``_grid_box``), H the real Hessians of the smoothed f from one
-    ``grid_hessian`` call into this thread's "hessians" buffer."""
+    (``_grid_box``), H the real Hessians of the smoothed f at ``entries``
+    from one ``grid_hessian`` call into this thread's "hessians" buffer."""
     kernels, spacing, axes, cells = box
     out = _entry_major(len(weight), len(axes), "hessians")
-    hreal = grid_hessian(_box_samples(f, axes), spacing, kernels, field, cells, out)
+    hreal = grid_hessian(_box_samples(f, axes), spacing, kernels, entries, cells, out)
     return float(scale * (weight * integrand(hreal)).sum())
 
 
-def _stencil_integral(f, step, threads, field, integrand, weight, scale, points):
+def _stencil_integral(f, step, threads, entries, integrand, weight, scale, points):
     """scale * sum w * integrand(H) at ``points``, H the difference
-    stencils' real Hessians, one ``chunked_apply`` block of 8,192 points
-    (and one call of ``f``) at a time."""
-    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, field)), points,
+    stencils' real Hessians at ``entries``, one ``chunked_apply`` block of
+    8,192 points (and one call of ``f``) at a time."""
+    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, entries)), points,
                            threads)
     return float(scale * (weight * values).sum())
 
@@ -912,6 +923,10 @@ def _build_quadrature(spec, grid, sigma_cells):
       midpoints or the atom's one node.  The form is built once per key,
       so no call assembles a field Hessian or polarizes.
 
+    The form owns which real Hessian entries a call computes: the union
+    of its groups' head and last entries, as sorted flat indices a d + b,
+    goes to ``grid_hessian`` or ``fd_hessian_batch`` in place of the
+    field's whole read set, and the other entries are 0 and never read.
     The routes look up ``grid_hessian`` and ``fd_hessian_batch`` in this
     module when they run, and the build looks up ``polarized_det_batch``
     (and, once per field and dimension, ``assemble_structured``).  It
@@ -929,19 +944,21 @@ def _build_quadrature(spec, grid, sigma_cells):
             weight = weight * _bump_factor(w, grid, node)
     active = weight != 0  # w = 0 cells add 0 * det
     weight = _read_only(weight[active])
-    field, scale = spec.field, math.factorial(spec.n - spec.degree) * cell
+    scale = math.factorial(spec.n - spec.degree) * cell
     if spec.degree == 0 or not weight.size:  # an empty sum is 0.0 and polarizes nothing
         matrices = [w.matrix.data for w in spec.weights]
-        dets = polarized_det_batch(field, matrices) if weight.size else 0.0
+        dets = polarized_det_batch(spec.field, matrices) if weight.size else 0.0
         return weight, functools.partial(_constant, value=float(scale * (weight * dets).sum()))
     box = _grid_box(grid, sigma_cells, active) if sigma_cells > 0 else None
     groups = _polynomial_form(spec)
+    entries = sorted({e for head, _, last in groups for e in head + tuple(last.tolist())})
+    entries = _read_only(np.array(entries, dtype=np.intp))  # the store walks a tuple's items
     if box is not None and spec.degree == 1:
         kernels, spacing, axes, cells = box
         coefficients = np.zeros((spec.real_dim,) * 2)
         for _head, c, last in groups:
             coefficients.flat[last] = scale * c
-        kernel = grid_hessian_adjoint(weight, coefficients, spacing, kernels, field, cells,
+        kernel = grid_hessian_adjoint(weight, coefficients, spacing, kernels, cells,
                                       tuple(len(x) for x in axes))
         return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
     integrand = functools.partial(_polynomial_values, groups=groups)
@@ -952,7 +969,7 @@ def _build_quadrature(spec, grid, sigma_cells):
             cells = np.unravel_index(np.flatnonzero(active), grid.shape)
             node = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
         route = functools.partial(_stencil_integral, points=node)
-    return weight, functools.partial(route, field=field, integrand=integrand, weight=weight,
+    return weight, functools.partial(route, entries=entries, integrand=integrand, weight=weight,
                                      scale=scale)
 
 
@@ -962,9 +979,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 
     ``f`` is vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
     ``Polytope`` for its support function.  Every spec is one quadrature:
-    the weight w = B * prod s_k on the cells, the Hessians of the entries
-    the field reads where w != 0, and (n - i)! * cell * sum w * D(Hess_F
-    f [i], M_1, ..., M_{n-i}) against the weights' constant matrices M_k.
+    the weight w = B * prod s_k on the cells, the real Hessian entries
+    that the integrand reads where w != 0, and (n - i)! * cell * sum w *
+    D(Hess_F f [i], M_1, ..., M_{n-i}) against the weights' constant
+    matrices M_k.
     A bump s_k M_k has the factor s_k (over its midpoint mass when
     normalized), an atom 1.  A spec with a point atom has one node, the
     atom location, with weight 1 and no grid; otherwise ``grid`` supplies
@@ -980,8 +998,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     entry of the Gaussian of ``sigma_cells`` cells convolved with f is
     one banded product per axis with a derivative-of-Gaussian kernel.
     The M_k are constant, so the determinant is a polynomial of degree i
-    in the real Hessian entries the field reads, and a call evaluates it
-    on the Hessians without assembling or polarizing them.  At degree 1 it
+    in the real Hessian entries, and a call computes only the entries with
+    a nonzero coefficient (a principal minor's, for unit-diagonal M_k) and
+    evaluates it on them without assembling or polarizing.  At degree 1 it
     is a linear form, and on the grid route the value is <K, samples> for
     a kernel K on the box.
 
@@ -1013,14 +1032,15 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     - A non-finite value of f that a call reads raises
       ``FloatingPointError``, and which values it reads depends on the
       route.  The stencil route (and an atom) reads f only at the stencil
-      points of the active nodes, where B and every bump are nonzero, so
-      a non-finite f elsewhere does not raise.  The degree-1 grid route
-      reads every sample of the box, and each enters the sum.  The degree
-      >= 2 grid route reads every sample of the box into its banded
-      products, and a row block's product multiplies each sample in it,
-      by the band's zeros too (NaN * 0 is NaN): a non-finite sample may
-      reach the active cells although none of their Hessians depends on
-      it, and then it raises.
+      points of the entries its polynomial form reads, around the active
+      nodes, where B and every bump are nonzero, so a non-finite f
+      elsewhere does not raise.  The degree-1 grid route reads every
+      sample of the box, and each enters the sum.  The degree >= 2 grid
+      route reads every sample of the box into its banded products, and a
+      row block's product multiplies each sample in it, by the band's
+      zeros too (NaN * 0 is NaN): a non-finite sample may reach the active
+      cells although none of their Hessians depends on it, and then it
+      raises.
 
     Normalization of the integrand: the mixed determinant of the i Hessian
     copies against the n - i matrix weights is scaled by (n - i)!, so that
@@ -1056,17 +1076,14 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                          "but sigma_cells = 0; h_K is singular there (smooth it on a grid)")
     if atom is not None:
         grid = None
-        if atom.location.size != d:
-            raise ValueError(f"atom location dimension {atom.location.size} != {d}")
-    else:
-        if grid is None:
-            raise ValueError("a quadrature grid is required unless a weight is a point atom")
-        if grid.dim != d:
-            raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
-        if np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
-            return 0.0
-        if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
-            raise ValueError("joint weight support exceeds the quadrature box")
+    elif grid is None:
+        raise ValueError("a quadrature grid is required unless a weight is a point atom")
+    elif grid.dim != d:
+        raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
+    elif np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
+        return 0.0
+    elif np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
+        raise ValueError("joint weight support exceeds the quadrature box")
     value = _quadrature(spec, grid, float(sigma_cells))[1](f, step, threads)
     if not math.isfinite(value):
         raise FloatingPointError(f"the integrand sum {value} is not finite")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import convex as cx
 from .algebra import FIELDS, HermitianMatrix, _whole_number, det_batch, polarized_det_batch
-from .hessian import assemble_structured, fd_hessian_batch, fd_laplacian_batch
+from .hessian import _field_entries, assemble_structured, fd_hessian_batch, fd_laplacian_batch
 from .valuation import (
     BumpWeight,
     Grid,
@@ -238,7 +238,8 @@ def _identity_probe_residuals_o2(n_pairs, rng):
         weight = None if degree == 2 else _random_o2_hermitian(rng)
         hess = {}
         for name, h in (("A", hA), ("B", hB), ("K", hK), ("AB", hAB)):
-            hreal = fd_hessian_batch(h, probes, step=2e-4, field="O2")
+            # the entries O2 (8 real components per coordinate) reads in 16-D
+            hreal = fd_hessian_batch(h, probes, step=2e-4, entries=_field_entries(16, 8))
             hess[name] = assemble_structured("O2", hreal)
         if degree == 2:
             dets = {k: det_batch("O2", v) for k, v in hess.items()}

@@ -90,6 +90,15 @@ def test_polytope_rejects_non_finite_vertices(bad):
         Polytope(v)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 2, 3, 1)])
+def test_polytope_vertices_are_the_rows_of_a_matrix(shape):
+    # a (2, 3, 4) array was taken as a 3-D polytope, and its support of 5
+    # directions returned shape (5, 4)
+    with pytest.raises(GeometryError, match=r"\(m, d\) array; got shape"):
+        Polytope(np.ones(shape))
+    assert Polytope(np.ones(3)).vertices.shape == (1, 3)  # one 1-D vertex
+
+
 def test_support_function_dispatch():
     # a single direction gives a scalar, a batch gives one value per row
     cube = unit_cube(2)
@@ -571,6 +580,14 @@ def test_pl_rejects_an_empty_piece_list(slopes):
     # zero pieces gave pl_valuation 0.0
     with pytest.raises(ValueError, match="at least one piece"):
         PLConvexFunction(slopes)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 2, 3, 1)])
+def test_pl_slopes_are_the_rows_of_a_matrix(shape):
+    # a (2, 3, 4) slope array was accepted as 2 pieces in 3-D
+    with pytest.raises(ValueError, match=r"\(m, d\) array; got shape"):
+        PLConvexFunction(np.ones(shape))
+    assert PLConvexFunction(np.ones(3)).slopes.shape == (1, 3)  # one 1-D slope
 
 
 def test_pl_lattice_max_is_union_of_pieces():

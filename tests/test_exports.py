@@ -97,6 +97,37 @@ def test_tracer_patch_points_are_on_the_grid_route(monkeypatch):
     assert calls["gaussian_filter"] >= 1
 
 
+def test_tracer_patch_points_are_on_the_stencil_route(monkeypatch):
+    # the stencil-route twin of the grid-route guard: one stencil-route
+    # evaluation calls ``valuation.fd_hessian_batch`` once per 8,192-node
+    # block, with f first and the step and the polynomial form's entries
+    # after it, which the tracer's stencil wrapper passes through unchanged
+    # to count ``hessian.stencil.*``.  Two unit bumps at degree 1 leave the
+    # form the one entry f_33, flat index 8.
+    import numpy as np
+
+    from mongeval import algebra, valuation
+
+    calls = []
+    orig = valuation.fd_hessian_batch
+
+    def counted(f, *args, **kwargs):
+        calls.append((args, kwargs))
+        return orig(f, *args, **kwargs)
+
+    monkeypatch.setattr(valuation, "fd_hessian_batch", counted)
+    unit = [algebra.HermitianMatrix("R", np.diag(e)) for e in np.eye(3)]
+    bumps = tuple(valuation.MatrixBump(m, np.zeros(3), 0.45) for m in unit[:2])
+    spec = valuation.ValuationSpec("R", 3, 1, valuation.BumpWeight(np.zeros(3), 0.45), bumps)
+    grid = valuation.Grid.cube(np.zeros(3), 0.5, 32, 3)
+    f = lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + np.asarray(x)[:, 2] ** 4
+    value = valuation.eval_valuation(spec, f, grid)
+    active = len(valuation._quadrature(spec, grid, 0.0)[0])
+    assert active > 8192 and value != 0.0
+    assert [len(args[0]) for args, _ in calls] == [8192, active - 8192]
+    assert all(args[1] is None and args[2].tolist() == [8] and not kwargs for args, kwargs in calls)
+
+
 def _verify_imports(module):
     """Names that ``mongeval.<module>`` imports from ``verify``; the module
     itself, imported whole, counts as ``"verify"``."""

@@ -103,6 +103,11 @@ def test_laplacian_is_hessian_trace_on_quadratics(d, seed):
 # the broadcast stencil against the loop route it replaced
 # ---------------------------------------------------------------------------
 
+def _read(field, d):
+    """The flat entries a d + b, a <= b, that ``field`` reads in dimension d."""
+    return hessian._field_entries(d, FIELD_COMPONENTS[field])
+
+
 def _loop_stencil_points(points, step, m):
     """The stencil points of the loop route, one (N, d) block per offset:
     every pair a < b for m = 1, only pairs in different blocks of m axes
@@ -205,10 +210,10 @@ def test_row_norms_have_the_bits_of_numpys_norm(d):
 @pytest.mark.parametrize("d", [1, 3, 16])
 def test_stencil_calls_f_once_in_the_documented_row_order(d, cross):
     # one (K N, d) call, offset-major: the tracer counts fevals from it.
-    # The Hessian differences the pairs of its field's (d, m) key, the
-    # Laplacian none (m = d)
+    # The Hessian differences the entries its field reads, the Laplacian
+    # the diagonal alone (m = d)
     pts = _stencil_centres(d, 5)
-    routes = ([(lambda f, F=F: fd_hessian_batch(f, pts, 1e-3, F), m)
+    routes = ([(lambda f, m=m: fd_hessian_batch(f, pts, 1e-3, hessian._field_entries(d, m)), m)
                for F, m in FIELD_COMPONENTS.items() if d % m == 0] if cross else
               [(lambda f: fd_laplacian_batch(f, pts, step=1e-3), d)])
     for route, m in routes:
@@ -246,7 +251,7 @@ def test_field_stencil_assembles_the_all_pairs_field_hessian_bit_for_bit(field, 
     # imaginary parts that the Hermitian symmetrization cancels
     d = n * FIELD_COMPONENTS[field]
     f, pts = _row_independent(d), _stencil_centres(d, 50)
-    H = fd_hessian_batch(f, pts, step, field)
+    H = fd_hessian_batch(f, pts, step, _read(field, d))
     ref = _loop_fd_hessian_batch(f, pts, step)
     block = np.arange(d) // FIELD_COMPONENTS[field]
     unread = (block[:, None] == block) & ~np.eye(d, dtype=bool)
@@ -263,7 +268,7 @@ def test_field_stencil_rows_per_call(field, n, rows):
     assert rows == 1 + 2 * d + 4 * (math.comb(d, 2) - n * math.comb(m, 2))
     shapes = []
     fd_hessian_batch(lambda x: shapes.append(x.shape) or np.sum(x * x, axis=-1),
-                     _stencil_centres(d, 3), field=field)
+                     _stencil_centres(d, 3), entries=_read(field, d))
     assert shapes == [(3 * rows, d)]
     structured = []
     structured_hessian(field, lambda x: structured.append(x.shape) or np.sum(x * x, axis=-1),
@@ -282,19 +287,61 @@ def test_one_dimensional_stencil_has_no_pairs():
     H = fd_hessian_batch(cube, x)
     assert calls == [(9, 1)] and H.shape == (3, 1, 1)
     assert np.abs(H[:, 0, 0] - 6.0 * x[:, 0]).max() <= 1e-6
-    assert hessian._stencil_offsets(1, 1)[1][0].size == 0
+    assert hessian._stencil_offsets(1, (0,))[2].size == 0
+
+
+def _field_stencil_offsets(d, m):
+    """The offset table of a field's (d, m) key before the polynomial form
+    named the entries (kept verbatim as the reference): the center, +e_a,
+    -e_a for every axis a, then the four cross points of each pair a < b
+    in different blocks of m axes, in ``np.triu_indices`` order."""
+    a, b = np.triu_indices(d, 1)
+    keep = a // m != b // m
+    pairs = a[keep], b[keep]
+    eye = np.eye(d)
+    plus, minus = eye[pairs[0]] + eye[pairs[1]], eye[pairs[0]] - eye[pairs[1]]
+    return np.concatenate([
+        np.full((1, d), -0.0),
+        np.stack([eye, -eye], axis=1).reshape(-1, d),
+        np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, d),
+    ])
+
+
+@pytest.mark.parametrize("field,n", [("R", 1), ("R", 2), ("R", 3), ("R", 5), ("C", 1), ("C", 2),
+                                     ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
+def test_a_field_read_set_stencil_is_the_field_key_table_byte_for_byte(field, n):
+    # the entries-keyed table of a field's whole read set is the table the
+    # field's (d, m) key built, -0.0 center and signed zeros included
+    m = FIELD_COMPONENTS[field]
+    d = n * m
+    offsets, axes, a, b = hessian._stencil_offsets(d, tuple(_read(field, d).tolist()))
+    assert offsets.tobytes() == _field_stencil_offsets(d, m).tobytes()
+    assert axes.tolist() == list(range(d)) and np.all(a < b) and np.all(a // m != b // m)
 
 
 def test_stencil_offset_table_is_memoized_and_read_only():
-    # one table per (d, m) key: the pairs a < b in different blocks of m axes
+    # one table per (d, entries) key: the center, then +-e_a per diagonal
+    # entry, then the four cross points per other entry, in entry order
     for d, m, pairs in [(4, 1, 6), (4, 2, 4), (4, 4, 0), (16, 8, 64), (16, 16, 0)]:
-        offsets, (a, b) = hessian._stencil_offsets(d, m)
-        assert hessian._stencil_offsets(d, m)[0] is offsets
+        entries = tuple(hessian._field_entries(d, m).tolist())
+        offsets, axes, a, b = hessian._stencil_offsets(d, entries)
+        assert hessian._stencil_offsets(d, entries)[0] is offsets
+        assert hessian._stencil_offsets(d, tuple(np.array(entries)))[0] is offsets
         assert offsets.shape == (1 + 2 * d + 4 * pairs, d)
         assert len(a) == pairs and np.all(a < b) and np.all(a // m != b // m)
-        for table in (offsets, a, b):
+        for table in (offsets, axes, a, b):
             with pytest.raises(ValueError):
                 table[:1] = 1
+    offsets, axes, a, b = hessian._stencil_offsets(3, (1, 8))  # (0, 1) and (2, 2)
+    assert axes.tolist() == [2] and a.tolist() == [0] and b.tolist() == [1]
+    eye = np.eye(3)
+    plus, minus = eye[0] + eye[1], eye[0] - eye[1]
+    want = [np.full(3, -0.0), eye[2], -eye[2], plus, minus, -minus, -plus]  # -0.0 where negated
+    assert offsets.tobytes() == np.array(want).tobytes()
+    assert hessian._stencil_offsets(3, ())[0].tobytes() == np.full((1, 3), -0.0).tobytes()
+    for bad in ((9,), (-1,), (0, 2, 12)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            hessian._stencil_offsets(3, bad)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
@@ -366,7 +413,7 @@ def test_grid_hessian_exact_on_cubic(d, sigma):
     axes = [np.linspace(-1.0, 1.0 + 0.1 * a, {1: 40, 2: 24, 3: 17, 4: 14}[d] + a) for a in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     core = mesh[tuple(slice(r, len(ax) - r) for ax in axes)].reshape(-1, d)
-    H = grid_hessian(value(mesh), [ax[1] - ax[0] for ax in axes], kernels, "R",
+    H = grid_hessian(value(mesh), [ax[1] - ax[0] for ax in axes], kernels, _read("R", d),
                      np.arange(len(core)), hessian._entry_major(len(core), d))
     ref = hess(core)
     assert np.max(np.abs(H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -376,10 +423,11 @@ def test_grid_hessian_margin_validation():
     # each product crops the kernel radius r per side: an axis needs 2 r + 1 samples
     kernels = valuation._gaussian_kernels(1.0)  # r = 4
     out = np.full((1, 2, 2), np.nan)
-    assert grid_hessian(np.zeros((9, 9)), [0.1, 0.1], kernels, "R", np.arange(1), out) is out
+    every = _read("R", 2)
+    assert grid_hessian(np.zeros((9, 9)), [0.1, 0.1], kernels, every, np.arange(1), out) is out
     assert not out.any()
     with pytest.raises(ValueError, match="at least 9 samples per axis"):
-        grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels, "R", np.arange(1), out)
+        grid_hessian(np.zeros((9, 8)), [0.1, 0.1], kernels, every, np.arange(1), out)
 
 
 def _grid_hessian_dense(values, spacing, kernels, field="R"):
@@ -438,7 +486,7 @@ def test_grid_hessian_blocks_match_the_dense_band_bit_for_bit(field, d, sigma):
         ref = _grid_hessian_dense(values, spacing, kernels, field)
         assert ref.shape == shape + (d, d)
         n = math.prod(shape)
-        got = grid_hessian(values, spacing, kernels, field, np.arange(n),
+        got = grid_hessian(values, spacing, kernels, _read(field, d), np.arange(n),
                            hessian._entry_major(n, d))
         assert got.tobytes() == ref.tobytes()
 
@@ -461,10 +509,10 @@ def test_grid_hessian_cells_and_out_match_the_dense_band_bit_for_bit(field, d):
         for cells in (np.empty(0, int), np.arange(len(ref)), subset):
             for out in (hessian._entry_major(len(cells), d), np.empty((len(cells), d, d))):
                 out[...] = np.nan
-                assert grid_hessian(values, spacing, kernels, field, cells, out) is out
+                assert grid_hessian(values, spacing, kernels, _read(field, d), cells, out) is out
                 assert out.tobytes() == ref[cells].tobytes()
         with pytest.raises(ValueError, match="out has shape"):
-            grid_hessian(values, spacing, kernels, field, np.arange(len(ref)),
+            grid_hessian(values, spacing, kernels, _read(field, d), np.arange(len(ref)),
                          np.empty((len(ref) + 1, d, d)))
 
 
@@ -475,7 +523,8 @@ def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
     values = np.random.default_rng(0).standard_normal((11, 11))
     out = np.zeros((9, 2, 2), dtype)
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
-        grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), "R", np.arange(9), out)
+        grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), _read("R", 2), np.arange(9),
+                     out)
     assert not out.any()
 
 
@@ -483,8 +532,8 @@ def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
 def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
     # for random core weights W and samples h, <adjoint_e(W), h> equals
     # <W, plane_e(h)> from grid_hessian for every entry e the field reads;
-    # a coefficient matrix gives the sum over the read entries of the upper
-    # triangle and ignores the rest
+    # a coefficient matrix gives the sum over its upper triangle's entries
+    # and ignores the lower triangle
     kernels = valuation._gaussian_kernels(1.0)
     rng = np.random.default_rng(40 + d)
     core = (5, 3, 4, 6)[:d]
@@ -493,13 +542,13 @@ def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
     cells = np.flatnonzero(rng.random(math.prod(core)) < 0.7)
     weights = rng.standard_normal(len(cells))
     values = rng.standard_normal(shape)
-    H = grid_hessian(values, spacing, kernels, field, cells, np.empty((len(cells), d, d)))
-    a, b = hessian._field_pairs(d, FIELD_COMPONENTS[field])
-    read = np.eye(d, dtype=bool)
-    read[a, b] = True
+    H = grid_hessian(values, spacing, kernels, _read(field, d), cells,
+                     np.empty((len(cells), d, d)))
+    read = np.zeros((d, d), dtype=bool)
+    read.flat[list(_read(field, d))] = True
 
     def check(coefficients, want):
-        K = grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells, shape)
+        K = grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape)
         assert K.shape == shape and K.dtype == np.float64
         terms = K * values
         assert abs(terms.sum() - want) <= 1e-13 * np.abs(terms).sum()
@@ -508,13 +557,12 @@ def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
         unit = np.zeros((d, d))
         unit[i, j] = 1.0
         check(unit, np.sum(weights * H[:, i, j]))
-    coefficients = rng.standard_normal((d, d))
-    check(coefficients, np.sum(weights * np.einsum("nij,ij->n", H, coefficients * read)))
-    assert not grid_hessian_adjoint(weights, coefficients * ~read, spacing, kernels, field, cells,
+    coefficients = rng.standard_normal((d, d)) * (read | read.T)
+    check(coefficients, np.sum(weights * np.einsum("nij,ij->n", H, np.triu(coefficients))))
+    assert not grid_hessian_adjoint(weights, np.tril(coefficients, -1), spacing, kernels, cells,
                                     shape).any()
     with pytest.raises(ValueError, match="at least 9 samples per axis"):
-        grid_hessian_adjoint(weights, coefficients, spacing, kernels, field, cells,
-                             shape[:-1] + (8,))
+        grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape[:-1] + (8,))
 
 
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])
@@ -545,7 +593,7 @@ def test_hessian_routes_are_exactly_symmetric():
         for field in ("R", "C") if d % 2 else ("R", "C", "H"):
             if d % FIELD_COMPONENTS[field]:
                 continue
-            G = grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), field,
+            G = grid_hessian(values, 0.1, valuation._gaussian_kernels(1.0), _read(field, d),
                              np.arange(3 ** d), hessian._entry_major(3 ** d, d))
             assert G.tobytes() == np.swapaxes(G, -1, -2).tobytes()
         R = assemble_structured("R", H)
@@ -575,13 +623,14 @@ def _layout_case(field, n, route):
         c = rng.standard_normal((d, d)) / math.sqrt(d)
         f = lambda x: np.sum(np.cos(x @ c), axis=-1) + np.sum(x * x, axis=-1) ** 1.5
         points = rng.standard_normal((1 if route == "atom" else 40 if field == "O2" else 9000, d))
-        return valuation.chunked_apply(lambda b: fd_hessian_batch(f, b, None, field), points)
+        return valuation.chunked_apply(lambda b: fd_hessian_batch(f, b, None, _read(field, d)),
+                                       points)
     kernels = valuation._gaussian_kernels(1.0)
     core = (20,) * d if d == 3 else (8,) * d
     values = rng.standard_normal(tuple(k + len(kernels[0]) - 1 for k in core))
     cells = np.flatnonzero(rng.random(math.prod(core)) < 0.6)
     out = hessian._entry_major(len(cells), d, None if route == "grid" else "hessians")
-    return grid_hessian(values, 0.1, kernels, field, cells, out)
+    return grid_hessian(values, 0.1, kernels, _read(field, d), cells, out)
 
 
 _LAYOUT_CASES = [(field, n, route) for field, n in (("R", 3), ("C", 2), ("H", 2), ("O2", 2))
@@ -621,9 +670,9 @@ def test_the_grid_route_hands_grid_hessian_its_entry_major_thread_buffer(monkeyp
     spec, grid, body, sigma = verify._identity_config("R", np.random.default_rng(0))
     seen = []
 
-    def spy(values, spacing, kernels, field, cells, out):
+    def spy(values, spacing, kernels, entries, cells, out):
         seen.append(out)
-        return grid_hessian(values, spacing, kernels, field, cells, out)
+        return grid_hessian(values, spacing, kernels, entries, cells, out)
 
     ref = valuation.body_valuation(spec, body, grid, sigma_cells=sigma)
     monkeypatch.setattr(valuation, "grid_hessian", spy)

@@ -66,6 +66,27 @@ def clear_quadrature():
     valuation._BUILT.clear()
 
 
+def read_entries(field, d):
+    """The flat real Hessian entries a d + b, a <= b, that ``field`` reads
+    in dimension d: a whole field Hessian's entries."""
+    return hessian._field_entries(d, FIELD_COMPONENTS[field])
+
+
+def form_entries(spec):
+    """The flat real Hessian entries of a spec's polynomial form, sorted:
+    every head and last entry of its groups."""
+    return tuple(sorted({e for head, _, last in valuation._polynomial_form(spec)
+                         for e in head + tuple(last.tolist())}))
+
+
+def stencil_points(spec):
+    """Stencil points per node of a spec's stencil route, 1 + 2 D + 4 P for
+    the D diagonal and P other entries of its polynomial form."""
+    entries = form_entries(spec)
+    diagonal = sum(e // spec.real_dim == e % spec.real_dim for e in entries)
+    return 1 + 2 * diagonal + 4 * (len(entries) - diagonal)
+
+
 def held_arrays(entry):
     """The distinct arrays a built entry holds, through its tuples and
     partials."""
@@ -1405,7 +1426,8 @@ def _field_hessians_on(spec, f, grid, sigma_cells, active, out):
         out[...] = hreal
         return np.zeros(len(hreal))
 
-    valuation._box_integral(f, None, 1, field=spec.field, integrand=copy,
+    valuation._box_integral(f, None, 1, entries=read_entries(spec.field, spec.real_dim),
+                            integrand=copy,
                             weight=np.ones(len(out)), scale=1.0, box=box)
     return assemble_structured(spec.field, out)
 
@@ -1476,7 +1498,7 @@ def _grid_hessians_banded(spec, f, grid, sigma_cells, margin):
     core = tuple(s + 2 * extra for s in grid.shape)
     crop = tuple(slice(extra, extra + s) for s in grid.shape)
     cells = np.arange(math.prod(core)).reshape(core)[crop]
-    hreal = grid_hessian(values, ext.spacing, kernels, "R", cells.ravel(),
+    hreal = grid_hessian(values, ext.spacing, kernels, read_entries("R", d), cells.ravel(),
                          np.empty((cells.size, d, d)))
     return assemble_structured(spec.field, hreal)
 
@@ -1612,7 +1634,7 @@ def test_grid_hessian_computes_only_the_entries_the_field_reads(field, d, produc
     ref = _grid_hessian_all_entries(values, spacing, kernels).reshape(-1, d, d)
     out = hessian._entry_major(len(ref), d)
     monkeypatch.setattr(np, "matmul", recording)
-    H = grid_hessian(values, spacing, kernels, field, np.arange(len(ref)), out)
+    H = grid_hessian(values, spacing, kernels, read_entries(field, d), np.arange(len(ref)), out)
     monkeypatch.undo()
     assert sum(Fraction(w, n_out) for w, n_out in blocks) == products
     assert all(w > 1 or n_out == 1 for w, n_out in blocks)  # a one-row block would go to gemv
@@ -1878,14 +1900,83 @@ def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypa
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+def _parity_spec(n, i):
+    """parity-break's spec: a unit-diagonal atom E_1 at e_1 and unit
+    diagonal bumps E_2, ..., E_{n-i} there, B = 1 near e_1."""
+    v0 = np.eye(n)[0]
+    unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
+    weights = [MatrixAtom(unit[0], v0)]
+    weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - i)]
+    return ValuationSpec("R", n, i, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
+
+
+@pytest.mark.parametrize("n,i", [(3, 1), (3, 2), (4, 2), (5, 1), (5, 3)])
+def test_a_parity_form_reads_one_principal_minor(n, i):
+    # D(H [i], E_1, ..., E_{n-i}) is the minor of the last i axes: its
+    # entries a <= b with a >= n - i, 1 of 6 at (3, 1), 3 of 6 at (3, 2), 3
+    # of 10 at (4, 2), 1 of 15 at (5, 1) and 6 of 15 at (5, 3)
+    want = tuple(a * n + b for a in range(n - i, n) for b in range(a, n))
+    assert form_entries(_parity_spec(n, i)) == want
+
+
+def test_identity_and_invariance_forms_read_every_field_entry():
+    # their weights are not diagonal units, so each form reads every entry
+    # its field reads: 6, 8 and 4 for the identity specs R, C and H, and
+    # 6, 8, 4 and 80 for the linear-invariance specs R, C, H and O2
+    rng = np.random.default_rng(0)
+    specs = [verify._identity_config(f, rng)[0] for f in ("R", "C", "H")]
+    specs += [verify._invariance_case(f, rng)[0] for f in ("R", "C", "H", "O2")]
+    for spec, count in zip(specs, (6, 8, 4, 6, 8, 4, 80)):
+        assert form_entries(spec) == tuple(read_entries(spec.field, spec.real_dim).tolist())
+        assert len(form_entries(spec)) == count
+
+
+def _stencil_calls(monkeypatch):
+    """Each ``valuation.fd_hessian_batch`` call from here on, as ((nodes,
+    d), entries, points at which it evaluated f)."""
+    calls, route = [], valuation.fd_hessian_batch
+
+    def recording(f, points, step, entries):
+        sizes = []
+        H = route(lambda x: sizes.append(len(x)) or f(x), points, step, entries)
+        calls.append((points.shape, entries, sum(sizes)))
+        return H
+
+    monkeypatch.setattr(valuation, "fd_hessian_batch", recording)
+    return calls
+
+
+@pytest.mark.parametrize("run,points", [
+    (lambda: verify.parity_break(dim=3, degree=1), 3),
+    (lambda: verify.parity_break(dim=3, degree=2), 9),
+    (lambda: verify.linear_invariance(fields="H", trials=1), 9),
+    (lambda: verify.linear_invariance(fields="R", trials=1), 19),
+    (lambda: verify.linear_invariance(fields="O2", trials=1), 289)],
+    ids=["parity-3-1", "parity-3-2", "invariance-H", "invariance-R", "invariance-O2"])
+def test_a_stencil_call_evaluates_f_at_the_points_of_its_form(run, points, monkeypatch):
+    # nodes x (1 + 2 D + 4 P) points for the D diagonal and P other entries
+    # of the form: parity-break's minor costs 3 points a node at degree 1
+    # and 9 at degree 2, where every R entry took 19
+    calls = _stencil_calls(monkeypatch)
+    run()
+    assert calls
+    for (nodes, d), entries, fevals in calls:
+        diagonal = sum(e // d == e % d for e in entries)
+        assert 1 + 2 * diagonal + 4 * (len(entries) - diagonal) == points
+        assert fevals == nodes * points
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_stencil_route_calls_f_one_block_at_a_time(degree):
-    # parity-break --dim 5 differences 41,856 nodes x 51 stencil points x 5
-    # coordinates, 85 MB in one call of f against 16.7 MB per block of 8,192
-    # nodes; its 4-D spec widened to 0.15 on 16^4 has 20,352 nodes where B
-    # and every matrix bump are nonzero, x 33 points.  At degree 2 each
-    # block's polynomial is evaluated on its own, and on these unit-diagonal
-    # weights has the bits of the route that polarized all the nodes at once
+    # parity-break --dim 5 differences 41,856 nodes x 3 stencil points (its
+    # form reads f_55 alone) x 5 coordinates, 5.0 MB in one call of f against
+    # 1.0 MB per block of 8,192 nodes (85 MB when every entry took its 51
+    # points); its 4-D spec widened to 0.15 on 16^4 has 20,352 nodes where B
+    # and every matrix bump are nonzero, x 3 points for the one entry f_44 at
+    # degree 1 and 9 for f_33, f_34 and f_44 at degree 2 (33 for all 10).  At
+    # degree 2 each block's polynomial is evaluated on its own, and on these
+    # unit-diagonal weights has the bits of the route that polarized all the
+    # nodes at once
     n = 4
     v0 = np.eye(n)[0]
     unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
@@ -1902,9 +1993,11 @@ def test_stencil_route_calls_f_one_block_at_a_time(degree):
         return body.support(x)
 
     value = eval_valuation(spec, recording, grid)
-    assert sum(sizes) == np.count_nonzero(_weight_on_nodes(spec, grid)) * 33
+    points = stencil_points(spec)
+    assert points == {1: 3, 2: 9}[degree]
+    assert sum(sizes) == np.count_nonzero(_weight_on_nodes(spec, grid)) * points
     assert len(sizes) >= 2
-    assert max(sizes) <= 8192 * 33
+    assert max(sizes) <= 8192 * points
     if degree == 2:
         ref = _eval_before_memo(spec, body.support, grid)
         assert ref != 0.0
@@ -2031,7 +2124,8 @@ def test_hessians_only_where_b_and_every_matrix_bump_are_nonzero():
         return body(x)
 
     ref = eval_valuation(spec, recording, grid)
-    assert sum(rows) == np.count_nonzero(weight) * 19
+    assert stencil_points(spec) == 3  # the form reads f_33 alone; 19 for every entry
+    assert sum(rows) == np.count_nonzero(weight) * 3
     # a NaN in the stencil of a corner cell, where only the bump vanishes
     corner = grid.nodes()[0]
     assert weight[0] == 0
@@ -2238,6 +2332,49 @@ def test_matrix_atom_takes_one_finite_point(location):
         MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), location)
 
 
+@pytest.mark.parametrize("center", [np.array([[0.4], [-0.2], [0.3]]), [[0.4, -0.2, 0.3]],
+                                    np.zeros((2, 2, 3))])
+def test_a_bump_center_is_a_scalar_or_one_point(center):
+    # a column center broadcast against the nodes into a matrix of
+    # distances: on |x|^2 / 2, linear-invariance's R atom spec with B =
+    # BumpWeight(p0[:, None], 0.3) read 0.0 where p0 gives 0.5667, and on a
+    # grid it died in numpy's axis remapping
+    with pytest.raises(ValueError, match="1-D point"):
+        BumpWeight(center, 0.3)
+    with pytest.raises(ValueError, match="1-D point"):
+        MatrixBump(HermitianMatrix.identity("R", 3), center, 0.3)
+    assert BumpWeight(0.2, 0.3).center.tolist() == [0.2]
+    assert BumpWeight([0.4, -0.2, 0.3], 0.3).center.shape == (3,)
+
+
+def test_a_spec_takes_bump_centers_of_size_one_or_its_real_dimension():
+    # a 3-D B center on a 4-D H spec died in numpy's broadcast of (3,)
+    # against (4,); a matrix bump's center had no check at all
+    with pytest.raises(ValueError, match="BumpWeight dimension 3 != real dimension 4"):
+        ValuationSpec("H", 1, 1, BumpWeight(np.zeros(3), 0.4))
+    mat = HermitianMatrix.identity("C", 2)
+    with pytest.raises(ValueError, match="MatrixBump dimension 2 != real dimension 4"):
+        ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.4),
+                      (MatrixBump(mat, np.zeros(2), 0.4),))
+    # a size-1 center broadcasts (``on_axes``), as a full one of equal
+    # coordinates does
+    grid = Grid.cube(np.zeros(4), 0.5, 6, 4)
+    f = lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + np.asarray(x)[:, 0] ** 4
+    values = [eval_valuation(ValuationSpec("C", 2, 1, BumpWeight(c, 0.4),
+                                           (MatrixBump(mat, c, 0.45),)), f, grid)
+              for c in (0.0, np.zeros(4))]
+    assert values[0] != 0.0 and values[0] == values[1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_a_spec_checks_its_atom_location_dimension(size):
+    # the check eval_valuation made on every call is the spec's own, in the
+    # one place with the bump centers' check; an atom does not broadcast
+    atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), np.zeros(size))
+    with pytest.raises(ValueError, match=f"MatrixAtom dimension {size} != real dimension 3"):
+        ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.4), (atom,))
+
+
 @pytest.mark.parametrize("weight", [BumpWeight(np.zeros(3), 0.4), HermitianMatrix.identity("R", 3),
                                     None])
 def test_matrix_weights_are_bumps_or_atoms(weight):
@@ -2391,14 +2528,16 @@ def _eval_before_memo(spec, f, grid, sigma_cells=0.0, step=None):
                 nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
                 values = f(nodes).reshape(tuple(len(x) for x in axes))
             out = hessian._entry_major(len(weight), d)
-            hreal = grid_hessian(values, ext.spacing, kernels, spec.field, cells, out)
+            hreal = grid_hessian(values, ext.spacing, kernels, read_entries(spec.field, d), cells,
+                                 out)
         else:
             if grid is None:
                 points = node
             else:
                 cells = np.unravel_index(np.flatnonzero(active), grid.shape)
                 points = np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1)
-            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, spec.field), points)
+            entries = read_entries(spec.field, spec.real_dim)
+            hreal = chunked_apply(lambda b: fd_hessian_batch(f, b, step, entries), points)
         slots.extend([assemble_structured(spec.field, hreal)] * spec.degree)
     slots.extend(w.matrix.data for w in spec.weights)
     dets = polarized_det_batch(spec.field, slots)
