@@ -34,12 +34,10 @@ Both routes lay a batch of real Hessians out entry-major (``_entry_major``):
 the (N, d, d) result is the transposed view of a C-ordered (d, d, N) array,
 so each entry ``H[:, i, j]`` is one contiguous plane.  The routes write
 whole planes, and the valuation's integrand, a polynomial in the real
-entries, reads them as planes, not a stride of d * d values.  So does the
-field assembly's ``einsum``; over R and C its result keeps the layout, so
-the polarization sums and the closed-form determinants read planes too
-(over H and O2 its result is batch-major).  Each value is elementwise or
-an ``einsum`` summing its terms in the same order, so the layout changes
-no bit.
+entries (``valuation._polynomial_values``), reads them as planes, not a
+stride of d * d values: no valuation call assembles a field Hessian or
+takes its determinant.  Each value is elementwise or an ``einsum`` summing
+its terms in the same order, so the layout changes no bit.
 
 The pointwise stencil route runs no Python loop per offset or axis pair:
 one broadcast over a memoized offset table forms every stencil point, ``f``
@@ -268,6 +266,14 @@ def _bands(kernels, spacing, rows, columns):
     return bands
 
 
+def _orders(entries, d):
+    """Each flat entry a d + b's derivative order on every axis c < d, (c ==
+    a) + (c == b), as a tuple; an entry must lie in [0, d d) (numpy's
+    ValueError otherwise)."""
+    a, b = np.unravel_index(np.array(entries, dtype=np.intp), (d, d))
+    return [tuple((c == i) + (c == j) for c in range(d)) for i, j in zip(a.tolist(), b.tolist())]
+
+
 def grid_hessian(values, spacing, kernels, entries, cells, out):
     """Hessians from samples on a uniform grid, by banded matrix products.
 
@@ -312,11 +318,10 @@ def grid_hessian(values, spacing, kernels, entries, cells, out):
     if min(values.shape) < width:
         raise ValueError(f"grid_hessian needs at least {width} samples per axis")
 
-    a, b = np.unravel_index(np.array(entries, dtype=np.intp), (d, d))
+    orders = _orders(entries, d)
     read = np.zeros((d, d), dtype=bool)
-    read[a, b] = read[b, a] = True
-    orders = [tuple((c == i) + (c == j) for c in range(d))
-              for i, j in zip(a.tolist(), b.tolist())]
+    read.flat[list(entries)] = True
+    read |= read.T
     wanted = {o[:k] for o in orders for k in range(1, d + 1)}  # every axis-order prefix read
     core = tuple(n - width + 1 for n in values.shape)
     shape = (len(cells), d, d)
@@ -359,16 +364,16 @@ def grid_hessian(values, spacing, kernels, entries, cells, out):
     return out
 
 
-def grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape):
+def grid_hessian_adjoint(weights, entries, coefficients, spacing, kernels, cells, shape):
     """The adjoint of ``grid_hessian`` against a linear form of its entries.
 
     Returns the float64 array K, of the samples' ``shape``, with <K,
-    values> = sum_{a <= b} coefficients[a, b] sum_c weights[c] H_ab[c] for
-    every ``values``, where H is ``grid_hessian``'s result on ``values``
-    with the same ``spacing``, ``kernels`` and ``cells``.  Only the
-    entries a <= b whose coefficient is nonzero take part, those of the
-    lower triangle not at all; an off-diagonal coefficient stands for H_ab
-    and H_ba together, which are one plane.
+    values> = sum_k coefficients[k] sum_c weights[c] H_e[c], e =
+    entries[k], for every ``values``, where H is ``grid_hessian``'s result
+    on ``values`` with the same ``spacing``, ``kernels`` and ``cells``.
+    The ``entries`` are distinct flat indices a d + b, a <= b, as
+    ``grid_hessian`` takes them; an off-diagonal entry stands for H_ab and
+    H_ba together, which are one plane.
 
     Entry (a, b)'s plane is one banded product per axis, so its adjoint
     scatters the weights onto the core (the sample box shortened by 2 r
@@ -397,8 +402,7 @@ def grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape):
     if min(core) < 1:
         raise ValueError(f"grid_hessian_adjoint needs at least {width} samples per axis")
 
-    terms = {tuple((c == i) + (c == j) for c in range(d)): coefficients[i, j]  # by axis orders
-             for i, j in np.argwhere(np.triu(coefficients)).tolist()}
+    terms = dict(zip(_orders(entries, d), coefficients))  # by axis orders
     if not terms:
         return np.zeros(shape)
     kernel = np.empty(shape)  # the last product writes every value

@@ -39,7 +39,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -440,8 +442,9 @@ def _empty_measure(dim):
 
 
 def _pow2(top):
-    """2^round(log2 top), or 1.0 for top = 0: dividing by it is exact."""
-    return 2.0 ** min(round(math.log2(top)), 1023) if top > 0.0 else 1.0
+    """2^round(log2 top), at most 2^1023, or 1.0 for a top of 0 or not
+    finite: dividing by it is exact."""
+    return 2.0 ** min(round(math.log2(top)), 1023) if 0.0 < top < math.inf else 1.0
 
 
 def _dedupe_pieces(slopes, offsets):
@@ -667,14 +670,6 @@ def _unit_hessians(field, d):
     return _read_only(a), _read_only(b), _read_only(assemble_structured(field, units))
 
 
-def _power_of_two_scale(matrix):
-    """2^round(log2 |M|_F) for a matrix weight, or 1 for a zero (or
-    non-finite) M: dividing by it is exact and leaves |M / scale| within a
-    factor sqrt(2) of 1."""
-    norm = matrix.norm()
-    return 2.0 ** round(math.log2(norm)) if 0.0 < norm < math.inf else 1.0
-
-
 def _polynomial_form(spec):
     """A spec's integrand D(Hess_F f [i], M_1, ..., M_{n-i}) as a homogeneous
     polynomial of degree i >= 1 in the real Hessian entries h_e the field
@@ -688,10 +683,11 @@ def _polynomial_form(spec):
     of e (prod m_e! is the product over the factors of how many factors up
     to it equal it).  One ``polarized_det_batch`` gives every monomial's
     mixed determinant.  It cancels terms of the size of its largest slot,
-    so each M_k enters divided by its ``_power_of_two_scale`` s_k, and c
-    is multiplied by the product of the s_k: the units have norm about 1,
-    and a large M_k would otherwise cost digits.  Both steps are exact in
-    binary, so an M of unit norm keeps the bits of the unscaled form.
+    so each M_k enters divided by s_k = ``_pow2(|M_k|_F)``, and c is
+    multiplied by the product of the s_k: the units have norm about 1, and
+    so has M_k / s_k within a factor sqrt(2) (a large M_k would otherwise
+    cost digits).  Both steps are exact in binary, so an M of unit norm
+    keeps the bits of the unscaled form.
 
     Only the nonzero c_m are kept, as read-only groups (head, c, last): the
     monomials, in lexicographic order of their flat entry indices a d + b,
@@ -704,7 +700,7 @@ def _polynomial_form(spec):
     d, i = spec.real_dim, spec.degree
     a, b, units = _unit_hessians(spec.field, d)
     monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
-    scales = [_power_of_two_scale(w.matrix) for w in spec.weights]
+    scales = [_pow2(w.matrix.norm()) for w in spec.weights]
     slots = [units[m] for m in monos.T] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
     orderings = math.factorial(i) / np.tril(monos[:, :, None] == monos[:, None]).sum(2).prod(1)
     coefficients = polarized_det_batch(spec.field, slots) * orderings * math.prod(scales)
@@ -785,46 +781,15 @@ def _stencil_integral(f, step, threads, entries, integrand, weight, scale, point
     return float(scale * (weight * values).sum())
 
 
-def _value_key(value):
-    """A hashable key of ``value``'s value: one flat tuple of the type of
-    every part, in a fixed depth-first order, each followed by its value: a
-    dataclass by its fields, a tuple by its length and items, an array by
-    its dtype, shape and bytes, a float by ``float.hex`` (so -0.0 and +0.0,
-    or two floats 1 ulp apart, have two keys), a numpy scalar by its bytes,
-    an int, str or None by itself.  Any other part raises ``TypeError``."""
-    parts, stack = [], [value]
-    while stack:
-        obj = stack.pop()
-        kind = type(obj)
-        parts.append(kind)
-        if isinstance(obj, np.ndarray):
-            parts += obj.dtype.str, obj.shape, obj.tobytes()
-        elif isinstance(obj, np.generic):
-            parts.append(obj.tobytes())
-        elif isinstance(obj, float):
-            parts.append(float.hex(obj))
-        elif hasattr(kind, "__dataclass_fields__"):  # what ``dataclasses.fields`` reads
-            stack += [getattr(obj, name) for name in kind.__dataclass_fields__]
-        elif isinstance(obj, tuple):
-            parts.append(len(obj))
-            stack += obj
-        elif isinstance(obj, (int, str)) or obj is None:
-            parts.append(obj)
-        else:
-            raise TypeError(f"no value key for a {kind.__name__}")
-    return tuple(parts)
-
-
 def _held_bytes(value):
     """The memory of the distinct objects in ``value``, through its tuples,
-    dicts and partials (not the partial's function), classes left out
-    (every value key holds them, and shares them): ``sys.getsizeof`` of
+    dicts and partials (not the partial's function): ``sys.getsizeof`` of
     each, which holds an array's data when the array owns it, and a view's
     ``nbytes``."""
     seen, total, stack = set(), 0, [value]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, type):
+        if id(obj) in seen:
             continue
         seen.add(id(obj))
         total += sys.getsizeof(obj)
@@ -842,33 +807,41 @@ def _held_bytes(value):
 class _ValueStore:
     """Built entries by value key, least recently used first, that hold at
     most ``limit`` bytes with their keys (``_held_bytes``), counted as
-    entries come and go; an entry larger than ``limit`` is never kept."""
+    entries come and go; an entry larger than ``limit`` is never kept, and
+    putting a held key again replaces its entry and its charge.  One lock
+    guards every method: two threads that miss one key both put it."""
 
     def __init__(self, limit):
         self.limit, self.nbytes, self.entries = limit, 0, {}
+        self.lock = threading.Lock()
 
     def get(self, key):
-        held = self.entries.pop(key, None)
-        if held is None:
-            return None
-        self.entries[key] = held  # now the most recently used
-        return held[0]
+        with self.lock:
+            held = self.entries.pop(key, None)
+            if held is None:
+                return None
+            self.entries[key] = held  # now the most recently used
+            return held[0]
 
     def put(self, key, entry):
         nbytes = _held_bytes((key, entry))
         if nbytes > self.limit:
             return
-        self.entries[key], self.nbytes = (entry, nbytes), self.nbytes + nbytes
-        while self.nbytes > self.limit:
-            self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+        with self.lock:
+            if key in self.entries:
+                self.nbytes -= self.entries.pop(key)[1]
+            self.entries[key], self.nbytes = (entry, nbytes), self.nbytes + nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
 
     def clear(self):
-        self.entries.clear()
-        self.nbytes = 0
+        with self.lock:
+            self.entries.clear()
+            self.nbytes = 0
 
 
 #: ``_quadrature``'s store behind its identity memo, 512 KiB: a 12^3
-#: stencil entry is about 36 kB with its key, and each identity key's entry
+#: stencil entry is about 32 kB with its key, and each identity key's entry
 #: is over the bound (R on 48^3 0.68 MB, a degree-1 C or H K on 20^4 samples
 #: 1.28 MB), so those keys keep the one-entry memo alone, and its memory
 _BUILT = _ValueStore(1 << 19)
@@ -883,16 +856,19 @@ def _quadrature(spec, grid, sigma_cells):
     experiments evaluate one functional on many bodies in a row, and the
     spec and the grid are ``eq=False`` objects, which hash by identity, so
     a hit costs one lookup; the entry keeps them alive, so no other object
-    takes over their ids.  On a miss, ``_BUILT``, keyed by
-    ``_value_key((spec, grid, sigma_cells))``: an equal spec or grid made
-    again (``parity_break`` makes its own on every call) shares the entry
-    built for the first, whose arrays are read-only.  A key with a part
-    ``_value_key`` cannot key is built and never stored, and an exception
-    is never cached, so a spec that raises here raises on every call.
+    takes over their ids.  On a miss, ``_BUILT``, keyed by the pickle of
+    ``(spec, grid, sigma_cells)``, which writes every part's type, an
+    array's dtype, shape and bytes and a float's bits, so -0.0 and +0.0, a
+    1-ulp move or an int for a float never share an entry: an equal spec
+    or grid made again (``parity_break`` makes its own on every call)
+    shares the entry built for the first, whose arrays are read-only.  A
+    key with a part that pickle refuses (a local function, a lambda, a
+    generator, a lock) is built and never stored, and an exception is
+    never cached, so a spec that raises here raises on every call.
     """
     try:
-        key = _value_key((spec, grid, sigma_cells))
-    except TypeError:
+        key = pickle.dumps((spec, grid, sigma_cells), protocol=5)
+    except (pickle.PicklingError, TypeError, AttributeError):
         return _build_quadrature(spec, grid, sigma_cells)
     entry = _BUILT.get(key)
     if entry is None:
@@ -955,10 +931,9 @@ def _build_quadrature(spec, grid, sigma_cells):
     entries = _read_only(np.array(entries, dtype=np.intp))  # the store walks a tuple's items
     if box is not None and spec.degree == 1:
         kernels, spacing, axes, cells = box
-        coefficients = np.zeros((spec.real_dim,) * 2)
-        for _head, c, last in groups:
-            coefficients.flat[last] = scale * c
-        kernel = grid_hessian_adjoint(weight, coefficients, spacing, kernels, cells,
+        # at i = 1 one group, or none, whose last entries are ``entries``
+        coefficients = np.concatenate([scale * c for _, c, _ in groups] or [[]])
+        kernel = grid_hessian_adjoint(weight, entries, coefficients, spacing, kernels, cells,
                                       tuple(len(x) for x in axes))
         return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
     integrand = functools.partial(_polynomial_values, groups=groups)

@@ -386,7 +386,10 @@ def smoothing_schedule(sigmas_cells, resolution):
 
     Raises ValueError unless the resolution is a whole number >= 1 and the
     schedule a list of two or more finite widths (one would pass the
-    monotone check vacuously), each >= 1 cell, strictly decreasing.
+    monotone check vacuously), each >= 1 cell, strictly decreasing, and
+    unless resolution + 2 r <= 160 for r = int(4 sigma + 0.5) of the
+    widest sigma: the grid route samples that many points per axis, and
+    at 160 its float64 samples and Hessians take up to 0.3 GB.
     """
     resolution = _whole_number("resolution", resolution, 1)
     sigmas = _finite("sigmas_cells", sigmas_cells, many=True)
@@ -396,6 +399,10 @@ def smoothing_schedule(sigmas_cells, resolution):
         raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
+    if 4.0 * sigmas[0] + 0.5 >= (160 - resolution) // 2 + 1:  # r > (160 - resolution) // 2
+        raise ValueError(f"resolution {resolution} with sigma {sigmas[0]} samples more than 160 "
+                         "points per axis (resolution + 2 int(4 sigma + 0.5)); at 160 the grid "
+                         "route's float64 samples and Hessians take up to 0.3 GB")
     return sigmas, resolution
 
 
@@ -625,14 +632,20 @@ def perturbation_schedule(eps_schedule, resolution, seed, threads):
 
     Raises ValueError unless the seed is a whole number of at least 0, the
     resolution and ``threads`` of at least 1, the schedule a list of two
-    or more finite positive values (for a halving ratio) and |x|^2/2 +
-    eps psi is convex there, hence at every eps.
+    or more finite positive values (for a halving ratio), the resolution
+    at most 96 (the reference Laplacian evaluates psi at 7 resolution^3
+    stencil points in one call, 149 MB of float64 coordinates at 96) and
+    |x|^2/2 + eps psi is convex there, hence at every eps.
     """
     seed, resolution = _whole_number("seed", seed, 0), _whole_number("resolution", resolution, 1)
     _whole_number("threads", threads, 1)
     eps = _finite("eps_schedule", eps_schedule, many=True)
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
+    if resolution > 96:
+        raise ValueError(f"resolution {resolution} is above 96: the reference Laplacian "
+                         "evaluates psi at 7 resolution^3 stencil points at once, 149 MB of "
+                         "float64 coordinates at 96")
     nodes = Grid.cube(np.zeros(3), 0.5, resolution, 3).nodes()
     hpsi = fd_hessian_batch(_bump4, nodes[::5])
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))

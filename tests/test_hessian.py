@@ -532,8 +532,7 @@ def test_grid_hessian_rejects_an_out_that_is_not_float64(dtype):
 def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
     # for random core weights W and samples h, <adjoint_e(W), h> equals
     # <W, plane_e(h)> from grid_hessian for every entry e the field reads;
-    # a coefficient matrix gives the sum over its upper triangle's entries
-    # and ignores the lower triangle
+    # coefficients on the flat entries give the sum of their terms
     kernels = valuation._gaussian_kernels(1.0)
     rng = np.random.default_rng(40 + d)
     core = (5, 3, 4, 6)[:d]
@@ -542,27 +541,24 @@ def test_grid_hessian_adjoint_is_the_transpose_of_every_read_entry(field, d):
     cells = np.flatnonzero(rng.random(math.prod(core)) < 0.7)
     weights = rng.standard_normal(len(cells))
     values = rng.standard_normal(shape)
-    H = grid_hessian(values, spacing, kernels, _read(field, d), cells,
-                     np.empty((len(cells), d, d)))
-    read = np.zeros((d, d), dtype=bool)
-    read.flat[list(_read(field, d))] = True
+    entries = _read(field, d)
+    H = grid_hessian(values, spacing, kernels, entries, cells, np.empty((len(cells), d, d)))
+    planes = H.reshape(len(cells), -1)[:, entries]
 
-    def check(coefficients, want):
-        K = grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape)
+    def check(entries, coefficients, want):
+        K = grid_hessian_adjoint(weights, entries, coefficients, spacing, kernels, cells, shape)
         assert K.shape == shape and K.dtype == np.float64
         terms = K * values
         assert abs(terms.sum() - want) <= 1e-13 * np.abs(terms).sum()
 
-    for i, j in np.argwhere(read):
-        unit = np.zeros((d, d))
-        unit[i, j] = 1.0
-        check(unit, np.sum(weights * H[:, i, j]))
-    coefficients = rng.standard_normal((d, d)) * (read | read.T)
-    check(coefficients, np.sum(weights * np.einsum("nij,ij->n", H, np.triu(coefficients))))
-    assert not grid_hessian_adjoint(weights, np.tril(coefficients, -1), spacing, kernels, cells,
-                                    shape).any()
+    for k, e in enumerate(entries):
+        check([e], [1.0], np.sum(weights * planes[:, k]))
+    coefficients = rng.standard_normal(len(entries))
+    check(entries, coefficients, np.sum(weights * (planes @ coefficients)))
+    assert not grid_hessian_adjoint(weights, [], [], spacing, kernels, cells, shape).any()
     with pytest.raises(ValueError, match="at least 9 samples per axis"):
-        grid_hessian_adjoint(weights, coefficients, spacing, kernels, cells, shape[:-1] + (8,))
+        grid_hessian_adjoint(weights, entries, coefficients, spacing, kernels, cells,
+                             shape[:-1] + (8,))
 
 
 @pytest.mark.parametrize("field,n", [("C", 1), ("C", 2), ("C", 3), ("H", 1), ("H", 2), ("O2", 2)])

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -2989,8 +2990,22 @@ def test_an_equal_key_made_again_shares_its_entry(route, monkeypatch):
     assert _entry_bits(first, key) == _entry_bits(valuation._build_quadrature(*key), key)
 
 
+#: a module-level lambda, which pickle looks up by a name it does not have
+_NAMELESS = lambda: None
+
+
+def _refused_parts():
+    """One part of each kind that pickle refuses: a local function, a
+    module-level lambda, a generator and a lock."""
+    def local():
+        pass
+    return {"local function": local, "lambda": _NAMELESS,
+            "generator": (x for x in ()), "lock": threading.Lock()}
+
+
 def test_the_value_key_holds_types_and_bits():
-    key = valuation._value_key
+    # the store's key is the pickle of (spec, grid, sigma_cells)
+    key = functools.partial(pickle.dumps, protocol=5)
     assert key(0.0) != key(-0.0) and key(0.5) != key(_next(0.5))
     assert key(np.float64(0.0)) != key(np.float64(-0.0))
     assert len({key(1.0), key(1), key(True), key(np.float64(1.0)), key(np.int64(1))}) == 5
@@ -2999,17 +3014,18 @@ def test_the_value_key_holds_types_and_bits():
     assert key(np.zeros(2)) != key(np.array([0.0, -0.0]))
     assert key((1.0, 2.0)) != key((1.0, 2))
     assert key(_grid_key()) == key(_grid_key())
-    for other in (object(), [1.0]):
-        with pytest.raises(TypeError, match="no value key"):
-            key(other)
+    for part in _refused_parts().values():
+        with pytest.raises((pickle.PicklingError, TypeError, AttributeError)):
+            key((_grid_key(), part))
 
 
-def test_a_key_with_a_part_of_no_value_is_built_and_never_stored(monkeypatch):
-    # a truthy flag that is not a bool has no value key: every identity miss
-    # builds, as before the store, and nothing is stored
+@pytest.mark.parametrize("kind", sorted(_refused_parts()))
+def test_a_key_with_a_part_of_no_value_is_built_and_never_stored(monkeypatch, kind):
+    # a truthy flag that pickle refuses has no value key: every identity
+    # miss builds, as before the store, and nothing is stored
     clear_quadrature()
     builds = _counting(monkeypatch, ["_build_quadrature"])
-    flag = object()
+    flag = _refused_parts()[kind]
     for _ in range(2):
         valuation._quadrature(*_grid_key(normalize=flag))
     assert builds == {"_build_quadrature": 2}
@@ -3035,13 +3051,47 @@ def test_the_store_evicts_the_least_recently_used_entries_down_to_its_bound():
     assert not store.entries and store.nbytes == 0
 
 
+def test_putting_a_held_key_again_replaces_its_charge():
+    # two threads that miss one key both put it: the second put added its
+    # charge to the first's, and the extra charge outlived the entry
+    store = valuation._ValueStore(1000)
+    entry = (np.zeros(100, dtype=np.uint8), None)
+    store.put("a", entry)
+    store.put("a", entry)
+    assert list(store.entries) == ["a"] and store.nbytes == valuation._held_bytes(("a", entry))
+
+
+def test_the_store_keeps_its_charge_under_threads():
+    # eight threads put and get twelve keys in a shared store of room for
+    # about five; with a short switch interval a lost update shows as a
+    # charge that is not the sum of the held entries'
+    store = valuation._ValueStore(5 * valuation._held_bytes(("k0", (np.zeros(200), None))))
+
+    def work(seed):
+        for k in np.random.default_rng(seed).integers(0, 12, 300).tolist():
+            if store.get(f"k{k}") is None:
+                store.put(f"k{k}", (np.zeros(200), None))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert store.nbytes == sum(nbytes for _, nbytes in store.entries.values()) <= store.limit
+
+
 def test_held_bytes_counts_an_object_once_and_a_view_with_its_data():
     x = np.zeros(1000)
     once = valuation._held_bytes((x,)) - sys.getsizeof((x,))
     assert once == sys.getsizeof(x) >= x.nbytes
     assert valuation._held_bytes((x, x)) - sys.getsizeof((x, x)) == once
     assert valuation._held_bytes(x[:500]) == sys.getsizeof(x[:500]) + 4000
-    assert valuation._held_bytes((float, x)) == sys.getsizeof((float, x)) + once  # no class
     pair = (x, 1.5)
     inner = functools.partial(max, x, key={"k": pair})  # dict keys are not walked
     assert valuation._held_bytes(inner) == sum(map(sys.getsizeof, (
@@ -3219,10 +3269,13 @@ def test_unit_hessians_are_built_once_per_field_and_dimension():
 
 def test_power_of_two_scales_are_exact_and_leave_a_unit_norm_matrix_alone():
     e1 = verify._basis_matrix(3, 0)
-    assert valuation._power_of_two_scale(e1) == 1.0
-    assert valuation._power_of_two_scale(HermitianMatrix("R", np.zeros((3, 3)))) == 1.0
+    assert valuation._pow2(e1.norm()) == 1.0
+    assert valuation._pow2(HermitianMatrix("R", np.zeros((3, 3))).norm()) == 1.0
     for factor, scale in [(1e3, 1024.0), (3e-3, 2.0**-8), (0.75, 1.0), (1.5, 2.0)]:
-        assert valuation._power_of_two_scale(e1 * factor) == scale
+        assert valuation._pow2((e1 * factor).norm()) == scale
+    # the dedupe's clamp and the matrices' guard: one helper holds both
+    assert valuation._pow2(1.7e308) == 2.0**1023
+    assert valuation._pow2(math.inf) == valuation._pow2(math.nan) == 1.0
     # the scaled form is the unscaled one for unit-norm weights, bit for bit
     spec = _parity_spec(5, 1)
     d = spec.real_dim

@@ -408,6 +408,12 @@ _CHECK_RULES = {
     "continuity-increasing": ("continuity", {"sigmas": [1.5, 3.0, 6.0]}, "strictly decrease"),
     "continuity-no-resolution": ("continuity", {"resolution": 0},
                                  "resolution must be at least 1, got 0"),
+    # run sizes: widths of 1e9 cells made _gaussian_kernels build a 64 GB
+    # offset array, and a resolution of 10^6 a 10^18-cell grid
+    "continuity-wide-sigma": ("continuity", {"sigmas": [1e9, 1e8]},
+                              "sigma 1000000000.0 samples more than 160 points per axis"),
+    "continuity-large-resolution": ("continuity", {"resolution": 1_000_000},
+                                    "resolution 1000000 with sigma 12.0 samples more than 160"),
     "kernel-laplacian-one-eps": ("kernel-laplacian", {"eps": [0.01]}, "at least two eps"),
     "kernel-laplacian-no-eps": ("kernel-laplacian", {"eps": []}, "at least two eps"),
     "kernel-laplacian-negative-eps": ("kernel-laplacian", {"eps": [-0.01, -0.005]},
@@ -416,6 +422,8 @@ _CHECK_RULES = {
                                    "f_eps is not convex at eps=5.0"),
     "kernel-laplacian-no-resolution": ("kernel-laplacian", {"resolution": 0},
                                        "resolution must be at least 1, got 0"),
+    "kernel-laplacian-large-resolution": ("kernel-laplacian", {"resolution": 1_000_000},
+                                          "resolution 1000000 is above 96"),
     "kernel-laplacian-negative-seed": ("kernel-laplacian", {"seed": -1},
                                        "seed must be at least 0, got -1"),
     "kernel-laplacian-no-thread": ("kernel-laplacian", {"threads": 0},
@@ -798,6 +806,21 @@ def test_parity_break_dim_above_five_exits_two(tmp_path, capsys, monkeypatch, so
     assert main(argv) == 2
     assert "invalid config: dim 6 is above 5" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_run_size_bounds_accept_their_edge():
+    # continuity takes resolution + 2 int(4 sigma + 0.5) <= 160 for its
+    # widest sigma, kernel-laplacian a resolution <= 96; one past is refused
+    for resolution, sigmas in [(60, [12.5, 1.0]), (152, [1.1, 1.0])]:
+        config = {"resolution": resolution, "sigmas": sigmas}
+        assert validate_config("continuity", config) == {"resolution": resolution,
+                                                         "sigmas_cells": sigmas}
+    for resolution, sigmas in [(60, [12.625, 1.0]), (153, [1.1, 1.0])]:
+        with pytest.raises(ConfigError, match="samples more than 160 points per axis"):
+            validate_config("continuity", {"resolution": resolution, "sigmas": sigmas})
+    assert validate_config("kernel-laplacian", {"resolution": 96}) == {"resolution": 96}
+    with pytest.raises(ConfigError, match="resolution 97 is above 96"):
+        validate_config("kernel-laplacian", {"resolution": 97})
 
 
 def test_cli_config_seed_is_not_overridden(tmp_path, monkeypatch):
