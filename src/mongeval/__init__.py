@@ -5,7 +5,6 @@ from .algebra import (
     FIELD_COMPONENTS,
     FIELDS,
     HermitianMatrix,
-    complex_embedding,
     mixed_det,
     moore_det,
     oct_mul,

@@ -15,11 +15,11 @@ Scalars are stored componentwise over a fixed real basis:
 Hermitian matrices over the four scalar fields carry real determinant
 polynomials: the ordinary determinant for R and C, the Moore determinant
 for H, and ``a b - |q|^2`` for 2x2 octonionic matrices.  The Moore
-determinant of an n x n quaternionic Hermitian matrix is recovered from
-the spectrum of its 2n x 2n complex embedding, where every eigenvalue
-appears exactly twice: the product of one representative per pair has
-the right sign (a bare fourth root of the real realization does not),
-and is cross-checked against ``det(realization) == moore^4``.
+determinant is E. H. Moore's permutation formula, a polynomial with
+integer coefficients in the real components: each permutation, written
+as cycles that start at their smallest index and come in decreasing
+order of it, adds its sign times the real part of the ordered
+quaternion product of the entries along its cycles.
 
 Polarizing any of these degree-n polynomials gives the mixed
 determinant: a symmetric n-linear form restoring the determinant on the
@@ -28,6 +28,8 @@ diagonal.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +39,6 @@ import numpy as np
 __all__ = [
     "FIELDS",
     "FIELD_COMPONENTS",
-    "PairingError",
     "DeterminantConsistencyError",
     "quat_mul",
     "quat_conj",
@@ -46,9 +47,7 @@ __all__ = [
     "oct_mul",
     "oct_unit",
     "realize_quat_matrix",
-    "complex_embedding",
     "moore_det",
-    "moore_det_batch",
     "conj_transpose",
     "HermitianMatrix",
     "mixed_det",
@@ -79,11 +78,6 @@ def _read_only(array):
     a memo shares with every caller; returned, for use in an expression."""
     array.flags.writeable = False
     return array
-
-
-class PairingError(ArithmeticError):
-    """The spectrum of a complex embedding did not split into duplicated
-    pairs within tolerance, so the Moore determinant is ambiguous."""
 
 
 class DeterminantConsistencyError(ArithmeticError):
@@ -158,7 +152,7 @@ def oct_unit(i):
 
 
 # ---------------------------------------------------------------------------
-# realization and complex embedding of quaternionic matrices
+# realization of quaternionic matrices
 # ---------------------------------------------------------------------------
 
 def realize_quat_matrix(A):
@@ -173,79 +167,57 @@ def realize_quat_matrix(A):
     return np.einsum("abd,dec->acbe", A, _QTAB).reshape(4 * n, 4 * n)
 
 
-def complex_embedding(A):
-    """Complex 2n x 2n matrix of x -> Ax on H^n viewed as a right C-module.
-
-    Writing each entry q = (t + ix) + j (y - iz) = a + j c, the embedding is
-    [[A1, -conj(A2)], [A2, conj(A1)]] with A1 = t + ix and A2 = y - iz.
-    It is multiplicative, and Hermitian whenever A is quaternionic Hermitian.
-    Vectorized over leading axes of (..., n, n, 4) input.
-    """
-    A = np.asarray(A, dtype=float)
-    a1 = A[..., 0] + 1j * A[..., 1]
-    a2 = A[..., 2] - 1j * A[..., 3]
-    top = np.concatenate([a1, -np.conj(a2)], axis=-1)
-    bot = np.concatenate([a2, np.conj(a1)], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
 # ---------------------------------------------------------------------------
 # Moore determinant
 # ---------------------------------------------------------------------------
 
-def _paired_product(eigs, pair_tol):
-    """Product of one representative per duplicated eigenvalue pair.
-
-    ``eigs`` has even trailing length and is sorted ascending along the
-    last axis; pairs are taken by sorted adjacency.
-    """
-    pairs = eigs.reshape(*eigs.shape[:-1], -1, 2)
-    gaps = pairs[..., 1] - pairs[..., 0]
-    if np.any(gaps > pair_tol):
-        raise PairingError(
-            "eigenvalues of the complex embedding do not pair up "
-            f"(max gap {float(np.max(gaps)):.3e} > tol {float(np.max(pair_tol)):.3e})"
-        )
-    return np.prod(pairs.mean(axis=-1), axis=-1)
+@functools.cache
+def _moore_terms(n):
+    """Moore's formula for n x n as read-only index arrays (rows, cols,
+    signs): term t is signs[t] times the ordered product of the entries
+    (rows[t, k], cols[t, k]), k = 0..n-1.  A permutation (in the order of
+    ``itertools.permutations``) is written as its cycles, each from its
+    smallest index i through sigma(i), sigma(sigma(i)), ..., with the
+    cycles in decreasing order of that index; a fixed point i is the
+    factor a_ii.  The sign is (-1)^(n - cycles)."""
+    rows, cols, signs = [], [], []
+    for sigma in itertools.permutations(range(n)):
+        cycles = []
+        for start in range(n):
+            if all(start not in cycle for cycle in cycles):
+                cycle = [start]
+                while sigma[cycle[-1]] != start:
+                    cycle.append(sigma[cycle[-1]])
+                cycles.append(cycle)
+        order = [i for cycle in reversed(cycles) for i in cycle]
+        rows.append(order)
+        cols.append([sigma[i] for i in order])
+        signs.append(-1.0 if (n - len(cycles)) % 2 else 1.0)
+    return tuple(_read_only(np.array(x)) for x in (rows, cols, signs))
 
 
 def moore_det(A):
     """Moore determinant of one quaternionic Hermitian matrix.
 
-    The one-matrix case of ``moore_det_batch``, after a Hermitian check.
-    The value is verified against ``det(realization) == moore^4`` at
-    relative tolerance 1e-8.
+    ``det_batch("H", ...)`` of the matrix, after a Hermitian check.  The
+    value is verified against ``det(realization) == moore^4``: the gap may
+    be at most 1e-8 ||A||_F^(4n), a bound of the same degree 4n as both
+    sides, so it holds at every scale.
     """
     if not isinstance(A, HermitianMatrix):
         A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
     if A.field != "H":
         raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
-    A = A.data
-    value = float(moore_det_batch(A[None])[0])
+    A, n = A.data, A.n
+    value = float(det_batch("H", A[None])[0])
     det_real = float(np.linalg.det(realize_quat_matrix(A)))
-    p4 = value**4
-    rel = abs(det_real - p4) / max(1.0, abs(p4), abs(det_real))
-    if rel > 1e-8:
+    p4, scale = value**4, float(np.sum(A * A)) ** (2 * n)
+    if abs(det_real - p4) > 1e-8 * scale:
         raise DeterminantConsistencyError(
-            f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e} "
-            f"(relative gap {rel:.3e}), n = {A.shape[0]}"
+            f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e}: the gap "
+            f"exceeds 1e-8 ||A||_F^(4n) = {1e-8 * scale:.3e}, n = {n}"
         )
     return value
-
-
-def moore_det_batch(data):
-    """Vectorized Moore determinant of (..., n, n, 4) Hermitian arrays.
-
-    Product of one representative per duplicated eigenvalue pair of the
-    complex embedding (eigenvalues via LAPACK, pairs by sorted
-    adjacency), normalized so the identity maps to 1.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.shape[-3] == 1:
-        return data[..., 0, 0, 0].copy()
-    norm = np.sqrt(np.sum(data * data, axis=(-3, -2, -1)))
-    eigs = np.linalg.eigvalsh(complex_embedding(data))
-    return _paired_product(eigs, 1e-7 * np.maximum(1.0, norm)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +322,10 @@ def det_batch(field, data):
 
     Real n <= 3 and complex n <= 2 use the closed forms of ``_det_closed``
     (the real part of ``a d - b c`` over C); larger sizes go to LAPACK.
+    H is Moore's formula over the terms of ``_moore_terms``: each term's
+    factors multiplied left to right by ``quat_mul``, and the signed real
+    parts added in the table's order: (n - 1) n! products, no tolerance (at
+    n = 1 the entry's real part).
     """
     if field == "R":
         data = np.asarray(data, dtype=float)
@@ -358,7 +334,13 @@ def det_batch(field, data):
         data = np.asarray(data, dtype=complex)
         return (_det_closed(data) if data.shape[-1] <= 2 else np.linalg.det(data)).real
     if field == "H":
-        return moore_det_batch(data)
+        data = np.asarray(data, dtype=float)
+        rows, cols, signs = _moore_terms(data.shape[-3])
+        product = data[..., rows[:, 0], cols[:, 0], :]
+        for r, c in zip(rows.T[1:], cols.T[1:]):
+            product = quat_mul(product, data[..., r, c, :])
+        terms = signs * product[..., 0]
+        return functools.reduce(np.add, np.moveaxis(terms, -1, 0))
     if field == "O2":
         data = np.asarray(data, dtype=float)
         return data[..., 0, 0, 0] * data[..., 1, 1, 0] - np.sum(data[..., 0, 1, :] ** 2, axis=-1)

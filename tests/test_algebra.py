@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mongeval import algebra
 from mongeval.algebra import (
     HermitianMatrix,
-    complex_embedding,
     conj_transpose,
     det_batch,
     mixed_det,
     moore_det,
-    moore_det_batch,
     oct_mul,
     oct_unit,
     polarized_det_batch,
@@ -127,6 +125,60 @@ def test_octonion_q_times_conj():
         assert np.abs(oct_mul(q, quat_conj(q)) - quat_abs2(q) * oct_unit(0)).max() <= 1e-12 * max(
             1.0, quat_abs2(q)
         )
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue route: the reference for Moore's formula
+# ---------------------------------------------------------------------------
+
+class PairingError(ArithmeticError):
+    """The spectrum of a complex embedding did not split into duplicated
+    pairs within tolerance, so the Moore determinant is ambiguous."""
+
+
+def complex_embedding(A):
+    """Complex 2n x 2n matrix of x -> Ax on H^n viewed as a right C-module.
+
+    Writing each entry q = (t + ix) + j (y - iz) = a + j c, the embedding is
+    [[A1, -conj(A2)], [A2, conj(A1)]] with A1 = t + ix and A2 = y - iz.
+    It is multiplicative, and Hermitian whenever A is quaternionic Hermitian.
+    Vectorized over leading axes of (..., n, n, 4) input.
+    """
+    A = np.asarray(A, dtype=float)
+    a1 = A[..., 0] + 1j * A[..., 1]
+    a2 = A[..., 2] - 1j * A[..., 3]
+    top = np.concatenate([a1, -np.conj(a2)], axis=-1)
+    bot = np.concatenate([a2, np.conj(a1)], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
+
+
+def _paired_product(eigs, pair_tol):
+    """Product of one representative per duplicated eigenvalue pair.
+
+    ``eigs`` has even trailing length and is sorted ascending along the
+    last axis; pairs are taken by sorted adjacency.
+    """
+    pairs = eigs.reshape(*eigs.shape[:-1], -1, 2)
+    gaps = pairs[..., 1] - pairs[..., 0]
+    if np.any(gaps > pair_tol):
+        raise PairingError(
+            "eigenvalues of the complex embedding do not pair up "
+            f"(max gap {float(np.max(gaps)):.3e} > tol {float(np.max(pair_tol)):.3e})"
+        )
+    return np.prod(pairs.mean(axis=-1), axis=-1)
+
+
+def moore_det_batch(data):
+    """Moore determinant of (..., n, n, 4) Hermitian arrays by eigenvalues:
+    every eigenvalue of the complex embedding appears twice, and the
+    product of one per pair (LAPACK's spectrum, pairs by sorted adjacency)
+    has the sign that a fourth root of det(realization) cannot see."""
+    data = np.asarray(data, dtype=float)
+    if data.shape[-3] == 1:
+        return data[..., 0, 0, 0].copy()
+    norm = np.sqrt(np.sum(data * data, axis=(-3, -2, -1)))
+    eigs = np.linalg.eigvalsh(complex_embedding(data))
+    return _paired_product(eigs, 1e-7 * np.maximum(1.0, norm)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +354,7 @@ def test_moore_weak_multiplicativity():
 def test_moore_batch_matches_scalar():
     rng = np.random.default_rng(10)
     batch = np.stack([random_quat_hermitian(rng, 3) for _ in range(20)])
-    vals = moore_det_batch(batch)
+    vals = det_batch("H", batch)
     for k in range(20):
         assert abs(vals[k] - jacobi_moore_det(batch[k])) <= 1e-10 * max(1.0, abs(vals[k]))
 
@@ -312,7 +364,7 @@ def test_moore_batch_matches_scalar():
 def test_moore_batch_matches_jacobi_property(n, seed):
     rng = np.random.default_rng(seed)
     batch = np.stack([random_quat_hermitian(rng, n) for _ in range(3)])
-    vals = moore_det_batch(batch)
+    vals = det_batch("H", batch)
     for k in range(3):
         ref = jacobi_moore_det(batch[k])
         assert abs(vals[k] - ref) <= 1e-10 * max(1.0, np.sum(batch[k] ** 2) ** (n / 2))
@@ -324,20 +376,80 @@ def test_moore_rejects_non_hermitian():
         moore_det(rng.standard_normal((2, 2, 4)))
 
 
-def test_moore_batch_raises_when_the_spectrum_does_not_pair():
-    # the batch route has no Hermitian check: a non-Hermitian matrix's
-    # embedding has no duplicated eigenvalue pairs
-    data = np.random.default_rng(0).standard_normal((1, 2, 2, 4))
-    with pytest.raises(algebra.PairingError, match="do not pair up"):
-        algebra.moore_det_batch(data)
-
-
 def test_moore_raises_when_the_realization_disagrees(monkeypatch):
-    # moore_det checks its batch value against det(realization) = moore^4
-    batch = algebra.moore_det_batch
-    monkeypatch.setattr(algebra, "moore_det_batch", lambda data: 1.01 * batch(data))
-    with pytest.raises(algebra.DeterminantConsistencyError, match="relative gap"):
-        moore_det(HermitianMatrix.identity("H", 2))
+    # moore_det checks det_batch's value against det(realization) = moore^4
+    # with a gap of at most 1e-8 ||A||_F^(4n); the bound max(1, |moore^4|,
+    # |det|) it replaces is 1 at 0.01 I, so a 1% error passed there
+    batch = algebra.det_batch
+    monkeypatch.setattr(algebra, "det_batch", lambda field, data: 1.01 * batch(field, data))
+    for n, scale in [(2, 1.0), (2, 0.01), (3, 0.01)]:
+        with pytest.raises(algebra.DeterminantConsistencyError, match="exceeds 1e-8"):
+            moore_det(HermitianMatrix.identity("H", n) * scale)
+
+
+def test_moore_realization_check_passes_at_every_scale():
+    # the gap of det(realization) to moore^4 scales as ||A||_F^(4n), as the
+    # bound does: random matrices at 1e-3 to 1e3 read at most 3.5e-15 of it
+    rng = np.random.default_rng(19)
+    for n in range(1, 5):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(5):
+                A = random_quat_hermitian(rng, n, scale)
+                assert moore_det(A) == det_batch("H", A[None])[0]
+
+
+def _reversed_terms(data):
+    """Moore's terms with each term's factors multiplied in reverse order,
+    not conjugated: the negative control of the formula's gate."""
+    rows, cols, signs = algebra._moore_terms(data.shape[-3])
+    product = data[..., rows[:, -1], cols[:, -1], :]
+    for r, c in zip(rows.T[-2::-1], cols.T[-2::-1]):
+        product = quat_mul(product, data[..., r, c, :])
+    return (signs * product[..., 0]).sum(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moore_formula_matches_the_eigenvalue_reference(n):
+    # within 1e-13 ||A||_F^n of the eigenvalue route on random Hermitian
+    # batches (the widest gap reads 5.5e-16 of it), and exactly 1.0 on the
+    # identity; the reversed products miss by at least 1e-3 of it at n = 3
+    # and 4 (0.21 and 0.038; at n = 2 a term's product and its reverse have
+    # one real part)
+    rng = np.random.default_rng(30 + n)
+    data = np.stack([random_quat_hermitian(rng, n) for _ in range(500)])
+    scale = np.sum(data * data, axis=(-3, -2, -1)) ** (n / 2)
+    got, ref = det_batch("H", data), moore_det_batch(data)
+    assert got.shape == ref.shape == (500,) and got.dtype == np.float64
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    assert det_batch("H", HermitianMatrix.identity("H", n).data[None]).tolist() == [1.0]
+    if n >= 3:
+        assert np.max(np.abs(_reversed_terms(data) - ref) / scale) >= 1e-3
+
+
+def test_moore_terms_are_the_cycle_form_of_every_permutation():
+    # n! terms of n factors: each row visits every index once, each column
+    # set is a permutation, a fixed point is a diagonal factor, and the
+    # signs sum to 0 for n >= 2; the table is built once and read-only
+    for n in range(1, 5):
+        rows, cols, signs = algebra._moore_terms(n)
+        assert algebra._moore_terms(n) is algebra._moore_terms(n)
+        assert rows.shape == cols.shape == (math.factorial(n), n)
+        assert not any(x.flags.writeable for x in (rows, cols, signs))
+        assert np.all(np.sort(rows, axis=1) == np.arange(n))
+        assert np.all(np.sort(cols, axis=1) == np.arange(n))
+        assert len({tuple(c[np.argsort(r)]) for r, c in zip(rows, cols)}) == math.factorial(n)
+        assert signs.sum() == (1.0 if n == 1 else 0.0)
+    # at n = 3, as factors (row, col) in the order they are multiplied
+    rows, cols, signs = algebra._moore_terms(3)
+    assert [list(zip(r, c)) for r, c in zip(rows.tolist(), cols.tolist())] == [
+        [(2, 2), (1, 1), (0, 0)],  # (0)(1)(2)
+        [(1, 2), (2, 1), (0, 0)],  # (0)(1 2)
+        [(2, 2), (0, 1), (1, 0)],  # (0 1)(2)
+        [(0, 1), (1, 2), (2, 0)],  # (0 1 2)
+        [(0, 2), (2, 1), (1, 0)],  # (0 2 1)
+        [(1, 1), (0, 2), (2, 0)],  # (0 2)(1)
+    ]
+    assert signs.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
 from mongeval import cli, hessian, valuation, verify
-from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch
+from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch, quat_mul
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
@@ -1177,6 +1177,55 @@ def test_matrix_weights_move_by_the_field_linear_map_of_the_body(field):
             assert abs(phi(P, moved) - value) <= 1e-13 * abs(value)
             for control in wrong:
                 assert abs(phi(P, control) - value) >= 1e-3 * abs(value)
+
+
+def _quartic_convex(d, seed):
+    """1/2 x^T Q x + 0.3 sum_k (u_k . x)^4, Q = m m^T + 0.5 I and d unit
+    vectors u_k, all random: smooth and convex."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d))
+    quad = quadratic(m @ m.T + 0.5 * np.eye(d))
+    u = rng.standard_normal((d, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return lambda x: quad(x) + 0.3 * np.sum((np.asarray(x) @ u.T) ** 4, axis=-1)
+
+
+def test_quaternionic_linear_maps_keep_phi_and_the_other_maps_move_it():
+    # H, n = 2, i = 2 on the stencil route, B radial about 0: phi(f o g) =
+    # phi(f) to 1e-13 for the signed permutations g of H^2 = R^8 below, and
+    # each control moves it by at least 1e-3 (read: 1.7e-2 to 2.3e-1).
+    # Which side is H-linear: ``hessian._COEF_H`` reads H_ab as the sum of
+    # f_{a mu, b nu} e_mu conj(e_nu), so a left product q_1 -> lam q_1 (a
+    # unit lam) gives f o g the Hessian D* H D, D = diag(lam, 1), with the
+    # same Moore determinant: H^2 is a right H-module and H-linear maps
+    # act by left products.  A right product by one unit on both q_1 and
+    # q_2 leaves the Hessian as it is, and q_1 <-> q_2 permutes it.  A right
+    # product on q_1 alone turns H_12 into a sum of e_mu conj(lam) conj(e_nu)
+    # terms, which is no congruence, and negating one imaginary axis of q_1
+    # is not H-linear.
+    spec = ValuationSpec("H", 2, 2, BumpWeight(np.zeros(8), 0.45, 1.0, plateau=0.7))
+    grid = Grid.cube(np.zeros(8), 0.5, 4, 8)
+    basis = np.eye(4)
+    _, i, j, _ = basis
+    left = lambda q: quat_mul(q, basis).T  # the real matrix of x -> q x
+    right = lambda q: quat_mul(basis, q).T  # of x -> x q
+
+    def blocks(g1, g2):
+        return np.block([[g1, np.zeros((4, 4))], [np.zeros((4, 4)), g2]])
+
+    keep = [blocks(left(i), np.eye(4)), blocks(left(j), np.eye(4)),
+            blocks(right(i), right(i)), np.roll(np.eye(8), 4, axis=0)]
+    move = [blocks(right(i), np.eye(4)), blocks(right(j), np.eye(4)),
+            np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])]
+    for seed in (0, 1):
+        f = _quartic_convex(8, seed)
+        value = eval_valuation(spec, f, grid, step=1e-3)
+        moved = [eval_valuation(spec, lambda x, g=g: f(np.asarray(x) @ g.T), grid, step=1e-3)
+                 for g in keep + move]
+        for v in moved[:len(keep)]:
+            assert abs(v - value) <= 1e-13 * abs(value)
+        for v in moved[len(keep):]:
+            assert abs(v - value) >= 1e-3 * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -3297,6 +3346,22 @@ def test_the_form_counts_each_multiset_of_entries_by_its_orderings():
     assert [head for head, _c, _last in groups] == sorted({k[:2] for k in terms})
     for _head, c, last in groups:
         assert not c.flags.writeable and not last.flags.writeable
+
+
+def test_the_quaternionic_forms_have_integer_coefficients():
+    # Moore's formula has integer coefficients: the H (n = 2, i = 2) form
+    # keeps exactly 56 monomials, each -2, -1, 1 or 2 (by the eigenvalues
+    # of the complex embedding it kept 280, 224 of them roundoff of about
+    # 1e-16); the H (n = 1, i = 1) form, which the identity and invariance
+    # experiments use, is h_00 + h_11 + h_22 + h_33 with the bits it had
+    B = lambda d: BumpWeight(np.zeros(d), 0.45)
+    groups = valuation._polynomial_form(ValuationSpec("H", 2, 2, B(8)))
+    coefficients = np.concatenate([c for _head, c, _last in groups])
+    assert len(coefficients) == 56
+    assert set(coefficients.tolist()) == {-2.0, -1.0, 1.0, 2.0}
+    (head, c, last), = valuation._polynomial_form(ValuationSpec("H", 1, 1, B(4)))
+    assert head == () and last.tolist() == [0, 5, 10, 15]
+    assert c.tobytes() == np.ones(4).tobytes()
 
 
 # ---------------------------------------------------------------------------
