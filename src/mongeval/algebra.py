@@ -80,6 +80,33 @@ def _read_only(array):
     return array
 
 
+def _row_sums(x):
+    """Sums over the last axis of a float array, with the bits of
+    ``np.sum(x, axis=-1)``.
+
+    Below 8 entries numpy adds a row's entries one after another in axis
+    order onto +0.0, so a row of -0.0 sums to +0.0; the column adds here
+    start from ``x[..., 0] + 0.0`` for that reason and keep the order.  On
+    4-wide rows they take 18 us against 116 us for 6,336 rows, and 2.9
+    against 2.4 us for one 3-wide row.  From 8 entries numpy sums pairwise
+    (a column replica of that is slower than numpy), so wider rows, and
+    rows of no entries, call ``np.sum`` itself.
+    """
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        return np.sum(x, axis=-1)
+    s = x[..., 0] + 0.0
+    for k in range(1, d):
+        s += x[..., k]
+    return s
+
+
+def _pow2(top):
+    """2^round(log2 top), at most 2^1023, or 1.0 for a top of 0 or not
+    finite: dividing by it is exact."""
+    return 2.0 ** min(round(math.log2(top)), 1023) if 0.0 < top < math.inf else 1.0
+
+
 class DeterminantConsistencyError(ArithmeticError):
     """det(realization) and moore_det**4 disagree beyond tolerance."""
 
@@ -115,8 +142,10 @@ def quat_conj(p):
 
 
 def quat_abs2(p):
+    """|p|^2 over the last axis, by ``_row_sums``: a quaternion's 4 squares
+    added in axis order, an octonion's 8 by ``np.sum``."""
     p = np.asarray(p, dtype=float)
-    return np.sum(p * p, axis=-1)
+    return _row_sums(p * p)
 
 
 # e_a e_b = sum_c _QTAB[a, b, c] e_c, every pair in one broadcast product
@@ -200,9 +229,13 @@ def moore_det(A):
     """Moore determinant of one quaternionic Hermitian matrix.
 
     ``det_batch("H", ...)`` of the matrix, after a Hermitian check.  The
-    value is verified against ``det(realization) == moore^4``: the gap may
-    be at most 1e-8 ||A||_F^(4n), a bound of the same degree 4n as both
-    sides, so it holds at every scale.
+    value is verified against ``det(realization) == moore^4`` on A divided
+    by s = ``_pow2`` of its largest entry, a power of two: the gap may be
+    at most 1e-8 ||A / s||_F^(4n), a bound of the same degree 4n as both
+    sides, so it reads the same at every scale, and neither side leaves
+    the float range (unscaled, ``moore^4`` of 1e40 I overflows, and at
+    1e-40 I the bound underflows to 0).  The value returned is computed on
+    A itself.
     """
     if not isinstance(A, HermitianMatrix):
         A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
@@ -210,12 +243,15 @@ def moore_det(A):
         raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
     A, n = A.data, A.n
     value = float(det_batch("H", A[None])[0])
-    det_real = float(np.linalg.det(realize_quat_matrix(A)))
-    p4, scale = value**4, float(np.sum(A * A)) ** (2 * n)
+    s = _pow2(float(np.abs(A).max()))
+    unit = A / s
+    det_real = float(np.linalg.det(realize_quat_matrix(unit)))
+    p4, scale = float(det_batch("H", unit[None])[0]) ** 4, float(np.sum(unit * unit)) ** (2 * n)
     if abs(det_real - p4) > 1e-8 * scale:
         raise DeterminantConsistencyError(
-            f"det(realization) = {det_real:.12e} vs moore^4 = {p4:.12e}: the gap "
-            f"exceeds 1e-8 ||A||_F^(4n) = {1e-8 * scale:.3e}, n = {n}"
+            f"on A / s with s = {s:.3e}: det(realization) = "
+            f"{det_real:.12e} vs moore^4 = {p4:.12e}: the gap exceeds "
+            f"1e-8 ||A / s||_F^(4n) = {1e-8 * scale:.3e}, n = {n}"
         )
     return value
 

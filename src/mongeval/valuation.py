@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _read_only, _whole_number,
-                      polarized_det_batch)
+from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _pow2, _read_only, _row_sums,
+                      _whole_number, polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
 from .hessian import (_entry_major, _field_entries, _stencil_steps, _thread_buffer,
                       assemble_structured, fd_hessian_batch, grid_hessian, grid_hessian_adjoint)
@@ -176,8 +176,10 @@ class BumpWeight:
         object.__setattr__(self, "center", c)
 
     def __call__(self, x):
+        """B at the points on the last axis of ``x``; |x - center|^2 is
+        ``_row_sums``, numpy's sum without its per-row cost."""
         x = np.asarray(x, dtype=float)
-        return self._profile(np.sum((x - self.center) ** 2, axis=-1))
+        return self._profile(_row_sums((x - self.center) ** 2))
 
     def _profile(self, dist2):
         # C^2 radial profile in r = |x - center| / radius: 1 on r <= plateau, 0 from r = 1
@@ -190,9 +192,9 @@ class BumpWeight:
         """B on every cell of the tensor grid of ``axes``, flat in C order
         and 0 outside the support.  |x - center|^2 is an outer sum of
         (x_a - c_a)^2 from the first axis on, which is the order in which
-        ``np.sum`` adds a node's coordinates for d <= 7, so the bits are
+        ``_row_sums`` adds a node's coordinates for d <= 7, so the bits are
         those of ``self(nodes)`` there (a zero of a negative height is
-        +0.0 here).  From d = 8 numpy's pairwise sum runs 8 accumulators,
+        +0.0 here).  From d = 8 it is numpy's pairwise sum, 8 accumulators,
         and the squared distances may differ by a few ulp (3 in the
         tests), which the profile amplifies near the edge of the support.
         The profile runs only where that sum is below radius^2, which
@@ -439,12 +441,6 @@ class AtomicMeasure:
 
 def _empty_measure(dim):
     return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
-
-
-def _pow2(top):
-    """2^round(log2 top), at most 2^1023, or 1.0 for a top of 0 or not
-    finite: dividing by it is exact."""
-    return 2.0 ** min(round(math.log2(top)), 1023) if 0.0 < top < math.inf else 1.0
 
 
 def _dedupe_pieces(slopes, offsets):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import convex as cx
-from .algebra import FIELDS, HermitianMatrix, _whole_number, det_batch, polarized_det_batch
+from .algebra import (FIELDS, HermitianMatrix, _row_sums, _whole_number, det_batch,
+                      polarized_det_batch)
 from .hessian import _field_entries, assemble_structured, fd_hessian_batch, fd_laplacian_batch
 from .valuation import (
     BumpWeight,
@@ -322,12 +323,15 @@ def _invariance_case(field, rng):
 
 
 def _quad_plus_quartic(q, amp):
+    """x -> x^T q x / 2 + amp sum_i (x_i - 0.1)^4 over the last axis; the
+    quartic's sum is ``_row_sums``, the bits of ``np.sum`` (4-wide stencil
+    rows of the H check: 18 against 116 us on 6,336 rows)."""
     def fn(x):
         x = np.asarray(x, dtype=float)
         quad = 0.5 * np.einsum("...i,...i->...", x @ q, x)  # one BLAS product
         t = (x - 0.1) ** 2
         t *= t  # the 4th power by squaring twice; pow is about 50x slower
-        return quad + amp * np.sum(t, axis=-1)
+        return quad + amp * _row_sums(t)
     return fn
 
 
@@ -598,7 +602,7 @@ def volume_identity(b_height=1.0, body=None, seed=0):
     kernel_weight = BumpWeight(np.array([0.25, 0.0, 0.0]), 0.18, 1.0)
     kernel_exact, kernel_quad = _kernel_images([kernel_weight], bodies, volumes, grid)
     nonzero = eval_valuation(ValuationSpec("R", 3, 3, kernel_weight),
-                             lambda x: 0.5 * np.sum(x**2, axis=-1), grid)
+                             lambda x: 0.5 * _row_sums(x**2), grid)
     checks += [
         ("B(0) = 0: exact image on bodies is 0", kernel_exact, 0.0, 1e-12),
         ("B(0) = 0: quadrature image relative to vol", kernel_quad, 0.0, 0.02),
@@ -620,8 +624,9 @@ def volume_identity(b_height=1.0, body=None, seed=0):
 
 def _bump4(x, center=0.0, radius=0.45):
     """The C^2 bump (1 - |x - center|^2 / radius^2)_+^4; with the defaults,
-    the perturbation psi of |x|^2/2."""
-    r2 = np.sum(((np.asarray(x, dtype=float) - center) / radius) ** 2, axis=-1)
+    the perturbation psi of |x|^2/2.  The squared distance is
+    ``_row_sums``, the bits of ``np.sum``."""
+    r2 = _row_sums(((np.asarray(x, dtype=float) - center) / radius) ** 2)
     return np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
 
 
@@ -672,7 +677,7 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     nodes = grid.nodes()
 
     def f0(x):
-        return 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+        return 0.5 * _row_sums(np.asarray(x, dtype=float) ** 2)
 
     reference = float(np.sum(np.asarray(weight(nodes)) * fd_laplacian_batch(_bump4, nodes))
                       * grid.cell_volume)

@@ -89,7 +89,9 @@ def test_acceptance_02_moore_determinant():
     # identity normalization, exactly
     for n in range(1, 5):
         ok &= moore_det(HermitianMatrix.identity("H", n)) == 1.0
-    # realization consistency and weak multiplicativity
+    # realization consistency, relative to ||A||_F^(4n), the degree of both
+    # sides, at three scales, and at scale 1 also relative to the values,
+    # the tighter of the two there; weak multiplicativity
     for n in (2, 3):
         for _ in range(20):
             x = rng.standard_normal((n, n, 4))
@@ -97,6 +99,10 @@ def test_acceptance_02_moore_determinant():
             p = moore_det(A)
             det_real = np.linalg.det(realize_quat_matrix(A))
             ok &= abs(det_real - p**4) <= 1e-8 * max(1.0, abs(p**4), abs(det_real))
+            for scaled in (A, 1e-2 * A, 1e2 * A):
+                p = moore_det(scaled)
+                det_real = np.linalg.det(realize_quat_matrix(scaled))
+                ok &= abs(det_real - p**4) <= 1e-8 * np.sum(scaled * scaled) ** (2 * n)
             C = rng.standard_normal((n, n, 4))
             cac = quat_matmul(quat_matmul(conj_transpose("H", C), A), C)
             cc = quat_matmul(conj_transpose("H", C), C)

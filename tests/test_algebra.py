@@ -118,6 +118,54 @@ def test_octonion_norm_multiplicativity(p, q):
     )
 
 
+_SPECIAL_SUMMANDS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -3.0, np.inf, -np.inf,
+                     np.nan, -np.nan]
+
+
+def _plain_column_adds(x):
+    """The column adds of ``_row_sums`` without the +0.0 start: the
+    negative control of its signed-zero rule."""
+    s = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        s += x[..., k]
+    return s
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_row_sums_have_the_bits_of_numpys_sum(d):
+    # below 8 entries numpy adds a row in axis order onto +0.0, as the
+    # helper does; from 8 up it sums pairwise and the helper calls np.sum
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((20000, d)) * np.exp(rng.uniform(-30.0, 30.0, (20000, d)))
+    special = rng.choice(_SPECIAL_SUMMANDS, (5000, d))
+    special[:4] = np.array([-0.0, np.inf, -np.inf, np.nan])[:, None]  # all -0.0, all ±inf, all NaN
+    for rows in (x, special, x[:, ::-1], x[:0], x[7], special[0], x.reshape(20, 1000, d)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = algebra._row_sums(rows), np.sum(rows, axis=-1)
+        assert type(got) is type(ref) and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_column_adds_without_the_zero_start_miss_a_row_of_negative_zeros(d):
+    rng = np.random.default_rng(60 + d)
+    x = rng.standard_normal((500, d))
+    assert _plain_column_adds(x).tobytes() == np.sum(x, axis=-1).tobytes()
+    zeros = np.full((1, d), -0.0)
+    assert algebra._row_sums(zeros).tobytes() == np.sum(zeros, axis=-1).tobytes()
+    assert np.signbit(_plain_column_adds(zeros)[0]) and not np.signbit(np.sum(zeros, axis=-1)[0])
+
+
+def test_quat_abs2_keeps_the_bits_of_numpys_sum():
+    rng = np.random.default_rng(7)
+    for comps in (4, 8):
+        p = rng.standard_normal((3000, comps)) * np.exp(rng.uniform(-20.0, 20.0, (3000, 1)))
+        p[0] = -0.0
+        for q in (p, p[5], p[0]):
+            ref = np.sum(q * q, axis=-1)
+            assert quat_abs2(q).tobytes() == ref.tobytes()
+
+
 def test_octonion_q_times_conj():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -382,17 +430,32 @@ def test_moore_raises_when_the_realization_disagrees(monkeypatch):
     # |det|) it replaces is 1 at 0.01 I, so a 1% error passed there
     batch = algebra.det_batch
     monkeypatch.setattr(algebra, "det_batch", lambda field, data: 1.01 * batch(field, data))
-    for n, scale in [(2, 1.0), (2, 0.01), (3, 0.01)]:
+    for n, scale in [(2, 1.0), (2, 0.01), (3, 0.01), (2, 1e40), (3, 1e40)]:
         with pytest.raises(algebra.DeterminantConsistencyError, match="exceeds 1e-8"):
             moore_det(HermitianMatrix.identity("H", n) * scale)
 
 
+@pytest.mark.parametrize("scale", [1e40, 1e-40])
+def test_moore_det_of_a_large_or_small_matrix_is_its_value(scale):
+    # the check runs on A divided by a power of two near its largest entry.
+    # Unscaled, the realization's determinant of 1e40 I overflows (a
+    # warning) and moore^4 raises OverflowError; at 1e-40 I the bound
+    # underflows to 0 and both sides to subnormals of a few digits
+    A = HermitianMatrix.identity("H", 2) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = moore_det(A)
+        assert A.det() == value == det_batch("H", A.data[None])[0]
+    assert value == scale * scale and value != 0.0
+
+
 def test_moore_realization_check_passes_at_every_scale():
     # the gap of det(realization) to moore^4 scales as ||A||_F^(4n), as the
-    # bound does: random matrices at 1e-3 to 1e3 read at most 3.5e-15 of it
+    # bound does: random matrices at 1e-3 to 1e3 read at most 3.5e-15 of it,
+    # and at 1e-40 and 1e40 the check runs on a power-of-two scaled copy
     rng = np.random.default_rng(19)
     for n in range(1, 5):
-        for scale in (1e-3, 1.0, 1e3):
+        for scale in (1e-40, 1e-3, 1.0, 1e3, 1e40):
             for _ in range(5):
                 A = random_quat_hermitian(rng, n, scale)
                 assert moore_det(A) == det_batch("H", A[None])[0]

@@ -175,6 +175,31 @@ def test_quartic_squared_twice_matches_the_power():
     assert np.allclose(fn(x), ref, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
+@pytest.mark.parametrize("d", [3, 4, 16])
+def test_quartic_row_sum_keeps_the_bits_of_numpys_sum(d):
+    # the quartic's sum is _row_sums, against the np.sum it replaced
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((d, d))
+    q = m @ m.T + 0.5 * np.eye(d)
+    fn = verify._quad_plus_quartic(q, 0.15)
+    x = rng.uniform(-1.5, 1.5, (6336, d))
+    for pts in (x, x[0]):
+        t = (pts - 0.1) ** 2
+        t *= t
+        ref = 0.5 * np.einsum("...i,...i->...", pts @ q, pts) + 0.15 * np.sum(t, axis=-1)
+        assert fn(pts).tobytes() == ref.tobytes()
+
+
+def test_bump4_keeps_the_bits_of_numpys_sum():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.6, 0.6, (20000, 3))
+    for pts, center, radius in ((x, 0.0, 0.45), (x[2], 0.0, 0.45), (x, x[1], 0.3)):
+        r2 = np.sum(((pts - center) / radius) ** 2, axis=-1)
+        ref = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 4, 0.0)
+        got = verify._bump4(pts, center, radius)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_kernel_laplacian_small():
     rep = kernel_laplacian(eps_schedule=(1e-2, 5e-3), resolution=24)
     ratios = rep.details["ratios"]
