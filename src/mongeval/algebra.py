@@ -80,6 +80,22 @@ def _read_only(array):
     return array
 
 
+def _finite_copy(name, value, ndim, dtype=float, error=ValueError):
+    """A read-only copy of ``value`` as an array of ``dtype`` with ``ndim``
+    axes, whose entries are finite; ``error`` otherwise.  Fewer axes gain
+    leading ones (``np.array``'s ``ndmin``): a scalar is a 1-D point, one
+    1-D row a one-row matrix.  The one rule by which a value object takes
+    a caller's array: the copy keeps the caller's later writes out, and
+    read-only keeps one user of a shared object from changing it under
+    the others (and under the value store's keys)."""
+    array = np.array(value, dtype=dtype, ndmin=ndim)
+    if array.ndim != ndim:
+        raise error(f"{name} must be at most {ndim}-D, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite")
+    return _read_only(array)
+
+
 def _row_sums(x):
     """Sums over the last axis of a float array, with the bits of
     ``np.sum(x, axis=-1)``.
@@ -278,8 +294,8 @@ class HermitianMatrix:
     """Square Hermitian matrix over R, C, H, or O2 (the latter 2x2 only).
 
     Storage: R -> (n, n) float, C -> (n, n) complex, H -> (n, n, 4),
-    O2 -> (2, 2, 8) with scalar components on the trailing axis, in a
-    read-only copy of the caller's array, whose entries must be finite.
+    O2 -> (2, 2, 8) with scalar components on the trailing axis, kept by
+    ``_finite_copy``: a finite, read-only copy of the caller's array.
     """
 
     field: str
@@ -288,19 +304,14 @@ class HermitianMatrix:
     def __post_init__(self):
         if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}")
-        dtype = complex if self.field == "C" else float
-        data = _read_only(np.array(self.data, dtype=dtype))
-        comps = FIELD_COMPONENTS[self.field]
-        if self.field in ("R", "C"):
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise ValueError(f"bad shape {data.shape} for field {self.field}")
-        else:
-            if data.ndim != 3 or data.shape[0] != data.shape[1] or data.shape[2] != comps:
-                raise ValueError(f"bad shape {data.shape} for field {self.field}")
+        comps = () if self.field in ("R", "C") else (FIELD_COMPONENTS[self.field],)
+        # finite before the deviation test, which a NaN passes and where inf - inf warns
+        data = _finite_copy(f"a matrix over {self.field}", self.data, 2 + len(comps),
+                            complex if self.field == "C" else float)
+        if data.shape[0] != data.shape[1] or data.shape[2:] != comps:
+            raise ValueError(f"bad shape {data.shape} for field {self.field}")
         if self.field == "O2" and data.shape[0] != 2:
             raise ValueError("octonionic Hermitian matrices are supported for size 2 only")
-        if not np.all(np.isfinite(data)):  # a NaN passes the deviation test; inf - inf warns
-            raise ValueError(f"matrix entries must be finite over {self.field}")
         dev = hermitian_deviation(self.field, data)
         if dev > 1e-8 * (1.0 + float(np.abs(data).max(initial=0.0))):
             raise ValueError(f"matrix is not Hermitian over {self.field} (deviation {dev:.3e})")

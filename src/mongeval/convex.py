@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import _read_only, _whole_number
+from .algebra import _finite_copy, _whole_number
 from .hessian import _row_norms, fd_hessian_batch
 
 __all__ = [
@@ -59,18 +59,16 @@ class Polytope:
 
     Points inside the hull may appear in the list; they do not change the
     support function.  The vertices are the rows of an (m, d) array, or
-    one 1-D vertex; any other shape raises GeometryError.
+    one 1-D vertex, kept by ``_finite_copy``; any other shape raises
+    GeometryError.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if v.ndim != 2 or v.size == 0:
-            raise GeometryError(f"a polytope needs at least one vertex, as the rows of an (m, d) "
-                                f"array; got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise GeometryError("polytope vertices must be finite")
+        v = _finite_copy("polytope vertices", self.vertices, 2, error=GeometryError)
+        if v.size == 0:
+            raise GeometryError(f"a polytope needs at least one vertex; got shape {v.shape}")
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -183,8 +181,9 @@ class SmoothProfileBody:
     h(xi) = |xi| g(xi_1 / |xi|) + <center, xi>, with g smooth on [-1, 1].
     1-homogeneity holds by construction; convexity of h is a property of g
     and is certified numerically (see certify_support_convexity).  ``dim``
-    must be a whole number >= 1 (ValueError otherwise); the center is a
-    read-only copy, so a shared body cannot be moved by one of its users.
+    must be a whole number >= 1 (ValueError otherwise); the center, a
+    ``dim`` point, is kept by ``_finite_copy``, so a shared body cannot be
+    moved by one of its users.
     """
 
     dim: int
@@ -193,7 +192,8 @@ class SmoothProfileBody:
 
     def __post_init__(self):
         dim = _whole_number("dim", self.dim, 1)
-        c = _read_only(np.zeros(dim) if self.center is None else np.array(self.center, dtype=float))
+        c = _finite_copy("body center", np.zeros(dim) if self.center is None else self.center, 1,
+                         error=GeometryError)
         if c.shape != (dim,):
             raise GeometryError(f"center shape {c.shape} does not match dim {dim}")
         object.__setattr__(self, "dim", dim)
@@ -412,23 +412,22 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10,
 class PLConvexFunction:
     """f(x) = max_j (<a_j, x> + b_j): a finite max of affine pieces.
 
-    Needs at least one piece, finite slopes and offsets, and the slopes as
-    the rows of an (m, d) array or one 1-D slope (ValueError otherwise).
+    Needs at least one piece, and the slopes as the rows of an (m, d)
+    array or one 1-D slope, with m offsets (ValueError otherwise); both are
+    kept by ``_finite_copy``.
     """
 
     slopes: np.ndarray
     offsets: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.slopes, dtype=float))
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError(f"a PL convex function needs at least one piece, its slopes the rows "
-                             f"of an (m, d) array; got shape {a.shape}")
-        b = np.zeros(a.shape[0]) if self.offsets is None else np.asarray(self.offsets, dtype=float)
-        if b.shape != (a.shape[0],):
-            raise ValueError(f"offsets shape {b.shape} does not match {a.shape[0]} pieces")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("PL slopes and offsets must be finite")
+        a = _finite_copy("PL slopes", self.slopes, 2)
+        if a.size == 0:
+            raise ValueError(f"a PL convex function needs at least one piece; got shape {a.shape}")
+        b = _finite_copy("PL offsets",
+                         np.zeros(len(a)) if self.offsets is None else self.offsets, 1)
+        if b.shape != (len(a),):
+            raise ValueError(f"offsets shape {b.shape} does not match {len(a)} pieces")
         object.__setattr__(self, "slopes", a)
         object.__setattr__(self, "offsets", b)
 
@@ -446,7 +445,7 @@ class PLConvexFunction:
 
     @classmethod
     def from_polytope_support(cls, P: Polytope) -> "PLConvexFunction":
-        return cls(P.vertices, np.zeros(P.vertices.shape[0]))
+        return cls(P.vertices)
 
 
 # ---------------------------------------------------------------------------

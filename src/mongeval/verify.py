@@ -28,6 +28,7 @@ from .valuation import (
     MatrixAtom,
     MatrixBump,
     ValuationSpec,
+    _kernel_radius,
     body_valuation,
     eval_valuation,
     hull_volume,
@@ -391,9 +392,9 @@ def smoothing_schedule(sigmas_cells, resolution):
     Raises ValueError unless the resolution is a whole number >= 1 and the
     schedule a list of two or more finite widths (one would pass the
     monotone check vacuously), each >= 1 cell, strictly decreasing, and
-    unless resolution + 2 r <= 160 for r = int(4 sigma + 0.5) of the
-    widest sigma: the grid route samples that many points per axis, and
-    at 160 its float64 samples and Hessians take up to 0.3 GB.
+    unless resolution + 2 r <= 160 for the ``valuation._kernel_radius`` r
+    of the widest sigma: the grid route samples that many points per
+    axis, and at 160 its float64 samples and Hessians take up to 0.3 GB.
     """
     resolution = _whole_number("resolution", resolution, 1)
     sigmas = _finite("sigmas_cells", sigmas_cells, many=True)
@@ -403,10 +404,12 @@ def smoothing_schedule(sigmas_cells, resolution):
         raise ValueError("smoothing schedule is too coarse for the grid (sigma < 1 cell)")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
-    if 4.0 * sigmas[0] + 0.5 >= (160 - resolution) // 2 + 1:  # r > (160 - resolution) // 2
+    # r >= sigma, so a sigma of 160 is past the bound at every resolution;
+    # the cap keeps 4 sigma from overflowing to inf
+    if resolution + 2 * _kernel_radius(min(sigmas[0], 160.0)) > 160:
         raise ValueError(f"resolution {resolution} with sigma {sigmas[0]} samples more than 160 "
-                         "points per axis (resolution + 2 int(4 sigma + 0.5)); at 160 the grid "
-                         "route's float64 samples and Hessians take up to 0.3 GB")
+                         "points per axis (resolution + 2 r, r the kernel radius); at 160 the "
+                         "grid route's float64 samples and Hessians take up to 0.3 GB")
     return sigmas, resolution
 
 

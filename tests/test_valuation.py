@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.ndimage import correlate1d, gaussian_filter
 from scipy.spatial import ConvexHull, QhullError
 
-from mongeval import cli, hessian, valuation, verify
+from mongeval import algebra, cli, convex, hessian, valuation, verify
 from mongeval.algebra import FIELD_COMPONENTS, HermitianMatrix, polarized_det_batch, quat_mul
 from mongeval.convex import (
     PLConvexFunction,
     Polytope,
+    SmoothProfileBody,
     ball_body,
     generate_union_convex_pair,
     halfspace_clip,
@@ -154,15 +156,6 @@ def test_valuation_spec_takes_whole_n_and_degree(n, degree, message):
     # failed on "can't multiply sequence by non-int of type 'float'"
     with pytest.raises(ValueError, match=re.escape(message)):
         ValuationSpec("R", n, degree, BumpWeight(np.zeros(3), 0.45))
-
-
-@pytest.mark.parametrize("lo,hi", [((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.nan)),
-                                   ((-math.inf, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, math.inf))])
-def test_grid_rejects_non_finite_bounds(lo, hi):
-    # a NaN bound passed the hi <= lo check, and an infinite one made the
-    # spacing infinite
-    with pytest.raises(ValueError, match="finite"):
-        Grid(np.array(lo), np.array(hi), (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,6 +1214,35 @@ def test_quaternionic_linear_maps_keep_phi_and_the_other_maps_move_it():
         f = _quartic_convex(8, seed)
         value = eval_valuation(spec, f, grid, step=1e-3)
         moved = [eval_valuation(spec, lambda x, g=g: f(np.asarray(x) @ g.T), grid, step=1e-3)
+                 for g in keep + move]
+        for v in moved[:len(keep)]:
+            assert abs(v - value) <= 1e-13 * abs(value)
+        for v in moved[len(keep):]:
+            assert abs(v - value) >= 1e-3 * abs(value)
+
+
+def test_complex_linear_maps_keep_phi_and_the_other_maps_move_it():
+    # C, n = 2, i = 2 on the grid route, B radial about 0: phi(gK) = phi(K)
+    # to 1e-13 for the C-linear signed permutations g of C^2 = R^4 below
+    # (read: at most 2.9e-16), and each control moves it by at least 1e-3
+    # (read: 2.5e-2 to 8.9e-2).
+    # ``hessian._COEF_C`` reads the coordinates as (Re z_1, Im z_1, Re z_2,
+    # Im z_2).  z_1 -> i z_1 and z_1 <-> z_2 are unitary, so the complex
+    # Hessian of h_gK is a unitary congruence of h_K's, with the same
+    # determinant; conj z_1 and Re z_1 <-> Re z_2 are orthogonal but not
+    # C-linear.  These maps send the grid centred at 0 onto itself, and the
+    # Gaussian kernels are symmetric, so the kept values agree to rounding.
+    spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, 1.0, plateau=0.7))
+    grid = Grid.cube(np.zeros(4), 0.5, 10, 4)
+    times_i = np.block([[np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))],
+                        [np.zeros((2, 2)), np.eye(2)]])
+    keep = [times_i, np.roll(np.eye(4), 2, axis=0)]
+    move = [np.diag([1.0, -1.0, 1.0, 1.0]), np.eye(4)[[2, 1, 0, 3]]]
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        K = random_shell_polytope(rng, dim=4)
+        value = body_valuation(spec, K, grid, sigma_cells=1.5)
+        moved = [body_valuation(spec, Polytope(K.vertices @ g.T), grid, sigma_cells=1.5)
                  for g in keep + move]
         for v in moved[:len(keep)]:
             assert abs(v - value) <= 1e-13 * abs(value)
@@ -2370,13 +2392,13 @@ def test_matrix_bump_rejects_plateau_outside_unit_interval(plateau):
         MatrixBump(HermitianMatrix.identity("R", 3), np.zeros(3), 0.5, plateau=plateau)
 
 
-@pytest.mark.parametrize("name,value", [("center", (0.0, math.nan, 0.0)), ("center", (math.inf, 0, 0)),
-                                        ("radius", math.nan), ("radius", math.inf),
+@pytest.mark.parametrize("name,value", [("radius", math.nan), ("radius", math.inf),
                                         ("height", math.nan), ("height", -math.inf)])
 def test_bump_weights_reject_non_finite_parameters(name, value):
-    # a NaN radius or center made eval_valuation return 0.0 without an
-    # error, and a NaN height returned nan; MatrixBump builds its scalar
-    # as a BumpWeight, so it rejects the same center and radius
+    # a NaN radius made eval_valuation return 0.0 without an error, and a
+    # NaN height returned nan; MatrixBump builds its scalar as a
+    # BumpWeight, so it rejects the same radius (the center's rule is
+    # ``test_value_objects_keep_finite_read_only_copies``)
     args = {"center": np.zeros(3), "radius": 0.45, "height": 1.0}
     args[name] = value
     with pytest.raises(ValueError, match="finite"):
@@ -2384,30 +2406,6 @@ def test_bump_weights_reject_non_finite_parameters(name, value):
     if name != "height":
         with pytest.raises(ValueError, match="finite"):
             MatrixBump(HermitianMatrix.identity("R", 3), args["center"], args["radius"])
-
-
-@pytest.mark.parametrize("location", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
-                                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.zeros((1, 3))])
-def test_matrix_atom_takes_one_finite_point(location):
-    # a NaN atom made eval_valuation return 0.0 (B reads 0 there), and a
-    # 2-row location was reported as "atom location dimension 2 != 3"
-    with pytest.raises(ValueError, match="atom location must be one finite point"):
-        MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), location)
-
-
-@pytest.mark.parametrize("center", [np.array([[0.4], [-0.2], [0.3]]), [[0.4, -0.2, 0.3]],
-                                    np.zeros((2, 2, 3))])
-def test_a_bump_center_is_a_scalar_or_one_point(center):
-    # a column center broadcast against the nodes into a matrix of
-    # distances: on |x|^2 / 2, linear-invariance's R atom spec with B =
-    # BumpWeight(p0[:, None], 0.3) read 0.0 where p0 gives 0.5667, and on a
-    # grid it died in numpy's axis remapping
-    with pytest.raises(ValueError, match="1-D point"):
-        BumpWeight(center, 0.3)
-    with pytest.raises(ValueError, match="1-D point"):
-        MatrixBump(HermitianMatrix.identity("R", 3), center, 0.3)
-    assert BumpWeight(0.2, 0.3).center.tolist() == [0.2]
-    assert BumpWeight([0.4, -0.2, 0.3], 0.3).center.shape == (3,)
 
 
 def test_a_spec_takes_bump_centers_of_size_one_or_its_real_dimension():
@@ -2778,20 +2776,90 @@ def test_a_spec_that_raises_in_the_memo_raises_on_every_call(case):
     assert memo.cache_info().hits == 1
 
 
+_R3 = HermitianMatrix.identity("R", 3)
+_C2 = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])
+#: each array a value object keeps: (build from the array, an array it
+#: takes, the array it keeps)
+_HELD_ARRAYS = {
+    "Grid.lo": (lambda a: Grid(a, np.ones(3), (2, 2, 2)), np.full(3, -0.5), lambda g: g.lo),
+    "Grid.hi": (lambda a: Grid(-np.ones(3), a, (2, 2, 2)), np.full(3, 0.5), lambda g: g.hi),
+    "BumpWeight.center": (lambda a: BumpWeight(a, 0.45), np.array([0.1, 0.0, -0.1]),
+                          lambda b: b.center),
+    "MatrixBump.center": (lambda a: MatrixBump(_R3, a, 0.45), np.array([0.1, 0.0, -0.1]),
+                          lambda m: m.center),
+    "MatrixAtom.location": (lambda a: MatrixAtom(_R3, a), np.array([0.1, 0.0, 0.0]),
+                            lambda m: m.location),
+    **{f"HermitianMatrix.data[{field}]": (lambda a, field=field: HermitianMatrix(field, a), data,
+                                          lambda m: m.data)
+       for field, data in [("R", np.diag([1.0, 2.0, 3.0])), ("C", _C2),
+                           ("H", HermitianMatrix.identity("H", 2).data),
+                           ("O2", HermitianMatrix.identity("O2", 2).data)]},
+    "SmoothProfileBody.center": (lambda a: SmoothProfileBody(3, np.cos, a),
+                                 np.array([0.1, -0.2, 0.3]), lambda b: b.center),
+    "Polytope.vertices": (Polytope, unit_cube(3).vertices, lambda K: K.vertices),
+    "PLConvexFunction.slopes": (PLConvexFunction, unit_cube(3).vertices, lambda f: f.slopes),
+    "PLConvexFunction.offsets": (lambda a: PLConvexFunction(np.eye(3), a),
+                                 np.array([0.0, 0.5, -1.0]), lambda f: f.offsets),
+}
+
+
+@pytest.mark.parametrize("rule", ["non-finite", "too-many-axes", "caller-writes", "object-writes"])
+@pytest.mark.parametrize("case", _HELD_ARRAYS)
+def test_value_objects_keep_finite_read_only_copies(case, rule):
+    # every value object takes its arrays through ``algebra._finite_copy``.
+    # Before it: a Polytope kept the caller's array, so writing v[1, 0] = 5
+    # moved K.support([1, 0, 0]) from 1.0 to 5.0; PL slopes and offsets
+    # were writable; a NaN SmoothProfileBody center was accepted; a NaN
+    # Hermitian entry passed the deviation test, where inf - inf warns
+    build, good, held = _HELD_ARRAYS[case]
+    if rule == "non-finite":
+        for bad, index in itertools.product((math.nan, math.inf, -math.inf), (0, 1)):
+            a = good.copy()
+            a.flat[index] = bad  # 1: an off-diagonal entry of an R or C matrix
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    build(a)
+    elif rule == "too-many-axes":
+        # a column bump center broadcast against the nodes into a matrix of
+        # distances; a (2, 3, 4) vertex array was taken as a 3-D polytope
+        for a in (good[None], good[..., None]):
+            with pytest.raises(ValueError, match=re.escape(f"-D, got shape {a.shape}")):
+                build(a)
+    elif rule == "caller-writes":
+        a = good.copy()
+        kept = held(build(a))
+        a[...] = 7.0
+        assert kept.tobytes() == good.astype(kept.dtype).tobytes()
+    else:
+        kept = held(build(good.copy()))
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            kept += 1.0
+
+
+def test_a_finite_copy_gives_fewer_axes_leading_ones():
+    # a scalar bump center is a 1-D point, one 1-D vertex or slope a row
+    copy = algebra._finite_copy("x", [1.5, 2.0], 2)
+    assert copy.shape == (1, 2) and not copy.flags.writeable
+    assert algebra._finite_copy("x", 3, 1, dtype=complex).tolist() == [3.0 + 0.0j]
+    assert BumpWeight(0.2, 0.3).center.tolist() == [0.2]
+    assert Polytope(np.ones(3)).vertices.shape == (1, 3)
+    assert PLConvexFunction(np.ones(3)).slopes.shape == (1, 3)
+    with pytest.raises(convex.GeometryError, match="body center must be finite"):
+        SmoothProfileBody(2, np.cos, [0.0, math.nan])
+
+
 def test_arrays_held_by_grids_weights_and_matrices_are_read_only_copies():
-    # a key's arrays cannot change under the memo: writing into them
-    # raises, and the caller's own arrays were copied
+    # a key's arrays cannot change under the memo: the caller's own arrays
+    # were copied, so writing into them moves no value
     lo, hi, center = np.full(3, -0.5), np.full(3, 0.5), np.zeros(3)
     location, data = np.array([0.1, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0])
     grid = Grid(lo, hi, (12, 12, 12))
     bump = BumpWeight(center, 0.45)
     atom = MatrixAtom(HermitianMatrix("R", data), location)
     held = (grid.lo, grid.hi, bump.center, atom.location, atom.matrix.data)
-    for array in held:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 7.0
-        with pytest.raises(ValueError, match="read-only"):
-            array += 1.0
     grid_spec = ValuationSpec("R", 3, 3, bump)
     atom_spec = ValuationSpec("R", 3, 2, bump, (atom,))
     K = random_shell_polytope(np.random.default_rng(5))

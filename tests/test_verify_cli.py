@@ -848,6 +848,31 @@ def test_run_size_bounds_accept_their_edge():
         validate_config("kernel-laplacian", {"resolution": 97})
 
 
+def test_the_schedule_bound_is_the_kernel_radius_at_160():
+    # continuity refuses exactly the schedules whose widest sigma makes the
+    # grid route sample more than 160 points per axis, resolution + 2 r
+    # for the reach r of its Gaussian kernels, and exactly those the
+    # inequality it replaced refused, 4 sigma + 0.5 >= (160 - resolution)
+    # // 2 + 1.  The widths are each r's first sigma, (r - 0.5) / 4, and
+    # the float below it, then widths whose 4 sigma overflows
+    jumps = [(r - 0.5) / 4.0 for r in range(5, 82)]
+    small = sorted(jumps + [float(np.nextafter(s, 0.0)) for s in jumps])
+    for sigma in small:
+        r = valuation._kernel_radius(sigma)
+        assert len(valuation._gaussian_kernels(sigma)[0]) == 2 * r + 1
+    for resolution in range(1, 161):
+        for sigma in small + [40.0, 160.0, 1e9, 1e308, sys.float_info.max]:
+            refused = 4.0 * sigma + 0.5 >= (160 - resolution) // 2 + 1
+            # above sigma 20, r > 80 refuses at every resolution (and 4 sigma may overflow)
+            assert refused == (sigma > 20 or resolution + 2 * valuation._kernel_radius(sigma) > 160)
+            try:
+                verify.smoothing_schedule([sigma, 1.0], resolution)
+            except ValueError as exc:
+                assert refused and "samples more than 160 points per axis" in str(exc)
+            else:
+                assert not refused
+
+
 def test_cli_config_seed_is_not_overridden(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: calls.append(kw) or
