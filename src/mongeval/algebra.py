@@ -295,7 +295,8 @@ class HermitianMatrix:
 
     Storage: R -> (n, n) float, C -> (n, n) complex, H -> (n, n, 4),
     O2 -> (2, 2, 8) with scalar components on the trailing axis, kept by
-    ``_finite_copy``: a finite, read-only copy of the caller's array.
+    ``_finite_copy``: a finite, read-only copy of the caller's array, of
+    size n >= 1.
     """
 
     field: str
@@ -310,6 +311,8 @@ class HermitianMatrix:
                             complex if self.field == "C" else float)
         if data.shape[0] != data.shape[1] or data.shape[2:] != comps:
             raise ValueError(f"bad shape {data.shape} for field {self.field}")
+        if data.shape[0] == 0:  # before the deviation test, whose max has no entry to take
+            raise ValueError(f"a matrix over {self.field} needs n >= 1, got shape {data.shape}")
         if self.field == "O2" and data.shape[0] != 2:
             raise ValueError("octonionic Hermitian matrices are supported for size 2 only")
         dev = hermitian_deviation(self.field, data)

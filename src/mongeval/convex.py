@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import _finite_copy, _whole_number
+from .algebra import _finite_copy, _read_only, _whole_number
 from .hessian import _row_norms, fd_hessian_batch
 
 __all__ = [
@@ -455,10 +455,20 @@ class PLConvexFunction:
 def ball_slab_support(u, s: float, t: float):
     """Support function of {|x| <= 1, s <= <u, x> <= t} as a callable.
 
-    Piecewise closed form: the unconstrained spherical maximizer wins when
-    its u-coordinate lies in [s, t]; otherwise the maximizer sits on the
-    rim at height t (or s).  C^1 across the two interface cones, smooth
-    elsewhere away from 0.  A zero or non-finite u raises GeometryError.
+    Piecewise closed form in r = |xi| and p = <xi, u>: the unconstrained
+    spherical maximizer wins when its u-coordinate p / r lies in [s, t];
+    otherwise the maximizer sits on the rim at height t (or s).  C^1
+    across the two interface cones, smooth elsewhere away from 0.  A zero
+    or non-finite u raises GeometryError.
+
+    The callable h has two attributes.  ``h.direction`` is the unit
+    vector u / |u| that h projects on (normalizing an already-unit u can
+    move its last bit, and p with it).  ``h.closed_form(r, p)`` is the
+    closed form itself, elementwise on any shapes: h(xi) is
+    ``h.closed_form(np.linalg.norm(xi, axis=-1), xi @ h.direction)``, so a
+    caller holding |xi| and <xi, h.direction> for many bodies cut from one
+    ball along one direction (the O2 probe identity) evaluates each of
+    them with the bits of h.
     """
     u = np.asarray(u, dtype=float)
     norm = np.linalg.norm(u)
@@ -470,18 +480,13 @@ def ball_slab_support(u, s: float, t: float):
     wt = np.sqrt(1.0 - t**2)
     ws = np.sqrt(1.0 - s**2)
 
+    def closed_form(r, p):
+        perp = np.sqrt(np.maximum(r * r - p * p, 0.0))
+        return np.select([p > t * r, p < s * r], [t * p + wt * perp, s * p + ws * perp], default=r)
+
     def h(xi):
         xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(xi, axis=-1)
-        xu = xi @ u
-        perp = np.sqrt(np.maximum(r * r - xu * xu, 0.0))
-        top = xu > t * r
-        bot = xu < s * r
-        return np.select(
-            [top, bot],
-            [t * xu + wt * perp, s * xu + ws * perp],
-            default=r,
-        )
+        return closed_form(np.linalg.norm(xi, axis=-1), xi @ u)
 
     def interface_margin(xi):
         """Distance of xi (per row) from the two non-smooth cones, in the
@@ -491,5 +496,7 @@ def ball_slab_support(u, s: float, t: float):
         c = (xi @ u) / np.where(r > 0, r, 1.0)
         return np.minimum(np.abs(c - t), np.abs(c - s))
 
+    h.direction = _read_only(u)
+    h.closed_form = closed_form
     h.interface_margin = interface_margin
     return h

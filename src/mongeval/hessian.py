@@ -40,9 +40,13 @@ takes its determinant.  Each value is elementwise or an ``einsum`` summing
 its terms in the same order, so the layout changes no bit.
 
 The pointwise stencil route runs no Python loop per offset or axis pair:
-one broadcast over a memoized offset table forms every stencil point, ``f``
-is called once on all of them, and the Hessian entries are array formulas.
-Each value has the bits a loop over the offsets gives.  A node costs
+one broadcast over a memoized offset table forms every stencil point
+(``_stencil_points``), ``f`` is called once on all of them, and the
+Hessian entries are array formulas (``_stencil_hessians``).  Each value
+has the bits a loop over the offsets gives.  ``fd_hessian_batch`` is the
+two halves composed; a caller with several functions of the same points
+(the O2 probe identity's four sliced-ball supports) builds the points
+once and forms all their Hessians in one call.  A node costs
 1 + 2 D + 4 P points for D diagonal and P other entries.  A field's read
 set costs 19 for R with n = 3, 25 for C with n = 2, 9 for H with n = 1
 and 289 for O2, where every pair would cost 513; parity-break's form at
@@ -92,8 +96,8 @@ def _field_entries(d, m):
     b, in row-major order: the diagonal and the pairs in different blocks,
     a // m != b // m.  R (m = 1) reads every entry, and m = d the diagonal
     alone.  Memoized: a whole field Hessian's caller (the O2 identity
-    probe, four per pair) would otherwise pay about 40 us a call to
-    rebuild it."""
+    probe, one stencil per pair, and ``structured_hessian``) would
+    otherwise pay about 40 us a call to rebuild it."""
     a, b = np.triu_indices(d)
     return _read_only((a * d + b)[(a == b) | (a // m != b // m)])
 
@@ -147,14 +151,16 @@ def _stencil_steps(points, step=None):
     return step * (1.0 + _row_norms(np.asarray(points, dtype=float)))
 
 
-def _stencil_values(f, points, step, entries):
-    """Values of ``f`` on the central-difference stencil of ``entries``
-    (every entry for None) around each row.
+def _stencil_points(points, step, entries):
+    """The central-difference stencil of ``entries`` (every entry for None)
+    around each row of ``points``: the point build of the stencil route.
 
-    Row k of the returned (K, N) array is f at points + h * offsets[k], for
-    the rows of ``_stencil_offsets``, with h from ``_stencil_steps``.  All
-    K * N points come from one broadcast and go to ``f`` in one (K * N, d)
-    call, offset-major.  Returns (values, h, axes, a, b).
+    Returns (x, h, axes, a, b): x is the (K, N, d) array whose row k is
+    points + h * offsets[k], for the rows of ``_stencil_offsets``, from
+    one broadcast; h is the (N,) step of ``_stencil_steps``; axes, a and
+    b are the offset table's diagonal axes, rows and columns.  A caller
+    evaluates f on ``x.reshape(-1, d)``, offset-major, and forms the
+    Hessians with ``_stencil_hessians``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     N, d = points.shape
@@ -162,39 +168,63 @@ def _stencil_values(f, points, step, entries):
 
     entries = _field_entries(d, 1) if entries is None else np.asarray(entries)
     offsets, axes, a, b = _stencil_offsets(d, tuple(entries.tolist()))
-    stencil = h[:, None] * offsets[:, None, :]  # (K, N, d)
-    stencil += points
-    vals = np.asarray(f(stencil.reshape(-1, d)), dtype=float).reshape(len(offsets), N)
-    if not np.all(np.isfinite(vals)):
+    x = h[:, None] * offsets[:, None, :]  # (K, N, d)
+    x += points
+    return x, h, axes, a, b
+
+
+def _finite_values(vals, shape):
+    """The stencil values ``vals`` as a float array of ``shape``, (K, N)
+    for K offsets and N stencils; FloatingPointError if one is not
+    finite."""
+    vals = np.asarray(vals, dtype=float).reshape(shape)
+    if not np.isfinite(vals).all():
         raise FloatingPointError("non-finite function value inside the Hessian stencil")
-    return vals, h, axes, a, b
+    return vals
+
+
+def _stencil_hessians(vals, h, d, axes, a, b):
+    """Hessians from stencil values: the formation of the stencil route.
+
+    ``vals`` holds f on the stencils of ``_stencil_points``, as (K, N) or
+    flat offset-major, one column per stencil with step ``h`` (N,); axes,
+    a and b are that call's.  Returns (N, d, d) symmetric arrays laid out
+    entry-major (``_entry_major``): the 3-point formula on the diagonal
+    and the 4-point cross formula off it, for all axes or pairs at once,
+    as (axes, N) and (pairs, N) rows written straight into the (d, d, N)
+    array under the view, each cross value to (a, b) and (b, a); the
+    other entries are 0.  Each value depends on its own column alone, so
+    columns of several functions on stencils of one build, with h tiled
+    (the O2 probe identity's four bodies), get the bits of one call each.
+    """
+    k = 2 * len(axes)
+    vals = _finite_values(vals, (1 + k + 4 * len(a), len(h)))
+    h2 = h * h
+    H = _entry_major(len(h), d)
+    planes = H.transpose(1, 2, 0)  # the (d, d, N) array under the view
+    planes[axes, axes] = (vals[1:k + 1:2] - 2.0 * vals[0] + vals[2:k + 2:2]) / h2
+    fpp, fpm, fmp, fmm = (vals[k + 1 + i::4] for i in range(4))
+    planes[a, b] = planes[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
+    return H
 
 
 def fd_hessian_batch(f, points, step=None, entries=None):
     """Central-difference Hessians of ``f`` at rows of ``points``.
 
     ``f`` must be vectorized: (m, d) -> (m,); it is called once, on all
-    stencil points (see ``_stencil_values``).  Returns (N, d, d) symmetric
-    arrays, laid out entry-major (``_entry_major``); the stencil is the
-    standard 3-point one on the diagonal and the 4-point cross formula
-    off-diagonal, exact on quadratics up to roundoff.  Both are formed for
-    all axes or pairs at once, as (axes, N) and (pairs, N) rows written
-    straight into the (d, d, N) array under the view, and each cross value
-    is written to (a, b) and (b, a).  Only the flat ``entries`` a d + b, a
-    sequence of ints, are differenced (None: every entry), the others are
-    0, and each entry has the bits it has in the all-entries call.  A
-    valuation passes its polynomial form's entries; a field's own
-    (``_field_entries``) give the field Hessian ``assemble_structured(field,
-    ...)`` the all-entries bits.
+    stencil points of ``_stencil_points``, and ``_stencil_hessians`` forms
+    the (N, d, d) result, entry-major; the stencil is the standard
+    3-point one on the diagonal and the 4-point cross formula
+    off-diagonal, exact on quadratics up to roundoff.  Only the flat
+    ``entries`` a d + b, a sequence of ints, are differenced (None: every
+    entry), the others are 0, and each entry has the bits it has in the
+    all-entries call.  A valuation passes its polynomial form's entries;
+    a field's own (``_field_entries``) give the field Hessian
+    ``assemble_structured(field, ...)`` the all-entries bits.
     """
-    vals, h, axes, a, b = _stencil_values(f, points, step, entries)
-    h2, k = h * h, 2 * len(axes)
-    H = _entry_major(len(h), np.shape(points)[-1])
-    planes = H.transpose(1, 2, 0)  # the (d, d, N) array under the view
-    planes[axes, axes] = (vals[1:k + 1:2] - 2.0 * vals[0] + vals[2:k + 2:2]) / h2
-    fpp, fpm, fmp, fmm = (vals[k + 1 + i::4] for i in range(4))
-    planes[a, b] = planes[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
-    return H
+    x, h, *rows = _stencil_points(points, step, entries)
+    d = x.shape[-1]
+    return _stencil_hessians(f(x.reshape(-1, d)), h, d, *rows)
 
 
 def fd_hessian(f, x, step=None):
@@ -205,7 +235,8 @@ def fd_hessian(f, x, step=None):
 def fd_laplacian_batch(f, points, step=None):
     """Central-difference Laplacian (diagonal stencil only) at each row."""
     d = np.shape(points)[-1]
-    vals, h, *_ = _stencil_values(f, points, step, _field_entries(d, d))
+    x, h, *_ = _stencil_points(points, step, _field_entries(d, d))
+    vals = _finite_values(f(x.reshape(-1, d)), x.shape[:2])
     # the built-in sum adds the axes' terms in order from 0.0; np.sum may pair them
     return sum(vals[1::2] + vals[2::2] - 2.0 * vals[0], 0.0) / (h * h)
 

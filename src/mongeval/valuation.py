@@ -82,8 +82,9 @@ _TINY = float(np.finfo(float).tiny)
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Axis-aligned box with a fixed midpoint-rule resolution per axis:
-    ``lo`` and ``hi`` are 1-D points kept by ``_finite_copy``, with lo < hi
-    on every axis, and ``shape`` whole numbers, each >= 1."""
+    ``lo`` and ``hi`` are 1-D points of at least one axis, kept by
+    ``_finite_copy``, with lo < hi on every axis, and ``shape`` whole
+    numbers, each >= 1."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -93,6 +94,8 @@ class Grid:
         lo = _finite_copy("grid lo", self.lo, 1)
         hi = _finite_copy("grid hi", self.hi, 1)
         shape = tuple(_whole_number("grid cell count", s, 1) for s in self.shape)
+        if lo.size == 0:
+            raise ValueError("a grid needs at least one axis")
         if lo.shape != hi.shape or len(shape) != lo.size:
             raise ValueError("grid bounds and shape are inconsistent")
         if not np.all(lo < hi):
@@ -602,8 +605,14 @@ def _kernel_radius(sigma_cells):
     """r = int(4 sigma + 0.5), the reach in cells of the Gaussian kernels
     of ``sigma_cells`` cells (scipy's default, truncate = 4): the one
     radius by which the grid route samples and
-    ``verify.smoothing_schedule`` bounds a run."""
-    return int(4.0 * sigma_cells + 0.5)
+    ``verify.smoothing_schedule`` bounds a run.  ValueError where 4 sigma
+    + 0.5 is not finite (from sigma about 4.5e307 on), which ``int``
+    would refuse as OverflowError."""
+    reach = 4.0 * float(sigma_cells) + 0.5  # a Python float: inf, not numpy's overflow warning
+    if not math.isfinite(reach):
+        raise ValueError(f"sigma_cells = {sigma_cells} has no kernel radius: 4 sigma + 0.5 = "
+                         f"{reach} cells is not finite")
+    return int(reach)
 
 
 def _gaussian_kernels(sigma_cells):
@@ -1033,6 +1042,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     atom = spec.atom
     if not math.isfinite(sigma_cells) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
         raise ValueError("sigma_cells must be finite and >= 0, and 0 when a weight is a point atom")
+    if sigma_cells > 0:
+        _kernel_radius(sigma_cells)  # a width whose reach overflows, refused before any array
     if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")

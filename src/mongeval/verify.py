@@ -21,7 +21,8 @@ import numpy as np
 from . import convex as cx
 from .algebra import (FIELDS, HermitianMatrix, _row_sums, _whole_number, det_batch,
                       polarized_det_batch)
-from .hessian import _field_entries, assemble_structured, fd_hessian_batch, fd_laplacian_batch
+from .hessian import (_field_entries, _stencil_hessians, _stencil_points, assemble_structured,
+                      fd_hessian_batch, fd_laplacian_batch)
 from .valuation import (
     BumpWeight,
     Grid,
@@ -217,7 +218,19 @@ def _identity_probe_residuals_o2(n_pairs, rng):
     the integrand at six sampled locations per pair, kept away from the
     C^1 interface cones of the sliced supports; there the four Hessians
     and hence the determinant sums satisfy the identity pointwise.
+
+    The four bodies A, B, K (the ball, h_K = |x|) and AB are cut from one
+    ball along one direction, so their supports are closed forms in |x|
+    and <x, u> (``cx.ball_slab_support``).  A pair builds the probes'
+    stencil once (``_stencil_points``), takes one norm and one projection
+    of its points, and forms the four bodies' Hessians in one call
+    (``_stencil_hessians``, the steps tiled 4x), then assembles and takes
+    the determinants of all 24 in one pass each.  Every value has the
+    bits of one ``fd_hessian_batch``, ``assemble_structured`` and
+    determinant call per body.  Each pair starts with its three
+    ``cx.ball_slab_support`` calls, and its draws keep their order.
     """
+    entries = _field_entries(16, 8)  # the entries O2 (8 real components per coordinate) reads
     residuals = []
     control = 0.0
     for pair in range(n_pairs):
@@ -228,7 +241,12 @@ def _identity_probe_residuals_o2(n_pairs, rng):
         hA = cx.ball_slab_support(u, -1.0, t)
         hB = cx.ball_slab_support(u, s, 1.0)
         hAB = cx.ball_slab_support(u, s, t)
-        hK = lambda xi: np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
+
+        def supports(x):
+            """h_A, h_B, h_K and h_AB on the rows of x: one norm, one projection."""
+            r, p = np.linalg.norm(x, axis=-1), x @ hAB.direction
+            return [hA.closed_form(r, p), hB.closed_form(r, p), r, hAB.closed_form(r, p)]
+
         probes = []
         while len(probes) < 6:
             xi = rng.standard_normal(16)
@@ -238,26 +256,25 @@ def _identity_probe_residuals_o2(n_pairs, rng):
         probes = np.array(probes)
         degree = 2 if pair % 2 == 0 else 1
         weight = None if degree == 2 else _random_o2_hermitian(rng)
-        hess = {}
-        for name, h in (("A", hA), ("B", hB), ("K", hK), ("AB", hAB)):
-            # the entries O2 (8 real components per coordinate) reads in 16-D
-            hreal = fd_hessian_batch(h, probes, step=2e-4, entries=_field_entries(16, 8))
-            hess[name] = assemble_structured("O2", hreal)
+        x, h, *rows = _stencil_points(probes, 2e-4, entries)
+        vals = np.concatenate([v.reshape(len(x), -1) for v in supports(x.reshape(-1, 16))], axis=1)
+        hess = assemble_structured("O2", _stencil_hessians(vals, np.tile(h, 4), 16, *rows))
         if degree == 2:
-            dets = {k: det_batch("O2", v) for k, v in hess.items()}
+            dets = det_batch("O2", hess)
         else:
-            dets = {k: polarized_det_batch("O2", [v, weight]) for k, v in hess.items()}
-        resid = dets["K"] + dets["AB"] - dets["A"] - dets["B"]
-        scale = np.maximum(1e-30, np.max(np.abs(np.stack(list(dets.values()))), axis=0))
+            dets = polarized_det_batch("O2", [hess, weight])
+        dets = dets.reshape(4, -1)  # A, B, K, AB
+        dA, dB, dK, dAB = dets
+        resid = dK + dAB - dA - dB
+        scale = np.maximum(1e-30, np.max(np.abs(dets), axis=0))
         residuals.extend((np.abs(resid) / scale).tolist())
         # control: the squared probe sum is not a valuation.  With +-1.2u
         # among the probes both cut cones are hit, so the defect
         # 2 (S_A - S_AB)(S_B - S_AB) is strictly positive.
-        cpts = np.vstack([probes, 1.2 * u, -1.2 * u])
-        sums = {k: float(np.sum(h(cpts))) for k, h in
-                (("A", hA), ("B", hB), ("K", hK), ("AB", hAB))}
-        defect = sums["K"] ** 2 + sums["AB"] ** 2 - sums["A"] ** 2 - sums["B"] ** 2
-        control = max(control, abs(defect) / max(s**2 for s in sums.values()))
+        sums = [float(np.sum(v)) for v in supports(np.vstack([probes, 1.2 * u, -1.2 * u]))]
+        sA, sB, sK, sAB = sums
+        defect = sK ** 2 + sAB ** 2 - sA ** 2 - sB ** 2
+        control = max(control, abs(defect) / max(v**2 for v in sums))
     return residuals, control
 
 
@@ -405,7 +422,7 @@ def smoothing_schedule(sigmas_cells, resolution):
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
     # r >= sigma, so a sigma of 160 is past the bound at every resolution;
-    # the cap keeps 4 sigma from overflowing to inf
+    # the cap keeps 4 sigma finite, where the radius would refuse the width
     if resolution + 2 * _kernel_radius(min(sigmas[0], 160.0)) > 160:
         raise ValueError(f"resolution {resolution} with sigma {sigmas[0]} samples more than 160 "
                          "points per axis (resolution + 2 r, r the kernel radius); at 160 the "

@@ -549,6 +549,14 @@ def test_hermitian_matrix_validation():
     assert np.isclose(m.det(), 2.0 - 1.0)
 
 
+@pytest.mark.parametrize("field,comps", [("R", ()), ("C", ()), ("H", (4,)), ("O2", (8,))])
+def test_an_empty_hermitian_matrix_is_refused_with_a_message(field, comps):
+    # n = 0 reached the deviation test, whose max over no entries raised
+    # numpy's "zero-size array to reduction operation maximum"
+    with pytest.raises(ValueError, match=f"a matrix over {field} needs n >= 1"):
+        HermitianMatrix(field, np.zeros((0, 0) + comps))
+
+
 def _random_hermitian(field, n, rng, scale=1.0):
     if field == "R":
         a = scale * rng.standard_normal((n, n))

@@ -587,6 +587,33 @@ def test_ball_slab_support_against_brute_force():
     assert np.abs(exact - brute).max() <= 0.05 * np.abs(exact).max()  # sampling slack
 
 
+def test_ball_slab_closed_form_on_norm_and_projection_has_the_bits_of_h():
+    # h(xi) is the closed form on (|xi|, <xi, direction>), and direction
+    # is u / |u|, read-only; each value has the bits of the callable as it
+    # was written before the closed form was shared (the reference below),
+    # in both cut cones and on the ball between them
+    rng = np.random.default_rng(44)
+    for d in (3, 16):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)  # a unit u, as the O2 probe identity passes it
+        s, t = -0.3, 0.25
+        h = ball_slab_support(u, s, t)
+        assert h.direction.tobytes() == (u / np.linalg.norm(u)).tobytes()
+        assert not h.direction.flags.writeable
+        xi = rng.standard_normal((3000, d)) * rng.uniform(0.5, 2.0, (3000, 1))
+        xi = np.vstack([xi, 1.3 * u, -0.7 * u, np.zeros(d)])
+        r, p = np.linalg.norm(xi, axis=-1), xi @ h.direction
+        top, bot = p > t * r, p < s * r
+        assert top.sum() > 100 and bot.sum() > 100 and (~top & ~bot).sum() > 100
+        perp = np.sqrt(np.maximum(r * r - p * p, 0.0))
+        ref = np.select([top, bot], [t * p + np.sqrt(1.0 - t**2) * perp,
+                                     s * p + np.sqrt(1.0 - s**2) * perp], default=r)
+        assert h(xi).tobytes() == ref.tobytes()
+        assert h.closed_form(r, p).tobytes() == ref.tobytes()
+        grid = h.closed_form(r.reshape(-1, 1), p.reshape(-1, 1))  # elementwise on any shape
+        assert grid.shape == (len(xi), 1) and grid.ravel().tobytes() == ref.tobytes()
+
+
 def test_ball_slab_validation():
     with pytest.raises(GeometryError):
         ball_slab_support(np.ones(3), 0.5, 0.2)

@@ -81,6 +81,29 @@ def test_non_finite_values_raise():
         fd_laplacian_batch(fn, np.array([[0.35, 0.0]]))
 
 
+def test_stencil_formation_on_stacked_functions_has_the_bits_of_one_call_each():
+    # one point build, several functions of the same points, one formation
+    # with the steps tiled: each function's Hessians have the bits of its
+    # own fd_hessian_batch call, on every entry set
+    rng = np.random.default_rng(44)
+    pts = rng.standard_normal((5, 4))
+    fns = [lambda x: np.sum(np.asarray(x) ** 3, axis=-1),
+           lambda x: np.linalg.norm(x, axis=-1),
+           lambda x: np.exp(0.3 * x[:, 0]) * np.cos(x[:, 1] - x[:, 3])]
+    for entries in (None, hessian._field_entries(4, 2), hessian._field_entries(4, 4), [7]):
+        x, h, *rows = hessian._stencil_points(pts, 3e-4, entries)
+        flat = x.reshape(-1, 4)
+        vals = np.concatenate([f(flat).reshape(len(x), -1) for f in fns], axis=1)
+        stacked = hessian._stencil_hessians(vals, np.tile(h, len(fns)), 4, *rows)
+        for k, f in enumerate(fns):
+            one = fd_hessian_batch(f, pts, 3e-4, entries)
+            assert stacked[5 * k:5 * k + 5].tobytes() == one.tobytes()
+    # negative control: one NaN in one function's column raises
+    vals[len(x) // 2, 7] = np.nan
+    with pytest.raises(FloatingPointError, match="stencil"):
+        hessian._stencil_hessians(vals, np.tile(h, len(fns)), 4, *rows)
+
+
 def test_laplacian_batch():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((9, 3))

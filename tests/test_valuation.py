@@ -109,6 +109,14 @@ def held_arrays(entry):
 # grid bookkeeping
 # ---------------------------------------------------------------------------
 
+def test_a_grid_needs_at_least_one_axis():
+    # Grid([], [], ()) was a grid of dimension 0 whose nodes() failed in
+    # numpy ("need at least one array to stack") and whose n_cells read 1
+    for lo, hi in (([], []), (np.zeros(0), np.zeros(0))):
+        with pytest.raises(ValueError, match="at least one axis"):
+            Grid(lo, hi, ())
+
+
 def test_grid_cell_accounting():
     grid = Grid(np.array([-1.0, 0.0]), np.array([1.0, 3.0]), (10, 15))
     assert np.isclose(grid.cell_volume * grid.n_cells, 2.0 * 3.0)
@@ -826,6 +834,24 @@ def test_negative_or_atom_smoothing_width_raises_on_every_route():
                  lambda: body_valuation(atom_spec, body, sigma_cells=2.0)):
         with pytest.raises(ValueError, match="sigma_cells"):
             call()
+
+
+@pytest.mark.parametrize("sigma", [1e308, np.float64(1e308), sys.float_info.max, 4.5e307])
+def test_a_width_whose_kernel_radius_overflows_raises_value_error(sigma, monkeypatch):
+    # 4 sigma + 0.5 is inf, so int() raised OverflowError from the kernel
+    # radius; it is a ValueError now, raised before any array is built
+    # (the quadrature, which builds them, is never reached)
+    assert not math.isfinite(4.0 * float(sigma) + 0.5)
+    spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
+    grid = Grid.cube(np.zeros(3), 0.5, 8, 3)
+    monkeypatch.setattr(valuation, "_quadrature", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: eval_valuation(spec, quadratic(np.eye(3)), grid, sigma_cells=sigma),
+                     lambda: body_valuation(spec, make_two_ball_body(3), grid, sigma_cells=sigma),
+                     lambda: valuation._kernel_radius(sigma)):
+            with pytest.raises(ValueError, match="no kernel radius"):
+                call()
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf])

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mongeval import cli, valuation, verify
+from mongeval import algebra, cli, convex, hessian, valuation, verify
 from mongeval.cli import ConfigError, main, validate_config
 from mongeval.verify import (
     EXPERIMENTS,
@@ -134,6 +134,114 @@ def test_valuation_identity_O2_only():
     assert rep.passed
     assert max(rep.details["O2"]["residuals"]) <= 1e-6
     assert rep.details["O2"]["control_residual"] > 1e-3
+
+
+def _per_body_probe_residuals_o2(n_pairs, rng):
+    """The O2 probe identity as it ran before one stencil served a pair:
+    one ``fd_hessian_batch``, ``assemble_structured`` and determinant call
+    per body, each support through its own callable.  The reference for
+    the one-stencil loop."""
+    residuals = []
+    control = 0.0
+    for pair in range(n_pairs):
+        u = rng.standard_normal(16)
+        u /= np.linalg.norm(u)
+        s = rng.uniform(-0.45, -0.1)
+        t = rng.uniform(0.1, 0.45)
+        hA = convex.ball_slab_support(u, -1.0, t)
+        hB = convex.ball_slab_support(u, s, 1.0)
+        hAB = convex.ball_slab_support(u, s, t)
+        hK = lambda xi: np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
+        probes = []
+        while len(probes) < 6:
+            xi = rng.standard_normal(16)
+            xi *= rng.uniform(0.8, 1.4) / np.linalg.norm(xi)
+            if hAB.interface_margin(xi[None])[0] > 0.2:
+                probes.append(xi)
+        probes = np.array(probes)
+        degree = 2 if pair % 2 == 0 else 1
+        weight = None if degree == 2 else verify._random_o2_hermitian(rng)
+        hess = {}
+        for name, h in (("A", hA), ("B", hB), ("K", hK), ("AB", hAB)):
+            hreal = hessian.fd_hessian_batch(h, probes, step=2e-4,
+                                             entries=hessian._field_entries(16, 8))
+            hess[name] = hessian.assemble_structured("O2", hreal)
+        if degree == 2:
+            dets = {k: algebra.det_batch("O2", v) for k, v in hess.items()}
+        else:
+            dets = {k: algebra.polarized_det_batch("O2", [v, weight]) for k, v in hess.items()}
+        resid = dets["K"] + dets["AB"] - dets["A"] - dets["B"]
+        scale = np.maximum(1e-30, np.max(np.abs(np.stack(list(dets.values()))), axis=0))
+        residuals.extend((np.abs(resid) / scale).tolist())
+        cpts = np.vstack([probes, 1.2 * u, -1.2 * u])
+        sums = {k: float(np.sum(h(cpts))) for k, h in
+                (("A", hA), ("B", hB), ("K", hK), ("AB", hAB))}
+        defect = sums["K"] ** 2 + sums["AB"] ** 2 - sums["A"] ** 2 - sums["B"] ** 2
+        control = max(control, abs(defect) / max(s**2 for s in sums.values()))
+    return residuals, control
+
+
+def test_o2_probe_identity_has_the_bits_of_one_stencil_per_body():
+    # one stencil, one norm and one projection per pair, and one formation,
+    # assembly and determinant pass on the four bodies' 24 Hessians: the
+    # residuals and the control keep the per-body route's bits
+    for seed in range(200):  # pairs of degree 2 and 1
+        got = verify._identity_probe_residuals_o2(2, np.random.default_rng(seed))
+        ref = _per_body_probe_residuals_o2(2, np.random.default_rng(seed))
+        assert np.array(got[0]).tobytes() == np.array(ref[0]).tobytes(), seed
+        assert got[1] == ref[1], seed
+    rep = valuation_identity(fields="O2", n_pairs=20, seed=105)
+    residuals, control = _per_body_probe_residuals_o2(20, np.random.default_rng(105))
+    assert np.array(rep.details["O2"]["residuals"]).tobytes() == np.array(residuals).tobytes()
+    assert rep.details["O2"]["control_residual"] == control
+
+
+def test_o2_probe_pairs_start_with_their_three_supports(monkeypatch):
+    # perfbench's Recorder.o2_pairs splits pairs on these triples: each
+    # pair makes three ball_slab_support calls, all before it samples a
+    # probe, and builds one stencil; no per-body fd_hessian_batch is left
+    events = []
+    make = convex.ball_slab_support
+
+    def counted(*args):
+        events.append("S")
+        h = make(*args)
+        margin = h.interface_margin
+        h.interface_margin = lambda xi: events.append("P") or margin(xi)
+        return h
+
+    build = verify._stencil_points
+    monkeypatch.setattr(convex, "ball_slab_support", counted)
+    monkeypatch.setattr(verify, "_stencil_points",
+                        lambda *args: events.append("H") or build(*args))
+    monkeypatch.setattr(verify, "fd_hessian_batch", None)
+    verify._identity_probe_residuals_o2(5, np.random.default_rng(3))
+    pairs = re.sub("P+", "P", "".join(events))
+    assert pairs == "SSSPH" * 5, pairs
+
+
+def test_o2_probe_identity_refuses_a_nan_support_in_the_stencil(monkeypatch):
+    # negative control: the one finiteness check of the stacked values
+    # still sees each body's column, here one NaN in AB's stencil values
+    make = convex.ball_slab_support
+
+    def poisoned(u, s, t):
+        h = make(u, s, t)
+        if s > -1.0 and t < 1.0:  # AB, the one body cut on both sides
+            closed = h.closed_form
+
+            def nan_at_one_point(r, p):
+                out = closed(r, p)
+                if out.size > 8:  # the stencil, not the control's 8 points
+                    out[out.size // 2] = np.nan
+                return out
+
+            h.closed_form = nan_at_one_point
+        return h
+
+    monkeypatch.setattr(convex, "ball_slab_support", poisoned)
+    with pytest.raises(FloatingPointError, match="stencil"):
+        verify._identity_probe_residuals_o2(1, np.random.default_rng(0))
 
 
 def test_valuation_identity_R_small():
