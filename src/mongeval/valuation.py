@@ -605,14 +605,8 @@ def _kernel_radius(sigma_cells):
     """r = int(4 sigma + 0.5), the reach in cells of the Gaussian kernels
     of ``sigma_cells`` cells (scipy's default, truncate = 4): the one
     radius by which the grid route samples and
-    ``verify.smoothing_schedule`` bounds a run.  ValueError where 4 sigma
-    + 0.5 is not finite (from sigma about 4.5e307 on), which ``int``
-    would refuse as OverflowError."""
-    reach = 4.0 * float(sigma_cells) + 0.5  # a Python float: inf, not numpy's overflow warning
-    if not math.isfinite(reach):
-        raise ValueError(f"sigma_cells = {sigma_cells} has no kernel radius: 4 sigma + 0.5 = "
-                         f"{reach} cells is not finite")
-    return int(reach)
+    ``verify.smoothing_schedule`` bounds a run."""
+    return int(4.0 * sigma_cells + 0.5)
 
 
 def _gaussian_kernels(sigma_cells):
@@ -1013,8 +1007,9 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       form, is kinked and raises; a ``SmoothProfileBody`` support is
       singular at 0 and raises when the origin lies in the joint support
       box of B and the matrix bumps (with an atom: in its stencil).  A
-      negative or non-finite width, or a positive one with an atom or below
-      1/8 cell, raises.  So does a ``step`` other than None that is not
+      negative or non-finite width, one whose kernel reach 4 sigma + 0.5
+      is not finite, or a positive one with an atom or below 1/8 cell,
+      raises.  So does a ``step`` other than None that is not
       finite and > 0, or that comes with a positive width (the grid route
       has no stencil), and a ``threads`` that is not a whole number >= 1;
       all three are checked before B is read.
@@ -1040,10 +1035,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     1/(n - i)! here; see ``mixed_det`` for that form.
     """
     atom = spec.atom
-    if not math.isfinite(sigma_cells) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
-        raise ValueError("sigma_cells must be finite and >= 0, and 0 when a weight is a point atom")
-    if sigma_cells > 0:
-        _kernel_radius(sigma_cells)  # a width whose reach overflows, refused before any array
+    reach = 4.0 * float(sigma_cells) + 0.5  # _kernel_radius's; a Python float overflows to inf
+    if not math.isfinite(reach) or sigma_cells < 0 or (atom is not None and sigma_cells > 0):
+        raise ValueError("sigma_cells must be finite and >= 0 with a finite kernel reach "
+                         "4 sigma + 0.5, and 0 when a weight is a point atom")
     if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")

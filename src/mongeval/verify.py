@@ -422,7 +422,7 @@ def smoothing_schedule(sigmas_cells, resolution):
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"smoothing schedule must strictly decrease, got {sigmas}")
     # r >= sigma, so a sigma of 160 is past the bound at every resolution;
-    # the cap keeps 4 sigma finite, where the radius would refuse the width
+    # the cap keeps 4 sigma from overflowing to inf
     if resolution + 2 * _kernel_radius(min(sigmas[0], 160.0)) > 160:
         raise ValueError(f"resolution {resolution} with sigma {sigmas[0]} samples more than 160 "
                          "points per axis (resolution + 2 r, r the kernel radius); at 160 the "

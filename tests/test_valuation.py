@@ -839,8 +839,8 @@ def test_negative_or_atom_smoothing_width_raises_on_every_route():
 @pytest.mark.parametrize("sigma", [1e308, np.float64(1e308), sys.float_info.max, 4.5e307])
 def test_a_width_whose_kernel_radius_overflows_raises_value_error(sigma, monkeypatch):
     # 4 sigma + 0.5 is inf, so int() raised OverflowError from the kernel
-    # radius; it is a ValueError now, raised before any array is built
-    # (the quadrature, which builds them, is never reached)
+    # radius; the width check refuses it now with ValueError, before any
+    # array is built (the quadrature, which builds them, is never reached)
     assert not math.isfinite(4.0 * float(sigma) + 0.5)
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45, plateau=0.7))
     grid = Grid.cube(np.zeros(3), 0.5, 8, 3)
@@ -848,9 +848,8 @@ def test_a_width_whose_kernel_radius_overflows_raises_value_error(sigma, monkeyp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: eval_valuation(spec, quadratic(np.eye(3)), grid, sigma_cells=sigma),
-                     lambda: body_valuation(spec, make_two_ball_body(3), grid, sigma_cells=sigma),
-                     lambda: valuation._kernel_radius(sigma)):
-            with pytest.raises(ValueError, match="no kernel radius"):
+                     lambda: body_valuation(spec, make_two_ball_body(3), grid, sigma_cells=sigma)):
+            with pytest.raises(ValueError, match="with a finite kernel reach"):
                 call()
 
 

@@ -644,9 +644,10 @@ def test_check_rules_cover_every_check():
 
 def _forbid_computing(monkeypatch):
     """Fail the test if anything is valued or an experiment is run; the O2
-    identity probes compute through fd_hessian_batch, which
-    kernel-laplacian's check also calls for Hess(psi)."""
-    for fn in ("eval_valuation", "body_valuation", "pl_valuation"):
+    identity probes build their stencil through _stencil_points, and
+    fd_hessian_batch is refused for all but Hess(psi), which
+    kernel-laplacian's check calls."""
+    for fn in ("eval_valuation", "body_valuation", "pl_valuation", "_stencil_points"):
         monkeypatch.setattr(verify, fn, lambda *a, **kw: pytest.fail("computed"))
     fd_hessian_batch = verify.fd_hessian_batch
     monkeypatch.setattr(verify, "fd_hessian_batch", lambda f, *a, **kw: (
