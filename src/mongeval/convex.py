@@ -461,14 +461,21 @@ def ball_slab_support(u, s: float, t: float):
     across the two interface cones, smooth elsewhere away from 0.  A zero
     or non-finite u raises GeometryError.
 
-    The callable h has two attributes.  ``h.direction`` is the unit
+    The callable h has three attributes.  ``h.direction`` is the unit
     vector u / |u| that h projects on (normalizing an already-unit u can
     move its last bit, and p with it).  ``h.closed_form(r, p)`` is the
     closed form itself, elementwise on any shapes: h(xi) is
     ``h.closed_form(np.linalg.norm(xi, axis=-1), xi @ h.direction)``, so a
     caller holding |xi| and <xi, h.direction> for many bodies cut from one
     ball along one direction (the O2 probe identity) evaluates each of
-    them with the bits of h.
+    them with the bits of h.  It picks its piece by two nested
+    ``np.where``: ``np.select``'s rule (the first true condition wins, a
+    NaN comparison falls to r) without its Python-level broadcasting.
+    ``h.interface_margin(r, p)`` is min(|c - t|, |c - s|) for c = p / r
+    (p at r = 0), on the floats r = |xi| and p = <xi, h.direction> of one
+    direction, with the bits of the same formula on arrays; r =
+    ``math.sqrt(np.add.reduce(xi * xi))`` has those of
+    ``np.linalg.norm(xi[None], axis=-1)``.
     """
     u = np.asarray(u, dtype=float)
     norm = np.linalg.norm(u)
@@ -482,19 +489,17 @@ def ball_slab_support(u, s: float, t: float):
 
     def closed_form(r, p):
         perp = np.sqrt(np.maximum(r * r - p * p, 0.0))
-        return np.select([p > t * r, p < s * r], [t * p + wt * perp, s * p + ws * perp], default=r)
+        return np.where(p > t * r, t * p + wt * perp, np.where(p < s * r, s * p + ws * perp, r))
 
     def h(xi):
         xi = np.asarray(xi, dtype=float)
-        return closed_form(np.linalg.norm(xi, axis=-1), xi @ u)
+        return closed_form(_row_norms(xi), xi @ u)
 
-    def interface_margin(xi):
-        """Distance of xi (per row) from the two non-smooth cones, in the
-        cosine variable xu / r; used to filter sample points."""
-        xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(xi, axis=-1)
-        c = (xi @ u) / np.where(r > 0, r, 1.0)
-        return np.minimum(np.abs(c - t), np.abs(c - s))
+    def interface_margin(r, p):
+        """Distance of one direction from the two non-smooth cones, in the
+        cosine variable p / r; used to filter sample points."""
+        c = p / (r if r > 0 else 1.0)
+        return min(abs(c - t), abs(c - s))
 
     h.direction = _read_only(u)
     h.closed_form = closed_form

@@ -13,6 +13,7 @@ they carry no wall-clock time for that reason.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -21,8 +22,8 @@ import numpy as np
 from . import convex as cx
 from .algebra import (FIELDS, HermitianMatrix, _row_sums, _whole_number, det_batch,
                       polarized_det_batch)
-from .hessian import (_field_entries, _stencil_hessians, _stencil_points, assemble_structured,
-                      fd_hessian_batch, fd_laplacian_batch)
+from .hessian import (_field_entries, _row_norms, _stencil_hessians, _stencil_points,
+                      assemble_structured, fd_hessian_batch, fd_laplacian_batch)
 from .valuation import (
     BumpWeight,
     Grid,
@@ -229,6 +230,12 @@ def _identity_probe_residuals_o2(n_pairs, rng):
     bits of one ``fd_hessian_batch``, ``assemble_structured`` and
     determinant call per body.  Each pair starts with its three
     ``cx.ball_slab_support`` calls, and its draws keep their order.
+
+    A candidate probe costs what its arithmetic costs: it is normalized by
+    ``math.sqrt(xi.dot(xi))``, ``np.linalg.norm``'s own formula on a
+    vector, and accepted on two floats, |xi| (the square root of numpy's
+    sum of its squares, the norm's bits on a row) and <xi, u>, through
+    ``hAB.interface_margin(r, p)``, with the bits of the array margin.
     """
     entries = _field_entries(16, 8)  # the entries O2 (8 real components per coordinate) reads
     residuals = []
@@ -244,14 +251,15 @@ def _identity_probe_residuals_o2(n_pairs, rng):
 
         def supports(x):
             """h_A, h_B, h_K and h_AB on the rows of x: one norm, one projection."""
-            r, p = np.linalg.norm(x, axis=-1), x @ hAB.direction
+            r, p = _row_norms(x), x @ hAB.direction
             return [hA.closed_form(r, p), hB.closed_form(r, p), r, hAB.closed_form(r, p)]
 
         probes = []
         while len(probes) < 6:
             xi = rng.standard_normal(16)
-            xi *= rng.uniform(0.8, 1.4) / np.linalg.norm(xi)
-            if hAB.interface_margin(xi[None])[0] > 0.2:
+            xi *= rng.uniform(0.8, 1.4) / math.sqrt(xi.dot(xi))  # np.linalg.norm(xi)
+            r = math.sqrt(np.add.reduce(xi * xi))  # np.linalg.norm(xi[None], axis=-1)[0]
+            if hAB.interface_margin(r, xi @ hAB.direction) > 0.2:
                 probes.append(xi)
         probes = np.array(probes)
         degree = 2 if pair % 2 == 0 else 1

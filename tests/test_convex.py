@@ -614,6 +614,51 @@ def test_ball_slab_closed_form_on_norm_and_projection_has_the_bits_of_h():
         assert grid.shape == (len(xi), 1) and grid.ravel().tobytes() == ref.tobytes()
 
 
+def test_ball_slab_closed_form_picks_its_piece_as_np_select_does():
+    # the nested np.where has np.select's bytes (the first true condition
+    # wins, a NaN comparison falls to r) on the cone boundaries p = t r and
+    # p = s r, at r = 0, on signed zeros, NaN and inf
+    s, t = -0.3, 0.25
+    h = ball_slab_support(np.eye(4)[0], s, t)
+    r = np.array([1.0, 0.7, 2.5, 1e-300, 3.0])
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]
+    pairs = [(r, t * r), (r, s * r), (np.zeros(5), np.array([0.0, -0.0, 1.0, -1.0, np.nan])),
+             (np.full(5, -0.0), np.array([0.0, -0.0, 1.0, -1.0, np.inf]))]
+    pairs += [(np.full(len(special), a), np.array(special)) for a in special]
+    pairs += [(np.array(special), np.full(len(special), b)) for b in special]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r, p in pairs:
+            perp = np.sqrt(np.maximum(r * r - p * p, 0.0))
+            ref = np.select([p > t * r, p < s * r], [t * p + np.sqrt(1.0 - t**2) * perp,
+                                                     s * p + np.sqrt(1.0 - s**2) * perp], default=r)
+            assert h.closed_form(r, p).tobytes() == ref.tobytes(), (r, p)
+    on_cones = h.closed_form(np.array([2.0, 2.0]), np.array([t * 2.0, s * 2.0]))
+    assert on_cones.tolist() == [2.0, 2.0]  # neither strict comparison holds: the ball's r
+
+
+def test_ball_slab_float_margin_has_the_bits_of_the_array_margin():
+    # interface_margin(r, p) on floats against the array formula on
+    # xi[None] it replaced, on many 16-D draws as the O2 probe makes them,
+    # on the cut cones themselves and at xi = 0; r is the square root of
+    # numpy's sum of the squares, np.linalg.norm(xi[None], axis=-1)'s bits
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        u = rng.standard_normal(16)
+        s, t = rng.uniform(-0.45, -0.1), rng.uniform(0.1, 0.45)
+        h = ball_slab_support(u, s, t)
+        xi = rng.standard_normal((500, 16)) * rng.uniform(0.8, 1.4, (500, 1))
+        cone = np.sqrt(1.0 - t * t) * np.eye(16)[np.argmin(np.abs(h.direction))] + t * h.direction
+        for x in np.vstack([xi, np.zeros(16), cone, -cone]):
+            r_row = np.linalg.norm(x[None], axis=-1)  # one row at a time: a stack's gemv
+            c = (x[None] @ h.direction) / np.where(r_row > 0, r_row, 1.0)  # sums otherwise
+            want = np.minimum(np.abs(c - t), np.abs(c - s))
+            r = math.sqrt(np.add.reduce(x * x))
+            assert r == r_row[0]
+            got = h.interface_margin(r, x @ h.direction)
+            assert np.float64(got).tobytes() == want.tobytes()
+        assert h.interface_margin(0.0, 0.0) == min(t, -s)  # c = 0 at r = 0
+
+
 def test_ball_slab_validation():
     with pytest.raises(GeometryError):
         ball_slab_support(np.ones(3), 0.5, 0.2)

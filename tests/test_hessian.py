@@ -342,13 +342,16 @@ def test_a_field_read_set_stencil_is_the_field_key_table_byte_for_byte(field, n)
 
 
 def test_stencil_offset_table_is_memoized_and_read_only():
-    # one table per (d, entries) key: the center, then +-e_a per diagonal
-    # entry, then the four cross points per other entry, in entry order
+    # one table per (d, entries), whatever int sequence holds the entries:
+    # the center, then +-e_a per diagonal entry, then the four cross points
+    # per other entry, in entry order
     for d, m, pairs in [(4, 1, 6), (4, 2, 4), (4, 4, 0), (16, 8, 64), (16, 16, 0)]:
         entries = tuple(hessian._field_entries(d, m).tolist())
         offsets, axes, a, b = hessian._stencil_offsets(d, entries)
         assert hessian._stencil_offsets(d, entries)[0] is offsets
         assert hessian._stencil_offsets(d, tuple(np.array(entries)))[0] is offsets
+        for key in (hessian._field_entries(d, m), np.array(entries, dtype=np.int32)):
+            assert hessian._stencil_offsets(d, key)[0] is offsets  # keyed on intp bytes
         assert offsets.shape == (1 + 2 * d + 4 * pairs, d)
         assert len(a) == pairs and np.all(a < b) and np.all(a // m != b // m)
         for table in (offsets, axes, a, b):

@@ -136,11 +136,21 @@ def test_valuation_identity_O2_only():
     assert rep.details["O2"]["control_residual"] > 1e-3
 
 
+def _array_margin(xi, u, s, t):
+    """The sliced ball's interface margin on the rows of xi, as the array
+    formula ``ball_slab_support`` kept before its margin took floats, on
+    the direction it normalized itself."""
+    r = np.linalg.norm(xi, axis=-1)
+    c = (xi @ (u / np.linalg.norm(u))) / np.where(r > 0, r, 1.0)
+    return np.minimum(np.abs(c - t), np.abs(c - s))
+
+
 def _per_body_probe_residuals_o2(n_pairs, rng):
     """The O2 probe identity as it ran before one stencil served a pair:
     one ``fd_hessian_batch``, ``assemble_structured`` and determinant call
-    per body, each support through its own callable.  The reference for
-    the one-stencil loop."""
+    per body, each support through its own callable, and each candidate
+    probe normalized and kept by the array formulas on ``xi[None]``.  The
+    reference for the one-stencil loop and its float margin."""
     residuals = []
     control = 0.0
     for pair in range(n_pairs):
@@ -156,7 +166,7 @@ def _per_body_probe_residuals_o2(n_pairs, rng):
         while len(probes) < 6:
             xi = rng.standard_normal(16)
             xi *= rng.uniform(0.8, 1.4) / np.linalg.norm(xi)
-            if hAB.interface_margin(xi[None])[0] > 0.2:
+            if _array_margin(xi[None], u, s, t)[0] > 0.2:
                 probes.append(xi)
         probes = np.array(probes)
         degree = 2 if pair % 2 == 0 else 1
@@ -207,7 +217,7 @@ def test_o2_probe_pairs_start_with_their_three_supports(monkeypatch):
         events.append("S")
         h = make(*args)
         margin = h.interface_margin
-        h.interface_margin = lambda xi: events.append("P") or margin(xi)
+        h.interface_margin = lambda r, p: events.append("P") or margin(r, p)
         return h
 
     build = verify._stencil_points
