@@ -313,7 +313,7 @@ def _ref_ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
         raise ValueError("exact PL measure supports dimension <= 3")
     slopes, offsets = _ref_dedupe_pieces(f.slopes, f.offsets)
     if len(slopes) == 1 or valuation._affine_rank(slopes) < n:
-        return valuation._empty_measure(n)
+        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
 
     total_expected = _ref_hull_volume(slopes)
 
@@ -346,7 +346,7 @@ def _ref_ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
             atoms[key] = [grad, mass]
 
     if not atoms:
-        return valuation._empty_measure(n)
+        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
     keys = sorted(atoms.keys())
     locations = np.array([atoms[k][0] for k in keys])
     masses = np.array([atoms[k][1] for k in keys])
@@ -456,6 +456,69 @@ def test_dedupe_merges_rows_that_round_to_signed_zeros():
     for dedupe in (valuation._dedupe_pieces, _ref_dedupe_pieces):
         a, b = dedupe(slopes, np.zeros(4))
         assert a.tobytes() == slopes[:2].tobytes() and b.tobytes() == np.zeros(2).tobytes()
+
+
+def test_dedupe_keeps_its_keys_at_every_scale():
+    # one multiply by 1e12 / s per column, or, where that factor overflows
+    # (s below 2^-984), the divide and the multiply: the rows that merge are
+    # the reference's at every scale, and with no merge the caller's own
+    # arrays come back
+    cases = list(itertools.chain(_pl_family(seed=46, count=180), _tangent_plane_family()))
+    merged = returned = overflowed = 0
+    for scale, (a_scale, b_scale) in itertools.product(
+            [1.0, 1e-13, 1e-160, 1e120, 1e300, 1e-300, 1e-310],
+            [(1, 1), (1, 0), (0, 1)]):
+        for _, a, b in cases:
+            a = a * scale if a_scale else a
+            b = b * scale if b_scale else b
+            got = valuation._dedupe_pieces(a, b)
+            for x, ref in zip(got, _ref_dedupe_pieces(a, b)):
+                assert x.tobytes() == ref.tobytes()
+            if len(got[0]) < len(a):
+                merged += 1
+            else:
+                assert got[0] is a and got[1] is b
+                returned += 1
+            overflowed += not math.isfinite(1e12 / algebra._pow2(np.abs(a).max()))
+    assert merged > 0 and returned > 0 and overflowed > 0
+
+
+def _pl_value_outcome(route, weight, f):
+    try:
+        return route(weight, f).hex()
+    except (ArithmeticError, QhullError) as exc:
+        return type(exc)
+
+
+def test_pl_valuation_has_the_bits_of_the_reference_measure():
+    # pl_valuation sums over _pl_atoms without building the measure: the
+    # bits, the 0.0 of no atoms and the error type of integrating the
+    # reference measure
+    def ref(weight, f):
+        mu = _ref_ma_measure_pl(f)
+        if kind == "constant":  # the one atom at exactly 0, as the route places it
+            mu = AtomicMeasure(np.zeros_like(mu.locations), mu.masses)
+        return mu.integrate(weight)
+
+    seen = collections.Counter()
+    for kind, a, b in itertools.chain(_pl_family(seed=22, count=540), _tangent_plane_family()):
+        f = PLConvexFunction(a, b)
+        # centred, off-centre with plateau 0.5, and of negative height
+        for weight in (BumpWeight(np.zeros(f.dim), 0.45),
+                       BumpWeight(np.linspace(0.1, -0.05, f.dim), 0.6, 1.3, 0.5),
+                       BumpWeight(np.full(f.dim, -0.02), 0.5, -0.7)):
+            got = _pl_value_outcome(pl_valuation, weight, f)
+            want = _pl_value_outcome(ref, weight, f)
+            assert got == want
+            assert _pl_value_outcome(lambda w, f: ma_measure_pl(f).integrate(w), weight, f) == want
+            if isinstance(want, type):
+                seen["raised"] += 1
+            elif len(_pl_outcome(_ref_ma_measure_pl, f)[1]) == 0:
+                assert got == (0.0).hex()
+                seen["empty"] += 1
+            else:
+                seen["zero" if float.fromhex(got) == 0.0 else "nonzero"] += 1
+    assert seen["empty"] > 0 and seen["raised"] > 0 and seen["nonzero"] > seen["zero"] > 0
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-20, 1e6])
@@ -1859,6 +1922,43 @@ def test_bump_on_axes_matches_the_node_array(case, monkeypatch):
     dist2 = B.on_axes(grid.axes())
     inside = dist2 != 0
     np.testing.assert_array_max_ulp(dist2[inside], B(grid.nodes())[inside], maxulp=4)
+
+
+def _ref_profile(B, dist2):
+    # BumpWeight._profile before its clip, where and minimum gave way to
+    # maximum and fmax, kept as the reference for the bit-for-bit test below
+    r = np.sqrt(np.maximum(dist2 / B.radius**2, 0.0))
+    if B.plateau > 0:
+        r = np.clip((r - B.plateau) / (1.0 - B.plateau), 0.0, None)
+    return B.height * np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
+
+
+@pytest.mark.parametrize("case", sorted(_BUMPS))
+def test_bump_profile_keeps_the_bits_of_its_reference(case):
+    # random squared distances, r at 1 and at the plateau's edge and a ulp
+    # either side, 0 and inf; points with a NaN coordinate (0.0, or -0.0 for
+    # a negative height); and the tensor-grid form up to 7-D
+    center, radius, height, plateau, (lo, hi, shape) = _BUMPS[case]
+    B = BumpWeight(np.array(center), radius, height, plateau)
+    rng = np.random.default_rng(len(case) + 46)
+    edges = np.array([radius, plateau * radius])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    dist2 = np.concatenate([rng.uniform(0.0, 1.5 * radius**2, 10_000), edges**2,
+                            [radius**2, (plateau * radius) ** 2, 0.0, np.inf]])
+    got = B._profile(dist2)
+    assert got.tobytes() == _ref_profile(B, dist2).tobytes()
+    assert (dist2 / radius**2 == 1.0).any() and (got[-4:-2] == [0.0, height]).all()
+    x = rng.uniform(lo, hi, (1_000, len(shape)))
+    x[rng.integers(0, len(x), 50), rng.integers(0, len(shape), 50)] = np.nan
+    got = B(x)
+    assert got.tobytes() == _ref_profile(B, np.sum((x - B.center) ** 2, axis=-1)).tobytes()
+    nan_rows = np.isnan(x).any(axis=1)
+    assert np.array_equal(got[nan_rows], np.zeros(nan_rows.sum()))
+    assert (np.signbit(got[nan_rows]) == (height < 0)).all()
+    if len(shape) <= 7:
+        grid = Grid(np.full(len(shape), lo), np.full(len(shape), hi), shape)
+        ref = _ref_profile(B, np.sum((grid.nodes() - B.center) ** 2, axis=-1)) + 0.0
+        assert B.on_axes(grid.axes()).tobytes() == ref.tobytes()
 
 
 def _factor_on_nodes(weight, nodes, grid, active=slice(None)):
