@@ -417,10 +417,9 @@ class AtomicMeasure:
     values ``integrate`` reads and sum every value times every mass.
     Unlike the value objects of the inputs, it keeps its arrays without
     ``_finite_copy``: it is the exact route's own output, built once per
-    ``ma_measure_pl`` call, where the copy and the finiteness test would
+    ``pl_valuation`` call, where the copy and the finiteness test would
     take its construction from about 1.8 to 6.5 us, some 5% of a call of
-    about 90 us.  ``pl_valuation`` builds none: it sums over the route's
-    arrays by ``integrate``'s own rule, ``_atom_sum``.
+    about 90 us.
     """
 
     locations: np.ndarray
@@ -440,51 +439,40 @@ class AtomicMeasure:
 
     def integrate(self, fn) -> float:
         """The sum of fn(location) * mass; ``fn`` maps the (m, n)
-        locations to m values, of shape (m,) (ValueError otherwise)."""
-        return _atom_sum(fn, self.locations, self.masses)
+        locations to m values, of shape (m,) (ValueError otherwise).
+        The sum is ``np.add.reduce``, the reduction ``np.sum`` makes on a
+        1-D array, without its dispatch."""
+        if len(self.masses) == 0:
+            return 0.0
+        values = np.asarray(fn(self.locations), dtype=float)
+        if values.shape != self.masses.shape:
+            raise ValueError(f"fn gave values of shape {values.shape} for "
+                             f"{len(self.masses)} locations; expected {self.masses.shape}")
+        return float(np.add.reduce(values * self.masses))
 
 
-def _atom_sum(fn, locations, masses):
-    """``AtomicMeasure.integrate`` on the arrays of a measure: 0.0 with no
-    atoms, else the sum of fn(locations) * masses by ``np.add.reduce``,
-    the reduction ``np.sum`` makes on a 1-D array, without its dispatch."""
-    if len(masses) == 0:
-        return 0.0
-    values = np.asarray(fn(locations), dtype=float)
-    if values.shape != masses.shape:
-        raise ValueError(f"fn gave values of shape {values.shape} for "
-                         f"{len(masses)} locations; expected {masses.shape}")
-    return float(np.add.reduce(values * masses))
+def _empty_measure(dim):
+    return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
 
 
 def _dedupe_pieces(slopes, offsets):
     """The pieces whose (a_j, b_j) rounded to 12 decimals is new, in their
-    first-seen order, with the slopes and the offsets each scaled first by
-    the inverse of its own power of two ``_pow2`` of its largest magnitude.
+    first-seen order, with the slopes and the offsets each divided first by
+    its own power of two ``_pow2`` of its largest magnitude.
 
     The scales make the rounding relative: without them, 2-D slopes of
     order 1e-13 all rounded to one row and gave the empty measure.  The
     keys are the scaled values in units of 1e-12, rounded to whole
     numbers: ``np.round(x, 12)`` is that divided back by 1e12, which
-    merges no other rows.  A column takes one multiply by 1e12 / s for
-    its scale s: the factor is exact, as s is a power of two, so x * (1e12
-    / s) and (x / s) * 1e12 round the same real number once, and any
-    value the division would leave subnormal rounds to a zero of its sign
-    either way.  Only a scale below 2^-984, whose factor overflows,
-    divides first.  One pass keeps the first index of each key in a dict.
-    Tuples compare their floats by value, so -0.0 and +0.0 merge (they
-    are equal, and hash alike).  When no row merges, the caller's own
-    arrays come back, not copies.
+    merges no other rows.  One pass keeps the first index of each key in
+    a dict.  Tuples compare their floats by value, so -0.0 and +0.0 merge
+    (they are equal, and hash alike).  When no row merges, the caller's
+    own arrays come back, not copies.
     """
     rows = np.concatenate([slopes, offsets[:, None]], axis=1)
     top = np.abs(rows).max(axis=0).tolist()
-    scales = [_pow2(max(top[:-1]))] * (len(top) - 1) + [_pow2(top[-1])]
-    factors = [1e12 / s for s in scales]
-    if math.isfinite(max(factors)):
-        rows *= factors
-    else:  # a scale below 2^-984, whose factor overflows
-        rows /= scales
-        rows *= 1e12
+    rows /= [_pow2(max(top[:-1]))] * (len(top) - 1) + [_pow2(top[-1])]
+    rows *= 1e12
     rows = np.rint(rows, out=rows).tolist()
     first = {}
     for i, row in enumerate(map(tuple, rows)):
@@ -507,33 +495,22 @@ def ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
     primal point where those pieces are all active, and its projected
     volume is the atom mass.  Total mass is vol(conv{a_j}).
 
-    The atoms come from ``_pl_atoms``, which ``pl_valuation`` integrates
-    without building this object.  Exact mode is limited to dimension <= 3.
-    """
-    return AtomicMeasure(*_pl_atoms(f))
-
-
-def _pl_atoms(f: PLConvexFunction):
-    """The (locations, masses) of ``ma_measure_pl(f)``: (m, n) and (m,).
-
     The cost is one hull and no SVD for a support function: duplicate
-    pieces go in one dict pass, the hull of the slopes certifies their
-    full rank from its volume (``_spanning_volume``; only a nearly flat
-    set pays for the rank test, and rank-deficient slopes give no atoms),
-    and constant offsets skip the least squares and the lifted hull,
-    since their one atom sits at exactly 0.
+    pieces go in one dict pass (no copy when none merge), the hull of the
+    slopes certifies their full rank from its volume (``_spanning_volume``;
+    only a nearly flat set pays for the rank test, and rank-deficient
+    slopes give the empty measure), and constant offsets skip the least
+    squares and the lifted hull, since their one atom sits at exactly 0.
 
     Other offsets read the lower facets in one array pass: one batched
-    ``np.linalg.det`` over their (F, n, n) edge stack and one rounding of
-    their gradients to 7 decimals.  A stable ``np.lexsort`` orders the
-    rounded rows by value as tuples compare, first column first, and
-    groups the equal neighbours, -0.0 with +0.0; ties keep facet order, so
-    the first index and the group of each row are those of ``np.unique``
-    with ``axis=0``.  Each atom keeps its first facet's gradient and adds
-    its facets' masses in facet order (``np.bincount``), so the bits are
-    those of a loop that keys a dict by the rounded tuples and sorts the
-    keys.  Atoms that lose mass beyond 1e-8 of the hull volume raise
-    ArithmeticError.
+    ``np.linalg.det`` over their (F, n, n) edge stack, one rounding of
+    their gradients to 7 decimals, and ``np.unique`` over the rounded rows.
+    Each atom keeps its first facet's gradient and adds its facets' masses
+    in facet order (``np.bincount``), so the bits are those of a loop that
+    keys a dict by the rounded tuples and sorts the keys: ``np.unique``
+    orders rows by value as tuples compare, and merges -0.0 with +0.0.
+
+    Exact mode is limited to dimension <= 3.
     """
     n = f.dim
     if n > 3:
@@ -541,12 +518,12 @@ def _pl_atoms(f: PLConvexFunction):
     slopes, offsets = _dedupe_pieces(f.slopes, f.offsets)
     total_expected = _spanning_volume(slopes)
     if total_expected is None:
-        return np.zeros((0, n)), np.zeros(0)
+        return _empty_measure(n)
 
     # constant b: -b is affine in a with zero gradient, so there is a single
     # cell whose atom sits at exactly 0 (support functions land here, b = 0)
     if (offsets == offsets[0]).all():
-        return np.zeros((1, n)), np.array([total_expected])
+        return AtomicMeasure(np.zeros((1, n)), np.array([total_expected]))
 
     # any other exact affine dependence of -b on a: a single cell, one atom
     # at the supporting-plane gradient
@@ -555,7 +532,7 @@ def _pl_atoms(f: PLConvexFunction):
     resid = design @ coef + offsets
     scale = 1.0 + np.abs(offsets).max(initial=0.0)
     if np.abs(resid).max() <= 1e-10 * scale:
-        return coef[:n][None, :], np.array([total_expected])
+        return AtomicMeasure(coef[:n][None, :], np.array([total_expected]))
 
     from scipy.spatial import ConvexHull
 
@@ -567,29 +544,23 @@ def _pl_atoms(f: PLConvexFunction):
     masses = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
     keep = masses > 0.0
     if not keep.any():
-        return np.zeros((0, n)), np.zeros(0)
+        return _empty_measure(n)
     grads, masses = grads[keep], masses[keep]
-    keys = np.round(grads, 7)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
-    group = np.empty_like(order)
-    group[order] = np.cumsum(new) - 1
-    masses = np.bincount(group, masses)
-    total = float(np.sum(masses))
-    if abs(total - total_expected) > 1e-8 * max(1.0, total_expected):
+    _, first, group = np.unique(np.round(grads, 7), axis=0, return_index=True,
+                                return_inverse=True)
+    measure = AtomicMeasure(grads[first], np.bincount(group, masses))
+    gap = abs(measure.total_mass - total_expected)
+    if gap > 1e-8 * max(1.0, total_expected):
         raise ArithmeticError(
-            f"PL measure lost mass: atoms sum to {total:.12e}, "
+            f"PL measure lost mass: atoms sum to {measure.total_mass:.12e}, "
             f"gradient hull volume is {total_expected:.12e}"
         )
-    return grads[order[new]], masses
+    return measure
 
 
 def pl_valuation(scalar_weight, f: PLConvexFunction) -> float:
-    """Exact value of integral B d(det Hess f) for PL convex f (i = n, R):
-    ``ma_measure_pl(f).integrate(scalar_weight)``, with the same bits and
-    the same errors, summed over ``_pl_atoms`` without the measure object."""
-    return _atom_sum(scalar_weight, *_pl_atoms(f))
+    """Exact value of integral B d(det Hess f) for PL convex f (i = n, R)."""
+    return ma_measure_pl(f).integrate(scalar_weight)
 
 
 # ---------------------------------------------------------------------------

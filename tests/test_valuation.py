@@ -313,7 +313,7 @@ def _ref_ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
         raise ValueError("exact PL measure supports dimension <= 3")
     slopes, offsets = _ref_dedupe_pieces(f.slopes, f.offsets)
     if len(slopes) == 1 or valuation._affine_rank(slopes) < n:
-        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
+        return valuation._empty_measure(n)
 
     total_expected = _ref_hull_volume(slopes)
 
@@ -346,7 +346,7 @@ def _ref_ma_measure_pl(f: PLConvexFunction) -> AtomicMeasure:
             atoms[key] = [grad, mass]
 
     if not atoms:
-        return AtomicMeasure(np.zeros((0, n)), np.zeros(0))
+        return valuation._empty_measure(n)
     keys = sorted(atoms.keys())
     locations = np.array([atoms[k][0] for k in keys])
     masses = np.array([atoms[k][1] for k in keys])
@@ -459,12 +459,10 @@ def test_dedupe_merges_rows_that_round_to_signed_zeros():
 
 
 def test_dedupe_keeps_its_keys_at_every_scale():
-    # one multiply by 1e12 / s per column, or, where that factor overflows
-    # (s below 2^-984), the divide and the multiply: the rows that merge are
-    # the reference's at every scale, and with no merge the caller's own
-    # arrays come back
+    # the rows that merge are the reference's at every scale, down to
+    # subnormal slopes, and with no merge the caller's own arrays come back
     cases = list(itertools.chain(_pl_family(seed=46, count=180), _tangent_plane_family()))
-    merged = returned = overflowed = 0
+    merged = returned = tiny = 0
     for scale, (a_scale, b_scale) in itertools.product(
             [1.0, 1e-13, 1e-160, 1e120, 1e300, 1e-300, 1e-310],
             [(1, 1), (1, 0), (0, 1)]):
@@ -479,8 +477,8 @@ def test_dedupe_keeps_its_keys_at_every_scale():
             else:
                 assert got[0] is a and got[1] is b
                 returned += 1
-            overflowed += not math.isfinite(1e12 / algebra._pow2(np.abs(a).max()))
-    assert merged > 0 and returned > 0 and overflowed > 0
+            tiny += algebra._pow2(np.abs(a).max()) < 2.0**-984
+    assert merged > 0 and returned > 0 and tiny > 0
 
 
 def _pl_value_outcome(route, weight, f):
@@ -491,14 +489,17 @@ def _pl_value_outcome(route, weight, f):
 
 
 def test_pl_valuation_has_the_bits_of_the_reference_measure():
-    # pl_valuation sums over _pl_atoms without building the measure: the
-    # bits, the 0.0 of no atoms and the error type of integrating the
-    # reference measure
+    # the bits, the 0.0 of no atoms and the error type of the reference
+    # measure summed by np.sum, as AtomicMeasure.integrate summed it before
+    # np.add.reduce
     def ref(weight, f):
         mu = _ref_ma_measure_pl(f)
+        if len(mu.masses) == 0:
+            return 0.0
+        loc = mu.locations
         if kind == "constant":  # the one atom at exactly 0, as the route places it
-            mu = AtomicMeasure(np.zeros_like(mu.locations), mu.masses)
-        return mu.integrate(weight)
+            loc = np.zeros_like(loc)
+        return float(np.sum(weight(loc) * mu.masses))
 
     seen = collections.Counter()
     for kind, a, b in itertools.chain(_pl_family(seed=22, count=540), _tangent_plane_family()):
