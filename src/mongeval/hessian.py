@@ -46,7 +46,9 @@ Hessian entries are array formulas (``_stencil_hessians``).  Each value
 has the bits a loop over the offsets gives.  ``fd_hessian_batch`` is the
 two halves composed; a caller with several functions of the same points
 (the O2 probe identity's four sliced-ball supports) builds the points
-once and forms all their Hessians in one call.  A node costs
+once and forms all their Hessians in one call, and a valuation's atom
+key builds its one node's points once for all its calls
+(``valuation._atom_integral``).  A node costs
 1 + 2 D + 4 P points for D diagonal and P other entries.  A field's read
 set costs 19 for R with n = 3, 25 for C with n = 2, 9 for H with n = 1
 and 289 for O2, where every pair would cost 513; parity-break's form at

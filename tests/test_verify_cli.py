@@ -325,6 +325,40 @@ def test_kernel_laplacian_small():
     assert rep.details["independence_ratio"] > 0.01
 
 
+def _recording(monkeypatch, name):
+    """The row counts of each call of ``verify.<name>`` from here on."""
+    rows, route = [], getattr(verify, name)
+
+    def recording(f, points, *args, **kwargs):
+        rows.append(len(points))
+        return route(f, points, *args, **kwargs)
+
+    monkeypatch.setattr(verify, name, recording)
+    return rows
+
+
+def test_kernel_laplacian_differences_psi_in_blocks(monkeypatch):
+    # psi's Hessians on every fifth node (22,119 at 48) and the reference
+    # Laplacian on every node (13,824 at 24) run in 8,192-node blocks, with
+    # the bits of one call on all the nodes
+    hessians = _recording(monkeypatch, "fd_hessian_batch")
+    nodes = valuation.Grid.cube(np.zeros(3), 0.5, 48, 3).nodes()[::5]
+    *_, min_eig = verify.perturbation_schedule((1e-2, 5e-3), 48, 0, 1)
+    assert hessians == [8192, 8192, len(nodes) - 2 * 8192]
+    whole = hessian.fd_hessian_batch(verify._bump4, nodes)
+    assert min_eig == float(np.min(np.linalg.eigvalsh(np.eye(3) + 1e-2 * whole)))
+
+    laplacians = _recording(monkeypatch, "fd_laplacian_batch")
+    rep = kernel_laplacian(eps_schedule=(1e-2, 5e-3), resolution=24)
+    grid = valuation.Grid.cube(np.zeros(3), 0.5, 24, 3)
+    nodes = grid.nodes()
+    assert laplacians == [8192, len(nodes) - 8192]
+    weight = valuation.BumpWeight(np.zeros(3), 0.45, 1.0)
+    whole = hessian.fd_laplacian_batch(verify._bump4, nodes)
+    reference = float(np.sum(weight(nodes) * whole) * grid.cell_volume)
+    assert rep.details["reference"].hex() == reference.hex()
+
+
 def test_run_experiment_unknown_name():
     with pytest.raises(KeyError):
         run_experiment("nope")
