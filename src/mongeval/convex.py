@@ -380,6 +380,24 @@ def generate_union_convex_pair(K: Polytope, s: float, t: float, axis: int = 0):
     return A, B
 
 
+#: candidate directions ``random_shell_polytope`` draws and decides per
+#: Gram product
+_SHELL_BLOCK = 32
+#: cosines this close to a shell's cut take the chord test itself
+_SHELL_BAND = 1e-9
+#: draws after which ``random_shell_polytope`` gives up
+_SHELL_TRIES = 10000
+#: bit i marks candidate i of a block in ``random_shell_polytope``'s masks
+_SHELL_BITS = 1 << np.arange(_SHELL_BLOCK, dtype=np.int64)
+
+
+def _units(rows):
+    """The rows of ``rows`` each divided by ``sqrt(v . v)``, with ``v . v``
+    numpy's dot on the one row (a BLAS dot, whose bits a vectorized sum of
+    squares does not give): the bits of ``v /= math.sqrt(v.dot(v))``."""
+    return rows / np.sqrt([v.dot(v) for v in rows])[:, None]
+
+
 def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10,
                           min_sep: float = 0.7) -> Polytope:
     """Random polytope with well-separated vertices near the sphere of radius 0.35.
@@ -388,20 +406,68 @@ def random_shell_polytope(rng, dim: int = 3, n_vertices: int = 10,
     normal fan well conditioned: near-duplicate vertices produce weak,
     slowly decaying kinks in the support function, which smoothed-grid
     quadratures resolve poorly.
+
+    The directions are those of a loop over the draws of ``rng`` (a numpy
+    ``Generator``): draw ``v = rng.standard_normal(dim)``, scale it by
+    ``1 / sqrt(v . v)``, and keep it when ``sqrt(d . d) > min_sep`` for
+    ``d = v - w`` and every kept ``w``, until ``n_vertices`` are kept; the
+    radii are then ``0.35 * rng.uniform(0.85, 1.0, (n_vertices, 1))``.
+    More than 10,000 draws raise GeometryError with the generator 10,001
+    draws on.  The loop is run in blocks: one ``standard_normal((32,
+    dim))`` call gives the rows of 32 successive draws, and one Gram
+    product of the block against the kept directions and itself gives
+    every cosine a block's decisions read, made in draw order.  A chord
+    is longer than ``min_sep`` exactly when the cosine is below ``1 -
+    min_sep^2 / 2``; a cosine within ``_SHELL_BAND`` (1e-9) of that cut,
+    far wider than the Gram's roundoff, takes the chord test itself on
+    the scaled rows, so every decision is the loop's.  The block that
+    completes the set is drawn again from the generator's state before
+    it, up to its last kept row, so the radii and the caller's next draw
+    are those of the loop.  A block's arrays take 32 x (32 + the kept
+    directions) floats, whatever the number of draws.
+
+    ``dim`` and ``n_vertices`` must be whole numbers >= 1 and ``min_sep``
+    finite and >= 0; ValueError otherwise, before any draw.
     """
-    dirs = []
-    tries = 0
-    while len(dirs) < n_vertices:
-        v = rng.standard_normal(dim)
-        # |d| as sqrt(d . d), the bits of np.linalg.norm on a vector
-        v /= math.sqrt(v.dot(v))
-        if all(math.sqrt(d.dot(d)) > min_sep for d in (v - w for w in dirs)):
-            dirs.append(v)
-        tries += 1
-        if tries > 10000:
+    dim = _whole_number("dim", dim, 1)
+    n_vertices = _whole_number("n_vertices", n_vertices, 1)
+    if not (math.isfinite(min_sep) and min_sep >= 0):
+        raise ValueError(f"min_sep must be finite and >= 0, got {min_sep!r}")
+    cut = 1.0 - 0.5 * min_sep * min_sep
+    bits = rng.bit_generator
+    dirs, drawn = np.empty((0, dim)), 0
+    while True:
+        state = bits.state
+        raw = rng.standard_normal((min(_SHELL_BLOCK, _SHELL_TRIES + 1 - drawn), dim))
+        kept = len(dirs)
+        unit = raw / np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
+        cos = unit @ np.concatenate((dirs, unit)).T
+        close, gap = cos > cut, np.abs(cos - cut)
+        if gap.min() <= _SHELL_BAND:
+            units = _units(raw)
+            for i, j in np.argwhere(gap <= _SHELL_BAND):
+                if j < kept + i:  # a kept direction, or an earlier row of the block
+                    d = units[i] - (dirs[j] if j < kept else units[j - kept])
+                    close[i, j] = not math.sqrt(d.dot(d)) > min_sep
+        # bit i: close to row i; bits from _SHELL_BLOCK up: close to a kept direction
+        weights = np.concatenate((np.full(kept, 1 << _SHELL_BLOCK), _SHELL_BITS[:len(raw)]))
+        taken, held = [], -1 << _SHELL_BLOCK
+        for i, mask in enumerate((close @ weights)[:_SHELL_TRIES - drawn].tolist()):
+            if not mask & held:
+                taken.append(i)
+                held |= 1 << i
+                if kept + len(taken) == n_vertices:
+                    break
+        dirs = np.concatenate((dirs, _units(raw[taken])))
+        drawn += len(raw)
+        if len(dirs) == n_vertices:
+            bits.state = state
+            rng.standard_normal((taken[-1] + 1, dim))
+            break
+        if drawn > _SHELL_TRIES:
             raise GeometryError("could not place separated vertices; lower min_sep")
     radii = 0.35 * rng.uniform(0.85, 1.0, (n_vertices, 1))
-    return Polytope(np.array(dirs) * radii)
+    return Polytope(dirs * radii)
 
 
 # ---------------------------------------------------------------------------

@@ -934,7 +934,8 @@ def _build_quadrature(spec, grid, sigma_cells, step):
       the key's step, and ``_atom_integral`` once at the atom's one node.
       The atom key holds that node's stencil, built here by one
       ``_stencil_points`` call, so an atom call builds no point and
-      computes no step; a multi-node key holds no stencil, which for
+      computes no step (``eval_valuation``'s origin check reads the
+      key's h); a multi-node key holds no stencil, which for
       ``parity_break``'s widened 12^3 keys (about 200 kB each) would
       crowd the store.  The form is built once per key, so no call
       assembles a field Hessian or polarizes.
@@ -1090,26 +1091,29 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
                          "is kinked; pass sigma_cells > 0 to smooth it")
     f = owner if isinstance(owner, Polytope) else f  # sampled by support_grid
     singular = sigma_cells == 0 and isinstance(owner, SmoothProfileBody)
+    step = None if step is None else float(step)  # a hashable key part
     if atom is None:
         lo, hi = _joint_support(spec)
-    elif singular:  # the Hessian is read only on the atom's stencil
-        reach = _stencil_steps(atom.location, step)
-        lo, hi = atom.location - reach, atom.location + reach
+    else:  # one node: no grid, and the key holds its stencil's h
+        entry = _quadrature(spec, None, float(sigma_cells), step)
+        stencil = entry[1].keywords.get("stencil")  # none at degree 0 or a weight of 0
+        if singular:  # the Hessian is read only on the atom's stencil
+            reach = _stencil_steps(atom.location, step) if stencil is None else stencil[1]
+            lo, hi = atom.location - reach, atom.location + reach
     if singular and np.all(lo <= 0) and np.all(hi >= 0):
         raise ValueError("origin lies inside the joint weight support (or the atom's stencil) "
                          "but sigma_cells = 0; h_K is singular there (smooth it on a grid)")
-    if atom is not None:
-        grid = None
-    elif grid is None:
-        raise ValueError("a quadrature grid is required unless a weight is a point atom")
-    elif grid.dim != d:
-        raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
-    elif np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
-        return 0.0
-    elif np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
-        raise ValueError("joint weight support exceeds the quadrature box")
-    step = None if step is None else float(step)  # a hashable key part
-    value = _quadrature(spec, grid, float(sigma_cells), step)[1](f, threads)
+    if atom is None:
+        if grid is None:
+            raise ValueError("a quadrature grid is required unless a weight is a point atom")
+        if grid.dim != d:
+            raise ValueError(f"grid dimension {grid.dim} != spec real dimension {d}")
+        if np.any(lo >= hi):  # an empty joint support: the integral is exactly 0
+            return 0.0
+        if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
+            raise ValueError("joint weight support exceeds the quadrature box")
+        entry = _quadrature(spec, grid, float(sigma_cells), step)
+    value = entry[1](f, threads)
     if not math.isfinite(value):
         raise FloatingPointError(f"the integrand sum {value} is not finite")
     return value

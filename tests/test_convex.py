@@ -669,6 +669,138 @@ def test_ball_slab_validation():
             ball_slab_support(u, -0.4, 0.3)
 
 
+def _ref_random_shell_polytope(rng, dim=3, n_vertices=10, min_sep=0.7, limit=10000):
+    """The loop ``random_shell_polytope`` runs in blocks: one draw, one
+    scaling and one chord test per kept direction at a time; ``limit``
+    is its ``_SHELL_TRIES``."""
+    dirs = []
+    tries = 0
+    while len(dirs) < n_vertices:
+        v = rng.standard_normal(dim)
+        v /= math.sqrt(v.dot(v))
+        if all(math.sqrt(d.dot(d)) > min_sep for d in (v - w for w in dirs)):
+            dirs.append(v)
+        tries += 1
+        if tries > limit:
+            raise GeometryError("could not place separated vertices; lower min_sep")
+    radii = 0.35 * rng.uniform(0.85, 1.0, (n_vertices, 1))
+    return Polytope(np.array(dirs) * radii)
+
+
+def _shell_outcome(make, seed, **kwargs):
+    """The vertex bytes (or the error) and the generator's next draw."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = make(rng, **kwargs).vertices.tobytes()
+    except GeometryError as exc:
+        out = str(exc)
+    return out, rng.standard_normal()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_shell_polytope_has_the_bits_of_the_loop(dim):
+    for n_vertices in sorted({8, 10, 2 * dim + 2}):
+        for min_sep in (0.3, 0.6, 0.7):
+            for seed in range(100):
+                kwargs = dict(dim=dim, n_vertices=n_vertices, min_sep=min_sep)
+                assert (_shell_outcome(random_shell_polytope, seed, **kwargs)
+                        == _shell_outcome(_ref_random_shell_polytope, seed, **kwargs)), kwargs
+
+
+# chords of 1.0 leave room for at most 5 directions in the plane
+_INFEASIBLE_SHELL = dict(dim=2, n_vertices=8, min_sep=1.0)
+
+
+def test_random_shell_polytope_gives_up_as_the_loop_does():
+    for seed in (0, 1):
+        new = _shell_outcome(random_shell_polytope, seed, **_INFEASIBLE_SHELL)
+        assert new == _shell_outcome(_ref_random_shell_polytope, seed, **_INFEASIBLE_SHELL)
+        assert new[0] == "could not place separated vertices; lower min_sep"
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((10001, 2))  # the generator is 10,001 draws on
+        assert new[1] == rng.standard_normal()
+
+
+def test_random_shell_polytope_gives_up_at_the_loops_draw(monkeypatch):
+    # a body completed on draw limit + 1 still raises; limits about a block
+    # edge, where ten directions 0.7 apart take about 25 draws in 3-D
+    outcomes = set()
+    for limit in (9, 10, 24, 25, 26, 31, 32, 33, 64, 65):
+        monkeypatch.setattr(convex, "_SHELL_TRIES", limit)
+        for seed in range(30):
+            new = _shell_outcome(random_shell_polytope, seed)
+            assert new == _shell_outcome(_ref_random_shell_polytope, seed, limit=limit), limit
+            outcomes.add(isinstance(new[0], str))  # the error message
+    assert outcomes == {True, False}
+
+
+def test_random_shell_polytope_decides_band_pairs_by_the_chord(monkeypatch):
+    # a band of 0.5 sends most pairs to the chord test itself
+    monkeypatch.setattr(convex, "_SHELL_BAND", 0.5)
+    for dim in (2, 3, 4):
+        for min_sep in (0.0, 0.3, 0.7):
+            for seed in range(20):
+                kwargs = dict(dim=dim, n_vertices=2 * dim + 2, min_sep=min_sep)
+                assert (_shell_outcome(random_shell_polytope, seed, **kwargs)
+                        == _shell_outcome(_ref_random_shell_polytope, seed, **kwargs)), kwargs
+    assert (_shell_outcome(random_shell_polytope, 3, **_INFEASIBLE_SHELL)
+            == _shell_outcome(_ref_random_shell_polytope, 3, **_INFEASIBLE_SHELL))
+
+
+def test_random_shell_polytope_memory_does_not_grow_with_the_draws():
+    # one Gram over all 10,001 candidates would hold 800 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryError):
+            random_shell_polytope(np.random.default_rng(0), **_INFEASIBLE_SHELL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(dim=0), "dim must be at least 1, got 0"),
+    (dict(dim=2.0), "dim must be a whole number, got 2.0"),
+    (dict(dim=True), "dim must be a whole number, got True"),
+    (dict(n_vertices=0), "n_vertices must be at least 1, got 0"),
+    (dict(n_vertices=2.5), "n_vertices must be a whole number, got 2.5"),
+    (dict(min_sep=math.nan), "min_sep must be finite and >= 0, got nan"),
+    (dict(min_sep=math.inf), "min_sep must be finite and >= 0, got inf"),
+    (dict(min_sep=-1.0), "min_sep must be finite and >= 0, got -1.0"),
+])
+def test_random_shell_polytope_checks_its_arguments_before_a_draw(kwargs, message):
+    # dim = 0 and min_sep = nan drew 10,001 times and asked for a lower
+    # min_sep, n_vertices = 2.5 raised numpy's TypeError after its draws,
+    # and min_sep = -1 kept every draw
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError) as info:
+        random_shell_polytope(rng, **kwargs)
+    assert str(info.value) == message and type(info.value) is ValueError
+    assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("k,d", [(1, 3), (32, 2), (32, 3), (17, 4), (5, 16)])
+def test_a_block_draw_is_successive_row_draws(seed, k, d):
+    # random_shell_polytope draws blocks and replays a block's prefix
+    # from its saved state; a numpy that breaks either fails here
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    block = rng.standard_normal((k, d))
+    after = rng.standard_normal()
+    rows = np.random.default_rng(seed)
+    assert block.tobytes() == np.array([rows.standard_normal(d) for _ in range(k)]).tobytes()
+    assert rows.standard_normal() == after
+    for used in (1, k):
+        rng.bit_generator.state = state
+        assert rng.standard_normal((used, d)).tobytes() == block[:used].tobytes()
+        rows = np.random.default_rng(seed)
+        for _ in range(used):
+            rows.standard_normal(d)
+        assert rng.standard_normal() == rows.standard_normal()
+
+
 def test_random_shell_polytope_separation():
     rng = np.random.default_rng(11)
     P = random_shell_polytope(rng, dim=3, n_vertices=8, min_sep=0.7)

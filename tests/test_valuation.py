@@ -1243,6 +1243,27 @@ def test_body_valuation_is_eval_valuation_of_the_support(spec_name, body_name, s
         assert all(isinstance(o, str) and message in o for o in outcomes), outcomes
 
 
+@pytest.mark.parametrize("b_center", [0.11, 0.5], ids=["B-at-atom", "B-zero-at-atom"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_an_atom_raises_exactly_when_its_stencil_reaches_the_origin(degree, b_center):
+    # the stencil at distance r reaches r - h with h = step (1 + r): the
+    # origin at step 0.1 up to r = 1/9, whether the key holds the stencil
+    # (degrees 1 and 2 with B nonzero at the atom) or not (degree 0, B = 0)
+    ball = ball_body(3, 0.3)
+    for r, reaches in ((0.11, True), (0.1125, False)):
+        atom = MatrixAtom(HermitianMatrix("R", np.diag([1.0, 0, 0])), np.array([r, 0, 0]))
+        bumps = tuple(MatrixBump(HermitianMatrix("R", np.eye(3)), np.zeros(3), 0.5)
+                      for _ in range(2 - degree))
+        spec = ValuationSpec("R", 3, degree, BumpWeight(np.array([b_center, 0, 0]), 0.05),
+                             (atom,) + bumps)
+        for _ in range(2):  # the key's build, then its memo
+            if reaches:
+                with pytest.raises(ValueError, match="origin lies inside"):
+                    eval_valuation(spec, ball.support, step=0.1)
+            else:
+                assert math.isfinite(eval_valuation(spec, ball.support, step=0.1))
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.5])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_f_raises_on_both_routes(bad, sigma):
