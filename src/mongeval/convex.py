@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import _finite_copy, _read_only, _whole_number
+from .algebra import _finite_copy, _read_only, _row_sums, _whole_number
 from .hessian import _row_norms, fd_hessian_batch
 
 __all__ = [
@@ -531,10 +531,13 @@ def ball_slab_support(u, s: float, t: float):
     vector u / |u| that h projects on (normalizing an already-unit u can
     move its last bit, and p with it).  ``h.closed_form(r, p)`` is the
     closed form itself, elementwise on any shapes: h(xi) is
-    ``h.closed_form(np.linalg.norm(xi, axis=-1), xi @ h.direction)``, so a
-    caller holding |xi| and <xi, h.direction> for many bodies cut from one
-    ball along one direction (the O2 probe identity) evaluates each of
-    them with the bits of h.  It picks its piece by two nested
+    ``h.closed_form(np.linalg.norm(xi, axis=-1), np.sum(xi * h.direction,
+    axis=-1))``, two sums over each row (``_row_norms``, ``_row_sums``),
+    so h(x[i]) has the bits of h(x)[i].  (``xi @ u`` is a BLAS dot on one
+    point and a gemv on a stack, whose bits for a row depend on its place
+    in the stack.)  The O2 probe identity projects a whole stencil by one
+    gemv and evaluates its bodies cut from one ball along one direction by
+    the closed form.  The closed form picks its piece by two nested
     ``np.where``: ``np.select``'s rule (the first true condition wins, a
     NaN comparison falls to r) without its Python-level broadcasting.
     ``h.interface_margin(r, p)`` is min(|c - t|, |c - s|) for c = p / r
@@ -559,7 +562,7 @@ def ball_slab_support(u, s: float, t: float):
 
     def h(xi):
         xi = np.asarray(xi, dtype=float)
-        return closed_form(_row_norms(xi), xi @ u)
+        return closed_form(_row_norms(xi), _row_sums(xi * u))
 
     def interface_margin(r, p):
         """Distance of one direction from the two non-smooth cones, in the

@@ -683,11 +683,34 @@ def _unit_hessians(field, d):
     of each entry's unit symmetric matrix, in read-only arrays.  They
     depend on (field, d) alone, so each pair is assembled once per
     process: O2's 80 units in 16-D cost more to assemble than a spec's
-    polarization."""
+    polarization.  ``_monomial_table`` reads the entries, and each key's
+    ``_polynomial_form`` gathers its slots from the units."""
     a, b = np.divmod(_field_entries(d, FIELD_COMPONENTS[field]), d)
     units = np.zeros((len(a), d, d))
     units[np.arange(len(a)), a, b] = units[np.arange(len(a)), b, a] = 1.0
     return _read_only(a), _read_only(b), _read_only(assemble_structured(field, units))
+
+
+@functools.cache
+def _monomial_table(field, d, i):
+    """The part of ``_polynomial_form`` that (field, d, i), i >= 1, alone
+    fixes, built once per process in read-only index arrays: the
+    monomials, every multiset of i of ``_unit_hessians``' entries in
+    ``itertools.combinations_with_replacement`` order, as i columns of
+    unit indices (one slot each); the number i! / prod m_e! of orderings
+    of each; the (M, i) flat entries a d + b of their factors, in
+    lexicographic order; and each monomial's head, the index of its first
+    i - 1 entries among the distinct ones, which never decreases (all 0
+    at i = 1).  Only indices are held, not the gathered unit matrices,
+    which would take about 1.7 MB for O2 at i = 2 and 2.4 MB for R in 5-D
+    at i = 4; a key's build gathers its slots itself."""
+    a, b, _ = _unit_hessians(field, d)
+    monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
+    orderings = math.factorial(i) / np.tril(monos[:, :, None] == monos[:, None]).sum(2).prod(1)
+    entries = (a * d + b)[monos]
+    heads = np.cumsum(np.any(entries[1:, :-1] != entries[:-1, :-1], axis=1)).tolist()
+    columns = tuple(_read_only(np.ascontiguousarray(m)) for m in monos.T)
+    return columns, _read_only(orderings), _read_only(entries), _read_only(np.array([0] + heads))
 
 
 def _polynomial_form(spec):
@@ -701,34 +724,40 @@ def _polynomial_form(spec):
     ..., U_{e_mi}, M_1, ...) of the unit Hessians U_e, times the number
     i! / prod m_e! of orderings of the multiset, with m_e the multiplicity
     of e (prod m_e! is the product over the factors of how many factors up
-    to it equal it).  One ``polarized_det_batch`` gives every monomial's
-    mixed determinant.  It cancels terms of the size of its largest slot,
-    so each M_k enters divided by s_k = ``_pow2(|M_k|_F)``, and c is
-    multiplied by the product of the s_k: the units have norm about 1, and
-    so has M_k / s_k within a factor sqrt(2) (a large M_k would otherwise
-    cost digits).  Both steps are exact in binary, so an M of unit norm
-    keeps the bits of the unscaled form.
+    to it equal it).  The monomials, their orderings and their entries
+    depend on (field, d, i) alone and come from ``_monomial_table``, so a
+    key's build does only what its weights fix: one
+    ``polarized_det_batch`` gives every monomial's mixed determinant, on
+    the unit Hessians gathered by the table's columns.  It cancels terms
+    of the size of its largest slot, so each M_k enters divided by s_k =
+    ``_pow2(|M_k|_F)``, and c is multiplied by the product of the s_k: the
+    units have norm about 1, and so has M_k / s_k within a factor sqrt(2)
+    (a large M_k would otherwise cost digits).  Both steps are exact in
+    binary, so an M of unit norm keeps the bits of the unscaled form.
 
     Only the nonzero c_m are kept, as read-only groups (head, c, last): the
     monomials, in lexicographic order of their flat entry indices a d + b,
     that share their first i - 1 entries ``head``, with their coefficients
-    and last entries.  At i = 1 that is one group, every read entry with a
-    nonzero coefficient in row-major order, with an empty head.  The heads'
-    and last entries are the only real entries a call of the spec computes
+    and last entries; the groups are slices of the kept monomials between
+    the rows where the head changes, and none when every c_m is 0.  At i =
+    1 that is one group, every read entry with a nonzero coefficient in
+    row-major order, with an empty head.  The heads' and last entries are
+    the only real entries a call of the spec computes
     (``_build_quadrature``): parity-break's unit-diagonal weights leave one
     principal minor, the entry f_33 alone at n = 3, i = 1."""
-    d, i = spec.real_dim, spec.degree
-    a, b, units = _unit_hessians(spec.field, d)
-    monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
+    d = spec.real_dim
+    columns, orderings, entries, heads = _monomial_table(spec.field, d, spec.degree)
+    units = _unit_hessians(spec.field, d)[2]
     scales = [_pow2(w.matrix.norm()) for w in spec.weights]
-    slots = [units[m] for m in monos.T] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
-    orderings = math.factorial(i) / np.tril(monos[:, :, None] == monos[:, None]).sum(2).prod(1)
+    slots = [units[m] for m in columns] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
     coefficients = polarized_det_batch(spec.field, slots) * orderings * math.prod(scales)
     keep = np.flatnonzero(coefficients)
-    entries, coefficients = (a * d + b)[monos[keep]], coefficients[keep]
-    cuts = np.flatnonzero(np.any(entries[1:, :-1] != entries[:-1, :-1], axis=1)) + 1
-    return tuple((tuple(e[0, :-1].tolist()), _read_only(c), _read_only(e[:, -1]))
-                 for e, c in zip(np.split(entries, cuts), np.split(coefficients, cuts)) if len(c))
+    if not len(keep):
+        return ()
+    entries, coefficients, heads = entries[keep], coefficients[keep], heads[keep]
+    cuts = [0, *(np.flatnonzero(heads[1:] != heads[:-1]) + 1).tolist(), len(keep)]
+    return tuple((tuple(entries[s, :-1].tolist()), _read_only(coefficients[s:t]),
+                  _read_only(entries[s:t, -1])) for s, t in zip(cuts, cuts[1:]))
 
 
 def _polynomial_values(hreal, groups):
@@ -941,7 +970,8 @@ def _build_quadrature(spec, grid, sigma_cells, step):
       assembles a field Hessian or polarizes.
 
     The form owns which real Hessian entries a call computes: the union
-    of its groups' head and last entries, as sorted flat indices a d + b,
+    of its groups' head and last entries, marked in a mask of the d d
+    flat indices a d + b and read off it sorted (no Python set of ints),
     goes to ``grid_hessian``, ``fd_hessian_batch`` or the atom's
     ``_stencil_points`` in place of the field's whole read set, and the
     other entries are 0 and never read.  The routes look up
@@ -970,8 +1000,10 @@ def _build_quadrature(spec, grid, sigma_cells, step):
         return weight, functools.partial(_constant, value=float(scale * (weight * dets).sum()))
     box = _grid_box(grid, sigma_cells, active) if sigma_cells > 0 else None
     groups = _polynomial_form(spec)
-    entries = sorted({e for head, _, last in groups for e in head + tuple(last.tolist())})
-    entries = _read_only(np.array(entries, dtype=np.intp))  # the store walks a tuple's items
+    read = np.zeros(spec.real_dim ** 2, dtype=bool)
+    for head, _, last in groups:
+        read[list(head)] = read[last] = True
+    entries = _read_only(np.flatnonzero(read))
     if box is not None and spec.degree == 1:
         kernels, spacing, axes, cells = box
         # at i = 1 one group, or none, whose last entries are ``entries``

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -588,10 +589,10 @@ def test_ball_slab_support_against_brute_force():
 
 
 def test_ball_slab_closed_form_on_norm_and_projection_has_the_bits_of_h():
-    # h(xi) is the closed form on (|xi|, <xi, direction>), and direction
-    # is u / |u|, read-only; each value has the bits of the callable as it
-    # was written before the closed form was shared (the reference below),
-    # in both cut cones and on the ball between them
+    # h(xi) is the closed form on (|xi|, <xi, direction>), each numpy's sum
+    # over the row, and direction is u / |u|, read-only; each value has the
+    # bits of the callable written out (the reference below), in both cut
+    # cones and on the ball between them
     rng = np.random.default_rng(44)
     for d in (3, 16):
         u = rng.standard_normal(d)
@@ -602,7 +603,7 @@ def test_ball_slab_closed_form_on_norm_and_projection_has_the_bits_of_h():
         assert not h.direction.flags.writeable
         xi = rng.standard_normal((3000, d)) * rng.uniform(0.5, 2.0, (3000, 1))
         xi = np.vstack([xi, 1.3 * u, -0.7 * u, np.zeros(d)])
-        r, p = np.linalg.norm(xi, axis=-1), xi @ h.direction
+        r, p = np.linalg.norm(xi, axis=-1), np.sum(xi * h.direction, axis=-1)
         top, bot = p > t * r, p < s * r
         assert top.sum() > 100 and bot.sum() > 100 and (~top & ~bot).sum() > 100
         perp = np.sqrt(np.maximum(r * r - p * p, 0.0))
@@ -612,6 +613,25 @@ def test_ball_slab_closed_form_on_norm_and_projection_has_the_bits_of_h():
         assert h.closed_form(r, p).tobytes() == ref.tobytes()
         grid = h.closed_form(r.reshape(-1, 1), p.reshape(-1, 1))  # elementwise on any shape
         assert grid.shape == (len(xi), 1) and grid.ravel().tobytes() == ref.tobytes()
+
+
+def test_ball_slab_support_of_a_point_has_the_bits_of_its_row_in_a_stack():
+    # each row's <xi, u> is its own sum: as a BLAS dot on one point and a
+    # gemv on a stack (rows four at a time, the rest by another kernel),
+    # h(x[i]) and h(x)[i] read apart on about 2% of 16-D rows.  2,003
+    # rows, so a stack ends in a remainder, and prefixes of every length
+    # mod 4
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        u = rng.standard_normal(16)
+        h = ball_slab_support(u, rng.uniform(-0.9, -0.05), rng.uniform(0.05, 0.9))
+        x = rng.standard_normal((2003, 16)) * rng.uniform(0.2, 2.0, (2003, 1))
+        x[:3] = [1.3 * h.direction, -0.7 * h.direction, np.zeros(16)]
+        stack = h(x)
+        assert np.array([h(row) for row in x]).tobytes() == stack.tobytes()
+        assert h(x[0]).shape == ()
+        for k in (1, 2, 3, 5, 6, 7, 1001):
+            assert h(x[:k]).tobytes() == stack[:k].tobytes()
 
 
 def test_ball_slab_closed_form_picks_its_piece_as_np_select_does():
@@ -669,10 +689,11 @@ def test_ball_slab_validation():
             ball_slab_support(u, -0.4, 0.3)
 
 
-def _ref_random_shell_polytope(rng, dim=3, n_vertices=10, min_sep=0.7, limit=10000):
+def _ref_random_shell_polytope(rng, dim=3, n_vertices=10, min_sep=0.7, limit=10000, draws=None):
     """The loop ``random_shell_polytope`` runs in blocks: one draw, one
     scaling and one chord test per kept direction at a time; ``limit``
-    is its ``_SHELL_TRIES``."""
+    is its ``_SHELL_TRIES``.  A completed body appends its number of draws
+    to the list ``draws``, when one is given."""
     dirs = []
     tries = 0
     while len(dirs) < n_vertices:
@@ -683,6 +704,8 @@ def _ref_random_shell_polytope(rng, dim=3, n_vertices=10, min_sep=0.7, limit=100
         tries += 1
         if tries > limit:
             raise GeometryError("could not place separated vertices; lower min_sep")
+    if draws is not None:
+        draws.append(tries)
     radii = 0.35 * rng.uniform(0.85, 1.0, (n_vertices, 1))
     return Polytope(np.array(dirs) * radii)
 
@@ -697,14 +720,39 @@ def _shell_outcome(make, seed, **kwargs):
     return out, rng.standard_normal()
 
 
+#: (dim, n_vertices, min_sep) -> the most draws any of seeds 0-99 takes to
+#: complete its body (0 when none does) and how many of them cannot be
+#: placed, both at the loop's 10,000 draws
+_SHELL_SWEEP = {
+    (2, 6, 0.3): (13, 0), (2, 6, 0.6): (63, 0), (2, 6, 0.7): (4533, 2),
+    (2, 8, 0.3): (20, 0), (2, 8, 0.6): (9215, 31), (2, 8, 0.7): (1104, 98),
+    (2, 10, 0.3): (36, 0), (2, 10, 0.6): (0, 100), (2, 10, 0.7): (0, 100),
+    (3, 8, 0.3): (12, 0), (3, 8, 0.6): (23, 0), (3, 8, 0.7): (28, 0),
+    (3, 10, 0.3): (15, 0), (3, 10, 0.6): (40, 0), (3, 10, 0.7): (52, 0),
+    (4, 8, 0.3): (9, 0), (4, 8, 0.6): (15, 0), (4, 8, 0.7): (17, 0),
+    (4, 10, 0.3): (12, 0), (4, 10, 0.6): (20, 0), (4, 10, 0.7): (23, 0),
+}
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_random_shell_polytope_has_the_bits_of_the_loop(dim):
+def test_random_shell_polytope_has_the_bits_of_the_loop(dim, monkeypatch):
+    # each configuration gives up at the next hundred draws above the most
+    # any of its bodies takes, on the route and on the loop alike, so that
+    # the 331 planar bodies that cannot be placed cost the loop that many
+    # draws each and not 10,001; every outcome is the one at 10,000 draws,
+    # since as many bodies complete, the slowest in as many draws
     for n_vertices in sorted({8, 10, 2 * dim + 2}):
         for min_sep in (0.3, 0.6, 0.7):
+            most, failures = _SHELL_SWEEP[dim, n_vertices, min_sep]
+            limit = (most // 100 + 1) * 100
+            monkeypatch.setattr(convex, "_SHELL_TRIES", limit)
+            draws = []
+            loop = functools.partial(_ref_random_shell_polytope, limit=limit, draws=draws)
             for seed in range(100):
                 kwargs = dict(dim=dim, n_vertices=n_vertices, min_sep=min_sep)
                 assert (_shell_outcome(random_shell_polytope, seed, **kwargs)
-                        == _shell_outcome(_ref_random_shell_polytope, seed, **kwargs)), kwargs
+                        == _shell_outcome(loop, seed, **kwargs)), kwargs
+            assert (max(draws, default=0), 100 - len(draws)) == (most, failures)
 
 
 # chords of 1.0 leave room for at most 5 directions in the plane

@@ -3657,9 +3657,12 @@ def _form_coefficients(spec):
 
 def test_unit_hessians_are_built_once_per_field_and_dimension():
     # the units depend on (field, d) alone: R in 3-D and 5-D are two
-    # entries, and a second spec of a pair reuses its read-only arrays
+    # entries, and a second spec of a pair reuses its read-only arrays;
+    # each form reads them twice on its first (field, d, i), through its
+    # monomial table, and once after
     units = valuation._unit_hessians
     units.cache_clear()
+    valuation._monomial_table.cache_clear()
     specs = [_parity_spec(3, 1), _parity_spec(5, 1)]
     for case in ("C", "O2"):
         rng = np.random.default_rng(0)
@@ -3679,11 +3682,117 @@ def test_unit_hessians_are_built_once_per_field_and_dimension():
                                   + [w.matrix.data for w in spec.weights])
         assert np.allclose(coefficients[a, b], ref, rtol=1e-13, atol=1e-15)
     info = units.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)  # R 3, R 5, C 4, O2 16
+    assert (info.misses, info.hits, info.currsize) == (4, 10, 4)  # R 3, R 5, C 4, O2 16
     for field, d in [("R", 3), ("R", 5), ("C", 4), ("O2", 16)]:
         for array in units(field, d):
             assert not array.flags.writeable
         assert units(field, d)[2].shape[0] == len(units(field, d)[0])
+
+
+def _ref_polynomial_form(spec):
+    """The polynomial form as it was built before the monomial table: the
+    monomials, their orderings and their entries made anew for every
+    spec, the groups cut by ``np.split`` (kept as the reference)."""
+    d, i = spec.real_dim, spec.degree
+    a, b, units = valuation._unit_hessians(spec.field, d)
+    monos = np.array(list(itertools.combinations_with_replacement(range(len(a)), i)))
+    scales = [valuation._pow2(w.matrix.norm()) for w in spec.weights]
+    slots = [units[m] for m in monos.T] + [w.matrix.data / s for w, s in zip(spec.weights, scales)]
+    orderings = math.factorial(i) / np.tril(monos[:, :, None] == monos[:, None]).sum(2).prod(1)
+    coefficients = polarized_det_batch(spec.field, slots) * orderings * math.prod(scales)
+    keep = np.flatnonzero(coefficients)
+    entries, coefficients = (a * d + b)[monos[keep]], coefficients[keep]
+    cuts = np.flatnonzero(np.any(entries[1:, :-1] != entries[:-1, :-1], axis=1)) + 1
+    return tuple((tuple(e[0, :-1].tolist()), c, e[:, -1])
+                 for e, c in zip(np.split(entries, cuts), np.split(coefficients, cuts)) if len(c))
+
+
+def _scaled_weights(field, n, degree, norm, seed):
+    """n - degree random Hermitian bumps over ``field``, each of Frobenius
+    norm ``norm``."""
+    rng, d = np.random.default_rng(seed), n * FIELD_COMPONENTS[field]
+    weights = []
+    for _ in range(n - degree):
+        m = _random_weight_matrix(field, n, rng)
+        weights.append(MatrixBump(m * (norm / m.norm()), np.zeros(d), 0.5))
+    return tuple(weights)
+
+
+def _form_family():
+    """Specs over which the form is compared with ``_ref_polynomial_form``:
+    parity-break's at n = 2..5 and every degree, the invariance atoms and
+    the identity specs, O2 and H without weights, a weight of 0 and full
+    matrix weights of norm 1e-3 and 1e3."""
+    B = lambda d: BumpWeight(np.zeros(d), 0.45)
+    specs = {f"parity-{n}-{i}": _parity_spec(n, i) for n in range(2, 6) for i in range(1, n)}
+    specs.update({f"parity-{n}-{n}": ValuationSpec("R", n, n, B(n)) for n in range(2, 6)})
+    rng = np.random.default_rng(0)
+    specs.update({f"invariance-{f}": verify._invariance_case(f, rng)[0] for f in ("R", "C", "O2")})
+    specs.update({f"identity-{f}": verify._identity_config(f, rng)[0] for f in ("R", "C", "H")})
+    specs["O2-2-1"] = ValuationSpec("O2", 2, 1, B(16), (MatrixBump(
+        HermitianMatrix("O2", verify._random_o2_hermitian(rng)), np.zeros(16), 0.5),))
+    specs["O2-2-2"] = ValuationSpec("O2", 2, 2, B(16))
+    specs["H-2-2"] = ValuationSpec("H", 2, 2, B(8))
+    zero = MatrixAtom(HermitianMatrix("R", np.zeros((3, 3))), np.zeros(3))
+    specs["zero"] = ValuationSpec("R", 3, 2, B(3), (zero,))
+    for norm in (1e-3, 1e3):
+        for field, n, degree in (("R", 4, 1), ("R", 4, 2), ("C", 3, 1), ("H", 2, 1)):
+            specs[f"{field}-{n}-{degree}-{norm:g}"] = ValuationSpec(
+                field, n, degree, B(n * FIELD_COMPONENTS[field]),
+                _scaled_weights(field, n, degree, norm, n + degree))
+    return specs
+
+
+@pytest.mark.parametrize("case", sorted(_form_family()))
+def test_the_form_has_the_bits_of_the_form_built_per_spec(case):
+    # the monomial table leaves every group as it was: heads, last entries
+    # and each coefficient's float.hex; the all-zero form is empty
+    spec = _form_family()[case]
+    got, ref = valuation._polynomial_form(spec), _ref_polynomial_form(spec)
+    assert [head for head, _c, _last in got] == [head for head, _c, _last in ref]
+    for (_head, c, last), (_ref_head, ref_c, ref_last) in zip(got, ref):
+        assert last.dtype == ref_last.dtype and last.tobytes() == ref_last.tobytes()
+        assert [x.hex() for x in c.tolist()] == [x.hex() for x in ref_c.tolist()]
+        assert not c.flags.writeable and not last.flags.writeable
+    assert (got == ()) == (case == "zero")
+    if case == "parity-3-1":
+        assert [(h, last.tolist()) for h, _c, last in got] == [((), [8])]  # one minor: f_33
+
+
+def test_the_monomial_table_is_built_once_per_field_dimension_and_degree():
+    # a key's form reads the table of its (field, d, i) and builds its own
+    # coefficients: four O2 degree-1 specs with different weights share one
+    # table, and R in 3-D at degrees 1 and 2 are two
+    table = valuation._monomial_table
+    table.cache_clear()
+    rng = np.random.default_rng(3)
+    specs = [verify._invariance_case("O2", rng)[0] for _ in range(4)]
+    specs += [_parity_spec(3, 1), _parity_spec(3, 2), _parity_spec(3, 1)]
+    for spec in specs:
+        valuation._polynomial_form(spec)
+    info = table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 4, 3)
+
+
+@pytest.mark.parametrize("field,n,degree", [("R", 3, 3), ("R", 5, 4), ("C", 3, 2),
+                                            ("H", 2, 2), ("O2", 2, 1), ("O2", 2, 2)])
+def test_the_monomial_table_holds_read_only_indices_alone(field, n, degree):
+    # i columns of unit indices, the orderings, the (M, i) entries and the
+    # heads: (2 i + 2) 8-byte numbers per monomial, under 256 kB and at
+    # most a third of the i gathered (M, d, d) unit slots (about 1.7 MB
+    # for O2 at i = 2 and 2.4 MB for R in 5-D at i = 4)
+    d = n * FIELD_COMPONENTS[field]
+    columns, orderings, entries, heads = valuation._monomial_table(field, d, degree)
+    arrays = [*columns, orderings, entries, heads]
+    m = len(orderings)
+    assert len(columns) == degree and entries.shape == (m, degree) and heads.shape == (m,)
+    for array in arrays:
+        assert not array.flags.writeable
+        assert array.dtype == (float if array is orderings else np.intp)
+    nbytes = sum(array.nbytes for array in arrays)
+    assert nbytes == (2 * degree + 2) * 8 * m and nbytes < 1 << 18
+    assert 3 * nbytes <= degree * m * d * d * 8
+    assert valuation._unit_hessians(field, d)[2].shape[0] > max(map(np.max, columns))
 
 
 def test_power_of_two_scales_are_exact_and_leave_a_unit_norm_matrix_alone():

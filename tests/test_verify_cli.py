@@ -145,12 +145,20 @@ def _array_margin(xi, u, s, t):
     return np.minimum(np.abs(c - t), np.abs(c - s))
 
 
+def _gemv_support(h):
+    """A sliced-ball support as its callable evaluated stacks before it took
+    <xi, u> as a row sum: the closed form on |xi| and ``xi @ direction``,
+    one gemv over the stack, as the probe identity still projects."""
+    return lambda xi: h.closed_form(np.linalg.norm(xi, axis=-1), xi @ h.direction)
+
+
 def _per_body_probe_residuals_o2(n_pairs, rng):
     """The O2 probe identity as it ran before one stencil served a pair:
     one ``fd_hessian_batch``, ``assemble_structured`` and determinant call
-    per body, each support through its own callable, and each candidate
-    probe normalized and kept by the array formulas on ``xi[None]``.  The
-    reference for the one-stencil loop and its float margin."""
+    per body, each support through its own callable (``_gemv_support``),
+    and each candidate probe normalized and kept by the array formulas on
+    ``xi[None]``.  The reference for the one-stencil loop and its float
+    margin."""
     residuals = []
     control = 0.0
     for pair in range(n_pairs):
@@ -158,9 +166,8 @@ def _per_body_probe_residuals_o2(n_pairs, rng):
         u /= np.linalg.norm(u)
         s = rng.uniform(-0.45, -0.1)
         t = rng.uniform(0.1, 0.45)
-        hA = convex.ball_slab_support(u, -1.0, t)
-        hB = convex.ball_slab_support(u, s, 1.0)
-        hAB = convex.ball_slab_support(u, s, t)
+        hA, hB, hAB = (_gemv_support(convex.ball_slab_support(u, lo, hi))
+                       for lo, hi in ((-1.0, t), (s, 1.0), (s, t)))
         hK = lambda xi: np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
         probes = []
         while len(probes) < 6:
