@@ -21,11 +21,10 @@ at distinct points vanishes and at a common point is undefined.
 
 Quadrature is a midpoint Riemann sum with deterministic index-ordered
 accumulation, so repeated runs are bit-identical.  Hessians come from
-difference stencils at the active nodes (sigma_cells = 0; optional
-threading only splits them into fixed chunks and never changes a bit)
-or, for non-smooth inputs such as support functions, as D^2 (G_sigma *
-f) on the grid: separable derivative-of-Gaussian kernels of width
-sigma_cells > 0 cells smooth and differentiate in one pass.
+difference stencils at the active nodes (sigma_cells = 0, in fixed
+blocks of rows) or, for non-smooth inputs such as support functions, as
+D^2 (G_sigma * f) on the grid: separable derivative-of-Gaussian kernels
+of width sigma_cells > 0 cells smooth and differentiate in one pass.
 
 For piecewise-linear convex inputs and i = n over R there is an exact
 route: the determinant-of-Hessian measure of a PL convex function is
@@ -42,7 +41,6 @@ import math
 import pickle
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +68,7 @@ __all__ = [
     "chunked_apply",
 ]
 
-#: rows per block of ``chunked_apply``, whatever the thread count
+#: rows per block of ``chunked_apply``
 _CHUNK_ROWS = 8192
 #: the least positive normal float
 _TINY = float(np.finfo(float).tiny)
@@ -568,21 +566,12 @@ def pl_valuation(scalar_weight, f: PLConvexFunction) -> float:
 # quadrature evaluation
 # ---------------------------------------------------------------------------
 
-def chunked_apply(fn, points, threads: int = 1):
-    """Apply a vectorized map over fixed row blocks, concatenated in order.
-
-    The blocks do not depend on the thread count, so results are
-    bit-identical for any ``threads``, a whole number of at least 1.
-    """
-    threads = _whole_number("threads", threads, 1)
+def chunked_apply(fn, points):
+    """Apply a vectorized map over fixed blocks of ``_CHUNK_ROWS`` rows,
+    in order, concatenated."""
     points = np.asarray(points)
-    blocks = [points[i:i + _CHUNK_ROWS] for i in range(0, max(len(points), 1), _CHUNK_ROWS)]
-    if threads <= 1 or len(blocks) == 1:
-        parts = map(fn, blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, blocks))
-    parts = [np.asarray(p) for p in parts]
+    parts = [np.asarray(fn(points[i:i + _CHUNK_ROWS]))
+             for i in range(0, max(len(points), 1), _CHUNK_ROWS)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
@@ -797,12 +786,12 @@ def _bump_factor(weight, grid: Grid, node=None):
     return scal
 
 
-def _constant(f, threads, value):
+def _constant(f, value):
     """The integral at degree 0 or with no active cell, which reads no f."""
     return value
 
 
-def _kernel_sum(f, threads, axes, kernel):
+def _kernel_sum(f, axes, kernel):
     """The degree-1 grid integral <K, samples> on the box of ``axes``:
     numpy's pairwise sum of K * samples, never a BLAS dot, which splits a
     long sum by its thread count; the products go to this thread's
@@ -811,7 +800,7 @@ def _kernel_sum(f, threads, axes, kernel):
     return float(np.multiply(kernel, _box_samples(f, axes), out=products).sum())
 
 
-def _box_integral(f, threads, entries, integrand, weight, scale, box):
+def _box_integral(f, entries, integrand, weight, scale, box):
     """scale * sum w * integrand(H) on the active cells of ``box``
     (``_grid_box``), H the real Hessians of the smoothed f at ``entries``
     from one ``grid_hessian`` call into this thread's "hessians" buffer."""
@@ -821,17 +810,16 @@ def _box_integral(f, threads, entries, integrand, weight, scale, box):
     return float(scale * (weight * integrand(hreal)).sum())
 
 
-def _stencil_integral(f, threads, step, entries, integrand, weight, scale, points):
+def _stencil_integral(f, step, entries, integrand, weight, scale, points):
     """scale * sum w * integrand(H) at ``points``, H the difference
     stencils' real Hessians at ``entries`` with ``step``, one
     ``chunked_apply`` block of 8,192 points (and one call of ``f``) at a
     time."""
-    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, entries)), points,
-                           threads)
+    values = chunked_apply(lambda b: integrand(fd_hessian_batch(f, b, step, entries)), points)
     return float(scale * (weight * values).sum())
 
 
-def _atom_integral(f, threads, stencil, integrand, weight, scale):
+def _atom_integral(f, stencil, integrand, weight, scale):
     """scale * w * integrand(H) at an atom's one node, from the key's
     ``stencil`` (``_stencil_points``' read-only (K, d) points, h and the
     offset table's axes and rows, built once per key): one call of ``f``
@@ -944,7 +932,7 @@ def _build_quadrature(spec, grid, sigma_cells, step):
     """A checked call of ``eval_valuation`` fixed by its spec, grid (None
     for an atom spec), width and stencil step: the pair (w, integral) of
     the read-only weight w on the active cells and the one route
-    ``integral(f, threads) -> float`` chosen for the key, a
+    ``integral(f) -> float`` chosen for the key, a
     ``functools.partial`` of a module function over read-only arrays:
 
     - ``_constant`` at degree 0, (n - i)! * cell * sum w * D(M_1, ...,
@@ -1026,7 +1014,7 @@ def _build_quadrature(spec, grid, sigma_cells, step):
 
 
 def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: float = 0.0,
-                   step: float = None, threads: int = 1) -> float:
+                   step: float = None) -> float:
     """Evaluate the valuation functional on a convex (or C^2) function.
 
     ``f`` is vectorized, (m, d) -> (m,) with d = spec.real_dim, or a
@@ -1043,12 +1031,12 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     any matrix weight is read.
 
     ``sigma_cells`` picks the Hessians: 0 means difference stencils at
-    the active midpoints, in fixed blocks of 8,192 nodes over
-    ``threads``, one call of ``f`` per block; a positive width means the
-    smoothed grid route: f is sampled on the active cells' bounding box
-    plus the kernel radius ``int(4 sigma + 0.5)`` in one call, and each
-    entry of the Gaussian of ``sigma_cells`` cells convolved with f is
-    one banded product per axis with a derivative-of-Gaussian kernel.
+    the active midpoints, in fixed blocks of 8,192 nodes, one call of
+    ``f`` per block; a positive width means the smoothed grid route: f
+    is sampled on the active cells' bounding box plus the kernel radius
+    ``int(4 sigma + 0.5)`` in one call, and each entry of the Gaussian
+    of ``sigma_cells`` cells convolved with f is one banded product per
+    axis with a derivative-of-Gaussian kernel.
     The M_k are constant, so the determinant is a polynomial of degree i
     in the real Hessian entries, and a call computes only the entries with
     a nonzero coefficient (a principal minor's, for unit-diagonal M_k) and
@@ -1082,8 +1070,8 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
       is not finite, or a positive one with an atom or below 1/8 cell,
       raises.  So does a ``step`` other than None that is not
       finite and > 0, or that comes with a positive width (the grid route
-      has no stencil), and a ``threads`` that is not a whole number >= 1;
-      all three are checked before B is read.
+      has no stencil); the step and the width's sign, reach and atom
+      rules are checked before B is read.
     - A non-finite value of f that a call reads raises
       ``FloatingPointError``, and which values it reads depends on the
       route.  The stencil route (and an atom) reads f only at the stencil
@@ -1113,7 +1101,6 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     if step is not None and (sigma_cells > 0 or not (math.isfinite(step) and step > 0)):
         raise ValueError(f"stencil step must be None or finite and > 0, and None when "
                          f"sigma_cells > 0 (the grid route has no stencil), got {step!r}")
-    _whole_number("threads", threads, 1)
     owner, d = getattr(f, "__self__", f), spec.real_dim  # owner: a bound support's body
     if isinstance(owner, (Polytope, SmoothProfileBody, PLConvexFunction)) and owner.dim != d:
         raise ValueError(f"f is a {owner.dim}-dimensional {type(owner).__name__}, but the spec's "
@@ -1145,7 +1132,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
         if np.any(lo < grid.lo - 1e-12) or np.any(hi > grid.hi + 1e-12):
             raise ValueError("joint weight support exceeds the quadrature box")
         entry = _quadrature(spec, grid, float(sigma_cells), step)
-    value = entry[1](f, threads)
+    value = entry[1](f)
     if not math.isfinite(value):
         raise FloatingPointError(f"the integrand sum {value} is not finite")
     return value
@@ -1156,10 +1143,10 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
 # ---------------------------------------------------------------------------
 
 def body_valuation(spec: ValuationSpec, K: ConvexBody, grid: Grid = None, *,
-                   sigma_cells: float = 0.0, threads: int = 1) -> float:
+                   sigma_cells: float = 0.0) -> float:
     """phi(K) = Phi(h_K), the induced i-homogeneous valuation on bodies:
     ``eval_valuation`` on ``K.support``, whose docstring states every rule."""
-    return eval_valuation(spec, K.support, grid, sigma_cells=sigma_cells, threads=threads)
+    return eval_valuation(spec, K.support, grid, sigma_cells=sigma_cells)
 
 
 def homogeneous_components(phi, K: ConvexBody, max_degree: int):

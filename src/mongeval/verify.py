@@ -175,11 +175,11 @@ def _identity_config(field, rng):
     return spec, Grid.cube(np.zeros(4), 0.5, 10, 4), body, 1.5
 
 
-def _identity_grid_residuals(field, n_pairs, rng, threads):
+def _identity_grid_residuals(field, n_pairs, rng):
     spec, grid, body, sigma = _identity_config(field, rng)
 
     def phi(K):
-        return body_valuation(spec, K, grid, sigma_cells=sigma, threads=threads)
+        return body_valuation(spec, K, grid, sigma_cells=sigma)
 
     phi_union = phi(body)  # the union body is the same for every slab pair
     residuals = []
@@ -304,7 +304,7 @@ def valuation_identity(fields=("R", "C", "H", "O2"), n_pairs=20, seed=0, threads
             residuals, control = _identity_probe_residuals_o2(n_pairs, rng)
             tol = 1e-6
         else:
-            residuals, control = _identity_grid_residuals(field, n_pairs, rng, threads)
+            residuals, control = _identity_grid_residuals(field, n_pairs, rng)
             tol = 0.02
         checks.append((f"{field}: max residual over {n_pairs} pairs", max(residuals), 0.0, tol))
         checks.append((f"{field}: mutated functional breaks identity",
@@ -382,7 +382,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
     step = 1e-3  # larger than the Hessian default: pure noise-floor regime
     for field in fields:
         spec, grid, fn, x0 = _invariance_case(field, rng)
-        base = eval_valuation(spec, fn, grid, step=step, threads=threads)
+        base = eval_valuation(spec, fn, grid, step=step)
         if abs(base) < 1e-9:
             raise ArithmeticError(f"degenerate base value for field {field}")
         worst = 0.0
@@ -390,8 +390,7 @@ def linear_invariance(fields=("R", "C", "H", "O2"), trials=50, seed=0, threads=1
         d = spec.real_dim
         for _ in range(trials):
             ell = rng.uniform(-1.0, 1.0, d)
-            shifted = eval_valuation(spec, _plus_linear(fn, ell), grid,
-                                     step=step, threads=threads)
+            shifted = eval_valuation(spec, _plus_linear(fn, ell), grid, step=step)
             worst = max(worst, abs(shifted - base) / abs(base))
             control = max(control, abs(float(x0 @ ell)))
         checks.append((f"{field}: max |Phi(f+l)-Phi(f)| / |Phi(f)| over {trials} l",
@@ -526,21 +525,21 @@ def parity_break(dim=3, degree=1, widths=(0.3, 0.15, 0.075), seed=0, threads=1):
 
     expect_plus = 1.0 / comb(n, i)
     expect_minus = 2.0**i / comb(n, i)
-    phi_plus = body_valuation(spec, body, threads=threads)
-    phi_minus = body_valuation(spec, body.negate(), threads=threads)
+    phi_plus = body_valuation(spec, body)
+    phi_minus = body_valuation(spec, body.negate())
 
     bump_vals = []
     for w in widths:
         wide = spec.with_atom_widened(w)
         grid = Grid.cube(v0, w, 12, n)
-        bump_vals.append(eval_valuation(wide, body.support, grid, threads=threads))
+        bump_vals.append(eval_valuation(wide, body.support, grid))
     bump_gaps = [abs(v - phi_plus) / abs(phi_plus) for v in bump_vals]
 
     neither = min(abs(phi_minus - phi_plus), abs(phi_minus + phi_plus)) > 0.05 * abs(phi_plus)
 
     ball = cx.ball_body(n, 1.0)
-    ball_plus = body_valuation(spec, ball, threads=threads)
-    ball_minus = body_valuation(spec, ball.negate(), threads=threads)
+    ball_plus = body_valuation(spec, ball)
+    ball_minus = body_valuation(spec, ball.negate())
     ball_sym = abs(ball_minus - ball_plus) <= 1e-9 * max(1.0, abs(ball_plus))
 
     checks = [
@@ -712,18 +711,17 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
 
     laplacian = chunked_apply(lambda b: fd_laplacian_batch(_bump4, b), nodes)
     reference = float(np.sum(np.asarray(weight(nodes)) * laplacian) * grid.cell_volume)
-    phi0 = eval_valuation(spec, f0, grid, threads=threads)
+    phi0 = eval_valuation(spec, f0, grid)
     gaps = []
     divided = []
     for eps in eps_schedule:
-        phi = eval_valuation(spec, lambda x, e=eps: f0(x) + e * _bump4(x), grid,
-                             threads=threads)
+        phi = eval_valuation(spec, lambda x, e=eps: f0(x) + e * _bump4(x), grid)
         divided.append((phi - phi0) / eps)
         gaps.append(abs(divided[-1] - reference))
     ratios = [gaps[k] / max(gaps[k + 1], 1e-300) for k in range(len(gaps) - 1)]
 
     # psi = 0 control: the divided difference vanishes identically
-    phi_same = eval_valuation(spec, f0, grid, threads=threads)
+    phi_same = eval_valuation(spec, f0, grid)
     zero_control = abs(phi_same - phi0)
 
     # three independent kernel weights (B_k(0) = 0) and their test matrix
@@ -737,9 +735,8 @@ def kernel_laplacian(eps_schedule=(1e-2, 5e-3, 2.5e-3), resolution=32, seed=0, t
 
     gram = []
     for ks in kspecs:  # each spec's base next to its probes, so the memo keeps its key
-        base = eval_valuation(ks, f0, grid, threads=threads)
-        gram.append([eval_valuation(ks, f_probe(c), grid, threads=threads) - base
-                     for c in centers])
+        base = eval_valuation(ks, f0, grid)
+        gram.append([eval_valuation(ks, f_probe(c), grid) - base for c in centers])
     gram = np.array(gram)
     svals = np.linalg.svd(gram, compute_uv=False)
     independence = float(svals[-1] / svals[0])

@@ -214,8 +214,10 @@ def test_acceptance_10_deterministic_reports():
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         ok = True
-        # kernel-laplacian's stencil route splits into more than one block,
-        # so its threads really run in parallel
+        # the north star's gate: a report has the same bytes at every
+        # --threads value (each experiment checks it; the library below
+        # takes none) and on a rerun; kernel-laplacian's stencil route
+        # runs in more than one block
         for name, options in (("parity-break", ["--dim", "3", "--degree", "1"]),
                               ("kernel-laplacian", [])):
             out1, out2 = os.path.join(tmp, name, "a"), os.path.join(tmp, name, "b")
@@ -226,7 +228,7 @@ def test_acceptance_10_deterministic_reports():
                 b1 = fh.read()
             with open(os.path.join(out2, f"{name}.json"), "rb") as fh:
                 ok &= fh.read() == b1
-            # and a second single-threaded rerun is byte-identical too
+            # and a second rerun at --threads 1 is byte-identical too
             assert main(args + ["--threads", "1", "--out", out2]) == 0
             with open(os.path.join(out2, f"{name}.json"), "rb") as fh:
                 ok &= fh.read() == b1

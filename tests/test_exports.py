@@ -201,9 +201,39 @@ def test_benchmark_workload_calls_bind_to_signatures():
 
 
 # experiment parameters that only reach the report's ``parameters``, with
-# the reason each one stays (parity_break's seed is not among them: its
-# check reads it, though nothing computed does)
+# the reason each one stays.  parity_break's seed and the experiments'
+# threads are not among them: each is read by its experiment's check,
+# though nothing computed reads it, and threads stays while the
+# benchmark's workloads pass it
 _REPORT_ONLY = {}
+
+
+def _library_functions(module):
+    """(name, function) of every function defined in ``module``, private
+    ones too, and of every method its classes define, ``__init__``
+    included."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class and static methods
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("name", ["valuation", "hessian", "algebra", "convex"])
+def test_no_library_callable_below_the_experiments_takes_threads(name):
+    # every layer below the experiments runs in one thread of its caller:
+    # ``chunked_apply`` runs its blocks in order and each route is
+    # ``integral(f)``, so a ``threads`` parameter there would be a knob
+    # that changes nothing
+    module = importlib.import_module(f"mongeval.{name}")
+    taking = [qual for qual, obj in _library_functions(module)
+              if "threads" in inspect.signature(obj).parameters]
+    assert not taking, f"mongeval.{name} callables take threads: {taking}"
 
 
 def test_every_experiment_parameter_is_read():

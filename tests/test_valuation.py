@@ -1281,17 +1281,13 @@ def test_non_finite_f_raises_on_both_routes(bad, sigma):
 _BAD_BEFORE_B = {
     **{f"{sigma}-{step}": (sigma, {"step": step})
        for sigma, step in [(2.0, -1.0), (2.0, math.nan), (2.0, 1e-3), (0.0, -1.0), (0.0, math.nan)]},
-    **{f"{sigma}-threads={threads!r}": (sigma, {"threads": threads})
-       for sigma in (0.0, 2.0) for threads in (0, -3, 2.5, True, "2", None)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_BEFORE_B))
 def test_a_bad_step_or_a_step_on_the_grid_route_raises_before_b_is_read(case, monkeypatch):
     # the grid route ignored step: -1.0 or nan gave the value of None; the
-    # stencil route checked it only after B had been read.  threads 0, -3,
-    # 2.5 and True gave the value of 1 on both routes, and "2" and None a
-    # TypeError inside chunked_apply
+    # stencil route checked it only after B had been read
     sigma, bad = _BAD_BEFORE_B[case]
     spec = ValuationSpec("R", 3, 3, BumpWeight(np.zeros(3), 0.45))
     grid = Grid.cube(np.zeros(3), 0.5, 16, 3)
@@ -1301,9 +1297,6 @@ def test_a_bad_step_or_a_step_on_the_grid_route_raises_before_b_is_read(case, mo
     name = next(iter(bad))
     with pytest.raises(ValueError, match=name):
         eval_valuation(spec, quad, grid, sigma_cells=sigma, **bad)
-    if name == "threads" and sigma > 0:  # body_valuation forwards it
-        with pytest.raises(ValueError, match=name):
-            body_valuation(spec, unit_cube(3, -0.2, 0.2), grid, sigma_cells=sigma, **bad)
 
 
 _SHIFTS = {"small": np.array([0.3, -0.2, 0.1]), "large": np.array([2.0, 1.0, -3.0])}
@@ -1530,18 +1523,9 @@ def test_nonnegativity_for_convex_input():
     assert eval_valuation(spec, quadratic(Q), grid) >= -1e-10
 
 
-def test_threads_bit_identical():
-    K = unit_cube(3, -0.35, 0.35)
-    weight = BumpWeight(np.zeros(3), 0.45, plateau=0.7)
-    spec = ValuationSpec("R", 3, 3, weight)
-    grid = Grid.cube(np.zeros(3), 0.5, 32, 3)
-    vals = {body_valuation(spec, K, grid, sigma_cells=2.0, threads=t) for t in (1, 2, 8)}
-    assert len(vals) == 1
-
-
-def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
-    # ``threads`` does not split the grid route: one tensor-grid support per
-    # evaluation, whatever ``threads`` says
+def test_grid_route_samples_one_support_grid_per_call_in_4d(monkeypatch):
+    # the grid route samples a polytope by one tensor-grid support per
+    # evaluation
     K = random_shell_polytope(np.random.default_rng(5), dim=4, n_vertices=12)
     spec = ValuationSpec("C", 2, 2, BumpWeight(np.zeros(4), 0.45, plateau=0.6))
     grid = Grid.cube(np.zeros(4), 0.5, 8, 4)
@@ -1553,14 +1537,10 @@ def test_grid_route_threads_bit_identical_in_4d(monkeypatch):
         return support_grid(self, axes)
 
     monkeypatch.setattr(Polytope, "support_grid", recording)
-    vals = set()
-    for t in (1, 2):
-        del shapes[:]
-        vals.add(body_valuation(spec, K, grid, sigma_cells=1.5, threads=t))
-        # B vanishes on the outer layer of cells: the active box is 6 cells
-        # wide, plus the kernel radius 6 per side
-        assert shapes == [(6 + 2 * 6,) * 4]
-    assert len(vals) == 1
+    body_valuation(spec, K, grid, sigma_cells=1.5)
+    # B vanishes on the outer layer of cells: the active box is 6 cells
+    # wide, plus the kernel radius 6 per side
+    assert shapes == [(6 + 2 * 6,) * 4]
 
 
 def test_grid_route_bits_do_not_depend_on_blas_threads():
@@ -1740,8 +1720,7 @@ def _field_hessians_on(spec, f, grid, sigma_cells, active, out):
         out[...] = hreal
         return np.zeros(len(hreal))
 
-    valuation._box_integral(f, 1, entries=read_entries(spec.field, spec.real_dim),
-                            integrand=copy,
+    valuation._box_integral(f, entries=read_entries(spec.field, spec.real_dim), integrand=copy,
                             weight=np.ones(len(out)), scale=1.0, box=box)
     return assemble_structured(spec.field, out)
 
@@ -2264,16 +2243,6 @@ def test_stencil_route_builds_no_nodes_and_matches_the_node_route(case, monkeypa
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
-def _parity_spec(n, i):
-    """parity-break's spec: a unit-diagonal atom E_1 at e_1 and unit
-    diagonal bumps E_2, ..., E_{n-i} there, B = 1 near e_1."""
-    v0 = np.eye(n)[0]
-    unit = [HermitianMatrix("R", np.diag(e)) for e in np.eye(n)]
-    weights = [MatrixAtom(unit[0], v0)]
-    weights += [MatrixBump(unit[l], v0, 0.5, plateau=0.5) for l in range(1, n - i)]
-    return ValuationSpec("R", n, i, BumpWeight(v0, 0.5, 1.0, plateau=0.5), tuple(weights))
-
-
 @pytest.mark.parametrize("n,i", [(3, 1), (3, 2), (4, 2), (5, 1), (5, 3)])
 def test_a_parity_form_reads_one_principal_minor(n, i):
     # D(H [i], E_1, ..., E_{n-i}) is the minor of the last i axes: its
@@ -2645,27 +2614,19 @@ def test_non_finite_f_raises_only_on_active_cells():
         eval_valuation(spec, poisoned(0.0), grid)
 
 
-def test_chunked_apply_order_independent_of_threads():
+def test_chunked_apply_runs_fixed_blocks_in_order():
     pts = np.arange(300000, dtype=float)[:, None]
-    sizes = []
+    sizes, starts = [], []
 
     def fn(b):
         sizes.append(len(b))
+        starts.append(b[0, 0])
         return np.sin(b[:, 0])
 
-    a = chunked_apply(fn, pts, threads=1)
+    values = chunked_apply(fn, pts)
     assert sizes == [8192] * 36 + [5088]  # fixed blocks of 8,192 rows
-    b = chunked_apply(fn, pts, threads=6)
-    assert sorted(sizes[37:]) == sorted(sizes[:37])
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2", None])
-def test_chunked_apply_rejects_a_bad_thread_count(threads):
-    # 0, -3, True and 1.5 ran sequentially without a word, and "2" and
-    # None raised TypeError even for one block
-    with pytest.raises(ValueError, match="threads must be"):
-        chunked_apply(lambda b: pytest.fail("fn was called"), np.zeros((3, 1)), threads=threads)
+    assert starts == [8192.0 * k for k in range(37)]
+    assert np.array_equal(values, fn(pts))
 
 
 @pytest.mark.parametrize("plateau", [-0.1, 1.0, 1.5])
@@ -3375,7 +3336,7 @@ def _entry_bits(entry, key):
     integral = entry[1]
     f = _smooth_convex(key[0].real_dim, 5)
     return (integral.func, [a.tobytes() for a in held_arrays(entry)],
-            integral(f, 1).hex())
+            integral(f).hex())
 
 
 @pytest.mark.parametrize("name", sorted(_KEY_CHANGES))

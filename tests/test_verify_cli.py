@@ -279,7 +279,7 @@ def test_identity_evaluates_each_body_once(field, calls, monkeypatch):
         return body_valuation(spec, K, *args, **kwargs)
 
     monkeypatch.setattr(verify, "body_valuation", recording)
-    residuals, control = verify._identity_grid_residuals(field, 1, np.random.default_rng(3), 1)
+    residuals, control = verify._identity_grid_residuals(field, 1, np.random.default_rng(3))
     assert len(seen) == calls
     assert not any(np.array_equal(a, b) for k, a in enumerate(seen) for b in seen[:k])
     assert residuals[0] <= 0.02 < control / 3
@@ -439,14 +439,15 @@ def test_cli_read_only_output_dir_exits_two_before_computing(tmp_path, capsys, m
 
 
 def test_cli_threads_byte_identical_reports(tmp_path, monkeypatch):
-    # kernel-laplacian's stencil route splits into blocks, so --threads 2
-    # really runs them in parallel
+    # kernel-laplacian's stencil route runs in several blocks, and its
+    # report has the same bytes at --threads 1 and 2: the experiment's
+    # check reads ``threads`` and no layer below it takes one
     blocks = []
     chunked_apply = valuation.chunked_apply
 
-    def recording(fn, points, threads=1):
+    def recording(fn, points):
         blocks.append(-(-len(points) // valuation._CHUNK_ROWS))
-        return chunked_apply(fn, points, threads)
+        return chunked_apply(fn, points)
 
     monkeypatch.setattr(valuation, "chunked_apply", recording)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
