@@ -730,6 +730,29 @@ def test_check_rule_fails_the_same_everywhere(tmp_path, capsys, monkeypatch, rul
     assert not os.path.exists(out)
 
 
+_TAKES_THREADS = sorted(name for name, (fn, *_rest) in EXPERIMENTS.items()
+                        if "threads" in inspect.signature(fn).parameters)
+_BAD_THREADS = {0: "at least 1, got 0", -3: "at least 1, got -3",
+                2.5: "a whole number, got 2.5", True: "a whole number, got True",
+                "2": "a whole number, got '2'", None: "a whole number, got None"}
+
+
+def test_the_experiments_that_take_threads_are_pinned():
+    assert _TAKES_THREADS == ["kernel-laplacian", "linear-invariance", "parity-break",
+                              "valuation-identity"]
+
+
+@pytest.mark.parametrize("threads", list(_BAD_THREADS), ids=repr)
+@pytest.mark.parametrize("name", _TAKES_THREADS)
+def test_an_experiment_refuses_a_bad_thread_count_before_computing(name, threads, monkeypatch):
+    # the experiments are the one layer that takes a thread count, so each
+    # holds the rule eval_valuation held: there 0, -3, 2.5 and True gave
+    # the value of 1, and "2" and None a TypeError inside chunked_apply
+    _forbid_computing(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"threads must be {_BAD_THREADS[threads]}")):
+        EXPERIMENTS[name][0](threads=threads)
+
+
 @pytest.mark.parametrize("command", ["validate-config", "run"])
 def test_cli_unknown_body_exits_two(tmp_path, capsys, command):
     if command == "run":
