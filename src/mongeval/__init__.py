@@ -1,17 +1,7 @@
 """Valuations on convex functions and convex bodies from Monge-Ampere-type
 operators over the real, complex, quaternionic, and octonionic scalars."""
 
-from .algebra import (
-    FIELD_COMPONENTS,
-    FIELDS,
-    HermitianMatrix,
-    mixed_det,
-    moore_det,
-    oct_mul,
-    quat_conj,
-    quat_mul,
-    realize_quat_matrix,
-)
+from .algebra import FIELDS, HermitianMatrix
 from .convex import (
     PLConvexFunction,
     Polytope,
@@ -21,7 +11,7 @@ from .convex import (
     halfspace_clip,
     make_two_ball_body,
 )
-from .hessian import fd_hessian, fd_hessian_batch, structured_hessian
+from .hessian import fd_hessian_batch
 from .valuation import (
     AtomicMeasure,
     BumpWeight,

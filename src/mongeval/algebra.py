@@ -32,25 +32,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FIELDS",
     "FIELD_COMPONENTS",
-    "DeterminantConsistencyError",
     "quat_mul",
     "quat_conj",
-    "quat_abs2",
-    "quat_matmul",
     "oct_mul",
-    "oct_unit",
-    "realize_quat_matrix",
-    "moore_det",
     "conj_transpose",
     "HermitianMatrix",
-    "mixed_det",
     "det_batch",
     "polarized_det_batch",
 ]
@@ -123,10 +115,6 @@ def _pow2(top):
     return 2.0 ** min(round(math.log2(top)), 1023) if 0.0 < top < math.inf else 1.0
 
 
-class DeterminantConsistencyError(ArithmeticError):
-    """det(realization) and moore_det**4 disagree beyond tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # quaternions
 # ---------------------------------------------------------------------------
@@ -150,29 +138,11 @@ def quat_mul(p, q):
 
 def quat_conj(p):
     """Conjugate: negate every imaginary component.  The same map
-    conjugates octonions, and ``quat_abs2`` is their squared norm too."""
+    conjugates octonions."""
     p = np.asarray(p, dtype=float)
     out = p.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def quat_abs2(p):
-    """|p|^2 over the last axis, by ``_row_sums``: a quaternion's 4 squares
-    added in axis order, an octonion's 8 by ``np.sum``."""
-    p = np.asarray(p, dtype=float)
-    return _row_sums(p * p)
-
-
-# e_a e_b = sum_c _QTAB[a, b, c] e_c, every pair in one broadcast product
-_QTAB = quat_mul(np.eye(4)[:, None], np.eye(4)[None])
-
-
-def quat_matmul(A, B):
-    """Matrix product of quaternionic matrices stored as (n, k, 4)/(k, m, 4)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.einsum("ika,kjb,abc->ijc", A, B, _QTAB)
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +158,6 @@ def oct_mul(p, q):
     left = quat_mul(a, c) - quat_mul(quat_conj(d), b)
     right = quat_mul(d, a) + quat_mul(b, quat_conj(c))
     return np.concatenate([left, right], axis=-1)
-
-
-def oct_unit(i):
-    e = np.zeros(8)
-    e[i] = 1.0
-    return e
-
-
-# ---------------------------------------------------------------------------
-# realization of quaternionic matrices
-# ---------------------------------------------------------------------------
-
-def realize_quat_matrix(A):
-    """Real 4n x 4n matrix of x -> Ax under H^n ~ R^{4n}.
-
-    Coordinates are interleaved per quaternionic entry:
-    t_1, x_1, y_1, z_1, t_2, ...  A need not be Hermitian.  Block (a, b)
-    is left multiplication by A[a, b], read off the product table.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return np.einsum("abd,dec->acbe", A, _QTAB).reshape(4 * n, 4 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +187,6 @@ def _moore_terms(n):
         cols.append([sigma[i] for i in order])
         signs.append(-1.0 if (n - len(cycles)) % 2 else 1.0)
     return tuple(_read_only(np.array(x)) for x in (rows, cols, signs))
-
-
-def moore_det(A):
-    """Moore determinant of one quaternionic Hermitian matrix.
-
-    ``det_batch("H", ...)`` of the matrix, after a Hermitian check.  The
-    value is verified against ``det(realization) == moore^4`` on A divided
-    by s = ``_pow2`` of its largest entry, a power of two: the gap may be
-    at most 1e-8 ||A / s||_F^(4n), a bound of the same degree 4n as both
-    sides, so it reads the same at every scale, and neither side leaves
-    the float range (unscaled, ``moore^4`` of 1e40 I overflows, and at
-    1e-40 I the bound underflows to 0).  The value returned is computed on
-    A itself.
-    """
-    if not isinstance(A, HermitianMatrix):
-        A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
-    if A.field != "H":
-        raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
-    A, n = A.data, A.n
-    value = float(det_batch("H", A[None])[0])
-    s = _pow2(float(np.abs(A).max()))
-    unit = A / s
-    det_real = float(np.linalg.det(realize_quat_matrix(unit)))
-    p4, scale = float(det_batch("H", unit[None])[0]) ** 4, float(np.sum(unit * unit)) ** (2 * n)
-    if abs(det_real - p4) > 1e-8 * scale:
-        raise DeterminantConsistencyError(
-            f"on A / s with s = {s:.3e}: det(realization) = "
-            f"{det_real:.12e} vs moore^4 = {p4:.12e}: the gap exceeds "
-            f"1e-8 ||A / s||_F^(4n) = {1e-8 * scale:.3e}, n = {n}"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +241,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def det(self) -> float:
-        if self.field == "H":
-            return moore_det(self.data)
-        return float(det_batch(self.field, self.data[None])[0])
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2)))
 
@@ -341,15 +253,6 @@ class HermitianMatrix:
         return HermitianMatrix(self.field, self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def identity(field: str, n: int) -> "HermitianMatrix":
-        if field in ("R", "C"):
-            data = np.eye(n, dtype=complex if field == "C" else float)
-        else:
-            data = np.zeros((n, n, FIELD_COMPONENTS[field]))
-            data[np.arange(n), np.arange(n), 0] = 1.0
-        return HermitianMatrix(field, data)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +278,9 @@ def det_batch(field, data):
     H is Moore's formula over the terms of ``_moore_terms``: each term's
     factors multiplied left to right by ``quat_mul``, and the signed real
     parts added in the table's order: (n - 1) n! products, no tolerance (at
-    n = 1 the entry's real part).
+    n = 1 the entry's real part).  This is the library's one Moore
+    determinant; the tests check it against det(realization) = Moore^4
+    and against the eigenvalues of the complex embedding.
     """
     if field == "R":
         data = np.asarray(data, dtype=float)
@@ -422,24 +327,3 @@ def polarized_det_batch(field, slots):
         term = det_batch(field, sum(subset[1:], subset[0]))
         terms.append(-term if (n - len(subset)) % 2 else term)
     return sum(terms[1:], terms[0]) / math.factorial(n)
-
-
-def mixed_det(mats: Sequence[HermitianMatrix]) -> float:
-    """Mixed determinant of n Hermitian matrices over a common field.
-
-    This is the symmetric n-linear polarization of the determinant
-    polynomial: mixed_det([H] * n) == det(H), and permuting the arguments
-    leaves the value unchanged up to roundoff.  Evaluated as a batch of
-    one matrix per slot by ``polarized_det_batch``.
-    """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    field, n = mats[0].field, mats[0].n
-    if len(mats) != n:
-        raise ValueError(f"expected {n} matrices, got {len(mats)}")
-    for m in mats:
-        if m.field != field:
-            raise ValueError(f"field mismatch: {m.field} vs {field}")
-        if m.n != n:
-            raise ValueError(f"size mismatch: {m.n} vs {n}")
-    return float(polarized_det_batch(field, [m.data[None] for m in mats])[0])

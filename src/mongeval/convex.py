@@ -32,7 +32,6 @@ __all__ = [
     "unit_directions",
     "ball_body",
     "make_two_ball_body",
-    "certify_support_convexity",
     "halfspace_clip",
     "generate_union_convex_pair",
     "random_shell_polytope",
@@ -170,20 +169,17 @@ class Polytope:
     def negate(self) -> "Polytope":
         return Polytope(-self.vertices)
 
-    def translate(self, x0) -> "Polytope":
-        return Polytope(self.vertices + np.asarray(x0, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class SmoothProfileBody:
     """Body of revolution about the first axis, given by its support profile.
 
     h(xi) = |xi| g(xi_1 / |xi|) + <center, xi>, with g smooth on [-1, 1].
-    1-homogeneity holds by construction; convexity of h is a property of g
-    and is certified numerically (see certify_support_convexity).  ``dim``
-    must be a whole number >= 1 (ValueError otherwise); the center, a
-    ``dim`` point, is kept by ``_finite_copy``, so a shared body cannot be
-    moved by one of its users.
+    1-homogeneity holds by construction; convexity of h is a property of g,
+    which ``make_two_ball_body`` certifies numerically for its profile.
+    ``dim`` must be a whole number >= 1 (ValueError otherwise); the
+    center, a ``dim`` point, is kept by ``_finite_copy``, so a shared body
+    cannot be moved by one of its users.
     """
 
     dim: int
@@ -220,9 +216,6 @@ class SmoothProfileBody:
     def negate(self) -> "SmoothProfileBody":
         g = self.profile
         return SmoothProfileBody(self.dim, lambda u: g(-u), -self.center)
-
-    def translate(self, x0) -> "SmoothProfileBody":
-        return SmoothProfileBody(self.dim, self.profile, self.center + np.asarray(x0, dtype=float))
 
 
 ConvexBody = Union[Polytope, SmoothProfileBody]
@@ -504,10 +497,6 @@ class PLConvexFunction:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.max(x @ self.slopes.T + self.offsets, axis=-1)
-
-    def add_affine(self, a, c: float = 0.0) -> "PLConvexFunction":
-        """The function f + <a, x> + c (every piece shifts)."""
-        return PLConvexFunction(self.slopes + np.asarray(a, dtype=float), self.offsets + c)
 
     @classmethod
     def from_polytope_support(cls, P: Polytope) -> "PLConvexFunction":

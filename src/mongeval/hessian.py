@@ -20,7 +20,10 @@ linear combinations of real second partials:
 
 These combinations are precomputed once as coefficient tables and
 contracted against a real Hessian, rather than nesting first-difference
-quotients.
+quotients: a field Hessian at points p is ``assemble_structured(field,
+fd_hessian_batch(f, p, entries=_field_entries(d, m)))`` for m real
+components per coordinate; the O2 probe identity forms the same values
+from the stencil's two halves.
 
 Both Hessian routes compute only the real entries they are given, as flat
 indices a d + b, and write the others as 0.  A valuation gives the entries
@@ -65,7 +68,6 @@ import numpy as np
 
 from .algebra import (
     FIELD_COMPONENTS,
-    HermitianMatrix,
     _read_only,
     _row_sums,
     conj_transpose,
@@ -75,14 +77,11 @@ from .algebra import (
 )
 
 __all__ = [
-    "DEFAULT_STEP",
-    "fd_hessian",
     "fd_hessian_batch",
     "fd_laplacian_batch",
     "grid_hessian",
     "grid_hessian_adjoint",
     "assemble_structured",
-    "structured_hessian",
 ]
 
 #: relative central-difference step; the effective step is step * (1 + |x|).
@@ -98,8 +97,8 @@ def _field_entries(d, m):
     b, in row-major order: the diagonal and the pairs in different blocks,
     a // m != b // m.  R (m = 1) reads every entry, and m = d the diagonal
     alone.  Memoized: a whole field Hessian's caller (the O2 identity
-    probe, one stencil per pair, and ``structured_hessian``) would
-    otherwise pay about 40 us a call to rebuild it."""
+    probe, one stencil per pair) would otherwise pay about 40 us a call
+    to rebuild it."""
     a, b = np.triu_indices(d)
     return _read_only((a * d + b)[(a == b) | (a // m != b // m)])
 
@@ -234,11 +233,6 @@ def fd_hessian_batch(f, points, step=None, entries=None):
     x, h, *rows = _stencil_points(points, step, entries)
     d = x.shape[-1]
     return _stencil_hessians(f(x.reshape(-1, d)), h, d, *rows)
-
-
-def fd_hessian(f, x, step=None):
-    """Central-difference Hessian at a single point; see fd_hessian_batch."""
-    return fd_hessian_batch(f, np.asarray(x, dtype=float)[None, :], step=step)[0]
 
 
 def fd_laplacian_batch(f, points, step=None):
@@ -511,10 +505,3 @@ def assemble_structured(field, hreal):
         coef = _COEF_H if field == "H" else _COEF_O
         out = np.einsum("...ambn,mnc->...abc", blocks, coef)
     return 0.5 * (out + conj_transpose(field, out))
-
-
-def structured_hessian(field, f, p, step=None):
-    """Field Hessian of a real-valued function at a point, as a HermitianMatrix."""
-    p = np.asarray(p, dtype=float)
-    hreal = fd_hessian_batch(f, p[None, :], step, _field_entries(p.size, FIELD_COMPONENTS[field]))
-    return HermitianMatrix(field, assemble_structured(field, hreal[0]))

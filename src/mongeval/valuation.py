@@ -1091,7 +1091,7 @@ def eval_valuation(spec: ValuationSpec, f, grid: Grid = None, *, sigma_cells: fl
     binomial(n, i)^{-1} times the complementary principal minor of the
     Hessian, and a degree-0 functional with such weights integrates B
     against 1.  The bare symmetric polarization would carry an extra
-    1/(n - i)! here; see ``mixed_det`` for that form.
+    1/(n - i)! here: that form is ``algebra.polarized_det_batch``.
     """
     atom = spec.atom
     reach = 4.0 * float(sigma_cells) + 0.5  # _kernel_radius's; a Python float overflows to inf

@@ -63,14 +63,6 @@ class ExperimentReport:
     details: dict = dc_field(default_factory=dict)
 
     @property
-    def observed(self):
-        return [c[1] for c in self.checks]
-
-    @property
-    def expected(self):
-        return [c[2] for c in self.checks]
-
-    @property
     def verdicts(self) -> list:
         """Each check's pass, |observed - expected| <= tolerance (NaN fails)."""
         return [bool(abs(o - e) <= t) for _, o, e, t in self.checks]

@@ -14,18 +14,16 @@ import numpy as np
 import pytest
 
 from mongeval.algebra import (
+    FIELD_COMPONENTS,
     HermitianMatrix,
     conj_transpose,
-    mixed_det,
-    moore_det,
-    quat_abs2,
+    det_batch,
+    polarized_det_batch,
     quat_conj,
-    quat_matmul,
-    realize_quat_matrix,
 )
 from mongeval.cli import main
 from mongeval.convex import PLConvexFunction, make_two_ball_body, random_shell_polytope
-from mongeval.hessian import fd_hessian, structured_hessian
+from mongeval.hessian import _field_entries, assemble_structured, fd_hessian_batch
 from mongeval.valuation import (
     BumpWeight,
     Grid,
@@ -43,6 +41,7 @@ from mongeval.verify import (
     valuation_identity,
     volume_identity,
 )
+from references import identity, observed, quat_abs2, quat_matmul, realize_quat_matrix
 
 
 def _report(num, label, passed, elapsed, budget):
@@ -64,7 +63,7 @@ def test_acceptance_01_mixed_determinant_minor_identity():
         slots = [HermitianMatrix("R", H)] * i + [
             HermitianMatrix("R", np.diag(np.eye(n)[l])) for l in range(n - i)
         ]
-        val = math.factorial(n - i) * mixed_det(slots)
+        val = math.factorial(n - i) * polarized_det_batch("R", [s.data[None] for s in slots])[0]
         minor = np.linalg.det(H[n - i:, n - i:]) if i else 1.0
         expected = minor / math.comb(n, i)
         tol = 1e-9 * max(1.0, np.linalg.norm(H) ** n)
@@ -75,6 +74,10 @@ def test_acceptance_01_mixed_determinant_minor_identity():
 
 def test_acceptance_02_moore_determinant():
     t0 = time.perf_counter()
+
+    def moore(A):  # the library's one Moore determinant, on one matrix
+        return det_batch("H", A[None])[0]
+
     rng = np.random.default_rng(102)
     ok = True
     # 2x2 closed form on 500 random Hermitian matrices
@@ -85,10 +88,10 @@ def test_acceptance_02_moore_determinant():
         A[0, 0, 0], A[1, 1, 0] = a, b
         A[0, 1], A[1, 0] = q, quat_conj(q)
         closed = a * b - quat_abs2(q)
-        ok &= abs(moore_det(A) - closed) <= 1e-10 * max(1.0, abs(closed))
+        ok &= abs(moore(A) - closed) <= 1e-10 * max(1.0, abs(closed))
     # identity normalization, exactly
     for n in range(1, 5):
-        ok &= moore_det(HermitianMatrix.identity("H", n)) == 1.0
+        ok &= moore(identity("H", n).data) == 1.0
     # realization consistency, relative to ||A||_F^(4n), the degree of both
     # sides, at three scales, and at scale 1 also relative to the values,
     # the tighter of the two there; weak multiplicativity
@@ -96,18 +99,18 @@ def test_acceptance_02_moore_determinant():
         for _ in range(20):
             x = rng.standard_normal((n, n, 4))
             A = 0.5 * (x + conj_transpose("H", x))
-            p = moore_det(A)
+            p = moore(A)
             det_real = np.linalg.det(realize_quat_matrix(A))
             ok &= abs(det_real - p**4) <= 1e-8 * max(1.0, abs(p**4), abs(det_real))
             for scaled in (A, 1e-2 * A, 1e2 * A):
-                p = moore_det(scaled)
+                p = moore(scaled)
                 det_real = np.linalg.det(realize_quat_matrix(scaled))
                 ok &= abs(det_real - p**4) <= 1e-8 * np.sum(scaled * scaled) ** (2 * n)
             C = rng.standard_normal((n, n, 4))
             cac = quat_matmul(quat_matmul(conj_transpose("H", C), A), C)
             cc = quat_matmul(conj_transpose("H", C), C)
-            rhs = moore_det(A) * moore_det(cc)
-            ok &= abs(moore_det(cac) - rhs) <= 1e-8 * max(1.0, abs(rhs))
+            rhs = moore(A) * moore(cc)
+            ok &= abs(moore(cac) - rhs) <= 1e-8 * max(1.0, abs(rhs))
     _report(2, "Moore determinant: closed form, unit normalization, realization, "
                "weak multiplicativity", ok, time.perf_counter() - t0, 30)
 
@@ -119,7 +122,7 @@ def test_acceptance_03_parity_breaking_values():
         rep = parity_break(dim=3, degree=degree)
         ok &= rep.passed
         expect = 1.0 / math.comb(3, degree)
-        obs = dict(zip([c[0] for c in rep.checks], rep.observed))
+        obs = dict(zip([c[0] for c in rep.checks], observed(rep)))
         ok &= abs(obs["phi(K) via atom weights"] - expect) <= 0.01 * expect
         ok &= abs(obs["phi(-K) via atom weights"] - 2.0**degree * expect) <= (
             0.01 * 2.0**degree * expect
@@ -194,18 +197,24 @@ def test_acceptance_09_structured_hessians():
     def norm_sq(x):
         return np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
 
-    hc = structured_hessian("C", norm_sq, np.array([0.2, -0.1, 0.3, 0.4]))
-    ok &= np.abs(hc.data - np.eye(2)).max() <= 1e-6
-    hh = structured_hessian("H", norm_sq, np.array([0.2, -0.1, 0.3, 0.4]))
-    ok &= abs(hh.data[0, 0, 0] - 8.0) <= 1e-6 and np.abs(hh.data[0, 0, 1:]).max() <= 1e-6
-    ho = structured_hessian("O2", norm_sq, 0.05 * np.arange(16.0))
+    def field_hessian(field, p):
+        # the library's one field-Hessian route, as the O2 probe identity forms it
+        d, m = p.size, FIELD_COMPONENTS[field]
+        return assemble_structured(field, fd_hessian_batch(
+            norm_sq, p[None], entries=_field_entries(d, m)))[0]
+
+    hc = field_hessian("C", np.array([0.2, -0.1, 0.3, 0.4]))
+    ok &= np.abs(hc - np.eye(2)).max() <= 1e-6
+    hh = field_hessian("H", np.array([0.2, -0.1, 0.3, 0.4]))
+    ok &= abs(hh[0, 0, 0] - 8.0) <= 1e-6 and np.abs(hh[0, 0, 1:]).max() <= 1e-6
+    ho = field_hessian("O2", 0.05 * np.arange(16.0))
     expected = np.zeros((2, 2, 8))
     expected[0, 0, 0] = expected[1, 1, 0] = 16.0
-    ok &= np.abs(ho.data - expected).max() <= 1e-6
+    ok &= np.abs(ho - expected).max() <= 1e-6
     # cross-check against an independently assembled real difference Hessian
-    hreal = fd_hessian(norm_sq, np.array([0.2, -0.1, 0.3, 0.4]))
-    ok &= np.abs(0.25 * (hreal[0, 0] + hreal[1, 1]) - hc.data[0, 0].real) <= 1e-8
-    ok &= abs(np.trace(hreal) - hh.data[0, 0, 0]) <= 1e-8
+    hreal = fd_hessian_batch(norm_sq, np.array([[0.2, -0.1, 0.3, 0.4]]))[0]
+    ok &= np.abs(0.25 * (hreal[0, 0] + hreal[1, 1]) - hc[0, 0].real) <= 1e-8
+    ok &= abs(np.trace(hreal) - hh[0, 0, 0]) <= 1e-8
     _report(9, "structured Hessians: C -> I, H -> (8), O2 -> 16 I, vs difference "
                "stencils", ok, time.perf_counter() - t0, 10)
 

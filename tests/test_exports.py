@@ -2,6 +2,8 @@
 it from ``__all__`` and from the package namespace."""
 
 import ast
+import collections
+import glob
 import importlib
 import inspect
 import os
@@ -13,6 +15,19 @@ import pytest
 import mongeval
 
 MODULES = [info.name for info in pkgutil.iter_modules(mongeval.__path__)]
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _readme_example():
+    """The code block of the README's library example."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,6 +48,111 @@ def test_package_imports_only_public_names():
         public = set(getattr(module, "__all__", ()))
         unlisted = [alias.name for alias in node.names if alias.name not in public]
         assert not unlisted, f"mongeval imports {unlisted}, not in mongeval.{node.module}.__all__"
+
+
+def _mongeval_reads(tree):
+    """(module, name) of every mongeval name that ``tree`` imports or reads
+    as an attribute of a mongeval module; module "" is the package."""
+    bound, reads = {}, set()  # bound: local name -> the mongeval module it is
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").split(".")[0] == "mongeval":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if not module and alias.name in MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add((module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mongeval":
+                    # "import mongeval.x as y" binds x; "import mongeval[.x]" the package
+                    bound[alias.asname or "mongeval"] = (alias.name.partition(".")[2]
+                                                         if alias.asname else "")
+    for node in ast.walk(tree):  # after every import, wherever it sits
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reads.add((bound[node.value.id], node.attr))
+    return reads
+
+
+def _yielded_names(node):
+    """Names in what a definition raises, in its annotations and in the
+    calls it returns."""
+    exprs = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise) and sub.exc is not None:
+            exprs.append(sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc)
+        elif isinstance(sub, ast.Return) and isinstance(sub.value, ast.Call):
+            exprs.append(sub.value.func)
+        elif isinstance(sub, ast.arg) and sub.annotation is not None:
+            exprs.append(sub.annotation)
+        elif isinstance(sub, ast.FunctionDef) and sub.returns is not None:
+            exprs.append(sub.returns)
+    names = set()
+    for expr in exprs:
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            expr = ast.parse(expr.value, mode="eval")  # a quoted annotation
+        names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def _with_their_types(kept, candidates, trees):
+    """``kept`` with every class among ``candidates`` that a kept function
+    or class raises, takes or returns, to a fixed point."""
+    defs = {(m, node.name): node for m, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    classes = {pair for pair in candidates if isinstance(defs.get(pair), ast.ClassDef)}
+    kept = set(kept)
+    while True:
+        yielded = set().union(*(_yielded_names(defs[pair]) for pair in kept if pair in defs))
+        new = {pair for pair in classes - kept if pair[1] in yielded}
+        if not new:
+            return kept
+        kept |= new
+
+
+def test_every_public_name_has_a_consumer():
+    # no public API that no experiment, CLI path or paper claim needs.  A
+    # name in a module's __all__ is read outside its module (in src/, in
+    # perfbench/ or in the README example), is held by the registry, or is
+    # a class that such a name raises, takes or returns.  A name in the
+    # package namespace is read by verify, cli, perfbench/ or the README
+    # example, or is such a class of a namespace name.  Methods are not
+    # checked here: an attribute match cannot tell HermitianMatrix.det
+    # from np.linalg.det
+    from mongeval.verify import EXPERIMENTS
+
+    src = os.path.dirname(mongeval.__file__)
+    trees = {m: _parse(os.path.join(src, f"{m}.py")) for m in MODULES}
+    readers = dict(trees)
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        readers[f"perfbench/{os.path.basename(path)}"] = _parse(path)
+    readers["README"] = ast.parse(_readme_example())
+    exports = {alias.name: node.module for node in _parse(mongeval.__file__).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read_by = collections.defaultdict(set)
+    for label, tree in readers.items():
+        for module, name in _mongeval_reads(tree):
+            read_by[module or exports.get(name), name].add(label)
+
+    listed = {(m, n) for m in MODULES
+              for n in getattr(importlib.import_module(f"mongeval.{m}"), "__all__", ())}
+    registry = {(fn.__module__.rpartition(".")[2], fn.__name__)
+                for entry in EXPERIMENTS.values() for fn in entry[:2]}
+    kept = {pair for pair in listed if read_by[pair] - {pair[0]} or pair in registry}
+    unread = listed - _with_their_types(kept, listed, trees)
+    assert not unread, f"names in __all__ with no consumer: {sorted(unread)}"
+
+    namespace = {(m, n) for n, m in exports.items()}
+    consumers = {"verify", "cli", "README"} | {k for k in readers if k.startswith("perfbench/")}
+    kept = {pair for pair in namespace if read_by[pair] & consumers}
+    unread = namespace - _with_their_types(kept, namespace, trees)
+    assert not unread, f"package names with no consumer: {sorted(unread)}"
 
 
 def _tracer_patch_points():
@@ -287,11 +407,8 @@ def test_registry_checks_take_no_defaults():
 def test_readme_library_example_prints_its_values():
     # the README's example says it prints 1/3 and 4/3 (0.3333332 and
     # 1.3333327); run its code block as written, from the package exports
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
-        section = fh.read().split("## Library example", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
     printed = []
-    exec(compile(code, "README.md", "exec"), {"print": printed.append})
+    exec(compile(_readme_example(), "README.md", "exec"), {"print": printed.append})
     assert len(printed) == 2
     for value, expected in zip(printed, (1 / 3, 4 / 3)):
         assert abs(value - expected) <= 0.01 * expected

@@ -11,13 +11,12 @@ from mongeval.convex import ball_body, make_two_ball_body
 from mongeval.hessian import (
     DEFAULT_STEP,
     assemble_structured,
-    fd_hessian,
     fd_hessian_batch,
     fd_laplacian_batch,
     grid_hessian,
     grid_hessian_adjoint,
-    structured_hessian,
 )
+from references import QTAB, fd_hessian, oct_unit, structured_hessian
 
 
 def quadratic(Q):
@@ -757,9 +756,8 @@ def test_product_tables_keep_the_bits_of_their_loop_form():
             coef_h[a, b] = algebra.quat_mul(eye4[a], algebra.quat_conj(eye4[b]))
     for i in range(8):
         for j in range(8):
-            coef_o[i, j] = algebra.oct_mul(algebra.oct_unit(i),
-                                           algebra.quat_conj(algebra.oct_unit(j)))
-    for got, want in ((algebra._QTAB, qtab), (hessian._COEF_H, coef_h),
+            coef_o[i, j] = algebra.oct_mul(oct_unit(i), algebra.quat_conj(oct_unit(j)))
+    for got, want in ((QTAB, qtab), (hessian._COEF_H, coef_h),
                       (hessian._COEF_O, coef_o)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -49,6 +49,7 @@ from mongeval.valuation import (
     ma_measure_pl,
     pl_valuation,
 )
+from references import add_affine, identity, translate
 
 
 def unit_cube(dim, lo=0.0, hi=1.0):
@@ -256,7 +257,7 @@ def test_pl_measure_translation_moves_atom():
     # f(x) = h_K(x) + <a, x> shifts every subgradient by a
     K = unit_cube(3, -0.5, 0.5)
     a = np.array([0.25, -0.5, 0.125])
-    f = PLConvexFunction.from_polytope_support(K).add_affine(a)
+    f = add_affine(PLConvexFunction.from_polytope_support(K), a)
     mu = ma_measure_pl(f)
     assert len(mu.masses) == 1
     assert np.allclose(mu.locations[0], 0.0)  # atom location in x-space stays
@@ -1340,9 +1341,9 @@ def test_body_valuations_are_translation_invariant(route):
         assert base != 0.0
         for name in shifts:
             x = np.resize(_SHIFTS[name], K.dim)
-            moved = phi(K.translate(x))
+            moved = phi(translate(K, x))
             assert abs(moved - base) <= tol * abs(base), (name, moved, base)
-            mutated = (moved + K.translate(x).support(e1)) - (base + K.support(e1))
+            mutated = (moved + translate(K, x).support(e1)) - (base + K.support(e1))
             assert abs(mutated - x[0]) <= 1e-9 + tol * abs(base)
             assert abs(mutated) > tol * abs(base)  # the gate sees the control
 
@@ -2480,7 +2481,7 @@ def test_zero_b_on_every_cell_returns_before_any_matrix_weight_is_read():
     # an 8-D H spec whose B and normalized bump miss every node: B is read
     # first, so the bump's zero mass never raises
     grid = Grid.cube(np.zeros(8), 0.5, 4, 8)
-    bump = MatrixBump(HermitianMatrix.identity("H", 2), np.zeros(8), 0.2, normalize=True)
+    bump = MatrixBump(identity("H", 2), np.zeros(8), 0.2, normalize=True)
     spec = ValuationSpec("H", 2, 1, BumpWeight(np.zeros(8), 0.2), (bump,))
 
     def never(x):
@@ -2634,7 +2635,7 @@ def test_matrix_bump_rejects_plateau_outside_unit_interval(plateau):
     # with plateau 1.5 the profile was 0 at the center and 0.26 at r = 0.6,
     # outside the declared support
     with pytest.raises(ValueError, match="plateau"):
-        MatrixBump(HermitianMatrix.identity("R", 3), np.zeros(3), 0.5, plateau=plateau)
+        MatrixBump(identity("R", 3), np.zeros(3), 0.5, plateau=plateau)
 
 
 @pytest.mark.parametrize("name,value", [("radius", math.nan), ("radius", math.inf),
@@ -2650,7 +2651,7 @@ def test_bump_weights_reject_non_finite_parameters(name, value):
         BumpWeight(**args)
     if name != "height":
         with pytest.raises(ValueError, match="finite"):
-            MatrixBump(HermitianMatrix.identity("R", 3), args["center"], args["radius"])
+            MatrixBump(identity("R", 3), args["center"], args["radius"])
 
 
 def test_a_spec_takes_bump_centers_of_size_one_or_its_real_dimension():
@@ -2658,7 +2659,7 @@ def test_a_spec_takes_bump_centers_of_size_one_or_its_real_dimension():
     # against (4,); a matrix bump's center had no check at all
     with pytest.raises(ValueError, match="BumpWeight dimension 3 != real dimension 4"):
         ValuationSpec("H", 1, 1, BumpWeight(np.zeros(3), 0.4))
-    mat = HermitianMatrix.identity("C", 2)
+    mat = identity("C", 2)
     with pytest.raises(ValueError, match="MatrixBump dimension 2 != real dimension 4"):
         ValuationSpec("C", 2, 1, BumpWeight(np.zeros(4), 0.4),
                       (MatrixBump(mat, np.zeros(2), 0.4),))
@@ -2681,7 +2682,7 @@ def test_a_spec_checks_its_atom_location_dimension(size):
         ValuationSpec("R", 3, 2, BumpWeight(np.zeros(3), 0.4), (atom,))
 
 
-@pytest.mark.parametrize("weight", [BumpWeight(np.zeros(3), 0.4), HermitianMatrix.identity("R", 3),
+@pytest.mark.parametrize("weight", [BumpWeight(np.zeros(3), 0.4), identity("R", 3),
                                     None])
 def test_matrix_weights_are_bumps_or_atoms(weight):
     # a BumpWeight in a matrix slot died with AttributeError on .matrix
@@ -2690,7 +2691,7 @@ def test_matrix_weights_are_bumps_or_atoms(weight):
 
 
 def test_matrix_bump_scalar_is_the_unit_bump():
-    bump = MatrixBump(HermitianMatrix.identity("R", 3), [0.1, 0.0, -0.2], 0.5, 0.4, True)
+    bump = MatrixBump(identity("R", 3), [0.1, 0.0, -0.2], 0.5, 0.4, True)
     ref = BumpWeight(np.array([0.1, 0.0, -0.2]), 0.5, plateau=0.4)
     x = np.random.default_rng(2).uniform(-0.5, 0.5, (200, 3))
     assert np.array_equal(bump.scalar(x), ref(x))
@@ -3023,7 +3024,7 @@ def test_a_spec_that_raises_in_the_memo_raises_on_every_call(case):
     assert memo.cache_info().hits == 1
 
 
-_R3 = HermitianMatrix.identity("R", 3)
+_R3 = identity("R", 3)
 _C2 = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])
 #: each array a value object keeps: (build from the array, an array it
 #: takes, the array it keeps)
@@ -3039,8 +3040,8 @@ _HELD_ARRAYS = {
     **{f"HermitianMatrix.data[{field}]": (lambda a, field=field: HermitianMatrix(field, a), data,
                                           lambda m: m.data)
        for field, data in [("R", np.diag([1.0, 2.0, 3.0])), ("C", _C2),
-                           ("H", HermitianMatrix.identity("H", 2).data),
-                           ("O2", HermitianMatrix.identity("O2", 2).data)]},
+                           ("H", identity("H", 2).data),
+                           ("O2", identity("O2", 2).data)]},
     "SmoothProfileBody.center": (lambda a: SmoothProfileBody(3, np.cos, a),
                                  np.array([0.1, -0.2, 0.3]), lambda b: b.center),
     "Polytope.vertices": (Polytope, unit_cube(3).vertices, lambda K: K.vertices),
