@@ -69,7 +69,8 @@ class DeterminantConsistencyError(ArithmeticError):
 
 def moore_det(A):
     """``algebra.det_batch("H", ...)`` of one (n, n, 4) matrix, an array or
-    a HermitianMatrix, checked against ``det(realization) == moore^4``.
+    a HermitianMatrix, after a Hermitian check, checked against
+    ``det(realization) == moore^4``.
 
     The check runs on A divided by s = ``_pow2`` of its largest entry, a
     power of two: the gap may be at most 1e-8 ||A / s||_F^(4n), a bound of
@@ -79,8 +80,11 @@ def moore_det(A):
     returned is computed on A itself.  ``det_batch`` is read from the
     module, so a test can patch it.
     """
-    A = np.asarray(getattr(A, "data", A), dtype=float)
-    n = A.shape[0]
+    if not isinstance(A, HermitianMatrix):
+        A = HermitianMatrix("H", A)  # validates the shape and Hermitian symmetry
+    if A.field != "H":
+        raise ValueError(f"expected a quaternionic matrix, got field {A.field!r}")
+    A, n = A.data, A.n
     value = float(algebra.det_batch("H", A[None])[0])
     s = _pow2(float(np.abs(A).max()))
     unit = A / s
@@ -121,7 +125,18 @@ def det(m):
 def mixed_det(mats):
     """Mixed determinant of n HermitianMatrix objects over one field: the
     symmetric n-linear polarization of the determinant, as a batch of one
-    matrix per slot of ``algebra.polarized_det_batch``."""
+    matrix per slot of ``algebra.polarized_det_batch``.  Refuses an empty
+    list, a count other than n and mixed fields or sizes."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    field, n = mats[0].field, mats[0].n
+    if len(mats) != n:
+        raise ValueError(f"expected {n} matrices, got {len(mats)}")
+    for m in mats:
+        if m.field != field:
+            raise ValueError(f"field mismatch: {m.field} vs {field}")
+        if m.n != n:
+            raise ValueError(f"size mismatch: {m.n} vs {n}")
     return float(algebra.polarized_det_batch(mats[0].field, [m.data[None] for m in mats])[0])
 
 

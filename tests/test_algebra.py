@@ -423,6 +423,12 @@ def test_moore_batch_matches_jacobi_property(n, seed):
         assert abs(vals[k] - ref) <= 1e-10 * max(1.0, np.sum(batch[k] ** 2) ** (n / 2))
 
 
+def test_moore_rejects_non_hermitian():
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError):
+        moore_det(rng.standard_normal((2, 2, 4)))
+
+
 def test_moore_raises_when_the_realization_disagrees(monkeypatch):
     # moore_det checks det_batch's value against det(realization) = moore^4
     # with a gap of at most 1e-8 ||A||_F^(4n); the bound max(1, |moore^4|,
@@ -633,6 +639,22 @@ def test_mixed_det_two_diag_example():
     D1 = HermitianMatrix("R", np.diag([1.0, 0.0]))
     D2 = HermitianMatrix("R", np.diag([0.0, 1.0]))
     assert np.isclose(mixed_det([D1, D2]), 0.5)
+
+
+def test_mixed_det_form_validation():
+    R2 = identity("R", 2)
+    with pytest.raises(ValueError):
+        mixed_det([])
+    with pytest.raises(ValueError):
+        mixed_det([R2])
+    with pytest.raises(ValueError):
+        mixed_det([R2, identity("C", 2)])
+    with pytest.raises(ValueError):
+        mixed_det([R2, identity("R", 3)])
+    with pytest.raises(ValueError):
+        mixed_det([identity("R", 3)] * 2)
+    with pytest.raises(ValueError):
+        HermitianMatrix("O2", np.zeros((3, 3, 8)))
 
 
 def _psd(field, n, rng):
